@@ -16,7 +16,6 @@ known collinearities) to protect against transcription slips.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -59,6 +58,8 @@ ConstructFn = Callable[[Triangle], Point]
 
 # Relative area below which a triangle is treated as collinear.
 _DEGENERATE_AREA = 1e-14
+# Relative residual allowed in the X484 perspector's concurrence.
+_CONCURRENCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -234,13 +235,13 @@ def vertex_reflection_triangle(tri: Triangle) -> Triangle:
     )
 
 
-def evans_perspector(tri: Triangle, tol: float = 1e-8) -> Point:
+def evans_perspector(tri: Triangle) -> Point:
     """Concurrence of the lines joining each excenter to the reflection
     of its opposite vertex across the far side (X484).
 
     The three lines are concurrent for every non-degenerate triangle;
     the residual of the third line through the computed intersection is
-    asserted against ``tol`` (relative to the triangle scale).
+    asserted against ``_CONCURRENCE_TOL`` (relative to the triangle scale).
     """
     exc = excenters(tri)
     refl = vertex_reflection_triangle(tri)
@@ -258,10 +259,10 @@ def evans_perspector(tri: Triangle, tol: float = 1e-8) -> Point:
     if p is None:
         raise GeometryError("perspector lines are parallel")
     scale = max(tri.side_lengths())
-    if abs(check.signed_distance(p)) > tol * scale:
+    if abs(check.signed_distance(p)) > _CONCURRENCE_TOL * scale:
         raise GeometryError(
             f"perspector concurrence residual {abs(check.signed_distance(p)):.3e} "
-            f"exceeds {tol * scale:.3e}"
+            f"exceeds {_CONCURRENCE_TOL * scale:.3e}"
         )
     return p
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,10 +43,12 @@ from .families import (
     conf2_config,
     conf2_envelope,
     conf3_config,
+    confocal_delta,
     critical_lambda,
     degenerate_envelope_inradius,
     envelope_points,
 )
+from .centers import _cosines
 from .loci import (
     DEFAULT_TOLERANCES,
     Locus,
@@ -56,8 +58,8 @@ from .loci import (
     convexity_lambda_root,
     convexity_quintic_coeffs,
     fit_curve,
-    sextic_coefficients_x2,
     sextic_coefficients_x2_weighted,
+    sextic_residual,
     stationarity_spread,
     trace_locus,
     tracked_point,
@@ -260,14 +262,14 @@ def conf2_excentral_axes(p: ConfocalParams) -> Tuple[float, float]:
 def conf1_x1_axes(a: float, b: float) -> Tuple[float, float]:
     """Semi-axes ((delta-b^2)/a, (a^2-delta)/b) of the incenter ellipse
     over the closing confocal family."""
-    delta = math.sqrt(a ** 4 - a * a * b * b + b ** 4)
+    delta = confocal_delta(a, b)
     return ((delta - b * b) / a, (a * a - delta) / b)
 
 
 def conf1_excentral_axes(a: float, b: float) -> Tuple[float, float]:
     """Semi-axes ((b^2+delta)/a, (a^2+delta)/b) of the excentral ellipse
     over the closing confocal family."""
-    delta = math.sqrt(a ** 4 - a * a * b * b + b ** 4)
+    delta = confocal_delta(a, b)
     return ((b * b + delta) / a, (a * a + delta) / b)
 
 
@@ -353,7 +355,12 @@ def _ellipse_deviation(pts: Sequence[Point], ax: float, ay: float) -> float:
     return max(abs((q.x / ax) ** 2 + (q.y / ay) ** 2 - 1.0) for q in pts)
 
 
-def _min_axis_distance(cfg: FamilyConfig, tracked: str, n: int = 512, iters: int = 64) -> float:
+# Samples and bisection steps of _min_axis_distance.
+_AXIS_SAMPLES = 512
+_AXIS_BISECTIONS = 64
+
+
+def _min_axis_distance(cfg: FamilyConfig, tracked: str) -> float:
     """Closest approach of a traced locus to the x-axis.
 
     Sign changes of y(t) between consecutive samples are refined by
@@ -366,10 +373,9 @@ def _min_axis_distance(cfg: FamilyConfig, tracked: str, n: int = 512, iters: int
             tri = cfg.triangle(t)
         except GeometryError:
             return None
-        if not tri.valid:
-            return None
         return tracked_point(tri, tracked).y
 
+    n = _AXIS_SAMPLES
     ts = [2.0 * math.pi * k / n for k in range(n + 1)]
     ys = [y_of(t) for t in ts]
     finite = [abs(y) for y in ys if y is not None]
@@ -379,7 +385,7 @@ def _min_axis_distance(cfg: FamilyConfig, tracked: str, n: int = 512, iters: int
         if y0 is None or y1 is None or (y0 < 0.0) == (y1 < 0.0):
             continue
         lo, hi, y_lo = ts[k], ts[k + 1], y0
-        for _ in range(iters):
+        for _ in range(_AXIS_BISECTIONS):
             mid = 0.5 * (lo + hi)
             ym = y_of(mid)
             if ym is None:
@@ -403,20 +409,6 @@ def _hausdorff(a: Sequence[Point], b: Sequence[Point]) -> float:
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
-def _sextic_residual_on(coeffs: Dict[Tuple[int, int], float], pts: Sequence[Point]) -> float:
-    """Same normalization as verify_implicit_sextic_x2, for arbitrary
-    degree-6 coefficient dictionaries and point sets."""
-    norm = math.sqrt(math.fsum(v * v for v in coeffs.values()))
-    scale = max(max(abs(q.x), abs(q.y)) for q in pts)
-    scale = max(scale, 1e-300)
-    items = sorted(coeffs.items())
-    worst = 0.0
-    for q in pts:
-        val = math.fsum(v * q.x ** i * q.y ** j for (i, j), v in items)
-        worst = max(worst, abs(val))
-    return worst / (norm * scale ** 6)
-
-
 def _symmetry_closure(pts: Sequence[Point], flip: Callable[[Point], Point]) -> float:
     arr = np.array([[q.x, q.y] for q in pts])
     out = 0.0
@@ -437,11 +429,16 @@ def _nonconic_evidence(loc: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> Tup
 # Bicentric checks.
 
 
+def _is_poristic(p: BicentricParams) -> bool:
+    """Whether d is Chapple's poristic offset; never when R < 2r."""
+    return p.R >= 2.0 * p.r and abs(p.d - chapple_distance(p.R, p.r)) <= 1e-12
+
+
 def check_bicII_x1_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     """Incenter locus over the two-caustic bicentric family is the
     circle [O1, r1], with the reflected circle carrying the reflected
     incenter, and [O1, r1] does not belong to the caustic pencil."""
-    cfg = bic2_config(p.R, p.r, p.d) if abs(p.d - chapple_distance(p.R, p.r)) > 1e-12 else bic1_config(p.R, p.r)
+    cfg = bic1_config(p.R, p.r) if _is_poristic(p) else bic2_config(p.R, p.r, p.d)
     center, radius = bic2_x1_circle(p)
     loc = trace_locus(cfg, "X1", 512)
     pts = loc.valid_points()
@@ -489,7 +486,7 @@ def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimRepor
     metric = _circle_deviation(loc1.valid_points(), anti, radius) / p.R
 
     notes = []
-    if abs(p.d - chapple_distance(p.R, p.r)) <= 1e-12:
+    if _is_poristic(p):
         notes.append(
             f"closing pair: r1' = {radius:.15g}, |r1' - 2R|/R = {abs(radius - 2.0 * p.R) / p.R:.3e}"
         )
@@ -543,8 +540,8 @@ def check_bicII_x2_sextic(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
             continue
         w = p.R * p.R + p.d * p.d - 2.0 * p.d * (p.R * math.cos(s.t))
         scaled.append(Point(s.p.x * w, s.p.y * w))
-    companion = _sextic_residual_on(weighted, scaled)
-    companion_plain = _sextic_residual_on(weighted, pts)
+    companion = sextic_residual(weighted, scaled)
+    companion_plain = sextic_residual(weighted, pts)
 
     ok = (
         metric <= 1e-8
@@ -749,8 +746,6 @@ def check_x2_homothety_half_n4(a: float = 2.0, b: float = 1.0) -> ClaimReport:
             tri = cfg.triangle(t)
         except GeometryError:
             continue
-        if not tri.valid:
-            continue
         midpoint_worst = max(
             midpoint_worst,
             math.hypot(tri.p2.x + tri.p3.x, tri.p2.y + tri.p3.y) / 2.0,
@@ -931,12 +926,7 @@ def check_conserved_quantities() -> ClaimReport:
     for k in range(512):
         t = 2.0 * math.pi * k / 512.0
         tri = cfg1.triangle(t)
-        s1, s2, s3 = tri.side_lengths()
-        cos_sum = (
-            (s2 * s2 + s3 * s3 - s1 * s1) / (2.0 * s2 * s3)
-            + (s1 * s1 + s3 * s3 - s2 * s2) / (2.0 * s1 * s3)
-            + (s1 * s1 + s2 * s2 - s3 * s3) / (2.0 * s1 * s2)
-        )
+        cos_sum = sum(_cosines(*tri.side_lengths()))
         cos_worst = max(cos_worst, abs(cos_sum - (1.0 + r / R)))
 
     a, b = 2.0, 1.0
@@ -946,16 +936,8 @@ def check_conserved_quantities() -> ClaimReport:
     for k in range(512):
         t = 2.0 * math.pi * k / 512.0
         tri = cfgc.triangle(t)
-        s1, s2, s3 = tri.side_lengths()
-        perim = s1 + s2 + s3
-        area = 0.5 * abs(
-            (tri.p2.x - tri.p1.x) * (tri.p3.y - tri.p1.y)
-            - (tri.p3.x - tri.p1.x) * (tri.p2.y - tri.p1.y)
-        )
-        inradius = 2.0 * area / perim
-        circum = s1 * s2 * s3 / (4.0 * area)
-        perims.append(perim)
-        ratios.append(inradius / circum)
+        perims.append(tri.perimeter())
+        ratios.append(tri.inradius() / tri.circumradius())
     perim_spread = (max(perims) - min(perims)) / (sum(perims) / len(perims))
     ratio_spread = (max(ratios) - min(ratios)) / (sum(ratios) / len(ratios))
 

@@ -13,31 +13,23 @@ provided, each driven by the eccentric angle t of the first vertex:
               closure case, found by the critical pencil parameter),
 * ``conf-II`` outer ellipse, one confocal caustic touching two sides,
 * ``conf-III`` outer ellipse, confocal caustic plus a second concentric
-              caustic from their pencil, built by tangent chaining.
+              caustic from their pencil, one per constructed side.
 
-Vertex constructions use closed forms where available (bicentric and
-confocal chord maps) and the geometric tangent-chain otherwise.  All
-formulas live in the canonical frame: circles centered on the x-axis
-with the outer circle at the origin, ellipses concentric and
-axis-parallel at the origin.
+Every family builds its vertices with a closed-form chord map: the
+bicentric map for circles, the confocal map for concentric
+axis-parallel ellipses (which covers conf-III's second caustic, a
+member of the pencil of two such ellipses).  All formulas live in the
+canonical frame: circles centered on the x-axis with the outer circle
+at the origin, ellipses concentric and axis-parallel at the origin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .geom import (
-    Conic,
-    GeometryError,
-    Line,
-    Point,
-    line_intersection,
-    pencil_member,
-    second_intersection,
-    tangent_contact_points,
-)
+from .geom import Conic, GeometryError, Line, Point, line_intersection
 
 __all__ = [
     "NoPoristicPair",
@@ -57,6 +49,7 @@ __all__ = [
     "chapple_distance",
     "kerawala_holds",
     "degenerate_envelope_inradius",
+    "confocal_delta",
     "confocal_caustic",
     "critical_lambda",
     "n4_caustic",
@@ -69,7 +62,6 @@ __all__ = [
     "bic2_envelope",
     "bic2_envelope_radius_pq",
     "conf2_envelope",
-    "chain_step",
     "envelope_points",
     "bic1_config",
     "bic2_config",
@@ -181,12 +173,6 @@ class ConfocalParams:
     def c2(self) -> float:
         return self.a * self.a - self.b * self.b
 
-    @property
-    def delta(self) -> float:
-        a2 = self.a * self.a
-        b2 = self.b * self.b
-        return math.sqrt(a2 * a2 - a2 * b2 + b2 * b2)
-
     def caustic_semi_axes(self) -> Tuple[float, float]:
         return (
             math.sqrt(self.a * self.a - self.lam),
@@ -203,13 +189,12 @@ class ConfocalParams:
 
 @dataclass(frozen=True)
 class Triangle:
-    """One family member: vertices, the driving angle, and a validity flag."""
+    """One family member: vertices and the driving angle."""
 
     p1: Point
     p2: Point
     p3: Point
     t: float
-    valid: bool = True
 
     def vertices(self) -> Tuple[Point, Point, Point]:
         return (self.p1, self.p2, self.p3)
@@ -221,30 +206,12 @@ class Triangle:
         s3 = math.dist(self.p1, self.p2)
         return (s1, s2, s3)
 
-    def sides(self) -> Tuple[Line, Line, Line]:
-        """Lines (P1P2, P2P3, P3P1)."""
-        return (
-            Line.from_points(self.p1, self.p2),
-            Line.from_points(self.p2, self.p3),
-            Line.from_points(self.p3, self.p1),
-        )
-
     def area(self) -> float:
         (x1, y1), (x2, y2), (x3, y3) = self.p1, self.p2, self.p3
         return 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
 
     def perimeter(self) -> float:
         return sum(self.side_lengths())
-
-    def angle_cosines(self) -> Tuple[float, float, float]:
-        """Interior angle cosines at (P1, P2, P3) via the law of cosines."""
-        s1, s2, s3 = self.side_lengths()
-        if min(s1, s2, s3) == 0.0:
-            raise DegenerateTriangle("coincident vertices")
-        c1 = (s2 * s2 + s3 * s3 - s1 * s1) / (2.0 * s2 * s3)
-        c2 = (s3 * s3 + s1 * s1 - s2 * s2) / (2.0 * s3 * s1)
-        c3 = (s1 * s1 + s2 * s2 - s3 * s3) / (2.0 * s1 * s2)
-        return (c1, c2, c3)
 
     def inradius(self) -> float:
         return 2.0 * self.area() / self.perimeter()
@@ -267,14 +234,18 @@ def chapple_distance(R: float, r: float) -> float:
         raise NoPoristicPair(f"need R >= 2r, got R={R}, r={r}")
     return math.sqrt(R * (R - 2.0 * r))
 
-def kerawala_holds(R: float, r: float, d: float, tol: float = 1e-10) -> Tuple[bool, float]:
+# Bound on the scale-free Kerawala residual |residual| * r^2.
+_KERAWALA_TOL = 1e-10
+
+
+def kerawala_holds(R: float, r: float, d: float) -> Tuple[bool, float]:
     """Whether 1/(R-d)^2 + 1/(R+d)^2 = 1/r^2 holds, plus the raw residual.
 
-    The boolean compares |residual| * r^2 against ``tol`` so the decision
-    is scale-free even though the returned residual is not.
+    The boolean compares |residual| * r^2 against ``_KERAWALA_TOL`` so
+    the decision is scale-free even though the returned residual is not.
     """
     residual = 1.0 / (R - d) ** 2 + 1.0 / (R + d) ** 2 - 1.0 / (r * r)
-    return (abs(residual) * r * r <= tol, residual)
+    return (abs(residual) * r * r <= _KERAWALA_TOL, residual)
 
 
 def degenerate_envelope_inradius(R: float, d: float) -> float:
@@ -286,6 +257,13 @@ def degenerate_envelope_inradius(R: float, d: float) -> float:
     return math.sqrt((R * R - d * d) ** 2 / (2.0 * (R * R + d * d)))
 
 
+def confocal_delta(a: float, b: float) -> float:
+    """sqrt(a^4 - a^2 b^2 + b^4), the root in the closing-family formulas."""
+    a2 = a * a
+    b2 = b * b
+    return math.sqrt(a2 * a2 - a2 * b2 + b2 * b2)
+
+
 def confocal_caustic(a: float, b: float) -> Tuple[float, float]:
     """Semi-axes of the confocal caustic closing billiard triangles."""
     if a == b:
@@ -295,7 +273,7 @@ def confocal_caustic(a: float, b: float) -> Tuple[float, float]:
     a2 = a * a
     b2 = b * b
     c2 = a2 - b2
-    delta = math.sqrt(a2 * a2 - a2 * b2 + b2 * b2)
+    delta = confocal_delta(a, b)
     return (a * (delta - b2) / c2, b * (a2 - delta) / c2)
 
 
@@ -308,7 +286,7 @@ def critical_lambda(a: float, b: float) -> float:
     a2 = a * a
     b2 = b * b
     c2 = a2 - b2
-    delta = math.sqrt(a2 * a2 - a2 * b2 + b2 * b2)
+    delta = confocal_delta(a, b)
     return a2 * b2 * (2.0 * delta - a2 - b2) / (c2 * c2)
 
 
@@ -385,38 +363,6 @@ def _conf_chord_step(
     return Point(x2, y2)
 
 
-def chain_step(outer: Conic, caustic: Conic, vertex: Point, sign: float) -> Point:
-    """Geometric tangent chain step: pick one tangent from the vertex to
-    the caustic and return its second intersection with the outer conic.
-
-    ``sign > 0`` selects the contact point lying to the left of the ray
-    from the vertex to the caustic center.  That test never changes
-    along a sweep because a tangent line cannot pass through the
-    caustic's interior, making the branch labels globally continuous.
-    """
-    try:
-        contacts = tangent_contact_points(vertex, caustic)
-    except GeometryError as exc:
-        raise VertexInsideCaustic(str(exc)) from exc
-    assert caustic.center is not None
-    ax = caustic.center.x - vertex.x
-    ay = caustic.center.y - vertex.y
-    chosen = None
-    for contact in contacts:
-        bx = contact.x - vertex.x
-        by = contact.y - vertex.y
-        cross = ax * by - ay * bx
-        if (cross > 0.0) == (sign > 0.0):
-            chosen = contact
-            break
-    if chosen is None:
-        # Both contacts on one side can only happen through rounding at
-        # a symmetric configuration; fall back to the first contact.
-        chosen = contacts[0]
-    direction = (chosen.x - vertex.x, chosen.y - vertex.y)
-    return second_intersection(outer, vertex, direction)
-
-
 # ---------------------------------------------------------------------------
 # Family constructions.
 
@@ -489,29 +435,49 @@ def conf2_vertices(
     return Triangle(Point(x1, y1), p2, p3, t)
 
 
-def conf3_vertices(
-    p: ConfocalParams, t: float, branch: TangentBranch = DEFAULT_BRANCH
-) -> Triangle:
-    """Two-elliptic-caustic triangle at angle t, by geometric chaining.
+def _conf3_second_caustic(p: ConfocalParams) -> Tuple[float, float]:
+    """Semi-axes (along x, along y) of the pencil ellipse at pencil_u.
 
-    P1P2 is tangent to the confocal caustic, P2P3 to the concentric
-    pencil caustic at parameter pencil_u; no closed form is used.
+    The member is pencil_u * outer + (1 - pencil_u) * caustic, with each
+    x^2/ex^2 + y^2/ey^2 - 1 = 0 first scaled to quadratic trace 2, as
+    geom.pencil_member does; it stays concentric and axis-parallel.
     """
     if p.pencil_u is None:
         raise ValueError("three-caustic family needs the pencil parameter pencil_u")
-    outer = p.outer_ellipse()
-    first = p.caustic()
-    second = pencil_member(outer, first, 1.0 - p.pencil_u)
-    if second.kind not in ("ellipse", "circle"):
-        raise ImaginaryPencilCircle(
-            f"pencil caustic at u={p.pencil_u} is not an ellipse ({second.kind})"
-        )
+    u = p.pencil_u
+    ca, cb = p.caustic_semi_axes()
+    qx = qy = k = 0.0
+    for weight, ex, ey in ((u, p.a, p.b), (1.0 - u, ca, cb)):
+        ix = 1.0 / (ex * ex)
+        iy = 1.0 / (ey * ey)
+        w = 2.0 * weight / (ix + iy)
+        qx += w * ix
+        qy += w * iy
+        k += w
+    # The member is qx x^2 + qy y^2 = k.
+    if qx * k <= 0.0 or qy * k <= 0.0:
+        raise ImaginaryPencilCircle(f"pencil caustic at u={u} is not an ellipse")
+    return (math.sqrt(k / qx), math.sqrt(k / qy))
+
+
+def conf3_vertices(
+    p: ConfocalParams, t: float, branch: TangentBranch = DEFAULT_BRANCH
+) -> Triangle:
+    """Two-elliptic-caustic triangle at angle t.
+
+    Chain construction: P1P2 is tangent to the confocal caustic, P2P3
+    to the concentric pencil caustic at parameter pencil_u, all
+    vertices on the outer ellipse.
+    """
+    ea, eb = _conf3_second_caustic(p)
+    ca, cb = p.caustic_semi_axes()
     x1 = p.a * math.cos(t)
     y1 = p.b * math.sin(t)
-    v1 = Point(x1, y1)
-    v2 = chain_step(outer, first, v1, _branch_sign(branch.first))
-    v3 = chain_step(outer, second, v2, _branch_sign(branch.second))
-    return Triangle(v1, v2, v3, t)
+    s1 = _branch_sign(branch.first)
+    s2 = _branch_sign(branch.second)
+    p2 = _conf_chord_step(p.a, p.b, ca, cb, x1, y1, s1)
+    p3 = _conf_chord_step(p.a, p.b, ea, eb, p2.x, p2.y, s2)
+    return Triangle(Point(x1, y1), p2, p3, t)
 
 
 # ---------------------------------------------------------------------------
@@ -574,17 +540,19 @@ def conf2_envelope(p: ConfocalParams) -> Conic:
 # Envelope sampling from a one-parameter family of chords.
 
 
+# Half-width of the outer chord pair in envelope_points.
+_ENVELOPE_STEP = 1e-3
+
+
 def envelope_points(
-    line_at: Callable[[float], Optional[Line]],
-    ts: Sequence[float],
-    h: float = 1e-3,
+    line_at: Callable[[float], Optional[Line]], ts: Sequence[float]
 ) -> List[Point]:
     """Characteristic points of a chord family L(t), one per sample angle.
 
     Each point is the limit of intersections of neighboring chords,
-    computed from the symmetric pairs (t-h, t+h) and (t-h/2, t+h/2)
-    with one Richardson extrapolation step, which removes the O(h^2)
-    truncation term.  Samples with missing or near-parallel chords are
+    computed from the symmetric pairs (t-h, t+h) and (t-h/2, t+h/2),
+    h = _ENVELOPE_STEP, with one Richardson extrapolation step, which
+    removes the O(h^2) truncation term.  Samples with missing or near-parallel chords are
     skipped.
     """
 
@@ -597,8 +565,8 @@ def envelope_points(
 
     out: List[Point] = []
     for t in ts:
-        coarse = char_point(t, h)
-        fine = char_point(t, 0.5 * h)
+        coarse = char_point(t, _ENVELOPE_STEP)
+        fine = char_point(t, 0.5 * _ENVELOPE_STEP)
         if coarse is None or fine is None:
             continue
         out.append(
@@ -678,11 +646,8 @@ class FamilyConfig:
             return (self.bic.caustic(),)
         assert self.conf is not None
         if self.kind == "conf-III":
-            assert self.conf.pencil_u is not None
-            second = pencil_member(
-                self.conf.outer_ellipse(), self.conf.caustic(), 1.0 - self.conf.pencil_u
-            )
-            return (self.conf.caustic(), second)
+            ea, eb = _conf3_second_caustic(self.conf)
+            return (self.conf.caustic(), Conic.axis_ellipse(Point(0.0, 0.0), ea, eb))
         return (self.conf.caustic(),)
 
     def triangle(self, t: float) -> Triangle:

@@ -44,7 +44,6 @@ __all__ = [
     "pencil_member",
     "conic_value",
     "conic_gradient",
-    "axis_aligned_semi_axes",
     "second_intersection",
     "tangent_contact_points",
     "tangent_lines_from_point",
@@ -63,12 +62,13 @@ HYPERBOLA = "hyperbola"
 PARABOLA = "parabola"
 DEGENERATE = "degenerate"
 
-# Default tolerances.  Every threshold below applies to unit-norm
-# coefficient vectors, so the defaults are scale-free; callers can
-# override any of them per call.
+# Tolerances.  The first three apply to unit-norm coefficient vectors,
+# so they are scale-free; the last bounds the cross product of two unit
+# line normals.
 CIRCLE_TOL = 1e-8
 DEGENERATE_TOL = 1e-12
 BOUNDARY_TOL = 1e-12
+_PARALLEL_TOL = 1e-14
 
 
 class GeometryError(ValueError):
@@ -129,17 +129,14 @@ class Line(NamedTuple):
     def signed_distance(self, p: Point) -> float:
         return self.a * p[0] + self.b * p[1] + self.c
 
-    def distance(self, p: Point) -> float:
-        return abs(self.signed_distance(p))
-
     def direction(self) -> Tuple[float, float]:
         return (-self.b, self.a)
 
 
-def line_intersection(l1: Line, l2: Line, parallel_tol: float = 1e-14) -> Optional[Point]:
+def line_intersection(l1: Line, l2: Line) -> Optional[Point]:
     """Intersection of two lines, or None when they are (nearly) parallel."""
     det = l1.a * l2.b - l2.a * l1.b
-    if abs(det) <= parallel_tol:
+    if abs(det) <= _PARALLEL_TOL:
         return None
     x = (-l1.c * l2.b + l2.c * l1.b) / det
     y = (-l1.a * l2.c + l2.a * l1.c) / det
@@ -181,11 +178,7 @@ def _conic_center(coeffs: Sequence[float]) -> Optional[Point]:
     return Point(cx, cy)
 
 
-def classify_conic(
-    conic: "Conic | Sequence[float]",
-    circle_tol: float = CIRCLE_TOL,
-    degen_tol: float = DEGENERATE_TOL,
-) -> ConicClass:
+def classify_conic(conic: "Conic | Sequence[float]") -> ConicClass:
     """Classify a conic from its (normalized) coefficient vector.
 
     Returns kind plus center / semi-axes / major-axis angle where they
@@ -201,18 +194,18 @@ def classify_conic(
     disc = b * b - 4.0 * a * c
     center = _conic_center(coeffs)
 
-    if abs(det3) <= degen_tol:
-        if disc < -degen_tol and center is not None:
+    if abs(det3) <= DEGENERATE_TOL:
+        if disc < -DEGENERATE_TOL and center is not None:
             return ConicClass(POINT, center, (0.0, 0.0), 0.0)
         return ConicClass(DEGENERATE, center, None, None)
 
-    if disc < -degen_tol:
+    if disc < -DEGENERATE_TOL:
         assert center is not None
         v0 = f + 0.5 * (d * center.x + e * center.y)
         if v0 >= 0.0:
             # No real points (the "imaginary ellipse" branch).
             return ConicClass(DEGENERATE, center, None, None)
-        if abs(a - c) <= circle_tol and abs(b) <= circle_tol:
+        if abs(a - c) <= CIRCLE_TOL and abs(b) <= CIRCLE_TOL:
             radius = math.sqrt(-v0 / (0.5 * (a + c)))
             return ConicClass(CIRCLE, center, (radius, radius), 0.0)
         m2 = np.array([[a, b / 2.0], [b / 2.0, c]])
@@ -222,7 +215,7 @@ def classify_conic(
         angle = math.atan2(eigvecs[1, 0], eigvecs[0, 0]) % math.pi
         return ConicClass(ELLIPSE, center, (major, minor), angle)
 
-    if disc > degen_tol:
+    if disc > DEGENERATE_TOL:
         return ConicClass(HYPERBOLA, center, None, None)
     return ConicClass(PARABOLA, None, None, None)
 
@@ -238,14 +231,9 @@ class Conic:
     axis_angle: Optional[float]
 
     @classmethod
-    def from_coeffs(
-        cls,
-        values: Sequence[float],
-        circle_tol: float = CIRCLE_TOL,
-        degen_tol: float = DEGENERATE_TOL,
-    ) -> "Conic":
+    def from_coeffs(cls, values: Sequence[float]) -> "Conic":
         coeffs = _unit_coeffs(values)
-        info = classify_conic(coeffs, circle_tol=circle_tol, degen_tol=degen_tol)
+        info = classify_conic(coeffs)
         return cls(coeffs, info.kind, info.center, info.semi_axes, info.axis_angle)
 
     @classmethod
@@ -269,12 +257,6 @@ class Conic:
             [ax, 0.0, cy2, -2.0 * ax * cx, -2.0 * cy2 * cy, ax * cx * cx + cy2 * cy * cy - 1.0]
         )
 
-    def value(self, p: Point) -> float:
-        return conic_value(self, p)
-
-    def gradient(self, p: Point) -> Tuple[float, float]:
-        return conic_gradient(self, p)
-
 
 def conic_value(conic: Conic, p: Point) -> float:
     a, b, c, d, e, f = conic.coeffs
@@ -286,20 +268,6 @@ def conic_gradient(conic: Conic, p: Point) -> Tuple[float, float]:
     a, b, c, d, e, _ = conic.coeffs
     x, y = p
     return (2.0 * a * x + b * y + d, b * x + 2.0 * c * y + e)
-
-
-def axis_aligned_semi_axes(conic: Conic, tol: float = CIRCLE_TOL) -> Tuple[float, float]:
-    """Semi-axes (along x, along y) of an axis-parallel circle or ellipse."""
-    if conic.kind not in (CIRCLE, ELLIPSE, POINT):
-        raise GeometryError(f"no semi-axes for kind {conic.kind!r}")
-    a, b, c, d, e, f = conic.coeffs
-    if abs(b) > tol:
-        raise GeometryError("conic is not axis-parallel")
-    if conic.kind == POINT:
-        return (0.0, 0.0)
-    assert conic.center is not None
-    v0 = f + 0.5 * (d * conic.center.x + e * conic.center.y)
-    return (math.sqrt(-v0 / a), math.sqrt(-v0 / c))
 
 
 def pencil_member(c1: Conic, c2: Conic, u: float) -> Conic:
@@ -362,9 +330,7 @@ def _contact_sort_key(conic: Conic, contact: Point) -> float:
     return math.atan2(contact.y - cy, contact.x - cx) % (2.0 * math.pi)
 
 
-def tangent_contact_points(
-    p: Point, conic: Conic, boundary_tol: float = BOUNDARY_TOL
-) -> Tuple[Point, Point]:
+def tangent_contact_points(p: Point, conic: Conic) -> Tuple[Point, Point]:
     """Contact points of the two tangents from an exterior point.
 
     Ordered by the polar angle of the contact point about the conic
@@ -373,7 +339,7 @@ def tangent_contact_points(
     if conic.kind not in (CIRCLE, ELLIPSE):
         raise GeometryError(f"tangents undefined for kind {conic.kind!r}")
     val = conic_value(conic, p)
-    if abs(val) <= boundary_tol:
+    if abs(val) <= BOUNDARY_TOL:
         raise TangentFromBoundary(f"point {p} lies on the conic")
     if val < 0.0:
         raise NoRealTangent(f"point {p} lies inside the conic")
@@ -408,15 +374,13 @@ def tangent_contact_points(
     return (t2, t1)
 
 
-def tangent_lines_from_point(
-    p: Point, conic: Conic, boundary_tol: float = BOUNDARY_TOL
-) -> Tuple[Line, Line]:
+def tangent_lines_from_point(p: Point, conic: Conic) -> Tuple[Line, Line]:
     """Both tangent lines from an exterior point, deterministically ordered.
 
     The order follows the contact points, sorted counterclockwise by
     their polar angle about the conic center.
     """
-    t1, t2 = tangent_contact_points(p, conic, boundary_tol=boundary_tol)
+    t1, t2 = tangent_contact_points(p, conic)
     return (Line.from_points(p, t1), Line.from_points(p, t2))
 
 
@@ -453,12 +417,6 @@ class CirclePencil:
         for member in (self.c1, self.c2):
             if member.kind != CIRCLE:
                 raise GeometryError("pencil members must be circles")
-
-    @property
-    def radical_axis(self) -> Line:
-        d1, e1, f1 = _monic_circle(self.c1)
-        d2, e2, f2 = _monic_circle(self.c2)
-        return Line.from_coefficients(d1 - d2, e1 - e2, f1 - f2)
 
     def member(self, u: float) -> Conic:
         return pencil_member(self.c1, self.c2, u)

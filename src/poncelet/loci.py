@@ -17,8 +17,8 @@ normalized implicit values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "convexity_lambda_root",
     "sextic_coefficients_x2",
     "sextic_coefficients_x2_weighted",
+    "sextic_residual",
     "verify_implicit_sextic_x2",
 ]
 
@@ -291,20 +292,12 @@ def stationarity_spread(locus: Locus) -> float:
     return float(np.sqrt(dx * dx + dy * dy).max()) / locus.family.outer_scale
 
 
-def _spread_of(pts: Sequence[Point]) -> float:
-    arr = np.asarray([(p.x, p.y) for p in pts])
-    dx = arr[:, 0:1] - arr[:, 0:1].T
-    dy = arr[:, 1:2] - arr[:, 1:2].T
-    return float(np.sqrt(dx * dx + dy * dy).max())
-
-
 def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> CurveFit:
     """Verdict ladder: point, conic, smallest adequate degree, nonconic."""
     pts = locus.valid_points()
     if len(pts) < MIN_VALID_SAMPLES:
         raise InsufficientSamples(f"{len(pts)} valid samples")
-    scale = locus.family.outer_scale
-    spread = _spread_of(pts) / scale
+    spread = stationarity_spread(locus)
     if spread <= tols.point_tol:
         return CurveFit(
             degree=1,
@@ -316,18 +309,7 @@ def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> Curve
         )
     quad = fit_curve(pts, 2, tols)
     if quad.verdict in ("circle", "ellipse"):
-        return CurveFit(
-            degree=2,
-            coeffs=quad.coeffs,
-            residual=quad.residual,
-            verdict=quad.verdict,
-            spread=spread,
-            conic=quad.conic,
-            conic_coeffs=quad.conic_coeffs,
-            ambiguous=quad.ambiguous,
-            shift=quad.shift,
-            scale=quad.scale,
-        )
+        return replace(quad, spread=spread)
     fits = {2: quad}
 
     def fit_at(degree: int) -> CurveFit:
@@ -348,27 +330,9 @@ def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> Curve
                 if nxt.residual < tols.elbow_factor * fit.residual:
                     best = fit
                     continue
-            return CurveFit(
-                degree=degree,
-                coeffs=fit.coeffs,
-                residual=fit.residual,
-                verdict="algebraic",
-                spread=spread,
-                ambiguous=fit.ambiguous,
-                shift=fit.shift,
-                scale=fit.scale,
-            )
+            return replace(fit, spread=spread)
         best = fit
-    return CurveFit(
-        degree=best.degree,
-        coeffs=best.coeffs,
-        residual=best.residual,
-        verdict="nonconic",
-        spread=spread,
-        ambiguous=best.ambiguous,
-        shift=best.shift,
-        scale=best.scale,
-    )
+    return replace(best, verdict="nonconic", spread=spread, conic=None, conic_coeffs=None)
 
 
 def verdict_letter(fit: CurveFit) -> str:
@@ -384,13 +348,17 @@ def verdict_letter(fit: CurveFit) -> str:
     return "N"
 
 
-def convexity_check(points: Sequence[Point], tol: float = 1e-12) -> bool:
+# Normalized turn values this close to zero count as straight.
+_TURN_TOL = 1e-12
+
+
+def convexity_check(points: Sequence[Point]) -> bool:
     """Whether an ordered closed sample loop is convex.
 
     Computes the cross product of consecutive edge vectors around the
     loop, normalized by the edge lengths; convex iff all signs agree.
-    Normalized turn values within ``tol`` of zero are ignored, as are
-    zero-length edges (repeated samples).
+    Normalized turn values within ``_TURN_TOL`` of zero are ignored, as
+    are zero-length edges (repeated samples).
     """
     pts = [p for p in points]
     if len(pts) >= 2 and math.dist(pts[0], pts[-1]) == 0.0:
@@ -414,9 +382,9 @@ def convexity_check(points: Sequence[Point], tol: float = 1e-12) -> bool:
         ax, ay = edges[i]
         bx, by = edges[(i + 1) % m]
         cross = ax * by - ay * bx
-        if cross > tol:
+        if cross > _TURN_TOL:
             has_pos = True
-        elif cross < -tol:
+        elif cross < -_TURN_TOL:
             has_neg = True
         if has_pos and has_neg:
             return False
@@ -657,14 +625,10 @@ def sextic_coefficients_x2_weighted(p: BicentricParams) -> dict:
     return c
 
 
-def verify_implicit_sextic_x2(p: BicentricParams, locus: Locus) -> float:
-    """Max absolute value of the degree-6 implicit polynomial over the
-    barycenter locus samples, normalized by the coefficient norm and
-    the sixth power of the sample scale."""
-    coeffs = sextic_coefficients_x2(p)
-    pts = locus.valid_points()
-    if not pts:
-        raise InsufficientSamples("no valid samples")
+def sextic_residual(coeffs: Dict[Tuple[int, int], float], pts: Sequence[Point]) -> float:
+    """Max absolute value of a degree-6 polynomial {(i, j): c} over the
+    points, normalized by the coefficient norm and the sixth power of
+    the sample scale."""
     norm = math.sqrt(math.fsum(v * v for v in coeffs.values()))
     scale = max(max(abs(q.x), abs(q.y)) for q in pts)
     scale = max(scale, 1e-300)
@@ -674,3 +638,11 @@ def verify_implicit_sextic_x2(p: BicentricParams, locus: Locus) -> float:
         val = math.fsum(v * q.x ** i * q.y ** j for (i, j), v in items)
         worst = max(worst, abs(val))
     return worst / (norm * scale ** 6)
+
+
+def verify_implicit_sextic_x2(p: BicentricParams, locus: Locus) -> float:
+    """sextic_residual of the barycenter sextic over the locus samples."""
+    pts = locus.valid_points()
+    if not pts:
+        raise InsufficientSamples("no valid samples")
+    return sextic_residual(sextic_coefficients_x2(p), pts)

@@ -184,9 +184,7 @@ def render_family(
     tri = None
     if include_triangle:
         try:
-            candidate = cfg.triangle(_SAMPLE_TRIANGLE_T)
-            if candidate.valid:
-                tri = candidate
+            tri = cfg.triangle(_SAMPLE_TRIANGLE_T)
         except Exception:
             tri = None
 

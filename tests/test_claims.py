@@ -6,6 +6,7 @@ from poncelet.families import BicentricParams, ConfocalParams, critical_lambda
 from poncelet.claims import (
     ClaimReport,
     all_claims,
+    check_bicII_excenter_circle,
     check_bicII_x1_circle,
     check_confII_excenter_ellipse,
     claim_ids,
@@ -89,6 +90,15 @@ def test_named_check_with_custom_parameters():
     assert isinstance(rep, ClaimReport)
     assert rep.passed
     assert rep.metric < 1e-9
+
+
+def test_bicII_circle_claims_accept_r_above_half_R():
+    """R < 2r has no poristic offset, so the claims take the bic-II family."""
+    p = BicentricParams(1.0, 0.6, 0.1)
+    for check in (check_bicII_x1_circle, check_bicII_excenter_circle):
+        rep = check(p)
+        assert rep.passed, rep.notes
+        assert rep.metric < 1e-9
 
 
 def test_excentral_ellipse_at_critical_aspect():

@@ -4,13 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poncelet.geom import Conic, Line, Point, line_tangent_to_conic_residual
+from poncelet.geom import (
+    Conic,
+    Line,
+    Point,
+    line_tangent_to_conic_residual,
+    pencil_member,
+    second_intersection,
+    tangent_contact_points,
+)
 from poncelet.families import (
+    MINUS,
+    PLUS,
     BicentricParams,
     ConfocalParams,
+    ImaginaryPencilCircle,
     NoPoristicPair,
     TangentBranch,
     Triangle,
+    _conf3_second_caustic,
     bic1_config,
     bic2_config,
     bic2_envelope,
@@ -22,6 +34,7 @@ from poncelet.families import (
     conf2_config,
     conf2_envelope,
     conf3_config,
+    conf3_vertices,
     confocal_caustic,
     critical_lambda,
     degenerate_envelope_inradius,
@@ -33,6 +46,7 @@ from poncelet.families import (
 
 finite = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, **finite)
+BRANCHES = [TangentBranch(f, s) for f in (PLUS, MINUS) for s in (PLUS, MINUS)]
 
 
 def _side(tri: Triangle, i: int, j: int) -> Line:
@@ -124,7 +138,6 @@ def test_params_validation():
 def test_bic1_closure_all_sides_tangent(t):
     cfg = bic1_config(1.0, 0.25)
     tri = cfg.triangle(t)
-    assert tri.valid
     caustic = cfg.caustics()[0]
     for i, j in ((0, 1), (1, 2), (2, 0)):
         assert _tangency(tri, caustic, i, j) < 1e-11
@@ -150,8 +163,6 @@ def test_bic2_construction_invariants(t):
 def test_bic3_two_caustics(t):
     cfg = bic3_config(1.0, 0.15, 0.25, u=0.4)
     tri = cfg.triangle(t)
-    if not tri.valid:
-        return
     c1, c2 = cfg.caustics()
     assert _tangency(tri, c1, 0, 1) < 1e-10
     assert _tangency(tri, c2, 1, 2) < 1e-10
@@ -174,8 +185,6 @@ def test_bic3_u_zero_reduces_to_bic2():
     cfg3 = bic3_config(1.0, 0.15, 0.25, u=0.0)
     for t in np.linspace(0.0, 2.0 * math.pi, 9):
         b = cfg3.triangle(float(t))
-        if not b.valid:
-            continue
         apex = math.atan2(b.p2.y, b.p2.x)
         a = bic2_vertices(p2, apex)
         for vb in b.vertices():
@@ -186,8 +195,6 @@ def test_bic3_u_zero_reduces_to_bic2():
 def test_conf2_construction_invariants(t):
     cfg = conf2_config(2.0, 1.0, 0.5)
     tri = cfg.triangle(t)
-    if not tri.valid:
-        return
     for v in tri.vertices():
         assert abs((v.x / 2.0) ** 2 + v.y ** 2 - 1.0) < 1e-11
     caustic = cfg.caustics()[0]
@@ -199,8 +206,6 @@ def test_conf2_construction_invariants(t):
 def test_conf1_closure(t):
     cfg = conf1_config(2.0, 1.0)
     tri = cfg.triangle(t)
-    if not tri.valid:
-        return
     caustic = cfg.caustics()[0]
     for i, j in ((0, 1), (1, 2), (2, 0)):
         assert _tangency(tri, caustic, i, j) < 1e-9
@@ -208,13 +213,63 @@ def test_conf1_closure(t):
 
 @given(t=angles)
 def test_conf3_two_caustics(t):
-    cfg = conf3_config(2.0, 1.0, 0.3, 0.5)
-    tri = cfg.triangle(t)
-    if not tri.valid:
-        return
-    c1, c2 = cfg.caustics()
-    assert _tangency(tri, c1, 0, 1) < 1e-9
-    assert _tangency(tri, c2, 1, 2) < 1e-9
+    for branch in BRANCHES:
+        cfg = conf3_config(2.0, 1.0, 0.3, 0.5, branch=branch)
+        tri = cfg.triangle(t)
+        c1, c2 = cfg.caustics()
+        assert _tangency(tri, c1, 0, 1) < 1e-9
+        assert _tangency(tri, c2, 1, 2) < 1e-9
+
+
+def _tangent_chain_step(outer: Conic, caustic: Conic, vertex: Point, sign: float) -> Point:
+    """Geometric reference for one chord step: the tangent from the
+    vertex whose contact lies left of the ray to the caustic center
+    (sign > 0) or right of it, carried to the outer conic."""
+    ax = caustic.center.x - vertex.x
+    ay = caustic.center.y - vertex.y
+    for contact in tangent_contact_points(vertex, caustic):
+        cross = ax * (contact.y - vertex.y) - ay * (contact.x - vertex.x)
+        if (cross > 0.0) == (sign > 0.0):
+            break
+    direction = (contact.x - vertex.x, contact.y - vertex.y)
+    return second_intersection(outer, vertex, direction)
+
+
+@pytest.mark.parametrize("a,b,lam,u", [(2.0, 1.0, 0.3, 0.5), (1.7, 1.0, 0.2, 0.35), (2.4, 1.0, 0.45, 0.7)])
+@pytest.mark.parametrize("branch", BRANCHES, ids=[",".join(b) for b in BRANCHES])
+def test_conf3_matches_geometric_tangent_chain(a, b, lam, u, branch):
+    """The closed-form chord maps reproduce the tangent chain built from
+    the pencil conic, branch label for branch label."""
+    p = ConfocalParams(a, b, lam, pencil_u=u)
+    outer = p.outer_ellipse()
+    first = p.caustic()
+    second = pencil_member(outer, first, 1.0 - u)
+    signs = [1.0 if label == PLUS else -1.0 for label in branch]
+    for t in np.linspace(0.0, 2.0 * math.pi, 97):
+        tri = conf3_vertices(p, float(t), branch)
+        v1 = Point(a * math.cos(t), b * math.sin(t))
+        v2 = _tangent_chain_step(outer, first, v1, signs[0])
+        v3 = _tangent_chain_step(outer, second, v2, signs[1])
+        for got, want in zip(tri.vertices(), (v1, v2, v3)):
+            assert math.dist(got, want) < 1e-12 * a
+
+
+@pytest.mark.parametrize("u", [0.0, 0.3, 0.5, 1.0])
+def test_conf3_second_caustic_pencil_form(u):
+    p = ConfocalParams(2.0, 1.0, 0.3, pencil_u=u)
+    want = pencil_member(p.outer_ellipse(), p.caustic(), 1.0 - u)
+    ea, eb = _conf3_second_caustic(p)
+    assert abs(ea - want.semi_axes[0]) < 1e-14
+    assert abs(eb - want.semi_axes[1]) < 1e-14
+
+
+def test_conf3_second_caustic_rejects_hyperbola():
+    p = ConfocalParams(2.0, 1.0, 0.3, pencil_u=-5.0)
+    assert pencil_member(p.outer_ellipse(), p.caustic(), 6.0).kind == "hyperbola"
+    with pytest.raises(ImaginaryPencilCircle):
+        _conf3_second_caustic(p)
+    with pytest.raises(ImaginaryPencilCircle):
+        conf3_vertices(p, 0.3)
 
 
 def test_free_side_matches_vertices():

@@ -12,21 +12,35 @@ Weight formulas follow the standard encyclopedia of triangle centers;
 each one is guarded by an independent geometric incidence oracle in
 the test suite (bisector/altitude concurrences, inversion identities,
 known collinearities) to protect against transcription slips.
+
+Every formula and construction is an elementwise kernel: it runs on
+coordinate arrays over a whole batch of triangles (``center_arrays``,
+``excenter_arrays``) and on the floats of one triangle (``center``,
+``excenters`` and the named constructions), which raise where the
+batch form marks the triangle invalid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .families import DegenerateTriangle, Triangle
+
+from .families import DegenerateTriangle, Triangle, TriangleBatch
 from .geom import (
     Conic,
     GeometryError,
-    Line,
+    InversionOfCenter,
     Point,
-    circle_inverse,
-    line_intersection,
+    _hypot,
+    _invert,
+    _line_through,
+    _max3,
+    _meet,
+    _nonzero,
+    _unless,
+    _where,
+    quiet_fp,
 )
 
 __all__ = [
@@ -35,7 +49,9 @@ __all__ = [
     "CenterDefinition",
     "ExcentralTriangle",
     "center",
+    "center_arrays",
     "excenters",
+    "excenter_arrays",
     "bevan_point",
     "excentral_centroid",
     "incenter",
@@ -53,13 +69,42 @@ __all__ = [
 TRILINEAR = "trilinear"
 BARYCENTRIC = "barycentric"
 
-WeightFn = Callable[[float, float, float], Tuple[float, float, float]]
-ConstructFn = Callable[[Triangle], Point]
+WeightFn = Callable[[Any, Any, Any], Tuple[Any, Any, Any]]
 
 # Relative area below which a triangle is treated as collinear.
 _DEGENERATE_AREA = 1e-14
+# Relative weight sum below which a center is at infinity.
+_ZERO_WEIGHT_SUM = 1e-14
 # Relative residual allowed in the X484 perspector's concurrence.
 _CONCURRENCE_TOL = 1e-8
+
+# Fault flags of the kernels below, or-ed together; 0 marks a valid
+# sample.  The scalar functions raise the error of the first flag set.
+_DEGENERATE = 1  # collinear vertices, or weights summing to zero
+_AT_CENTER = 2  # inversion of the circumcenter itself
+_NO_MEET = 4  # construction lines undefined, parallel or not concurrent
+
+
+class _Shape(NamedTuple):
+    """Triangles as coordinate arrays (or floats), with their side lengths
+    s_i opposite P_i, area, longest side, and fault flags."""
+
+    x1: Any
+    y1: Any
+    x2: Any
+    y2: Any
+    x3: Any
+    y3: Any
+    s1: Any
+    s2: Any
+    s3: Any
+    area: Any
+    scale: Any
+    fault: Any
+
+
+# A construction maps a _Shape to (x, y, fault), elementwise.
+ConstructFn = Callable[[_Shape], Tuple[Any, Any, Any]]
 
 
 @dataclass(frozen=True)
@@ -70,6 +115,8 @@ class CenterDefinition:
     P_i — to homogeneous weights (w1, w2, w3) in the given basis.  When
     ``construct`` is set it takes precedence over the weights (used for
     centers defined by inversion or by auxiliary-triangle centers).
+    Both are elementwise, on arrays over many triangles or on the floats
+    of one: ``construct`` maps a _Shape to (x, y, fault flags).
     """
 
     id: int
@@ -100,23 +147,221 @@ class ExcentralTriangle:
         return Triangle(self.p1p, self.p2p, self.p3p, t)
 
 
-def _require_nondegenerate(tri: Triangle) -> None:
-    s = tri.side_lengths()
-    scale = max(s)
-    if scale == 0.0 or tri.area() <= _DEGENERATE_AREA * scale * scale:
-        raise DegenerateTriangle(
-            f"triangle area {tri.area():.3e} below threshold for scale {scale:.3e}"
-        )
+# ---------------------------------------------------------------------------
+# Elementwise kernels.  Each takes a _Shape and returns its values with
+# the fault flags of every step; values where a flag is set are
+# meaningless.
 
 
-def _combine(tri: Triangle, w1: float, w2: float, w3: float) -> Point:
+def _shape(x1: Any, y1: Any, x2: Any, y2: Any, x3: Any, y3: Any) -> _Shape:
+    s1 = _hypot(x2 - x3, y2 - y3)
+    s2 = _hypot(x3 - x1, y3 - y1)
+    s3 = _hypot(x1 - x2, y1 - y2)
+    area = 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
+    scale = _max3(s1, s2, s3)
+    collinear = (scale == 0.0) | (area <= _DEGENERATE_AREA * scale * scale)
+    return _Shape(x1, y1, x2, y2, x3, y3, s1, s2, s3, area, scale, _DEGENERATE * collinear)
+
+
+def _combine(t: _Shape, w1: Any, w2: Any, w3: Any):
+    """The point with barycentric weights (w1, w2, w3)."""
     total = w1 + w2 + w3
-    if abs(total) <= 1e-14 * (abs(w1) + abs(w2) + abs(w3)):
-        raise DegenerateTriangle("center weights sum to zero (point at infinity)")
-    return Point(
-        (w1 * tri.p1.x + w2 * tri.p2.x + w3 * tri.p3.x) / total,
-        (w1 * tri.p1.y + w2 * tri.p2.y + w3 * tri.p3.y) / total,
+    at_infinity = abs(total) <= _ZERO_WEIGHT_SUM * (abs(w1) + abs(w2) + abs(w3))
+    x = (w1 * t.x1 + w2 * t.x2 + w3 * t.x3) / _nonzero(total)
+    y = (w1 * t.y1 + w2 * t.y2 + w3 * t.y3) / _nonzero(total)
+    return x, y, t.fault | _DEGENERATE * at_infinity
+
+
+def _weighted(t: _Shape, definition: "CenterDefinition"):
+    """A center from its weight formula; trilinear weights are converted
+    to barycentric by multiplying each by its side length."""
+    assert definition.weight_fn is not None
+    w1, w2, w3 = definition.weight_fn(t.s1, t.s2, t.s3)
+    if definition.basis == TRILINEAR:
+        w1, w2, w3 = w1 * t.s1, w2 * t.s2, w3 * t.s3
+    return _combine(t, w1, w2, w3)
+
+
+def _center(t: _Shape, definition: "CenterDefinition"):
+    if definition.construct is not None:
+        return definition.construct(t)
+    return _weighted(t, definition)
+
+
+def _excenters(t: _Shape):
+    """((x1', x2', x3'), (y1', y2', y3'), fault): the excenter opposite P1
+    is (−s1·P1 + s2·P2 + s3·P3)/(−s1+s2+s3), and cyclically."""
+    s1, s2, s3 = t.s1, t.s2, t.s3
+    d1 = -s1 + s2 + s3
+    d2 = s1 - s2 + s3
+    d3 = s1 + s2 - s3
+    inequality_fails = (d1 <= 0.0) | (d2 <= 0.0) | (d3 <= 0.0)
+    d1, d2, d3 = _nonzero(d1), _nonzero(d2), _nonzero(d3)
+    xs = (
+        (-s1 * t.x1 + s2 * t.x2 + s3 * t.x3) / d1,
+        (s1 * t.x1 - s2 * t.x2 + s3 * t.x3) / d2,
+        (s1 * t.x1 + s2 * t.x2 - s3 * t.x3) / d3,
     )
+    ys = (
+        (-s1 * t.y1 + s2 * t.y2 + s3 * t.y3) / d1,
+        (s1 * t.y1 - s2 * t.y2 + s3 * t.y3) / d2,
+        (s1 * t.y1 + s2 * t.y2 - s3 * t.y3) / d3,
+    )
+    return xs, ys, t.fault | _DEGENERATE * inequality_fails
+
+
+def _incenter(t: _Shape):
+    return _weighted(t, _X1_DEF)
+
+
+def _circumcenter(t: _Shape):
+    return _weighted(t, _X3_DEF)
+
+
+def _bevan(t: _Shape):
+    """X40, the circumcenter of the excentral triangle: 2·X3 − X1."""
+    ox, oy, f3 = _circumcenter(t)
+    ix, iy, f1 = _incenter(t)
+    return 2.0 * ox - ix, 2.0 * oy - iy, f3 | f1
+
+
+def _excentral_centroid(t: _Shape):
+    """X165, the centroid of the excentral triangle: X3 + (X3 − X1)/3."""
+    ox, oy, f3 = _circumcenter(t)
+    ix, iy, f1 = _incenter(t)
+    return (4.0 * ox - ix) / 3.0, (4.0 * oy - iy) / 3.0, f3 | f1
+
+
+def _circumcircle_inverse(t: _Shape, px: Any, py: Any, fault: Any):
+    """Inverse of p in the circumcircle, with circumradius s1 s2 s3 / 4K."""
+    ox, oy, f3 = _circumcenter(t)
+    radius = t.s1 * t.s2 * t.s3 / (4.0 * t.area)
+    x, y, ok = _invert(px, py, ox, oy, radius)
+    return x, y, fault | f3 | _unless(ok, _AT_CENTER)
+
+
+def _x36(t: _Shape):
+    return _circumcircle_inverse(t, *_incenter(t))
+
+
+def _x2077(t: _Shape):
+    return _circumcircle_inverse(t, *_bevan(t))
+
+
+def _intouch(t: _Shape) -> Tuple[Any, Any, Any, Any, Any, Any]:
+    """Contact triangle: vertex i is the incircle's touchpoint on the side
+    opposite P_i, at tangent length s - s_j from the side's start P_j."""
+    s = 0.5 * (t.s1 + t.s2 + t.s3)
+    f1 = (s - t.s2) / t.s1
+    f2 = (s - t.s3) / t.s2
+    f3 = (s - t.s1) / t.s3
+    return (
+        t.x2 + f1 * (t.x3 - t.x2), t.y2 + f1 * (t.y3 - t.y2),
+        t.x3 + f2 * (t.x1 - t.x3), t.y3 + f2 * (t.y1 - t.y3),
+        t.x1 + f3 * (t.x2 - t.x1), t.y1 + f3 * (t.y2 - t.y1),
+    )
+
+
+def _x65(t: _Shape):
+    """Orthocenter of the intouch triangle."""
+    x, y, fault = _weighted(_shape(*_intouch(t)), _X4_DEF)
+    return x, y, t.fault | fault
+
+
+def _x354(t: _Shape):
+    """Centroid of the intouch triangle."""
+    u1, v1, u2, v2, u3, v3 = _intouch(t)
+    return (u1 + u2 + u3) / 3.0, (v1 + v2 + v3) / 3.0, t.fault
+
+
+def _x942(t: _Shape):
+    """Nine-point center of the intouch triangle: midpoint of its
+    circumcenter (= X1 of the base triangle) and its orthocenter."""
+    ix, iy, f1 = _incenter(t)
+    hx, hy, fh = _x65(t)
+    return 0.5 * (ix + hx), 0.5 * (iy + hy), f1 | fh
+
+
+def _reflections(t: _Shape):
+    """((x, y) per vertex, fault): each vertex reflected across the line of
+    its opposite side."""
+    out = []
+    fault = t.fault
+    for px, py, qx1, qy1, qx2, qy2 in (
+        (t.x1, t.y1, t.x2, t.y2, t.x3, t.y3),
+        (t.x2, t.y2, t.x3, t.y3, t.x1, t.y1),
+        (t.x3, t.y3, t.x1, t.y1, t.x2, t.y2),
+    ):
+        a, b, c, ok = _line_through(qx1, qy1, qx2, qy2)
+        dist = a * px + b * py + c
+        out.append((px - 2.0 * dist * a, py - 2.0 * dist * b))
+        fault = fault | _unless(ok, _NO_MEET)
+    return out, fault
+
+
+def _x484(t: _Shape):
+    """Evans perspector: the concurrence of the lines joining each
+    excenter to the reflection of its opposite vertex across the far side.
+
+    The lines are concurrent for every non-degenerate triangle; the third
+    line's residual through the intersection of the other two must stay
+    within ``_CONCURRENCE_TOL`` of the triangle scale.
+    """
+    exs, eys, fault = _excenters(t)
+    refl, refl_fault = _reflections(t)
+    lines = [_line_through(exs[i], eys[i], *refl[i]) for i in range(3)]
+    (a0, b0, c0, ok0), (a1, b1, c1, ok1), (a2, b2, c2, ok2) = lines
+    x01, y01, meet01 = _meet(a0, b0, c0, a1, b1, c1)
+    x02, y02, meet02 = _meet(a0, b0, c0, a2, b2, c2)
+    # Lines 0 and 1 meet unless parallel; then lines 0 and 2, and the
+    # remaining line checks the concurrence.
+    x = _where(meet01, x01, x02)
+    y = _where(meet01, y01, y02)
+    residual = abs(
+        _where(meet01, a2, a1) * x + _where(meet01, b2, b1) * y + _where(meet01, c2, c1)
+    )
+    defined = ok0 & ok1 & ok2 & (meet01 | meet02)
+    off = residual > _CONCURRENCE_TOL * t.scale
+    return x, y, fault | refl_fault | _unless(defined, _NO_MEET) | _NO_MEET * off
+
+
+# ---------------------------------------------------------------------------
+# Scalar and array entry points.
+
+
+def _raise_for(fault: Any) -> None:
+    if fault & _DEGENERATE:
+        raise DegenerateTriangle("degenerate triangle, or center weights summing to zero")
+    if fault & _AT_CENTER:
+        raise InversionOfCenter("cannot invert the circle center")
+    if fault:
+        raise GeometryError("construction lines are parallel or not concurrent")
+
+
+def _shape_of(tri: Triangle) -> _Shape:
+    """One triangle's _Shape; raises for a degenerate triangle, before any
+    construction divides by its vanishing sides or area."""
+    (x1, y1), (x2, y2), (x3, y3) = tri.p1, tri.p2, tri.p3
+    shape = _shape(x1, y1, x2, y2, x3, y3)
+    _raise_for(shape.fault)
+    return shape
+
+
+def _batch_shape(tri: TriangleBatch) -> _Shape:
+    return _shape(tri.x1, tri.y1, tri.x2, tri.y2, tri.x3, tri.y3)
+
+
+def _point_of(kernel: ConstructFn, tri: Triangle) -> Point:
+    """A kernel evaluated on one triangle; raises where its fault is set."""
+    x, y, fault = kernel(_shape_of(tri))
+    _raise_for(fault)
+    return Point(x, y)
+
+
+def _resolve(definition: Union["CenterDefinition", str, int]) -> "CenterDefinition":
+    if isinstance(definition, (str, int)):
+        return center_definition(definition)
+    return definition
 
 
 def center(tri: Triangle, definition: Union[CenterDefinition, str, int]) -> Point:
@@ -126,54 +371,42 @@ def center(tri: Triangle, definition: Union[CenterDefinition, str, int]) -> Poin
     string like "X165".  Trilinear weights are converted to barycentric
     by multiplying each by its side length.
     """
-    if isinstance(definition, (str, int)):
-        definition = center_definition(definition)
-    _require_nondegenerate(tri)
-    if definition.construct is not None:
-        return definition.construct(tri)
-    assert definition.weight_fn is not None
-    s1, s2, s3 = tri.side_lengths()
-    w1, w2, w3 = definition.weight_fn(s1, s2, s3)
-    if definition.basis == TRILINEAR:
-        w1, w2, w3 = w1 * s1, w2 * s2, w3 * s3
-    return _combine(tri, w1, w2, w3)
+    definition = _resolve(definition)
+    return _point_of(lambda t: _center(t, definition), tri)
+
+
+def center_arrays(tri: TriangleBatch, definition: Union[CenterDefinition, str, int]):
+    """(x, y, ok): ``center`` on every triangle of a batch at once.
+
+    ok is false where the batch has no triangle or where ``center``
+    raises for it.
+    """
+    definition = _resolve(definition)
+    with quiet_fp():
+        x, y, fault = _center(_batch_shape(tri), definition)
+    return x, y, tri.ok & (fault == 0)
 
 
 def excenters(tri: Triangle) -> ExcentralTriangle:
-    """Excenters of a triangle; the vertices of its excentral triangle.
-
-    The excenter opposite P1 is (−s1·P1 + s2·P2 + s3·P3)/(−s1+s2+s3),
-    and cyclically.
-    """
-    _require_nondegenerate(tri)
-    s1, s2, s3 = tri.side_lengths()
-    (x1, y1), (x2, y2), (x3, y3) = tri.p1, tri.p2, tri.p3
-    d1 = -s1 + s2 + s3
-    d2 = s1 - s2 + s3
-    d3 = s1 + s2 - s3
-    if min(d1, d2, d3) <= 0.0:
-        raise DegenerateTriangle("triangle inequality violated")
-    p1p = Point((-s1 * x1 + s2 * x2 + s3 * x3) / d1, (-s1 * y1 + s2 * y2 + s3 * y3) / d1)
-    p2p = Point((s1 * x1 - s2 * x2 + s3 * x3) / d2, (s1 * y1 - s2 * y2 + s3 * y3) / d2)
-    p3p = Point((s1 * x1 + s2 * x2 - s3 * x3) / d3, (s1 * y1 + s2 * y2 - s3 * y3) / d3)
-    return ExcentralTriangle(p1p, p2p, p3p)
+    """Excenters of a triangle; the vertices of its excentral triangle."""
+    xs, ys, fault = _excenters(_shape_of(tri))
+    _raise_for(fault)
+    return ExcentralTriangle(*(Point(x, y) for x, y in zip(xs, ys)))
 
 
-# ---------------------------------------------------------------------------
-# Basic centers used by constructions (direct formulas, no table lookup).
+def excenter_arrays(tri: TriangleBatch):
+    """((x1', x2', x3'), (y1', y2', y3'), ok): ``excenters`` on a batch."""
+    with quiet_fp():
+        xs, ys, fault = _excenters(_batch_shape(tri))
+    return xs, ys, tri.ok & (fault == 0)
 
 
 def incenter(tri: Triangle) -> Point:
-    _require_nondegenerate(tri)
-    s1, s2, s3 = tri.side_lengths()
-    return _combine(tri, s1, s2, s3)
+    return _point_of(_incenter, tri)
 
 
 def circumcenter(tri: Triangle) -> Point:
-    _require_nondegenerate(tri)
-    s1, s2, s3 = tri.side_lengths()
-    a2, b2, c2 = s1 * s1, s2 * s2, s3 * s3
-    return _combine(tri, a2 * (b2 + c2 - a2), b2 * (c2 + a2 - b2), c2 * (a2 + b2 - c2))
+    return _point_of(_circumcenter, tri)
 
 
 def circumradius(tri: Triangle) -> float:
@@ -186,16 +419,12 @@ def circumcircle(tri: Triangle) -> Conic:
 
 def bevan_point(tri: Triangle) -> Point:
     """Circumcenter of the excentral triangle: the reflection 2·X3 − X1."""
-    x3 = circumcenter(tri)
-    x1 = incenter(tri)
-    return Point(2.0 * x3.x - x1.x, 2.0 * x3.y - x1.y)
+    return _point_of(_bevan, tri)
 
 
 def excentral_centroid(tri: Triangle) -> Point:
     """Centroid of the excentral triangle: X3 + (X3 − X1)/3."""
-    x3 = circumcenter(tri)
-    x1 = incenter(tri)
-    return Point((4.0 * x3.x - x1.x) / 3.0, (4.0 * x3.y - x1.y) / 3.0)
+    return _point_of(_excentral_centroid, tri)
 
 
 def intouch_triangle(tri: Triangle) -> Triangle:
@@ -203,68 +432,21 @@ def intouch_triangle(tri: Triangle) -> Triangle:
 
     Vertex i of the result is the touchpoint on the side opposite P_i.
     """
-    _require_nondegenerate(tri)
-    s1, s2, s3 = tri.side_lengths()
-    s = 0.5 * (s1 + s2 + s3)
-
-    def touch(p: Point, q: Point, from_p: float, length: float) -> Point:
-        f = from_p / length
-        return Point(p.x + f * (q.x - p.x), p.y + f * (q.y - p.y))
-
-    # Tangent length from vertex P_i is s - s_i.
-    t1 = touch(tri.p2, tri.p3, s - s2, s1)
-    t2 = touch(tri.p3, tri.p1, s - s3, s2)
-    t3 = touch(tri.p1, tri.p2, s - s1, s3)
-    return Triangle(t1, t2, t3, tri.t)
+    u1, v1, u2, v2, u3, v3 = _intouch(_shape_of(tri))
+    return Triangle(Point(u1, v1), Point(u2, v2), Point(u3, v3), tri.t)
 
 
 def vertex_reflection_triangle(tri: Triangle) -> Triangle:
     """Each vertex reflected across the line of its opposite side."""
-    _require_nondegenerate(tri)
-
-    def reflect(p: Point, q1: Point, q2: Point) -> Point:
-        ln = Line.from_points(q1, q2)
-        dist = ln.signed_distance(p)
-        return Point(p.x - 2.0 * dist * ln.a, p.y - 2.0 * dist * ln.b)
-
-    return Triangle(
-        reflect(tri.p1, tri.p2, tri.p3),
-        reflect(tri.p2, tri.p3, tri.p1),
-        reflect(tri.p3, tri.p1, tri.p2),
-        tri.t,
-    )
+    points, fault = _reflections(_shape_of(tri))
+    _raise_for(fault)
+    return Triangle(*(Point(x, y) for x, y in points), tri.t)
 
 
 def evans_perspector(tri: Triangle) -> Point:
     """Concurrence of the lines joining each excenter to the reflection
-    of its opposite vertex across the far side (X484).
-
-    The three lines are concurrent for every non-degenerate triangle;
-    the residual of the third line through the computed intersection is
-    asserted against ``_CONCURRENCE_TOL`` (relative to the triangle scale).
-    """
-    exc = excenters(tri)
-    refl = vertex_reflection_triangle(tri)
-    lines = [
-        Line.from_points(exc.p1p, refl.p1),
-        Line.from_points(exc.p2p, refl.p2),
-        Line.from_points(exc.p3p, refl.p3),
-    ]
-    p = line_intersection(lines[0], lines[1])
-    if p is None:
-        p = line_intersection(lines[0], lines[2])
-        check = lines[1]
-    else:
-        check = lines[2]
-    if p is None:
-        raise GeometryError("perspector lines are parallel")
-    scale = max(tri.side_lengths())
-    if abs(check.signed_distance(p)) > _CONCURRENCE_TOL * scale:
-        raise GeometryError(
-            f"perspector concurrence residual {abs(check.signed_distance(p)):.3e} "
-            f"exceeds {_CONCURRENCE_TOL * scale:.3e}"
-        )
-    return p
+    of its opposite vertex across the far side (X484); see _x484."""
+    return _point_of(_x484, tri)
 
 
 # ---------------------------------------------------------------------------
@@ -338,45 +520,14 @@ def _w_x65(a: float, b: float, c: float) -> float:
     return cb + cc
 
 
-# Construction-based centers.
-
-
-def _construct_x36(tri: Triangle) -> Point:
-    return circle_inverse(incenter(tri), circumcircle(tri))
-
-
-def _construct_x65(tri: Triangle) -> Point:
-    """Orthocenter of the intouch triangle."""
-    return center(intouch_triangle(tri), _X4_DEF)
-
-
-def _construct_x354(tri: Triangle) -> Point:
-    """Centroid of the intouch triangle."""
-    it = intouch_triangle(tri)
-    return Point(
-        (it.p1.x + it.p2.x + it.p3.x) / 3.0,
-        (it.p1.y + it.p2.y + it.p3.y) / 3.0,
-    )
-
-
-def _construct_x942(tri: Triangle) -> Point:
-    """Nine-point center of the intouch triangle: midpoint of its
-    circumcenter (= X1 of the base triangle) and its orthocenter."""
-    x1 = incenter(tri)
-    h = _construct_x65(tri)
-    return Point(0.5 * (x1.x + h.x), 0.5 * (x1.y + h.y))
-
-
-def _construct_x2077(tri: Triangle) -> Point:
-    return circle_inverse(bevan_point(tri), circumcircle(tri))
-
-
+_X1_DEF = CenterDefinition(1, BARYCENTRIC, _cyclic(lambda a, b, c: a), name="incenter")
+_X3_DEF = CenterDefinition(3, BARYCENTRIC, _cyclic(_w_x3), name="circumcenter")
 _X4_DEF = CenterDefinition(4, BARYCENTRIC, _cyclic(_w_x4), name="orthocenter")
 
 _DEFINITIONS: List[CenterDefinition] = [
-    CenterDefinition(1, BARYCENTRIC, _cyclic(lambda a, b, c: a), name="incenter"),
+    _X1_DEF,
     CenterDefinition(2, BARYCENTRIC, _cyclic(lambda a, b, c: 1.0), name="barycenter"),
-    CenterDefinition(3, BARYCENTRIC, _cyclic(_w_x3), name="circumcenter"),
+    _X3_DEF,
     _X4_DEF,
     CenterDefinition(5, BARYCENTRIC, _cyclic(_w_x5), name="nine-point center"),
     CenterDefinition(6, BARYCENTRIC, _cyclic(lambda a, b, c: a * a), name="symmedian point"),
@@ -385,9 +536,9 @@ _DEFINITIONS: List[CenterDefinition] = [
     CenterDefinition(10, BARYCENTRIC, _cyclic(lambda a, b, c: b + c), name="Spieker center"),
     CenterDefinition(11, BARYCENTRIC, _cyclic(_w_x11), name="Feuerbach point"),
     CenterDefinition(35, BARYCENTRIC, _cyclic(_w_x35)),
-    CenterDefinition(36, BARYCENTRIC, _cyclic(_w_x36), construct=_construct_x36,
+    CenterDefinition(36, BARYCENTRIC, _cyclic(_w_x36), construct=_x36,
                      name="circumcircle inverse of the incenter"),
-    CenterDefinition(40, TRILINEAR, _cyclic(_w_x40), construct=bevan_point,
+    CenterDefinition(40, TRILINEAR, _cyclic(_w_x40), construct=_bevan,
                      name="Bevan point"),
     CenterDefinition(46, TRILINEAR, _cyclic(_w_x46)),
     CenterDefinition(55, BARYCENTRIC, _cyclic(lambda a, b, c: a * a * (b + c - a)),
@@ -397,15 +548,15 @@ _DEFINITIONS: List[CenterDefinition] = [
     CenterDefinition(57, BARYCENTRIC, _cyclic(_w_x57)),
     CenterDefinition(59, BARYCENTRIC, _cyclic(_w_x59),
                      name="isogonal conjugate of the Feuerbach point"),
-    CenterDefinition(65, TRILINEAR, _cyclic(_w_x65), construct=_construct_x65,
+    CenterDefinition(65, TRILINEAR, _cyclic(_w_x65), construct=_x65,
                      name="orthocenter of the intouch triangle"),
-    CenterDefinition(165, BARYCENTRIC, construct=excentral_centroid,
+    CenterDefinition(165, BARYCENTRIC, construct=_excentral_centroid,
                      name="centroid of the excentral triangle"),
-    CenterDefinition(354, BARYCENTRIC, construct=_construct_x354, name="Weill point"),
-    CenterDefinition(484, BARYCENTRIC, construct=evans_perspector, name="Evans perspector"),
-    CenterDefinition(942, BARYCENTRIC, construct=_construct_x942,
+    CenterDefinition(354, BARYCENTRIC, construct=_x354, name="Weill point"),
+    CenterDefinition(484, BARYCENTRIC, construct=_x484, name="Evans perspector"),
+    CenterDefinition(942, BARYCENTRIC, construct=_x942,
                      name="nine-point center of the intouch triangle"),
-    CenterDefinition(2077, BARYCENTRIC, construct=_construct_x2077,
+    CenterDefinition(2077, BARYCENTRIC, construct=_x2077,
                      name="circumcircle inverse of the Bevan point"),
 ]
 

@@ -22,6 +22,7 @@ from .geom import (
     CirclePencil,
     Conic,
     GeometryError,
+    Line,
     Point,
     conic_span_residual,
     limiting_points,
@@ -305,19 +306,12 @@ def bic3_collapse_u(
     inner, outer_lp = limiting_points(pencil)
     target = inner if math.hypot(inner.x, inner.y) < math.hypot(outer_lp.x, outer_lp.y) else outer_lp
 
-    ts = [2.0 * math.pi * k / 64.0 for k in range(64)]
-
     def worst_chord_distance(u: float) -> float:
-        cfg = bic3_config(R, r, d, u=u, branch=branch)
+        lines = _free_lines(bic3_config(R, r, d, u=u, branch=branch), 64)
         worst = 0.0
-        seen = 0
-        for t in ts:
-            line = cfg.free_side_at(t)
-            if line is None:
-                continue
-            seen += 1
+        for line in lines:
             worst = max(worst, abs(line.signed_distance(target)))
-        return worst if seen >= 16 else math.inf
+        return worst if len(lines) >= 16 else math.inf
 
     grid = [0.30 + 0.005 * k for k in range(int((0.995 - 0.30) / 0.005) + 1)]
     values = [worst_chord_distance(u) for u in grid]
@@ -345,6 +339,14 @@ def bic3_collapse_u(
 
 # ---------------------------------------------------------------------------
 # Small measurement helpers.
+
+
+def _free_lines(cfg: FamilyConfig, n: int) -> List[Line]:
+    """The free sides at n uniformly spaced angles, where the member exists."""
+    a, b, c, ok = cfg.free_sides(2.0 * np.pi * np.arange(n) / n)
+    return [
+        Line(*abc) for abc, keep in zip(zip(a.tolist(), b.tolist(), c.tolist()), ok.tolist()) if keep
+    ]
 
 
 def _circle_deviation(pts: Sequence[Point], center: Point, radius: float) -> float:
@@ -468,7 +470,7 @@ def check_bicII_x1_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     ok = metric <= 1e-9 and dev40 <= 1e-9 and span_ok and control_ok
     return _report(
         "thm:bicII-x1", "theorem", p, ok, metric, 1e-9,
-        f"circle center ({center.x:.9g}, 0), radius {radius:.9g}",
+        f"circle center ({center.x:.9g}, 0), radius {abs(radius):.9g}",
         f"max |dist - r1|/R = {metric:.3e} over {len(pts)} samples",
         notes,
     )
@@ -571,14 +573,9 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     through one point."""
     cfg = bic2_config(p.R, p.r, p.d)
     env = bic2_envelope(p)
+    lines = _free_lines(cfg, 512)
     worst = 0.0
-    count = 0
-    for k in range(512):
-        t = 2.0 * math.pi * k / 512.0
-        line = cfg.free_side_at(t)
-        if line is None:
-            continue
-        count += 1
+    for line in lines:
         worst = max(worst, abs(line_tangent_to_conic_residual(line, env)))
     metric = worst / p.R
 
@@ -586,11 +583,7 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     collapse_cfg = bic2_config(p.R, r_collapse, p.d)
     target = bic2_collapse_point(p.R, p.d)
     point_worst = 0.0
-    for k in range(512):
-        t = 2.0 * math.pi * k / 512.0
-        line = collapse_cfg.free_side_at(t)
-        if line is None:
-            continue
+    for line in _free_lines(collapse_cfg, 512):
         point_worst = max(point_worst, abs(line.signed_distance(target)))
 
     sampled = envelope_points(
@@ -603,9 +596,7 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
 
     shifted = Conic.circle(Point(env.center.x + 0.01 * p.R, 0.0), env.semi_axes[0])
     control = max(
-        abs(line_tangent_to_conic_residual(cfg.free_side_at(2.0 * math.pi * k / 64.0), shifted))
-        for k in range(64)
-        if cfg.free_side_at(2.0 * math.pi * k / 64.0) is not None
+        abs(line_tangent_to_conic_residual(line, shifted)) for line in _free_lines(cfg, 64)
     ) / p.R
 
     ok = metric <= 1e-9 and point_worst / p.R <= 1e-8 and control > 1e-6
@@ -617,7 +608,7 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     return _report(
         "prop:bicII-envelope", "proposition", p, ok, metric, 1e-9,
         "every free chord tangent to the predicted pencil circle",
-        f"worst tangency defect/R = {metric:.3e} over {count} chords",
+        f"worst tangency defect/R = {metric:.3e} over {len(lines)} chords",
         notes,
     )
 
@@ -786,14 +777,9 @@ def check_confII_envelope(p: ConfocalParams = DEFAULT_CONF2) -> ClaimReport:
     pass through the center."""
     cfg = conf2_config(p.a, p.b, p.lam)
     env = conf2_envelope(p)
+    lines = _free_lines(cfg, 512)
     worst = 0.0
-    count = 0
-    for k in range(512):
-        t = 2.0 * math.pi * k / 512.0
-        line = cfg.free_side_at(t)
-        if line is None:
-            continue
-        count += 1
+    for line in lines:
         worst = max(worst, abs(line_tangent_to_conic_residual(line, env)))
     metric = worst / p.a
 
@@ -801,19 +787,13 @@ def check_confII_envelope(p: ConfocalParams = DEFAULT_CONF2) -> ClaimReport:
     cfg4 = conf2_config(p.a, p.b, lam4)
     origin = Point(0.0, 0.0)
     point_worst = 0.0
-    for k in range(512):
-        t = 2.0 * math.pi * k / 512.0
-        line = cfg4.free_side_at(t)
-        if line is None:
-            continue
+    for line in _free_lines(cfg4, 512):
         point_worst = max(point_worst, abs(line.signed_distance(origin)))
 
     assert env.semi_axes is not None
     grown = Conic.axis_ellipse(Point(0.0, 0.0), env.semi_axes[0] * 1.01, env.semi_axes[1])
     control = max(
-        abs(line_tangent_to_conic_residual(cfg.free_side_at(2.0 * math.pi * k / 64.0), grown))
-        for k in range(64)
-        if cfg.free_side_at(2.0 * math.pi * k / 64.0) is not None
+        abs(line_tangent_to_conic_residual(line, grown)) for line in _free_lines(cfg, 64)
     ) / p.a
 
     ok = metric <= 1e-9 and point_worst <= 1e-9 and control > 1e-6
@@ -824,7 +804,7 @@ def check_confII_envelope(p: ConfocalParams = DEFAULT_CONF2) -> ClaimReport:
     return _report(
         "prop:confII-envelope", "proposition", p, ok, metric, 1e-9,
         "every free chord tangent to the predicted concentric ellipse",
-        f"worst tangency defect/a = {metric:.3e} over {count} chords",
+        f"worst tangency defect/a = {metric:.3e} over {len(lines)} chords",
         notes,
     )
 

@@ -27,9 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .geom import Conic, GeometryError, Line, Point, line_intersection
+from .geom import (
+    Conic,
+    GeometryError,
+    Line,
+    Point,
+    _cos,
+    _line_through,
+    _sin,
+    _sqrt,
+    line_intersection,
+)
 
 __all__ = [
     "NoPoristicPair",
@@ -44,6 +54,7 @@ __all__ = [
     "BicentricParams",
     "ConfocalParams",
     "Triangle",
+    "TriangleBatch",
     "FamilyConfig",
     "FAMILY_KINDS",
     "chapple_distance",
@@ -224,6 +235,23 @@ class Triangle:
         return s1 * s2 * s3 / (4.0 * area)
 
 
+class TriangleBatch(NamedTuple):
+    """Family members at many angles t, as coordinate arrays.
+
+    Every field has the shape of t (floats for a single angle).  ``ok``
+    is false where a chord step found no real tangent; the coordinates
+    there are meaningless.
+    """
+
+    x1: Any
+    y1: Any
+    x2: Any
+    y2: Any
+    x3: Any
+    y3: Any
+    ok: Any
+
+
 # ---------------------------------------------------------------------------
 # Scalar relations between the fixed conics of each family.
 
@@ -313,19 +341,18 @@ def n6_caustic(a: float, b: float) -> Tuple[float, float]:
 # the two tangents from the vertex to the caustic.  The sign argument
 # selects the tangent; the labeling is continuous in the vertex, so a
 # fixed sign traces a single smooth family over a full sweep.
+#
+# Both maps are elementwise in the vertex (x1, y1), which may be numpy
+# arrays, and return (x2, y2, ok) with ok false where the vertex has no
+# real tangent to the caustic (on or inside it); the root is taken of
+# |delta2|, so such a vertex still gets a finite, meaningless image.
 
 
-def _bic_chord_step(
-    R: float, rc: float, dc: float, x1: float, y1: float, sign: float
-) -> Point:
+def _bic_chord_step(R: float, rc: float, dc: float, x1: Any, y1: Any, sign: float):
     """Chord map for an outer circle of radius R about the origin and a
     caustic circle of radius rc centered at (dc, 0)."""
     delta2 = R * R + dc * dc - 2.0 * dc * x1 - rc * rc
-    if delta2 <= 0.0:
-        raise VertexInsideCaustic(
-            f"no real tangent from ({x1}, {y1}) to circle (d={dc}, r={rc})"
-        )
-    delta = sign * math.sqrt(delta2)
+    delta = sign * _sqrt(abs(delta2))
     den = (R * R + dc * dc - 2.0 * dc * x1) ** 2
     rr_dd = R * R - dc * dc
     x2 = (
@@ -336,12 +363,12 @@ def _bic_chord_step(
         (4.0 * R * R * dc - 2.0 * (R * R + dc * dc) * x1) * rc * delta
         - y1 * rr_dd * (delta2 - rc * rc)
     ) / den
-    return Point(x2, y2)
+    return x2, y2, delta2 > 0.0
 
 
 def _conf_chord_step(
-    a: float, b: float, ca: float, cb: float, x1: float, y1: float, sign: float
-) -> Point:
+    a: float, b: float, ca: float, cb: float, x1: Any, y1: Any, sign: float
+):
     """Chord map for a concentric axis-parallel outer ellipse (a, b) and
     caustic ellipse (ca, cb)."""
     a2 = a * a
@@ -349,36 +376,38 @@ def _conf_chord_step(
     ca2 = ca * ca
     cb2 = cb * cb
     delta2 = (a2 * cb2 - ca2 * cb2) * x1 * x1 + (a2 * ca2 - a2 * ca2 * cb2 / b2) * y1 * y1
-    if delta2 <= 0.0:
-        raise VertexInsideCaustic(
-            f"no real tangent from ({x1}, {y1}) to ellipse ({ca}, {cb})"
-        )
-    delta = sign * math.sqrt(delta2)
+    delta = sign * _sqrt(abs(delta2))
     alpha1 = a2 * (b2 - cb2) - ca2 * b2
     alpha2 = (a2 - ca2) * b2 + a2 * cb2
     alpha3 = a2 * (b2 - cb2) + ca2 * b2
     w = (alpha2 * x1) ** 2 / a2 + (alpha3 * y1) ** 2 / b2
     x2 = (2.0 * a * alpha3 * y1 * delta - alpha1 * alpha2 * x1) / w
     y2 = (-2.0 * b2 * alpha2 * x1 * delta - a * alpha1 * alpha3 * y1) / (a * w)
-    return Point(x2, y2)
+    return x2, y2, delta2 > 0.0
 
 
 # ---------------------------------------------------------------------------
 # Family constructions.
 
 
-def bic2_vertices(p: BicentricParams, t: float) -> Triangle:
-    """Two-caustic bicentric triangle at angle t.
+def _bic2_batch(p: BicentricParams, t: Any) -> TriangleBatch:
+    """Two-caustic bicentric triangles at the angles t.
 
     P1 = R (cos t, sin t); P2 and P3 are the second intersections of
     the two tangents from P1 to the caustic with the outer circle.  The
     poristic family is the special case d^2 = R(R - 2r).
     """
-    x1 = p.R * math.cos(t)
-    y1 = p.R * math.sin(t)
-    p2 = _bic_chord_step(p.R, p.r, p.d, x1, y1, 1.0)
-    p3 = _bic_chord_step(p.R, p.r, p.d, x1, y1, -1.0)
-    return Triangle(Point(x1, y1), p2, p3, t)
+    x1 = p.R * _cos(t)
+    y1 = p.R * _sin(t)
+    # Both tangents leave P1: one tangent condition for the pair.
+    x2, y2, ok = _bic_chord_step(p.R, p.r, p.d, x1, y1, 1.0)
+    x3, y3, _ = _bic_chord_step(p.R, p.r, p.d, x1, y1, -1.0)
+    return TriangleBatch(x1, y1, x2, y2, x3, y3, ok)
+
+
+def bic2_vertices(p: BicentricParams, t: float) -> Triangle:
+    """Two-caustic bicentric triangle at angle t (see _bic2_batch)."""
+    return FamilyConfig("bic-II", bic=p).triangle(t)
 
 
 def _bic3_second_caustic(p: BicentricParams) -> Tuple[float, float]:
@@ -399,27 +428,30 @@ def bic3_caustic2(p: BicentricParams) -> Conic:
     return Conic.circle(Point(offset, 0.0), radius)
 
 
-def bic3_vertices(p: BicentricParams, t: float, branch: TangentBranch = DEFAULT_BRANCH) -> Triangle:
-    """Three-caustic bicentric triangle at angle t.
+def _bic3_batch(p: BicentricParams, t: Any, branch: TangentBranch) -> TriangleBatch:
+    """Three-caustic bicentric triangles at the angles t.
 
     Chain construction: P1P2 is tangent to the first caustic, P2P3 to
     the pencil caustic at parameter u, all vertices on the outer
     circle.  The free side P3P1 then envelopes a third pencil circle.
     """
     r2, d2 = _bic3_second_caustic(p)
-    x1 = p.R * math.cos(t)
-    y1 = p.R * math.sin(t)
+    x1 = p.R * _cos(t)
+    y1 = p.R * _sin(t)
     s1 = _branch_sign(branch.first)
     s2 = _branch_sign(branch.second)
-    p2 = _bic_chord_step(p.R, p.r, p.d, x1, y1, s1)
-    p3 = _bic_chord_step(p.R, r2, d2, p2.x, p2.y, s2)
-    return Triangle(Point(x1, y1), p2, p3, t)
+    x2, y2, ok2 = _bic_chord_step(p.R, p.r, p.d, x1, y1, s1)
+    x3, y3, ok3 = _bic_chord_step(p.R, r2, d2, x2, y2, s2)
+    return TriangleBatch(x1, y1, x2, y2, x3, y3, ok2 & ok3)
 
 
-def conf2_vertices(
-    p: ConfocalParams, t: float, branch: TangentBranch = DEFAULT_BRANCH
-) -> Triangle:
-    """Confocal-caustic triangle at angle t.
+def bic3_vertices(p: BicentricParams, t: float, branch: TangentBranch = DEFAULT_BRANCH) -> Triangle:
+    """Three-caustic bicentric triangle at angle t (see _bic3_batch)."""
+    return FamilyConfig("bic-III", bic=p, branch=branch).triangle(t)
+
+
+def _conf2_batch(p: ConfocalParams, t: Any, branch: TangentBranch) -> TriangleBatch:
+    """Confocal-caustic triangles at the angles t.
 
     P1 = (a cos t, b sin t); P2 and P3 close the two tangents from P1
     to the confocal caustic.  ``branch.first`` swaps the roles of P2
@@ -427,12 +459,20 @@ def conf2_vertices(
     leave the same vertex).
     """
     ca, cb = p.caustic_semi_axes()
-    x1 = p.a * math.cos(t)
-    y1 = p.b * math.sin(t)
+    x1 = p.a * _cos(t)
+    y1 = p.b * _sin(t)
     s = _branch_sign(branch.first)
-    p2 = _conf_chord_step(p.a, p.b, ca, cb, x1, y1, s)
-    p3 = _conf_chord_step(p.a, p.b, ca, cb, x1, y1, -s)
-    return Triangle(Point(x1, y1), p2, p3, t)
+    # Both tangents leave P1: one tangent condition for the pair.
+    x2, y2, ok = _conf_chord_step(p.a, p.b, ca, cb, x1, y1, s)
+    x3, y3, _ = _conf_chord_step(p.a, p.b, ca, cb, x1, y1, -s)
+    return TriangleBatch(x1, y1, x2, y2, x3, y3, ok)
+
+
+def conf2_vertices(
+    p: ConfocalParams, t: float, branch: TangentBranch = DEFAULT_BRANCH
+) -> Triangle:
+    """Confocal-caustic triangle at angle t (see _conf2_batch)."""
+    return FamilyConfig("conf-II", conf=p, branch=branch).triangle(t)
 
 
 def _conf3_second_caustic(p: ConfocalParams) -> Tuple[float, float]:
@@ -460,10 +500,8 @@ def _conf3_second_caustic(p: ConfocalParams) -> Tuple[float, float]:
     return (math.sqrt(k / qx), math.sqrt(k / qy))
 
 
-def conf3_vertices(
-    p: ConfocalParams, t: float, branch: TangentBranch = DEFAULT_BRANCH
-) -> Triangle:
-    """Two-elliptic-caustic triangle at angle t.
+def _conf3_batch(p: ConfocalParams, t: Any, branch: TangentBranch) -> TriangleBatch:
+    """Two-elliptic-caustic triangles at the angles t.
 
     Chain construction: P1P2 is tangent to the confocal caustic, P2P3
     to the concentric pencil caustic at parameter pencil_u, all
@@ -471,13 +509,20 @@ def conf3_vertices(
     """
     ea, eb = _conf3_second_caustic(p)
     ca, cb = p.caustic_semi_axes()
-    x1 = p.a * math.cos(t)
-    y1 = p.b * math.sin(t)
+    x1 = p.a * _cos(t)
+    y1 = p.b * _sin(t)
     s1 = _branch_sign(branch.first)
     s2 = _branch_sign(branch.second)
-    p2 = _conf_chord_step(p.a, p.b, ca, cb, x1, y1, s1)
-    p3 = _conf_chord_step(p.a, p.b, ea, eb, p2.x, p2.y, s2)
-    return Triangle(Point(x1, y1), p2, p3, t)
+    x2, y2, ok2 = _conf_chord_step(p.a, p.b, ca, cb, x1, y1, s1)
+    x3, y3, ok3 = _conf_chord_step(p.a, p.b, ea, eb, x2, y2, s2)
+    return TriangleBatch(x1, y1, x2, y2, x3, y3, ok2 & ok3)
+
+
+def conf3_vertices(
+    p: ConfocalParams, t: float, branch: TangentBranch = DEFAULT_BRANCH
+) -> Triangle:
+    """Two-elliptic-caustic triangle at angle t (see _conf3_batch)."""
+    return FamilyConfig("conf-III", conf=p, branch=branch).triangle(t)
 
 
 # ---------------------------------------------------------------------------
@@ -650,35 +695,57 @@ class FamilyConfig:
             return (self.conf.caustic(), Conic.axis_ellipse(Point(0.0, 0.0), ea, eb))
         return (self.conf.caustic(),)
 
-    def triangle(self, t: float) -> Triangle:
+    def triangles(self, t: Any) -> TriangleBatch:
+        """The members at the angles t (a numpy array, or one float).
+
+        The one construction path: ``triangle`` evaluates it at a single
+        angle.  Raises only for parameters that admit no member at all
+        (an imaginary second caustic); a vertex without a real tangent
+        clears ``ok`` at its angle.
+        """
         if self.kind in ("bic-I", "bic-II"):
             assert self.bic is not None
-            return bic2_vertices(self.bic, t)
+            return _bic2_batch(self.bic, t)
         if self.kind == "bic-III":
             assert self.bic is not None
-            return bic3_vertices(self.bic, t, self.branch)
-        if self.kind in ("conf-I", "conf-II"):
-            assert self.conf is not None
-            return conf2_vertices(self.conf, t, self.branch)
+            return _bic3_batch(self.bic, t, self.branch)
         assert self.conf is not None
-        return conf3_vertices(self.conf, t, self.branch)
+        if self.kind in ("conf-I", "conf-II"):
+            return _conf2_batch(self.conf, t, self.branch)
+        return _conf3_batch(self.conf, t, self.branch)
 
-    def free_side(self, tri: Triangle) -> Line:
-        """The side not constrained to a prescribed caustic.
+    def triangle(self, t: float) -> Triangle:
+        """The member at angle t; raises where ``triangles`` clears ok."""
+        b = self.triangles(t)
+        if not b.ok:
+            raise VertexInsideCaustic(f"no real tangent from the vertex at t={t}")
+        return Triangle(Point(b.x1, b.y1), Point(b.x2, b.y2), Point(b.x3, b.y3), t)
+
+    def _free_side_ends(self, tri: TriangleBatch) -> Tuple[Any, Any, Any, Any]:
+        """The side not constrained to a prescribed caustic, as (x, y, x', y').
 
         P2P3 for the single-caustic families, P3P1 for the chain-built
         three-caustic families.
         """
         if self.kind in ("bic-III", "conf-III"):
-            return Line.from_points(tri.p3, tri.p1)
-        return Line.from_points(tri.p2, tri.p3)
+            return tri.x3, tri.y3, tri.x1, tri.y1
+        return tri.x2, tri.y2, tri.x3, tri.y3
+
+    def free_side(self, tri: Triangle) -> Line:
+        """The side not constrained to a prescribed caustic (see free_sides)."""
+        x1, y1, x2, y2 = self._free_side_ends(TriangleBatch(*tri.p1, *tri.p2, *tri.p3, True))
+        return Line.from_points(Point(x1, y1), Point(x2, y2))
+
+    def free_sides(self, t: Any) -> Tuple[Any, Any, Any, Any]:
+        """(a, b, c, ok): the free side a x + b y + c = 0, with unit normal
+        (a, b), at the angles t; ok is false where there is no member."""
+        tri = self.triangles(t)
+        a, b, c, ok = _line_through(*self._free_side_ends(tri))
+        return a, b, c, tri.ok & ok
 
     def free_side_at(self, t: float) -> Optional[Line]:
-        try:
-            tri = self.triangle(t)
-        except GeometryError:
-            return None
-        return self.free_side(tri)
+        a, b, c, ok = self.free_sides(t)
+        return Line(a, b, c) if ok else None
 
     def closed_form_envelope(self) -> Optional[Conic]:
         """Known envelope of the free side, where a closed form exists."""

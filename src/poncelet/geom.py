@@ -110,14 +110,10 @@ class Line(NamedTuple):
     @classmethod
     def from_points(cls, p: Point, q: Point) -> "Line":
         """Line through two points; the normal is the left normal of p->q."""
-        dx = q[0] - p[0]
-        dy = q[1] - p[1]
-        n = math.hypot(dx, dy)
-        if n == 0.0:
+        a, b, c, ok = _line_through(p[0], p[1], q[0], q[1])
+        if not ok:
             raise GeometryError("line through coincident points")
-        a = -dy / n
-        b = dx / n
-        return cls(a, b, -(a * p[0] + b * p[1]))
+        return cls(a, b, c)
 
     @classmethod
     def from_coefficients(cls, a: float, b: float, c: float) -> "Line":
@@ -135,12 +131,84 @@ class Line(NamedTuple):
 
 def line_intersection(l1: Line, l2: Line) -> Optional[Point]:
     """Intersection of two lines, or None when they are (nearly) parallel."""
-    det = l1.a * l2.b - l2.a * l1.b
-    if abs(det) <= _PARALLEL_TOL:
+    x, y, ok = _meet(*l1, *l2)
+    if not ok:
         return None
-    x = (-l1.c * l2.b + l2.c * l1.b) / det
-    y = (-l1.a * l2.c + l2.a * l1.c) / det
     return Point(x, y)
+
+
+# ---------------------------------------------------------------------------
+# Elementwise kernels.  Each takes floats or equally shaped numpy arrays
+# and returns its values together with a validity mask; values where the
+# mask is false are meaningless.  The scalar functions of this package
+# evaluate the same kernels on single floats and raise where the mask is
+# false, so an array evaluation marks a sample invalid exactly when the
+# scalar function raises for it.  The few non-arithmetic primitives below
+# take math's path on floats, for speed, and numpy's on arrays; both give
+# the same bits.
+
+
+def quiet_fp() -> np.errstate:
+    """Floating-point state for kernels on arrays, whose masked-out samples
+    may hold meaningless values that overflow."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
+def _elementwise(on_float, on_array):
+    def primitive(x, *rest):
+        return on_array(x, *rest) if isinstance(x, np.ndarray) else on_float(x, *rest)
+
+    return primitive
+
+
+_cos = _elementwise(math.cos, np.cos)
+_sin = _elementwise(math.sin, np.sin)
+_sqrt = _elementwise(math.sqrt, np.sqrt)
+# numpy's hypot on floats too: math.hypot rounds differently.
+_hypot = _elementwise(lambda x, y: float(np.hypot(x, y)), np.hypot)
+_max3 = _elementwise(max, lambda a, b, c: np.maximum(np.maximum(a, b), c))
+_where = _elementwise(lambda cond, a, b: a if cond else b, np.where)
+
+
+def _nonzero(x):
+    """x with exact zeros replaced by 1, so that a kernel can divide by it
+    at a masked-out sample without a warning or, on floats, an exception."""
+    return x + (x == 0.0)
+
+
+def _unless(ok, flag: int):
+    """``flag`` where ok is false and 0 where it is true, elementwise."""
+    return flag * (1 - ok)
+
+
+def _line_through(px, py, qx, qy):
+    """(a, b, c, ok) of the line p->q with unit left normal (a, b);
+    ok is false where p and q coincide."""
+    dx = qx - px
+    dy = qy - py
+    n = _hypot(dx, dy)
+    a = -dy / _nonzero(n)
+    b = dx / _nonzero(n)
+    return a, b, -(a * px + b * py), n != 0.0
+
+
+def _meet(a1, b1, c1, a2, b2, c2):
+    """(x, y, ok): intersection of two unit-normal lines; ok is false where
+    they are (nearly) parallel."""
+    det = a1 * b2 - a2 * b1
+    x = (-c1 * b2 + c2 * b1) / _nonzero(det)
+    y = (-a1 * c2 + a2 * c1) / _nonzero(det)
+    return x, y, abs(det) > _PARALLEL_TOL
+
+
+def _invert(px, py, ox, oy, radius):
+    """(x, y, ok): inverse of p in the circle about (ox, oy),
+    O + R^2 (p - O) / |p - O|^2; ok is false at the center itself."""
+    dx = px - ox
+    dy = py - oy
+    rho2 = dx * dx + dy * dy
+    k = radius * radius / _nonzero(rho2)
+    return ox + k * dx, oy + k * dy, rho2 != 0.0
 
 
 def _unit_coeffs(values: Sequence[float]) -> Tuple[float, ...]:
@@ -389,15 +457,10 @@ def circle_inverse(p: Point, circle: Conic) -> Point:
     if circle.kind != CIRCLE:
         raise GeometryError(f"inversion needs a circle, got {circle.kind!r}")
     assert circle.center is not None and circle.semi_axes is not None
-    ox, oy = circle.center
-    radius = circle.semi_axes[0]
-    dx = p.x - ox
-    dy = p.y - oy
-    rho2 = dx * dx + dy * dy
-    if rho2 == 0.0:
+    x, y, ok = _invert(p.x, p.y, *circle.center, circle.semi_axes[0])
+    if not ok:
         raise InversionOfCenter("cannot invert the circle center")
-    k = radius * radius / rho2
-    return Point(ox + k * dx, oy + k * dy)
+    return Point(x, y)
 
 
 def _monic_circle(conic: Conic) -> Tuple[float, float, float]:

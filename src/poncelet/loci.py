@@ -23,7 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import centers as _centers
-from .families import BicentricParams, FamilyConfig, Triangle
+from .families import BicentricParams, FamilyConfig, Triangle, TriangleBatch
 from .geom import (
     ConicClass,
     GeometryError,
@@ -152,14 +152,32 @@ def tracked_point(tri: Triangle, tracked: str) -> Point:
     return _centers.center(tri, tracked)
 
 
+_VERTEX_FIELDS = {"P1": ("x1", "y1"), "P2": ("x2", "y2"), "P3": ("x3", "y3")}
+
+
+def _tracked_arrays(tri: TriangleBatch, tracked: str):
+    """(x, y, ok): ``tracked_point`` on every triangle of a batch."""
+    if tracked in _VERTEX_FIELDS:
+        fx, fy = _VERTEX_FIELDS[tracked]
+        return getattr(tri, fx), getattr(tri, fy), tri.ok
+    if tracked in _EXCENTER_ALIASES:
+        xs, ys, ok = _centers.excenter_arrays(tri)
+        k = _EXCENTER_ALIASES[tracked]
+        return xs[k], ys[k], ok
+    return _centers.center_arrays(tri, tracked)
+
+
 def trace_locus(
     cfg: FamilyConfig, tracked: str, n: int = 512, min_valid: Optional[int] = None
 ) -> Locus:
     """Trace a tracked point over n uniformly spaced driving angles.
 
+    The family and the point are evaluated on the whole t grid at once.
     Family configurations where some angles are inadmissible (vertex
     inside a caustic, degenerate triangle) yield invalid samples, which
-    are kept in place — marked — so the t-grid stays uniform.
+    are kept in place — marked — so the t-grid stays uniform.  A sample
+    is invalid exactly where ``cfg.triangle`` or ``tracked_point``
+    raises, or where the point is not finite.
 
     ``min_valid`` defaults to the floor classification needs; pass a
     smaller value when the samples are only being printed or plotted.
@@ -167,26 +185,21 @@ def trace_locus(
     need = MIN_VALID_SAMPLES if min_valid is None else min_valid
     if n < need:
         raise InsufficientSamples(f"need at least {need} samples, got {n}")
-    samples: List[LocusSample] = []
-    nan = float("nan")
-    for k in range(n):
-        t = 2.0 * math.pi * k / n
-        try:
-            tri = cfg.triangle(t)
-            p = tracked_point(tri, tracked)
-        except GeometryError:
-            samples.append(LocusSample(t, Point(nan, nan), False))
-            continue
-        if math.isfinite(p.x) and math.isfinite(p.y):
-            samples.append(LocusSample(t, p, True))
-        else:
-            samples.append(LocusSample(t, Point(nan, nan), False))
-    locus = Locus(cfg, tracked, tuple(samples))
-    if len(locus.valid_points()) < need:
-        raise InsufficientSamples(
-            f"only {len(locus.valid_points())} valid samples for {tracked}"
-        )
-    return locus
+    ts = 2.0 * np.pi * np.arange(n) / n
+    try:
+        x, y, ok = _tracked_arrays(cfg.triangles(ts), tracked)
+    except GeometryError:
+        # The parameters admit no member at all.
+        x = y = np.full(n, np.nan)
+        ok = np.zeros(n, dtype=bool)
+    ok = ok & np.isfinite(x) & np.isfinite(y)
+    xs = np.where(ok, x, np.nan).tolist()
+    ys = np.where(ok, y, np.nan).tolist()
+    samples = tuple(map(LocusSample, ts.tolist(), map(Point, xs, ys), ok.tolist()))
+    valid = int(np.count_nonzero(ok))
+    if valid < need:
+        raise InsufficientSamples(f"only {valid} valid samples for {tracked}")
+    return Locus(cfg, tracked, samples)
 
 
 def monomial_exponents(degree: int) -> List[Tuple[int, int]]:
@@ -281,15 +294,34 @@ def fit_curve(
     )
 
 
+# Rows of the pairwise comparison in _diameter held at once.
+_DIAMETER_BLOCK = 32
+
+
+def _diameter(points: Sequence[Point]) -> float:
+    """Largest distance between two points, compared pair by pair.
+
+    The squared distances are formed a block of rows at a time against
+    the columns not yet covered, so memory stays O(n) and the result is
+    exactly the largest pairwise distance.
+    """
+    arr = np.asarray(points)
+    x = arr[:, 0]
+    y = arr[:, 1]
+    best = 0.0
+    for s in range(0, len(x), _DIAMETER_BLOCK):
+        dx = x[s : s + _DIAMETER_BLOCK, None] - x[s:]
+        dy = y[s : s + _DIAMETER_BLOCK, None] - y[s:]
+        best = max(best, float((dx * dx + dy * dy).max()))
+    return math.sqrt(best)
+
+
 def stationarity_spread(locus: Locus) -> float:
     """Max pairwise distance of valid samples over the outer-conic scale."""
     pts = locus.valid_points()
     if not pts:
         return math.inf
-    arr = np.asarray([(p.x, p.y) for p in pts])
-    dx = arr[:, 0:1] - arr[:, 0:1].T
-    dy = arr[:, 1:2] - arr[:, 1:2].T
-    return float(np.sqrt(dx * dx + dy * dy).max()) / locus.family.outer_scale
+    return _diameter(pts) / locus.family.outer_scale
 
 
 def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> CurveFit:

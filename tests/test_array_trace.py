@@ -1,0 +1,206 @@
+"""The array trace against the scalar API it shares its kernels with.
+
+``trace_locus`` evaluates the family and the tracked point on the whole t
+grid at once; ``FamilyConfig.triangle``, ``center`` and ``excenters``
+evaluate the same elementwise kernels on one triangle and raise where the
+mask is false.  The reference here is the per-sample scalar loop, rebuilt
+in the test.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from poncelet.centers import (
+    BARYCENTRIC,
+    CenterDefinition,
+    bevan_point,
+    builtin_centers,
+    center,
+    center_arrays,
+    circumcenter,
+    excenter_arrays,
+    excenters,
+    excentral_centroid,
+    evans_perspector,
+    incenter,
+    intouch_triangle,
+    vertex_reflection_triangle,
+)
+from poncelet.families import (
+    MINUS,
+    PLUS,
+    DegenerateTriangle,
+    ImaginaryPencilCircle,
+    TangentBranch,
+    Triangle,
+    TriangleBatch,
+    VertexInsideCaustic,
+    bic1_config,
+    bic2_config,
+    bic3_config,
+    conf1_config,
+    conf2_config,
+    conf3_config,
+)
+from poncelet.geom import GeometryError, Point
+from poncelet.loci import TRACKED_IDS, trace_locus, tracked_point
+
+N = 64
+BRANCHES = [TangentBranch(a, b) for a in (PLUS, MINUS) for b in (PLUS, MINUS)]
+FIRST_LABELS = [TangentBranch(PLUS, PLUS), TangentBranch(MINUS, PLUS)]
+
+
+def _configs():
+    out = []
+    for R, r in ((1.0, 0.25), (1.3, 0.2)):
+        out.append(bic1_config(R, r))
+    for R, r, d in ((1.0, 0.2, 0.3), (1.3, 0.15, 0.4)):
+        out.append(bic2_config(R, r, d))
+    for R, r, d, u in ((1.0, 0.2, 0.3, 0.5), (1.3, 0.15, 0.4, 0.3)):
+        out.extend(bic3_config(R, r, d, u, branch=br) for br in BRANCHES)
+    for a in (2.0, 1.7):
+        out.append(conf1_config(a, 1.0))
+    for a, lam in ((2.0, 0.5), (1.7, 0.4)):
+        out.extend(conf2_config(a, 1.0, lam, branch=br) for br in FIRST_LABELS)
+    for a, lam, u in ((2.0, 0.3, 0.5), (1.7, 0.4, 0.3)):
+        out.extend(conf3_config(a, 1.0, lam, u, branch=br) for br in BRANCHES)
+    return out
+
+
+CONFIGS = _configs()
+TRACKED = [f"X{c.id}" for c in builtin_centers()] + list(TRACKED_IDS)
+
+
+def _scalar_trace(cfg, tracked, n):
+    """The per-sample loop: (x, y, valid) from the scalar API."""
+    xs, ys, valid = [], [], []
+    for k in range(n):
+        t = 2.0 * math.pi * k / n
+        try:
+            p = tracked_point(cfg.triangle(t), tracked)
+        except GeometryError:
+            xs.append(math.nan), ys.append(math.nan), valid.append(False)
+            continue
+        ok = math.isfinite(p.x) and math.isfinite(p.y)
+        xs.append(p.x if ok else math.nan)
+        ys.append(p.y if ok else math.nan)
+        valid.append(ok)
+    return np.array(xs), np.array(ys), np.array(valid)
+
+
+def _label(cfg):
+    params = cfg.bic if cfg.bic is not None else cfg.conf
+    return f"{cfg.kind}-{params}-{cfg.branch.first}-{cfg.branch.second}"
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=_label)
+def test_trace_matches_the_scalar_loop(cfg):
+    tol = 1e-14 * cfg.outer_scale
+    for tracked in TRACKED:
+        xs, ys, valid = _scalar_trace(cfg, tracked, N)
+        loc = trace_locus(cfg, tracked, N, min_valid=0)
+        got_valid = np.array([s.valid for s in loc.samples])
+        assert (got_valid == valid).all(), tracked
+        assert valid.any(), tracked
+        gx = np.array([s.p.x for s in loc.samples])
+        gy = np.array([s.p.y for s in loc.samples])
+        assert np.abs(gx[valid] - xs[valid]).max() <= tol, tracked
+        assert np.abs(gy[valid] - ys[valid]).max() <= tol, tracked
+        assert np.isnan(gx[~valid]).all() and np.isnan(gy[~valid]).all()
+        assert [s.t for s in loc.samples] == [2.0 * math.pi * k / N for k in range(N)]
+
+
+@pytest.mark.parametrize(
+    "cfg, error",
+    [
+        # Every vertex lies inside the second caustic: no real tangent.
+        (bic3_config(1.0, 0.2, 0.3, 1.2), VertexInsideCaustic),
+        # The second caustic itself is imaginary: no member at all.
+        (bic3_config(1.0, 0.2, 0.3, -0.5), ImaginaryPencilCircle),
+        (conf3_config(2.0, 1.0, 0.3, 1.2), VertexInsideCaustic),
+    ],
+)
+def test_inadmissible_family_is_invalid_where_the_scalar_api_raises(cfg, error):
+    for k in range(N):
+        with pytest.raises(error):
+            cfg.triangle(2.0 * math.pi * k / N)
+    for tracked in ("P1", "X1", "P2'"):
+        loc = trace_locus(cfg, tracked, N, min_valid=0)
+        assert not any(s.valid for s in loc.samples)
+
+
+# ---------------------------------------------------------------------------
+# Degenerate triangles through both forms of each kernel.
+
+DEGENERATE = {
+    "collinear": ((0.0, 0.0), (1.0, 0.0), (3.0, 0.0)),
+    "nearly collinear": ((0.0, 0.0), (1.0, 1e-16), (2.0, 0.0)),
+    "coincident": ((0.5, 0.5), (0.5, 0.5), (2.0, -1.0)),
+    "all coincident": ((1.0, 2.0), (1.0, 2.0), (1.0, 2.0)),
+}
+GOOD = ((0.0, 0.0), (4.0, 0.0), (1.0, 3.0))
+
+# Barycentric weights (b - c, c - a, a - b) sum to zero on every triangle.
+ZERO_SUM = CenterDefinition(
+    900001, BARYCENTRIC, lambda a, b, c: (b - c, c - a, a - b), name="zero-sum test weights"
+)
+
+
+def _triangle(vertices):
+    (x1, y1), (x2, y2), (x3, y3) = vertices
+    return Triangle(Point(x1, y1), Point(x2, y2), Point(x3, y3), 0.0)
+
+
+def _batch(rows):
+    """A TriangleBatch over the given vertex triples, all marked present."""
+    cols = np.array([[c for v in row for c in v] for row in rows]).T
+    return TriangleBatch(*cols, np.ones(len(rows), dtype=bool))
+
+
+SCALAR_CONSTRUCTIONS = [
+    incenter,
+    circumcenter,
+    bevan_point,
+    excentral_centroid,
+    evans_perspector,
+    excenters,
+    intouch_triangle,
+    vertex_reflection_triangle,
+]
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_triangles_invalid_in_arrays_and_raise_in_scalars(name):
+    rows = [DEGENERATE[name], GOOD]
+    batch = _batch(rows)
+    tri = _triangle(DEGENERATE[name])
+    good = _triangle(GOOD)
+    for definition in builtin_centers() + [ZERO_SUM]:
+        x, y, ok = center_arrays(batch, definition)
+        expect_good = definition is not ZERO_SUM
+        assert ok.tolist() == [False, expect_good], definition.id
+        with pytest.raises(DegenerateTriangle):
+            center(tri, definition)
+        if expect_good:
+            p = center(good, definition)
+            assert (x[1], y[1]) == (p.x, p.y)
+    xs, ys, ok = excenter_arrays(batch)
+    assert ok.tolist() == [False, True]
+    assert [(x[1], y[1]) for x, y in zip(xs, ys)] == list(excenters(good).vertices())
+    for fn in SCALAR_CONSTRUCTIONS:
+        with pytest.raises(DegenerateTriangle):
+            fn(tri)
+
+
+def test_zero_weight_sum_raises_on_a_proper_triangle():
+    with pytest.raises(DegenerateTriangle):
+        center(_triangle(GOOD), ZERO_SUM)
+
+
+def test_absent_triangles_stay_invalid():
+    batch = _batch([GOOD, GOOD])._replace(ok=np.array([True, False]))
+    for definition in builtin_centers():
+        assert center_arrays(batch, definition)[2].tolist() == [True, False]
+    assert excenter_arrays(batch)[2].tolist() == [True, False]

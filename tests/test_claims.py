@@ -107,3 +107,11 @@ def test_excentral_ellipse_at_critical_aspect():
     rep = check_confII_excenter_ellipse(ConfocalParams(a, b, lam))
     assert rep.passed
     assert any("same ellipse" in n for n in rep.notes)
+
+
+def test_bicII_x1_circle_expected_radius_is_unsigned():
+    """R^2 - 2Rr - d^2 < 0 gives a negative signed radius; the report prints
+    the circle's radius, which the check itself compares against."""
+    rep = check_bicII_x1_circle(BicentricParams(1.0, 0.6, 0.1))
+    assert "radius 0.212121212" in rep.expected
+    assert "-0.2" not in rep.expected

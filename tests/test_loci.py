@@ -9,7 +9,10 @@ from poncelet.families import (
     BicentricParams,
     bic1_config,
     bic2_config,
+    bic3_config,
     conf1_config,
+    conf2_config,
+    conf3_config,
     critical_lambda,
 )
 from poncelet.loci import (
@@ -61,6 +64,62 @@ def test_stationarity_spread_contrast():
     moving = stationarity_spread(trace_locus(cfg, "X2", n=128))
     assert still < 1e-12
     assert moving > 1e-3
+
+
+def _pairwise_spread(locus):
+    """The brute-force diameter: every pairwise distance."""
+    arr = np.asarray([(p.x, p.y) for p in locus.valid_points()])
+    dx = arr[:, 0:1] - arr[:, 0:1].T
+    dy = arr[:, 1:2] - arr[:, 1:2].T
+    return float(np.sqrt(dx * dx + dy * dy).max()) / locus.family.outer_scale
+
+
+def _assert_same_spread(locus):
+    want = _pairwise_spread(locus)
+    assert abs(stationarity_spread(locus) - want) <= 4 * np.spacing(want)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        bic1_config(1.0, 0.3),
+        BIC2,
+        bic3_config(1.0, 0.2, 0.3, 0.5),
+        conf1_config(2.0, 1.0),
+        conf2_config(2.0, 1.0, 0.5),
+        conf3_config(2.0, 1.0, 0.3, 0.5),
+    ],
+    ids=lambda cfg: cfg.kind,
+)
+def test_stationarity_spread_is_the_pairwise_maximum_on_loci(cfg):
+    for tracked in ("X1", "X2", "X3", "X484", "P1'", "P2"):
+        _assert_same_spread(trace_locus(cfg, tracked, n=256))
+
+
+def test_stationarity_spread_is_the_pairwise_maximum_near_a_point():
+    loc = trace_locus(bic1_config(1.0, 0.3), "X1", n=512)
+    assert stationarity_spread(loc) < 1e-12
+    _assert_same_spread(loc)
+
+
+def test_stationarity_spread_is_the_pairwise_maximum_on_point_clouds():
+    rng = np.random.default_rng(7)
+    cfg = bic1_config(1.0, 0.25)
+    for k in range(200):
+        n = int(rng.integers(1, 150))
+        if k % 4 == 0:  # coarse grid: duplicates and collinear runs
+            arr = np.round(rng.normal(size=(n, 2)), 1)
+        elif k % 4 == 1:  # a regular polygon: parallel opposite edges
+            th = 2.0 * np.pi * np.arange(n) / n
+            arr = np.c_[np.cos(th), np.sin(th)]
+        elif k % 8 == 2:  # nearly collinear after rounding
+            arr = np.c_[np.arange(n), 2.0 * np.arange(n)] * 0.1 + 0.3
+        else:
+            arr = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-12, 3)
+        samples = tuple(
+            LocusSample(0.0, Point(float(x), float(y)), True) for x, y in arr
+        )
+        _assert_same_spread(Locus(cfg, "cloud", samples))
 
 
 def test_classify_x1_circle_frozen():

@@ -13,8 +13,8 @@ comparison that must fail) so a vacuous pass cannot go unnoticed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -222,8 +222,7 @@ def _fmt_params(params: object) -> str:
             bits.append(f"pencil_u={params.pencil_u:g}")
         return " ".join(bits)
     if isinstance(params, FamilyConfig):
-        inner = params.bic if params.bic is not None else params.conf
-        return f"{params.kind} {_fmt_params(inner)}"
+        return f"{params.kind} {_fmt_params(params.params)}"
     if isinstance(params, (tuple, list)):
         return "; ".join(_fmt_params(p) for p in params)
     return str(params)
@@ -1186,71 +1185,112 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
 
 @dataclass(frozen=True)
 class RegisteredClaim:
+    """One registry entry and the parameters its check takes.
+
+    ``defaults`` maps each argument of ``run`` that flags can set to the
+    value ``run`` defaults to: a number, set by the flag of the same
+    name, or a parameter class value, whose set fields are its flags.
+    """
+
     claim_id: str
     kind: str
     summary: str
-    run: Callable[[], ClaimReport] = field(repr=False)
+    run: Callable[..., ClaimReport] = field(repr=False)
+    defaults: Mapping[str, Any] = field(default_factory=dict, hash=False)
 
     @property
     def gating(self) -> bool:
         return self.kind != "conjecture"
+
+    @property
+    def flags(self) -> Tuple[str, ...]:
+        """The flags the check reads, by parameter name (``lam`` for lambda)."""
+        return tuple(flag for name, value in self.defaults.items() for flag in _flags(name, value))
+
+    def arguments(self, values: Mapping[str, Any]) -> Dict[str, Any]:
+        """Keyword arguments of ``run`` for the given flag values.
+
+        The defaults fill in the flags not given; with none of its
+        flags given the check runs on its own defaults (no arguments).
+        """
+        given = {k: values[k] for k in self.flags if values.get(k) is not None}
+        if not given:
+            return {}
+        out = {}
+        for name, value in self.defaults.items():
+            if is_dataclass(value):
+                out[name] = replace(value, **{k: given[k] for k in _flags(name, value) if k in given})
+            else:
+                out[name] = given.get(name, value)
+        return out
+
+
+def _flags(name: str, default: Any) -> Tuple[str, ...]:
+    if is_dataclass(default):
+        return tuple(f.name for f in fields(default) if getattr(default, f.name) is not None)
+    return (name,)
+
+
+_BIC2 = {"p": DEFAULT_BIC2}
+_CONF2 = {"p": DEFAULT_CONF2}
+_AB = {"a": 2.0, "b": 1.0}
 
 
 _REGISTRY: Tuple[RegisteredClaim, ...] = (
     RegisteredClaim(
         "thm:bicII-x1", "theorem",
         "incenter circle over the two-caustic bicentric family",
-        check_bicII_x1_circle,
+        check_bicII_x1_circle, _BIC2,
     ),
     RegisteredClaim(
         "cor:bicII-exc", "corollary",
         "first-excenter circle and degree-6 companions",
-        check_bicII_excenter_circle,
+        check_bicII_excenter_circle, _BIC2,
     ),
     RegisteredClaim(
         "prop:bicII-x2", "proposition",
         "implicit sextic satisfied by the barycenter locus",
-        check_bicII_x2_sextic,
+        check_bicII_x2_sextic, _BIC2,
     ),
     RegisteredClaim(
         "prop:bicII-envelope", "proposition",
         "free-side tangency to the predicted pencil circle",
-        check_bicII_envelope,
+        check_bicII_envelope, _BIC2,
     ),
     RegisteredClaim(
         "thm:confII-exc", "theorem",
         "shared excentral ellipse over the confocal-caustic family",
-        check_confII_excenter_ellipse,
+        check_confII_excenter_ellipse, _CONF2,
     ),
     RegisteredClaim(
         "prop:confII-x1", "proposition",
         "incenter conic only at the closing caustic parameter",
-        check_confII_x1_conic_only_at_critical,
+        check_confII_x1_conic_only_at_critical, _AB,
     ),
     RegisteredClaim(
         "prop:confII-x2-n4", "proposition",
         "barycenter homothety at one-third scale on the 4-bounce caustic",
-        check_x2_homothety_half_n4,
+        check_x2_homothety_half_n4, _AB,
     ),
     RegisteredClaim(
         "prop:confII-envelope", "proposition",
         "free-side tangency to the predicted concentric ellipse",
-        check_confII_envelope,
+        check_confII_envelope, _CONF2,
     ),
     RegisteredClaim(
         "cor:confII-n4", "corollary",
         "reciprocal excentral aspect ratio on the 4-bounce caustic",
-        check_confII_n4_excentral_aspect,
+        check_confII_n4_excentral_aspect, _AB,
     ),
     RegisteredClaim(
         "cor:confII-n6", "corollary",
         "circular excentral locus on the 6-bounce caustic",
-        check_confII_n6_excentral_circle,
+        check_confII_n6_excentral_circle, _AB,
     ),
     RegisteredClaim(
         "prop:confII-x1-convex", "proposition",
         "incenter-locus convexity transition at the quintic root",
-        check_convexity_transition,
+        check_convexity_transition, _AB,
     ),
     RegisteredClaim(
         "inv:conserved", "invariant",
@@ -1270,7 +1310,7 @@ _REGISTRY: Tuple[RegisteredClaim, ...] = (
     RegisteredClaim(
         "conj:bicIII", "conjecture",
         "three-caustic incenter/excenter observations",
-        check_conjectures_bicIII,
+        check_conjectures_bicIII, {"p": DEFAULT_BIC3},
     ),
 )
 

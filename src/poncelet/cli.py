@@ -15,28 +15,25 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional, Sequence
+from dataclasses import fields
+from typing import Optional, Sequence
 
 from . import claims as claims_mod
+from .centers import center_definition
 from .families import (
+    DEFAULT_BRANCH,
     FAMILY_KINDS,
+    FAMILY_SPECS,
     MINUS,
     PLUS,
-    BicentricParams,
-    ConfocalParams,
     FamilyConfig,
     TangentBranch,
-    bic1_config,
-    bic2_config,
-    bic3_config,
-    conf1_config,
-    conf2_config,
-    conf3_config,
     envelope_points,
 )
-from .geom import GeometryError
+from .geom import Conic, GeometryError
 from .loci import (
     DEFAULT_TOLERANCES,
+    TRACKED_IDS,
     InsufficientSamples,
     classify_locus,
     fit_curve,
@@ -86,6 +83,9 @@ def _add_family_flags(sp: argparse.ArgumentParser, multi_center: bool = False) -
     )
 
 
+_NUMBER_DESTS = ("R", "r", "d", "u", "a", "b", "lam")
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     path = getattr(args, "config", None)
     if not path:
@@ -94,24 +94,30 @@ def _apply_config(args: argparse.Namespace) -> None:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise _CliUsage("--config must contain a JSON object")
-    key_to_dest = {"lambda": "lam"}
+    center_list = getattr(args, "command", "") == "svg"
     for key, value in data.items():
-        dest = key_to_dest.get(key, key)
-        if not hasattr(args, dest):
+        dest = "lam" if key == "lambda" else key
+        if not hasattr(args, dest) or getattr(args, dest) is not None:
             continue
-        if getattr(args, dest) is None:
-            if dest == "center" and isinstance(value, str) and _wants_center_list(args):
-                value = [value]
-            setattr(args, dest, value)
-
-
-def _wants_center_list(args: argparse.Namespace) -> bool:
-    return getattr(args, "command", "") == "svg"
+        if dest == "center" and isinstance(value, str) and center_list:
+            value = [value]
+        if dest in _NUMBER_DESTS:
+            want, ok = "a number", isinstance(value, (int, float))
+        elif dest == "n":
+            want, ok = "an integer", isinstance(value, int)
+        elif dest == "center" and center_list:
+            want = "a string or a list of strings"
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        else:
+            want, ok = "a string", isinstance(value, str)
+        if isinstance(value, bool) or not ok:
+            raise _CliUsage(f"--config key {key!r} must be {want}")
+        setattr(args, dest, value)
 
 
 def _parse_branch(text: Optional[str]) -> TangentBranch:
     if not text:
-        return TangentBranch(PLUS, PLUS)
+        return DEFAULT_BRANCH
     parts = [p.strip() for p in text.split(",")]
     if len(parts) == 1:
         parts = parts * 2
@@ -122,43 +128,54 @@ def _parse_branch(text: Optional[str]) -> TangentBranch:
     return TangentBranch(parts[0], parts[1])
 
 
-def _require(args: argparse.Namespace, family: str, names: Sequence[str]) -> List[float]:
-    values = []
-    for name in names:
-        dest = "lam" if name == "lambda" else name
-        value = getattr(args, dest)
-        if value is None:
-            raise _CliUsage(f"family {family} requires --{name}")
-        values.append(value)
-    return values
-
-
 def _build_family(args: argparse.Namespace) -> FamilyConfig:
+    """The family the flags describe; its kind's FamilySpec says which
+    flags it needs (a closing kind computes a missing caustic parameter)."""
     family = getattr(args, "family", None)
     if family is None:
         raise _CliUsage("--family is required")
+    if family not in FAMILY_SPECS:
+        raise _CliUsage(f"unknown family {family!r}")
+    spec = FAMILY_SPECS[family]
     branch = _parse_branch(getattr(args, "branch", None))
-    if family == "bic-I":
-        R, r = _require(args, family, ("R", "r"))
-        if args.d is not None:
-            return FamilyConfig("bic-I", bic=BicentricParams(R, r, args.d))
-        return bic1_config(R, r)
-    if family == "bic-II":
-        R, r, d = _require(args, family, ("R", "r", "d"))
-        return bic2_config(R, r, d)
-    if family == "bic-III":
-        R, r, d, u = _require(args, family, ("R", "r", "d", "u"))
-        return bic3_config(R, r, d, u=u, branch=branch)
-    if family == "conf-I":
-        a, b = _require(args, family, ("a", "b"))
-        if args.lam is not None:
-            return FamilyConfig("conf-I", conf=ConfocalParams(a, b, args.lam))
-        return conf1_config(a, b)
-    if family == "conf-II":
-        a, b, lam = _require(args, family, ("a", "b", "lambda"))
-        return conf2_config(a, b, lam, branch=branch)
-    a, b, lam, u = _require(args, family, ("a", "b", "lambda", "u"))
-    return conf3_config(a, b, lam, u, branch=branch)
+    dests = ["u" if f.name == "pencil_u" else f.name for f in fields(spec.params)]
+    dests = dests[: 4 if spec.chain else 3]
+    values = [getattr(args, dest) for dest in dests]
+    for k, dest in enumerate(dests):
+        if values[k] is None and k == 2 and spec.closure is not None:
+            values[k] = spec.closure(*values[:2])
+        elif values[k] is None:
+            raise _CliUsage(f"family {family} requires --{'lambda' if dest == 'lam' else dest}")
+    # A closing family only relabels P2 and P3 with the branch: none is read.
+    return FamilyConfig.of(family, spec.params(*values), DEFAULT_BRANCH if spec.closure else branch)
+
+
+def _check_tracked(ids: Sequence[str]) -> None:
+    """An unknown tracked point id is a usage error."""
+    for tracked in ids:
+        if tracked not in TRACKED_IDS:
+            try:
+                center_definition(tracked)
+            except KeyError as exc:
+                raise _CliUsage(exc.args[0]) from None
+
+
+def _samples(args: argparse.Namespace) -> int:
+    return _DEFAULT_N if args.n is None else args.n
+
+
+def _write_conic(out: dict, conic: Conic, circle: bool, axis_angle: bool = False) -> None:
+    """Add a conic's center, and its radius or semi-axes, to a JSON object."""
+    if conic.center is not None:
+        out["center"] = [conic.center.x, conic.center.y]
+    axes = conic.semi_axes
+    if axes is not None:
+        if circle:
+            out["radius"] = axes[0]
+        else:
+            out["semi_axes"] = [axes[0], axes[1]]
+            if axis_angle:
+                out["axis_angle"] = conic.axis_angle
 
 
 def _g17(x: float) -> str:
@@ -168,7 +185,8 @@ def _g17(x: float) -> str:
 def cmd_trace(args: argparse.Namespace) -> int:
     cfg = _build_family(args)
     center = args.center or "X1"
-    n = args.n or _DEFAULT_N
+    _check_tracked([center])
+    n = _samples(args)
     locus = trace_locus(cfg, center, n, min_valid=1)
     lines = ["t,x,y,valid"]
     for s in locus.samples:
@@ -180,7 +198,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     cfg = _build_family(args)
     center = args.center or "X1"
-    n = args.n or _DEFAULT_N
+    _check_tracked([center])
+    n = _samples(args)
     locus = trace_locus(cfg, center, n)
     fit = classify_locus(locus, DEFAULT_TOLERANCES)
     out: dict = {
@@ -197,67 +216,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
             math.fsum(p.x for p in pts) / len(pts),
             math.fsum(p.y for p in pts) / len(pts),
         ]
-    conic = fit.conic
-    if conic is not None and conic.center is not None:
-        out["center"] = [conic.center.x, conic.center.y]
-        axes = conic.semi_axes
-        if fit.verdict == "circle" and axes is not None:
-            out["radius"] = axes[0]
-        elif axes is not None:
-            out["semi_axes"] = [axes[0], axes[1]]
-            out["axis_angle"] = conic.axis_angle
+    if fit.conic is not None and fit.conic.center is not None:
+        _write_conic(out, fit.conic, fit.verdict == "circle", axis_angle=True)
     sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
     return 0
-
-
-def _claim_call_args(claim_id: str, args: argparse.Namespace) -> tuple:
-    """Build positional arguments for a check from explicit flags.
-
-    Flags missing from the command line fall back to each check's
-    documented defaults.
-    """
-    bic = ("thm:bicII-x1", "cor:bicII-exc", "prop:bicII-x2", "prop:bicII-envelope")
-    conf = ("thm:confII-exc", "prop:confII-envelope")
-    ab = (
-        "prop:confII-x1", "prop:confII-x2-n4", "cor:confII-n4",
-        "cor:confII-n6", "prop:confII-x1-convex",
-    )
-    if claim_id in bic:
-        if any(v is not None for v in (args.R, args.r, args.d)):
-            base = claims_mod.DEFAULT_BIC2
-            return (BicentricParams(
-                args.R if args.R is not None else base.R,
-                args.r if args.r is not None else base.r,
-                args.d if args.d is not None else base.d,
-            ),)
-        return ()
-    if claim_id == "conj:bicIII":
-        if any(v is not None for v in (args.R, args.r, args.d, args.u)):
-            base = claims_mod.DEFAULT_BIC3
-            return (BicentricParams(
-                args.R if args.R is not None else base.R,
-                args.r if args.r is not None else base.r,
-                args.d if args.d is not None else base.d,
-                u=args.u if args.u is not None else base.u,
-            ),)
-        return ()
-    if claim_id in conf:
-        if any(v is not None for v in (args.a, args.b, args.lam)):
-            base = claims_mod.DEFAULT_CONF2
-            return (ConfocalParams(
-                args.a if args.a is not None else base.a,
-                args.b if args.b is not None else base.b,
-                args.lam if args.lam is not None else base.lam,
-            ),)
-        return ()
-    if claim_id in ab:
-        if args.a is not None or args.b is not None:
-            return (
-                args.a if args.a is not None else 2.0,
-                args.b if args.b is not None else 1.0,
-            )
-        return ()
-    return ()
 
 
 def _print_report(rep: "claims_mod.ClaimReport", verbose: bool) -> None:
@@ -296,10 +258,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         selected = list(claims_mod.all_claims())
 
-    reports = []
-    for claim in selected:
-        call_args = _claim_call_args(claim.claim_id, args)
-        reports.append(claim.run(*call_args) if call_args else claim.run())
+    values = vars(args)
+    reports = [claim.run(**claim.arguments(values)) for claim in selected]
 
     if args.json:
         sys.stdout.write(
@@ -340,20 +300,13 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_envelope(args: argparse.Namespace) -> int:
     cfg = _build_family(args)
-    n = args.n or _DEFAULT_N
+    n = _samples(args)
     env = cfg.closed_form_envelope()
     out: dict = {"family": cfg.kind}
     if env is not None:
         out["closed_form"] = True
         out["kind"] = env.kind
-        if env.center is not None:
-            out["center"] = [env.center.x, env.center.y]
-        axes = env.semi_axes
-        if axes is not None:
-            if env.kind == "circle":
-                out["radius"] = axes[0]
-            else:
-                out["semi_axes"] = [axes[0], axes[1]]
+        _write_conic(out, env, env.kind == "circle")
     else:
         ts = [2.0 * math.pi * k / n for k in range(n)]
         pts = envelope_points(cfg.free_side_at, ts)
@@ -364,13 +317,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
             out["verdict"] = fit.verdict
             out["residual"] = fit.residual
             if fit.conic is not None and fit.conic.center is not None:
-                out["center"] = [fit.conic.center.x, fit.conic.center.y]
-                axes = fit.conic.semi_axes
-                if axes is not None:
-                    if fit.verdict == "circle":
-                        out["radius"] = axes[0]
-                    else:
-                        out["semi_axes"] = [axes[0], axes[1]]
+                _write_conic(out, fit.conic, fit.verdict == "circle")
     sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -378,7 +325,8 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 def cmd_svg(args: argparse.Namespace) -> int:
     cfg = _build_family(args)
     centers = args.center or ["X1"]
-    n = args.n or _DEFAULT_N
+    _check_tracked(centers)
+    n = _samples(args)
     doc = render_family(cfg, centers, n=n)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -15,6 +15,12 @@ provided, each driven by the eccentric angle t of the first vertex:
 * ``conf-III`` outer ellipse, confocal caustic plus a second concentric
               caustic from their pencil, one per constructed side.
 
+The kinds come from two choices: the porism (bicentric circles,
+``BicentricParams``, or confocal ellipses, ``ConfocalParams``) and
+whether both constructed sides touch one caustic (a pair) or the
+second touches a pencil caustic (a chain).  ``FAMILY_SPECS`` describes
+each kind once; ``FamilyConfig`` reads it.
+
 Every family builds its vertices with a closed-form chord map: the
 bicentric map for circles, the confocal map for concentric
 axis-parallel ellipses (which covers conf-III's second caustic, a
@@ -26,7 +32,7 @@ at the origin, ellipses concentric and axis-parallel at the origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geom import (
@@ -55,7 +61,9 @@ __all__ = [
     "ConfocalParams",
     "Triangle",
     "TriangleBatch",
+    "FamilySpec",
     "FamilyConfig",
+    "FAMILY_SPECS",
     "FAMILY_KINDS",
     "chapple_distance",
     "kerawala_holds",
@@ -67,8 +75,6 @@ __all__ = [
     "n6_caustic",
     "bic2_vertices",
     "bic3_caustic2",
-    "bic3_vertices",
-    "conf2_vertices",
     "conf3_vertices",
     "bic2_envelope",
     "bic2_envelope_radius_pq",
@@ -130,6 +136,23 @@ def _branch_sign(label: str) -> float:
     raise ValueError(f"tangent branch must be {PLUS!r} or {MINUS!r}, got {label!r}")
 
 
+# ---------------------------------------------------------------------------
+# The two porisms.  Each parameter class gives its outer conic, caustic
+# and pencil caustic, the first vertex at eccentric angle t, the shape of
+# either caustic, and its closed-form chord map.
+#
+# Given a vertex on the outer conic and an interior caustic, the chord
+# map returns the second intersection with the outer conic of one of
+# the two tangents from the vertex to the caustic.  The sign argument
+# selects the tangent; the labeling is continuous in the vertex, so a
+# fixed sign traces a single smooth family over a full sweep.
+#
+# Both maps are elementwise in the vertex (x1, y1), which may be numpy
+# arrays, and return (x2, y2, ok) with ok false where the vertex has no
+# real tangent to the caustic (on or inside it); the root is taken of
+# |delta2|, so such a vertex still gets a finite, meaningless image.
+
+
 @dataclass(frozen=True)
 class BicentricParams:
     """Outer circle radius R at the origin, caustic radius r at (d, 0).
@@ -152,11 +175,39 @@ class BicentricParams:
         if self.r + self.d >= self.R:
             raise ValueError("caustic must be strictly inside the outer circle")
 
-    def outer_circle(self) -> Conic:
+    def outer_conic(self) -> Conic:
         return Conic.circle(Point(0.0, 0.0), self.R)
 
     def caustic(self) -> Conic:
         return Conic.circle(Point(self.d, 0.0), self.r)
+
+    def pencil_caustic(self) -> Conic:
+        return bic3_caustic2(self)
+
+    def vertex(self, t: Any) -> Tuple[Any, Any]:
+        return self.R * _cos(t), self.R * _sin(t)
+
+    def shape(self, pencil: bool = False) -> Tuple[float, float]:
+        """(radius, center offset) of the caustic, or of the pencil caustic."""
+        return _bic3_second_caustic(self) if pencil else (self.r, self.d)
+
+    def chord(self, shape: Tuple[float, float], x1: Any, y1: Any, sign: float):
+        """Chord map to the caustic circle of the given ``shape``."""
+        R = self.R
+        rc, dc = shape
+        delta2 = R * R + dc * dc - 2.0 * dc * x1 - rc * rc
+        delta = sign * _sqrt(abs(delta2))
+        den = (R * R + dc * dc - 2.0 * dc * x1) ** 2
+        rr_dd = R * R - dc * dc
+        x2 = (
+            2.0 * rc * y1 * rr_dd * delta
+            + (2.0 * dc * R * R - (R * R + dc * dc) * x1) * (delta2 - rc * rc)
+        ) / den
+        y2 = (
+            (4.0 * R * R * dc - 2.0 * (R * R + dc * dc) * x1) * rc * delta
+            - y1 * rr_dd * (delta2 - rc * rc)
+        ) / den
+        return x2, y2, delta2 > 0.0
 
 
 @dataclass(frozen=True)
@@ -190,12 +241,41 @@ class ConfocalParams:
             math.sqrt(self.b * self.b - self.lam),
         )
 
-    def outer_ellipse(self) -> Conic:
+    def outer_conic(self) -> Conic:
         return Conic.axis_ellipse(Point(0.0, 0.0), self.a, self.b)
 
     def caustic(self) -> Conic:
         ca, cb = self.caustic_semi_axes()
         return Conic.axis_ellipse(Point(0.0, 0.0), ca, cb)
+
+    def pencil_caustic(self) -> Conic:
+        return Conic.axis_ellipse(Point(0.0, 0.0), *_conf3_second_caustic(self))
+
+    def vertex(self, t: Any) -> Tuple[Any, Any]:
+        return self.a * _cos(t), self.b * _sin(t)
+
+    def shape(self, pencil: bool = False) -> Tuple[float, float]:
+        """Semi-axes of the confocal caustic, or of the pencil caustic."""
+        return _conf3_second_caustic(self) if pencil else self.caustic_semi_axes()
+
+    def chord(self, shape: Tuple[float, float], x1: Any, y1: Any, sign: float):
+        """Chord map to the concentric axis-parallel caustic ellipse of the
+        given ``shape``."""
+        a = self.a
+        ca, cb = shape
+        a2 = a * a
+        b2 = self.b * self.b
+        ca2 = ca * ca
+        cb2 = cb * cb
+        delta2 = (a2 * cb2 - ca2 * cb2) * x1 * x1 + (a2 * ca2 - a2 * ca2 * cb2 / b2) * y1 * y1
+        delta = sign * _sqrt(abs(delta2))
+        alpha1 = a2 * (b2 - cb2) - ca2 * b2
+        alpha2 = (a2 - ca2) * b2 + a2 * cb2
+        alpha3 = a2 * (b2 - cb2) + ca2 * b2
+        w = (alpha2 * x1) ** 2 / a2 + (alpha3 * y1) ** 2 / b2
+        x2 = (2.0 * a * alpha3 * y1 * delta - alpha1 * alpha2 * x1) / w
+        y2 = (-2.0 * b2 * alpha2 * x1 * delta - a * alpha1 * alpha3 * y1) / (a * w)
+        return x2, y2, delta2 > 0.0
 
 
 @dataclass(frozen=True)
@@ -318,6 +398,22 @@ def critical_lambda(a: float, b: float) -> float:
     return a2 * b2 * (2.0 * delta - a2 - b2) / (c2 * c2)
 
 
+def _poristic_offset(R: float, r: float, d: Optional[float] = None) -> float:
+    """Chapple's offset for (R, r), checked against d when one is given."""
+    want = chapple_distance(R, r)
+    if d is not None and abs(d - want) > 1e-12 * max(R, 1.0):
+        raise NoPoristicPair(f"d={d} is not the poristic offset {want}")
+    return want
+
+
+def _closing_lambda(a: float, b: float, lam: Optional[float] = None) -> float:
+    """The critical lambda for (a, b), checked against lam when one is given."""
+    want = critical_lambda(a, b)
+    if lam is not None and abs(lam - want) > 1e-12 * max(b ** 2, 1.0):
+        raise ValueError(f"lam={lam} is not the closure value {want}")
+    return want
+
+
 def n4_caustic(a: float, b: float) -> Tuple[float, float]:
     """Confocal caustic whose billiard polygons close after 4 bounces."""
     root = math.sqrt(a * a + b * b)
@@ -334,80 +430,7 @@ def n6_caustic(a: float, b: float) -> Tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form chord maps.
-#
-# Given a vertex on the outer conic and an interior caustic, the chord
-# map returns the second intersection with the outer conic of one of
-# the two tangents from the vertex to the caustic.  The sign argument
-# selects the tangent; the labeling is continuous in the vertex, so a
-# fixed sign traces a single smooth family over a full sweep.
-#
-# Both maps are elementwise in the vertex (x1, y1), which may be numpy
-# arrays, and return (x2, y2, ok) with ok false where the vertex has no
-# real tangent to the caustic (on or inside it); the root is taken of
-# |delta2|, so such a vertex still gets a finite, meaningless image.
-
-
-def _bic_chord_step(R: float, rc: float, dc: float, x1: Any, y1: Any, sign: float):
-    """Chord map for an outer circle of radius R about the origin and a
-    caustic circle of radius rc centered at (dc, 0)."""
-    delta2 = R * R + dc * dc - 2.0 * dc * x1 - rc * rc
-    delta = sign * _sqrt(abs(delta2))
-    den = (R * R + dc * dc - 2.0 * dc * x1) ** 2
-    rr_dd = R * R - dc * dc
-    x2 = (
-        2.0 * rc * y1 * rr_dd * delta
-        + (2.0 * dc * R * R - (R * R + dc * dc) * x1) * (delta2 - rc * rc)
-    ) / den
-    y2 = (
-        (4.0 * R * R * dc - 2.0 * (R * R + dc * dc) * x1) * rc * delta
-        - y1 * rr_dd * (delta2 - rc * rc)
-    ) / den
-    return x2, y2, delta2 > 0.0
-
-
-def _conf_chord_step(
-    a: float, b: float, ca: float, cb: float, x1: Any, y1: Any, sign: float
-):
-    """Chord map for a concentric axis-parallel outer ellipse (a, b) and
-    caustic ellipse (ca, cb)."""
-    a2 = a * a
-    b2 = b * b
-    ca2 = ca * ca
-    cb2 = cb * cb
-    delta2 = (a2 * cb2 - ca2 * cb2) * x1 * x1 + (a2 * ca2 - a2 * ca2 * cb2 / b2) * y1 * y1
-    delta = sign * _sqrt(abs(delta2))
-    alpha1 = a2 * (b2 - cb2) - ca2 * b2
-    alpha2 = (a2 - ca2) * b2 + a2 * cb2
-    alpha3 = a2 * (b2 - cb2) + ca2 * b2
-    w = (alpha2 * x1) ** 2 / a2 + (alpha3 * y1) ** 2 / b2
-    x2 = (2.0 * a * alpha3 * y1 * delta - alpha1 * alpha2 * x1) / w
-    y2 = (-2.0 * b2 * alpha2 * x1 * delta - a * alpha1 * alpha3 * y1) / (a * w)
-    return x2, y2, delta2 > 0.0
-
-
-# ---------------------------------------------------------------------------
-# Family constructions.
-
-
-def _bic2_batch(p: BicentricParams, t: Any) -> TriangleBatch:
-    """Two-caustic bicentric triangles at the angles t.
-
-    P1 = R (cos t, sin t); P2 and P3 are the second intersections of
-    the two tangents from P1 to the caustic with the outer circle.  The
-    poristic family is the special case d^2 = R(R - 2r).
-    """
-    x1 = p.R * _cos(t)
-    y1 = p.R * _sin(t)
-    # Both tangents leave P1: one tangent condition for the pair.
-    x2, y2, ok = _bic_chord_step(p.R, p.r, p.d, x1, y1, 1.0)
-    x3, y3, _ = _bic_chord_step(p.R, p.r, p.d, x1, y1, -1.0)
-    return TriangleBatch(x1, y1, x2, y2, x3, y3, ok)
-
-
-def bic2_vertices(p: BicentricParams, t: float) -> Triangle:
-    """Two-caustic bicentric triangle at angle t (see _bic2_batch)."""
-    return FamilyConfig("bic-II", bic=p).triangle(t)
+# The pencil caustics of the chain kinds.
 
 
 def _bic3_second_caustic(p: BicentricParams) -> Tuple[float, float]:
@@ -426,53 +449,6 @@ def bic3_caustic2(p: BicentricParams) -> Conic:
     center (d(1-u), 0) and radius sqrt(d^2 u^2 + (R^2-d^2-r^2) u + r^2)."""
     radius, offset = _bic3_second_caustic(p)
     return Conic.circle(Point(offset, 0.0), radius)
-
-
-def _bic3_batch(p: BicentricParams, t: Any, branch: TangentBranch) -> TriangleBatch:
-    """Three-caustic bicentric triangles at the angles t.
-
-    Chain construction: P1P2 is tangent to the first caustic, P2P3 to
-    the pencil caustic at parameter u, all vertices on the outer
-    circle.  The free side P3P1 then envelopes a third pencil circle.
-    """
-    r2, d2 = _bic3_second_caustic(p)
-    x1 = p.R * _cos(t)
-    y1 = p.R * _sin(t)
-    s1 = _branch_sign(branch.first)
-    s2 = _branch_sign(branch.second)
-    x2, y2, ok2 = _bic_chord_step(p.R, p.r, p.d, x1, y1, s1)
-    x3, y3, ok3 = _bic_chord_step(p.R, r2, d2, x2, y2, s2)
-    return TriangleBatch(x1, y1, x2, y2, x3, y3, ok2 & ok3)
-
-
-def bic3_vertices(p: BicentricParams, t: float, branch: TangentBranch = DEFAULT_BRANCH) -> Triangle:
-    """Three-caustic bicentric triangle at angle t (see _bic3_batch)."""
-    return FamilyConfig("bic-III", bic=p, branch=branch).triangle(t)
-
-
-def _conf2_batch(p: ConfocalParams, t: Any, branch: TangentBranch) -> TriangleBatch:
-    """Confocal-caustic triangles at the angles t.
-
-    P1 = (a cos t, b sin t); P2 and P3 close the two tangents from P1
-    to the confocal caustic.  ``branch.first`` swaps the roles of P2
-    and P3 (the second component is unused since both constructed sides
-    leave the same vertex).
-    """
-    ca, cb = p.caustic_semi_axes()
-    x1 = p.a * _cos(t)
-    y1 = p.b * _sin(t)
-    s = _branch_sign(branch.first)
-    # Both tangents leave P1: one tangent condition for the pair.
-    x2, y2, ok = _conf_chord_step(p.a, p.b, ca, cb, x1, y1, s)
-    x3, y3, _ = _conf_chord_step(p.a, p.b, ca, cb, x1, y1, -s)
-    return TriangleBatch(x1, y1, x2, y2, x3, y3, ok)
-
-
-def conf2_vertices(
-    p: ConfocalParams, t: float, branch: TangentBranch = DEFAULT_BRANCH
-) -> Triangle:
-    """Confocal-caustic triangle at angle t (see _conf2_batch)."""
-    return FamilyConfig("conf-II", conf=p, branch=branch).triangle(t)
 
 
 def _conf3_second_caustic(p: ConfocalParams) -> Tuple[float, float]:
@@ -498,31 +474,6 @@ def _conf3_second_caustic(p: ConfocalParams) -> Tuple[float, float]:
     if qx * k <= 0.0 or qy * k <= 0.0:
         raise ImaginaryPencilCircle(f"pencil caustic at u={u} is not an ellipse")
     return (math.sqrt(k / qx), math.sqrt(k / qy))
-
-
-def _conf3_batch(p: ConfocalParams, t: Any, branch: TangentBranch) -> TriangleBatch:
-    """Two-elliptic-caustic triangles at the angles t.
-
-    Chain construction: P1P2 is tangent to the confocal caustic, P2P3
-    to the concentric pencil caustic at parameter pencil_u, all
-    vertices on the outer ellipse.
-    """
-    ea, eb = _conf3_second_caustic(p)
-    ca, cb = p.caustic_semi_axes()
-    x1 = p.a * _cos(t)
-    y1 = p.b * _sin(t)
-    s1 = _branch_sign(branch.first)
-    s2 = _branch_sign(branch.second)
-    x2, y2, ok2 = _conf_chord_step(p.a, p.b, ca, cb, x1, y1, s1)
-    x3, y3, ok3 = _conf_chord_step(p.a, p.b, ea, eb, x2, y2, s2)
-    return TriangleBatch(x1, y1, x2, y2, x3, y3, ok2 & ok3)
-
-
-def conf3_vertices(
-    p: ConfocalParams, t: float, branch: TangentBranch = DEFAULT_BRANCH
-) -> Triangle:
-    """Two-elliptic-caustic triangle at angle t (see _conf3_batch)."""
-    return FamilyConfig("conf-III", conf=p, branch=branch).triangle(t)
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +575,40 @@ def envelope_points(
 
 
 # ---------------------------------------------------------------------------
-# Family configuration: one value describing a concrete family instance.
+# Family kinds: each described once.
 
 
-FAMILY_KINDS = ("bic-I", "bic-II", "bic-III", "conf-I", "conf-II", "conf-III")
+class FamilySpec(NamedTuple):
+    """One family kind (see FAMILY_SPECS).
 
-_BIC_KINDS = ("bic-I", "bic-II", "bic-III")
-_CONF_KINDS = ("conf-I", "conf-II", "conf-III")
+    ``params`` is BicentricParams (held in ``FamilyConfig.bic``) or
+    ConfocalParams (``.conf``); the fields of both are the outer shape
+    pair, the caustic's parameter and the pencil coordinate.  A pair
+    takes both tangents from P1 to the caustic and leaves P2P3 free; a
+    chain makes P2P3 touch the pencil caustic and leaves P3P1 free.  An
+    unbranched pair takes the plus tangent first, whatever the branch.
+    ``closure(x, y, z=None)`` returns the caustic parameter that closes
+    the family and raises if a given z is not it.  ``envelope(params)``
+    is the free side's closed-form envelope.
+    """
+
+    params: type
+    chain: bool
+    branched: bool
+    closure: Optional[Callable[..., float]]
+    envelope: Optional[Callable[[Any], Conic]]
+
+
+FAMILY_SPECS = {
+    "bic-I": FamilySpec(BicentricParams, False, False, _poristic_offset, BicentricParams.caustic),
+    "bic-II": FamilySpec(BicentricParams, False, False, None, bic2_envelope),
+    "bic-III": FamilySpec(BicentricParams, True, True, None, None),
+    "conf-I": FamilySpec(ConfocalParams, False, True, _closing_lambda, ConfocalParams.caustic),
+    "conf-II": FamilySpec(ConfocalParams, False, True, None, conf2_envelope),
+    "conf-III": FamilySpec(ConfocalParams, True, True, None, None),
+}
+
+FAMILY_KINDS = tuple(FAMILY_SPECS)
 
 
 @dataclass(frozen=True)
@@ -643,30 +621,29 @@ class FamilyConfig:
     branch: TangentBranch = DEFAULT_BRANCH
 
     def __post_init__(self) -> None:
-        if self.kind not in FAMILY_KINDS:
+        spec = FAMILY_SPECS.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind in _BIC_KINDS:
-            if self.bic is None:
-                raise ValueError(f"{self.kind} needs bicentric parameters")
-            if self.kind == "bic-I":
-                want = chapple_distance(self.bic.R, self.bic.r)
-                if abs(self.bic.d - want) > 1e-12 * max(self.bic.R, 1.0):
-                    raise NoPoristicPair(
-                        f"d={self.bic.d} is not the poristic offset {want}"
-                    )
-            if self.kind == "bic-III" and self.bic.u is None:
-                raise ValueError("bic-III needs the pencil parameter u")
-        else:
-            if self.conf is None:
-                raise ValueError(f"{self.kind} needs confocal parameters")
-            if self.kind == "conf-I":
-                want = critical_lambda(self.conf.a, self.conf.b)
-                if abs(self.conf.lam - want) > 1e-12 * max(self.conf.b ** 2, 1.0):
-                    raise ValueError(
-                        f"lam={self.conf.lam} is not the closure value {want}"
-                    )
-            if self.kind == "conf-III" and self.conf.pencil_u is None:
-                raise ValueError("conf-III needs the pencil parameter pencil_u")
+        p = self.params
+        if not isinstance(p, spec.params):
+            raise ValueError(f"{self.kind} needs {spec.params.__name__}")
+        x, y, z, pencil = vars(p).values()  # the four fields, in order
+        if spec.closure is not None:
+            spec.closure(x, y, z)
+        if spec.chain and pencil is None:
+            raise ValueError(f"{self.kind} needs the pencil parameter {fields(p)[3].name}")
+
+    @classmethod
+    def of(cls, kind: str, params: Any, branch: TangentBranch = DEFAULT_BRANCH) -> "FamilyConfig":
+        """The family of the given kind at either parameter class."""
+        if isinstance(params, BicentricParams):
+            return cls(kind, bic=params, branch=branch)
+        return cls(kind, conf=params, branch=branch)
+
+    @property
+    def params(self) -> Any:
+        """``bic`` or ``conf``, whichever the kind reads."""
+        return self.bic if FAMILY_SPECS[self.kind].params is BicentricParams else self.conf
 
     @property
     def outer_scale(self) -> float:
@@ -676,43 +653,38 @@ class FamilyConfig:
         return self.conf.a
 
     def outer_conic(self) -> Conic:
-        if self.kind in _BIC_KINDS:
-            assert self.bic is not None
-            return self.bic.outer_circle()
-        assert self.conf is not None
-        return self.conf.outer_ellipse()
+        return self.params.outer_conic()
 
     def caustics(self) -> Tuple[Conic, ...]:
         """The prescribed caustics (not the derived third-side envelope)."""
-        if self.kind in _BIC_KINDS:
-            assert self.bic is not None
-            if self.kind == "bic-III":
-                return (self.bic.caustic(), bic3_caustic2(self.bic))
-            return (self.bic.caustic(),)
-        assert self.conf is not None
-        if self.kind == "conf-III":
-            ea, eb = _conf3_second_caustic(self.conf)
-            return (self.conf.caustic(), Conic.axis_ellipse(Point(0.0, 0.0), ea, eb))
-        return (self.conf.caustic(),)
+        p = self.params
+        if FAMILY_SPECS[self.kind].chain:
+            return (p.caustic(), p.pencil_caustic())
+        return (p.caustic(),)
 
     def triangles(self, t: Any) -> TriangleBatch:
         """The members at the angles t (a numpy array, or one float).
 
-        The one construction path: ``triangle`` evaluates it at a single
-        angle.  Raises only for parameters that admit no member at all
-        (an imaginary second caustic); a vertex without a real tangent
-        clears ``ok`` at its angle.
+        P1 is the outer conic's point at eccentric angle t; the chord
+        maps give P2 and P3 (see FamilySpec).  The one construction
+        path: ``triangle`` evaluates it at a single angle.  Raises only
+        for parameters that admit no member at all (an imaginary second
+        caustic); a vertex without a real tangent clears ``ok`` at its
+        angle.
         """
-        if self.kind in ("bic-I", "bic-II"):
-            assert self.bic is not None
-            return _bic2_batch(self.bic, t)
-        if self.kind == "bic-III":
-            assert self.bic is not None
-            return _bic3_batch(self.bic, t, self.branch)
-        assert self.conf is not None
-        if self.kind in ("conf-I", "conf-II"):
-            return _conf2_batch(self.conf, t, self.branch)
-        return _conf3_batch(self.conf, t, self.branch)
+        spec = FAMILY_SPECS[self.kind]
+        p = self.bic if spec.params is BicentricParams else self.conf
+        x1, y1 = p.vertex(t)
+        s = _branch_sign(self.branch.first) if spec.branched else 1.0
+        first = p.shape()
+        x2, y2, ok = p.chord(first, x1, y1, s)
+        if spec.chain:
+            x3, y3, ok3 = p.chord(p.shape(pencil=True), x2, y2, _branch_sign(self.branch.second))
+            ok = ok & ok3
+        else:
+            # Both tangents leave P1: one tangent condition for the pair.
+            x3, y3, _ = p.chord(first, x1, y1, -s)
+        return TriangleBatch(x1, y1, x2, y2, x3, y3, ok)
 
     def triangle(self, t: float) -> Triangle:
         """The member at angle t; raises where ``triangles`` clears ok."""
@@ -721,26 +693,18 @@ class FamilyConfig:
             raise VertexInsideCaustic(f"no real tangent from the vertex at t={t}")
         return Triangle(Point(b.x1, b.y1), Point(b.x2, b.y2), Point(b.x3, b.y3), t)
 
-    def _free_side_ends(self, tri: TriangleBatch) -> Tuple[Any, Any, Any, Any]:
-        """The side not constrained to a prescribed caustic, as (x, y, x', y').
-
-        P2P3 for the single-caustic families, P3P1 for the chain-built
-        three-caustic families.
-        """
-        if self.kind in ("bic-III", "conf-III"):
-            return tri.x3, tri.y3, tri.x1, tri.y1
-        return tri.x2, tri.y2, tri.x3, tri.y3
-
-    def free_side(self, tri: Triangle) -> Line:
-        """The side not constrained to a prescribed caustic (see free_sides)."""
-        x1, y1, x2, y2 = self._free_side_ends(TriangleBatch(*tri.p1, *tri.p2, *tri.p3, True))
-        return Line.from_points(Point(x1, y1), Point(x2, y2))
-
     def free_sides(self, t: Any) -> Tuple[Any, Any, Any, Any]:
         """(a, b, c, ok): the free side a x + b y + c = 0, with unit normal
-        (a, b), at the angles t; ok is false where there is no member."""
+        (a, b), at the angles t; ok is false where there is no member.
+
+        The free side is the one no prescribed caustic constrains: P2P3
+        for a pair, P3P1 for a chain.
+        """
         tri = self.triangles(t)
-        a, b, c, ok = _line_through(*self._free_side_ends(tri))
+        if FAMILY_SPECS[self.kind].chain:
+            a, b, c, ok = _line_through(tri.x3, tri.y3, tri.x1, tri.y1)
+        else:
+            a, b, c, ok = _line_through(tri.x2, tri.y2, tri.x3, tri.y3)
         return a, b, c, tri.ok & ok
 
     def free_side_at(self, t: float) -> Optional[Line]:
@@ -749,19 +713,20 @@ class FamilyConfig:
 
     def closed_form_envelope(self) -> Optional[Conic]:
         """Known envelope of the free side, where a closed form exists."""
-        if self.kind == "bic-I":
-            assert self.bic is not None
-            return self.bic.caustic()
-        if self.kind == "bic-II":
-            assert self.bic is not None
-            return bic2_envelope(self.bic)
-        if self.kind == "conf-I":
-            assert self.conf is not None
-            return self.conf.caustic()
-        if self.kind == "conf-II":
-            assert self.conf is not None
-            return conf2_envelope(self.conf)
-        return None
+        envelope = FAMILY_SPECS[self.kind].envelope
+        return None if envelope is None else envelope(self.params)
+
+
+def bic2_vertices(p: BicentricParams, t: float) -> Triangle:
+    """Two-caustic bicentric triangle at angle t."""
+    return FamilyConfig("bic-II", bic=p).triangle(t)
+
+
+def conf3_vertices(
+    p: ConfocalParams, t: float, branch: TangentBranch = DEFAULT_BRANCH
+) -> Triangle:
+    """Two-elliptic-caustic triangle at angle t."""
+    return FamilyConfig("conf-III", conf=p, branch=branch).triangle(t)
 
 
 def bic1_config(R: float, r: float) -> FamilyConfig:

@@ -1,9 +1,21 @@
+import inspect
 import json
 import math
 
 import pytest
 
-from poncelet.cli import main
+from poncelet import claims
+from poncelet.cli import _build_family, _build_parser, main
+from poncelet.families import (
+    BicentricParams,
+    ConfocalParams,
+    bic1_config,
+    bic2_config,
+    bic3_config,
+    conf1_config,
+    conf2_config,
+    conf3_config,
+)
 
 
 def run(capsys, *argv):
@@ -189,3 +201,149 @@ def test_poristic_violation_reported(capsys):
     )
     assert code == 2
     assert err.strip()
+
+
+# The README parameter set of each family: flags, matching builder call.
+README_FAMILIES = [
+    (["--family", "bic-I", "--R", "1", "--r", "0.25"], bic1_config(1.0, 0.25)),
+    (["--family", "bic-II", "--R", "1", "--r", "0.2", "--d", "0.3"], bic2_config(1.0, 0.2, 0.3)),
+    (
+        ["--family", "bic-III", "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "0.4"],
+        bic3_config(1.0, 0.15, 0.25, u=0.4),
+    ),
+    (["--family", "conf-I", "--a", "2", "--b", "1"], conf1_config(2.0, 1.0)),
+    (["--family", "conf-II", "--a", "2", "--b", "1", "--lambda", "0.5"], conf2_config(2.0, 1.0, 0.5)),
+    (
+        ["--family", "conf-III", "--a", "2", "--b", "1", "--lambda", "0.3", "--u", "0.5"],
+        conf3_config(2.0, 1.0, 0.3, 0.5),
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, want", README_FAMILIES, ids=lambda v: getattr(v, "kind", ""))
+def test_cli_builds_the_builder_family(flags, want):
+    args = _build_parser().parse_args(["trace"] + flags)
+    assert _build_family(args) == want
+
+
+@pytest.mark.parametrize("flags, want", README_FAMILIES, ids=lambda v: getattr(v, "kind", ""))
+def test_branch_flag_use(flags, want, capsys):
+    """--branch moves P2 over bic-III and the confocal families that do not
+    close; bic-I, bic-II and conf-I read no branch."""
+    _, plain, _ = run(capsys, "trace", *flags, "--center", "P2", "-n", "16")
+    _, branched, _ = run(capsys, "trace", *flags, "--branch", "minus,minus", "--center", "P2", "-n", "16")
+    assert (branched == plain) == (want.kind in ("bic-I", "bic-II", "conf-I"))
+
+
+@pytest.mark.parametrize("flags, want", README_FAMILIES, ids=lambda v: getattr(v, "kind", ""))
+def test_missing_family_flag_is_named(flags, want, capsys):
+    """Every parameter flag is required, except the caustic parameter of
+    a closing family, which the CLI computes."""
+    pairs = list(zip(flags[2::2], flags[3::2]))
+    for k, (name, _) in enumerate(pairs):
+        rest = [x for j, pair in enumerate(pairs) if j != k for x in pair]
+        code, out, err = run(capsys, "trace", *flags[:2], *rest, "-n", "8")
+        if want.kind in ("bic-I", "conf-I") and name in ("--d", "--lambda"):
+            assert code == 0
+            continue
+        assert code == 2
+        assert f"requires {name}" in err
+
+
+@pytest.mark.parametrize("command", ["trace", "classify", "svg"])
+@pytest.mark.parametrize("center", ["X7", "foo"])
+def test_unknown_center_is_a_usage_error(command, center, capsys):
+    code, out, err = run(
+        capsys, command, "--family", "bic-II", "--R", "1", "--r", "0.2", "--d", "0.3",
+        "--center", center, "-n", "40",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert center in err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"family": "bic-II", "R": "1", "r": 0.2, "d": 0.3}, "R"),
+    ({"family": "bic-II", "R": 1, "r": 0.2, "d": 0.3, "n": "5"}, "n"),
+    ({"family": "bic-II", "R": 1, "r": 0.2, "d": 0.3, "n": 5.0}, "n"),
+    ({"family": "bic-II", "R": 1, "r": 0.2, "d": True}, "d"),
+    ({"family": 2, "R": 1, "r": 0.2, "d": 0.3}, "family"),
+    ({"family": "bic-II", "R": 1, "r": 0.2, "d": 0.3, "center": ["X1"]}, "center"),
+])
+def test_config_value_of_the_wrong_type_is_a_usage_error(doc, key, tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "trace", "--config", str(path))
+    assert code == 2
+    assert f"--config key {key!r}" in err
+    assert "Traceback" not in err
+
+
+def test_config_center_list_for_svg(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"family": "bic-I", "R": 1, "r": 0.25, "center": ["X1", "X2"]}))
+    code, out, err = run(capsys, "svg", "--config", str(path), "-n", "64")
+    assert code == 0
+    assert "locus of X2" in out
+
+
+def test_config_names_an_unknown_family(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"family": "bic-IV", "R": 1, "r": 0.2, "d": 0.3}))
+    code, out, err = run(capsys, "trace", "--config", str(path))
+    assert code == 2
+    assert "bic-IV" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_nonpositive_sample_count_is_a_usage_error(n, capsys):
+    code, out, err = run(
+        capsys, "trace", "--family", "bic-I", "--R", "1", "--r", "0.25", "-n", n,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"got {n}" in err
+
+
+_PARAM_CLASSES = (int, float, BicentricParams, ConfocalParams)
+
+
+@pytest.mark.parametrize("claim", claims.all_claims(), ids=lambda c: c.claim_id)
+def test_claim_defaults_match_the_check_signature(claim):
+    """The registry's defaults are the check's own, and every numeric or
+    parameter-class argument of the check is declared."""
+    signature = inspect.signature(claim.run).parameters
+    for name, value in claim.defaults.items():
+        assert signature[name].default == value
+    for name, parameter in signature.items():
+        if isinstance(parameter.default, _PARAM_CLASSES):
+            assert name in claim.defaults
+
+
+def _params_lines(out):
+    return [line for line in out.splitlines() if line.startswith("    params:")]
+
+
+# A value each flag can take in every claim that reads it.
+_FLAG_VALUES = {"R": "1.1", "r": "0.18", "d": "0.2", "u": "0.5", "a": "2.5", "b": "0.9", "lam": "0.4"}
+
+
+@pytest.mark.parametrize("dest", sorted(_FLAG_VALUES))
+def test_a_flag_reaches_exactly_the_claims_that_declare_it(dest, capsys):
+    flag = "--lambda" if dest == "lam" else f"--{dest}"
+    value = _FLAG_VALUES[dest]
+    declared = [c for c in claims.all_claims() if dest in c.flags]
+    assert declared
+    for claim in claims.all_claims():
+        if claim not in declared:
+            # No argument: the check runs on its own defaults, as without the flag.
+            assert claim.arguments({dest: float(value)}) == {}
+    ids = [c.claim_id for c in declared]
+    code, plain, _ = run(capsys, "verify", *ids)
+    code, flagged, _ = run(capsys, "verify", *ids, flag, value)
+    assert code in (0, 1)
+    assert len(_params_lines(flagged)) == len(_params_lines(plain)) == len(ids)
+    for before, after in zip(_params_lines(plain), _params_lines(flagged)):
+        assert before != after
+        assert f"{dest}={float(value):g}" in after

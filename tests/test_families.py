@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -241,7 +242,7 @@ def test_conf3_matches_geometric_tangent_chain(a, b, lam, u, branch):
     """The closed-form chord maps reproduce the tangent chain built from
     the pencil conic, branch label for branch label."""
     p = ConfocalParams(a, b, lam, pencil_u=u)
-    outer = p.outer_ellipse()
+    outer = p.outer_conic()
     first = p.caustic()
     second = pencil_member(outer, first, 1.0 - u)
     signs = [1.0 if label == PLUS else -1.0 for label in branch]
@@ -257,7 +258,7 @@ def test_conf3_matches_geometric_tangent_chain(a, b, lam, u, branch):
 @pytest.mark.parametrize("u", [0.0, 0.3, 0.5, 1.0])
 def test_conf3_second_caustic_pencil_form(u):
     p = ConfocalParams(2.0, 1.0, 0.3, pencil_u=u)
-    want = pencil_member(p.outer_ellipse(), p.caustic(), 1.0 - u)
+    want = pencil_member(p.outer_conic(), p.caustic(), 1.0 - u)
     ea, eb = _conf3_second_caustic(p)
     assert abs(ea - want.semi_axes[0]) < 1e-14
     assert abs(eb - want.semi_axes[1]) < 1e-14
@@ -265,7 +266,7 @@ def test_conf3_second_caustic_pencil_form(u):
 
 def test_conf3_second_caustic_rejects_hyperbola():
     p = ConfocalParams(2.0, 1.0, 0.3, pencil_u=-5.0)
-    assert pencil_member(p.outer_ellipse(), p.caustic(), 6.0).kind == "hyperbola"
+    assert pencil_member(p.outer_conic(), p.caustic(), 6.0).kind == "hyperbola"
     with pytest.raises(ImaginaryPencilCircle):
         _conf3_second_caustic(p)
     with pytest.raises(ImaginaryPencilCircle):
@@ -379,3 +380,18 @@ def test_branches_give_distinct_triangles():
     t = 0.9
     a, b = cfg_pp.triangle(t), cfg_pm.triangle(t)
     assert math.dist(a.p3, b.p3) > 1e-3
+
+
+def test_pair_branch_use():
+    """A bicentric pair ignores the branch; a confocal pair's first label
+    swaps P2 and P3."""
+    ts = np.linspace(0.0, 2.0 * np.pi, 17)
+    for base in (bic1_config(1.0, 0.25), bic2_config(1.0, 0.2, 0.3)):
+        other = dataclasses.replace(base, branch=TangentBranch(MINUS, MINUS))
+        for got, want in zip(other.triangles(ts), base.triangles(ts)):
+            np.testing.assert_array_equal(got, want)
+    for base in (conf1_config(2.0, 1.0), conf2_config(2.0, 1.0, 0.5)):
+        b = base.triangles(ts)
+        s = dataclasses.replace(base, branch=TangentBranch(MINUS, PLUS)).triangles(ts)
+        for got, want in zip(s, (b.x1, b.y1, b.x3, b.y3, b.x2, b.y2, b.ok)):
+            np.testing.assert_array_equal(got, want)

@@ -51,6 +51,7 @@ from .families import (
 )
 from .centers import _cosines
 from .loci import (
+    _DIAMETER_BLOCK,
     DEFAULT_TOLERANCES,
     Locus,
     Tolerances,
@@ -410,13 +411,15 @@ def _hausdorff(a: Sequence[Point], b: Sequence[Point]) -> float:
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
-def _symmetry_closure(pts: Sequence[Point], flip: Callable[[Point], Point]) -> float:
-    arr = np.array([[q.x, q.y] for q in pts])
+def _symmetry_closure(loc: Locus, sx: float, sy: float) -> float:
+    """Largest distance from a reflected valid sample (sx x, sy y) to its
+    nearest valid sample, a block of reflected rows at a time."""
+    x, y = loc.x[loc.ok], loc.y[loc.ok]
     out = 0.0
-    for q in pts:
-        fq = flip(q)
-        gaps = np.hypot(arr[:, 0] - fq.x, arr[:, 1] - fq.y)
-        out = max(out, float(gaps.min()))
+    for s in range(0, len(x), _DIAMETER_BLOCK):
+        fx = sx * x[s : s + _DIAMETER_BLOCK, None]
+        fy = sy * y[s : s + _DIAMETER_BLOCK, None]
+        out = max(out, float(np.hypot(x - fx, y - fy).min(axis=1).max()))
     return out
 
 
@@ -535,12 +538,8 @@ def check_bicII_x2_sextic(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     # The companion form weighted by the squared vertex-to-caustic-center
     # distance vanishes on the rescaled samples, not on the locus itself.
     weighted = sextic_coefficients_x2_weighted(p)
-    scaled = []
-    for s in loc.samples:
-        if not s.valid:
-            continue
-        w = p.R * p.R + p.d * p.d - 2.0 * p.d * (p.R * math.cos(s.t))
-        scaled.append(Point(s.p.x * w, s.p.y * w))
+    ws = [p.R * p.R + p.d * p.d - 2.0 * p.d * (p.R * math.cos(t)) for t in loc.t[loc.ok].tolist()]
+    scaled = [Point(q.x * w, q.y * w) for q, w in zip(pts, ws)]
     companion = sextic_residual(weighted, scaled)
     companion_plain = sextic_residual(weighted, pts)
 
@@ -693,8 +692,8 @@ def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> Cl
         worst_offgrid = min(worst_offgrid, fit.residual)
 
     sym = max(
-        _symmetry_closure(loc_c.valid_points(), lambda q: Point(-q.x, -q.y)),
-        _symmetry_closure(loc_c.valid_points(), lambda q: Point(q.x, -q.y)),
+        _symmetry_closure(loc_c, -1.0, -1.0),
+        _symmetry_closure(loc_c, 1.0, -1.0),
     )
 
     ok = (

@@ -188,9 +188,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     _check_tracked([center])
     n = _samples(args)
     locus = trace_locus(cfg, center, n, min_valid=1)
-    lines = ["t,x,y,valid"]
-    for s in locus.samples:
-        lines.append(f"{_g17(s.t)},{_g17(s.p.x)},{_g17(s.p.y)},{int(s.valid)}")
+    rows = zip(locus.t.tolist(), locus.x.tolist(), locus.y.tolist(), locus.ok.tolist())
+    lines = ["t,x,y,valid"] + [f"{_g17(t)},{_g17(x)},{_g17(y)},{int(ok)}" for t, x, y, ok in rows]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -301,6 +300,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_envelope(args: argparse.Namespace) -> int:
     cfg = _build_family(args)
     n = _samples(args)
+    if n < 1:
+        raise InsufficientSamples(f"need at least 1 sample, got {n}")
     env = cfg.closed_form_envelope()
     out: dict = {"family": cfg.kind}
     if env is not None:

@@ -4,14 +4,16 @@ A locus is the path swept by a tracked point (triangle center, excenter,
 or vertex) as the driving angle t of a triangle family sweeps [0, 2pi).
 Classification runs a verdict ladder: stationary point, then conic
 (circle/ellipse), then algebraic curves of increasing degree, and
-finally "nonconic" when nothing of degree <= max_degree fits.
+finally "nonconic" when nothing of degree <= max_degree fits.  A
+``Locus`` keeps its samples as four read-only arrays (t, x, y, ok).
 
 Fits are total-least-squares implicit fits: the sample coordinates are
 centered and scaled to unit RMS radius, a design matrix over all
-monomials up to the requested degree is assembled, and the smallest
-right singular vector gives the coefficient vector; the residual is
-the smallest singular value over sqrt(n), i.e. the RMS of the
-normalized implicit values.
+monomials up to the requested degree is assembled (graded, so a lower
+degree's design is a column prefix: the ladder builds one design and
+takes one SVD per degree), and the smallest right singular vector gives
+the coefficient vector; the residual is the smallest singular value
+over sqrt(n), i.e. the RMS of the normalized implicit values.
 """
 
 from __future__ import annotations
@@ -96,14 +98,35 @@ class LocusSample(NamedTuple):
     valid: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Locus:
+    """Samples on the t grid as read-only array copies; x, y are NaN where ok is false."""
+
     family: FamilyConfig
     tracked: str
-    samples: Tuple[LocusSample, ...]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    ok: np.ndarray
+
+    def __post_init__(self) -> None:
+        ok = np.array(self.ok, dtype=bool)
+        for name, arr in (("t", np.array(self.t, dtype=float)), ("ok", ok),
+                          ("x", np.where(ok, self.x, np.nan)), ("y", np.where(ok, self.y, np.nan))):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def samples(self) -> Tuple[LocusSample, ...]:
+        pts = map(Point, self.x.tolist(), self.y.tolist())
+        return tuple(map(LocusSample, self.t.tolist(), pts, self.ok.tolist()))
+
+    def valid_xy(self) -> np.ndarray:
+        """The valid samples as an (m, 2) array."""
+        return np.column_stack((self.x[self.ok], self.y[self.ok]))
 
     def valid_points(self) -> List[Point]:
-        return [s.p for s in self.samples if s.valid]
+        return list(map(Point, *self.valid_xy().T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -193,13 +216,10 @@ def trace_locus(
         x = y = np.full(n, np.nan)
         ok = np.zeros(n, dtype=bool)
     ok = ok & np.isfinite(x) & np.isfinite(y)
-    xs = np.where(ok, x, np.nan).tolist()
-    ys = np.where(ok, y, np.nan).tolist()
-    samples = tuple(map(LocusSample, ts.tolist(), map(Point, xs, ys), ok.tolist()))
     valid = int(np.count_nonzero(ok))
     if valid < need:
         raise InsufficientSamples(f"only {valid} valid samples for {tracked}")
-    return Locus(cfg, tracked, samples)
+    return Locus(cfg, tracked, ts, x, y, ok)
 
 
 def monomial_exponents(degree: int) -> List[Tuple[int, int]]:
@@ -212,8 +232,8 @@ def monomial_exponents(degree: int) -> List[Tuple[int, int]]:
     return out
 
 
-def _normalize_samples(pts: Sequence[Point]) -> Tuple[np.ndarray, Tuple[float, float], float]:
-    arr = np.asarray([(p.x, p.y) for p in pts], dtype=float)
+def _normalize_samples(pts) -> Tuple[np.ndarray, Tuple[float, float], float]:
+    arr = np.asarray(pts, dtype=float)
     cx, cy = arr.mean(axis=0)
     centered = arr - (cx, cy)
     s = math.sqrt(float(np.mean(centered[:, 0] ** 2 + centered[:, 1] ** 2)))
@@ -242,34 +262,27 @@ def _denormalized_conic(coeffs: Sequence[float], shift: Tuple[float, float], s: 
     return _unit_coeffs((a, b, c, d, e, f))
 
 
-def fit_curve(
-    samples: Sequence[Point],
-    degree: int,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> CurveFit:
-    """Fit one implicit algebraic curve of the given total degree.
+def _design(norm: np.ndarray, degree: int) -> np.ndarray:
+    """Columns x^i y^j in monomial_exponents order, up to ``degree``."""
+    xp = [norm[:, 0] ** i for i in range(degree + 1)]
+    yp = [norm[:, 1] ** j for j in range(degree + 1)]
+    return np.column_stack([xp[i] * yp[j] for (i, j) in monomial_exponents(degree)])
 
-    Requires at least twice as many samples as monomials.  The verdict
-    is "circle"/"ellipse" only for degree-2 fits that meet conic_tol
-    and classify accordingly; otherwise "algebraic".
-    """
-    exps = monomial_exponents(degree)
-    if len(samples) < 2 * len(exps):
-        raise InsufficientSamples(
-            f"degree {degree} needs >= {2 * len(exps)} samples, got {len(samples)}"
-        )
-    norm, shift, s = _normalize_samples(samples)
-    x = norm[:, 0]
-    y = norm[:, 1]
-    design = np.column_stack([x ** i * y ** j for (i, j) in exps])
-    _, sigma, vt = np.linalg.svd(design, full_matrices=False)
+
+def _fit_prefix(design: np.ndarray, degree: int, shift: Tuple[float, float], s: float,
+                tols: Tolerances) -> CurveFit:
+    """The degree-``degree`` fit on the leading columns of a design."""
+    m = (degree + 1) * (degree + 2) // 2
+    n = len(design)
+    if n < 2 * m:
+        raise InsufficientSamples(f"degree {degree} needs >= {2 * m} samples, got {n}")
+    _, sigma, vt = np.linalg.svd(design[:, :m], full_matrices=False)
     coeffs = vt[-1]
     for c in coeffs:
         if abs(c) > 1e-12:
             if c < 0.0:
                 coeffs = -coeffs
             break
-    n = len(samples)
     residual = float(sigma[-1]) / math.sqrt(n)
     ambiguous = bool(len(sigma) >= 2 and sigma[-2] <= 1e-7 * sigma[0])
 
@@ -294,11 +307,26 @@ def fit_curve(
     )
 
 
+def fit_curve(samples, degree: int, tols: Tolerances = DEFAULT_TOLERANCES) -> CurveFit:
+    """Fit one implicit algebraic curve of the given total degree to a
+    Point sequence or an (n, 2) array.
+
+    Requires at least twice as many samples as monomials.  The verdict
+    is "circle"/"ellipse" only for degree-2 fits that meet conic_tol
+    and classify accordingly; otherwise "algebraic".
+    """
+    m = (degree + 1) * (degree + 2) // 2
+    if len(samples) < 2 * m:
+        raise InsufficientSamples(f"degree {degree} needs >= {2 * m} samples, got {len(samples)}")
+    norm, shift, s = _normalize_samples(samples)
+    return _fit_prefix(_design(norm, degree), degree, shift, s, tols)
+
+
 # Rows of the pairwise comparison in _diameter held at once.
 _DIAMETER_BLOCK = 32
 
 
-def _diameter(points: Sequence[Point]) -> float:
+def _diameter(points) -> float:
     """Largest distance between two points, compared pair by pair.
 
     The squared distances are formed a block of rows at a time against
@@ -318,15 +346,15 @@ def _diameter(points: Sequence[Point]) -> float:
 
 def stationarity_spread(locus: Locus) -> float:
     """Max pairwise distance of valid samples over the outer-conic scale."""
-    pts = locus.valid_points()
-    if not pts:
+    if not locus.ok.any():
         return math.inf
-    return _diameter(pts) / locus.family.outer_scale
+    return _diameter(locus.valid_xy()) / locus.family.outer_scale
 
 
 def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> CurveFit:
-    """Verdict ladder: point, conic, smallest adequate degree, nonconic."""
-    pts = locus.valid_points()
+    """Verdict ladder: point, conic, smallest adequate degree, nonconic;
+    each degree is fitted, as ``fit_curve`` fits it, on a prefix of one design."""
+    pts = locus.valid_xy()
     if len(pts) < MIN_VALID_SAMPLES:
         raise InsufficientSamples(f"{len(pts)} valid samples")
     spread = stationarity_spread(locus)
@@ -337,18 +365,20 @@ def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> Curve
             residual=0.0,
             verdict="point",
             spread=spread,
-            shift=(pts[0].x, pts[0].y),
+            shift=tuple(pts[0].tolist()),
         )
-    quad = fit_curve(pts, 2, tols)
-    if quad.verdict in ("circle", "ellipse"):
-        return replace(quad, spread=spread)
-    fits = {2: quad}
+    norm, shift, s = _normalize_samples(pts)
+    design = _design(norm, max(2, tols.max_degree))
+    fits: Dict[int, CurveFit] = {}
 
     def fit_at(degree: int) -> CurveFit:
         if degree not in fits:
-            fits[degree] = fit_curve(pts, degree, tols)
+            fits[degree] = _fit_prefix(design, degree, shift, s, tols)
         return fits[degree]
 
+    quad = fit_at(2)
+    if quad.verdict in ("circle", "ellipse"):
+        return replace(quad, spread=spread)
     best = quad
     for degree in range(3, tols.max_degree + 1):
         fit = fit_at(degree)

@@ -306,6 +306,23 @@ def test_nonpositive_sample_count_is_a_usage_error(n, capsys):
     assert f"got {n}" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+@pytest.mark.parametrize(
+    "family",
+    [
+        ("bic-I", "--R", "1", "--r", "0.25"),  # closed-form envelope
+        ("bic-III", "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "0.4"),  # sampled
+    ],
+    ids=lambda family: family[0],
+)
+def test_envelope_nonpositive_sample_count_is_a_usage_error(family, n, capsys):
+    code, out, err = run(capsys, "envelope", "--family", *family, "-n", n)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"got {n}" in err
+
+
 _PARAM_CLASSES = (int, float, BicentricParams, ConfocalParams)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from poncelet.families import (
 )
 from poncelet.loci import (
     DEFAULT_TOLERANCES,
+    MIN_VALID_SAMPLES,
+    CurveFit,
     InsufficientSamples,
     Locus,
-    LocusSample,
     Tolerances,
     classify_locus,
     convexity_check,
@@ -116,10 +118,8 @@ def test_stationarity_spread_is_the_pairwise_maximum_on_point_clouds():
             arr = np.c_[np.arange(n), 2.0 * np.arange(n)] * 0.1 + 0.3
         else:
             arr = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-12, 3)
-        samples = tuple(
-            LocusSample(0.0, Point(float(x), float(y)), True) for x, y in arr
-        )
-        _assert_same_spread(Locus(cfg, "cloud", samples))
+        locus = Locus(cfg, "cloud", np.zeros(n), arr[:, 0], arr[:, 1], np.ones(n, dtype=bool))
+        _assert_same_spread(locus)
 
 
 def test_classify_x1_circle_frozen():
@@ -255,15 +255,9 @@ def test_classify_rigid_motion_invariance():
     loc = trace_locus(BIC2, "X2", n=512)
     fit = classify_locus(loc)
     co, si = math.cos(0.7), math.sin(0.7)
-    moved = tuple(
-        LocusSample(
-            s.t,
-            Point(co * s.p.x - si * s.p.y + 5.0, si * s.p.x + co * s.p.y - 3.0),
-            s.valid,
-        )
-        for s in loc.samples
-    )
-    fit2 = classify_locus(Locus(loc.family, loc.tracked, moved))
+    mx = co * loc.x - si * loc.y + 5.0
+    my = si * loc.x + co * loc.y - 3.0
+    fit2 = classify_locus(Locus(loc.family, loc.tracked, loc.t, mx, my, loc.ok))
     assert fit2.verdict == fit.verdict
     assert fit2.degree == fit.degree
 
@@ -291,3 +285,146 @@ def test_tolerances_are_tunable():
     fit = classify_locus(loc, strict)
     # at an impossible tolerance nothing is accepted
     assert fit.verdict in ("none", "algebraic") or fit.residual < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Array storage and the one-design ladder.
+
+
+def _reference_ladder(locus, tols=DEFAULT_TOLERANCES):
+    """The verdict ladder rebuilt from the public fit_curve, one fit per
+    degree on the Point list."""
+    pts = locus.valid_points()
+    if len(pts) < MIN_VALID_SAMPLES:
+        raise InsufficientSamples(f"{len(pts)} valid samples")
+    spread = stationarity_spread(locus)
+    if spread <= tols.point_tol:
+        return CurveFit(degree=1, coeffs=(), residual=0.0, verdict="point",
+                        spread=spread, shift=(pts[0].x, pts[0].y))
+    quad = fit_curve(pts, 2, tols)
+    if quad.verdict in ("circle", "ellipse"):
+        return replace(quad, spread=spread)
+    fits = {2: quad}
+
+    def fit_at(degree):
+        if degree not in fits:
+            fits[degree] = fit_curve(pts, degree, tols)
+        return fits[degree]
+
+    best = quad
+    for degree in range(3, tols.max_degree + 1):
+        fit = fit_at(degree)
+        if fit.residual <= tols.curve_tol:
+            if degree < tols.max_degree and fit.residual > 0.0:
+                if fit_at(degree + 1).residual < tols.elbow_factor * fit.residual:
+                    best = fit
+                    continue
+            return replace(fit, spread=spread)
+        best = fit
+    return replace(best, verdict="nonconic", spread=spread, conic=None, conic_coeffs=None)
+
+
+def _assert_bitwise_equal(got, want):
+    """Field for field; repr tells -0.0 from 0.0 and round-trips floats."""
+    for f in fields(CurveFit):
+        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+
+
+_TABLE2_COLUMNS = ("X1", "X2", "X3", "P1'", "P2'", "P3'")
+_LADDER_CONFIGS = [
+    # The table2 defaults, then a second generic parameter set per family.
+    bic1_config(1.0, 0.2),
+    bic2_config(1.0, 0.2, 0.3),
+    bic3_config(1.0, 0.15, 0.25, u=0.4),
+    conf1_config(2.0, 1.0),
+    conf2_config(2.0, 1.0, 0.5),
+    conf3_config(2.0, 1.0, 0.3, 0.5),
+    bic1_config(1.0, 0.3),
+    bic2_config(1.0, 0.18, 0.35),
+    bic3_config(1.0, 0.2, 0.3, 0.5),
+    conf1_config(1.5, 1.0),
+    conf2_config(2.0, 1.0, 0.3),
+    conf3_config(2.0, 1.0, 0.25, 0.45),
+]
+
+
+@pytest.mark.parametrize("cfg", _LADDER_CONFIGS, ids=lambda cfg: f"{cfg.kind}-{cfg.params}")
+def test_classify_equals_the_fit_curve_ladder_bitwise(cfg):
+    for tracked in _TABLE2_COLUMNS:
+        loc = trace_locus(cfg, tracked, n=512)
+        _assert_bitwise_equal(classify_locus(loc), _reference_ladder(loc))
+
+
+def test_classify_equals_the_fit_curve_ladder_on_the_x2_sextic():
+    loc = trace_locus(bic2_config(1.0, 0.164, 0.098), "X2", n=512)
+    fit = classify_locus(loc)
+    _assert_bitwise_equal(fit, _reference_ladder(loc))
+    assert fit.verdict == "algebraic"
+
+
+def test_classify_ladder_raises_where_the_fit_curve_ladder_does():
+    loc = trace_locus(BIC2, "X2", n=64)
+    with pytest.raises(InsufficientSamples) as want:
+        _reference_ladder(loc)
+    with pytest.raises(InsufficientSamples) as got:
+        classify_locus(loc)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_fit_curve_takes_an_array_or_a_point_list(degree):
+    loc = trace_locus(conf2_config(2.0, 1.0, 0.3), "X1", n=256)
+    rng = np.random.default_rng(degree)
+    cloud = rng.normal(size=(200, 2)) * 3.0 + 1.0
+    for arr in (loc.valid_xy(), cloud):
+        pts = [Point(float(x), float(y)) for x, y in arr]
+        _assert_bitwise_equal(fit_curve(arr, degree), fit_curve(pts, degree))
+
+
+def test_locus_arrays_are_read_only_copies():
+    t = np.linspace(0.0, 1.0, 5)
+    x = np.arange(5.0)
+    y = -np.arange(5.0)
+    ok = np.array([True, False, True, True, False])
+    loc = Locus(BIC2, "X1", t, x, y, ok)
+    for name in ("t", "x", "y", "ok"):
+        arr = getattr(loc, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    # the caller's arrays stay writable and unshared
+    assert x.flags.writeable and not np.shares_memory(x, loc.x)
+    x[0] = 99.0
+    assert loc.x[0] == 0.0
+
+
+def test_locus_samples_and_valid_points_round_trip_the_arrays():
+    t = np.linspace(0.0, 1.0, 5)
+    ok = np.array([True, False, True, True, False])
+    loc = Locus(BIC2, "X1", t, np.arange(5.0), -np.arange(5.0), ok)
+    samples = loc.samples
+    assert [s.t for s in samples] == t.tolist()
+    assert [s.valid for s in samples] == ok.tolist()
+    # invalid samples read NaN, whatever the constructor was given there
+    for s in samples:
+        assert isinstance(s.p, Point)
+        assert math.isnan(s.p.x) == (not s.valid) and math.isnan(s.p.y) == (not s.valid)
+    assert loc.valid_points() == [Point(0.0, -0.0), Point(2.0, -2.0), Point(3.0, -3.0)]
+    assert loc.valid_xy().tolist() == [list(p) for p in loc.valid_points()]
+    rebuilt = Locus(
+        loc.family, loc.tracked,
+        [s.t for s in samples], [s.p.x for s in samples], [s.p.y for s in samples],
+        [s.valid for s in samples],
+    )
+    for name in ("t", "x", "y", "ok"):
+        np.testing.assert_array_equal(getattr(rebuilt, name), getattr(loc, name))
+
+
+def test_traced_locus_samples_round_trip_with_invalid_samples():
+    loc = trace_locus(bic3_config(1.0, 0.2, 0.3, 1.2), "X1", 64, min_valid=0)
+    assert not loc.ok.any()
+    assert all(math.isnan(s.p.x) and math.isnan(s.p.y) for s in loc.samples)
+    assert loc.valid_points() == [] and loc.valid_xy().shape == (0, 2)
+    assert stationarity_spread(loc) == math.inf
+    loc = trace_locus(BIC2, "P2'", 128)
+    assert loc.valid_points() == [s.p for s in loc.samples if s.valid]

@@ -478,11 +478,13 @@ def _w_x4(a: float, b: float, c: float) -> float:
 
 
 def _w_x5(a: float, b: float, c: float) -> float:
-    return a * a * (b * b + c * c) - (b * b - c * c) ** 2
+    e = b * b - c * c
+    return a * a * (b * b + c * c) - e * e
 
 
 def _w_x11(a: float, b: float, c: float) -> float:
-    return (b - c) ** 2 * (b + c - a)
+    e = b - c
+    return e * e * (b + c - a)
 
 
 def _w_x35(a: float, b: float, c: float) -> float:
@@ -512,7 +514,9 @@ def _w_x57(a: float, b: float, c: float) -> float:
 
 
 def _w_x59(a: float, b: float, c: float) -> float:
-    return a * a * (a - b) ** 2 * (a - c) ** 2 * (c + a - b) * (a + b - c)
+    ab = a - b
+    ac = a - c
+    return a * a * (ab * ab) * (ac * ac) * (c + a - b) * (a + b - c)
 
 
 def _w_x65(a: float, b: float, c: float) -> float:

@@ -21,7 +21,6 @@ import numpy as np
 from .geom import (
     CirclePencil,
     Conic,
-    GeometryError,
     Line,
     Point,
     conic_span_residual,
@@ -49,9 +48,11 @@ from .families import (
     degenerate_envelope_inradius,
     envelope_points,
 )
-from .centers import _cosines
+from .centers import _cosines, _shape
 from .loci import (
     _DIAMETER_BLOCK,
+    _grid,
+    _tracked_arrays,
     DEFAULT_TOLERANCES,
     Locus,
     Tolerances,
@@ -64,7 +65,6 @@ from .loci import (
     sextic_residual,
     stationarity_spread,
     trace_locus,
-    tracked_point,
     verdict_letter,
     verify_implicit_sextic_x2,
 )
@@ -307,11 +307,8 @@ def bic3_collapse_u(
     target = inner if math.hypot(inner.x, inner.y) < math.hypot(outer_lp.x, outer_lp.y) else outer_lp
 
     def worst_chord_distance(u: float) -> float:
-        lines = _free_lines(bic3_config(R, r, d, u=u, branch=branch), 64)
-        worst = 0.0
-        for line in lines:
-            worst = max(worst, abs(line.signed_distance(target)))
-        return worst if len(lines) >= 16 else math.inf
+        lines = _free_sides(bic3_config(R, r, d, u=u, branch=branch), 64)
+        return _worst(lines.signed_distance(target)) if len(lines.a) >= 16 else math.inf
 
     grid = [0.30 + 0.005 * k for k in range(int((0.995 - 0.30) / 0.005) + 1)]
     values = [worst_chord_distance(u) for u in grid]
@@ -341,20 +338,33 @@ def bic3_collapse_u(
 # Small measurement helpers.
 
 
-def _free_lines(cfg: FamilyConfig, n: int) -> List[Line]:
-    """The free sides at n uniformly spaced angles, where the member exists."""
-    a, b, c, ok = cfg.free_sides(2.0 * np.pi * np.arange(n) / n)
-    return [
-        Line(*abc) for abc, keep in zip(zip(a.tolist(), b.tolist(), c.tolist()), ok.tolist()) if keep
-    ]
+def _free_sides(cfg: FamilyConfig, n: int) -> Line:
+    """The free sides at n uniformly spaced angles, where the member
+    exists, as one Line of coefficient arrays."""
+    a, b, c, ok = cfg.free_sides(_grid(n))
+    return Line(a[ok], b[ok], c[ok])
 
 
-def _circle_deviation(pts: Sequence[Point], center: Point, radius: float) -> float:
-    return max(abs(math.hypot(q.x - center.x, q.y - center.y) - radius) for q in pts)
+def _member_shapes(cfg: FamilyConfig, n: int):
+    """Side lengths and area (``centers._shape``) of the members at n
+    uniformly spaced angles, where they exist."""
+    tri = cfg.triangles(_grid(n))
+    return _shape(*(v[tri.ok] for v in tri[:6]))
 
 
-def _ellipse_deviation(pts: Sequence[Point], ax: float, ay: float) -> float:
-    return max(abs((q.x / ax) ** 2 + (q.y / ay) ** 2 - 1.0) for q in pts)
+def _worst(values: np.ndarray) -> float:
+    """The largest absolute value, 0 for none."""
+    return float(np.abs(values).max(initial=0.0))
+
+
+def _circle_deviation(xy: np.ndarray, center: Point, radius: float) -> float:
+    return _worst(np.hypot(xy[:, 0] - center.x, xy[:, 1] - center.y) - radius)
+
+
+def _ellipse_deviation(xy: np.ndarray, ax: float, ay: float) -> float:
+    u = xy[:, 0] / ax
+    v = xy[:, 1] / ay
+    return _worst(u * u + v * v - 1.0)
 
 
 # Samples and bisection steps of _min_axis_distance.
@@ -366,47 +376,37 @@ def _min_axis_distance(cfg: FamilyConfig, tracked: str) -> float:
     """Closest approach of a traced locus to the x-axis.
 
     Sign changes of y(t) between consecutive samples are refined by
-    bisection, so a transversal crossing resolves far below the sample
-    spacing.
+    bisection, all brackets at once, so a transversal crossing resolves
+    far below the sample spacing.  A bracket stops where its midpoint
+    has no valid point; an exact zero ends the search.
     """
 
-    def y_of(t: float) -> Optional[float]:
-        try:
-            tri = cfg.triangle(t)
-        except GeometryError:
-            return None
-        return tracked_point(tri, tracked).y
+    def y_at(ts: np.ndarray):
+        _, y, ok = _tracked_arrays(cfg.triangles(ts), tracked)
+        return y, ok
 
-    n = _AXIS_SAMPLES
-    ts = [2.0 * math.pi * k / n for k in range(n + 1)]
-    ys = [y_of(t) for t in ts]
-    finite = [abs(y) for y in ys if y is not None]
-    best = min(finite) if finite else math.inf
-    for k in range(n):
-        y0, y1 = ys[k], ys[k + 1]
-        if y0 is None or y1 is None or (y0 < 0.0) == (y1 < 0.0):
-            continue
-        lo, hi, y_lo = ts[k], ts[k + 1], y0
-        for _ in range(_AXIS_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            ym = y_of(mid)
-            if ym is None:
-                break
-            if ym == 0.0:
-                return 0.0
-            if (ym < 0.0) == (y_lo < 0.0):
-                lo, y_lo = mid, ym
-            else:
-                hi = mid
-        ym = y_of(0.5 * (lo + hi))
-        if ym is not None:
-            best = min(best, abs(ym))
+    ts = 2.0 * np.pi * np.arange(_AXIS_SAMPLES + 1) / _AXIS_SAMPLES  # both ends
+    y, ok = y_at(ts)
+    best = float(np.abs(y[ok]).min()) if ok.any() else math.inf
+    crossing = ok[:-1] & ok[1:] & ((y[:-1] < 0.0) != (y[1:] < 0.0))
+    lo, hi, y_lo = ts[:-1][crossing], ts[1:][crossing], y[:-1][crossing]
+    live = np.ones(len(lo), dtype=bool)
+    for _ in range(_AXIS_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        ym, okm = y_at(mid)
+        live &= okm
+        if (live & (ym == 0.0)).any():
+            return 0.0
+        left = live & ((ym < 0.0) == (y_lo < 0.0))
+        lo, y_lo = np.where(left, mid, lo), np.where(left, ym, y_lo)
+        hi = np.where(live & ~left, mid, hi)
+    ym, okm = y_at(0.5 * (lo + hi))
+    if okm.any():
+        best = min(best, float(np.abs(ym[okm]).min()))
     return best
 
 
-def _hausdorff(a: Sequence[Point], b: Sequence[Point]) -> float:
-    pa = np.array([[q.x, q.y] for q in a])
-    pb = np.array([[q.x, q.y] for q in b])
+def _hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
     dist = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
@@ -425,7 +425,7 @@ def _symmetry_closure(loc: Locus, sx: float, sy: float) -> float:
 
 def _nonconic_evidence(loc: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> Tuple[bool, float]:
     """(is the locus not a conic, its best degree-2 residual)."""
-    fit2 = fit_curve(loc.valid_points(), 2, tols)
+    fit2 = fit_curve(loc.valid_xy(), 2, tols)
     return (fit2.residual > tols.conic_tol, fit2.residual)
 
 
@@ -445,12 +445,12 @@ def check_bicII_x1_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     cfg = bic1_config(p.R, p.r) if _is_poristic(p) else bic2_config(p.R, p.r, p.d)
     center, radius = bic2_x1_circle(p)
     loc = trace_locus(cfg, "X1", 512)
-    pts = loc.valid_points()
-    metric = _circle_deviation(pts, center, abs(radius)) / p.R
+    xy = loc.valid_xy()
+    metric = _circle_deviation(xy, center, abs(radius)) / p.R
 
     loc40 = trace_locus(cfg, "X40", 512)
     reflected = Point(-center.x, -center.y)
-    dev40 = _circle_deviation(loc40.valid_points(), reflected, abs(radius)) / p.R
+    dev40 = _circle_deviation(loc40.valid_xy(), reflected, abs(radius)) / p.R
 
     notes = [f"reflected-center circle deviation for X40: {dev40:.3e}"]
     span_ok = True
@@ -465,7 +465,7 @@ def check_bicII_x1_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     else:
         notes.append("radius is zero (closing pair): pencil exclusion skipped")
 
-    control = _circle_deviation(pts, center, abs(radius) + 0.01 * p.R) / p.R
+    control = _circle_deviation(xy, center, abs(radius) + 0.01 * p.R) / p.R
     control_ok = control > 1e-6
     notes.append(f"negative control (radius +1% of R): deviation {control:.3e}")
 
@@ -473,7 +473,7 @@ def check_bicII_x1_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     return _report(
         "thm:bicII-x1", "theorem", p, ok, metric, 1e-9,
         f"circle center ({center.x:.9g}, 0), radius {abs(radius):.9g}",
-        f"max |dist - r1|/R = {metric:.3e} over {len(pts)} samples",
+        f"max |dist - r1|/R = {metric:.3e} over {len(xy)} samples",
         notes,
     )
 
@@ -487,7 +487,7 @@ def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimRepor
     anti = Point(-center.x, 0.0)
 
     loc1 = trace_locus(cfg, "P1'", 512)
-    metric = _circle_deviation(loc1.valid_points(), anti, radius) / p.R
+    metric = _circle_deviation(loc1.valid_xy(), anti, radius) / p.R
 
     notes = []
     if _is_poristic(p):
@@ -500,7 +500,7 @@ def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimRepor
     axis_ok = True
     for pid in ("P2'", "P3'"):
         loc = trace_locus(cfg, pid, 512)
-        fit6 = fit_curve(loc.valid_points(), 6, tols)
+        fit6 = fit_curve(loc.valid_xy(), 6, tols)
         nonconic, fit2res = _nonconic_evidence(loc, tols)
         crossing = _min_axis_distance(cfg, pid)
         deg6_ok = deg6_ok and fit6.residual <= 1e-8 and nonconic
@@ -510,7 +510,7 @@ def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimRepor
             f" axis distance {crossing:.3e}"
         )
 
-    control = _circle_deviation(loc1.valid_points(), anti, radius * 1.01) / p.R
+    control = _circle_deviation(loc1.valid_xy(), anti, radius * 1.01) / p.R
     control_ok = control > 1e-6
     notes.append(f"negative control (radius +1%): deviation {control:.3e}")
 
@@ -532,7 +532,7 @@ def check_bicII_x2_sextic(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     metric = verify_implicit_sextic_x2(p, loc)
 
     tols = DEFAULT_TOLERANCES
-    fit2 = fit_curve(pts, 2, tols)
+    fit2 = fit_curve(loc.valid_xy(), 2, tols)
     fit = classify_locus(loc, tols)
 
     # The companion form weighted by the squared vertex-to-caustic-center
@@ -571,31 +571,22 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     through one point."""
     cfg = bic2_config(p.R, p.r, p.d)
     env = bic2_envelope(p)
-    lines = _free_lines(cfg, 512)
-    worst = 0.0
-    for line in lines:
-        worst = max(worst, abs(line_tangent_to_conic_residual(line, env)))
-    metric = worst / p.R
+    lines = _free_sides(cfg, 512)
+    metric = _worst(line_tangent_to_conic_residual(lines, env)) / p.R
 
     r_collapse = degenerate_envelope_inradius(p.R, p.d)
     collapse_cfg = bic2_config(p.R, r_collapse, p.d)
     target = bic2_collapse_point(p.R, p.d)
-    point_worst = 0.0
-    for line in _free_lines(collapse_cfg, 512):
-        point_worst = max(point_worst, abs(line.signed_distance(target)))
+    point_worst = _worst(_free_sides(collapse_cfg, 512).signed_distance(target))
 
-    sampled = envelope_points(
-        cfg.free_side_at, [2.0 * math.pi * k / 256.0 for k in range(256)]
-    )
+    sampled = envelope_points(cfg.free_sides, _grid(256))
     assert env.center is not None
     sample_dev = (
-        _circle_deviation(sampled, env.center, env.semi_axes[0]) if sampled else math.inf
+        _circle_deviation(sampled, env.center, env.semi_axes[0]) if len(sampled) else math.inf
     )
 
     shifted = Conic.circle(Point(env.center.x + 0.01 * p.R, 0.0), env.semi_axes[0])
-    control = max(
-        abs(line_tangent_to_conic_residual(line, shifted)) for line in _free_lines(cfg, 64)
-    ) / p.R
+    control = _worst(line_tangent_to_conic_residual(_free_sides(cfg, 64), shifted)) / p.R
 
     ok = metric <= 1e-9 and point_worst / p.R <= 1e-8 and control > 1e-6
     notes = (
@@ -606,7 +597,7 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     return _report(
         "prop:bicII-envelope", "proposition", p, ok, metric, 1e-9,
         "every free chord tangent to the predicted pencil circle",
-        f"worst tangency defect/R = {metric:.3e} over {len(lines)} chords",
+        f"worst tangency defect/R = {metric:.3e} over {len(lines.a)} chords",
         notes,
     )
 
@@ -624,14 +615,14 @@ def check_confII_excenter_ellipse(p: ConfocalParams = DEFAULT_CONF2) -> ClaimRep
     metric = 0.0
     for pid in ("P2'", "P3'"):
         loc = trace_locus(cfg, pid, 512)
-        metric = max(metric, _ellipse_deviation(loc.valid_points(), ax, ay))
+        metric = max(metric, _ellipse_deviation(loc.valid_xy(), ax, ay))
 
     lam_c = critical_lambda(p.a, p.b)
     at_critical = abs(p.lam - lam_c) <= 1e-9 * p.b * p.b
     loc1 = trace_locus(cfg, "P1'", 512)
     notes = []
     if at_critical:
-        dev1 = _ellipse_deviation(loc1.valid_points(), ax, ay)
+        dev1 = _ellipse_deviation(loc1.valid_xy(), ax, ay)
         first_ok = dev1 <= 1e-9
         cax, cay = conf1_excentral_axes(p.a, p.b)
         notes.append(
@@ -640,7 +631,7 @@ def check_confII_excenter_ellipse(p: ConfocalParams = DEFAULT_CONF2) -> ClaimRep
         )
     else:
         tols = DEFAULT_TOLERANCES
-        fit6 = fit_curve(loc1.valid_points(), 6, tols)
+        fit6 = fit_curve(loc1.valid_xy(), 6, tols)
         nonconic, fit2res = _nonconic_evidence(loc1, tols)
         first_ok = fit6.residual <= 1e-8 and fit2res > 10.0 * tols.conic_tol
         notes.append(
@@ -650,7 +641,7 @@ def check_confII_excenter_ellipse(p: ConfocalParams = DEFAULT_CONF2) -> ClaimRep
 
     control = 0.0
     loc2 = trace_locus(cfg, "P2'", 128)
-    control = _ellipse_deviation(loc2.valid_points(), ax, ay * 1.01)
+    control = _ellipse_deviation(loc2.valid_xy(), ax, ay * 1.01)
     control_ok = control > 1e-6
     notes.append(f"negative control (minor axis +1%): {control:.3e}")
 
@@ -670,7 +661,7 @@ def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> Cl
     tols = DEFAULT_TOLERANCES
 
     loc_c = trace_locus(conf2_config(a, b, lam_c), "X1", 512)
-    fit_c = fit_curve(loc_c.valid_points(), 2, tols)
+    fit_c = fit_curve(loc_c.valid_xy(), 2, tols)
     metric = fit_c.residual
 
     cax, cay = conf1_x1_axes(a, b)
@@ -688,7 +679,7 @@ def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> Cl
     worst_offgrid = math.inf
     for lam in grid:
         loc = trace_locus(conf2_config(a, b, float(lam)), "X1", 512)
-        fit = fit_curve(loc.valid_points(), 2, tols)
+        fit = fit_curve(loc.valid_xy(), 2, tols)
         worst_offgrid = min(worst_offgrid, fit.residual)
 
     sym = max(
@@ -725,30 +716,20 @@ def check_x2_homothety_half_n4(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     lam4 = n4_lambda(a, b)
     cfg = conf2_config(a, b, lam4)
     loc = trace_locus(cfg, "X2", 512)
-    pts = loc.valid_points()
-    metric = _ellipse_deviation(pts, a / 3.0, b / 3.0)
+    metric = _ellipse_deviation(loc.valid_xy(), a / 3.0, b / 3.0)
 
-    midpoint_worst = 0.0
-    for k in range(512):
-        t = 2.0 * math.pi * k / 512.0
-        try:
-            tri = cfg.triangle(t)
-        except GeometryError:
-            continue
-        midpoint_worst = max(
-            midpoint_worst,
-            math.hypot(tri.p2.x + tri.p3.x, tri.p2.y + tri.p3.y) / 2.0,
-        )
+    tri = cfg.triangles(_grid(512))
+    midpoint_worst = _worst(np.hypot(tri.x2 + tri.x3, tri.y2 + tri.y3)[tri.ok] / 2.0)
 
     tols = DEFAULT_TOLERANCES
     loc_off = trace_locus(conf2_config(a, b, 0.8 * lam4), "X2", 512)
-    fit_off = fit_curve(loc_off.valid_points(), 2, tols)
+    fit_off = fit_curve(loc_off.valid_xy(), 2, tols)
 
     # Concentric-circle analogue of the same statement (equal axes):
     # caustic radius a/sqrt(2), barycenter on the radius-a/3 circle.
     circ = bic2_config(a, a / math.sqrt(2.0), 0.0)
     circ_loc = trace_locus(circ, "X2", 128)
-    circ_dev = _circle_deviation(circ_loc.valid_points(), Point(0.0, 0.0), a / 3.0)
+    circ_dev = _circle_deviation(circ_loc.valid_xy(), Point(0.0, 0.0), a / 3.0)
 
     ok = (
         metric <= 1e-9
@@ -775,24 +756,16 @@ def check_confII_envelope(p: ConfocalParams = DEFAULT_CONF2) -> ClaimReport:
     pass through the center."""
     cfg = conf2_config(p.a, p.b, p.lam)
     env = conf2_envelope(p)
-    lines = _free_lines(cfg, 512)
-    worst = 0.0
-    for line in lines:
-        worst = max(worst, abs(line_tangent_to_conic_residual(line, env)))
-    metric = worst / p.a
+    lines = _free_sides(cfg, 512)
+    metric = _worst(line_tangent_to_conic_residual(lines, env)) / p.a
 
     lam4 = n4_lambda(p.a, p.b)
     cfg4 = conf2_config(p.a, p.b, lam4)
-    origin = Point(0.0, 0.0)
-    point_worst = 0.0
-    for line in _free_lines(cfg4, 512):
-        point_worst = max(point_worst, abs(line.signed_distance(origin)))
+    point_worst = _worst(_free_sides(cfg4, 512).signed_distance(Point(0.0, 0.0)))
 
     assert env.semi_axes is not None
     grown = Conic.axis_ellipse(Point(0.0, 0.0), env.semi_axes[0] * 1.01, env.semi_axes[1])
-    control = max(
-        abs(line_tangent_to_conic_residual(line, grown)) for line in _free_lines(cfg, 64)
-    ) / p.a
+    control = _worst(line_tangent_to_conic_residual(_free_sides(cfg, 64), grown)) / p.a
 
     ok = metric <= 1e-9 and point_worst <= 1e-9 and control > 1e-6
     notes = (
@@ -802,7 +775,7 @@ def check_confII_envelope(p: ConfocalParams = DEFAULT_CONF2) -> ClaimReport:
     return _report(
         "prop:confII-envelope", "proposition", p, ok, metric, 1e-9,
         "every free chord tangent to the predicted concentric ellipse",
-        f"worst tangency defect/a = {metric:.3e} over {len(lines)} chords",
+        f"worst tangency defect/a = {metric:.3e} over {len(lines.a)} chords",
         notes,
     )
 
@@ -817,7 +790,7 @@ def check_confII_n4_excentral_aspect(a: float = 2.0, b: float = 1.0) -> ClaimRep
 
     cfg = conf2_config(a, b, lam4)
     dev = max(
-        _ellipse_deviation(trace_locus(cfg, pid, 256).valid_points(), ax, ay)
+        _ellipse_deviation(trace_locus(cfg, pid, 256).valid_xy(), ax, ay)
         for pid in ("P2'", "P3'")
     )
     ok = metric <= 1e-10 and dev <= 1e-9
@@ -839,7 +812,7 @@ def check_confII_n6_excentral_circle(a: float = 2.0, b: float = 1.0) -> ClaimRep
 
     cfg = conf2_config(a, b, lam6)
     dev = max(
-        _ellipse_deviation(trace_locus(cfg, pid, 256).valid_points(), ax, ay)
+        _ellipse_deviation(trace_locus(cfg, pid, 256).valid_xy(), ax, ay)
         for pid in ("P2'", "P3'")
     )
     ok = metric <= 1e-10 and dev <= 1e-9
@@ -900,24 +873,16 @@ def check_conserved_quantities() -> ClaimReport:
     and reciprocal aspect ratios of the two closing-family ellipses."""
     R, r = 1.0, 0.2
     cfg1 = bic1_config(R, r)
-    cos_worst = 0.0
-    for k in range(512):
-        t = 2.0 * math.pi * k / 512.0
-        tri = cfg1.triangle(t)
-        cos_sum = sum(_cosines(*tri.side_lengths()))
-        cos_worst = max(cos_worst, abs(cos_sum - (1.0 + r / R)))
+    shape = _member_shapes(cfg1, 512)
+    cos_worst = _worst(sum(_cosines(shape.s1, shape.s2, shape.s3)) - (1.0 + r / R))
 
     a, b = 2.0, 1.0
     cfgc = conf1_config(a, b)
-    perims = []
-    ratios = []
-    for k in range(512):
-        t = 2.0 * math.pi * k / 512.0
-        tri = cfgc.triangle(t)
-        perims.append(tri.perimeter())
-        ratios.append(tri.inradius() / tri.circumradius())
-    perim_spread = (max(perims) - min(perims)) / (sum(perims) / len(perims))
-    ratio_spread = (max(ratios) - min(ratios)) / (sum(ratios) / len(ratios))
+    shape = _member_shapes(cfgc, 512)
+    perims = shape.s1 + shape.s2 + shape.s3
+    ratios = (2.0 * shape.area / perims) / (shape.s1 * shape.s2 * shape.s3 / (4.0 * shape.area))
+    perim_spread = float((perims.max() - perims.min()) / perims.mean())
+    ratio_spread = float((ratios.max() - ratios.min()) / ratios.mean())
 
     x9_spread = stationarity_spread(trace_locus(cfgc, "X9", 512))
 
@@ -1094,9 +1059,9 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
         notes.append(f"{pid}: conic residual {fit2res:.3e}")
 
     pair_gap = min(
-        _hausdorff(exc_loci["P1'"].valid_points(), exc_loci["P2'"].valid_points()),
-        _hausdorff(exc_loci["P1'"].valid_points(), exc_loci["P3'"].valid_points()),
-        _hausdorff(exc_loci["P2'"].valid_points(), exc_loci["P3'"].valid_points()),
+        _hausdorff(exc_loci["P1'"].valid_xy(), exc_loci["P2'"].valid_xy()),
+        _hausdorff(exc_loci["P1'"].valid_xy(), exc_loci["P3'"].valid_xy()),
+        _hausdorff(exc_loci["P2'"].valid_xy(), exc_loci["P3'"].valid_xy()),
     )
     distinct = pair_gap > 1e-3 * p.R
 
@@ -1127,13 +1092,11 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
     notes.append(f"u=0 endpoint: incenter verdict {fit0.verdict} at {fit0.residual:.2e}")
 
     # Four tangency branches, two distinct free-side envelopes.
-    ts = [2.0 * math.pi * k / 128.0 for k in range(128)]
     fitted: List[Tuple[float, float, float]] = []
     for first in (PLUS, MINUS):
         for second in (PLUS, MINUS):
             bcfg = bic3_config(p.R, p.r, p.d, u=p.u, branch=TangentBranch(first, second))
-            pts = envelope_points(bcfg.free_side_at, ts)
-            arr = np.array([[q.x, q.y] for q in pts])
+            arr = envelope_points(bcfg.free_sides, _grid(128))
             mat = np.column_stack([arr[:, 0], arr[:, 1], np.ones(len(arr))])
             rhs = -(arr[:, 0] ** 2 + arr[:, 1] ** 2)
             sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)

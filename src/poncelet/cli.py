@@ -32,6 +32,7 @@ from .families import (
 )
 from .geom import Conic, GeometryError
 from .loci import (
+    _grid,
     DEFAULT_TOLERANCES,
     TRACKED_IDS,
     InsufficientSamples,
@@ -210,11 +211,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "residual": fit.residual,
     }
     if fit.verdict == "point":
-        pts = locus.valid_points()
-        out["point"] = [
-            math.fsum(p.x for p in pts) / len(pts),
-            math.fsum(p.y for p in pts) / len(pts),
-        ]
+        xy = locus.valid_xy()
+        out["point"] = [math.fsum(xy[:, 0]) / len(xy), math.fsum(xy[:, 1]) / len(xy)]
     if fit.conic is not None and fit.conic.center is not None:
         _write_conic(out, fit.conic, fit.verdict == "circle", axis_angle=True)
     sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
@@ -309,8 +307,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
         out["kind"] = env.kind
         _write_conic(out, env, env.kind == "circle")
     else:
-        ts = [2.0 * math.pi * k / n for k in range(n)]
-        pts = envelope_points(cfg.free_side_at, ts)
+        pts = envelope_points(cfg.free_sides, _grid(n))
         out["closed_form"] = False
         out["sampled_points"] = len(pts)
         if len(pts) >= 24:

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .geom import (
     Conic,
@@ -42,9 +44,10 @@ from .geom import (
     Point,
     _cos,
     _line_through,
+    _meet,
     _sin,
     _sqrt,
-    line_intersection,
+    quiet_fp,
 )
 
 __all__ = [
@@ -66,7 +69,6 @@ __all__ = [
     "FAMILY_SPECS",
     "FAMILY_KINDS",
     "chapple_distance",
-    "kerawala_holds",
     "degenerate_envelope_inradius",
     "confocal_delta",
     "confocal_caustic",
@@ -197,7 +199,8 @@ class BicentricParams:
         rc, dc = shape
         delta2 = R * R + dc * dc - 2.0 * dc * x1 - rc * rc
         delta = sign * _sqrt(abs(delta2))
-        den = (R * R + dc * dc - 2.0 * dc * x1) ** 2
+        base = R * R + dc * dc - 2.0 * dc * x1
+        den = base * base
         rr_dd = R * R - dc * dc
         x2 = (
             2.0 * rc * y1 * rr_dd * delta
@@ -272,7 +275,9 @@ class ConfocalParams:
         alpha1 = a2 * (b2 - cb2) - ca2 * b2
         alpha2 = (a2 - ca2) * b2 + a2 * cb2
         alpha3 = a2 * (b2 - cb2) + ca2 * b2
-        w = (alpha2 * x1) ** 2 / a2 + (alpha3 * y1) ** 2 / b2
+        u = alpha2 * x1
+        v = alpha3 * y1
+        w = u * u / a2 + v * v / b2
         x2 = (2.0 * a * alpha3 * y1 * delta - alpha1 * alpha2 * x1) / w
         y2 = (-2.0 * b2 * alpha2 * x1 * delta - a * alpha1 * alpha3 * y1) / (a * w)
         return x2, y2, delta2 > 0.0
@@ -342,25 +347,12 @@ def chapple_distance(R: float, r: float) -> float:
         raise NoPoristicPair(f"need R >= 2r, got R={R}, r={r}")
     return math.sqrt(R * (R - 2.0 * r))
 
-# Bound on the scale-free Kerawala residual |residual| * r^2.
-_KERAWALA_TOL = 1e-10
-
-
-def kerawala_holds(R: float, r: float, d: float) -> Tuple[bool, float]:
-    """Whether 1/(R-d)^2 + 1/(R+d)^2 = 1/r^2 holds, plus the raw residual.
-
-    The boolean compares |residual| * r^2 against ``_KERAWALA_TOL`` so
-    the decision is scale-free even though the returned residual is not.
-    """
-    residual = 1.0 / (R - d) ** 2 + 1.0 / (R + d) ** 2 - 1.0 / (r * r)
-    return (abs(residual) * r * r <= _KERAWALA_TOL, residual)
-
 
 def degenerate_envelope_inradius(R: float, d: float) -> float:
     """Caustic radius making the two-caustic third-side envelope a point.
 
-    Solves (R^2 - d^2)^2 = 2 r^2 (R^2 + d^2) for r; equivalent to the
-    relation tested by kerawala_holds.
+    Solves (R^2 - d^2)^2 = 2 r^2 (R^2 + d^2) for r, which is Kerawala's
+    relation 1/(R-d)^2 + 1/(R+d)^2 = 1/r^2.
     """
     return math.sqrt((R * R - d * d) ** 2 / (2.0 * (R * R + d * d)))
 
@@ -541,37 +533,33 @@ _ENVELOPE_STEP = 1e-3
 
 
 def envelope_points(
-    line_at: Callable[[float], Optional[Line]], ts: Sequence[float]
-) -> List[Point]:
-    """Characteristic points of a chord family L(t), one per sample angle.
+    sides: Callable[[np.ndarray], Tuple[Any, Any, Any, Any]], ts: Any
+) -> np.ndarray:
+    """Characteristic points of a chord family L(t), as an (m, 2) array.
 
-    Each point is the limit of intersections of neighboring chords,
-    computed from the symmetric pairs (t-h, t+h) and (t-h/2, t+h/2),
-    h = _ENVELOPE_STEP, with one Richardson extrapolation step, which
-    removes the O(h^2) truncation term.  Samples with missing or near-parallel chords are
-    skipped.
+    ``sides`` maps an angle array to the chords (a, b, c, ok) there, as
+    ``FamilyConfig.free_sides`` does.  Each point is the limit of
+    intersections of neighboring chords, computed from the symmetric
+    pairs (t-h, t+h) and (t-h/2, t+h/2), h = _ENVELOPE_STEP, with one
+    Richardson extrapolation step, which removes the O(h^2) truncation
+    term.  Angles with a missing or near-parallel chord pair are
+    skipped; the rest keep their order.
     """
+    ts = np.asarray(ts, dtype=float)
 
-    def char_point(t: float, step: float) -> Optional[Point]:
-        l1 = line_at(t - step)
-        l2 = line_at(t + step)
-        if l1 is None or l2 is None:
-            return None
-        return line_intersection(l1, l2)
+    def char_points(step: float):
+        a1, b1, c1, ok1 = sides(ts - step)
+        a2, b2, c2, ok2 = sides(ts + step)
+        with quiet_fp():
+            x, y, ok = _meet(a1, b1, c1, a2, b2, c2)
+        return x, y, ok & ok1 & ok2
 
-    out: List[Point] = []
-    for t in ts:
-        coarse = char_point(t, _ENVELOPE_STEP)
-        fine = char_point(t, 0.5 * _ENVELOPE_STEP)
-        if coarse is None or fine is None:
-            continue
-        out.append(
-            Point(
-                (4.0 * fine.x - coarse.x) / 3.0,
-                (4.0 * fine.y - coarse.y) / 3.0,
-            )
-        )
-    return out
+    xc, yc, ok_coarse = char_points(_ENVELOPE_STEP)
+    xf, yf, ok_fine = char_points(0.5 * _ENVELOPE_STEP)
+    keep = ok_coarse & ok_fine
+    return np.column_stack(
+        ((4.0 * xf[keep] - xc[keep]) / 3.0, (4.0 * yf[keep] - yc[keep]) / 3.0)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,8 @@ class Point(NamedTuple):
 
 
 class Line(NamedTuple):
-    """Oriented line ``a*x + b*y + c = 0`` with unit normal (a, b)."""
+    """Oriented line ``a*x + b*y + c = 0`` with unit normal (a, b); the
+    coefficients may be equally shaped arrays, one line per element."""
 
     a: float
     b: float
@@ -145,7 +146,9 @@ def line_intersection(l1: Line, l2: Line) -> Optional[Point]:
 # false, so an array evaluation marks a sample invalid exactly when the
 # scalar function raises for it.  The few non-arithmetic primitives below
 # take math's path on floats, for speed, and numpy's on arrays; both give
-# the same bits.
+# the same bits.  Squares are written as products: ``x ** 2`` calls libm
+# pow on a float but multiplies on an array, which can differ in the last
+# bit.
 
 
 def quiet_fp() -> np.errstate:
@@ -530,6 +533,7 @@ def line_tangent_to_conic_residual(line: Line, conic: Conic) -> float:
     positive means the line cuts the conic, negative means it misses.
     Other kinds fall back to the normalized discriminant of the
     restriction of the conic to the line (same sign convention).
+    Elementwise for a Line of arrays.
     """
     if conic.kind in (CIRCLE, ELLIPSE, POINT):
         assert conic.center is not None and conic.semi_axes is not None
@@ -543,7 +547,9 @@ def line_tangent_to_conic_residual(line: Line, conic: Conic) -> float:
             nmaj = line.a * math.cos(phi) + line.b * math.sin(phi)
             nmin = -line.a * math.sin(phi) + line.b * math.cos(phi)
             major, minor = conic.semi_axes
-            support = math.sqrt((major * nmaj) ** 2 + (minor * nmin) ** 2)
+            u = major * nmaj
+            v = minor * nmin
+            support = _sqrt(u * u + v * v)
         return support - abs(c0)
     # Fallback: discriminant of the quadratic along the line.
     dvec = line.direction()
@@ -555,4 +561,4 @@ def line_tangent_to_conic_residual(line: Line, conic: Conic) -> float:
     cst = conic_value(conic, base)
     disc = lin * lin - 4.0 * q2 * cst
     denom = q2 * q2 + lin * lin + cst * cst
-    return disc / denom if denom > 0.0 else disc
+    return disc / _nonzero(denom)  # disc itself where denom is 0

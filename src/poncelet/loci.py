@@ -25,7 +25,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import centers as _centers
-from .families import BicentricParams, FamilyConfig, Triangle, TriangleBatch
+from .families import BicentricParams, FamilyConfig, TriangleBatch
 from .geom import (
     ConicClass,
     GeometryError,
@@ -43,7 +43,6 @@ __all__ = [
     "Locus",
     "CurveFit",
     "TRACKED_IDS",
-    "tracked_point",
     "trace_locus",
     "monomial_exponents",
     "fit_curve",
@@ -162,24 +161,12 @@ _EXCENTER_ALIASES = {
 }
 
 
-def tracked_point(tri: Triangle, tracked: str) -> Point:
-    """Resolve a tracked-point identifier on one triangle."""
-    if tracked == "P1":
-        return tri.p1
-    if tracked == "P2":
-        return tri.p2
-    if tracked == "P3":
-        return tri.p3
-    if tracked in _EXCENTER_ALIASES:
-        return _centers.excenters(tri).vertices()[_EXCENTER_ALIASES[tracked]]
-    return _centers.center(tri, tracked)
-
-
 _VERTEX_FIELDS = {"P1": ("x1", "y1"), "P2": ("x2", "y2"), "P3": ("x3", "y3")}
 
 
 def _tracked_arrays(tri: TriangleBatch, tracked: str):
-    """(x, y, ok): ``tracked_point`` on every triangle of a batch."""
+    """(x, y, ok): the tracked point (a vertex, excenter or center id) on
+    every triangle of a batch."""
     if tracked in _VERTEX_FIELDS:
         fx, fy = _VERTEX_FIELDS[tracked]
         return getattr(tri, fx), getattr(tri, fy), tri.ok
@@ -188,6 +175,11 @@ def _tracked_arrays(tri: TriangleBatch, tracked: str):
         k = _EXCENTER_ALIASES[tracked]
         return xs[k], ys[k], ok
     return _centers.center_arrays(tri, tracked)
+
+
+def _grid(n: int) -> np.ndarray:
+    """The t grid of n samples: 2 pi k / n for k = 0 .. n - 1."""
+    return 2.0 * np.pi * np.arange(n) / n
 
 
 def trace_locus(
@@ -199,8 +191,9 @@ def trace_locus(
     Family configurations where some angles are inadmissible (vertex
     inside a caustic, degenerate triangle) yield invalid samples, which
     are kept in place — marked — so the t-grid stays uniform.  A sample
-    is invalid exactly where ``cfg.triangle`` or ``tracked_point``
-    raises, or where the point is not finite.
+    is invalid exactly where the scalar API raises for it
+    (``cfg.triangle``, then ``center`` or ``excenters``), or where the
+    point is not finite; where it is valid, it has the scalar API's bits.
 
     ``min_valid`` defaults to the floor classification needs; pass a
     smaller value when the samples are only being printed or plotted.
@@ -208,7 +201,7 @@ def trace_locus(
     need = MIN_VALID_SAMPLES if min_valid is None else min_valid
     if n < need:
         raise InsufficientSamples(f"need at least {need} samples, got {n}")
-    ts = 2.0 * np.pi * np.arange(n) / n
+    ts = _grid(n)
     try:
         x, y, ok = _tracked_arrays(cfg.triangles(ts), tracked)
     except GeometryError:

@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .families import FamilyConfig, envelope_points
-from .geom import Conic, Point
-from .loci import trace_locus
+from .geom import Conic
+from .loci import _grid, trace_locus
 
 __all__ = ["render_family", "DEFAULT_SIZE"]
 
@@ -54,8 +56,8 @@ class _Frame:
         self.ox = -x0 * self.scale + 0.5 * (size - (x1 - x0) * self.scale)
         self.oy = y1 * self.scale + 0.5 * (size - (y1 - y0) * self.scale)
 
-    def to_px(self, p: Point) -> Tuple[float, float]:
-        return (self.ox + p.x * self.scale, self.oy - p.y * self.scale)
+    def to_px(self, p: Sequence[float]) -> Tuple[float, float]:
+        return (self.ox + p[0] * self.scale, self.oy - p[1] * self.scale)
 
 
 def _conic_bbox(c: Conic) -> Optional[Tuple[float, float, float, float]]:
@@ -85,13 +87,17 @@ def _merge(
     )
 
 
-def _points_bbox(pts: Sequence[Point]) -> Optional[Tuple[float, float, float, float]]:
-    finite = [p for p in pts if math.isfinite(p.x) and math.isfinite(p.y)]
-    if not finite:
+def _finite_rows(xy: np.ndarray) -> np.ndarray:
+    return xy[np.isfinite(xy).all(axis=1)]
+
+
+def _points_bbox(xy: np.ndarray) -> Optional[Tuple[float, float, float, float]]:
+    """Bounding box of the finite rows of an (n, 2) array."""
+    finite = _finite_rows(xy)
+    if not len(finite):
         return None
-    xs = [p.x for p in finite]
-    ys = [p.y for p in finite]
-    return (min(xs), min(ys), max(xs), max(ys))
+    (x0, y0), (x1, y1) = finite.min(axis=0).tolist(), finite.max(axis=0).tolist()
+    return (x0, y0, x1, y1)
 
 
 def _conic_element(c: Conic, css: str, frame: _Frame, label: str) -> str:
@@ -118,43 +124,38 @@ def _conic_element(c: Conic, css: str, frame: _Frame, label: str) -> str:
     )
 
 
-def _path_runs(pts: Sequence[Optional[Point]], frame: _Frame) -> List[str]:
-    """Path data strings, one per contiguous run of finite points."""
+def _path_runs(xy: np.ndarray, frame: _Frame) -> List[str]:
+    """Path data strings, one per contiguous run of finite rows."""
     runs: List[str] = []
     current: List[str] = []
-    for p in pts:
-        ok = p is not None and math.isfinite(p.x) and math.isfinite(p.y)
-        if not ok:
+    for p in xy.tolist():
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
             if len(current) > 1:
                 runs.append("M " + " L ".join(current))
             current = []
             continue
-        x, y = frame.to_px(p)  # type: ignore[arg-type]
+        x, y = frame.to_px(p)
         current.append(f"{_fmt(x)} {_fmt(y)}")
     if len(current) > 1:
         runs.append("M " + " L ".join(current))
     return runs
 
 
-def _locus_elements(
-    pts: Sequence[Optional[Point]], frame: _Frame, css: str, label: str
-) -> str:
-    finite = [p for p in pts if p is not None and math.isfinite(p.x) and math.isfinite(p.y)]
-    if not finite:
+def _locus_elements(xy: np.ndarray, frame: _Frame, css: str, label: str) -> str:
+    """A sampled curve, an (n, 2) array whose non-finite rows break it."""
+    finite = _finite_rows(xy)
+    if not len(finite):
         return f"  <!-- {label}: no drawable samples -->\n"
-    spread = max(
-        max(p.x for p in finite) - min(p.x for p in finite),
-        max(p.y for p in finite) - min(p.y for p in finite),
-    )
+    spread = float(np.ptp(finite, axis=0).max())
     if spread * frame.scale < 1.0:
-        cx, cy = frame.to_px(finite[0])
+        cx, cy = frame.to_px(finite[0].tolist())
         dot = "envelope-dot" if css == "envelope" else "locus-dot"
         return (
             f'  <circle class="{dot}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2.5">'
             f"<title>{label}</title></circle>\n"
         )
     out = []
-    for d in _path_runs(pts, frame):
+    for d in _path_runs(xy, frame):
         out.append(f'  <path class="{css}" d="{d}"><title>{label}</title></path>\n')
     return "".join(out)
 
@@ -171,15 +172,14 @@ def render_family(
     caustics = cfg.caustics()
     envelope = cfg.closed_form_envelope()
 
-    loci: List[Tuple[str, List[Point]]] = []
+    loci: List[Tuple[str, np.ndarray]] = []
     for cid in center_ids:
         locus = trace_locus(cfg, cid, n)
-        loci.append((cid, [s.p if s.valid else None for s in locus.samples]))
+        loci.append((cid, np.column_stack((locus.x, locus.y))))  # NaN where invalid
 
-    env_samples: List[Point] = []
+    env_samples = np.empty((0, 2))
     if envelope is None:
-        ts = [2.0 * math.pi * k / max(n, 64) for k in range(max(n, 64))]
-        env_samples = envelope_points(cfg.free_side_at, ts)
+        env_samples = envelope_points(cfg.free_sides, _grid(max(n, 64)))
 
     tri = None
     if include_triangle:
@@ -195,10 +195,10 @@ def render_family(
         bbox = _merge(bbox, _conic_bbox(envelope))
     else:
         bbox = _merge(bbox, _points_bbox(env_samples))
-    for _, pts in loci:
-        bbox = _merge(bbox, _points_bbox([p for p in pts if p is not None]))
+    for _, xy in loci:
+        bbox = _merge(bbox, _points_bbox(xy))
     if tri is not None:
-        bbox = _merge(bbox, _points_bbox(list(tri.vertices())))
+        bbox = _merge(bbox, _points_bbox(np.array(tri.vertices())))
     if bbox is None:
         raise ValueError("nothing drawable for this configuration")
     frame = _Frame(bbox, size)
@@ -221,7 +221,7 @@ def render_family(
         parts.append(_conic_element(c, "caustic", frame, f"caustic {k}"))
     if envelope is not None:
         parts.append(_conic_element(envelope, "envelope", frame, "free-side envelope"))
-    elif env_samples:
+    elif len(env_samples):
         parts.append(
             _locus_elements(env_samples, frame, "envelope", "free-side envelope (sampled)")
         )
@@ -232,7 +232,7 @@ def render_family(
             f" L {_fmt(p2[0])} {_fmt(p2[1])} L {_fmt(p3[0])} {_fmt(p3[1])} Z\">"
             f"<title>triangle at t={_SAMPLE_TRIANGLE_T}</title></path>\n"
         )
-    for cid, pts in loci:
-        parts.append(_locus_elements(pts, frame, "locus", f"locus of {cid}"))
+    for cid, xy in loci:
+        parts.append(_locus_elements(xy, frame, "locus", f"locus of {cid}"))
     parts.append("</svg>\n")
     return "".join(parts)

@@ -457,7 +457,7 @@ def test_criterion_14_branch_envelopes_pair_up():
     fits = []
     for first, second in product((PLUS, MINUS), repeat=2):
         cfg = bic3_config(R, 0.15, 0.25, 0.4, branch=TangentBranch(first, second))
-        pts = envelope_points(cfg.free_side_at, [float(t) for t in ts])
+        pts = envelope_points(cfg.free_sides, ts)
         fit = fit_curve(pts, 2, DEFAULT_TOLERANCES)
         assert fit.conic is not None and fit.conic.kind == "circle"
         fits.append((fit.conic.center.x, fit.conic.center.y, fit.conic.semi_axes[0]))

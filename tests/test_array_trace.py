@@ -1,10 +1,12 @@
-"""The array trace against the scalar API it shares its kernels with.
+"""The array paths against the scalar API they share their kernels with.
 
 ``trace_locus`` evaluates the family and the tracked point on the whole t
 grid at once; ``FamilyConfig.triangle``, ``center`` and ``excenters``
 evaluate the same elementwise kernels on one triangle and raise where the
-mask is false.  The reference here is the per-sample scalar loop, rebuilt
-in the test.
+mask is false.  Both forms give the same bits.  So do the batch
+consumers: ``envelope_points`` on ``FamilyConfig.free_sides`` and the
+all-brackets bisection of ``claims._min_axis_distance``.  Each reference
+here is the per-sample scalar loop, rebuilt in the test.
 """
 
 import math
@@ -32,6 +34,7 @@ from poncelet.families import (
     MINUS,
     PLUS,
     DegenerateTriangle,
+    FamilyConfig,
     ImaginaryPencilCircle,
     TangentBranch,
     Triangle,
@@ -44,8 +47,10 @@ from poncelet.families import (
     conf2_config,
     conf3_config,
 )
-from poncelet.geom import GeometryError, Point
-from poncelet.loci import TRACKED_IDS, trace_locus, tracked_point
+from poncelet.claims import DEFAULT_BIC2, _min_axis_distance
+from poncelet.families import _ENVELOPE_STEP, envelope_points
+from poncelet.geom import GeometryError, Point, line_intersection
+from poncelet.loci import TRACKED_IDS, trace_locus
 
 N = 64
 BRANCHES = [TangentBranch(a, b) for a in (PLUS, MINUS) for b in (PLUS, MINUS)]
@@ -73,13 +78,22 @@ CONFIGS = _configs()
 TRACKED = [f"X{c.id}" for c in builtin_centers()] + list(TRACKED_IDS)
 
 
+def _scalar_point(tri, tracked):
+    """A vertex, excenter or center of one triangle, from the scalar API."""
+    if tracked in ("P1", "P2", "P3"):
+        return tri.vertices()[int(tracked[1]) - 1]
+    if tracked in ("P1'", "P2'", "P3'"):
+        return excenters(tri).vertices()[int(tracked[1]) - 1]
+    return center(tri, tracked)
+
+
 def _scalar_trace(cfg, tracked, n):
     """The per-sample loop: (x, y, valid) from the scalar API."""
     xs, ys, valid = [], [], []
     for k in range(n):
         t = 2.0 * math.pi * k / n
         try:
-            p = tracked_point(cfg.triangle(t), tracked)
+            p = _scalar_point(cfg.triangle(t), tracked)
         except GeometryError:
             xs.append(math.nan), ys.append(math.nan), valid.append(False)
             continue
@@ -97,7 +111,6 @@ def _label(cfg):
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_label)
 def test_trace_matches_the_scalar_loop(cfg):
-    tol = 1e-14 * cfg.outer_scale
     for tracked in TRACKED:
         xs, ys, valid = _scalar_trace(cfg, tracked, N)
         loc = trace_locus(cfg, tracked, N, min_valid=0)
@@ -106,8 +119,8 @@ def test_trace_matches_the_scalar_loop(cfg):
         assert valid.any(), tracked
         gx = np.array([s.p.x for s in loc.samples])
         gy = np.array([s.p.y for s in loc.samples])
-        assert np.abs(gx[valid] - xs[valid]).max() <= tol, tracked
-        assert np.abs(gy[valid] - ys[valid]).max() <= tol, tracked
+        assert gx[valid].tolist() == xs[valid].tolist(), tracked
+        assert gy[valid].tolist() == ys[valid].tolist(), tracked
         assert np.isnan(gx[~valid]).all() and np.isnan(gy[~valid]).all()
         assert [s.t for s in loc.samples] == [2.0 * math.pi * k / N for k in range(N)]
 
@@ -129,6 +142,103 @@ def test_inadmissible_family_is_invalid_where_the_scalar_api_raises(cfg, error):
     for tracked in ("P1", "X1", "P2'"):
         loc = trace_locus(cfg, tracked, N, min_valid=0)
         assert not any(s.valid for s in loc.samples)
+
+
+# ---------------------------------------------------------------------------
+# Batch consumers of the free sides and of the tracked points.
+
+README_FAMILIES = [
+    bic1_config(1.0, 0.25),
+    bic2_config(1.0, 0.2, 0.3),
+    conf1_config(2.0, 1.0),
+    conf2_config(2.0, 1.0, 0.5),
+    conf3_config(2.0, 1.0, 0.3, 0.5),
+] + [bic3_config(1.0, 0.15, 0.25, 0.4, branch=br) for br in BRANCHES]
+
+
+def _scalar_envelope(cfg, ts):
+    """Characteristic points angle by angle, from free_side_at and
+    line_intersection, with the same Richardson step."""
+
+    def char_point(t, step):
+        l1 = cfg.free_side_at(t - step)
+        l2 = cfg.free_side_at(t + step)
+        if l1 is None or l2 is None:
+            return None
+        return line_intersection(l1, l2)
+
+    out = []
+    for t in ts:
+        coarse = char_point(t, _ENVELOPE_STEP)
+        fine = char_point(t, 0.5 * _ENVELOPE_STEP)
+        if coarse is not None and fine is not None:
+            out.append([(4.0 * fine.x - coarse.x) / 3.0, (4.0 * fine.y - coarse.y) / 3.0])
+    return out
+
+
+@pytest.mark.parametrize("cfg", README_FAMILIES + [bic3_config(1.0, 0.2, 0.3, 1.2)], ids=_label)
+def test_envelope_points_match_the_per_angle_construction(cfg):
+    for ts in (2.0 * np.pi * np.arange(512) / 512, np.linspace(0.0, 6.0, 97) + 0.013):
+        got = envelope_points(cfg.free_sides, ts)
+        want = _scalar_envelope(cfg, ts.tolist())
+        assert got.shape == (len(want), 2)
+        assert got.tolist() == want
+
+
+def _scalar_min_axis_distance(cfg, tracked, n=512, steps=64):
+    """The closest approach of a locus to the x-axis, bracket by bracket."""
+
+    def y_of(t):
+        try:
+            return _scalar_point(cfg.triangle(t), tracked).y
+        except GeometryError:
+            return None
+
+    ts = [2.0 * math.pi * k / n for k in range(n + 1)]
+    ys = [y_of(t) for t in ts]
+    finite = [abs(y) for y in ys if y is not None]
+    best = min(finite) if finite else math.inf
+    for k in range(n):
+        y0, y1 = ys[k], ys[k + 1]
+        if y0 is None or y1 is None or (y0 < 0.0) == (y1 < 0.0):
+            continue
+        lo, hi, y_lo = ts[k], ts[k + 1], y0
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            ym = y_of(mid)
+            if ym is None:
+                break
+            if ym == 0.0:
+                return 0.0
+            if (ym < 0.0) == (y_lo < 0.0):
+                lo, y_lo = mid, ym
+            else:
+                hi = mid
+        ym = y_of(0.5 * (lo + hi))
+        if ym is not None:
+            best = min(best, abs(ym))
+    return best
+
+
+class _CellCenterHoles(FamilyConfig):
+    """A family without members in the middle tenth of every cell of the
+    512-sample grid, where each bracket's first midpoint falls."""
+
+    def triangles(self, t):
+        tri = super().triangles(t)
+        cell = np.asarray(t) / (2.0 * np.pi / 512) % 1.0
+        return tri._replace(ok=tri.ok & ~((cell > 0.45) & (cell < 0.55)))
+
+
+@pytest.mark.parametrize("tracked", ["P2'", "P3'"])
+def test_min_axis_distance_matches_the_scalar_bisection(tracked):
+    cfg = FamilyConfig("bic-II", bic=DEFAULT_BIC2)
+    assert _min_axis_distance(cfg, tracked) == _scalar_min_axis_distance(cfg, tracked)
+    # Every bracket stops at its first midpoint, as the scalar loop's does.
+    holed = _CellCenterHoles("bic-II", bic=DEFAULT_BIC2)
+    got = _min_axis_distance(holed, tracked)
+    assert got == _scalar_min_axis_distance(holed, tracked)
+    assert got > _min_axis_distance(cfg, tracked)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from poncelet.families import (
     critical_lambda,
     degenerate_envelope_inradius,
     envelope_points,
-    kerawala_holds,
     n4_caustic,
     n6_caustic,
 )
@@ -67,14 +66,13 @@ def test_chapple_distance_value():
 
 
 def test_kerawala_holds_at_the_degenerate_inradius():
+    def kerawala(R, r, d):
+        return 1.0 / (R - d) ** 2 + 1.0 / (R + d) ** 2 - 1.0 / (r * r)
+
     R, d = 1.0, 0.3
     r = degenerate_envelope_inradius(R, d)
-    ok, residual = kerawala_holds(R, r, d)
-    assert ok
-    assert abs(residual) * r * r < 1e-12
-    ok2, residual2 = kerawala_holds(R, 0.9 * r, d)
-    assert not ok2
-    assert abs(residual2) > 0.1
+    assert abs(kerawala(R, r, d)) * r * r < 1e-12
+    assert abs(kerawala(R, 0.9 * r, d)) > 0.1
 
 
 def test_degenerate_envelope_inradius_closed_form():
@@ -342,10 +340,10 @@ def test_conf2_envelope_collapses_at_n4():
 def test_envelope_points_on_closed_form():
     cfg = bic2_config(1.0, 0.2, 0.3)
     env = bic2_envelope(cfg.bic)
-    ts = [2.0 * math.pi * k / 256.0 for k in range(256)]
-    pts = envelope_points(cfg.free_side_at, ts)
-    assert len(pts) > 200
-    for q in pts:
+    ts = 2.0 * np.pi * np.arange(256) / 256.0
+    pts = envelope_points(cfg.free_sides, ts)
+    assert pts.shape[1] == 2 and len(pts) > 200
+    for q in pts.tolist():
         dist = math.dist(q, env.center)
         assert abs(dist - env.semi_axes[0]) < 1e-6
 

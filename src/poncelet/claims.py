@@ -50,7 +50,6 @@ from .families import (
 )
 from .centers import _cosines, _shape
 from .loci import (
-    _DIAMETER_BLOCK,
     _grid,
     _tracked_arrays,
     DEFAULT_TOLERANCES,
@@ -406,9 +405,22 @@ def _min_axis_distance(cfg: FamilyConfig, tracked: str) -> float:
     return best
 
 
+# Rows of a point-to-point distance table held at once.
+_ROW_BLOCK = 32
+
+
 def _hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
-    dist = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
-    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+    """Hausdorff distance of two (m, 2) point sets, a block of pa's rows at
+    a time: each row's minimum, and a running minimum per column of pb."""
+    row_max = 0.0
+    col_min = np.full(len(pb), np.inf)
+    for s in range(0, len(pa), _ROW_BLOCK):
+        dx = pa[s : s + _ROW_BLOCK, 0, None] - pb[:, 0]
+        dy = pa[s : s + _ROW_BLOCK, 1, None] - pb[:, 1]
+        d2 = dx * dx + dy * dy
+        row_max = max(row_max, float(d2.min(axis=1).max()))
+        col_min = np.minimum(col_min, d2.min(axis=0))
+    return math.sqrt(max(row_max, float(col_min.max())))
 
 
 def _symmetry_closure(loc: Locus, sx: float, sy: float) -> float:
@@ -416,9 +428,9 @@ def _symmetry_closure(loc: Locus, sx: float, sy: float) -> float:
     nearest valid sample, a block of reflected rows at a time."""
     x, y = loc.x[loc.ok], loc.y[loc.ok]
     out = 0.0
-    for s in range(0, len(x), _DIAMETER_BLOCK):
-        fx = sx * x[s : s + _DIAMETER_BLOCK, None]
-        fy = sy * y[s : s + _DIAMETER_BLOCK, None]
+    for s in range(0, len(x), _ROW_BLOCK):
+        fx = sx * x[s : s + _ROW_BLOCK, None]
+        fy = sy * y[s : s + _ROW_BLOCK, None]
         out = max(out, float(np.hypot(x - fx, y - fy).min(axis=1).max()))
     return out
 
@@ -833,7 +845,7 @@ def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
 
     def convex_at(lam: float) -> bool:
         loc = trace_locus(conf2_config(a, b, lam), "X1", 512)
-        return convexity_check(loc.valid_points())
+        return convexity_check(loc.valid_xy())
 
     lo, hi = 0.85 * lam_o, 1.15 * lam_o
     is_lo = convex_at(lo)
@@ -1047,7 +1059,7 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
     tols = DEFAULT_TOLERANCES
 
     loc_x1 = trace_locus(cfg, "X1", 512)
-    convex = convexity_check(loc_x1.valid_points())
+    convex = convexity_check(loc_x1.valid_xy())
     x1_nonconic, x1_fit2 = _nonconic_evidence(loc_x1, tols)
 
     exc_loci = {pid: trace_locus(cfg, pid, 512) for pid in ("P1'", "P2'", "P3'")}

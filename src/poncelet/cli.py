@@ -12,6 +12,7 @@ significant digits, and no environment or network state is consulted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -334,7 +335,9 @@ def cmd_svg(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="poncelet",
         description="Trace, classify, verify, and draw triangle-family loci.",

@@ -315,25 +315,48 @@ def fit_curve(samples, degree: int, tols: Tolerances = DEFAULT_TOLERANCES) -> Cu
     return _fit_prefix(_design(norm, degree), degree, shift, s, tols)
 
 
-# Rows of the pairwise comparison in _diameter held at once.
-_DIAMETER_BLOCK = 32
+# Consecutive samples per block in _diameter: consecutive samples of a
+# traced curve lie close together, so a block has a small bounding box.
+_DIAMETER_BLOCK = 16
 
 
 def _diameter(points) -> float:
-    """Largest distance between two points, compared pair by pair.
+    """Largest distance between two points, bitwise as a scan of every pair.
 
-    The squared distances are formed a block of rows at a time against
-    the columns not yet covered, so memory stays O(n) and the result is
-    exactly the largest pairwise distance.
+    The samples are cut, in order, into blocks of ``_DIAMETER_BLOCK``.  A
+    block pair is compared point by point only if the squared far-corner
+    distance U of the two bounding boxes reaches L, the largest squared
+    distance among the x/y-extreme samples.  Rounded subtraction, product
+    and sum are monotone, so U dominates every pair value of its block
+    pair, and the pair attaining the maximum (which is >= L) is always
+    kept.  Block rows and kept pairs go in chunks: memory is O(n * block).
     """
-    arr = np.asarray(points)
-    x = arr[:, 0]
-    y = arr[:, 1]
-    best = 0.0
-    for s in range(0, len(x), _DIAMETER_BLOCK):
-        dx = x[s : s + _DIAMETER_BLOCK, None] - x[s:]
-        dy = y[s : s + _DIAMETER_BLOCK, None] - y[s:]
-        best = max(best, float((dx * dx + dy * dy).max()))
+    arr = np.asarray(points, dtype=float)
+    n = len(arr)
+    if n == 0:
+        return 0.0
+    b = _DIAMETER_BLOCK
+    nb = -(-n // b)
+    # Pad the last block with copies of the last sample: duplicates add no pair.
+    pad = np.concatenate((arr, np.repeat(arr[-1:], nb * b - n, axis=0)))
+    xb = pad[:, 0].reshape(nb, b)
+    yb = pad[:, 1].reshape(nb, b)
+    ext = arr[[arr[:, 0].argmin(), arr[:, 0].argmax(), arr[:, 1].argmin(), arr[:, 1].argmax()]]
+    dx = ext[:, 0, None] - ext[:, 0]
+    dy = ext[:, 1, None] - ext[:, 1]
+    best = float((dx * dx + dy * dy).max())
+    xlo, xhi, ylo, yhi = xb.min(axis=1), xb.max(axis=1), yb.min(axis=1), yb.max(axis=1)
+    rows = b * b  # block rows per chunk: rows * nb bounds, about n * b
+    for r in range(0, nb, rows):
+        sx = np.maximum(xhi[r : r + rows, None] - xlo, xhi - xlo[r : r + rows, None])
+        sy = np.maximum(yhi[r : r + rows, None] - ylo, yhi - ylo[r : r + rows, None])
+        bi, bj = np.nonzero(np.triu(sx * sx + sy * sy >= best, r))
+        bi += r
+        for s in range(0, len(bi), nb):  # nb pairs of b x b values: n * b
+            i, j = bi[s : s + nb], bj[s : s + nb]
+            dx = xb[i, :, None] - xb[j, None, :]
+            dy = yb[i, :, None] - yb[j, None, :]
+            best = max(best, float((dx * dx + dy * dy).max()))
     return math.sqrt(best)
 
 
@@ -407,43 +430,29 @@ def verdict_letter(fit: CurveFit) -> str:
 _TURN_TOL = 1e-12
 
 
-def convexity_check(points: Sequence[Point]) -> bool:
-    """Whether an ordered closed sample loop is convex.
+def convexity_check(points) -> bool:
+    """Whether an ordered closed sample loop (Points or an (m, 2) array) is convex.
 
     Computes the cross product of consecutive edge vectors around the
     loop, normalized by the edge lengths; convex iff all signs agree.
     Normalized turn values within ``_TURN_TOL`` of zero are ignored, as
-    are zero-length edges (repeated samples).
+    are zero-length edges (repeated samples).  Edge lengths use
+    ``math.hypot``, whose rounding the turn test was tuned against.
     """
-    pts = [p for p in points]
-    if len(pts) >= 2 and math.dist(pts[0], pts[-1]) == 0.0:
-        pts = pts[:-1]
-    n = len(pts)
-    if n < 3:
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(xy) >= 2 and math.dist(xy[0], xy[-1]) == 0.0:
+        xy = xy[:-1]
+    if len(xy) < 3:
         return True
-    edges = []
-    for i in range(n):
-        q = pts[(i + 1) % n]
-        p = pts[i]
-        ex, ey = q.x - p.x, q.y - p.y
-        norm = math.hypot(ex, ey)
-        if norm > 0.0:
-            edges.append((ex / norm, ey / norm))
-    m = len(edges)
-    if m < 3:
+    ex = np.roll(xy[:, 0], -1) - xy[:, 0]
+    ey = np.roll(xy[:, 1], -1) - xy[:, 1]
+    norm = np.fromiter(map(math.hypot, ex.tolist(), ey.tolist()), float, len(ex))
+    live = norm > 0.0
+    ux, uy = ex[live] / norm[live], ey[live] / norm[live]
+    if len(ux) < 3:
         return True
-    has_pos = has_neg = False
-    for i in range(m):
-        ax, ay = edges[i]
-        bx, by = edges[(i + 1) % m]
-        cross = ax * by - ay * bx
-        if cross > _TURN_TOL:
-            has_pos = True
-        elif cross < -_TURN_TOL:
-            has_neg = True
-        if has_pos and has_neg:
-            return False
-    return True
+    cross = ux * np.roll(uy, -1) - uy * np.roll(ux, -1)
+    return not ((cross > _TURN_TOL).any() and (cross < -_TURN_TOL).any())
 
 
 def convexity_quintic_coeffs(a: float, b: float) -> Tuple[float, ...]:

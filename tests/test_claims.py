@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from poncelet.families import BicentricParams, ConfocalParams, critical_lambda
+from poncelet.families import BicentricParams, ConfocalParams, bic3_config, critical_lambda
 from poncelet.claims import (
+    _hausdorff,
     ClaimReport,
     all_claims,
     check_bicII_excenter_circle,
@@ -13,6 +15,7 @@ from poncelet.claims import (
     run_claims,
     summary_table,
 )
+from poncelet.loci import trace_locus
 
 
 def test_registry_is_complete_and_green():
@@ -115,3 +118,23 @@ def test_bicII_x1_circle_expected_radius_is_unsigned():
     rep = check_bicII_x1_circle(BicentricParams(1.0, 0.6, 0.1))
     assert "radius 0.212121212" in rep.expected
     assert "-0.2" not in rep.expected
+
+
+def _tensor_hausdorff(pa, pb):
+    """The full-tensor Hausdorff distance _hausdorff replaced, kept as the reference."""
+    dist = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+
+
+def test_hausdorff_in_row_blocks_is_bitwise_the_tensor_form():
+    cfg = bic3_config(1.0, 0.15, 0.25, u=0.4)
+    loci = [trace_locus(cfg, pid, 512).valid_xy() for pid in ("P1'", "P2'", "P3'", "X1")]
+    for pa in loci:
+        for pb in loci:
+            assert _hausdorff(pa, pb) == _tensor_hausdorff(pa, pb)
+    rng = np.random.default_rng(5)
+    for na, nb in ((1, 1), (1, 40), (33, 7), (64, 65), (100, 3)):
+        pa = rng.normal(size=(na, 2))
+        pb = rng.normal(size=(nb, 2)) * 3.0 + 0.5
+        assert _hausdorff(pa, pb) == _tensor_hausdorff(pa, pb)
+        assert _hausdorff(pb, pa) == _tensor_hausdorff(pb, pa)

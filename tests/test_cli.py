@@ -364,3 +364,28 @@ def test_a_flag_reaches_exactly_the_claims_that_declare_it(dest, capsys):
     for before, after in zip(_params_lines(plain), _params_lines(flagged)):
         assert before != after
         assert f"{dest}={float(value):g}" in after
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    """A second main in one process reuses the parser, and every call,
+    --config, usage errors and all, gives the output of a first call."""
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"family": "bic-II", "R": 1.0, "r": 0.2, "d": 0.1, "center": "X1"}))
+    calls = [
+        ("classify", "--family", "conf-I", "--a", "2", "--b", "1", "--center", "X1", "-n", "128"),
+        ("classify", "--config", str(path), "--d", "0.3", "-n", "128"),
+        ("svg", "--config", str(path), "-n", "32"),
+        ("trace", "--family", "bogus", "--center", "X1"),
+        ("trace", "--family", "bic-II", "--R", "1", "--r", "0.2", "--d", "0.3", "-n", "0"),
+        ("verify", "thm:bicII-x1", "--json"),
+    ]
+    first = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 2, 0]
+    assert "invalid choice: 'bogus'" in first[3][2]
+    parser = _build_parser()
+    for argv, want in zip(calls + calls, first + first):
+        assert run(capsys, *argv) == want
+    assert _build_parser() is parser

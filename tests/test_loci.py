@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,6 +18,8 @@ from poncelet.families import (
     critical_lambda,
 )
 from poncelet.loci import (
+    _DIAMETER_BLOCK,
+    _diameter,
     DEFAULT_TOLERANCES,
     MIN_VALID_SAMPLES,
     CurveFit,
@@ -77,8 +80,13 @@ def _pairwise_spread(locus):
 
 
 def _assert_same_spread(locus):
-    want = _pairwise_spread(locus)
-    assert abs(stationarity_spread(locus) - want) <= 4 * np.spacing(want)
+    assert stationarity_spread(locus) == _pairwise_spread(locus)
+
+
+def _cloud_locus(arr):
+    n = len(arr)
+    ok = np.ones(n, dtype=bool)
+    return Locus(bic1_config(1.0, 0.25), "cloud", np.zeros(n), arr[:, 0], arr[:, 1], ok)
 
 
 @pytest.mark.parametrize(
@@ -120,6 +128,76 @@ def test_stationarity_spread_is_the_pairwise_maximum_on_point_clouds():
             arr = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-12, 3)
         locus = Locus(cfg, "cloud", np.zeros(n), arr[:, 0], arr[:, 1], np.ones(n, dtype=bool))
         _assert_same_spread(locus)
+
+
+B = _DIAMETER_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1])
+def test_diameter_at_block_edges(n):
+    """Sample counts around the block size, where the last block is padded."""
+    rng = np.random.default_rng(n)
+    th = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    for arr in (np.c_[np.cos(th), 0.4 * np.sin(th)], rng.normal(size=(n, 2))):
+        _assert_same_spread(_cloud_locus(arr))
+
+
+def test_diameter_of_identical_points_is_zero():
+    arr = np.full((3 * B + 5, 2), 0.3)
+    assert _diameter(arr) == 0.0
+    _assert_same_spread(_cloud_locus(arr))
+
+
+def test_diameter_of_two_far_clusters():
+    """The diameter joins two blocks far apart in sample order."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(5 * B + 3, 2)) * 1e-3
+    b = rng.normal(size=(4 * B + 7, 2)) * 1e-3 + (1e4, -2e4)
+    for arr in (np.r_[a, b], np.r_[b, a], np.r_[a[:40], b, a[40:]]):
+        _assert_same_spread(_cloud_locus(arr))
+
+
+def test_diameter_keeps_a_block_pair_whose_bound_is_the_diameter():
+    """The diameter joins (0, 0) and (1, 1), which are not axis-extreme (the
+    extremes' best pair is 1.2), and their block pair's bound equals it exactly."""
+    extremes = [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)]
+    arr = np.array([(0.0, 0.0)] * B + [(1.0, 1.0)] * B + extremes * (B // 4))
+    assert _diameter(arr) == math.sqrt(2.0)
+    _assert_same_spread(_cloud_locus(arr))
+
+
+@pytest.mark.parametrize("k", [2, 3, B // 2, B, 3 * B + 1, 256])
+def test_diameter_of_regular_polygons_with_tied_antipodes(k):
+    """A regular 2k-gon has k antipodal pairs tied (up to rounding) for the maximum."""
+    th = np.pi * np.arange(2 * k) / k
+    for phase in (0.0, 0.1):
+        arr = np.c_[np.cos(th + phase), np.sin(th + phase)] * 3.0 + (1.0, -2.0)
+        _assert_same_spread(_cloud_locus(arr))
+        _assert_same_spread(_cloud_locus(np.roll(arr, k // 2, axis=0)))
+
+
+def _row_scan_diameter(arr):
+    """Every pair, a block of rows at a time (memory O(n))."""
+    best = 0.0
+    for s in range(0, len(arr), 32):
+        dx = arr[s : s + 32, 0, None] - arr[s:, 0]
+        dy = arr[s : s + 32, 1, None] - arr[s:, 1]
+        best = max(best, float((dx * dx + dy * dy).max()))
+    return math.sqrt(best)
+
+
+def test_diameter_memory_is_not_quadratic():
+    """An n x n temporary at n = 8192 would take 512 MB; the block-pair
+    scan stays within a few MB."""
+    arr = np.random.default_rng(11).uniform(size=(8192, 2))
+    tracemalloc.start()
+    try:
+        got = _diameter(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert got == _row_scan_diameter(arr)
 
 
 def test_classify_x1_circle_frozen():
@@ -198,6 +276,99 @@ def test_convexity_check_shapes():
         for t in ts
     ]
     assert not convexity_check(lobed)
+
+
+def _loop_convexity_check(points):
+    """The pure-Python loop convexity_check replaced, kept as the reference."""
+    pts = [p for p in points]
+    if len(pts) >= 2 and math.dist(pts[0], pts[-1]) == 0.0:
+        pts = pts[:-1]
+    n = len(pts)
+    if n < 3:
+        return True
+    edges = []
+    for i in range(n):
+        q = pts[(i + 1) % n]
+        p = pts[i]
+        ex, ey = q.x - p.x, q.y - p.y
+        norm = math.hypot(ex, ey)
+        if norm > 0.0:
+            edges.append((ex / norm, ey / norm))
+    m = len(edges)
+    if m < 3:
+        return True
+    has_pos = has_neg = False
+    for i in range(m):
+        ax, ay = edges[i]
+        bx, by = edges[(i + 1) % m]
+        cross = ax * by - ay * bx
+        if cross > 1e-12:
+            has_pos = True
+        elif cross < -1e-12:
+            has_neg = True
+        if has_pos and has_neg:
+            return False
+    return True
+
+
+def _assert_same_convexity(points):
+    want = _loop_convexity_check(points)
+    assert convexity_check(points) is want
+    assert convexity_check(np.array([tuple(p) for p in points]).reshape(-1, 2)) is want
+
+
+def test_convexity_check_matches_the_loop_on_small_and_degenerate_loops():
+    square = [Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0), Point(0.0, 1.0)]
+    bowtie = [Point(0.0, 0.0), Point(1.0, 1.0), Point(1.0, 0.0), Point(0.0, 1.0)]
+    cases = [
+        [],
+        square[:1],
+        square[:2],
+        square[:3],
+        square,
+        square + square[:1],  # closed: the repeated first sample is dropped
+        [square[0], square[0], square[1], square[1], square[2], square[3]],  # zero-length edges
+        [square[0]] * 5,
+        [Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0)],  # collinear
+        bowtie,
+    ]
+    for pts in cases:
+        _assert_same_convexity(pts)
+
+
+# Four-point loops with one turn on the edge of the 1e-12 test, where edge
+# lengths from np.hypot (one rounding apart from math.hypot) flip the verdict.
+_HYPOT_SENSITIVE_LOOPS = [
+    (False, [("0x1.3333333333333p-2", "-0x1.6666666666666p-1"), ("-0x1.f8cff7a931660p-4", "-0x1.ef94063ce3ceep-1"),
+             ("-0x1.1701ca9491b40p-1", "-0x1.3c2051908eb50p+0"), ("0x1.3d7e350dabf60p-3", "-0x1.67e20d7101352p+0")]),
+    (True, [("0x1.3333333333333p-2", "-0x1.6666666666666p-1"), ("-0x1.fc85da5a6f470p-5", "-0x1.46a2437c51934p+0"),
+            ("-0x1.dba4f99752fdap-3", "-0x1.8bed366266f38p+0"), ("0x1.43d4ab35ad42cp-1", "-0x1.7fe82d5456124p+0")]),
+]
+
+
+@pytest.mark.parametrize("want, loop", _HYPOT_SENSITIVE_LOOPS)
+def test_convexity_check_matches_the_loop_at_the_turn_tolerance(want, loop):
+    pts = [Point(float.fromhex(x), float.fromhex(y)) for x, y in loop]
+    assert _loop_convexity_check(pts) is want
+    _assert_same_convexity(pts)
+
+
+def test_convexity_check_matches_the_loop_on_traced_loci():
+    """The verdict on every step of the convexity bisection over conf-II X1,
+    whose turns approach the 1e-12 test, and on loci of every family."""
+    a, b = 2.0, 1.0
+    lo, hi = 0.85 * convexity_lambda_root(a, b), 1.15 * convexity_lambda_root(a, b)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        pts = trace_locus(conf2_config(a, b, mid), "X1", 512).valid_points()
+        _assert_same_convexity(pts)
+        if _loop_convexity_check(pts):
+            lo = mid
+        else:
+            hi = mid
+    for cfg in (bic2_config(1.0, 0.2, 0.3), bic3_config(1.0, 0.15, 0.25, u=0.4), conf1_config(2.0, 1.0)):
+        for tracked in ("X1", "X2", "X4", "P1'"):
+            _assert_same_convexity(trace_locus(cfg, tracked, 256).valid_points())
 
 
 def test_convexity_quintic_frozen():

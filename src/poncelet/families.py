@@ -155,6 +155,15 @@ def _branch_sign(label: str) -> float:
 # |delta2|, so such a vertex still gets a finite, meaningless image.
 
 
+def _require_finite(params: Any) -> None:
+    """Raise ValueError naming the first field that is NaN or infinite;
+    an optional field left at None is not checked."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class BicentricParams:
     """Outer circle radius R at the origin, caustic radius r at (d, 0).
@@ -170,6 +179,7 @@ class BicentricParams:
     u: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.R > 0.0 and self.r > 0.0):
             raise ValueError("radii must be positive")
         if self.d < 0.0:
@@ -229,6 +239,7 @@ class ConfocalParams:
     pencil_u: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.a > self.b > 0.0):
             raise ValueError("need a > b > 0")
         if not (0.0 <= self.lam < self.b * self.b):

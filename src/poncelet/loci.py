@@ -10,10 +10,11 @@ finally "nonconic" when nothing of degree <= max_degree fits.  A
 Fits are total-least-squares implicit fits: the sample coordinates are
 centered and scaled to unit RMS radius, a design matrix over all
 monomials up to the requested degree is assembled (graded, so a lower
-degree's design is a column prefix: the ladder builds one design and
-takes one SVD per degree), and the smallest right singular vector gives
-the coefficient vector; the residual is the smallest singular value
-over sqrt(n), i.e. the RMS of the normalized implicit values.
+degree's design is a column prefix: the ladder fills one design, each
+grade when a degree first reaches it, and takes one SVD per degree),
+and the smallest right singular vector gives the coefficient vector;
+the residual is the smallest singular value over sqrt(n), i.e. the RMS
+of the normalized implicit values.
 """
 
 from __future__ import annotations
@@ -255,11 +256,36 @@ def _denormalized_conic(coeffs: Sequence[float], shift: Tuple[float, float], s: 
     return _unit_coeffs((a, b, c, d, e, f))
 
 
-def _design(norm: np.ndarray, degree: int) -> np.ndarray:
-    """Columns x^i y^j in monomial_exponents order, up to ``degree``."""
-    xp = [norm[:, 0] ** i for i in range(degree + 1)]
-    yp = [norm[:, 1] ** j for j in range(degree + 1)]
-    return np.column_stack([xp[i] * yp[j] for (i, j) in monomial_exponents(degree)])
+class _MonomialDesign:
+    """The design's columns x^i y^j in monomial_exponents order, up to
+    degree ``top``, filled one grade (the monomials of one total degree)
+    at a time: grade d is built the first time a degree >= d asks for it.
+
+    Columns are written into one column-major buffer, so every degree's
+    design is a ready column prefix; each is ``xp[i] * yp[j]`` with
+    ``xp[i] = x ** i``, the same bits as a design built whole."""
+
+    def __init__(self, norm: np.ndarray, top: int) -> None:
+        self._norm = norm
+        self._xp: List[np.ndarray] = []
+        self._yp: List[np.ndarray] = []
+        self._cols = np.empty((len(norm), (top + 1) * (top + 2) // 2), order="F")
+
+    @property
+    def degree(self) -> int:
+        """The highest grade built so far, -1 before the first."""
+        return len(self._xp) - 1
+
+    def columns(self, degree: int) -> np.ndarray:
+        """The (n, m) design up to ``degree``; builds the grades it lacks."""
+        xp, yp, cols = self._xp, self._yp, self._cols
+        for d in range(len(xp), degree + 1):
+            xp.append(self._norm[:, 0] ** d)
+            yp.append(self._norm[:, 1] ** d)
+            first = d * (d + 1) // 2
+            for i in range(d, -1, -1):
+                np.multiply(xp[i], yp[d - i], out=cols[:, first + d - i])
+        return cols[:, : (degree + 1) * (degree + 2) // 2]
 
 
 def _fit_prefix(design: np.ndarray, degree: int, shift: Tuple[float, float], s: float,
@@ -312,7 +338,7 @@ def fit_curve(samples, degree: int, tols: Tolerances = DEFAULT_TOLERANCES) -> Cu
     if len(samples) < 2 * m:
         raise InsufficientSamples(f"degree {degree} needs >= {2 * m} samples, got {len(samples)}")
     norm, shift, s = _normalize_samples(samples)
-    return _fit_prefix(_design(norm, degree), degree, shift, s, tols)
+    return _fit_prefix(_MonomialDesign(norm, degree).columns(degree), degree, shift, s, tols)
 
 
 # Consecutive samples per block in _diameter: consecutive samples of a
@@ -369,7 +395,8 @@ def stationarity_spread(locus: Locus) -> float:
 
 def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> CurveFit:
     """Verdict ladder: point, conic, smallest adequate degree, nonconic;
-    each degree is fitted, as ``fit_curve`` fits it, on a prefix of one design."""
+    each degree is fitted, as ``fit_curve`` fits it, on a prefix of one
+    design whose grades are built only as far as the ladder climbs."""
     pts = locus.valid_xy()
     if len(pts) < MIN_VALID_SAMPLES:
         raise InsufficientSamples(f"{len(pts)} valid samples")
@@ -384,12 +411,12 @@ def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> Curve
             shift=tuple(pts[0].tolist()),
         )
     norm, shift, s = _normalize_samples(pts)
-    design = _design(norm, max(2, tols.max_degree))
+    design = _MonomialDesign(norm, max(2, tols.max_degree))
     fits: Dict[int, CurveFit] = {}
 
     def fit_at(degree: int) -> CurveFit:
         if degree not in fits:
-            fits[degree] = _fit_prefix(design, degree, shift, s, tols)
+            fits[degree] = _fit_prefix(design.columns(degree), degree, shift, s, tols)
         return fits[degree]
 
     quad = fit_at(2)

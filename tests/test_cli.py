@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import warnings
 
 import pytest
 
@@ -321,6 +322,29 @@ def test_envelope_nonpositive_sample_count_is_a_usage_error(family, n, capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert f"got {n}" in err
+
+
+@pytest.mark.parametrize("command", ["trace", "classify"])
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (("bic-II", "--R", "1", "--r", "0.2", "--d", "nan"), "d"),
+        (("bic-III", "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "nan"), "u"),
+        (("conf-III", "--a", "2", "--b", "1", "--lambda", "0.3", "--u", "nan"), "pencil_u"),
+        (("bic-II", "--R", "inf", "--r", "0.2", "--d", "0.3"), "R"),
+        (("bic-III", "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "inf"), "u"),
+        (("conf-II", "--a", "inf", "--b", "1", "--lambda", "0.5"), "a"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_nonfinite_parameter_is_a_usage_error(command, flags, field, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, command, "--family", *flags, "--center", "X1", "-n", "64")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"error: {field} must be finite" in err
 
 
 _PARAM_CLASSES = (int, float, BicentricParams, ConfocalParams)

@@ -133,6 +133,25 @@ def test_params_validation():
         )
 
 
+_FINITE_PARAMS = {
+    BicentricParams: dict(R=1.0, r=0.15, d=0.25, u=0.4),
+    ConfocalParams: dict(a=2.0, b=1.0, lam=0.3, pencil_u=0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize(
+    "cls, field",
+    [(cls, name) for cls, good in _FINITE_PARAMS.items() for name in good],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_params_reject_a_nonfinite_field_by_name(cls, field, bad):
+    good = _FINITE_PARAMS[cls]
+    cls(**good)
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {bad!r}$"):
+        cls(**{**good, field: bad})
+
+
 @given(t=angles)
 def test_bic1_closure_all_sides_tangent(t):
     cfg = bic1_config(1.0, 0.25)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poncelet import loci
 from poncelet.geom import Point
 from poncelet.families import (
     BicentricParams,
@@ -540,6 +541,114 @@ def test_classify_ladder_raises_where_the_fit_curve_ladder_does():
     with pytest.raises(InsufficientSamples) as got:
         classify_locus(loc)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("max_degree", [1, 3, 10])
+@pytest.mark.parametrize("cfg", _LADDER_CONFIGS, ids=lambda cfg: f"{cfg.kind}-{cfg.params}")
+def test_classify_equals_the_fit_curve_ladder_at_other_top_degrees(cfg, max_degree):
+    tols = Tolerances(max_degree=max_degree)
+    for tracked in _TABLE2_COLUMNS:
+        loc = trace_locus(cfg, tracked, n=512)
+        _assert_bitwise_equal(classify_locus(loc, tols), _reference_ladder(loc, tols))
+
+
+def _ladder_outcome(ladder, loc, tols):
+    """The ladder's fit, or the type and message of what it raised."""
+    try:
+        return ladder(loc, tols)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _noisy_circle(n):
+    """A unit circle with 5% Gaussian noise: no curve of degree <= 8 fits it."""
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    rng = np.random.default_rng(0)
+    x = np.cos(t) + 0.05 * rng.standard_normal(n)
+    y = np.sin(t) + 0.05 * rng.standard_normal(n)
+    return Locus(BIC2, "X1", t, x, y, np.ones(n, bool))
+
+
+def _traced_loci(n):
+    for cfg in _LADDER_CONFIGS:
+        for tracked in _TABLE2_COLUMNS:
+            try:
+                yield trace_locus(cfg, tracked, n=n)
+            except InsufficientSamples:
+                pass
+
+
+@pytest.mark.parametrize("n", [40, 64, 100])
+def test_classify_raises_mid_ladder_where_the_fit_curve_ladder_does(n):
+    raised = 0
+    for loc in [*_traced_loci(n), _noisy_circle(n)]:
+        for tols in (DEFAULT_TOLERANCES, Tolerances(max_degree=10)):
+            got = _ladder_outcome(classify_locus, loc, tols)
+            want = _ladder_outcome(_reference_ladder, loc, tols)
+            if isinstance(want, CurveFit):
+                _assert_bitwise_equal(got, want)
+            else:
+                assert got == want
+                assert want[0] is InsufficientSamples
+                raised += 1
+    assert raised > 0
+
+
+def _design_degrees(monkeypatch, locus):
+    """The highest grade of each design that classify_locus builds."""
+    made = []
+
+    class Recording(loci._MonomialDesign):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(loci, "_MonomialDesign", Recording)
+    fit = classify_locus(locus)
+    return fit, [design.degree for design in made]
+
+
+def test_ladder_builds_no_design_for_a_point(monkeypatch):
+    fit, built = _design_degrees(monkeypatch, trace_locus(bic1_config(1.0, 0.25), "X1", n=512))
+    assert fit.verdict == "point"
+    assert built == []
+
+
+def test_ladder_builds_only_the_conic_grades_for_a_circle(monkeypatch):
+    fit, built = _design_degrees(monkeypatch, trace_locus(BIC2, "X1", n=512))
+    assert fit.verdict == "circle"
+    assert built == [2]
+
+
+@pytest.mark.parametrize("cfg, degree", [
+    (BIC2, 6),  # the sextic; its elbow check fits degree 7
+    (bic2_config(1.0, 0.164, 0.098), 5),  # read as its quintic approximant
+])
+def test_ladder_builds_one_grade_past_an_accepted_degree(monkeypatch, cfg, degree):
+    fit, built = _design_degrees(monkeypatch, trace_locus(cfg, "X2", n=512))
+    assert (fit.verdict, fit.degree) == ("algebraic", degree)
+    assert built == [degree + 1]
+
+
+def test_ladder_builds_every_grade_for_a_nonconic_locus(monkeypatch):
+    fit, built = _design_degrees(monkeypatch, _noisy_circle(512))
+    assert fit.verdict == "nonconic"
+    assert built == [DEFAULT_TOLERANCES.max_degree]
+
+
+def test_design_grades_are_the_columns_of_the_whole_design():
+    norm, _, _ = loci._normalize_samples(trace_locus(BIC2, "X2", n=512).valid_xy())
+    whole = np.column_stack([norm[:, 0] ** i * norm[:, 1] ** j for i, j in monomial_exponents(8)])
+    design = loci._MonomialDesign(norm, 8)
+    built = -1
+    for degree in (2, 1, 5, 3, 8):  # grades are built once, on first reach
+        assert design.degree == built
+        cols = design.columns(degree)
+        built = max(built, degree)
+        assert design.degree == built
+        m = len(monomial_exponents(degree))
+        assert cols.shape == (512, m)
+        assert cols.tobytes() == whole[:, :m].tobytes()
 
 
 @pytest.mark.parametrize("degree", range(1, 9))

@@ -11,16 +11,17 @@ Fits are total-least-squares implicit fits: the sample coordinates are
 centered and scaled to unit RMS radius, a design matrix over all
 monomials up to the requested degree is assembled (graded, so a lower
 degree's design is a column prefix: the ladder fills one design, each
-grade when a degree first reaches it, and takes one SVD per degree),
-and the smallest right singular vector gives the coefficient vector;
-the residual is the smallest singular value over sqrt(n), i.e. the RMS
-of the normalized implicit values.
+grade when a degree first reaches it, and takes one SVD per degree, of
+the m x m QR factor R of its n x m prefix), and the smallest right
+singular vector gives the coefficient vector; the residual is the
+smallest singular value over sqrt(n), i.e. the RMS of the normalized
+implicit values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -267,9 +268,10 @@ class _MonomialDesign:
 
     def __init__(self, norm: np.ndarray, top: int) -> None:
         self._norm = norm
+        self.n = len(norm)
         self._xp: List[np.ndarray] = []
         self._yp: List[np.ndarray] = []
-        self._cols = np.empty((len(norm), (top + 1) * (top + 2) // 2), order="F")
+        self._cols = np.empty((self.n, (top + 1) * (top + 2) // 2), order="F")
 
     @property
     def degree(self) -> int:
@@ -288,39 +290,53 @@ class _MonomialDesign:
         return cols[:, : (degree + 1) * (degree + 2) // 2]
 
 
-def _fit_prefix(design: np.ndarray, degree: int, shift: Tuple[float, float], s: float,
-                tols: Tolerances) -> CurveFit:
-    """The degree-``degree`` fit on the leading columns of a design."""
+class _Rung(NamedTuple):
+    """One degree of the ladder: the spectrum of its design prefix."""
+
+    degree: int
+    sigma: np.ndarray
+    vt: np.ndarray
+    residual: float
+
+
+def _rung(design: _MonomialDesign, degree: int) -> _Rung:
+    """The degree's prefix SVD, taken of its QR factor R once n >= 2m is
+    checked: dgesdd takes that path itself for so tall a matrix, so the
+    bits are those of ``np.linalg.svd(prefix, full_matrices=False)``."""
     m = (degree + 1) * (degree + 2) // 2
-    n = len(design)
+    n = design.n
     if n < 2 * m:
         raise InsufficientSamples(f"degree {degree} needs >= {2 * m} samples, got {n}")
-    _, sigma, vt = np.linalg.svd(design[:, :m], full_matrices=False)
-    coeffs = vt[-1]
+    _, sigma, vt = np.linalg.svd(np.linalg.qr(design.columns(degree), mode="r"))
+    return _Rung(degree, sigma, vt, float(sigma[-1]) / math.sqrt(n))
+
+
+def _curve_fit(rung: _Rung, shift: Tuple[float, float], s: float, tols: Tolerances,
+               spread: float = math.inf, nonconic: bool = False) -> CurveFit:
+    """The CurveFit of a rung; a degree-2 rung also gets its conic, unless
+    it is the fallback of a ladder that found nothing (``nonconic``)."""
+    sigma, coeffs = rung.sigma, rung.vt[-1]
     for c in coeffs:
         if abs(c) > 1e-12:
             if c < 0.0:
                 coeffs = -coeffs
             break
-    residual = float(sigma[-1]) / math.sqrt(n)
-    ambiguous = bool(len(sigma) >= 2 and sigma[-2] <= 1e-7 * sigma[0])
-
-    verdict = "algebraic"
-    conic = None
-    conic_coeffs = None
-    if degree == 2:
+    verdict = "nonconic" if nonconic else "algebraic"
+    conic = conic_coeffs = None
+    if rung.degree == 2 and not nonconic:
         conic_coeffs = _denormalized_conic(coeffs, shift, s)
         conic = classify_conic(conic_coeffs)
-        if residual <= tols.conic_tol and conic.kind in ("circle", "ellipse"):
+        if rung.residual <= tols.conic_tol and conic.kind in ("circle", "ellipse"):
             verdict = conic.kind
     return CurveFit(
-        degree=degree,
+        degree=rung.degree,
         coeffs=tuple(float(c) for c in coeffs),
-        residual=residual,
+        residual=rung.residual,
         verdict=verdict,
+        spread=spread,
         conic=conic,
         conic_coeffs=conic_coeffs,
-        ambiguous=ambiguous,
+        ambiguous=bool(len(sigma) >= 2 and sigma[-2] <= 1e-7 * sigma[0]),
         shift=shift,
         scale=s,
     )
@@ -338,7 +354,7 @@ def fit_curve(samples, degree: int, tols: Tolerances = DEFAULT_TOLERANCES) -> Cu
     if len(samples) < 2 * m:
         raise InsufficientSamples(f"degree {degree} needs >= {2 * m} samples, got {len(samples)}")
     norm, shift, s = _normalize_samples(samples)
-    return _fit_prefix(_MonomialDesign(norm, degree).columns(degree), degree, shift, s, tols)
+    return _curve_fit(_rung(_MonomialDesign(norm, degree), degree), shift, s, tols)
 
 
 # Consecutive samples per block in _diameter: consecutive samples of a
@@ -395,8 +411,10 @@ def stationarity_spread(locus: Locus) -> float:
 
 def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> CurveFit:
     """Verdict ladder: point, conic, smallest adequate degree, nonconic;
-    each degree is fitted, as ``fit_curve`` fits it, on a prefix of one
-    design whose grades are built only as far as the ladder climbs."""
+    each degree's spectrum is taken, as ``fit_curve`` takes it, on a
+    prefix of one design whose grades are built only as far as the ladder
+    climbs.  Only the returned degree becomes a CurveFit, and the quadric
+    is classified only when it meets ``conic_tol``."""
     pts = locus.valid_xy()
     if len(pts) < MIN_VALID_SAMPLES:
         raise InsufficientSamples(f"{len(pts)} valid samples")
@@ -412,32 +430,33 @@ def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> Curve
         )
     norm, shift, s = _normalize_samples(pts)
     design = _MonomialDesign(norm, max(2, tols.max_degree))
-    fits: Dict[int, CurveFit] = {}
+    rungs: Dict[int, _Rung] = {}
 
-    def fit_at(degree: int) -> CurveFit:
-        if degree not in fits:
-            fits[degree] = _fit_prefix(design.columns(degree), degree, shift, s, tols)
-        return fits[degree]
+    def rung_at(degree: int) -> _Rung:
+        if degree not in rungs:
+            rungs[degree] = _rung(design, degree)
+        return rungs[degree]
 
-    quad = fit_at(2)
-    if quad.verdict in ("circle", "ellipse"):
-        return replace(quad, spread=spread)
+    quad = rung_at(2)
+    if quad.residual <= tols.conic_tol:
+        fit = _curve_fit(quad, shift, s, tols, spread)
+        if fit.verdict in ("circle", "ellipse"):
+            return fit
     best = quad
     for degree in range(3, tols.max_degree + 1):
-        fit = fit_at(degree)
-        if fit.residual <= tols.curve_tol:
+        rung = rung_at(degree)
+        if rung.residual <= tols.curve_tol:
             # Elbow check: accept only once the next degree stops
             # improving dramatically; a residual that keeps dropping by
             # orders of magnitude marks an approximant of a
             # higher-degree curve, not a genuine vanishing.
-            if degree < tols.max_degree and fit.residual > 0.0:
-                nxt = fit_at(degree + 1)
-                if nxt.residual < tols.elbow_factor * fit.residual:
-                    best = fit
+            if degree < tols.max_degree and rung.residual > 0.0:
+                if rung_at(degree + 1).residual < tols.elbow_factor * rung.residual:
+                    best = rung
                     continue
-            return replace(fit, spread=spread)
-        best = fit
-    return replace(best, verdict="nonconic", spread=spread, conic=None, conic_coeffs=None)
+            return _curve_fit(rung, shift, s, tols, spread)
+        best = rung
+    return _curve_fit(best, shift, s, tols, spread, nonconic=True)
 
 
 def verdict_letter(fit: CurveFit) -> str:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poncelet import loci
-from poncelet.geom import Point
+from poncelet.geom import Point, classify_conic
 from poncelet.families import (
     BicentricParams,
     bic1_config,
@@ -594,8 +594,8 @@ def test_classify_raises_mid_ladder_where_the_fit_curve_ladder_does(n):
     assert raised > 0
 
 
-def _design_degrees(monkeypatch, locus):
-    """The highest grade of each design that classify_locus builds."""
+def _record_designs(monkeypatch):
+    """A list that collects every design made from now on."""
     made = []
 
     class Recording(loci._MonomialDesign):
@@ -604,6 +604,12 @@ def _design_degrees(monkeypatch, locus):
             made.append(self)
 
     monkeypatch.setattr(loci, "_MonomialDesign", Recording)
+    return made
+
+
+def _design_degrees(monkeypatch, locus):
+    """The highest grade of each design that classify_locus builds."""
+    made = _record_designs(monkeypatch)
     fit = classify_locus(locus)
     return fit, [design.degree for design in made]
 
@@ -649,6 +655,94 @@ def test_design_grades_are_the_columns_of_the_whole_design():
         m = len(monomial_exponents(degree))
         assert cols.shape == (512, m)
         assert cols.tobytes() == whole[:, :m].tobytes()
+
+
+def test_ladder_checks_the_sample_count_before_building_a_grade(monkeypatch):
+    # The sextic's elbow check asks for degree 7, which needs 72 samples.
+    made = _record_designs(monkeypatch)
+    with pytest.raises(InsufficientSamples) as got:
+        classify_locus(trace_locus(BIC2, "X2", n=64))
+    assert got.type is InsufficientSamples
+    assert str(got.value) == "degree 7 needs >= 72 samples, got 64"
+    assert [design.degree for design in made] == [6]
+
+
+def _svd_oracle_fits(samples, degrees, tols=DEFAULT_TOLERANCES):
+    """fit_curve at each degree, rebuilt on the SVD of the n x m prefix
+    of the whole degree-8 design, with no code shared with the rung."""
+    norm, shift, s = loci._normalize_samples(samples)
+    whole = np.column_stack([norm[:, 0] ** i * norm[:, 1] ** j for i, j in monomial_exponents(8)])
+    for degree in degrees:
+        _, sigma, vt = np.linalg.svd(whole[:, : len(monomial_exponents(degree))], full_matrices=False)
+        coeffs = vt[-1]
+        first = coeffs[np.abs(coeffs) > 1e-12][0]
+        if first < 0.0:
+            coeffs = -coeffs
+        residual = float(sigma[-1]) / math.sqrt(len(norm))
+        verdict, conic, conic_coeffs = "algebraic", None, None
+        if degree == 2:
+            conic_coeffs = loci._denormalized_conic(coeffs, shift, s)
+            conic = classify_conic(conic_coeffs)
+            if residual <= tols.conic_tol and conic.kind in ("circle", "ellipse"):
+                verdict = conic.kind
+        yield CurveFit(degree=degree, coeffs=tuple(float(c) for c in coeffs), residual=residual,
+                       verdict=verdict, conic=conic, conic_coeffs=conic_coeffs,
+                       ambiguous=bool(sigma[-2] <= 1e-7 * sigma[0]), shift=shift, scale=s)
+
+
+def _assert_fit_curve_is_the_svd_oracle(samples):
+    """The bits agree because n >= 2m for every fit: LAPACK's dgesdd then
+    takes its tall-matrix path (n >= 11m/6), a QR factorization of the
+    n x m prefix followed by the SVD of its m x m R, which is what the
+    rung computes by hand."""
+    degrees = range(1, 9)
+    for degree, want in zip(degrees, _svd_oracle_fits(samples, degrees)):
+        _assert_bitwise_equal(fit_curve(samples, degree), want)
+
+
+@pytest.mark.parametrize("cfg", _LADDER_CONFIGS, ids=lambda cfg: f"{cfg.kind}-{cfg.params}")
+def test_fit_curve_equals_the_svd_of_the_whole_design_prefix(cfg):
+    for tracked in _TABLE2_COLUMNS:
+        _assert_fit_curve_is_the_svd_oracle(trace_locus(cfg, tracked, n=512).valid_xy())
+
+
+def test_fit_curve_equals_the_svd_of_the_whole_design_prefix_on_a_cloud():
+    rng = np.random.default_rng(11)
+    _assert_fit_curve_is_the_svd_oracle(rng.normal(size=(300, 2)) * 3.0 + 1.0)
+
+
+@pytest.mark.parametrize("make, verdict, calls", [
+    (lambda: trace_locus(BIC2, "X1", n=512), "circle", 1),
+    (lambda: trace_locus(conf1_config(2.0, 1.0), "X1", n=512), "ellipse", 1),
+    (lambda: trace_locus(BIC2, "X2", n=512), "algebraic", 0),
+    (lambda: _noisy_circle(512), "nonconic", 0),
+], ids=["bic2-X1-circle", "conf1-X1-ellipse", "bic2-X2-sextic", "noisy-circle"])
+def test_ladder_classifies_the_quadric_only_within_conic_tol(monkeypatch, make, verdict, calls):
+    seen = []
+
+    def counting(coeffs):
+        seen.append(coeffs)
+        return classify_conic(coeffs)
+
+    monkeypatch.setattr(loci, "classify_conic", counting)
+    assert classify_locus(make()).verdict == verdict
+    assert len(seen) == calls
+
+
+def test_ladder_takes_each_rung_spectrum_once(monkeypatch):
+    loc = trace_locus(BIC2, "X2", n=512)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    fit = classify_locus(loc)
+    assert (fit.verdict, fit.degree) == ("algebraic", 6)
+    # One SVD per degree 2..7, each of the m x m R factor.
+    assert shapes == [(m, m) for m in (len(monomial_exponents(d)) for d in range(2, 8))]
 
 
 @pytest.mark.parametrize("degree", range(1, 9))

@@ -16,8 +16,8 @@ known collinearities) to protect against transcription slips.
 Every formula and construction is an elementwise kernel: it runs on
 coordinate arrays over a whole batch of triangles (``center_arrays``,
 ``excenter_arrays``) and on the floats of one triangle (``center``,
-``excenters`` and the named constructions), which raise where the
-batch form marks the triangle invalid.
+``excenters``), which raise where the batch form marks the triangle
+invalid.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .families import DegenerateTriangle, Triangle, TriangleBatch
 from .geom import (
-    Conic,
     GeometryError,
     InversionOfCenter,
     Point,
@@ -52,15 +51,6 @@ __all__ = [
     "center_arrays",
     "excenters",
     "excenter_arrays",
-    "bevan_point",
-    "excentral_centroid",
-    "incenter",
-    "circumcenter",
-    "circumradius",
-    "circumcircle",
-    "intouch_triangle",
-    "vertex_reflection_triangle",
-    "evans_perspector",
     "builtin_centers",
     "center_definition",
     "parse_center_id",
@@ -143,8 +133,6 @@ class ExcentralTriangle:
     def vertices(self) -> Tuple[Point, Point, Point]:
         return (self.p1p, self.p2p, self.p3p)
 
-    def as_triangle(self, t: float = 0.0) -> Triangle:
-        return Triangle(self.p1p, self.p2p, self.p3p, t)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +339,6 @@ def _batch_shape(tri: TriangleBatch) -> _Shape:
     return _shape(tri.x1, tri.y1, tri.x2, tri.y2, tri.x3, tri.y3)
 
 
-def _point_of(kernel: ConstructFn, tri: Triangle) -> Point:
-    """A kernel evaluated on one triangle; raises where its fault is set."""
-    x, y, fault = kernel(_shape_of(tri))
-    _raise_for(fault)
-    return Point(x, y)
-
-
 def _resolve(definition: Union["CenterDefinition", str, int]) -> "CenterDefinition":
     if isinstance(definition, (str, int)):
         return center_definition(definition)
@@ -372,7 +353,9 @@ def center(tri: Triangle, definition: Union[CenterDefinition, str, int]) -> Poin
     by multiplying each by its side length.
     """
     definition = _resolve(definition)
-    return _point_of(lambda t: _center(t, definition), tri)
+    x, y, fault = _center(_shape_of(tri), definition)
+    _raise_for(fault)
+    return Point(x, y)
 
 
 def center_arrays(tri: TriangleBatch, definition: Union[CenterDefinition, str, int]):
@@ -399,54 +382,6 @@ def excenter_arrays(tri: TriangleBatch):
     with quiet_fp():
         xs, ys, fault = _excenters(_batch_shape(tri))
     return xs, ys, tri.ok & (fault == 0)
-
-
-def incenter(tri: Triangle) -> Point:
-    return _point_of(_incenter, tri)
-
-
-def circumcenter(tri: Triangle) -> Point:
-    return _point_of(_circumcenter, tri)
-
-
-def circumradius(tri: Triangle) -> float:
-    return tri.circumradius()
-
-
-def circumcircle(tri: Triangle) -> Conic:
-    return Conic.circle(circumcenter(tri), tri.circumradius())
-
-
-def bevan_point(tri: Triangle) -> Point:
-    """Circumcenter of the excentral triangle: the reflection 2·X3 − X1."""
-    return _point_of(_bevan, tri)
-
-
-def excentral_centroid(tri: Triangle) -> Point:
-    """Centroid of the excentral triangle: X3 + (X3 − X1)/3."""
-    return _point_of(_excentral_centroid, tri)
-
-
-def intouch_triangle(tri: Triangle) -> Triangle:
-    """Contact triangle: the incircle's touchpoints on the three sides.
-
-    Vertex i of the result is the touchpoint on the side opposite P_i.
-    """
-    u1, v1, u2, v2, u3, v3 = _intouch(_shape_of(tri))
-    return Triangle(Point(u1, v1), Point(u2, v2), Point(u3, v3), tri.t)
-
-
-def vertex_reflection_triangle(tri: Triangle) -> Triangle:
-    """Each vertex reflected across the line of its opposite side."""
-    points, fault = _reflections(_shape_of(tri))
-    _raise_for(fault)
-    return Triangle(*(Point(x, y) for x, y in points), tri.t)
-
-
-def evans_perspector(tri: Triangle) -> Point:
-    """Concurrence of the lines joining each excenter to the reflection
-    of its opposite vertex across the far side (X484); see _x484."""
-    return _point_of(_x484, tri)
 
 
 # ---------------------------------------------------------------------------

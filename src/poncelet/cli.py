@@ -31,7 +31,7 @@ from .families import (
     TangentBranch,
     envelope_points,
 )
-from .geom import Conic, GeometryError
+from .geom import Conic
 from .loci import (
     _grid,
     DEFAULT_TOLERANCES,
@@ -387,13 +387,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _apply_config(args)
         return args.handler(args)
-    except _CliUsage as exc:
-        sys.stderr.write(f"poncelet {args.command}: error: {exc}\n")
-        return 2
-    except (GeometryError, InsufficientSamples, ValueError) as exc:
-        sys.stderr.write(f"poncelet {args.command}: error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (_CliUsage, ValueError, OSError) as exc:  # GeometryError is a ValueError
         sys.stderr.write(f"poncelet {args.command}: error: {exc}\n")
         return 2
 

@@ -40,7 +40,6 @@ import numpy as np
 from .geom import (
     Conic,
     GeometryError,
-    Line,
     Point,
     _cos,
     _line_through,
@@ -75,9 +74,7 @@ __all__ = [
     "critical_lambda",
     "n4_caustic",
     "n6_caustic",
-    "bic2_vertices",
     "bic3_caustic2",
-    "conf3_vertices",
     "bic2_envelope",
     "bic2_envelope_radius_pq",
     "conf2_envelope",
@@ -306,29 +303,6 @@ class Triangle:
     def vertices(self) -> Tuple[Point, Point, Point]:
         return (self.p1, self.p2, self.p3)
 
-    def side_lengths(self) -> Tuple[float, float, float]:
-        """(s1, s2, s3) with s_i the length of the side opposite vertex i."""
-        s1 = math.dist(self.p2, self.p3)
-        s2 = math.dist(self.p3, self.p1)
-        s3 = math.dist(self.p1, self.p2)
-        return (s1, s2, s3)
-
-    def area(self) -> float:
-        (x1, y1), (x2, y2), (x3, y3) = self.p1, self.p2, self.p3
-        return 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
-
-    def perimeter(self) -> float:
-        return sum(self.side_lengths())
-
-    def inradius(self) -> float:
-        return 2.0 * self.area() / self.perimeter()
-
-    def circumradius(self) -> float:
-        s1, s2, s3 = self.side_lengths()
-        area = self.area()
-        if area == 0.0:
-            raise DegenerateTriangle("collinear vertices")
-        return s1 * s2 * s3 / (4.0 * area)
 
 
 class TriangleBatch(NamedTuple):
@@ -706,26 +680,10 @@ class FamilyConfig:
             a, b, c, ok = _line_through(tri.x2, tri.y2, tri.x3, tri.y3)
         return a, b, c, tri.ok & ok
 
-    def free_side_at(self, t: float) -> Optional[Line]:
-        a, b, c, ok = self.free_sides(t)
-        return Line(a, b, c) if ok else None
-
     def closed_form_envelope(self) -> Optional[Conic]:
         """Known envelope of the free side, where a closed form exists."""
         envelope = FAMILY_SPECS[self.kind].envelope
         return None if envelope is None else envelope(self.params)
-
-
-def bic2_vertices(p: BicentricParams, t: float) -> Triangle:
-    """Two-caustic bicentric triangle at angle t."""
-    return FamilyConfig("bic-II", bic=p).triangle(t)
-
-
-def conf3_vertices(
-    p: ConfocalParams, t: float, branch: TangentBranch = DEFAULT_BRANCH
-) -> Triangle:
-    """Two-elliptic-caustic triangle at angle t."""
-    return FamilyConfig("conf-III", conf=p, branch=branch).triangle(t)
 
 
 def bic1_config(R: float, r: float) -> FamilyConfig:

@@ -31,8 +31,6 @@ __all__ = [
     "BOUNDARY_TOL",
     "GeometryError",
     "DegeneratePencilMember",
-    "NoRealTangent",
-    "TangentFromBoundary",
     "InversionOfCenter",
     "ComplexLimitingPoints",
     "Point",
@@ -44,14 +42,9 @@ __all__ = [
     "pencil_member",
     "conic_value",
     "conic_gradient",
-    "second_intersection",
-    "tangent_contact_points",
-    "tangent_lines_from_point",
-    "circle_inverse",
     "limiting_points",
     "line_tangent_to_conic_residual",
     "conic_span_residual",
-    "line_intersection",
 ]
 
 # Classification tags.
@@ -79,14 +72,6 @@ class DegeneratePencilMember(GeometryError):
     """The requested pencil combination cancels to the zero conic."""
 
 
-class NoRealTangent(GeometryError):
-    """Tangent lines were requested from a point inside the conic."""
-
-
-class TangentFromBoundary(GeometryError):
-    """Tangent lines were requested from a point on the conic itself."""
-
-
 class InversionOfCenter(GeometryError):
     """Circle inversion was requested at the circle's own center."""
 
@@ -108,34 +93,11 @@ class Line(NamedTuple):
     b: float
     c: float
 
-    @classmethod
-    def from_points(cls, p: Point, q: Point) -> "Line":
-        """Line through two points; the normal is the left normal of p->q."""
-        a, b, c, ok = _line_through(p[0], p[1], q[0], q[1])
-        if not ok:
-            raise GeometryError("line through coincident points")
-        return cls(a, b, c)
-
-    @classmethod
-    def from_coefficients(cls, a: float, b: float, c: float) -> "Line":
-        n = math.hypot(a, b)
-        if n == 0.0:
-            raise GeometryError("degenerate line coefficients")
-        return cls(a / n, b / n, c / n)
-
     def signed_distance(self, p: Point) -> float:
         return self.a * p[0] + self.b * p[1] + self.c
 
     def direction(self) -> Tuple[float, float]:
         return (-self.b, self.a)
-
-
-def line_intersection(l1: Line, l2: Line) -> Optional[Point]:
-    """Intersection of two lines, or None when they are (nearly) parallel."""
-    x, y, ok = _meet(*l1, *l2)
-    if not ok:
-        return None
-    return Point(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -378,92 +340,6 @@ def conic_span_residual(target: Conic, c1: Conic, c2: Conic) -> float:
     t = np.asarray(target.coeffs)
     proj = q @ (q.T @ t)
     return float(np.linalg.norm(t - proj))
-
-
-def second_intersection(conic: Conic, p: Point, direction: Tuple[float, float]) -> Point:
-    """Other intersection of the line through p (on the conic) with the conic.
-
-    The known root at p is factored out exactly, so the result stays
-    accurate even when the two intersections are close together.
-    """
-    a, b, c, _, _, _ = conic.coeffs
-    dx, dy = direction
-    q2 = a * dx * dx + b * dx * dy + c * dy * dy
-    if abs(q2) < 1e-300:
-        raise GeometryError("direction is asymptotic for this conic")
-    gx, gy = conic_gradient(conic, p)
-    t = -(gx * dx + gy * dy) / q2
-    return Point(p.x + t * dx, p.y + t * dy)
-
-
-def _contact_sort_key(conic: Conic, contact: Point) -> float:
-    cx, cy = conic.center if conic.center is not None else (0.0, 0.0)
-    return math.atan2(contact.y - cy, contact.x - cx) % (2.0 * math.pi)
-
-
-def tangent_contact_points(p: Point, conic: Conic) -> Tuple[Point, Point]:
-    """Contact points of the two tangents from an exterior point.
-
-    Ordered by the polar angle of the contact point about the conic
-    center, counterclockwise from the positive x-axis.
-    """
-    if conic.kind not in (CIRCLE, ELLIPSE):
-        raise GeometryError(f"tangents undefined for kind {conic.kind!r}")
-    val = conic_value(conic, p)
-    if abs(val) <= BOUNDARY_TOL:
-        raise TangentFromBoundary(f"point {p} lies on the conic")
-    if val < 0.0:
-        raise NoRealTangent(f"point {p} lies inside the conic")
-    a, b, c, d, e, f = conic.coeffs
-    # Polar line of p: M3 @ (px, py, 1).
-    la = a * p.x + 0.5 * (b * p.y + d)
-    lb = 0.5 * b * p.x + c * p.y + 0.5 * e
-    lc = 0.5 * (d * p.x + e * p.y) + f
-    n2 = la * la + lb * lb
-    if n2 < 1e-300:
-        raise GeometryError("degenerate polar line")
-    base = Point(-lc * la / n2, -lc * lb / n2)
-    dvec = (-lb / math.sqrt(n2), la / math.sqrt(n2))
-    q2 = a * dvec[0] * dvec[0] + b * dvec[0] * dvec[1] + c * dvec[1] * dvec[1]
-    gx, gy = conic_gradient(conic, base)
-    lin = gx * dvec[0] + gy * dvec[1]
-    cst = conic_value(conic, base)
-    disc = lin * lin - 4.0 * q2 * cst
-    if disc < 0.0:
-        raise NoRealTangent(f"polar of {p} misses the conic")
-    root = math.sqrt(disc)
-    # Numerically stable quadratic roots.
-    if lin >= 0.0:
-        s1 = (-lin - root) / (2.0 * q2)
-    else:
-        s1 = (-lin + root) / (2.0 * q2)
-    s2 = cst / (q2 * s1) if s1 != 0.0 else (-lin) / (2.0 * q2) + root / (2.0 * q2)
-    t1 = Point(base.x + s1 * dvec[0], base.y + s1 * dvec[1])
-    t2 = Point(base.x + s2 * dvec[0], base.y + s2 * dvec[1])
-    if _contact_sort_key(conic, t1) <= _contact_sort_key(conic, t2):
-        return (t1, t2)
-    return (t2, t1)
-
-
-def tangent_lines_from_point(p: Point, conic: Conic) -> Tuple[Line, Line]:
-    """Both tangent lines from an exterior point, deterministically ordered.
-
-    The order follows the contact points, sorted counterclockwise by
-    their polar angle about the conic center.
-    """
-    t1, t2 = tangent_contact_points(p, conic)
-    return (Line.from_points(p, t1), Line.from_points(p, t2))
-
-
-def circle_inverse(p: Point, circle: Conic) -> Point:
-    """Inverse of p in a circle: O + R^2 (p - O) / |p - O|^2."""
-    if circle.kind != CIRCLE:
-        raise GeometryError(f"inversion needs a circle, got {circle.kind!r}")
-    assert circle.center is not None and circle.semi_axes is not None
-    x, y, ok = _invert(p.x, p.y, *circle.center, circle.semi_axes[0])
-    if not ok:
-        raise InversionOfCenter("cannot invert the circle center")
-    return Point(x, y)
 
 
 def _monic_circle(conic: Conic) -> Tuple[float, float, float]:

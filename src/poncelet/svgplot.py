@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .families import FamilyConfig, envelope_points
-from .geom import Conic
+from .geom import Conic, GeometryError
 from .loci import _grid, trace_locus
 
 __all__ = ["render_family", "DEFAULT_SIZE"]
@@ -185,7 +185,7 @@ def render_family(
     if include_triangle:
         try:
             tri = cfg.triangle(_SAMPLE_TRIANGLE_T)
-        except Exception:
+        except GeometryError:
             tri = None
 
     bbox = _conic_bbox(outer)

@@ -16,17 +16,17 @@ import numpy as np
 import pytest
 
 from poncelet import centers
-from poncelet.geom import Point, line_tangent_to_conic_residual
+from poncelet.geom import Line, Point, line_tangent_to_conic_residual
 from poncelet.families import (
     BicentricParams,
     ConfocalParams,
+    FamilyConfig,
     TangentBranch,
     PLUS,
     MINUS,
     bic1_config,
     bic2_config,
     bic2_envelope,
-    bic2_vertices,
     bic3_config,
     chapple_distance,
     conf1_config,
@@ -59,6 +59,8 @@ from poncelet.claims import (
     run_claims,
 )
 
+from _geometry_oracle import measured
+
 GRID = [
     BicentricParams(1.0, r, d)
     for r, d in product((0.15, 0.2, 0.25), (0.2, 0.3, 0.4))
@@ -90,6 +92,11 @@ CENTRAL_LINE_RATIO = {
     "X484": lambda k: (1 + 2 * k) / (1 - 2 * k),
     "X942": lambda k: 1 + k / 2,
 }
+
+
+def bic2_vertices(p: BicentricParams, t: float):
+    """The bic-II member at angle t, with the test oracle's measures."""
+    return measured(FamilyConfig("bic-II", bic=p).triangle(t))
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -191,13 +198,9 @@ def test_criterion_06_four_periodic_aspect_swap():
     lam4 = n4_lambda(a, b)
     ae, be = conf2_excentral_axes(ConfocalParams(a, b, lam4))
     aspect_err = abs(ae / be - b / a)
-    cfg = conf2_config(a, b, lam4)
-    worst = 0.0
-    for t in np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False):
-        ln = cfg.free_side_at(float(t))
-        if ln is None:
-            continue
-        worst = max(worst, abs(ln.signed_distance(Point(0.0, 0.0))))
+    la, lb, lc, ok = conf2_config(a, b, lam4).free_sides(
+        np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False))
+    worst = float(np.max(abs(Line(la[ok], lb[ok], lc[ok]).signed_distance(Point(0.0, 0.0)))))
     ok = aspect_err <= 1e-10 and worst <= 1e-9
     _report(6, ok,
             f"excentral aspect swaps to b/a (err {aspect_err:.3e}); "
@@ -238,22 +241,15 @@ def test_criterion_09_free_side_envelopes():
     ts = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
     worst_tan = 0.0
     for cfg in (bic2_config(1.0, 0.2, 0.3), conf2_config(2.0, 1.0, 0.5)):
-        env = cfg.closed_form_envelope()
-        for t in ts:
-            ln = cfg.free_side_at(float(t))
-            if ln is None:
-                continue
-            worst_tan = max(worst_tan, abs(line_tangent_to_conic_residual(ln, env)))
+        a, b, c, ok = cfg.free_sides(ts)
+        residual = line_tangent_to_conic_residual(Line(a[ok], b[ok], c[ok]), cfg.closed_form_envelope())
+        worst_tan = max(worst_tan, float(np.max(abs(residual))))
     # degenerate inradius: every free side passes through one point
     R, d = 1.0, 0.3
     collapse_cfg = bic2_config(R, degenerate_envelope_inradius(R, d), d)
     pt = bic2_collapse_point(R, d)
-    worst_pt = 0.0
-    for t in ts:
-        ln = collapse_cfg.free_side_at(float(t))
-        if ln is None:
-            continue
-        worst_pt = max(worst_pt, abs(ln.signed_distance(pt)))
+    a, b, c, ok = collapse_cfg.free_sides(ts)
+    worst_pt = float(np.max(abs(Line(a[ok], b[ok], c[ok]).signed_distance(pt))))
     ok = worst_tan <= 1e-9 and worst_pt <= 1e-8
     _report(9, ok,
             f"free sides tangent to the predicted conics (max {worst_tan:.3e}); "
@@ -395,8 +391,7 @@ def test_criterion_12_conserved_quantities():
     cfg = bic1_config(R, r)
     worst_cos = 0.0
     for t in np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False):
-        tri = cfg.triangle(float(t))
-        s1, s2, s3 = tri.side_lengths()
+        s1, s2, s3 = measured(cfg.triangle(float(t))).side_lengths()
         cos_sum = (
             (s2 * s2 + s3 * s3 - s1 * s1) / (2.0 * s2 * s3)
             + (s3 * s3 + s1 * s1 - s2 * s2) / (2.0 * s3 * s1)
@@ -408,8 +403,7 @@ def test_criterion_12_conserved_quantities():
     cfg2 = conf1_config(2.0, 1.0)
     perims = []
     for t in np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False):
-        tri = cfg2.triangle(float(t))
-        perims.append(sum(tri.side_lengths()))
+        perims.append(sum(measured(cfg2.triangle(float(t))).side_lengths()))
     perim_rel = (max(perims) - min(perims)) / max(perims)
     x9_spread = stationarity_spread(trace_locus(cfg2, "X9", n=256))
 

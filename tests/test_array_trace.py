@@ -17,18 +17,11 @@ import pytest
 from poncelet.centers import (
     BARYCENTRIC,
     CenterDefinition,
-    bevan_point,
     builtin_centers,
     center,
     center_arrays,
-    circumcenter,
     excenter_arrays,
     excenters,
-    excentral_centroid,
-    evans_perspector,
-    incenter,
-    intouch_triangle,
-    vertex_reflection_triangle,
 )
 from poncelet.families import (
     MINUS,
@@ -49,8 +42,10 @@ from poncelet.families import (
 )
 from poncelet.claims import DEFAULT_BIC2, _min_axis_distance
 from poncelet.families import _ENVELOPE_STEP, envelope_points
-from poncelet.geom import GeometryError, Point, line_intersection
+from poncelet.geom import GeometryError, Line, Point
 from poncelet.loci import TRACKED_IDS, trace_locus
+
+from _geometry_oracle import line_intersection
 
 N = 64
 BRANCHES = [TangentBranch(a, b) for a in (PLUS, MINUS) for b in (PLUS, MINUS)]
@@ -157,15 +152,15 @@ README_FAMILIES = [
 
 
 def _scalar_envelope(cfg, ts):
-    """Characteristic points angle by angle, from free_side_at and
-    line_intersection, with the same Richardson step."""
+    """Characteristic points angle by angle, from the free side at each
+    angle and line_intersection, with the same Richardson step."""
 
     def char_point(t, step):
-        l1 = cfg.free_side_at(t - step)
-        l2 = cfg.free_side_at(t + step)
-        if l1 is None or l2 is None:
+        a1, b1, c1, ok1 = cfg.free_sides(t - step)
+        a2, b2, c2, ok2 = cfg.free_sides(t + step)
+        if not (ok1 and ok2):
             return None
-        return line_intersection(l1, l2)
+        return line_intersection(Line(a1, b1, c1), Line(a2, b2, c2))
 
     out = []
     for t in ts:
@@ -269,18 +264,6 @@ def _batch(rows):
     return TriangleBatch(*cols, np.ones(len(rows), dtype=bool))
 
 
-SCALAR_CONSTRUCTIONS = [
-    incenter,
-    circumcenter,
-    bevan_point,
-    excentral_centroid,
-    evans_perspector,
-    excenters,
-    intouch_triangle,
-    vertex_reflection_triangle,
-]
-
-
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_degenerate_triangles_invalid_in_arrays_and_raise_in_scalars(name):
     rows = [DEGENERATE[name], GOOD]
@@ -299,9 +282,8 @@ def test_degenerate_triangles_invalid_in_arrays_and_raise_in_scalars(name):
     xs, ys, ok = excenter_arrays(batch)
     assert ok.tolist() == [False, True]
     assert [(x[1], y[1]) for x, y in zip(xs, ys)] == list(excenters(good).vertices())
-    for fn in SCALAR_CONSTRUCTIONS:
-        with pytest.raises(DegenerateTriangle):
-            fn(tri)
+    with pytest.raises(DegenerateTriangle):
+        excenters(tri)
 
 
 def test_zero_weight_sum_raises_on_a_proper_triangle():

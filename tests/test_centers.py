@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poncelet.geom import Conic, Line, Point, circle_inverse, line_intersection
-from poncelet.families import BicentricParams, Triangle, bic2_vertices, chapple_distance
+from poncelet.geom import Conic, Point
+from poncelet.families import BicentricParams, FamilyConfig, Triangle, chapple_distance
 from poncelet import centers as C
+
+from _geometry_oracle import (
+    MeasuredTriangle,
+    circle_inverse,
+    line_from_coefficients,
+    line_from_points,
+    line_intersection,
+)
 
 # ---------------------------------------------------------------------------
 # deterministic scalene fixtures
 
-T345 = Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0), 0.0)
+T345 = MeasuredTriangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0), 0.0)
 
 
 def _random_triangles(count: int = 25, seed: int = 11):
@@ -19,7 +27,7 @@ def _random_triangles(count: int = 25, seed: int = 11):
     out = []
     while len(out) < count:
         pts = rng.uniform(-2.0, 2.0, (3, 2))
-        tri = Triangle(Point(*pts[0]), Point(*pts[1]), Point(*pts[2]), 0.0)
+        tri = MeasuredTriangle(Point(*pts[0]), Point(*pts[1]), Point(*pts[2]), 0.0)
         if tri.area() > 0.4:
             out.append(tri)
     return out
@@ -98,10 +106,10 @@ def test_orthocenter_altitudes_and_euler_line():
         x5 = C.center(tri, "X5")
         scale = max(tri.side_lengths())
         # altitude feet construction
-        l1 = Line.from_points(tri.p2, tri.p3)
-        l2 = Line.from_points(tri.p3, tri.p1)
-        a1 = Line.from_coefficients(-l1.b, l1.a, l1.b * tri.p1.x - l1.a * tri.p1.y)
-        a2 = Line.from_coefficients(-l2.b, l2.a, l2.b * tri.p2.x - l2.a * tri.p2.y)
+        l1 = line_from_points(tri.p2, tri.p3)
+        l2 = line_from_points(tri.p3, tri.p1)
+        a1 = line_from_coefficients(-l1.b, l1.a, l1.b * tri.p1.x - l1.a * tri.p1.y)
+        a2 = line_from_coefficients(-l2.b, l2.a, l2.b * tri.p2.x - l2.a * tri.p2.y)
         assert math.dist(line_intersection(a1, a2), x4) < 1e-10 * scale
         # H = 3 G - 2 O and N = midpoint(O, H)
         assert math.dist(Point(3 * x2.x - 2 * x3.x, 3 * x2.y - 2 * x3.y), x4) < 1e-10 * scale
@@ -113,30 +121,33 @@ def test_circumcenter_equidistant():
         x3 = C.center(tri, "X3")
         dists = [math.dist(x3, v) for v in tri.vertices()]
         assert max(dists) - min(dists) < 1e-11 * max(dists)
-        assert abs(C.circumradius(tri) - dists[0]) < 1e-11 * dists[0]
+        assert abs(tri.circumradius() - dists[0]) < 1e-11 * dists[0]
 
 
 def test_excentral_constructions():
     for tri in TRIS:
         ex = C.excenters(tri)
-        exct = ex.as_triangle()
+        exct = Triangle(*ex.vertices(), 0.0)
         scale = max(tri.side_lengths())
         # X40 is the circumcenter of the excentral triangle
-        assert math.dist(C.circumcenter(exct), C.center(tri, "X40")) < 1e-9 * scale
+        assert math.dist(C.center(exct, 3), C.center(tri, "X40")) < 1e-9 * scale
         # X165 is its centroid
         cen = Point(
             (ex.p1p.x + ex.p2p.x + ex.p3p.x) / 3.0,
             (ex.p1p.y + ex.p2p.y + ex.p3p.y) / 3.0,
         )
         assert math.dist(cen, C.center(tri, "X165")) < 1e-10 * scale
-        assert math.dist(C.excentral_centroid(tri), C.center(tri, "X165")) < 1e-12 * scale
+        # which is X3 + (X3 - X1)/3
+        x1, x3 = C.center(tri, 1), C.center(tri, 3)
+        x165 = Point(x3.x + (x3.x - x1.x) / 3.0, x3.y + (x3.y - x1.y) / 3.0)
+        assert math.dist(x165, C.center(tri, "X165")) < 1e-12 * scale
         # the incenter is its orthocenter: X1 sits on every altitude
         for apex, base1, base2 in (
             (ex.p1p, ex.p2p, ex.p3p),
             (ex.p2p, ex.p3p, ex.p1p),
         ):
-            side = Line.from_points(base1, base2)
-            alt = Line.from_coefficients(
+            side = line_from_points(base1, base2)
+            alt = line_from_coefficients(
                 -side.b, side.a, side.b * apex.x - side.a * apex.y
             )
             assert abs(alt.signed_distance(C.center(tri, "X1"))) < 1e-9 * scale
@@ -144,7 +155,7 @@ def test_excentral_constructions():
         # equidistant from all three side lines
         for exc in (ex.p1p, ex.p2p, ex.p3p):
             ds = [
-                abs(Line.from_points(u, v).signed_distance(exc))
+                abs(line_from_points(u, v).signed_distance(exc))
                 for u, v in ((tri.p1, tri.p2), (tri.p2, tri.p3), (tri.p3, tri.p1))
             ]
             assert max(ds) - min(ds) < 1e-9 * scale
@@ -155,25 +166,32 @@ def test_bevan_point_alias():
         x1 = C.center(tri, "X1")
         x3 = C.center(tri, "X3")
         refl = Point(2 * x3.x - x1.x, 2 * x3.y - x1.y)
-        assert math.dist(C.bevan_point(tri), refl) < 1e-11
+        assert math.dist(C.center(tri, 40), refl) < 1e-11
         assert math.dist(C.center(tri, "X40"), refl) < 1e-11
+
+
+def _intouch_triangle(tri: Triangle) -> Triangle:
+    """The contact triangle from the intouch kernel; vertex i is the
+    incircle's touchpoint on the side opposite P_i."""
+    u1, v1, u2, v2, u3, v3 = C._intouch(C._shape(*tri.p1, *tri.p2, *tri.p3))
+    return Triangle(Point(u1, v1), Point(u2, v2), Point(u3, v3), tri.t)
 
 
 def test_intouch_triangle_properties():
     for tri in TRIS:
-        it = C.intouch_triangle(tri)
+        it = _intouch_triangle(tri)
         x1 = C.center(tri, "X1")
         rin = tri.inradius()
         scale = max(tri.side_lengths())
         sides = ((tri.p2, tri.p3), (tri.p3, tri.p1), (tri.p1, tri.p2))
         for q, (u, v) in zip(it.vertices(), sides):
             assert abs(math.dist(q, x1) - rin) < 1e-11 * scale
-            assert abs(Line.from_points(u, v).signed_distance(q)) < 1e-11 * scale
+            assert abs(line_from_points(u, v).signed_distance(q)) < 1e-11 * scale
 
 
 def test_intouch_derived_centers():
     for tri in TRIS:
-        it = C.intouch_triangle(tri)
+        it = _intouch_triangle(tri)
         scale = max(tri.side_lengths())
         # X354 is the centroid of the contact triangle
         cen = Point(
@@ -182,10 +200,10 @@ def test_intouch_derived_centers():
         )
         assert math.dist(cen, C.center(tri, "X354")) < 1e-10 * scale
         # X65 is its orthocenter
-        l1 = Line.from_points(it.p2, it.p3)
-        a1 = Line.from_coefficients(-l1.b, l1.a, l1.b * it.p1.x - l1.a * it.p1.y)
-        l2 = Line.from_points(it.p3, it.p1)
-        a2 = Line.from_coefficients(-l2.b, l2.a, l2.b * it.p2.x - l2.a * it.p2.y)
+        l1 = line_from_points(it.p2, it.p3)
+        a1 = line_from_coefficients(-l1.b, l1.a, l1.b * it.p1.x - l1.a * it.p1.y)
+        l2 = line_from_points(it.p3, it.p1)
+        a2 = line_from_coefficients(-l2.b, l2.a, l2.b * it.p2.x - l2.a * it.p2.y)
         assert math.dist(line_intersection(a1, a2), C.center(tri, "X65")) < 1e-9 * scale
         # X942 is its nine-point center: equidistant from the side midpoints
         mids = [
@@ -223,7 +241,7 @@ def test_similitude_centers():
 def test_inversive_identities():
     """X36, X2077, X484 are circumcircle inverses of X1, X40, X35."""
     for tri in TRIS:
-        circ = C.circumcircle(tri)
+        circ = Conic.circle(C.center(tri, 3), tri.circumradius())
         scale = tri.circumradius()
         for src, dst in (("X1", "X36"), ("X40", "X2077"), ("X35", "X484")):
             got = circle_inverse(C.center(tri, src), circ)
@@ -280,13 +298,13 @@ def test_evans_perspector_concurrency():
         lines = []
         for k in range(3):
             v = verts[k]
-            side = Line.from_points(verts[(k + 1) % 3], verts[(k + 2) % 3])
+            side = line_from_points(verts[(k + 1) % 3], verts[(k + 2) % 3])
             dist = side.signed_distance(v)
             norm = math.hypot(side.a, side.b)
             refl = Point(
                 v.x - 2.0 * dist * side.a / norm, v.y - 2.0 * dist * side.b / norm
             )
-            lines.append(Line.from_points(exs[k], refl))
+            lines.append(line_from_points(exs[k], refl))
         q1 = line_intersection(lines[0], lines[1])
         q2 = line_intersection(lines[0], lines[2])
         x484 = C.center(tri, "X484")
@@ -304,7 +322,7 @@ def test_central_line_membership():
         x3 = C.center(tri, "X3")
         if math.dist(x1, x3) < 1e-6:
             continue
-        axis = Line.from_points(x1, x3)
+        axis = line_from_points(x1, x3)
         scale = tri.circumradius()
         for key in members:
             assert abs(axis.signed_distance(C.center(tri, key))) < 1e-8 * scale
@@ -350,7 +368,7 @@ def test_bic1_frozen_positions():
     """Closing-pair positions of the catalog centers on the x-axis."""
     R, r = 1.0, 0.25
     d = chapple_distance(R, r)
-    tri = bic2_vertices(BicentricParams(R, r, d), 0.3)
+    tri = FamilyConfig("bic-II", bic=BicentricParams(R, r, d)).triangle(0.3)
     expected = {
         "X1": d,
         "X3": 0.0,

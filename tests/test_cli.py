@@ -10,6 +10,8 @@ from poncelet.cli import _build_family, _build_parser, main
 from poncelet.families import (
     BicentricParams,
     ConfocalParams,
+    FamilyConfig,
+    VertexInsideCaustic,
     bic1_config,
     bic2_config,
     bic3_config,
@@ -17,6 +19,7 @@ from poncelet.families import (
     conf2_config,
     conf3_config,
 )
+from poncelet.svgplot import render_family
 
 
 def run(capsys, *argv):
@@ -163,6 +166,27 @@ def test_svg_deterministic(capsys):
     assert out1 == out2
     assert out1.lstrip().startswith("<svg")
     assert 'class="locus"' in out1 or 'class="locus-dot"' in out1
+
+
+def _raising(error):
+    def triangle(self, t):
+        raise error
+
+    return triangle
+
+
+def test_svg_without_its_sample_triangle_on_a_geometry_error(monkeypatch):
+    cfg = bic2_config(1.0, 0.2, 0.3)
+    assert 'class="triangle"' in render_family(cfg, n=64)
+    monkeypatch.setattr(FamilyConfig, "triangle", _raising(VertexInsideCaustic("no tangent")))
+    svg = render_family(cfg, n=64)
+    assert svg.startswith("<svg") and 'class="triangle"' not in svg
+
+
+def test_svg_sample_triangle_programming_error_propagates(monkeypatch):
+    monkeypatch.setattr(FamilyConfig, "triangle", _raising(TypeError("not geometry")))
+    with pytest.raises(TypeError, match="not geometry"):
+        render_family(bic2_config(1.0, 0.2, 0.3), n=64)
 
 
 def test_svg_out_file(tmp_path, capsys):

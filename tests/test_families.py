@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poncelet.centers import _shape
 from poncelet.geom import (
     Conic,
     Line,
     Point,
     line_tangent_to_conic_residual,
     pencil_member,
-    second_intersection,
-    tangent_contact_points,
 )
 from poncelet.families import (
     MINUS,
     PLUS,
     BicentricParams,
     ConfocalParams,
+    FamilyConfig,
     ImaginaryPencilCircle,
     NoPoristicPair,
     TangentBranch,
@@ -27,7 +27,6 @@ from poncelet.families import (
     bic1_config,
     bic2_config,
     bic2_envelope,
-    bic2_vertices,
     bic3_caustic2,
     bic3_config,
     chapple_distance,
@@ -35,13 +34,19 @@ from poncelet.families import (
     conf2_config,
     conf2_envelope,
     conf3_config,
-    conf3_vertices,
     confocal_caustic,
     critical_lambda,
     degenerate_envelope_inradius,
     envelope_points,
     n4_caustic,
     n6_caustic,
+)
+
+from _geometry_oracle import (
+    MeasuredTriangle,
+    line_from_points,
+    second_intersection,
+    tangent_contact_points,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
@@ -51,7 +56,7 @@ BRANCHES = [TangentBranch(f, s) for f in (PLUS, MINUS) for s in (PLUS, MINUS)]
 
 def _side(tri: Triangle, i: int, j: int) -> Line:
     verts = tri.vertices()
-    return Line.from_points(verts[i], verts[j])
+    return line_from_points(verts[i], verts[j])
 
 
 def _tangency(tri: Triangle, conic: Conic, i: int, j: int) -> float:
@@ -164,7 +169,7 @@ def test_bic1_closure_all_sides_tangent(t):
 @given(t=angles)
 def test_bic2_construction_invariants(t):
     p = BicentricParams(1.0, 0.2, 0.3)
-    tri = bic2_vertices(p, t)
+    tri = FamilyConfig("bic-II", bic=p).triangle(t)
     # first vertex rides the outer circle at the driving angle
     assert math.dist(tri.p1, Point(math.cos(t), math.sin(t))) < 1e-12
     for v in tri.vertices():
@@ -204,7 +209,7 @@ def test_bic3_u_zero_reduces_to_bic2():
     for t in np.linspace(0.0, 2.0 * math.pi, 9):
         b = cfg3.triangle(float(t))
         apex = math.atan2(b.p2.y, b.p2.x)
-        a = bic2_vertices(p2, apex)
+        a = FamilyConfig("bic-II", bic=p2).triangle(apex)
         for vb in b.vertices():
             assert min(math.dist(va, vb) for va in a.vertices()) < 1e-9
 
@@ -264,7 +269,7 @@ def test_conf3_matches_geometric_tangent_chain(a, b, lam, u, branch):
     second = pencil_member(outer, first, 1.0 - u)
     signs = [1.0 if label == PLUS else -1.0 for label in branch]
     for t in np.linspace(0.0, 2.0 * math.pi, 97):
-        tri = conf3_vertices(p, float(t), branch)
+        tri = FamilyConfig("conf-III", conf=p, branch=branch).triangle(float(t))
         v1 = Point(a * math.cos(t), b * math.sin(t))
         v2 = _tangent_chain_step(outer, first, v1, signs[0])
         v3 = _tangent_chain_step(outer, second, v2, signs[1])
@@ -287,18 +292,18 @@ def test_conf3_second_caustic_rejects_hyperbola():
     with pytest.raises(ImaginaryPencilCircle):
         _conf3_second_caustic(p)
     with pytest.raises(ImaginaryPencilCircle):
-        conf3_vertices(p, 0.3)
+        FamilyConfig("conf-III", conf=p).triangle(0.3)
 
 
 def test_free_side_matches_vertices():
     cfg2 = bic2_config(1.0, 0.2, 0.3)
     tri = cfg2.triangle(0.7)
-    line = cfg2.free_side_at(0.7)
+    line = Line(*cfg2.free_sides(0.7)[:3])
     assert abs(line.signed_distance(tri.p2)) < 1e-12
     assert abs(line.signed_distance(tri.p3)) < 1e-12
     cfg3 = bic3_config(1.0, 0.15, 0.25, u=0.4)
     tri3 = cfg3.triangle(0.7)
-    line3 = cfg3.free_side_at(0.7)
+    line3 = Line(*cfg3.free_sides(0.7)[:3])
     assert abs(line3.signed_distance(tri3.p3)) < 1e-12
     assert abs(line3.signed_distance(tri3.p1)) < 1e-12
 
@@ -321,10 +326,10 @@ def test_bic2_free_side_tangent_to_envelope(t):
     p = BicentricParams(1.0, 0.2, 0.3)
     cfg = bic2_config(1.0, 0.2, 0.3)
     env = bic2_envelope(p)
-    line = cfg.free_side_at(t)
-    if line is None:
+    a, b, c, ok = cfg.free_sides(t)
+    if not ok:
         return
-    assert abs(line_tangent_to_conic_residual(line, env)) < 1e-10
+    assert abs(line_tangent_to_conic_residual(Line(a, b, c), env)) < 1e-10
 
 
 def test_conf2_envelope_closed_form():
@@ -337,11 +342,9 @@ def test_conf2_envelope_closed_form():
     want_ay = abs(b * zeta) / (a * a * b * b + c2 * lam)
     assert abs(env.semi_axes[0] - want_ax) < 1e-14
     assert abs(env.semi_axes[1] - want_ay) < 1e-14
-    cfg = conf2_config(a, b, lam)
-    for t in np.linspace(0.1, 6.2, 23):
-        line = cfg.free_side_at(float(t))
-        if line is not None:
-            assert abs(line_tangent_to_conic_residual(line, env)) < 1e-10
+    la, lb, lc, ok = conf2_config(a, b, lam).free_sides(np.linspace(0.1, 6.2, 23))
+    line = Line(la[ok], lb[ok], lc[ok])
+    assert np.all(abs(line_tangent_to_conic_residual(line, env)) < 1e-10)
 
 
 def test_conf2_envelope_collapses_at_n4():
@@ -349,11 +352,9 @@ def test_conf2_envelope_collapses_at_n4():
     lam4 = a * a * b * b / (a * a + b * b)
     env = conf2_envelope(ConfocalParams(a, b, lam4))
     assert max(env.semi_axes) < 1e-12
-    cfg = conf2_config(a, b, lam4)
-    for t in np.linspace(0.1, 6.2, 23):
-        line = cfg.free_side_at(float(t))
-        if line is not None:
-            assert abs(line.signed_distance(Point(0.0, 0.0))) < 1e-10
+    la, lb, lc, ok = conf2_config(a, b, lam4).free_sides(np.linspace(0.1, 6.2, 23))
+    line = Line(la[ok], lb[ok], lc[ok])
+    assert np.all(abs(line.signed_distance(Point(0.0, 0.0))) < 1e-10)
 
 
 def test_envelope_points_on_closed_form():
@@ -383,12 +384,16 @@ def test_closed_form_envelope_presence():
 
 
 def test_triangle_metrics():
-    tri = Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0), 0.0)
+    """The test oracle's measures and the center kernels' _shape agree."""
+    tri = MeasuredTriangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0), 0.0)
     assert abs(tri.area() - 6.0) < 1e-15
     assert abs(tri.inradius() - 1.0) < 1e-15
     assert abs(tri.circumradius() - 2.5) < 1e-15
     s = sorted(tri.side_lengths())
     assert abs(s[0] - 3.0) < 1e-15 and abs(s[2] - 5.0) < 1e-15
+    shape = _shape(*tri.p1, *tri.p2, *tri.p3)
+    assert (shape.s1, shape.s2, shape.s3) == tri.side_lengths()
+    assert shape.area == tri.area()
 
 
 def test_branches_give_distinct_triangles():

@@ -8,10 +8,16 @@ while theorem/corollary/proposition/invariant/table entries do.
 
 Each check embeds a negative control (a deliberately perturbed
 comparison that must fail) so a vacuous pass cannot go unnoticed.
+
+A check joins the registry through the ``_claim`` decorator above it,
+which names its claim id, kind and summary once; the flags a claim
+reads are the numeric and parameter-class arguments of its check.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -101,6 +107,7 @@ __all__ = [
     "check_conjectures_bicIII",
     "all_claims",
     "claim_ids",
+    "select_claims",
     "run_claims",
 ]
 
@@ -185,8 +192,6 @@ class ClaimReport:
 
 
 def _report(
-    claim_id: str,
-    kind: str,
     params: object,
     ok: bool,
     metric: float,
@@ -196,9 +201,10 @@ def _report(
     notes: Sequence[str] = (),
     rows: Sequence[Tuple[str, ...]] = (),
 ) -> ClaimReport:
+    """The report of a check; ``_claim`` fills in its claim id and kind."""
     return ClaimReport(
-        claim_id=claim_id,
-        kind=kind,
+        claim_id="",
+        kind="",
         params=_fmt_params(params),
         status="pass" if ok else "fail",
         metric=float(metric),
@@ -221,11 +227,110 @@ def _fmt_params(params: object) -> str:
         if params.pencil_u is not None:
             bits.append(f"pencil_u={params.pencil_u:g}")
         return " ".join(bits)
-    if isinstance(params, FamilyConfig):
-        return f"{params.kind} {_fmt_params(params.params)}"
-    if isinstance(params, (tuple, list)):
+    if isinstance(params, tuple):
         return "; ".join(_fmt_params(p) for p in params)
     return str(params)
+
+
+# ---------------------------------------------------------------------------
+# Registry.
+
+
+_Check = Callable[..., ClaimReport]
+
+
+@dataclass(frozen=True)
+class RegisteredClaim:
+    """One registry entry: a check and the parameters flags can set."""
+
+    claim_id: str
+    kind: str
+    summary: str
+    run: _Check = field(repr=False)
+
+    @property
+    def defaults(self) -> Dict[str, Any]:
+        """Each argument of ``run`` that flags can set, with its default:
+        a number, set by the flag of the same name, or a parameter class
+        value, whose set fields are its flags."""
+        return {
+            name: arg.default
+            for name, arg in inspect.signature(self.run).parameters.items()
+            if isinstance(arg.default, (int, float, BicentricParams, ConfocalParams))
+        }
+
+    @property
+    def flags(self) -> Tuple[str, ...]:
+        """The flags the check reads, by parameter name (``lam`` for lambda)."""
+        return tuple(flag for name, value in self.defaults.items() for flag in _flags(name, value))
+
+    def arguments(self, values: Mapping[str, Any]) -> Dict[str, Any]:
+        """Keyword arguments of ``run`` for the given flag values.
+
+        The defaults fill in the flags not given; with none of its
+        flags given the check runs on its own defaults (no arguments).
+        """
+        given = {k: values[k] for k in self.flags if values.get(k) is not None}
+        if not given:
+            return {}
+        out = {}
+        for name, value in self.defaults.items():
+            if is_dataclass(value):
+                out[name] = replace(value, **{k: given[k] for k in _flags(name, value) if k in given})
+            else:
+                out[name] = given.get(name, value)
+        return out
+
+
+def _flags(name: str, default: Any) -> Tuple[str, ...]:
+    if is_dataclass(default):
+        return tuple(f.name for f in fields(default) if getattr(default, f.name) is not None)
+    return (name,)
+
+
+_CLAIMS: List[RegisteredClaim] = []
+
+
+def _claim(claim_id: str, kind: str, summary: str) -> Callable[[_Check], _Check]:
+    """Register the decorated check, in definition order; its reports
+    carry ``claim_id`` and ``kind``."""
+
+    def register(check: _Check) -> _Check:
+        @functools.wraps(check)
+        def run(*args: Any, **kwargs: Any) -> ClaimReport:
+            return replace(check(*args, **kwargs), claim_id=claim_id, kind=kind)
+
+        _CLAIMS.append(RegisteredClaim(claim_id, kind, summary, run))
+        return run
+
+    return register
+
+
+def all_claims() -> Tuple[RegisteredClaim, ...]:
+    return tuple(_CLAIMS)
+
+
+def claim_ids() -> Tuple[str, ...]:
+    return tuple(c.claim_id for c in _CLAIMS)
+
+
+def select_claims(names: Optional[Sequence[str]]) -> List[RegisteredClaim]:
+    """The named claims in the order named, or all of them in registry
+    order; an unknown id raises KeyError."""
+    registry = all_claims()  # not _CLAIMS: the benchmark's tracer replaces all_claims
+    if not names:
+        return list(registry)
+    index = {c.claim_id: c for c in registry}
+    unknown = [n for n in names if n not in index]
+    if unknown:
+        raise KeyError(f"unknown claim id(s): {', '.join(unknown)}; known: {', '.join(index)}")
+    return [index[n] for n in names]
+
+
+def run_claims(names: Optional[Sequence[str]] = None) -> List[ClaimReport]:
+    """Run the named checks in the order named, or all of them in
+    registry order."""
+    return [c.run() for c in select_claims(names)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +394,7 @@ def bic2_collapse_point(R: float, d: float) -> Point:
     return Point(2.0 * d * R * R / (R * R + d * d), 0.0)
 
 
-def bic3_collapse_u(
-    R: float, r: float, d: float, branch: TangentBranch = TangentBranch(),
-) -> float:
+def bic3_collapse_u(R: float, r: float, d: float) -> float:
     """Pencil parameter making the three-caustic free-side envelope
     collapse onto the interior limiting point of the circle pair.
 
@@ -306,7 +409,7 @@ def bic3_collapse_u(
     target = inner if math.hypot(inner.x, inner.y) < math.hypot(outer_lp.x, outer_lp.y) else outer_lp
 
     def worst_chord_distance(u: float) -> float:
-        lines = _free_sides(bic3_config(R, r, d, u=u, branch=branch), 64)
+        lines = _free_sides(bic3_config(R, r, d, u=u), 64)
         return _worst(lines.signed_distance(target)) if len(lines.a) >= 16 else math.inf
 
     grid = [0.30 + 0.005 * k for k in range(int((0.995 - 0.30) / 0.005) + 1)]
@@ -450,6 +553,7 @@ def _is_poristic(p: BicentricParams) -> bool:
     return p.R >= 2.0 * p.r and abs(p.d - chapple_distance(p.R, p.r)) <= 1e-12
 
 
+@_claim("thm:bicII-x1", "theorem", "incenter circle over the two-caustic bicentric family")
 def check_bicII_x1_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     """Incenter locus over the two-caustic bicentric family is the
     circle [O1, r1], with the reflected circle carrying the reflected
@@ -483,13 +587,14 @@ def check_bicII_x1_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
 
     ok = metric <= 1e-9 and dev40 <= 1e-9 and span_ok and control_ok
     return _report(
-        "thm:bicII-x1", "theorem", p, ok, metric, 1e-9,
+        p, ok, metric, 1e-9,
         f"circle center ({center.x:.9g}, 0), radius {abs(radius):.9g}",
         f"max |dist - r1|/R = {metric:.3e} over {len(xy)} samples",
         notes,
     )
 
 
+@_claim("cor:bicII-exc", "corollary", "first-excenter circle and degree-6 companions")
 def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     """First excenter sweeps the circle [-O1, r1']; the other two sweep
     degree-6 non-conics that both reach the x-axis."""
@@ -528,13 +633,14 @@ def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimRepor
 
     ok = metric <= 1e-9 and deg6_ok and axis_ok and control_ok
     return _report(
-        "cor:bicII-exc", "corollary", p, ok, metric, 1e-9,
+        p, ok, metric, 1e-9,
         f"circle center ({-center.x:.9g}, 0), radius {radius:.9g}; other excenters degree-6",
         f"max |dist - r1'|/R = {metric:.3e}",
         notes,
     )
 
 
+@_claim("prop:bicII-x2", "proposition", "implicit sextic satisfied by the barycenter locus")
 def check_bicII_x2_sextic(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     """Barycenter locus satisfies the implicit sextic at machine scale
     while no conic fits it (negative control)."""
@@ -570,13 +676,14 @@ def check_bicII_x2_sextic(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
         f"weighted companion on plain samples: {companion_plain:.3e} (needs > 1e-3)",
     )
     return _report(
-        "prop:bicII-x2", "proposition", p, ok, metric, 1e-8,
+        p, ok, metric, 1e-8,
         "implicit degree-6 polynomial vanishes on the barycenter locus",
         f"max normalized residual {metric:.3e} over {len(pts)} samples",
         notes,
     )
 
 
+@_claim("prop:bicII-envelope", "proposition", "free-side tangency to the predicted pencil circle")
 def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     """Free side of the two-caustic bicentric family is tangent to the
     predicted pencil circle; at the collapse radius every chord passes
@@ -607,7 +714,7 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
         f"negative control (center shifted 1%): {control:.3e}",
     )
     return _report(
-        "prop:bicII-envelope", "proposition", p, ok, metric, 1e-9,
+        p, ok, metric, 1e-9,
         "every free chord tangent to the predicted pencil circle",
         f"worst tangency defect/R = {metric:.3e} over {len(lines.a)} chords",
         notes,
@@ -618,6 +725,7 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
 # Confocal checks.
 
 
+@_claim("thm:confII-exc", "theorem", "shared excentral ellipse over the confocal-caustic family")
 def check_confII_excenter_ellipse(p: ConfocalParams = DEFAULT_CONF2) -> ClaimReport:
     """Second and third excenters share one ellipse; the first sweeps a
     degree-6 curve away from the closing parameter."""
@@ -658,13 +766,14 @@ def check_confII_excenter_ellipse(p: ConfocalParams = DEFAULT_CONF2) -> ClaimRep
 
     ok = metric <= 1e-9 and first_ok and control_ok
     return _report(
-        "thm:confII-exc", "theorem", p, ok, metric, 1e-9,
+        p, ok, metric, 1e-9,
         f"shared excentral ellipse semi-axes ({ax:.9g}, {ay:.9g})",
         f"max implicit deviation {metric:.3e}",
         notes,
     )
 
 
+@_claim("prop:confII-x1", "proposition", "incenter conic only at the closing caustic parameter")
 def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """Incenter locus is a conic exactly at the closing caustic
     parameter: conic residual small there, large on a grid elsewhere."""
@@ -712,14 +821,15 @@ def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> Cl
         f"sample-set symmetry closure under both reflections: {sym:.3e}",
     )
     return _report(
-        "prop:confII-x1", "proposition", ConfocalParams(a, b, lam_c), ok, metric,
-        tols.conic_tol,
+        ConfocalParams(a, b, lam_c), ok, metric, tols.conic_tol,
         "conic verdict only at the closing caustic parameter",
         f"conic residual {metric:.3e} at closing parameter",
         notes,
     )
 
 
+@_claim("prop:confII-x2-n4", "proposition",
+        "barycenter homothety at one-third scale on the 4-bounce caustic")
 def check_x2_homothety_half_n4(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """With the 4-bounce caustic, the barycenter traces the outer
     ellipse shrunk to one third, and every free chord is bisected by
@@ -754,13 +864,15 @@ def check_x2_homothety_half_n4(a: float = 2.0, b: float = 1.0) -> ClaimReport:
         f"concentric-circle analogue deviation: {circ_dev:.3e}",
     )
     return _report(
-        "prop:confII-x2-n4", "proposition", ConfocalParams(a, b, lam4), ok, metric, 1e-9,
+        ConfocalParams(a, b, lam4), ok, metric, 1e-9,
         f"barycenter on the ({a / 3.0:.9g}, {b / 3.0:.9g}) ellipse",
         f"max implicit deviation {metric:.3e}",
         notes,
     )
 
 
+@_claim("prop:confII-envelope", "proposition",
+        "free-side tangency to the predicted concentric ellipse")
 def check_confII_envelope(p: ConfocalParams = DEFAULT_CONF2) -> ClaimReport:
     """Free side of the confocal-caustic family is tangent to the
     predicted concentric ellipse; with the 4-bounce caustic all chords
@@ -784,13 +896,14 @@ def check_confII_envelope(p: ConfocalParams = DEFAULT_CONF2) -> ClaimReport:
         f"negative control (major axis +1%): {control:.3e}",
     )
     return _report(
-        "prop:confII-envelope", "proposition", p, ok, metric, 1e-9,
+        p, ok, metric, 1e-9,
         "every free chord tangent to the predicted concentric ellipse",
         f"worst tangency defect/a = {metric:.3e} over {len(lines.a)} chords",
         notes,
     )
 
 
+@_claim("cor:confII-n4", "corollary", "reciprocal excentral aspect ratio on the 4-bounce caustic")
 def check_confII_n4_excentral_aspect(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """With the 4-bounce caustic the shared excentral ellipse has the
     reciprocal aspect ratio b/a."""
@@ -806,13 +919,14 @@ def check_confII_n4_excentral_aspect(a: float = 2.0, b: float = 1.0) -> ClaimRep
     )
     ok = metric <= 1e-10 and dev <= 1e-9
     return _report(
-        "cor:confII-n4", "corollary", p, ok, metric, 1e-10,
+        p, ok, metric, 1e-10,
         f"excentral aspect ratio {b / a:.9g}",
         f"|ax/ay - b/a| = {metric:.3e}",
         (f"traced excenters on the ellipse within {dev:.3e}",),
     )
 
 
+@_claim("cor:confII-n6", "corollary", "circular excentral locus on the 6-bounce caustic")
 def check_confII_n6_excentral_circle(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """With the 6-bounce caustic the shared excentral ellipse is a
     circle (equal semi-axes)."""
@@ -828,13 +942,15 @@ def check_confII_n6_excentral_circle(a: float = 2.0, b: float = 1.0) -> ClaimRep
     )
     ok = metric <= 1e-10 and dev <= 1e-9
     return _report(
-        "cor:confII-n6", "corollary", p, ok, metric, 1e-10,
+        p, ok, metric, 1e-10,
         "equal excentral semi-axes",
         f"|ax - ay|/ax = {metric:.3e} (radius {ax:.9g})",
         (f"traced excenters on the circle within {dev:.3e}",),
     )
 
 
+@_claim("prop:confII-x1-convex", "proposition",
+        "incenter-locus convexity transition at the quintic root")
 def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """Incenter-locus convexity over the confocal-caustic family flips
     at the smallest positive root of the transition quintic."""
@@ -871,13 +987,14 @@ def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
         f"traced transition at {empirical:.9f}; convex below, not above",
     )
     return _report(
-        "prop:confII-x1-convex", "proposition", f"a={a:g} b={b:g}", ok, metric, 1e-3,
+        f"a={a:g} b={b:g}", ok, metric, 1e-3,
         f"convexity transition at caustic parameter {lam_o:.9f}",
         f"traced transition within {metric:.3e}",
         notes,
     )
 
 
+@_claim("inv:conserved", "invariant", "conserved quantities of the closing families")
 def check_conserved_quantities() -> ClaimReport:
     """Family invariants: bicentric cosine sum, confocal closing-family
     perimeter and inradius/circumradius ratio, stationary mittenpunkt,
@@ -917,8 +1034,7 @@ def check_conserved_quantities() -> ClaimReport:
         f"|a1/b1 - be/ae| = {aspect_gap:.3e}",
     )
     return _report(
-        "inv:conserved", "invariant",
-        (BicentricParams(R, r, chapple_distance(R, r)), cfgc.conf), ok, metric, 1e-9,
+        (BicentricParams(R, r, chapple_distance(R, r)), cfgc.params), ok, metric, 1e-9,
         "cosine sum, perimeter, radius ratio, mittenpunkt, aspect reciprocity",
         f"worst spread {metric:.3e}",
         notes,
@@ -935,15 +1051,16 @@ def _matches_expected(letter: str, expected: str) -> bool:
     return letter == expected
 
 
+@_claim("table2", "table", "verdict grid for all six families")
 def summary_table() -> ClaimReport:
     """Verdict grid for the six families at the documented default
     parameters, compared cell-for-cell against the expected letters."""
     configs = {
         "bic-I": bic1_config(DEFAULT_BIC2.R, DEFAULT_BIC2.r),
-        "bic-II": FamilyConfig.of("bic-II", DEFAULT_BIC2),
-        "bic-III": FamilyConfig.of("bic-III", DEFAULT_BIC3),
+        "bic-II": FamilyConfig("bic-II", DEFAULT_BIC2),
+        "bic-III": FamilyConfig("bic-III", DEFAULT_BIC3),
         "conf-I": conf1_config(DEFAULT_CONF2.a, DEFAULT_CONF2.b),
-        "conf-II": FamilyConfig.of("conf-II", DEFAULT_CONF2),
+        "conf-II": FamilyConfig("conf-II", DEFAULT_CONF2),
         "conf-III": conf3_config(2.0, 1.0, 0.3, 0.5),
     }
     rows: List[Tuple[str, ...]] = [("family",) + _TABLE2_COLUMNS]
@@ -964,8 +1081,7 @@ def summary_table() -> ClaimReport:
 
     ok = not mismatches
     return _report(
-        "table2", "table", "documented defaults per family",
-        ok, float(len(mismatches)), 0.0,
+        "documented defaults per family", ok, float(len(mismatches)), 0.0,
         "all 36 verdict cells as expected",
         "all cells match" if ok else "; ".join(mismatches),
         mismatches,
@@ -973,20 +1089,21 @@ def summary_table() -> ClaimReport:
     )
 
 
-def check_conjecture_bicII_stationary(
-    center_ids: Sequence[str] = STATIONARY_CENTER_IDS + _MOVING_CONTROL_IDS,
-) -> ClaimReport:
+@_claim("conj:bicII-stationary", "conjecture",
+        "stationarity as a necessary condition for conic loci")
+def check_conjecture_bicII_stationary() -> ClaimReport:
     """Evidence for: a conic locus over the two-caustic bicentric
     family requires a stationary locus over the closing family.
 
     Reports (stationary spread, verdicts) per center and checks the
-    implication on every supplied center; divergences from the
-    reference letter tables are reported, not failed, since several
-    measured verdicts provably differ from the tabulated ones.
+    implication on every catalogued center and moving control;
+    divergences from the reference letter tables are reported, not
+    failed, since several measured verdicts provably differ from the
+    tabulated ones.
     """
     cfg1 = bic1_config(DEFAULT_BIC2.R, DEFAULT_BIC2.r)
-    cfg2 = FamilyConfig.of("bic-II", DEFAULT_BIC2)
-    cfg3 = FamilyConfig.of("bic-III", DEFAULT_BIC3)
+    cfg2 = FamilyConfig("bic-II", DEFAULT_BIC2)
+    cfg3 = FamilyConfig("bic-III", DEFAULT_BIC3)
     reference2 = dict(zip(STATIONARY_CENTER_IDS, _BICII_REFERENCE))
     reference3 = dict(zip(STATIONARY_CENTER_IDS, _BICIII_REFERENCE))
 
@@ -997,7 +1114,7 @@ def check_conjecture_bicII_stationary(
     divergences: List[str] = []
     flagged: List[str] = []
     worst_conic_spread = 0.0
-    for cid in center_ids:
+    for cid in STATIONARY_CENTER_IDS + _MOVING_CONTROL_IDS:
         spread = stationarity_spread(trace_locus(cfg1, cid, 256))
         fit2 = classify_locus(trace_locus(cfg2, cid, 512))
         letter2 = verdict_letter(fit2)
@@ -1037,8 +1154,7 @@ def check_conjecture_bicII_stationary(
             " the implication itself has no counterexample here"
         )
     return _report(
-        "conj:bicII-stationary", "conjecture",
-        (cfg1.bic, cfg2.bic), ok, worst_conic_spread, 1e-9,
+        (cfg1.params, cfg2.params), ok, worst_conic_spread, 1e-9,
         "every conic-locus center is stationary over the closing family",
         "no counterexample found" if ok else "; ".join(violations),
         notes,
@@ -1046,6 +1162,7 @@ def check_conjecture_bicII_stationary(
     )
 
 
+@_claim("conj:bicIII", "conjecture", "three-caustic incenter/excenter observations")
 def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
     """Evidence for the three-caustic bicentric observations: convex
     non-conic incenter locus, non-conic excenter loci that stay
@@ -1142,166 +1259,9 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
         and envelopes_ok
     )
     return _report(
-        "conj:bicIII", "conjecture", p, ok, x1_fit2, DEFAULT_TOLERANCES.conic_tol,
+        p, ok, x1_fit2, DEFAULT_TOLERANCES.conic_tol,
         "convex non-conic incenter locus; distinct non-conic excenter loci;"
         " two branch envelopes",
         f"pairwise excenter gap {pair_gap:.3e}; incenter conic residual {x1_fit2:.3e}",
         notes,
     )
-
-
-# ---------------------------------------------------------------------------
-# Registry.
-
-
-@dataclass(frozen=True)
-class RegisteredClaim:
-    """One registry entry and the parameters its check takes.
-
-    ``defaults`` maps each argument of ``run`` that flags can set to the
-    value ``run`` defaults to: a number, set by the flag of the same
-    name, or a parameter class value, whose set fields are its flags.
-    """
-
-    claim_id: str
-    kind: str
-    summary: str
-    run: Callable[..., ClaimReport] = field(repr=False)
-    defaults: Mapping[str, Any] = field(default_factory=dict, hash=False)
-
-    @property
-    def gating(self) -> bool:
-        return self.kind != "conjecture"
-
-    @property
-    def flags(self) -> Tuple[str, ...]:
-        """The flags the check reads, by parameter name (``lam`` for lambda)."""
-        return tuple(flag for name, value in self.defaults.items() for flag in _flags(name, value))
-
-    def arguments(self, values: Mapping[str, Any]) -> Dict[str, Any]:
-        """Keyword arguments of ``run`` for the given flag values.
-
-        The defaults fill in the flags not given; with none of its
-        flags given the check runs on its own defaults (no arguments).
-        """
-        given = {k: values[k] for k in self.flags if values.get(k) is not None}
-        if not given:
-            return {}
-        out = {}
-        for name, value in self.defaults.items():
-            if is_dataclass(value):
-                out[name] = replace(value, **{k: given[k] for k in _flags(name, value) if k in given})
-            else:
-                out[name] = given.get(name, value)
-        return out
-
-
-def _flags(name: str, default: Any) -> Tuple[str, ...]:
-    if is_dataclass(default):
-        return tuple(f.name for f in fields(default) if getattr(default, f.name) is not None)
-    return (name,)
-
-
-_BIC2 = {"p": DEFAULT_BIC2}
-_CONF2 = {"p": DEFAULT_CONF2}
-_AB = {"a": 2.0, "b": 1.0}
-
-
-_REGISTRY: Tuple[RegisteredClaim, ...] = (
-    RegisteredClaim(
-        "thm:bicII-x1", "theorem",
-        "incenter circle over the two-caustic bicentric family",
-        check_bicII_x1_circle, _BIC2,
-    ),
-    RegisteredClaim(
-        "cor:bicII-exc", "corollary",
-        "first-excenter circle and degree-6 companions",
-        check_bicII_excenter_circle, _BIC2,
-    ),
-    RegisteredClaim(
-        "prop:bicII-x2", "proposition",
-        "implicit sextic satisfied by the barycenter locus",
-        check_bicII_x2_sextic, _BIC2,
-    ),
-    RegisteredClaim(
-        "prop:bicII-envelope", "proposition",
-        "free-side tangency to the predicted pencil circle",
-        check_bicII_envelope, _BIC2,
-    ),
-    RegisteredClaim(
-        "thm:confII-exc", "theorem",
-        "shared excentral ellipse over the confocal-caustic family",
-        check_confII_excenter_ellipse, _CONF2,
-    ),
-    RegisteredClaim(
-        "prop:confII-x1", "proposition",
-        "incenter conic only at the closing caustic parameter",
-        check_confII_x1_conic_only_at_critical, _AB,
-    ),
-    RegisteredClaim(
-        "prop:confII-x2-n4", "proposition",
-        "barycenter homothety at one-third scale on the 4-bounce caustic",
-        check_x2_homothety_half_n4, _AB,
-    ),
-    RegisteredClaim(
-        "prop:confII-envelope", "proposition",
-        "free-side tangency to the predicted concentric ellipse",
-        check_confII_envelope, _CONF2,
-    ),
-    RegisteredClaim(
-        "cor:confII-n4", "corollary",
-        "reciprocal excentral aspect ratio on the 4-bounce caustic",
-        check_confII_n4_excentral_aspect, _AB,
-    ),
-    RegisteredClaim(
-        "cor:confII-n6", "corollary",
-        "circular excentral locus on the 6-bounce caustic",
-        check_confII_n6_excentral_circle, _AB,
-    ),
-    RegisteredClaim(
-        "prop:confII-x1-convex", "proposition",
-        "incenter-locus convexity transition at the quintic root",
-        check_convexity_transition, _AB,
-    ),
-    RegisteredClaim(
-        "inv:conserved", "invariant",
-        "conserved quantities of the closing families",
-        check_conserved_quantities,
-    ),
-    RegisteredClaim(
-        "table2", "table",
-        "verdict grid for all six families",
-        summary_table,
-    ),
-    RegisteredClaim(
-        "conj:bicII-stationary", "conjecture",
-        "stationarity as a necessary condition for conic loci",
-        check_conjecture_bicII_stationary,
-    ),
-    RegisteredClaim(
-        "conj:bicIII", "conjecture",
-        "three-caustic incenter/excenter observations",
-        check_conjectures_bicIII, {"p": DEFAULT_BIC3},
-    ),
-)
-
-
-def all_claims() -> Tuple[RegisteredClaim, ...]:
-    return _REGISTRY
-
-
-def claim_ids() -> Tuple[str, ...]:
-    return tuple(c.claim_id for c in _REGISTRY)
-
-
-def run_claims(names: Optional[Sequence[str]] = None) -> List[ClaimReport]:
-    """Run the named checks (all by default) in registry order."""
-    if names:
-        index = {c.claim_id: c for c in _REGISTRY}
-        unknown = [n for n in names if n not in index]
-        if unknown:
-            raise KeyError(f"unknown claim ids: {', '.join(unknown)}")
-        selected = [index[n] for n in names]
-    else:
-        selected = list(_REGISTRY)
-    return [c.run() for c in selected]

@@ -149,7 +149,7 @@ def _build_family(args: argparse.Namespace) -> FamilyConfig:
         elif values[k] is None:
             raise _CliUsage(f"family {family} requires --{'lambda' if dest == 'lam' else dest}")
     # A closing family only relabels P2 and P3 with the branch: none is read.
-    return FamilyConfig.of(family, spec.params(*values), DEFAULT_BRANCH if spec.closure else branch)
+    return FamilyConfig(family, spec.params(*values), DEFAULT_BRANCH if spec.closure else branch)
 
 
 def _check_tracked(ids: Sequence[str]) -> None:
@@ -244,17 +244,10 @@ def _print_report(rep: "claims_mod.ClaimReport", verbose: bool) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    registry = {c.claim_id: c for c in claims_mod.all_claims()}
-    if args.claims and not args.all:
-        unknown = [c for c in args.claims if c not in registry]
-        if unknown:
-            raise _CliUsage(
-                f"unknown claim id(s): {', '.join(unknown)};"
-                f" known: {', '.join(claims_mod.claim_ids())}"
-            )
-        selected = [registry[c] for c in args.claims]
-    else:
-        selected = list(claims_mod.all_claims())
+    try:
+        selected = claims_mod.select_claims(None if args.all else args.claims)
+    except KeyError as exc:
+        raise _CliUsage(exc.args[0]) from None
 
     values = vars(args)
     reports = [claim.run(**claim.arguments(values)) for claim in selected]

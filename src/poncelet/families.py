@@ -554,8 +554,8 @@ def envelope_points(
 class FamilySpec(NamedTuple):
     """One family kind (see FAMILY_SPECS).
 
-    ``params`` is BicentricParams (held in ``FamilyConfig.bic``) or
-    ConfocalParams (``.conf``); the fields of both are the outer shape
+    ``params`` is the class of ``FamilyConfig.params``, BicentricParams
+    or ConfocalParams; the fields of both are the outer shape
     pair, the caustic's parameter and the pencil coordinate.  A pair
     takes both tangents from P1 to the caustic and leaves P2P3 free; a
     chain makes P2P3 touch the pencil caustic and leaves P3P1 free.  An
@@ -586,11 +586,11 @@ FAMILY_KINDS = tuple(FAMILY_SPECS)
 
 @dataclass(frozen=True)
 class FamilyConfig:
-    """A concrete triangle family: kind, shape parameters, tangent branch."""
+    """A concrete triangle family: kind, shape parameters (of the class
+    the kind's FamilySpec names), tangent branch."""
 
     kind: str
-    bic: Optional[BicentricParams] = None
-    conf: Optional[ConfocalParams] = None
+    params: Any
     branch: TangentBranch = DEFAULT_BRANCH
 
     def __post_init__(self) -> None:
@@ -606,24 +606,11 @@ class FamilyConfig:
         if spec.chain and pencil is None:
             raise ValueError(f"{self.kind} needs the pencil parameter {fields(p)[3].name}")
 
-    @classmethod
-    def of(cls, kind: str, params: Any, branch: TangentBranch = DEFAULT_BRANCH) -> "FamilyConfig":
-        """The family of the given kind at either parameter class."""
-        if isinstance(params, BicentricParams):
-            return cls(kind, bic=params, branch=branch)
-        return cls(kind, conf=params, branch=branch)
-
-    @property
-    def params(self) -> Any:
-        """``bic`` or ``conf``, whichever the kind reads."""
-        return self.bic if FAMILY_SPECS[self.kind].params is BicentricParams else self.conf
-
     @property
     def outer_scale(self) -> float:
-        if self.bic is not None:
-            return self.bic.R
-        assert self.conf is not None
-        return self.conf.a
+        """The outer radius R or major semi-axis a (the first field)."""
+        x, *_ = vars(self.params).values()
+        return x
 
     def outer_conic(self) -> Conic:
         return self.params.outer_conic()
@@ -646,7 +633,7 @@ class FamilyConfig:
         angle.
         """
         spec = FAMILY_SPECS[self.kind]
-        p = self.bic if spec.params is BicentricParams else self.conf
+        p = self.params
         x1, y1 = p.vertex(t)
         s = _branch_sign(self.branch.first) if spec.branched else 1.0
         first = p.shape()
@@ -687,27 +674,27 @@ class FamilyConfig:
 
 
 def bic1_config(R: float, r: float) -> FamilyConfig:
-    return FamilyConfig("bic-I", bic=BicentricParams(R, r, chapple_distance(R, r)))
+    return FamilyConfig("bic-I", BicentricParams(R, r, chapple_distance(R, r)))
 
 
 def bic2_config(R: float, r: float, d: float) -> FamilyConfig:
-    return FamilyConfig("bic-II", bic=BicentricParams(R, r, d))
+    return FamilyConfig("bic-II", BicentricParams(R, r, d))
 
 
 def bic3_config(
     R: float, r: float, d: float, u: float, branch: TangentBranch = DEFAULT_BRANCH
 ) -> FamilyConfig:
-    return FamilyConfig("bic-III", bic=BicentricParams(R, r, d, u=u), branch=branch)
+    return FamilyConfig("bic-III", BicentricParams(R, r, d, u=u), branch=branch)
 
 
 def conf1_config(a: float, b: float) -> FamilyConfig:
-    return FamilyConfig("conf-I", conf=ConfocalParams(a, b, critical_lambda(a, b)))
+    return FamilyConfig("conf-I", ConfocalParams(a, b, critical_lambda(a, b)))
 
 
 def conf2_config(
     a: float, b: float, lam: float, branch: TangentBranch = DEFAULT_BRANCH
 ) -> FamilyConfig:
-    return FamilyConfig("conf-II", conf=ConfocalParams(a, b, lam), branch=branch)
+    return FamilyConfig("conf-II", ConfocalParams(a, b, lam), branch=branch)
 
 
 def conf3_config(
@@ -718,5 +705,5 @@ def conf3_config(
     branch: TangentBranch = DEFAULT_BRANCH,
 ) -> FamilyConfig:
     return FamilyConfig(
-        "conf-III", conf=ConfocalParams(a, b, lam, pencil_u=pencil_u), branch=branch
+        "conf-III", ConfocalParams(a, b, lam, pencil_u=pencil_u), branch=branch
     )

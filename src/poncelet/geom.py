@@ -28,7 +28,6 @@ __all__ = [
     "DEGENERATE",
     "CIRCLE_TOL",
     "DEGENERATE_TOL",
-    "BOUNDARY_TOL",
     "GeometryError",
     "DegeneratePencilMember",
     "InversionOfCenter",
@@ -55,12 +54,11 @@ HYPERBOLA = "hyperbola"
 PARABOLA = "parabola"
 DEGENERATE = "degenerate"
 
-# Tolerances.  The first three apply to unit-norm coefficient vectors,
+# Tolerances.  The first two apply to unit-norm coefficient vectors,
 # so they are scale-free; the last bounds the cross product of two unit
 # line normals.
 CIRCLE_TOL = 1e-8
 DEGENERATE_TOL = 1e-12
-BOUNDARY_TOL = 1e-12
 _PARALLEL_TOL = 1e-14
 
 

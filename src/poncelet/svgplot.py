@@ -164,10 +164,9 @@ def render_family(
     cfg: FamilyConfig,
     center_ids: Sequence[str] = ("X1",),
     n: int = 512,
-    size: int = DEFAULT_SIZE,
-    include_triangle: bool = True,
 ) -> str:
-    """Render one family and the loci of the given tracked points."""
+    """Render one family and the loci of the given tracked points, at
+    DEFAULT_SIZE pixels square."""
     outer = cfg.outer_conic()
     caustics = cfg.caustics()
     envelope = cfg.closed_form_envelope()
@@ -181,12 +180,10 @@ def render_family(
     if envelope is None:
         env_samples = envelope_points(cfg.free_sides, _grid(max(n, 64)))
 
-    tri = None
-    if include_triangle:
-        try:
-            tri = cfg.triangle(_SAMPLE_TRIANGLE_T)
-        except GeometryError:
-            tri = None
+    try:
+        tri = cfg.triangle(_SAMPLE_TRIANGLE_T)
+    except GeometryError:
+        tri = None
 
     bbox = _conic_bbox(outer)
     for c in caustics:
@@ -201,6 +198,7 @@ def render_family(
         bbox = _merge(bbox, _points_bbox(np.array(tri.vertices())))
     if bbox is None:
         raise ValueError("nothing drawable for this configuration")
+    size = DEFAULT_SIZE
     frame = _Frame(bbox, size)
 
     x0, y0, x1, y1 = frame.bbox

@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 
 from poncelet.families import DegenerateTriangle, Triangle
 from poncelet.geom import (
-    BOUNDARY_TOL,
     CIRCLE,
     ELLIPSE,
     Conic,
@@ -28,6 +27,8 @@ from poncelet.geom import (
 
 # Bound on the cross product of two unit line normals.
 _PARALLEL_TOL = 1e-14
+# Bound on a unit-norm conic's value at a point taken to lie on the conic.
+_BOUNDARY_TOL = 1e-12
 
 
 class NoRealTangent(GeometryError):
@@ -95,7 +96,7 @@ def tangent_contact_points(p: Point, conic: Conic) -> Tuple[Point, Point]:
     if conic.kind not in (CIRCLE, ELLIPSE):
         raise GeometryError(f"tangents undefined for kind {conic.kind!r}")
     val = conic_value(conic, p)
-    if abs(val) <= BOUNDARY_TOL:
+    if abs(val) <= _BOUNDARY_TOL:
         raise TangentFromBoundary(f"point {p} lies on the conic")
     if val < 0.0:
         raise NoRealTangent(f"point {p} lies inside the conic")

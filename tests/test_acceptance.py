@@ -26,12 +26,10 @@ from poncelet.families import (
     MINUS,
     bic1_config,
     bic2_config,
-    bic2_envelope,
     bic3_config,
     chapple_distance,
     conf1_config,
     conf2_config,
-    conf2_envelope,
     critical_lambda,
     degenerate_envelope_inradius,
     envelope_points,
@@ -96,7 +94,7 @@ CENTRAL_LINE_RATIO = {
 
 def bic2_vertices(p: BicentricParams, t: float):
     """The bic-II member at angle t, with the test oracle's measures."""
-    return measured(FamilyConfig("bic-II", bic=p).triangle(t))
+    return measured(FamilyConfig("bic-II", p).triangle(t))
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

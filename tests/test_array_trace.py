@@ -100,8 +100,7 @@ def _scalar_trace(cfg, tracked, n):
 
 
 def _label(cfg):
-    params = cfg.bic if cfg.bic is not None else cfg.conf
-    return f"{cfg.kind}-{params}-{cfg.branch.first}-{cfg.branch.second}"
+    return f"{cfg.kind}-{cfg.params}-{cfg.branch.first}-{cfg.branch.second}"
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_label)
@@ -227,10 +226,10 @@ class _CellCenterHoles(FamilyConfig):
 
 @pytest.mark.parametrize("tracked", ["P2'", "P3'"])
 def test_min_axis_distance_matches_the_scalar_bisection(tracked):
-    cfg = FamilyConfig("bic-II", bic=DEFAULT_BIC2)
+    cfg = FamilyConfig("bic-II", DEFAULT_BIC2)
     assert _min_axis_distance(cfg, tracked) == _scalar_min_axis_distance(cfg, tracked)
     # Every bracket stops at its first midpoint, as the scalar loop's does.
-    holed = _CellCenterHoles("bic-II", bic=DEFAULT_BIC2)
+    holed = _CellCenterHoles("bic-II", DEFAULT_BIC2)
     got = _min_axis_distance(holed, tracked)
     assert got == _scalar_min_axis_distance(holed, tracked)
     assert got > _min_axis_distance(cfg, tracked)

@@ -368,7 +368,7 @@ def test_bic1_frozen_positions():
     """Closing-pair positions of the catalog centers on the x-axis."""
     R, r = 1.0, 0.25
     d = chapple_distance(R, r)
-    tri = FamilyConfig("bic-II", bic=BicentricParams(R, r, d)).triangle(0.3)
+    tri = FamilyConfig("bic-II", BicentricParams(R, r, d)).triangle(0.3)
     expected = {
         "X1": d,
         "X3": 0.0,

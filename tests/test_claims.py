@@ -1,8 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
+from poncelet import claims
 from poncelet.families import BicentricParams, ConfocalParams, bic3_config, critical_lambda
 from poncelet.claims import (
     _hausdorff,
@@ -32,11 +31,12 @@ def test_registry_is_complete_and_green():
 
 
 def test_gating_split():
-    for r in run_claims(None):
-        if r.kind == "conjecture":
-            assert not r.gating
-        else:
-            assert r.gating
+    """Each check, called by its own name, reports its registry entry's
+    id and kind, and only the conjectures do not gate."""
+    for claim in all_claims():
+        rep = getattr(claims, claim.run.__name__)()
+        assert (rep.claim_id, rep.kind) == (claim.claim_id, claim.kind)
+        assert rep.gating == (claim.kind != "conjecture")
 
 
 def test_selection_and_unknown_id():

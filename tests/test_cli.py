@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import warnings
@@ -371,19 +370,53 @@ def test_nonfinite_parameter_is_a_usage_error(command, flags, field, capsys):
     assert f"error: {field} must be finite" in err
 
 
-_PARAM_CLASSES = (int, float, BicentricParams, ConfocalParams)
+_BIC2 = {"p": BicentricParams(1.0, 0.2, 0.3)}
+_CONF2 = {"p": ConfocalParams(2.0, 1.0, 0.5)}
+_AB = {"a": 2.0, "b": 1.0}
+
+# Each registered claim in registry order: id, kind, and the defaults its
+# flags start from.
+_REGISTRY = [
+    ("thm:bicII-x1", "theorem", _BIC2),
+    ("cor:bicII-exc", "corollary", _BIC2),
+    ("prop:bicII-x2", "proposition", _BIC2),
+    ("prop:bicII-envelope", "proposition", _BIC2),
+    ("thm:confII-exc", "theorem", _CONF2),
+    ("prop:confII-x1", "proposition", _AB),
+    ("prop:confII-x2-n4", "proposition", _AB),
+    ("prop:confII-envelope", "proposition", _CONF2),
+    ("cor:confII-n4", "corollary", _AB),
+    ("cor:confII-n6", "corollary", _AB),
+    ("prop:confII-x1-convex", "proposition", _AB),
+    ("inv:conserved", "invariant", {}),
+    ("table2", "table", {}),
+    ("conj:bicII-stationary", "conjecture", {}),
+    ("conj:bicIII", "conjecture", {"p": BicentricParams(1.0, 0.15, 0.25, u=0.4)}),
+]
+
+
+def test_registry_ids_and_kinds_in_order():
+    assert [(c.claim_id, c.kind) for c in claims.all_claims()] == [
+        (cid, kind) for cid, kind, _ in _REGISTRY
+    ]
 
 
 @pytest.mark.parametrize("claim", claims.all_claims(), ids=lambda c: c.claim_id)
 def test_claim_defaults_match_the_check_signature(claim):
-    """The registry's defaults are the check's own, and every numeric or
-    parameter-class argument of the check is declared."""
-    signature = inspect.signature(claim.run).parameters
-    for name, value in claim.defaults.items():
-        assert signature[name].default == value
-    for name, parameter in signature.items():
-        if isinstance(parameter.default, _PARAM_CLASSES):
-            assert name in claim.defaults
+    """The defaults read off the check's signature are the table's, so a
+    signature edit that changes a claim's flags fails here."""
+    (want,) = [defaults for cid, _, defaults in _REGISTRY if cid == claim.claim_id]
+    assert claim.defaults == want
+
+
+def test_unknown_claim_id_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "thm:nonsense", "thm:bicII-x1")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "poncelet verify: error: unknown claim id(s): thm:nonsense;"
+        f" known: {', '.join(claims.claim_ids())}\n"
+    )
 
 
 def _params_lines(out):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from poncelet.centers import _shape
 from poncelet.geom import (
@@ -126,16 +126,21 @@ def test_params_validation():
         ConfocalParams(2.0, 1.0, 1.0)  # lam must stay below b^2
     with pytest.raises(NoPoristicPair):
         bic1_config(1.0, 0.25).__class__(
-            "bic-I", bic=BicentricParams(1.0, 0.25, 0.3)
+            "bic-I", BicentricParams(1.0, 0.25, 0.3)
         )
     with pytest.raises(ValueError):
         conf1_config(2.0, 1.0).__class__(
-            "conf-I", conf=ConfocalParams(2.0, 1.0, 0.5)
+            "conf-I", ConfocalParams(2.0, 1.0, 0.5)
         )
     with pytest.raises(ValueError):
         bic2_config(1.0, 0.2, 0.3).__class__(
-            "bic-III", bic=BicentricParams(1.0, 0.2, 0.3)
+            "bic-III", BicentricParams(1.0, 0.2, 0.3)
         )
+    # Each kind takes its own parameter class.
+    with pytest.raises(ValueError, match="^bic-II needs BicentricParams$"):
+        FamilyConfig("bic-II", ConfocalParams(2.0, 1.0, 0.5))
+    with pytest.raises(ValueError, match="^conf-III needs ConfocalParams$"):
+        FamilyConfig("conf-III", BicentricParams(1.0, 0.15, 0.25, u=0.4))
 
 
 _FINITE_PARAMS = {
@@ -169,7 +174,7 @@ def test_bic1_closure_all_sides_tangent(t):
 @given(t=angles)
 def test_bic2_construction_invariants(t):
     p = BicentricParams(1.0, 0.2, 0.3)
-    tri = FamilyConfig("bic-II", bic=p).triangle(t)
+    tri = FamilyConfig("bic-II", p).triangle(t)
     # first vertex rides the outer circle at the driving angle
     assert math.dist(tri.p1, Point(math.cos(t), math.sin(t))) < 1e-12
     for v in tri.vertices():
@@ -209,7 +214,7 @@ def test_bic3_u_zero_reduces_to_bic2():
     for t in np.linspace(0.0, 2.0 * math.pi, 9):
         b = cfg3.triangle(float(t))
         apex = math.atan2(b.p2.y, b.p2.x)
-        a = FamilyConfig("bic-II", bic=p2).triangle(apex)
+        a = FamilyConfig("bic-II", p2).triangle(apex)
         for vb in b.vertices():
             assert min(math.dist(va, vb) for va in a.vertices()) < 1e-9
 
@@ -269,7 +274,7 @@ def test_conf3_matches_geometric_tangent_chain(a, b, lam, u, branch):
     second = pencil_member(outer, first, 1.0 - u)
     signs = [1.0 if label == PLUS else -1.0 for label in branch]
     for t in np.linspace(0.0, 2.0 * math.pi, 97):
-        tri = FamilyConfig("conf-III", conf=p, branch=branch).triangle(float(t))
+        tri = FamilyConfig("conf-III", p, branch=branch).triangle(float(t))
         v1 = Point(a * math.cos(t), b * math.sin(t))
         v2 = _tangent_chain_step(outer, first, v1, signs[0])
         v3 = _tangent_chain_step(outer, second, v2, signs[1])
@@ -292,7 +297,7 @@ def test_conf3_second_caustic_rejects_hyperbola():
     with pytest.raises(ImaginaryPencilCircle):
         _conf3_second_caustic(p)
     with pytest.raises(ImaginaryPencilCircle):
-        FamilyConfig("conf-III", conf=p).triangle(0.3)
+        FamilyConfig("conf-III", p).triangle(0.3)
 
 
 def test_free_side_matches_vertices():
@@ -359,7 +364,7 @@ def test_conf2_envelope_collapses_at_n4():
 
 def test_envelope_points_on_closed_form():
     cfg = bic2_config(1.0, 0.2, 0.3)
-    env = bic2_envelope(cfg.bic)
+    env = bic2_envelope(cfg.params)
     ts = 2.0 * np.pi * np.arange(256) / 256.0
     pts = envelope_points(cfg.free_sides, ts)
     assert pts.shape[1] == 2 and len(pts) > 200

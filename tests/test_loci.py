@@ -16,7 +16,6 @@ from poncelet.families import (
     conf1_config,
     conf2_config,
     conf3_config,
-    critical_lambda,
 )
 from poncelet.loci import (
     _DIAMETER_BLOCK,

@@ -48,10 +48,8 @@ from .families import (
 )
 from .centers import builtin_centers, center, excenters
 from .loci import (
-    DEFAULT_TOLERANCES,
     CurveFit,
     Locus,
-    Tolerances,
     classify_locus,
     convexity_check,
     convexity_lambda_root,
@@ -75,7 +73,6 @@ __all__ = [
     "ConfocalParams",
     "Conic",
     "CurveFit",
-    "DEFAULT_TOLERANCES",
     "DegeneratePencilMember",
     "FamilyConfig",
     "GeometryError",
@@ -83,7 +80,6 @@ __all__ = [
     "Locus",
     "Point",
     "TangentBranch",
-    "Tolerances",
     "Triangle",
     "all_claims",
     "bic1_config",

@@ -1,12 +1,12 @@
 """Triangle centers, excenters, and derived point constructions.
 
 Centers are addressed by their Kimberling index (X1 = incenter,
-X2 = barycenter, ...) and evaluated from homogeneous weight functions
-of the side lengths, in either trilinear or barycentric basis.  A few
-centers are instead defined by geometric constructions (circumcircle
-inversion, excentral-triangle circumcenter/centroid, intouch-triangle
-centers, a perspector); where both a weight formula and a construction
-exist, tests cross-validate them against each other.
+X2 = barycenter, ...) and evaluated from homogeneous barycentric weight
+functions of the side lengths.  A few centers are instead defined by
+geometric constructions (circumcircle inversion, excentral-triangle
+circumcenter/centroid, intouch-triangle centers, a perspector); the
+test suite checks each construction against its own trilinear or
+barycentric formula, which this module does not hold.
 
 Weight formulas follow the standard encyclopedia of triangle centers;
 each one is guarded by an independent geometric incidence oracle in
@@ -43,8 +43,6 @@ from .geom import (
 )
 
 __all__ = [
-    "TRILINEAR",
-    "BARYCENTRIC",
     "CenterDefinition",
     "ExcentralTriangle",
     "center",
@@ -55,9 +53,6 @@ __all__ = [
     "center_definition",
     "parse_center_id",
 ]
-
-TRILINEAR = "trilinear"
-BARYCENTRIC = "barycentric"
 
 WeightFn = Callable[[Any, Any, Any], Tuple[Any, Any, Any]]
 
@@ -102,7 +97,7 @@ class CenterDefinition:
     """A triangle center: index, weight function, and optional construction.
 
     ``weight_fn`` maps side lengths (s1, s2, s3) — s_i opposite vertex
-    P_i — to homogeneous weights (w1, w2, w3) in the given basis.  When
+    P_i — to homogeneous barycentric weights (w1, w2, w3).  When
     ``construct`` is set it takes precedence over the weights (used for
     centers defined by inversion or by auxiliary-triangle centers).
     Both are elementwise, on arrays over many triangles or on the floats
@@ -110,14 +105,11 @@ class CenterDefinition:
     """
 
     id: int
-    basis: str = BARYCENTRIC
     weight_fn: Optional[WeightFn] = None
     construct: Optional[ConstructFn] = None
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.basis not in (TRILINEAR, BARYCENTRIC):
-            raise ValueError(f"basis must be trilinear or barycentric, got {self.basis!r}")
         if self.weight_fn is None and self.construct is None:
             raise ValueError("center needs a weight function or a construction")
 
@@ -161,13 +153,9 @@ def _combine(t: _Shape, w1: Any, w2: Any, w3: Any):
 
 
 def _weighted(t: _Shape, definition: "CenterDefinition"):
-    """A center from its weight formula; trilinear weights are converted
-    to barycentric by multiplying each by its side length."""
+    """A center from its barycentric weight formula."""
     assert definition.weight_fn is not None
-    w1, w2, w3 = definition.weight_fn(t.s1, t.s2, t.s3)
-    if definition.basis == TRILINEAR:
-        w1, w2, w3 = w1 * t.s1, w2 * t.s2, w3 * t.s3
-    return _combine(t, w1, w2, w3)
+    return _combine(t, *definition.weight_fn(t.s1, t.s2, t.s3))
 
 
 def _center(t: _Shape, definition: "CenterDefinition"):
@@ -349,8 +337,7 @@ def center(tri: Triangle, definition: Union[CenterDefinition, str, int]) -> Poin
     """Evaluate a triangle center.
 
     ``definition`` may be a CenterDefinition, a Kimberling index, or a
-    string like "X165".  Trilinear weights are converted to barycentric
-    by multiplying each by its side length.
+    string like "X165".
     """
     definition = _resolve(definition)
     x, y, fault = _center(_shape_of(tri), definition)
@@ -426,18 +413,10 @@ def _w_x35(a: float, b: float, c: float) -> float:
     return a * a * (b * b + c * c - a * a + b * c)
 
 
-def _w_x36(a: float, b: float, c: float) -> float:
-    return a * a * (b * b + c * c - a * a - b * c)
-
-
-def _w_x40(a: float, b: float, c: float) -> float:
-    ca, cb, cc = _cosines(a, b, c)
-    return cb + cc - ca - 1.0
-
-
 def _w_x46(a: float, b: float, c: float) -> float:
+    """Trilinear cos B + cos C - cos A, times a for barycentric."""
     ca, cb, cc = _cosines(a, b, c)
-    return cb + cc - ca
+    return (cb + cc - ca) * a
 
 
 def _w_x56(a: float, b: float, c: float) -> float:
@@ -454,48 +433,40 @@ def _w_x59(a: float, b: float, c: float) -> float:
     return a * a * (ab * ab) * (ac * ac) * (c + a - b) * (a + b - c)
 
 
-def _w_x65(a: float, b: float, c: float) -> float:
-    _, cb, cc = _cosines(a, b, c)
-    return cb + cc
-
-
-_X1_DEF = CenterDefinition(1, BARYCENTRIC, _cyclic(lambda a, b, c: a), name="incenter")
-_X3_DEF = CenterDefinition(3, BARYCENTRIC, _cyclic(_w_x3), name="circumcenter")
-_X4_DEF = CenterDefinition(4, BARYCENTRIC, _cyclic(_w_x4), name="orthocenter")
+_X1_DEF = CenterDefinition(1, _cyclic(lambda a, b, c: a), name="incenter")
+_X3_DEF = CenterDefinition(3, _cyclic(_w_x3), name="circumcenter")
+_X4_DEF = CenterDefinition(4, _cyclic(_w_x4), name="orthocenter")
 
 _DEFINITIONS: List[CenterDefinition] = [
     _X1_DEF,
-    CenterDefinition(2, BARYCENTRIC, _cyclic(lambda a, b, c: 1.0), name="barycenter"),
+    CenterDefinition(2, _cyclic(lambda a, b, c: 1.0), name="barycenter"),
     _X3_DEF,
     _X4_DEF,
-    CenterDefinition(5, BARYCENTRIC, _cyclic(_w_x5), name="nine-point center"),
-    CenterDefinition(6, BARYCENTRIC, _cyclic(lambda a, b, c: a * a), name="symmedian point"),
-    CenterDefinition(8, BARYCENTRIC, _cyclic(lambda a, b, c: b + c - a), name="Nagel point"),
-    CenterDefinition(9, BARYCENTRIC, _cyclic(lambda a, b, c: a * (b + c - a)), name="mittenpunkt"),
-    CenterDefinition(10, BARYCENTRIC, _cyclic(lambda a, b, c: b + c), name="Spieker center"),
-    CenterDefinition(11, BARYCENTRIC, _cyclic(_w_x11), name="Feuerbach point"),
-    CenterDefinition(35, BARYCENTRIC, _cyclic(_w_x35)),
-    CenterDefinition(36, BARYCENTRIC, _cyclic(_w_x36), construct=_x36,
-                     name="circumcircle inverse of the incenter"),
-    CenterDefinition(40, TRILINEAR, _cyclic(_w_x40), construct=_bevan,
-                     name="Bevan point"),
-    CenterDefinition(46, TRILINEAR, _cyclic(_w_x46)),
-    CenterDefinition(55, BARYCENTRIC, _cyclic(lambda a, b, c: a * a * (b + c - a)),
+    CenterDefinition(5, _cyclic(_w_x5), name="nine-point center"),
+    CenterDefinition(6, _cyclic(lambda a, b, c: a * a), name="symmedian point"),
+    CenterDefinition(8, _cyclic(lambda a, b, c: b + c - a), name="Nagel point"),
+    CenterDefinition(9, _cyclic(lambda a, b, c: a * (b + c - a)), name="mittenpunkt"),
+    CenterDefinition(10, _cyclic(lambda a, b, c: b + c), name="Spieker center"),
+    CenterDefinition(11, _cyclic(_w_x11), name="Feuerbach point"),
+    CenterDefinition(35, _cyclic(_w_x35)),
+    CenterDefinition(36, construct=_x36, name="circumcircle inverse of the incenter"),
+    CenterDefinition(40, construct=_bevan, name="Bevan point"),
+    CenterDefinition(46, _cyclic(_w_x46)),
+    CenterDefinition(55, _cyclic(lambda a, b, c: a * a * (b + c - a)),
                      name="insimilicenter of circumcircle and incircle"),
-    CenterDefinition(56, BARYCENTRIC, _cyclic(_w_x56),
+    CenterDefinition(56, _cyclic(_w_x56),
                      name="exsimilicenter of circumcircle and incircle"),
-    CenterDefinition(57, BARYCENTRIC, _cyclic(_w_x57)),
-    CenterDefinition(59, BARYCENTRIC, _cyclic(_w_x59),
+    CenterDefinition(57, _cyclic(_w_x57)),
+    CenterDefinition(59, _cyclic(_w_x59),
                      name="isogonal conjugate of the Feuerbach point"),
-    CenterDefinition(65, TRILINEAR, _cyclic(_w_x65), construct=_x65,
-                     name="orthocenter of the intouch triangle"),
-    CenterDefinition(165, BARYCENTRIC, construct=_excentral_centroid,
+    CenterDefinition(65, construct=_x65, name="orthocenter of the intouch triangle"),
+    CenterDefinition(165, construct=_excentral_centroid,
                      name="centroid of the excentral triangle"),
-    CenterDefinition(354, BARYCENTRIC, construct=_x354, name="Weill point"),
-    CenterDefinition(484, BARYCENTRIC, construct=_x484, name="Evans perspector"),
-    CenterDefinition(942, BARYCENTRIC, construct=_x942,
+    CenterDefinition(354, construct=_x354, name="Weill point"),
+    CenterDefinition(484, construct=_x484, name="Evans perspector"),
+    CenterDefinition(942, construct=_x942,
                      name="nine-point center of the intouch triangle"),
-    CenterDefinition(2077, BARYCENTRIC, construct=_x2077,
+    CenterDefinition(2077, construct=_x2077,
                      name="circumcircle inverse of the Bevan point"),
 ]
 

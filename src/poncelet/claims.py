@@ -10,7 +10,7 @@ Each check embeds a negative control (a deliberately perturbed
 comparison that must fail) so a vacuous pass cannot go unnoticed.
 
 A check joins the registry through the ``_claim`` decorator above it,
-which names its claim id, kind and summary once; the flags a claim
+which names its claim id and kind once; the flags a claim
 reads are the numeric and parameter-class arguments of its check.
 """
 
@@ -58,9 +58,8 @@ from .centers import _cosines, _shape
 from .loci import (
     _grid,
     _tracked_arrays,
-    DEFAULT_TOLERANCES,
+    CONIC_TOL,
     Locus,
-    Tolerances,
     classify_locus,
     convexity_check,
     convexity_lambda_root,
@@ -245,7 +244,6 @@ class RegisteredClaim:
 
     claim_id: str
     kind: str
-    summary: str
     run: _Check = field(repr=False)
 
     @property
@@ -291,7 +289,7 @@ def _flags(name: str, default: Any) -> Tuple[str, ...]:
 _CLAIMS: List[RegisteredClaim] = []
 
 
-def _claim(claim_id: str, kind: str, summary: str) -> Callable[[_Check], _Check]:
+def _claim(claim_id: str, kind: str) -> Callable[[_Check], _Check]:
     """Register the decorated check, in definition order; its reports
     carry ``claim_id`` and ``kind``."""
 
@@ -300,7 +298,7 @@ def _claim(claim_id: str, kind: str, summary: str) -> Callable[[_Check], _Check]
         def run(*args: Any, **kwargs: Any) -> ClaimReport:
             return replace(check(*args, **kwargs), claim_id=claim_id, kind=kind)
 
-        _CLAIMS.append(RegisteredClaim(claim_id, kind, summary, run))
+        _CLAIMS.append(RegisteredClaim(claim_id, kind, run))
         return run
 
     return register
@@ -538,10 +536,10 @@ def _symmetry_closure(loc: Locus, sx: float, sy: float) -> float:
     return out
 
 
-def _nonconic_evidence(loc: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> Tuple[bool, float]:
+def _nonconic_evidence(loc: Locus) -> Tuple[bool, float]:
     """(is the locus not a conic, its best degree-2 residual)."""
-    fit2 = fit_curve(loc.valid_xy(), 2, tols)
-    return (fit2.residual > tols.conic_tol, fit2.residual)
+    fit2 = fit_curve(loc.valid_xy(), 2)
+    return (fit2.residual > CONIC_TOL, fit2.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +551,7 @@ def _is_poristic(p: BicentricParams) -> bool:
     return p.R >= 2.0 * p.r and abs(p.d - chapple_distance(p.R, p.r)) <= 1e-12
 
 
-@_claim("thm:bicII-x1", "theorem", "incenter circle over the two-caustic bicentric family")
+@_claim("thm:bicII-x1", "theorem")
 def check_bicII_x1_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     """Incenter locus over the two-caustic bicentric family is the
     circle [O1, r1], with the reflected circle carrying the reflected
@@ -594,7 +592,7 @@ def check_bicII_x1_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     )
 
 
-@_claim("cor:bicII-exc", "corollary", "first-excenter circle and degree-6 companions")
+@_claim("cor:bicII-exc", "corollary")
 def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     """First excenter sweeps the circle [-O1, r1']; the other two sweep
     degree-6 non-conics that both reach the x-axis."""
@@ -612,13 +610,12 @@ def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimRepor
             f"closing pair: r1' = {radius:.15g}, |r1' - 2R|/R = {abs(radius - 2.0 * p.R) / p.R:.3e}"
         )
 
-    tols = DEFAULT_TOLERANCES
     deg6_ok = True
     axis_ok = True
     for pid in ("P2'", "P3'"):
         loc = trace_locus(cfg, pid, 512)
-        fit6 = fit_curve(loc.valid_xy(), 6, tols)
-        nonconic, fit2res = _nonconic_evidence(loc, tols)
+        fit6 = fit_curve(loc.valid_xy(), 6)
+        nonconic, fit2res = _nonconic_evidence(loc)
         crossing = _min_axis_distance(cfg, pid)
         deg6_ok = deg6_ok and fit6.residual <= 1e-8 and nonconic
         axis_ok = axis_ok and crossing <= 1e-6
@@ -640,26 +637,24 @@ def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimRepor
     )
 
 
-@_claim("prop:bicII-x2", "proposition", "implicit sextic satisfied by the barycenter locus")
+@_claim("prop:bicII-x2", "proposition")
 def check_bicII_x2_sextic(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     """Barycenter locus satisfies the implicit sextic at machine scale
     while no conic fits it (negative control)."""
     cfg = bic2_config(p.R, p.r, p.d)
     loc = trace_locus(cfg, "X2", 512)
-    pts = loc.valid_points()
+    xy = loc.valid_xy()
     metric = verify_implicit_sextic_x2(p, loc)
 
-    tols = DEFAULT_TOLERANCES
-    fit2 = fit_curve(loc.valid_xy(), 2, tols)
-    fit = classify_locus(loc, tols)
+    fit2 = fit_curve(xy, 2)
+    fit = classify_locus(loc)
 
     # The companion form weighted by the squared vertex-to-caustic-center
     # distance vanishes on the rescaled samples, not on the locus itself.
     weighted = sextic_coefficients_x2_weighted(p)
     ws = [p.R * p.R + p.d * p.d - 2.0 * p.d * (p.R * math.cos(t)) for t in loc.t[loc.ok].tolist()]
-    scaled = [Point(q.x * w, q.y * w) for q, w in zip(pts, ws)]
-    companion = sextic_residual(weighted, scaled)
-    companion_plain = sextic_residual(weighted, pts)
+    companion = sextic_residual(weighted, xy * np.array(ws)[:, None])
+    companion_plain = sextic_residual(weighted, xy)
 
     ok = (
         metric <= 1e-8
@@ -678,12 +673,12 @@ def check_bicII_x2_sextic(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     return _report(
         p, ok, metric, 1e-8,
         "implicit degree-6 polynomial vanishes on the barycenter locus",
-        f"max normalized residual {metric:.3e} over {len(pts)} samples",
+        f"max normalized residual {metric:.3e} over {len(xy)} samples",
         notes,
     )
 
 
-@_claim("prop:bicII-envelope", "proposition", "free-side tangency to the predicted pencil circle")
+@_claim("prop:bicII-envelope", "proposition")
 def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     """Free side of the two-caustic bicentric family is tangent to the
     predicted pencil circle; at the collapse radius every chord passes
@@ -725,7 +720,7 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
 # Confocal checks.
 
 
-@_claim("thm:confII-exc", "theorem", "shared excentral ellipse over the confocal-caustic family")
+@_claim("thm:confII-exc", "theorem")
 def check_confII_excenter_ellipse(p: ConfocalParams = DEFAULT_CONF2) -> ClaimReport:
     """Second and third excenters share one ellipse; the first sweeps a
     degree-6 curve away from the closing parameter."""
@@ -750,13 +745,12 @@ def check_confII_excenter_ellipse(p: ConfocalParams = DEFAULT_CONF2) -> ClaimRep
             f" axes vs closed form: {abs(ax - cax):.3e}, {abs(ay - cay):.3e}"
         )
     else:
-        tols = DEFAULT_TOLERANCES
-        fit6 = fit_curve(loc1.valid_xy(), 6, tols)
-        nonconic, fit2res = _nonconic_evidence(loc1, tols)
-        first_ok = fit6.residual <= 1e-8 and fit2res > 10.0 * tols.conic_tol
+        fit6 = fit_curve(loc1.valid_xy(), 6)
+        nonconic, fit2res = _nonconic_evidence(loc1)
+        first_ok = fit6.residual <= 1e-8 and fit2res > 10.0 * CONIC_TOL
         notes.append(
             f"first excenter: degree-6 residual {fit6.residual:.3e},"
-            f" conic residual {fit2res:.3e} (needs > {10.0 * tols.conic_tol:.1e})"
+            f" conic residual {fit2res:.3e} (needs > {10.0 * CONIC_TOL:.1e})"
         )
 
     loc2 = trace_locus(cfg, "P2'", 128)
@@ -773,19 +767,18 @@ def check_confII_excenter_ellipse(p: ConfocalParams = DEFAULT_CONF2) -> ClaimRep
     )
 
 
-@_claim("prop:confII-x1", "proposition", "incenter conic only at the closing caustic parameter")
+@_claim("prop:confII-x1", "proposition")
 def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """Incenter locus is a conic exactly at the closing caustic
     parameter: conic residual small there, large on a grid elsewhere."""
     lam_c = critical_lambda(a, b)
-    tols = DEFAULT_TOLERANCES
 
     loc_c = trace_locus(conf2_config(a, b, lam_c), "X1", 512)
-    fit_c = fit_curve(loc_c.valid_xy(), 2, tols)
+    fit_c = fit_curve(loc_c.valid_xy(), 2)
     metric = fit_c.residual
 
     cax, cay = conf1_x1_axes(a, b)
-    cls = classify_locus(loc_c, tols)
+    cls = classify_locus(loc_c)
     axes_note = "fit did not expose semi-axes"
     axes_ok = False
     if cls.verdict == "ellipse" and cls.conic is not None and cls.conic.semi_axes is not None:
@@ -799,7 +792,7 @@ def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> Cl
     worst_offgrid = math.inf
     for lam in grid:
         loc = trace_locus(conf2_config(a, b, float(lam)), "X1", 512)
-        fit = fit_curve(loc.valid_xy(), 2, tols)
+        fit = fit_curve(loc.valid_xy(), 2)
         worst_offgrid = min(worst_offgrid, fit.residual)
 
     sym = max(
@@ -808,8 +801,8 @@ def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> Cl
     )
 
     ok = (
-        metric <= tols.conic_tol
-        and worst_offgrid > 10.0 * tols.conic_tol
+        metric <= CONIC_TOL
+        and worst_offgrid > 10.0 * CONIC_TOL
         and len(grid) >= 9
         and axes_ok
         and sym <= 1e-8 * a
@@ -817,19 +810,18 @@ def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> Cl
     notes = (
         axes_note,
         f"off-closing grid ({len(grid)} values): smallest conic residual {worst_offgrid:.3e}"
-        f" (needs > {10.0 * tols.conic_tol:.1e})",
+        f" (needs > {10.0 * CONIC_TOL:.1e})",
         f"sample-set symmetry closure under both reflections: {sym:.3e}",
     )
     return _report(
-        ConfocalParams(a, b, lam_c), ok, metric, tols.conic_tol,
+        ConfocalParams(a, b, lam_c), ok, metric, CONIC_TOL,
         "conic verdict only at the closing caustic parameter",
         f"conic residual {metric:.3e} at closing parameter",
         notes,
     )
 
 
-@_claim("prop:confII-x2-n4", "proposition",
-        "barycenter homothety at one-third scale on the 4-bounce caustic")
+@_claim("prop:confII-x2-n4", "proposition")
 def check_x2_homothety_half_n4(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """With the 4-bounce caustic, the barycenter traces the outer
     ellipse shrunk to one third, and every free chord is bisected by
@@ -842,9 +834,8 @@ def check_x2_homothety_half_n4(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     tri = cfg.triangles(_grid(512))
     midpoint_worst = _worst(np.hypot(tri.x2 + tri.x3, tri.y2 + tri.y3)[tri.ok] / 2.0)
 
-    tols = DEFAULT_TOLERANCES
     loc_off = trace_locus(conf2_config(a, b, 0.8 * lam4), "X2", 512)
-    fit_off = fit_curve(loc_off.valid_xy(), 2, tols)
+    fit_off = fit_curve(loc_off.valid_xy(), 2)
 
     # Concentric-circle analogue of the same statement (equal axes):
     # caustic radius a/sqrt(2), barycenter on the radius-a/3 circle.
@@ -855,7 +846,7 @@ def check_x2_homothety_half_n4(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     ok = (
         metric <= 1e-9
         and midpoint_worst <= 1e-9 * a
-        and fit_off.residual > tols.conic_tol
+        and fit_off.residual > CONIC_TOL
         and circ_dev <= 1e-9 * a
     )
     notes = (
@@ -871,8 +862,7 @@ def check_x2_homothety_half_n4(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     )
 
 
-@_claim("prop:confII-envelope", "proposition",
-        "free-side tangency to the predicted concentric ellipse")
+@_claim("prop:confII-envelope", "proposition")
 def check_confII_envelope(p: ConfocalParams = DEFAULT_CONF2) -> ClaimReport:
     """Free side of the confocal-caustic family is tangent to the
     predicted concentric ellipse; with the 4-bounce caustic all chords
@@ -903,7 +893,7 @@ def check_confII_envelope(p: ConfocalParams = DEFAULT_CONF2) -> ClaimReport:
     )
 
 
-@_claim("cor:confII-n4", "corollary", "reciprocal excentral aspect ratio on the 4-bounce caustic")
+@_claim("cor:confII-n4", "corollary")
 def check_confII_n4_excentral_aspect(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """With the 4-bounce caustic the shared excentral ellipse has the
     reciprocal aspect ratio b/a."""
@@ -926,7 +916,7 @@ def check_confII_n4_excentral_aspect(a: float = 2.0, b: float = 1.0) -> ClaimRep
     )
 
 
-@_claim("cor:confII-n6", "corollary", "circular excentral locus on the 6-bounce caustic")
+@_claim("cor:confII-n6", "corollary")
 def check_confII_n6_excentral_circle(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """With the 6-bounce caustic the shared excentral ellipse is a
     circle (equal semi-axes)."""
@@ -949,8 +939,7 @@ def check_confII_n6_excentral_circle(a: float = 2.0, b: float = 1.0) -> ClaimRep
     )
 
 
-@_claim("prop:confII-x1-convex", "proposition",
-        "incenter-locus convexity transition at the quintic root")
+@_claim("prop:confII-x1-convex", "proposition")
 def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """Incenter-locus convexity over the confocal-caustic family flips
     at the smallest positive root of the transition quintic."""
@@ -994,7 +983,7 @@ def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     )
 
 
-@_claim("inv:conserved", "invariant", "conserved quantities of the closing families")
+@_claim("inv:conserved", "invariant")
 def check_conserved_quantities() -> ClaimReport:
     """Family invariants: bicentric cosine sum, confocal closing-family
     perimeter and inradius/circumradius ratio, stationary mittenpunkt,
@@ -1051,7 +1040,7 @@ def _matches_expected(letter: str, expected: str) -> bool:
     return letter == expected
 
 
-@_claim("table2", "table", "verdict grid for all six families")
+@_claim("table2", "table")
 def summary_table() -> ClaimReport:
     """Verdict grid for the six families at the documented default
     parameters, compared cell-for-cell against the expected letters."""
@@ -1089,8 +1078,7 @@ def summary_table() -> ClaimReport:
     )
 
 
-@_claim("conj:bicII-stationary", "conjecture",
-        "stationarity as a necessary condition for conic loci")
+@_claim("conj:bicII-stationary", "conjecture")
 def check_conjecture_bicII_stationary() -> ClaimReport:
     """Evidence for: a conic locus over the two-caustic bicentric
     family requires a stationary locus over the closing family.
@@ -1162,7 +1150,7 @@ def check_conjecture_bicII_stationary() -> ClaimReport:
     )
 
 
-@_claim("conj:bicIII", "conjecture", "three-caustic incenter/excenter observations")
+@_claim("conj:bicIII", "conjecture")
 def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
     """Evidence for the three-caustic bicentric observations: convex
     non-conic incenter locus, non-conic excenter loci that stay
@@ -1170,17 +1158,16 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
     free-side envelopes across the four tangency branches."""
     assert p.u is not None
     cfg = bic3_config(p.R, p.r, p.d, u=p.u)
-    tols = DEFAULT_TOLERANCES
 
     loc_x1 = trace_locus(cfg, "X1", 512)
     convex = convexity_check(loc_x1.valid_xy())
-    x1_nonconic, x1_fit2 = _nonconic_evidence(loc_x1, tols)
+    x1_nonconic, x1_fit2 = _nonconic_evidence(loc_x1)
 
     exc_loci = {pid: trace_locus(cfg, pid, 512) for pid in ("P1'", "P2'", "P3'")}
     exc_nonconic = True
     notes = [f"incenter: convex={convex}, conic residual {x1_fit2:.3e}"]
     for pid, loc in exc_loci.items():
-        nonconic, fit2res = _nonconic_evidence(loc, tols)
+        nonconic, fit2res = _nonconic_evidence(loc)
         exc_nonconic = exc_nonconic and nonconic
         notes.append(f"{pid}: conic residual {fit2res:.3e}")
 
@@ -1200,7 +1187,7 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
     near_circle = ""
     for pid in ("P1'", "P2'", "P3'"):
         loc = trace_locus(cfg_star, pid, 512)
-        nonconic, fit2res = _nonconic_evidence(loc, tols)
+        nonconic, fit2res = _nonconic_evidence(loc)
         collapse_nonconic = collapse_nonconic and nonconic
         if fit2res < collapse_margin:
             collapse_margin = fit2res
@@ -1208,12 +1195,12 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
     notes.append(
         f"collapse at u={u_star:.9f}: all excenters non-conic;"
         f" {near_circle} closest to a conic at residual {collapse_margin:.3e}"
-        f" ({collapse_margin / tols.conic_tol:.0f}x the conic tolerance)"
+        f" ({collapse_margin / CONIC_TOL:.0f}x the conic tolerance)"
     )
 
     # Endpoint consistency: u -> 0 reduces to the two-caustic family.
     cfg0 = bic3_config(p.R, p.r, p.d, u=0.0)
-    fit0 = classify_locus(trace_locus(cfg0, "X1", 256), tols)
+    fit0 = classify_locus(trace_locus(cfg0, "X1", 256))
     endpoint_ok = fit0.verdict == "circle"
     notes.append(f"u=0 endpoint: incenter verdict {fit0.verdict} at {fit0.residual:.2e}")
 
@@ -1259,7 +1246,7 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
         and envelopes_ok
     )
     return _report(
-        p, ok, x1_fit2, DEFAULT_TOLERANCES.conic_tol,
+        p, ok, x1_fit2, CONIC_TOL,
         "convex non-conic incenter locus; distinct non-conic excenter loci;"
         " two branch envelopes",
         f"pairwise excenter gap {pair_gap:.3e}; incenter conic residual {x1_fit2:.3e}",

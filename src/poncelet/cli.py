@@ -34,7 +34,6 @@ from .families import (
 from .geom import Conic
 from .loci import (
     _grid,
-    DEFAULT_TOLERANCES,
     TRACKED_IDS,
     InsufficientSamples,
     classify_locus,
@@ -69,7 +68,8 @@ def _add_family_flags(sp: argparse.ArgumentParser, multi_center: bool = False) -
     )
     sp.add_argument(
         "--branch", default=None,
-        help="tangent branch: plus|minus or a pair like plus,minus",
+        help="tangent branch of a chain family (bic-III, conf-III):"
+        " plus|minus or a pair like plus,minus",
     )
     if multi_center:
         sp.add_argument(
@@ -148,8 +148,7 @@ def _build_family(args: argparse.Namespace) -> FamilyConfig:
             values[k] = spec.closure(*values[:2])
         elif values[k] is None:
             raise _CliUsage(f"family {family} requires --{'lambda' if dest == 'lam' else dest}")
-    # A closing family only relabels P2 and P3 with the branch: none is read.
-    return FamilyConfig(family, spec.params(*values), DEFAULT_BRANCH if spec.closure else branch)
+    return FamilyConfig(family, spec.params(*values), branch)
 
 
 def _check_tracked(ids: Sequence[str]) -> None:
@@ -202,7 +201,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     _check_tracked([center])
     n = _samples(args)
     locus = trace_locus(cfg, center, n)
-    fit = classify_locus(locus, DEFAULT_TOLERANCES)
+    fit = classify_locus(locus)
     out: dict = {
         "family": cfg.kind,
         "tracked": center,
@@ -305,7 +304,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
         out["closed_form"] = False
         out["sampled_points"] = len(pts)
         if len(pts) >= 24:
-            fit = fit_curve(pts, 2, DEFAULT_TOLERANCES)
+            fit = fit_curve(pts, 2)
             out["verdict"] = fit.verdict
             out["residual"] = fit.residual
             if fit.conic is not None and fit.conic.center is not None:

@@ -113,11 +113,13 @@ MINUS = "minus"
 
 
 class TangentBranch(NamedTuple):
-    """Which tangent to take at each constructed side of a triangle.
+    """Which tangent to take at each constructed side of a chain triangle.
 
     Both components select the sign of the square root in the chord
     maps (equivalently, which of the two tangents from the moving
-    vertex).  The labels are continuous along a full sweep of t.
+    vertex).  The labels are continuous along a full sweep of t.  A pair
+    takes both tangents from P1, so a branch could only swap P2 and P3:
+    it takes the default branch only.
     """
 
     first: str = PLUS
@@ -558,8 +560,7 @@ class FamilySpec(NamedTuple):
     or ConfocalParams; the fields of both are the outer shape
     pair, the caustic's parameter and the pencil coordinate.  A pair
     takes both tangents from P1 to the caustic and leaves P2P3 free; a
-    chain makes P2P3 touch the pencil caustic and leaves P3P1 free.  An
-    unbranched pair takes the plus tangent first, whatever the branch.
+    chain makes P2P3 touch the pencil caustic and leaves P3P1 free.
     ``closure(x, y, z=None)`` returns the caustic parameter that closes
     the family and raises if a given z is not it.  ``envelope(params)``
     is the free side's closed-form envelope.
@@ -567,18 +568,17 @@ class FamilySpec(NamedTuple):
 
     params: type
     chain: bool
-    branched: bool
     closure: Optional[Callable[..., float]]
     envelope: Optional[Callable[[Any], Conic]]
 
 
 FAMILY_SPECS = {
-    "bic-I": FamilySpec(BicentricParams, False, False, _poristic_offset, BicentricParams.caustic),
-    "bic-II": FamilySpec(BicentricParams, False, False, None, bic2_envelope),
-    "bic-III": FamilySpec(BicentricParams, True, True, None, None),
-    "conf-I": FamilySpec(ConfocalParams, False, True, _closing_lambda, ConfocalParams.caustic),
-    "conf-II": FamilySpec(ConfocalParams, False, True, None, conf2_envelope),
-    "conf-III": FamilySpec(ConfocalParams, True, True, None, None),
+    "bic-I": FamilySpec(BicentricParams, False, _poristic_offset, BicentricParams.caustic),
+    "bic-II": FamilySpec(BicentricParams, False, None, bic2_envelope),
+    "bic-III": FamilySpec(BicentricParams, True, None, None),
+    "conf-I": FamilySpec(ConfocalParams, False, _closing_lambda, ConfocalParams.caustic),
+    "conf-II": FamilySpec(ConfocalParams, False, None, conf2_envelope),
+    "conf-III": FamilySpec(ConfocalParams, True, None, None),
 }
 
 FAMILY_KINDS = tuple(FAMILY_SPECS)
@@ -587,7 +587,7 @@ FAMILY_KINDS = tuple(FAMILY_SPECS)
 @dataclass(frozen=True)
 class FamilyConfig:
     """A concrete triangle family: kind, shape parameters (of the class
-    the kind's FamilySpec names), tangent branch."""
+    the kind's FamilySpec names), tangent branch (a chain's only)."""
 
     kind: str
     params: Any
@@ -605,6 +605,11 @@ class FamilyConfig:
             spec.closure(x, y, z)
         if spec.chain and pencil is None:
             raise ValueError(f"{self.kind} needs the pencil parameter {fields(p)[3].name}")
+        if not spec.chain and self.branch != DEFAULT_BRANCH:
+            raise ValueError(
+                f"{self.kind} takes only the default tangent branch (plus, plus):"
+                " both its tangents leave P1"
+            )
 
     @property
     def outer_scale(self) -> float:
@@ -635,7 +640,7 @@ class FamilyConfig:
         spec = FAMILY_SPECS[self.kind]
         p = self.params
         x1, y1 = p.vertex(t)
-        s = _branch_sign(self.branch.first) if spec.branched else 1.0
+        s = _branch_sign(self.branch.first)
         first = p.shape()
         x2, y2, ok = p.chord(first, x1, y1, s)
         if spec.chain:
@@ -691,10 +696,8 @@ def conf1_config(a: float, b: float) -> FamilyConfig:
     return FamilyConfig("conf-I", ConfocalParams(a, b, critical_lambda(a, b)))
 
 
-def conf2_config(
-    a: float, b: float, lam: float, branch: TangentBranch = DEFAULT_BRANCH
-) -> FamilyConfig:
-    return FamilyConfig("conf-II", ConfocalParams(a, b, lam), branch=branch)
+def conf2_config(a: float, b: float, lam: float) -> FamilyConfig:
+    return FamilyConfig("conf-II", ConfocalParams(a, b, lam))
 
 
 def conf3_config(

@@ -4,7 +4,7 @@ A locus is the path swept by a tracked point (triangle center, excenter,
 or vertex) as the driving angle t of a triangle family sweeps [0, 2pi).
 Classification runs a verdict ladder: stationary point, then conic
 (circle/ellipse), then algebraic curves of increasing degree, and
-finally "nonconic" when nothing of degree <= max_degree fits.  A
+finally "nonconic" when nothing of degree <= MAX_DEGREE fits.  A
 ``Locus`` keeps its samples as four read-only arrays (t, x, y, ok).
 
 Fits are total-least-squares implicit fits: the sample coordinates are
@@ -39,8 +39,11 @@ from .geom import (
 __all__ = [
     "InsufficientSamples",
     "NoConvexityRoot",
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
+    "POINT_TOL",
+    "CONIC_TOL",
+    "CURVE_TOL",
+    "MAX_DEGREE",
+    "ELBOW_FACTOR",
     "LocusSample",
     "Locus",
     "CurveFit",
@@ -72,25 +75,17 @@ class NoConvexityRoot(GeometryError):
 MIN_VALID_SAMPLES = 32
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Classification thresholds, all in normalized coordinates.
-
-    ``elbow_factor`` guards the degree ladder against spurious
-    approximants: a degree is only accepted when the next degree no
-    longer improves the residual by more than this factor.  Fits of a
-    sampled curve whose true degree is higher keep improving by orders
-    of magnitude per degree; at the true degree the residual flattens
-    out at the numerical floor."""
-
-    point_tol: float = 1e-8
-    conic_tol: float = 1e-7
-    curve_tol: float = 1e-6
-    max_degree: int = 8
-    elbow_factor: float = 1e-2
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Classification thresholds, all in normalized coordinates.
+POINT_TOL = 1e-8
+CONIC_TOL = 1e-7
+CURVE_TOL = 1e-6
+MAX_DEGREE = 8
+# The elbow rule guards the degree ladder against spurious approximants:
+# a degree is only accepted when the next degree no longer improves the
+# residual by more than this factor.  Fits of a sampled curve whose true
+# degree is higher keep improving by orders of magnitude per degree; at
+# the true degree the residual flattens out at the numerical floor.
+ELBOW_FACTOR = 1e-2
 
 
 class LocusSample(NamedTuple):
@@ -126,9 +121,6 @@ class Locus:
         """The valid samples as an (m, 2) array."""
         return np.column_stack((self.x[self.ok], self.y[self.ok]))
 
-    def valid_points(self) -> List[Point]:
-        return list(map(Point, *self.valid_xy().T.tolist()))
-
 
 @dataclass(frozen=True)
 class CurveFit:
@@ -149,7 +141,6 @@ class CurveFit:
     spread: float = math.inf
     conic: Optional[ConicClass] = None
     conic_coeffs: Optional[Tuple[float, ...]] = None
-    ambiguous: bool = False
     shift: Tuple[float, float] = (0.0, 0.0)
     scale: float = 1.0
 
@@ -291,11 +282,11 @@ class _MonomialDesign:
 
 
 class _Rung(NamedTuple):
-    """One degree of the ladder: the spectrum of its design prefix."""
+    """One degree of the ladder: the smallest right singular vector of its
+    design prefix, and its residual."""
 
     degree: int
-    sigma: np.ndarray
-    vt: np.ndarray
+    null: np.ndarray
     residual: float
 
 
@@ -308,14 +299,14 @@ def _rung(design: _MonomialDesign, degree: int) -> _Rung:
     if n < 2 * m:
         raise InsufficientSamples(f"degree {degree} needs >= {2 * m} samples, got {n}")
     _, sigma, vt = np.linalg.svd(np.linalg.qr(design.columns(degree), mode="r"))
-    return _Rung(degree, sigma, vt, float(sigma[-1]) / math.sqrt(n))
+    return _Rung(degree, vt[-1], float(sigma[-1]) / math.sqrt(n))
 
 
-def _curve_fit(rung: _Rung, shift: Tuple[float, float], s: float, tols: Tolerances,
+def _curve_fit(rung: _Rung, shift: Tuple[float, float], s: float,
                spread: float = math.inf, nonconic: bool = False) -> CurveFit:
     """The CurveFit of a rung; a degree-2 rung also gets its conic, unless
     it is the fallback of a ladder that found nothing (``nonconic``)."""
-    sigma, coeffs = rung.sigma, rung.vt[-1]
+    coeffs = rung.null
     for c in coeffs:
         if abs(c) > 1e-12:
             if c < 0.0:
@@ -326,7 +317,7 @@ def _curve_fit(rung: _Rung, shift: Tuple[float, float], s: float, tols: Toleranc
     if rung.degree == 2 and not nonconic:
         conic_coeffs = _denormalized_conic(coeffs, shift, s)
         conic = classify_conic(conic_coeffs)
-        if rung.residual <= tols.conic_tol and conic.kind in ("circle", "ellipse"):
+        if rung.residual <= CONIC_TOL and conic.kind in ("circle", "ellipse"):
             verdict = conic.kind
     return CurveFit(
         degree=rung.degree,
@@ -336,25 +327,24 @@ def _curve_fit(rung: _Rung, shift: Tuple[float, float], s: float, tols: Toleranc
         spread=spread,
         conic=conic,
         conic_coeffs=conic_coeffs,
-        ambiguous=bool(len(sigma) >= 2 and sigma[-2] <= 1e-7 * sigma[0]),
         shift=shift,
         scale=s,
     )
 
 
-def fit_curve(samples, degree: int, tols: Tolerances = DEFAULT_TOLERANCES) -> CurveFit:
+def fit_curve(samples, degree: int) -> CurveFit:
     """Fit one implicit algebraic curve of the given total degree to a
     Point sequence or an (n, 2) array.
 
     Requires at least twice as many samples as monomials.  The verdict
-    is "circle"/"ellipse" only for degree-2 fits that meet conic_tol
+    is "circle"/"ellipse" only for degree-2 fits that meet CONIC_TOL
     and classify accordingly; otherwise "algebraic".
     """
     m = (degree + 1) * (degree + 2) // 2
     if len(samples) < 2 * m:
         raise InsufficientSamples(f"degree {degree} needs >= {2 * m} samples, got {len(samples)}")
     norm, shift, s = _normalize_samples(samples)
-    return _curve_fit(_rung(_MonomialDesign(norm, degree), degree), shift, s, tols)
+    return _curve_fit(_rung(_MonomialDesign(norm, degree), degree), shift, s)
 
 
 # Consecutive samples per block in _diameter: consecutive samples of a
@@ -409,17 +399,17 @@ def stationarity_spread(locus: Locus) -> float:
     return _diameter(locus.valid_xy()) / locus.family.outer_scale
 
 
-def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> CurveFit:
+def classify_locus(locus: Locus) -> CurveFit:
     """Verdict ladder: point, conic, smallest adequate degree, nonconic;
     each degree's spectrum is taken, as ``fit_curve`` takes it, on a
     prefix of one design whose grades are built only as far as the ladder
     climbs.  Only the returned degree becomes a CurveFit, and the quadric
-    is classified only when it meets ``conic_tol``."""
+    is classified only when it meets ``CONIC_TOL``."""
     pts = locus.valid_xy()
     if len(pts) < MIN_VALID_SAMPLES:
         raise InsufficientSamples(f"{len(pts)} valid samples")
     spread = stationarity_spread(locus)
-    if spread <= tols.point_tol:
+    if spread <= POINT_TOL:
         return CurveFit(
             degree=1,
             coeffs=(),
@@ -429,7 +419,7 @@ def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> Curve
             shift=tuple(pts[0].tolist()),
         )
     norm, shift, s = _normalize_samples(pts)
-    design = _MonomialDesign(norm, max(2, tols.max_degree))
+    design = _MonomialDesign(norm, max(2, MAX_DEGREE))
     rungs: Dict[int, _Rung] = {}
 
     def rung_at(degree: int) -> _Rung:
@@ -438,25 +428,25 @@ def classify_locus(locus: Locus, tols: Tolerances = DEFAULT_TOLERANCES) -> Curve
         return rungs[degree]
 
     quad = rung_at(2)
-    if quad.residual <= tols.conic_tol:
-        fit = _curve_fit(quad, shift, s, tols, spread)
+    if quad.residual <= CONIC_TOL:
+        fit = _curve_fit(quad, shift, s, spread)
         if fit.verdict in ("circle", "ellipse"):
             return fit
     best = quad
-    for degree in range(3, tols.max_degree + 1):
+    for degree in range(3, MAX_DEGREE + 1):
         rung = rung_at(degree)
-        if rung.residual <= tols.curve_tol:
+        if rung.residual <= CURVE_TOL:
             # Elbow check: accept only once the next degree stops
             # improving dramatically; a residual that keeps dropping by
             # orders of magnitude marks an approximant of a
             # higher-degree curve, not a genuine vanishing.
-            if degree < tols.max_degree and rung.residual > 0.0:
-                if rung_at(degree + 1).residual < tols.elbow_factor * rung.residual:
+            if degree < MAX_DEGREE and rung.residual > 0.0:
+                if rung_at(degree + 1).residual < ELBOW_FACTOR * rung.residual:
                     best = rung
                     continue
-            return _curve_fit(rung, shift, s, tols, spread)
+            return _curve_fit(rung, shift, s, spread)
         best = rung
-    return _curve_fit(best, shift, s, tols, spread, nonconic=True)
+    return _curve_fit(best, shift, s, spread, nonconic=True)
 
 
 def verdict_letter(fit: CurveFit) -> str:
@@ -735,24 +725,25 @@ def sextic_coefficients_x2_weighted(p: BicentricParams) -> dict:
     return c
 
 
-def sextic_residual(coeffs: Dict[Tuple[int, int], float], pts: Sequence[Point]) -> float:
+def sextic_residual(coeffs: Dict[Tuple[int, int], float], xy: np.ndarray) -> float:
     """Max absolute value of a degree-6 polynomial {(i, j): c} over the
-    points, normalized by the coefficient norm and the sixth power of
-    the sample scale."""
+    rows of an (m, 2) array, normalized by the coefficient norm and the
+    sixth power of the sample scale."""
     norm = math.sqrt(math.fsum(v * v for v in coeffs.values()))
-    scale = max(max(abs(q.x), abs(q.y)) for q in pts)
+    rows = xy.tolist()
+    scale = max(max(abs(x), abs(y)) for x, y in rows)
     scale = max(scale, 1e-300)
     worst = 0.0
     items = sorted(coeffs.items())
-    for q in pts:
-        val = math.fsum(v * q.x ** i * q.y ** j for (i, j), v in items)
+    for x, y in rows:
+        val = math.fsum(v * x ** i * y ** j for (i, j), v in items)
         worst = max(worst, abs(val))
     return worst / (norm * scale ** 6)
 
 
 def verify_implicit_sextic_x2(p: BicentricParams, locus: Locus) -> float:
     """sextic_residual of the barycenter sextic over the locus samples."""
-    pts = locus.valid_points()
-    if not pts:
+    xy = locus.valid_xy()
+    if not len(xy):
         raise InsufficientSamples("no valid samples")
-    return sextic_residual(sextic_coefficients_x2(p), pts)
+    return sextic_residual(sextic_coefficients_x2(p), xy)

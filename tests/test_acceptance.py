@@ -35,7 +35,7 @@ from poncelet.families import (
     envelope_points,
 )
 from poncelet.loci import (
-    DEFAULT_TOLERANCES,
+    CONIC_TOL,
     classify_locus,
     convexity_check,
     convexity_lambda_root,
@@ -106,7 +106,7 @@ def test_criterion_01_incenter_circle_grid():
     worst = 0.0
     for p in GRID:
         center, radius = bic2_x1_circle(p)
-        pts = trace_locus(bic2_config(p.R, p.r, p.d), "X1", n=512).valid_points()
+        pts = trace_locus(bic2_config(p.R, p.r, p.d), "X1", n=512).valid_xy().tolist()
         dev = max(abs(math.dist(q, center) - radius) for q in pts) / p.R
         worst = max(worst, dev)
     _report(1, worst <= 1e-9,
@@ -129,7 +129,7 @@ def test_criterion_03_first_excenter_circle():
         center, _ = bic2_x1_circle(p)
         ex_center = Point(-center.x, 0.0)
         ex_radius = p.R * (p.R ** 2 + 2.0 * p.R * p.r - p.d ** 2) / (p.R ** 2 - p.d ** 2)
-        pts = trace_locus(bic2_config(p.R, p.r, p.d), "P1'", n=512).valid_points()
+        pts = trace_locus(bic2_config(p.R, p.r, p.d), "P1'", n=512).valid_xy().tolist()
         dev = max(abs(math.dist(q, ex_center) - ex_radius) for q in pts) / p.R
         worst = max(worst, dev)
     # poristic case: the excenter circle has radius exactly twice the outer
@@ -149,7 +149,7 @@ def test_criterion_04_centroid_sextic_grid():
     for p in GRID:
         loc = trace_locus(bic2_config(p.R, p.r, p.d), "X2", n=512)
         worst = max(worst, verify_implicit_sextic_x2(p, loc))
-        f2 = fit_curve(loc.valid_points(), 2, DEFAULT_TOLERANCES)
+        f2 = fit_curve(loc.valid_xy(), 2)
         worst_conic = min(worst_conic, f2.residual)
     ok = worst <= 1e-8 and worst_conic > 1e-3
     _report(4, ok,
@@ -168,21 +168,21 @@ def test_criterion_05_excentral_ellipse_and_odd_one_out():
         ae, be = conf2_excentral_axes(p)
         pair_res = 0.0
         for key in ("P2'", "P3'"):
-            pts = trace_locus(cfg, key, n=512).valid_points()
+            pts = trace_locus(cfg, key, n=512).valid_xy().tolist()
             pair_res = max(
                 pair_res,
-                max(abs((q.x / ae) ** 2 + (q.y / be) ** 2 - 1.0) for q in pts),
+                max(abs((x / ae) ** 2 + (y / be) ** 2 - 1.0) for x, y in pts),
             )
-        pts1 = trace_locus(cfg, "P1'", n=512).valid_points()
+        pts1 = trace_locus(cfg, "P1'", n=512).valid_xy()
         if abs(lam - lam_star) < 1e-9:
-            solo = max(abs((q.x / ae) ** 2 + (q.y / be) ** 2 - 1.0) for q in pts1)
+            solo = max(abs((x / ae) ** 2 + (y / be) ** 2 - 1.0) for x, y in pts1.tolist())
             ok = ok and pair_res <= 1e-9 and solo <= 1e-9
             details.append(f"lam*={lam:.4f}: all three on the ellipse ({solo:.1e})")
         else:
-            f2 = fit_curve(pts1, 2, DEFAULT_TOLERANCES)
-            f6 = fit_curve(pts1, 6, DEFAULT_TOLERANCES)
+            f2 = fit_curve(pts1, 2)
+            f6 = fit_curve(pts1, 6)
             ok = ok and pair_res <= 1e-9
-            ok = ok and f2.residual > 10.0 * DEFAULT_TOLERANCES.conic_tol
+            ok = ok and f2.residual > 10.0 * CONIC_TOL
             ok = ok and f6.residual <= 1e-8
             details.append(
                 f"lam={lam}: pair on ellipse ({pair_res:.1e}), "
@@ -222,12 +222,12 @@ def test_criterion_07_six_periodic_excentral_circle():
 def test_criterion_08_centroid_third_scale_at_four_periodic():
     a, b = 2.0, 1.0
     lam4 = n4_lambda(a, b)
-    pts = trace_locus(conf2_config(a, b, lam4), "X2", n=512).valid_points()
-    worst = max(abs((3.0 * q.x / a) ** 2 + (3.0 * q.y / b) ** 2 - 1.0) for q in pts)
+    pts = trace_locus(conf2_config(a, b, lam4), "X2", n=512).valid_xy().tolist()
+    worst = max(abs((3.0 * x / a) ** 2 + (3.0 * y / b) ** 2 - 1.0) for x, y in pts)
     # concentric circular analogue: same one-third homothety
     Rc = 1.0
     cfg = bic2_config(Rc, Rc / math.sqrt(2.0), 0.0)
-    pts2 = trace_locus(cfg, "X2", n=256).valid_points()
+    pts2 = trace_locus(cfg, "X2", n=256).valid_xy().tolist()
     worst2 = max(abs(math.dist(q, Point(0.0, 0.0)) - Rc / 3.0) for q in pts2)
     ok = worst <= 1e-9 and worst2 <= 1e-9
     _report(8, ok,
@@ -424,8 +424,7 @@ def test_criterion_13_convexity_transition():
     resid = abs(sum(c * root ** (5 - i) for i, c in enumerate(coeffs)))
 
     def convex_at(lam: float) -> bool:
-        pts = trace_locus(conf2_config(a, b, lam), "X1", n=512).valid_points()
-        return convexity_check(pts)
+        return convexity_check(trace_locus(conf2_config(a, b, lam), "X1", n=512).valid_xy())
 
     lo, hi = 0.85 * root * b * b, 1.15 * root * b * b
     assert convex_at(lo) and not convex_at(hi)
@@ -450,7 +449,7 @@ def test_criterion_14_branch_envelopes_pair_up():
     for first, second in product((PLUS, MINUS), repeat=2):
         cfg = bic3_config(R, 0.15, 0.25, 0.4, branch=TangentBranch(first, second))
         pts = envelope_points(cfg.free_sides, ts)
-        fit = fit_curve(pts, 2, DEFAULT_TOLERANCES)
+        fit = fit_curve(pts, 2)
         assert fit.conic is not None and fit.conic.kind == "circle"
         fits.append((fit.conic.center.x, fit.conic.center.y, fit.conic.semi_axes[0]))
     clusters = []

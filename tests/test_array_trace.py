@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from poncelet.centers import (
-    BARYCENTRIC,
     CenterDefinition,
     builtin_centers,
     center,
@@ -49,7 +48,6 @@ from _geometry_oracle import line_intersection
 
 N = 64
 BRANCHES = [TangentBranch(a, b) for a in (PLUS, MINUS) for b in (PLUS, MINUS)]
-FIRST_LABELS = [TangentBranch(PLUS, PLUS), TangentBranch(MINUS, PLUS)]
 
 
 def _configs():
@@ -63,7 +61,7 @@ def _configs():
     for a in (2.0, 1.7):
         out.append(conf1_config(a, 1.0))
     for a, lam in ((2.0, 0.5), (1.7, 0.4)):
-        out.extend(conf2_config(a, 1.0, lam, branch=br) for br in FIRST_LABELS)
+        out.append(conf2_config(a, 1.0, lam))
     for a, lam, u in ((2.0, 0.3, 0.5), (1.7, 0.4, 0.3)):
         out.extend(conf3_config(a, 1.0, lam, u, branch=br) for br in BRANCHES)
     return out
@@ -248,7 +246,7 @@ GOOD = ((0.0, 0.0), (4.0, 0.0), (1.0, 3.0))
 
 # Barycentric weights (b - c, c - a, a - b) sum to zero on every triangle.
 ZERO_SUM = CenterDefinition(
-    900001, BARYCENTRIC, lambda a, b, c: (b - c, c - a, a - b), name="zero-sum test weights"
+    900001, lambda a, b, c: (b - c, c - a, a - b), name="zero-sum test weights"
 )
 
 

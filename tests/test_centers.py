@@ -51,7 +51,17 @@ def _bary(tri: Triangle, f) -> Point:
     )
 
 
-# independently known barycentric weights
+def _cos(a, b, c):
+    """The cosine of the angle opposite side a, by the law of cosines."""
+    return (b * b + c * c - a * a) / (2.0 * b * c)
+
+
+def _trilinear(f):
+    """The barycentric weight a * f(a, b, c) of trilinear coordinates f."""
+    return lambda a, b, c: a * f(a, b, c)
+
+
+# independently known barycentric weights (trilinears times the side)
 BARYCENTRIC = {
     "X1": lambda a, b, c: a,
     "X2": lambda a, b, c: 1.0,
@@ -60,9 +70,12 @@ BARYCENTRIC = {
     "X9": lambda a, b, c: a * (b + c - a),
     "X35": lambda a, b, c: a * a * (b * b + c * c - a * a + b * c),
     "X36": lambda a, b, c: a * a * (b * b + c * c - a * a - b * c),
+    "X40": _trilinear(lambda a, b, c: _cos(b, c, a) + _cos(c, a, b) - _cos(a, b, c) - 1.0),
+    "X46": _trilinear(lambda a, b, c: _cos(b, c, a) + _cos(c, a, b) - _cos(a, b, c)),
     "X55": lambda a, b, c: a * a * (b + c - a),
     "X56": lambda a, b, c: a * a / (b + c - a),
     "X57": lambda a, b, c: a / (b + c - a),
+    "X65": _trilinear(lambda a, b, c: _cos(b, c, a) + _cos(c, a, b)),
 }
 
 

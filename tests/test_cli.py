@@ -252,11 +252,17 @@ def test_cli_builds_the_builder_family(flags, want):
 
 @pytest.mark.parametrize("flags, want", README_FAMILIES, ids=lambda v: getattr(v, "kind", ""))
 def test_branch_flag_use(flags, want, capsys):
-    """--branch moves P2 over bic-III and the confocal families that do not
-    close; bic-I, bic-II and conf-I read no branch."""
+    """--branch moves P2 over the chain kinds, bic-III and conf-III; a pair
+    kind takes only the default branch, and any other is a usage error."""
     _, plain, _ = run(capsys, "trace", *flags, "--center", "P2", "-n", "16")
-    _, branched, _ = run(capsys, "trace", *flags, "--branch", "minus,minus", "--center", "P2", "-n", "16")
-    assert (branched == plain) == (want.kind in ("bic-I", "bic-II", "conf-I"))
+    code, branched, err = run(capsys, "trace", *flags, "--branch", "minus,minus", "--center", "P2", "-n", "16")
+    if want.kind in ("bic-III", "conf-III"):
+        assert code == 0 and branched != plain
+    else:
+        assert (code, branched) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert f"{want.kind} takes only the default tangent branch" in err
+        assert run(capsys, "trace", *flags, "--branch", "plus", "--center", "P2", "-n", "16") == (0, plain, "")
 
 
 @pytest.mark.parametrize("flags, want", README_FAMILIES, ids=lambda v: getattr(v, "kind", ""))

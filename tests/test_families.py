@@ -141,6 +141,9 @@ def test_params_validation():
         FamilyConfig("bic-II", ConfocalParams(2.0, 1.0, 0.5))
     with pytest.raises(ValueError, match="^conf-III needs ConfocalParams$"):
         FamilyConfig("conf-III", BicentricParams(1.0, 0.15, 0.25, u=0.4))
+    # A pair kind takes only the default tangent branch.
+    with pytest.raises(ValueError, match="^conf-II takes only the default tangent branch"):
+        FamilyConfig("conf-II", ConfocalParams(2.0, 1.0, 0.5), TangentBranch(MINUS, PLUS))
 
 
 _FINITE_PARAMS = {
@@ -410,15 +413,25 @@ def test_branches_give_distinct_triangles():
 
 
 def test_pair_branch_use():
-    """A bicentric pair ignores the branch; a confocal pair's first label
-    swaps P2 and P3."""
+    """A pair kind rejects every non-default branch, since both its
+    tangents leave P1 and a branch could only swap P2 and P3; a chain
+    kind's first label moves P2."""
     ts = np.linspace(0.0, 2.0 * np.pi, 17)
-    for base in (bic1_config(1.0, 0.25), bic2_config(1.0, 0.2, 0.3)):
-        other = dataclasses.replace(base, branch=TangentBranch(MINUS, MINUS))
-        for got, want in zip(other.triangles(ts), base.triangles(ts)):
+    pairs = (bic1_config(1.0, 0.25), bic2_config(1.0, 0.2, 0.3),
+             conf1_config(2.0, 1.0), conf2_config(2.0, 1.0, 0.5))
+    for base in pairs:
+        for branch in (TangentBranch(MINUS, PLUS), TangentBranch(PLUS, MINUS),
+                       TangentBranch(MINUS, MINUS)):
+            with pytest.raises(ValueError, match=f"^{base.kind} takes only the default tangent branch"):
+                dataclasses.replace(base, branch=branch)
+        same = dataclasses.replace(base, branch=TangentBranch(PLUS, PLUS))
+        for got, want in zip(same.triangles(ts), base.triangles(ts)):
             np.testing.assert_array_equal(got, want)
-    for base in (conf1_config(2.0, 1.0), conf2_config(2.0, 1.0, 0.5)):
+    for base in (bic3_config(1.0, 0.15, 0.25, u=0.4), conf3_config(2.0, 1.0, 0.3, 0.5)):
         b = base.triangles(ts)
-        s = dataclasses.replace(base, branch=TangentBranch(MINUS, PLUS)).triangles(ts)
-        for got, want in zip(s, (b.x1, b.y1, b.x3, b.y3, b.x2, b.y2, b.ok)):
-            np.testing.assert_array_equal(got, want)
+        m = dataclasses.replace(base, branch=TangentBranch(MINUS, PLUS)).triangles(ts)
+        np.testing.assert_array_equal(m.x1, b.x1)
+        np.testing.assert_array_equal(m.y1, b.y1)
+        both = b.ok & m.ok
+        assert both.any()
+        assert np.hypot(m.x2 - b.x2, m.y2 - b.y2)[both].min() > 1e-3

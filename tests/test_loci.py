@@ -20,12 +20,10 @@ from poncelet.families import (
 from poncelet.loci import (
     _DIAMETER_BLOCK,
     _diameter,
-    DEFAULT_TOLERANCES,
     MIN_VALID_SAMPLES,
     CurveFit,
     InsufficientSamples,
     Locus,
-    Tolerances,
     classify_locus,
     convexity_check,
     convexity_lambda_root,
@@ -73,7 +71,7 @@ def test_stationarity_spread_contrast():
 
 def _pairwise_spread(locus):
     """The brute-force diameter: every pairwise distance."""
-    arr = np.asarray([(p.x, p.y) for p in locus.valid_points()])
+    arr = locus.valid_xy()
     dx = arr[:, 0:1] - arr[:, 0:1].T
     dy = arr[:, 1:2] - arr[:, 1:2].T
     return float(np.sqrt(dx * dx + dy * dy).max()) / locus.family.outer_scale
@@ -229,8 +227,8 @@ def test_classify_x2_sextic_with_elbow():
     assert fit.degree == 6
     assert verdict_letter(fit) == "6"
     # the conic stage must have rejected it decisively
-    fit2 = fit_curve(loc.valid_points(), 2, DEFAULT_TOLERANCES)
-    fit6 = fit_curve(loc.valid_points(), 6, DEFAULT_TOLERANCES)
+    fit2 = fit_curve(loc.valid_xy(), 2)
+    fit6 = fit_curve(loc.valid_xy(), 6)
     assert fit2.residual > 1e-3
     assert fit6.residual < 1e-10
     assert fit6.residual < fit2.residual
@@ -288,9 +286,9 @@ def _loop_convexity_check(points):
         return True
     edges = []
     for i in range(n):
-        q = pts[(i + 1) % n]
-        p = pts[i]
-        ex, ey = q.x - p.x, q.y - p.y
+        qx, qy = pts[(i + 1) % n]
+        px, py = pts[i]
+        ex, ey = qx - px, qy - py
         norm = math.hypot(ex, ey)
         if norm > 0.0:
             edges.append((ex / norm, ey / norm))
@@ -360,7 +358,7 @@ def test_convexity_check_matches_the_loop_on_traced_loci():
     lo, hi = 0.85 * convexity_lambda_root(a, b), 1.15 * convexity_lambda_root(a, b)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        pts = trace_locus(conf2_config(a, b, mid), "X1", 512).valid_points()
+        pts = trace_locus(conf2_config(a, b, mid), "X1", 512).valid_xy().tolist()
         _assert_same_convexity(pts)
         if _loop_convexity_check(pts):
             lo = mid
@@ -368,7 +366,7 @@ def test_convexity_check_matches_the_loop_on_traced_loci():
             hi = mid
     for cfg in (bic2_config(1.0, 0.2, 0.3), bic3_config(1.0, 0.15, 0.25, u=0.4), conf1_config(2.0, 1.0)):
         for tracked in ("X1", "X2", "X4", "P1'"):
-            _assert_same_convexity(trace_locus(cfg, tracked, 256).valid_points())
+            _assert_same_convexity(trace_locus(cfg, tracked, 256).valid_xy().tolist())
 
 
 def test_convexity_quintic_frozen():
@@ -413,11 +411,11 @@ def test_weighted_companion_needs_the_weight():
     loc = trace_locus(BIC2, "X2", n=256)
     cs = sextic_coefficients_x2_weighted(BIC2_PARAMS)
     norm = math.sqrt(sum(v * v for v in cs.values()))
-    pts = loc.valid_points()
-    scale = max(max(abs(p.x), abs(p.y)) for p in pts)
+    pts = loc.valid_xy().tolist()
+    scale = max(max(abs(x), abs(y)) for x, y in pts)
     worst = 0.0
-    for p in pts:
-        val = sum(v * p.x ** i * p.y ** j for (i, j), v in cs.items())
+    for x, y in pts:
+        val = sum(v * x ** i * y ** j for (i, j), v in cs.items())
         worst = max(worst, abs(val) / (norm * scale ** 6))
     assert worst > 0.1
 
@@ -442,7 +440,7 @@ def test_classify_rigid_motion_invariance():
 def test_fit_recovers_synthetic_circles(cx, cy, rad):
     ts = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
     pts = [Point(cx + rad * math.cos(t), cy + rad * math.sin(t)) for t in ts]
-    fit = fit_curve(pts, 2, DEFAULT_TOLERANCES)
+    fit = fit_curve(pts, 2)
     assert fit.conic is not None
     assert fit.conic.kind == "circle"
     assert abs(fit.conic.center.x - cx) < 1e-8
@@ -450,44 +448,37 @@ def test_fit_recovers_synthetic_circles(cx, cy, rad):
     assert abs(fit.conic.semi_axes[0] - rad) < 1e-8
 
 
-def test_tolerances_are_tunable():
-    strict = Tolerances(point_tol=1e-15, conic_tol=1e-15, curve_tol=1e-15)
-    loc = trace_locus(BIC2, "X1", n=256)
-    fit = classify_locus(loc, strict)
-    # at an impossible tolerance nothing is accepted
-    assert fit.verdict in ("none", "algebraic") or fit.residual < 1e-15
-
-
 # ---------------------------------------------------------------------------
 # Array storage and the one-design ladder.
 
 
-def _reference_ladder(locus, tols=DEFAULT_TOLERANCES):
+def _reference_ladder(locus):
     """The verdict ladder rebuilt from the public fit_curve, one fit per
-    degree on the Point list."""
-    pts = locus.valid_points()
+    degree on the valid samples; it reads the loci thresholds when called,
+    so a test may monkeypatch them."""
+    pts = locus.valid_xy()
     if len(pts) < MIN_VALID_SAMPLES:
         raise InsufficientSamples(f"{len(pts)} valid samples")
     spread = stationarity_spread(locus)
-    if spread <= tols.point_tol:
+    if spread <= loci.POINT_TOL:
         return CurveFit(degree=1, coeffs=(), residual=0.0, verdict="point",
-                        spread=spread, shift=(pts[0].x, pts[0].y))
-    quad = fit_curve(pts, 2, tols)
+                        spread=spread, shift=(float(pts[0, 0]), float(pts[0, 1])))
+    quad = fit_curve(pts, 2)
     if quad.verdict in ("circle", "ellipse"):
         return replace(quad, spread=spread)
     fits = {2: quad}
 
     def fit_at(degree):
         if degree not in fits:
-            fits[degree] = fit_curve(pts, degree, tols)
+            fits[degree] = fit_curve(pts, degree)
         return fits[degree]
 
     best = quad
-    for degree in range(3, tols.max_degree + 1):
+    for degree in range(3, loci.MAX_DEGREE + 1):
         fit = fit_at(degree)
-        if fit.residual <= tols.curve_tol:
-            if degree < tols.max_degree and fit.residual > 0.0:
-                if fit_at(degree + 1).residual < tols.elbow_factor * fit.residual:
+        if fit.residual <= loci.CURVE_TOL:
+            if degree < loci.MAX_DEGREE and fit.residual > 0.0:
+                if fit_at(degree + 1).residual < loci.ELBOW_FACTOR * fit.residual:
                     best = fit
                     continue
             return replace(fit, spread=spread)
@@ -544,17 +535,17 @@ def test_classify_ladder_raises_where_the_fit_curve_ladder_does():
 
 @pytest.mark.parametrize("max_degree", [1, 3, 10])
 @pytest.mark.parametrize("cfg", _LADDER_CONFIGS, ids=lambda cfg: f"{cfg.kind}-{cfg.params}")
-def test_classify_equals_the_fit_curve_ladder_at_other_top_degrees(cfg, max_degree):
-    tols = Tolerances(max_degree=max_degree)
+def test_classify_equals_the_fit_curve_ladder_at_other_top_degrees(cfg, max_degree, monkeypatch):
+    monkeypatch.setattr(loci, "MAX_DEGREE", max_degree)
     for tracked in _TABLE2_COLUMNS:
         loc = trace_locus(cfg, tracked, n=512)
-        _assert_bitwise_equal(classify_locus(loc, tols), _reference_ladder(loc, tols))
+        _assert_bitwise_equal(classify_locus(loc), _reference_ladder(loc))
 
 
-def _ladder_outcome(ladder, loc, tols):
+def _ladder_outcome(ladder, loc):
     """The ladder's fit, or the type and message of what it raised."""
     try:
-        return ladder(loc, tols)
+        return ladder(loc)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -578,12 +569,14 @@ def _traced_loci(n):
 
 
 @pytest.mark.parametrize("n", [40, 64, 100])
-def test_classify_raises_mid_ladder_where_the_fit_curve_ladder_does(n):
+def test_classify_raises_mid_ladder_where_the_fit_curve_ladder_does(n, monkeypatch):
     raised = 0
+    default = loci.MAX_DEGREE
     for loc in [*_traced_loci(n), _noisy_circle(n)]:
-        for tols in (DEFAULT_TOLERANCES, Tolerances(max_degree=10)):
-            got = _ladder_outcome(classify_locus, loc, tols)
-            want = _ladder_outcome(_reference_ladder, loc, tols)
+        for max_degree in (default, 10):
+            monkeypatch.setattr(loci, "MAX_DEGREE", max_degree)
+            got = _ladder_outcome(classify_locus, loc)
+            want = _ladder_outcome(_reference_ladder, loc)
             if isinstance(want, CurveFit):
                 _assert_bitwise_equal(got, want)
             else:
@@ -638,7 +631,7 @@ def test_ladder_builds_one_grade_past_an_accepted_degree(monkeypatch, cfg, degre
 def test_ladder_builds_every_grade_for_a_nonconic_locus(monkeypatch):
     fit, built = _design_degrees(monkeypatch, _noisy_circle(512))
     assert fit.verdict == "nonconic"
-    assert built == [DEFAULT_TOLERANCES.max_degree]
+    assert built == [loci.MAX_DEGREE]
 
 
 def test_design_grades_are_the_columns_of_the_whole_design():
@@ -666,7 +659,7 @@ def test_ladder_checks_the_sample_count_before_building_a_grade(monkeypatch):
     assert [design.degree for design in made] == [6]
 
 
-def _svd_oracle_fits(samples, degrees, tols=DEFAULT_TOLERANCES):
+def _svd_oracle_fits(samples, degrees):
     """fit_curve at each degree, rebuilt on the SVD of the n x m prefix
     of the whole degree-8 design, with no code shared with the rung."""
     norm, shift, s = loci._normalize_samples(samples)
@@ -682,11 +675,10 @@ def _svd_oracle_fits(samples, degrees, tols=DEFAULT_TOLERANCES):
         if degree == 2:
             conic_coeffs = loci._denormalized_conic(coeffs, shift, s)
             conic = classify_conic(conic_coeffs)
-            if residual <= tols.conic_tol and conic.kind in ("circle", "ellipse"):
+            if residual <= loci.CONIC_TOL and conic.kind in ("circle", "ellipse"):
                 verdict = conic.kind
         yield CurveFit(degree=degree, coeffs=tuple(float(c) for c in coeffs), residual=residual,
-                       verdict=verdict, conic=conic, conic_coeffs=conic_coeffs,
-                       ambiguous=bool(sigma[-2] <= 1e-7 * sigma[0]), shift=shift, scale=s)
+                       verdict=verdict, conic=conic, conic_coeffs=conic_coeffs, shift=shift, scale=s)
 
 
 def _assert_fit_curve_is_the_svd_oracle(samples):
@@ -771,7 +763,7 @@ def test_locus_arrays_are_read_only_copies():
     assert loc.x[0] == 0.0
 
 
-def test_locus_samples_and_valid_points_round_trip_the_arrays():
+def test_locus_samples_and_valid_xy_round_trip_the_arrays():
     t = np.linspace(0.0, 1.0, 5)
     ok = np.array([True, False, True, True, False])
     loc = Locus(BIC2, "X1", t, np.arange(5.0), -np.arange(5.0), ok)
@@ -782,8 +774,7 @@ def test_locus_samples_and_valid_points_round_trip_the_arrays():
     for s in samples:
         assert isinstance(s.p, Point)
         assert math.isnan(s.p.x) == (not s.valid) and math.isnan(s.p.y) == (not s.valid)
-    assert loc.valid_points() == [Point(0.0, -0.0), Point(2.0, -2.0), Point(3.0, -3.0)]
-    assert loc.valid_xy().tolist() == [list(p) for p in loc.valid_points()]
+    assert loc.valid_xy().tolist() == [[0.0, -0.0], [2.0, -2.0], [3.0, -3.0]]
     rebuilt = Locus(
         loc.family, loc.tracked,
         [s.t for s in samples], [s.p.x for s in samples], [s.p.y for s in samples],
@@ -797,7 +788,7 @@ def test_traced_locus_samples_round_trip_with_invalid_samples():
     loc = trace_locus(bic3_config(1.0, 0.2, 0.3, 1.2), "X1", 64, min_valid=0)
     assert not loc.ok.any()
     assert all(math.isnan(s.p.x) and math.isnan(s.p.y) for s in loc.samples)
-    assert loc.valid_points() == [] and loc.valid_xy().shape == (0, 2)
+    assert loc.valid_xy().shape == (0, 2)
     assert stationarity_spread(loc) == math.inf
     loc = trace_locus(BIC2, "P2'", 128)
-    assert loc.valid_points() == [s.p for s in loc.samples if s.valid]
+    assert loc.valid_xy().tolist() == [list(s.p) for s in loc.samples if s.valid]

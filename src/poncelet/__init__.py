@@ -10,18 +10,13 @@ closed-form descriptions that exist.
 """
 
 from .geom import (
-    CirclePencil,
-    ComplexLimitingPoints,
     Conic,
-    DegeneratePencilMember,
     GeometryError,
     Line,
     Point,
     classify_conic,
     conic_span_residual,
-    limiting_points,
     line_tangent_to_conic_residual,
-    pencil_member,
 )
 from .families import (
     BicentricParams,
@@ -67,13 +62,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BicentricParams",
-    "CirclePencil",
     "ClaimReport",
-    "ComplexLimitingPoints",
     "ConfocalParams",
     "Conic",
     "CurveFit",
-    "DegeneratePencilMember",
     "FamilyConfig",
     "GeometryError",
     "Line",
@@ -106,11 +98,9 @@ __all__ = [
     "envelope_points",
     "excenters",
     "fit_curve",
-    "limiting_points",
     "line_tangent_to_conic_residual",
     "n4_caustic",
     "n6_caustic",
-    "pencil_member",
     "render_family",
     "run_claims",
     "sextic_coefficients_x2",

@@ -1,29 +1,28 @@
 """Triangle centers, excenters, and derived point constructions.
 
 Centers are addressed by their Kimberling index (X1 = incenter,
-X2 = barycenter, ...) and evaluated from homogeneous barycentric weight
-functions of the side lengths.  A few centers are instead defined by
-geometric constructions (circumcircle inversion, excentral-triangle
-circumcenter/centroid, intouch-triangle centers, a perspector); the
-test suite checks each construction against its own trilinear or
-barycentric formula, which this module does not hold.
+X2 = barycenter, ...).  Each center is one kernel.  Most kernels are
+made by ``_barycentric`` from a homogeneous barycentric weight generator
+of the side lengths; a few are geometric constructions (circumcircle
+inversion, excentral-triangle circumcenter/centroid, intouch-triangle
+centers, a perspector), which the test suite checks against their own
+trilinear or barycentric formulas, not held in this module.
 
 Weight formulas follow the standard encyclopedia of triangle centers;
 each one is guarded by an independent geometric incidence oracle in
 the test suite (bisector/altitude concurrences, inversion identities,
 known collinearities) to protect against transcription slips.
 
-Every formula and construction is an elementwise kernel: it runs on
-coordinate arrays over a whole batch of triangles (``center_arrays``,
-``excenter_arrays``) and on the floats of one triangle (``center``,
-``excenters``), which raise where the batch form marks the triangle
-invalid.
+Every kernel is elementwise: it runs on coordinate arrays over a whole
+batch of triangles (``center_arrays``, ``excenter_arrays``) and on the
+floats of one triangle (``center``, ``excenters``), which raise where
+the batch form marks the triangle invalid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple, Union
 
 
 from .families import DegenerateTriangle, Triangle, TriangleBatch
@@ -53,8 +52,6 @@ __all__ = [
     "center_definition",
     "parse_center_id",
 ]
-
-WeightFn = Callable[[Any, Any, Any], Tuple[Any, Any, Any]]
 
 # Relative area below which a triangle is treated as collinear.
 _DEGENERATE_AREA = 1e-14
@@ -88,30 +85,18 @@ class _Shape(NamedTuple):
     fault: Any
 
 
-# A construction maps a _Shape to (x, y, fault), elementwise.
-ConstructFn = Callable[[_Shape], Tuple[Any, Any, Any]]
+# A kernel maps a _Shape to (x, y, fault), elementwise.
+Kernel = Callable[[_Shape], Tuple[Any, Any, Any]]
 
 
 @dataclass(frozen=True)
 class CenterDefinition:
-    """A triangle center: index, weight function, and optional construction.
-
-    ``weight_fn`` maps side lengths (s1, s2, s3) — s_i opposite vertex
-    P_i — to homogeneous barycentric weights (w1, w2, w3).  When
-    ``construct`` is set it takes precedence over the weights (used for
-    centers defined by inversion or by auxiliary-triangle centers).
-    Both are elementwise, on arrays over many triangles or on the floats
-    of one: ``construct`` maps a _Shape to (x, y, fault flags).
-    """
+    """A triangle center: its Kimberling index and its kernel, which maps
+    a _Shape (arrays over many triangles, or the floats of one) to
+    (x, y, fault flags)."""
 
     id: int
-    weight_fn: Optional[WeightFn] = None
-    construct: Optional[ConstructFn] = None
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if self.weight_fn is None and self.construct is None:
-            raise ValueError("center needs a weight function or a construction")
+    kernel: Kernel
 
 
 @dataclass(frozen=True)
@@ -143,25 +128,20 @@ def _shape(x1: Any, y1: Any, x2: Any, y2: Any, x3: Any, y3: Any) -> _Shape:
     return _Shape(x1, y1, x2, y2, x3, y3, s1, s2, s3, area, scale, _DEGENERATE * collinear)
 
 
-def _combine(t: _Shape, w1: Any, w2: Any, w3: Any):
-    """The point with barycentric weights (w1, w2, w3)."""
-    total = w1 + w2 + w3
-    at_infinity = abs(total) <= _ZERO_WEIGHT_SUM * (abs(w1) + abs(w2) + abs(w3))
-    x = (w1 * t.x1 + w2 * t.x2 + w3 * t.x3) / _nonzero(total)
-    y = (w1 * t.y1 + w2 * t.y2 + w3 * t.y3) / _nonzero(total)
-    return x, y, t.fault | _DEGENERATE * at_infinity
+def _barycentric(f: Callable[[Any, Any, Any], Any]) -> Kernel:
+    """The kernel of the center with homogeneous barycentric weights
+    (f(s1, s2, s3), f(s2, s3, s1), f(s3, s1, s2)): the generator
+    f(a, b, c) gives the weight of the vertex opposite side a."""
 
+    def kernel(t: _Shape):
+        w1, w2, w3 = f(t.s1, t.s2, t.s3), f(t.s2, t.s3, t.s1), f(t.s3, t.s1, t.s2)
+        total = w1 + w2 + w3
+        at_infinity = abs(total) <= _ZERO_WEIGHT_SUM * (abs(w1) + abs(w2) + abs(w3))
+        x = (w1 * t.x1 + w2 * t.x2 + w3 * t.x3) / _nonzero(total)
+        y = (w1 * t.y1 + w2 * t.y2 + w3 * t.y3) / _nonzero(total)
+        return x, y, t.fault | _DEGENERATE * at_infinity
 
-def _weighted(t: _Shape, definition: "CenterDefinition"):
-    """A center from its barycentric weight formula."""
-    assert definition.weight_fn is not None
-    return _combine(t, *definition.weight_fn(t.s1, t.s2, t.s3))
-
-
-def _center(t: _Shape, definition: "CenterDefinition"):
-    if definition.construct is not None:
-        return definition.construct(t)
-    return _weighted(t, definition)
+    return kernel
 
 
 def _excenters(t: _Shape):
@@ -184,14 +164,6 @@ def _excenters(t: _Shape):
         (s1 * t.y1 + s2 * t.y2 - s3 * t.y3) / d3,
     )
     return xs, ys, t.fault | _DEGENERATE * inequality_fails
-
-
-def _incenter(t: _Shape):
-    return _weighted(t, _X1_DEF)
-
-
-def _circumcenter(t: _Shape):
-    return _weighted(t, _X3_DEF)
 
 
 def _bevan(t: _Shape):
@@ -240,7 +212,7 @@ def _intouch(t: _Shape) -> Tuple[Any, Any, Any, Any, Any, Any]:
 
 def _x65(t: _Shape):
     """Orthocenter of the intouch triangle."""
-    x, y, fault = _weighted(_shape(*_intouch(t)), _X4_DEF)
+    x, y, fault = _orthocenter(_shape(*_intouch(t)))
     return x, y, t.fault | fault
 
 
@@ -340,7 +312,7 @@ def center(tri: Triangle, definition: Union[CenterDefinition, str, int]) -> Poin
     string like "X165".
     """
     definition = _resolve(definition)
-    x, y, fault = _center(_shape_of(tri), definition)
+    x, y, fault = definition.kernel(_shape_of(tri))
     _raise_for(fault)
     return Point(x, y)
 
@@ -353,7 +325,7 @@ def center_arrays(tri: TriangleBatch, definition: Union[CenterDefinition, str, i
     """
     definition = _resolve(definition)
     with quiet_fp():
-        x, y, fault = _center(_batch_shape(tri), definition)
+        x, y, fault = definition.kernel(_batch_shape(tri))
     return x, y, tri.ok & (fault == 0)
 
 
@@ -372,15 +344,8 @@ def excenter_arrays(tri: TriangleBatch):
 
 
 # ---------------------------------------------------------------------------
-# Weight formulas.  Each generator f(a, b, c) gives the weight for the
-# vertex opposite side a; the other two weights follow by cycling.
-
-
-def _cyclic(f: Callable[[float, float, float], float]) -> WeightFn:
-    def weights(s1: float, s2: float, s3: float) -> Tuple[float, float, float]:
-        return (f(s1, s2, s3), f(s2, s3, s1), f(s3, s1, s2))
-
-    return weights
+# Weight generators for _barycentric: f(a, b, c) is the weight of the
+# vertex opposite side a.
 
 
 def _cosines(a: float, b: float, c: float) -> Tuple[float, float, float]:
@@ -433,41 +398,38 @@ def _w_x59(a: float, b: float, c: float) -> float:
     return a * a * (ab * ab) * (ac * ac) * (c + a - b) * (a + b - c)
 
 
-_X1_DEF = CenterDefinition(1, _cyclic(lambda a, b, c: a), name="incenter")
-_X3_DEF = CenterDefinition(3, _cyclic(_w_x3), name="circumcenter")
-_X4_DEF = CenterDefinition(4, _cyclic(_w_x4), name="orthocenter")
+_incenter = _barycentric(lambda a, b, c: a)
+_circumcenter = _barycentric(_w_x3)
+_orthocenter = _barycentric(_w_x4)
 
 _DEFINITIONS: List[CenterDefinition] = [
-    _X1_DEF,
-    CenterDefinition(2, _cyclic(lambda a, b, c: 1.0), name="barycenter"),
-    _X3_DEF,
-    _X4_DEF,
-    CenterDefinition(5, _cyclic(_w_x5), name="nine-point center"),
-    CenterDefinition(6, _cyclic(lambda a, b, c: a * a), name="symmedian point"),
-    CenterDefinition(8, _cyclic(lambda a, b, c: b + c - a), name="Nagel point"),
-    CenterDefinition(9, _cyclic(lambda a, b, c: a * (b + c - a)), name="mittenpunkt"),
-    CenterDefinition(10, _cyclic(lambda a, b, c: b + c), name="Spieker center"),
-    CenterDefinition(11, _cyclic(_w_x11), name="Feuerbach point"),
-    CenterDefinition(35, _cyclic(_w_x35)),
-    CenterDefinition(36, construct=_x36, name="circumcircle inverse of the incenter"),
-    CenterDefinition(40, construct=_bevan, name="Bevan point"),
-    CenterDefinition(46, _cyclic(_w_x46)),
-    CenterDefinition(55, _cyclic(lambda a, b, c: a * a * (b + c - a)),
-                     name="insimilicenter of circumcircle and incircle"),
-    CenterDefinition(56, _cyclic(_w_x56),
-                     name="exsimilicenter of circumcircle and incircle"),
-    CenterDefinition(57, _cyclic(_w_x57)),
-    CenterDefinition(59, _cyclic(_w_x59),
-                     name="isogonal conjugate of the Feuerbach point"),
-    CenterDefinition(65, construct=_x65, name="orthocenter of the intouch triangle"),
-    CenterDefinition(165, construct=_excentral_centroid,
-                     name="centroid of the excentral triangle"),
-    CenterDefinition(354, construct=_x354, name="Weill point"),
-    CenterDefinition(484, construct=_x484, name="Evans perspector"),
-    CenterDefinition(942, construct=_x942,
-                     name="nine-point center of the intouch triangle"),
-    CenterDefinition(2077, construct=_x2077,
-                     name="circumcircle inverse of the Bevan point"),
+    CenterDefinition(1, _incenter),
+    CenterDefinition(2, _barycentric(lambda a, b, c: 1.0)),  # barycenter
+    CenterDefinition(3, _circumcenter),
+    CenterDefinition(4, _orthocenter),
+    CenterDefinition(5, _barycentric(_w_x5)),  # nine-point center
+    CenterDefinition(6, _barycentric(lambda a, b, c: a * a)),  # symmedian point
+    CenterDefinition(8, _barycentric(lambda a, b, c: b + c - a)),  # Nagel point
+    CenterDefinition(9, _barycentric(lambda a, b, c: a * (b + c - a))),  # mittenpunkt
+    CenterDefinition(10, _barycentric(lambda a, b, c: b + c)),  # Spieker center
+    CenterDefinition(11, _barycentric(_w_x11)),  # Feuerbach point
+    CenterDefinition(35, _barycentric(_w_x35)),
+    CenterDefinition(36, _x36),  # circumcircle inverse of the incenter
+    CenterDefinition(40, _bevan),  # Bevan point
+    CenterDefinition(46, _barycentric(_w_x46)),
+    # insimilicenter of circumcircle and incircle
+    CenterDefinition(55, _barycentric(lambda a, b, c: a * a * (b + c - a))),
+    # exsimilicenter of circumcircle and incircle
+    CenterDefinition(56, _barycentric(_w_x56)),
+    CenterDefinition(57, _barycentric(_w_x57)),
+    # isogonal conjugate of the Feuerbach point
+    CenterDefinition(59, _barycentric(_w_x59)),
+    CenterDefinition(65, _x65),  # orthocenter of the intouch triangle
+    CenterDefinition(165, _excentral_centroid),  # centroid of the excentral triangle
+    CenterDefinition(354, _x354),  # Weill point
+    CenterDefinition(484, _x484),  # Evans perspector
+    CenterDefinition(942, _x942),  # nine-point center of the intouch triangle
+    CenterDefinition(2077, _x2077),  # circumcircle inverse of the Bevan point
 ]
 
 _BY_ID: Dict[int, CenterDefinition] = {d.id: d for d in _DEFINITIONS}

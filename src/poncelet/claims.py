@@ -25,15 +25,14 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .geom import (
-    CirclePencil,
     Conic,
     Line,
     Point,
     conic_span_residual,
-    limiting_points,
     line_tangent_to_conic_residual,
 )
 from .families import (
+    _bic3_limiting_points,
     MINUS,
     PLUS,
     BicentricParams,
@@ -400,11 +399,8 @@ def bic3_collapse_u(R: float, r: float, d: float) -> float:
     over u (coarse grid, then golden-section); the minimum is zero at
     the collapse.
     """
-    pencil = CirclePencil(
-        Conic.circle(Point(0.0, 0.0), R), Conic.circle(Point(d, 0.0), r)
-    )
-    inner, outer_lp = limiting_points(pencil)
-    target = inner if math.hypot(inner.x, inner.y) < math.hypot(outer_lp.x, outer_lp.y) else outer_lp
+    first, second = _bic3_limiting_points(BicentricParams(R, r, d))
+    target = first if abs(first.x) < abs(second.x) else second
 
     def worst_chord_distance(u: float) -> float:
         lines = _free_sides(bic3_config(R, r, d, u=u), 64)

@@ -51,8 +51,12 @@ class _CliUsage(Exception):
     """Invalid flag combination discovered after parsing."""
 
 
-def _add_family_flags(sp: argparse.ArgumentParser, multi_center: bool = False) -> None:
-    sp.add_argument("--family", choices=sorted(FAMILY_KINDS))
+# The dests of the number flags; each is read by some claim.
+_NUMBER_DESTS = ("R", "r", "d", "u", "a", "b", "lam")
+
+
+def _add_number_flags(sp: argparse.ArgumentParser) -> None:
+    """The number flags (``_NUMBER_DESTS``) and --config."""
     sp.add_argument("--R", type=float, default=None, help="outer circle radius")
     sp.add_argument("--r", type=float, default=None, help="caustic circle radius")
     sp.add_argument("--d", type=float, default=None, help="caustic center offset")
@@ -67,6 +71,17 @@ def _add_family_flags(sp: argparse.ArgumentParser, multi_center: bool = False) -
         help="confocal caustic parameter",
     )
     sp.add_argument(
+        "--config", default=None,
+        help="JSON file with default flag values (explicit flags win)",
+    )
+
+
+def _add_family_flags(sp: argparse.ArgumentParser, multi_center: bool = False) -> None:
+    """The number flags, and the flags that pick a family member and its
+    tracked points."""
+    sp.add_argument("--family", choices=sorted(FAMILY_KINDS))
+    _add_number_flags(sp)
+    sp.add_argument(
         "--branch", default=None,
         help="tangent branch of a chain family (bic-III, conf-III):"
         " plus|minus or a pair like plus,minus",
@@ -79,13 +94,6 @@ def _add_family_flags(sp: argparse.ArgumentParser, multi_center: bool = False) -
     else:
         sp.add_argument("--center", default=None, help="tracked point id")
     sp.add_argument("-n", type=int, default=None, help="number of samples")
-    sp.add_argument(
-        "--config", default=None,
-        help="JSON file with default flag values (explicit flags win)",
-    )
-
-
-_NUMBER_DESTS = ("R", "r", "d", "u", "a", "b", "lam")
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -348,14 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("claims", nargs="*", help="claim ids (default: all)")
     sp.add_argument("--all", action="store_true", help="run every registered check")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
-    _add_family_flags(sp)
+    _add_number_flags(sp)
     sp.set_defaults(handler=cmd_verify)
 
     sp = sub.add_parser("table", help="print the verdict grid for all six families")
-    sp.add_argument(
-        "--config", default=None,
-        help="JSON file with default flag values (unused keys ignored)",
-    )
     sp.set_defaults(handler=cmd_table)
 
     sp = sub.add_parser("envelope", help="describe the free-side envelope, print JSON")

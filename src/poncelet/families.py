@@ -412,15 +412,37 @@ def n6_caustic(a: float, b: float) -> Tuple[float, float]:
 # The pencil caustics of the chain kinds.
 
 
+def _bic3_radius2(p: BicentricParams) -> Tuple[float, float, float]:
+    """(k2, k1, k0): the pencil circle at parameter u, centered at
+    (d(1-u), 0), has squared radius k2 u^2 + k1 u + k0."""
+    return p.d * p.d, p.R * p.R - p.d * p.d - p.r * p.r, p.r * p.r
+
+
 def _bic3_second_caustic(p: BicentricParams) -> Tuple[float, float]:
     """(radius, center offset) of the pencil circle at parameter u."""
     if p.u is None:
         raise ValueError("three-caustic family needs the pencil parameter u")
     u = p.u
-    radicand = p.d * p.d * u * u + (p.R * p.R - p.d * p.d - p.r * p.r) * u + p.r * p.r
+    k2, k1, k0 = _bic3_radius2(p)
+    radicand = k2 * u * u + k1 * u + k0
     if radicand <= 0.0:
         raise ImaginaryPencilCircle(f"pencil circle at u={u} is imaginary")
     return (math.sqrt(radicand), p.d * (1.0 - u))
+
+
+def _bic3_limiting_points(p: BicentricParams) -> Tuple[Point, Point]:
+    """The pencil's two point circles, at the roots u of the squared
+    radius: the one inside the caustic, then the one outside the outer
+    circle.  The roots are real and negative because the caustic lies
+    strictly inside the outer circle (so k1 > 0); a concentric pair
+    (d = 0) has both at the common center."""
+    k2, k1, k0 = _bic3_radius2(p)
+    if k2 == 0.0:
+        return Point(0.0, 0.0), Point(0.0, 0.0)
+    # -k1 - root does not cancel; the root nearer 0 is taken as the
+    # product k0 / k2 over the other, not by the cancelling difference.
+    far = -k1 - math.sqrt(k1 * k1 - 4.0 * k2 * k0)
+    return Point(p.d * (1.0 - 2.0 * k0 / far), 0.0), Point(p.d * (1.0 - far / (2.0 * k2)), 0.0)
 
 
 def bic3_caustic2(p: BicentricParams) -> Conic:
@@ -434,8 +456,9 @@ def _conf3_second_caustic(p: ConfocalParams) -> Tuple[float, float]:
     """Semi-axes (along x, along y) of the pencil ellipse at pencil_u.
 
     The member is pencil_u * outer + (1 - pencil_u) * caustic, with each
-    x^2/ex^2 + y^2/ey^2 - 1 = 0 first scaled to quadratic trace 2, as
-    geom.pencil_member does; it stays concentric and axis-parallel.
+    x^2/ex^2 + y^2/ey^2 - 1 = 0 first scaled to quadratic trace 2 (for
+    circles, the monic form x^2 + y^2 + ... = 0); it stays concentric and
+    axis-parallel.
     """
     if p.pencil_u is None:
         raise ValueError("three-caustic family needs the pencil parameter pencil_u")

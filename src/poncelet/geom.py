@@ -5,10 +5,13 @@ A conic is stored as the coefficient 6-vector ``(A, B, C, D, E, F)`` of
     A x^2 + B x y + C y^2 + D x + E y + F = 0,
 
 scaled to unit Euclidean norm with the first nonzero coefficient kept
-positive.  With that normalization a pencil of two conics is a plain
-linear combination of 6-vectors and every classification threshold is
-scale-free.  For circles and ellipses the sign convention makes the
-implicit value positive outside the curve and negative inside.
+positive, together with its classification (``classify_conic`` builds
+both).  With that normalization a pencil of two conics is a plain linear
+combination of 6-vectors.  Each classification threshold is relative to
+the size of the quantity it bounds, so a conic's kind does not depend on
+the length unit of the frame.  For circles and ellipses the sign
+convention makes the implicit value positive outside the curve and
+negative inside.
 """
 
 from __future__ import annotations
@@ -29,19 +32,13 @@ __all__ = [
     "CIRCLE_TOL",
     "DEGENERATE_TOL",
     "GeometryError",
-    "DegeneratePencilMember",
     "InversionOfCenter",
-    "ComplexLimitingPoints",
     "Point",
     "Line",
     "Conic",
-    "ConicClass",
-    "CirclePencil",
     "classify_conic",
-    "pencil_member",
     "conic_value",
     "conic_gradient",
-    "limiting_points",
     "line_tangent_to_conic_residual",
     "conic_span_residual",
 ]
@@ -54,9 +51,11 @@ HYPERBOLA = "hyperbola"
 PARABOLA = "parabola"
 DEGENERATE = "degenerate"
 
-# Tolerances.  The first two apply to unit-norm coefficient vectors,
-# so they are scale-free; the last bounds the cross product of two unit
-# line normals.
+# Tolerances.  The first two are relative: CIRCLE_TOL bounds the
+# quadratic part's departure from a multiple of x^2 + y^2, and
+# DEGENERATE_TOL a determinant or discriminant, each against the size of
+# its own terms (see classify_conic).  The last bounds the cross product
+# of two unit line normals.
 CIRCLE_TOL = 1e-8
 DEGENERATE_TOL = 1e-12
 _PARALLEL_TOL = 1e-14
@@ -66,16 +65,8 @@ class GeometryError(ValueError):
     """Base class for geometric precondition failures."""
 
 
-class DegeneratePencilMember(GeometryError):
-    """The requested pencil combination cancels to the zero conic."""
-
-
 class InversionOfCenter(GeometryError):
     """Circle inversion was requested at the circle's own center."""
-
-
-class ComplexLimitingPoints(GeometryError):
-    """The circles of a pencil intersect; limiting points are complex."""
 
 
 class Point(NamedTuple):
@@ -192,13 +183,6 @@ def _unit_coeffs(values: Sequence[float]) -> Tuple[float, ...]:
     return tuple(float(t) for t in v)
 
 
-class ConicClass(NamedTuple):
-    kind: str
-    center: Optional[Point]
-    semi_axes: Optional[Tuple[float, float]]  # (major, minor)
-    axis_angle: Optional[float]  # direction of the major axis, in [0, pi)
-
-
 def _conic_center(coeffs: Sequence[float]) -> Optional[Point]:
     a, b, c, d, e, _ = coeffs
     det = 4.0 * a * c - b * b
@@ -209,51 +193,11 @@ def _conic_center(coeffs: Sequence[float]) -> Optional[Point]:
     return Point(cx, cy)
 
 
-def classify_conic(conic: "Conic | Sequence[float]") -> ConicClass:
-    """Classify a conic from its (normalized) coefficient vector.
-
-    Returns kind plus center / semi-axes / major-axis angle where they
-    exist.  The result is invariant under rescaling of the input since
-    coefficients are re-normalized first.
-    """
-    coeffs = conic.coeffs if isinstance(conic, Conic) else _unit_coeffs(conic)
-    a, b, c, d, e, f = coeffs
-    m3 = np.array(
-        [[a, b / 2.0, d / 2.0], [b / 2.0, c, e / 2.0], [d / 2.0, e / 2.0, f]]
-    )
-    det3 = float(np.linalg.det(m3))
-    disc = b * b - 4.0 * a * c
-    center = _conic_center(coeffs)
-
-    if abs(det3) <= DEGENERATE_TOL:
-        if disc < -DEGENERATE_TOL and center is not None:
-            return ConicClass(POINT, center, (0.0, 0.0), 0.0)
-        return ConicClass(DEGENERATE, center, None, None)
-
-    if disc < -DEGENERATE_TOL:
-        assert center is not None
-        v0 = f + 0.5 * (d * center.x + e * center.y)
-        if v0 >= 0.0:
-            # No real points (the "imaginary ellipse" branch).
-            return ConicClass(DEGENERATE, center, None, None)
-        if abs(a - c) <= CIRCLE_TOL and abs(b) <= CIRCLE_TOL:
-            radius = math.sqrt(-v0 / (0.5 * (a + c)))
-            return ConicClass(CIRCLE, center, (radius, radius), 0.0)
-        m2 = np.array([[a, b / 2.0], [b / 2.0, c]])
-        eigvals, eigvecs = np.linalg.eigh(m2)
-        major = math.sqrt(-v0 / eigvals[0])
-        minor = math.sqrt(-v0 / eigvals[1])
-        angle = math.atan2(eigvecs[1, 0], eigvecs[0, 0]) % math.pi
-        return ConicClass(ELLIPSE, center, (major, minor), angle)
-
-    if disc > DEGENERATE_TOL:
-        return ConicClass(HYPERBOLA, center, None, None)
-    return ConicClass(PARABOLA, None, None, None)
-
-
 @dataclass(frozen=True)
 class Conic:
-    """Immutable conic with normalized coefficients and classification."""
+    """A conic's unit coefficient vector and its classification: kind,
+    and where they exist center, semi-axes (major, minor) and the
+    direction of the major axis in [0, pi).  Built by ``classify_conic``."""
 
     coeffs: Tuple[float, float, float, float, float, float]
     kind: str
@@ -262,17 +206,11 @@ class Conic:
     axis_angle: Optional[float]
 
     @classmethod
-    def from_coeffs(cls, values: Sequence[float]) -> "Conic":
-        coeffs = _unit_coeffs(values)
-        info = classify_conic(coeffs)
-        return cls(coeffs, info.kind, info.center, info.semi_axes, info.axis_angle)
-
-    @classmethod
     def circle(cls, center: Point, radius: float) -> "Conic":
         if radius < 0.0:
             raise GeometryError("negative radius")
         cx, cy = center
-        return cls.from_coeffs(
+        return classify_conic(
             [1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy, cx * cx + cy * cy - radius * radius]
         )
 
@@ -284,9 +222,63 @@ class Conic:
         cx, cy = center
         ax = 1.0 / (rx * rx)
         cy2 = 1.0 / (ry * ry)
-        return cls.from_coeffs(
+        return classify_conic(
             [ax, 0.0, cy2, -2.0 * ax * cx, -2.0 * cy2 * cy, ax * cx * cx + cy2 * cy * cy - 1.0]
         )
+
+
+def classify_conic(values: Sequence[float]) -> Conic:
+    """The conic of a coefficient 6-vector of any nonzero scale.
+
+    The vector is stored at unit norm.  Kind, center, axes and angle are
+    computed from the stored vector normalized once more: renormalizing
+    can move a unit vector's last bits, and the recorded verdicts and
+    axes were computed this way.
+    """
+    coeffs = _unit_coeffs(values)
+    unit = _unit_coeffs(coeffs)
+    a, b, c, d, e, f = unit
+    m3 = np.array(
+        [[a, b / 2.0, d / 2.0], [b / 2.0, c, e / 2.0], [d / 2.0, e / 2.0, f]]
+    )
+    det3 = float(np.linalg.det(m3))
+    disc = b * b - 4.0 * a * c
+    center = _conic_center(unit)
+    # det3 and disc are each tested against the sum of the magnitudes of
+    # their own terms.  The terms of one scale alike under a change of
+    # length unit (A, B, C as 1/L^2, D, E as 1/L), so unlike a threshold
+    # on the unit vector's entries the test does not depend on the unit.
+    h, g, k = b / 2.0, d / 2.0, e / 2.0
+    det3_size = (abs(a * c * f) + abs(2.0 * h * k * g)
+                 + abs(a) * k * k + abs(c) * g * g + abs(f) * h * h)
+    disc_size = b * b + abs(4.0 * a * c)
+    elliptic = disc < -DEGENERATE_TOL * disc_size
+
+    if abs(det3) <= DEGENERATE_TOL * det3_size:
+        if elliptic and center is not None:
+            return Conic(coeffs, POINT, center, (0.0, 0.0), 0.0)
+        return Conic(coeffs, DEGENERATE, center, None, None)
+
+    if elliptic:
+        assert center is not None
+        v0 = f + 0.5 * (d * center.x + e * center.y)
+        if v0 >= 0.0:
+            # No real points (the "imaginary ellipse" branch).
+            return Conic(coeffs, DEGENERATE, center, None, None)
+        # a and c share their sign here, so a + c is the quadratic part's size.
+        if max(abs(a - c), abs(b)) <= CIRCLE_TOL * abs(a + c):
+            radius = math.sqrt(-v0 / (0.5 * (a + c)))
+            return Conic(coeffs, CIRCLE, center, (radius, radius), 0.0)
+        m2 = np.array([[a, b / 2.0], [b / 2.0, c]])
+        eigvals, eigvecs = np.linalg.eigh(m2)
+        major = math.sqrt(-v0 / eigvals[0])
+        minor = math.sqrt(-v0 / eigvals[1])
+        angle = math.atan2(eigvecs[1, 0], eigvecs[0, 0]) % math.pi
+        return Conic(coeffs, ELLIPSE, center, (major, minor), angle)
+
+    if disc > DEGENERATE_TOL * disc_size:
+        return Conic(coeffs, HYPERBOLA, center, None, None)
+    return Conic(coeffs, PARABOLA, None, None, None)
 
 
 def conic_value(conic: Conic, p: Point) -> float:
@@ -301,32 +293,6 @@ def conic_gradient(conic: Conic, p: Point) -> Tuple[float, float]:
     return (2.0 * a * x + b * y + d, b * x + 2.0 * c * y + e)
 
 
-def pencil_member(c1: Conic, c2: Conic, u: float) -> Conic:
-    """Normalized combination (1-u)*C1 + u*C2 of two conics.
-
-    Before combining, each coefficient vector is rescaled so its
-    quadratic trace A + C equals 2.  For circles this reproduces the
-    monic representation x^2 + y^2 + ... = 0, which pins down the
-    meaning of the parameter u independently of storage normalization.
-    """
-    if u == 0.0:
-        return c1
-    if u == 1.0:
-        return c2
-    q1 = np.asarray(c1.coeffs, dtype=float)
-    q2 = np.asarray(c2.coeffs, dtype=float)
-    tr1 = q1[0] + q1[2]
-    tr2 = q2[0] + q2[2]
-    if abs(tr1) > 1e-12 and abs(tr2) > 1e-12:
-        q1 = q1 * (2.0 / tr1)
-        q2 = q2 * (2.0 / tr2)
-    combo = (1.0 - u) * q1 + u * q2
-    scale = max(float(np.linalg.norm(q1)), float(np.linalg.norm(q2)))
-    if float(np.linalg.norm(combo)) <= 1e-12 * scale:
-        raise DegeneratePencilMember(f"pencil member at u={u} vanishes")
-    return Conic.from_coeffs(combo)
-
-
 def conic_span_residual(target: Conic, c1: Conic, c2: Conic) -> float:
     """Distance from the target's unit 6-vector to span{C1, C2}.
 
@@ -338,65 +304,6 @@ def conic_span_residual(target: Conic, c1: Conic, c2: Conic) -> float:
     t = np.asarray(target.coeffs)
     proj = q @ (q.T @ t)
     return float(np.linalg.norm(t - proj))
-
-
-def _monic_circle(conic: Conic) -> Tuple[float, float, float]:
-    """(D, E, F) of x^2 + y^2 + D x + E y + F = 0 for a circle conic."""
-    a, _, _, d, e, f = conic.coeffs
-    return (d / a, e / a, f / a)
-
-
-@dataclass(frozen=True)
-class CirclePencil:
-    """The linear family spanned by two circles."""
-
-    c1: Conic
-    c2: Conic
-
-    def __post_init__(self) -> None:
-        for member in (self.c1, self.c2):
-            if member.kind != CIRCLE:
-                raise GeometryError("pencil members must be circles")
-
-    def member(self, u: float) -> Conic:
-        return pencil_member(self.c1, self.c2, u)
-
-
-def limiting_points(pencil: CirclePencil) -> Tuple[Point, Point]:
-    """The two zero-radius members of a circle pencil.
-
-    For concentric circles both limiting points coincide with the
-    common center.  Intersecting circles have no real limiting points
-    and raise ComplexLimitingPoints.  The result is invariant under
-    swapping the pencil's two circles (points are sorted by x, then y).
-    """
-    o1 = pencil.c1.center
-    o2 = pencil.c2.center
-    assert o1 is not None and o2 is not None
-    _, _, f1 = _monic_circle(pencil.c1)
-    _, _, f2 = _monic_circle(pencil.c2)
-    vx = o2.x - o1.x
-    vy = o2.y - o1.y
-    sep2 = vx * vx + vy * vy
-    scale = abs(pencil.c1.semi_axes[0]) + abs(pencil.c2.semi_axes[0]) + math.hypot(o1.x, o1.y)
-    if sep2 <= (1e-14 * max(scale, 1e-300)) ** 2:
-        return (o1, o1)
-    # radius^2 along the pencil: |(1-u) O1 + u O2|^2 - ((1-u) F1 + u F2)
-    alpha = sep2
-    beta = 2.0 * (o1.x * vx + o1.y * vy) - (f2 - f1)
-    gamma = o1.x * o1.x + o1.y * o1.y - f1
-    disc = beta * beta - 4.0 * alpha * gamma
-    if disc < 0.0:
-        raise ComplexLimitingPoints("circles intersect; limiting points are complex")
-    root = math.sqrt(disc)
-    u_lo = (-beta - root) / (2.0 * alpha)
-    u_hi = (-beta + root) / (2.0 * alpha)
-    pts = [
-        Point(o1.x + u * vx, o1.y + u * vy)
-        for u in (u_lo, u_hi)
-    ]
-    pts.sort()
-    return (pts[0], pts[1])
 
 
 def line_tangent_to_conic_residual(line: Line, conic: Conic) -> float:

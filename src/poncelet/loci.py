@@ -28,13 +28,7 @@ import numpy as np
 
 from . import centers as _centers
 from .families import BicentricParams, FamilyConfig, TriangleBatch
-from .geom import (
-    ConicClass,
-    GeometryError,
-    Point,
-    classify_conic,
-    _unit_coeffs,
-)
+from .geom import Conic, GeometryError, Point, classify_conic
 
 __all__ = [
     "InsufficientSamples",
@@ -124,34 +118,21 @@ class Locus:
 
 @dataclass(frozen=True)
 class CurveFit:
-    """Result of an implicit fit and/or classification.
-
-    ``coeffs`` are unit-norm monomial coefficients in the normalized
-    frame x_n = (x - shift)/scale (monomial order per
-    monomial_exponents).  For degree-2 fits, ``conic`` holds the
-    classification mapped back to the original frame and
-    ``conic_coeffs`` the original-frame implicit 6-vector
-    (x^2, xy, y^2, x, y, 1), unit-normalized.
-    """
+    """Result of an implicit fit and/or classification: the degree of the
+    fitted curve, its residual, and the verdict.  A degree-2 fit that is
+    not the ladder's nonconic fallback also holds its ``conic``, mapped
+    back to the original frame."""
 
     degree: int
-    coeffs: Tuple[float, ...]
     residual: float
     verdict: str
-    spread: float = math.inf
-    conic: Optional[ConicClass] = None
-    conic_coeffs: Optional[Tuple[float, ...]] = None
-    shift: Tuple[float, float] = (0.0, 0.0)
-    scale: float = 1.0
+    conic: Optional[Conic] = None
 
 
 # Tracked-point identifiers: vertices, excenters, or center ids like "X9".
 TRACKED_IDS = ("P1", "P2", "P3", "P1'", "P2'", "P3'")
 
-_EXCENTER_ALIASES = {
-    "P1'": 0, "P2'": 1, "P3'": 2,
-    "P1p": 0, "P2p": 1, "P3p": 2,
-}
+_EXCENTER_ALIASES = {"P1'": 0, "P2'": 1, "P3'": 2}
 
 
 _VERTEX_FIELDS = {"P1": ("x1", "y1"), "P2": ("x2", "y2"), "P3": ("x3", "y3")}
@@ -230,7 +211,7 @@ def _normalize_samples(pts) -> Tuple[np.ndarray, Tuple[float, float], float]:
 
 def _denormalized_conic(coeffs: Sequence[float], shift: Tuple[float, float], s: float) -> Tuple[float, ...]:
     """Map a degree-2 coefficient vector from the normalized frame back
-    to original coordinates, as a unit 6-vector (x^2, xy, y^2, x, y, 1)."""
+    to original coordinates, as a 6-vector (x^2, xy, y^2, x, y, 1)."""
     # normalized monomial order: 1, x, y, x^2, xy, y^2
     f0, d0, e0, a0, b0, c0 = coeffs
     cx, cy = shift
@@ -245,7 +226,7 @@ def _denormalized_conic(coeffs: Sequence[float], shift: Tuple[float, float], s: 
         - (d0 * cx + e0 * cy) / s
         + (a0 * cx * cx + b0 * cx * cy + c0 * cy * cy) / s2
     )
-    return _unit_coeffs((a, b, c, d, e, f))
+    return (a, b, c, d, e, f)
 
 
 class _MonomialDesign:
@@ -302,34 +283,16 @@ def _rung(design: _MonomialDesign, degree: int) -> _Rung:
     return _Rung(degree, vt[-1], float(sigma[-1]) / math.sqrt(n))
 
 
-def _curve_fit(rung: _Rung, shift: Tuple[float, float], s: float,
-               spread: float = math.inf, nonconic: bool = False) -> CurveFit:
+def _curve_fit(rung: _Rung, shift: Tuple[float, float], s: float, nonconic: bool = False) -> CurveFit:
     """The CurveFit of a rung; a degree-2 rung also gets its conic, unless
     it is the fallback of a ladder that found nothing (``nonconic``)."""
-    coeffs = rung.null
-    for c in coeffs:
-        if abs(c) > 1e-12:
-            if c < 0.0:
-                coeffs = -coeffs
-            break
     verdict = "nonconic" if nonconic else "algebraic"
-    conic = conic_coeffs = None
+    conic = None
     if rung.degree == 2 and not nonconic:
-        conic_coeffs = _denormalized_conic(coeffs, shift, s)
-        conic = classify_conic(conic_coeffs)
+        conic = classify_conic(_denormalized_conic(rung.null, shift, s))
         if rung.residual <= CONIC_TOL and conic.kind in ("circle", "ellipse"):
             verdict = conic.kind
-    return CurveFit(
-        degree=rung.degree,
-        coeffs=tuple(float(c) for c in coeffs),
-        residual=rung.residual,
-        verdict=verdict,
-        spread=spread,
-        conic=conic,
-        conic_coeffs=conic_coeffs,
-        shift=shift,
-        scale=s,
-    )
+    return CurveFit(rung.degree, rung.residual, verdict, conic)
 
 
 def fit_curve(samples, degree: int) -> CurveFit:
@@ -408,16 +371,8 @@ def classify_locus(locus: Locus) -> CurveFit:
     pts = locus.valid_xy()
     if len(pts) < MIN_VALID_SAMPLES:
         raise InsufficientSamples(f"{len(pts)} valid samples")
-    spread = stationarity_spread(locus)
-    if spread <= POINT_TOL:
-        return CurveFit(
-            degree=1,
-            coeffs=(),
-            residual=0.0,
-            verdict="point",
-            spread=spread,
-            shift=tuple(pts[0].tolist()),
-        )
+    if stationarity_spread(locus) <= POINT_TOL:
+        return CurveFit(degree=1, residual=0.0, verdict="point")
     norm, shift, s = _normalize_samples(pts)
     design = _MonomialDesign(norm, max(2, MAX_DEGREE))
     rungs: Dict[int, _Rung] = {}
@@ -429,7 +384,7 @@ def classify_locus(locus: Locus) -> CurveFit:
 
     quad = rung_at(2)
     if quad.residual <= CONIC_TOL:
-        fit = _curve_fit(quad, shift, s, spread)
+        fit = _curve_fit(quad, shift, s)
         if fit.verdict in ("circle", "ellipse"):
             return fit
     best = quad
@@ -444,9 +399,9 @@ def classify_locus(locus: Locus) -> CurveFit:
                 if rung_at(degree + 1).residual < ELBOW_FACTOR * rung.residual:
                     best = rung
                     continue
-            return _curve_fit(rung, shift, s, spread)
+            return _curve_fit(rung, shift, s)
         best = rung
-    return _curve_fit(best, shift, s, spread, nonconic=True)
+    return _curve_fit(best, shift, s, nonconic=True)
 
 
 def verdict_letter(fit: CurveFit) -> str:

@@ -1,8 +1,8 @@
 """Construction-free plane geometry: the tests' independent oracle.
 
 Lines through points, the meet of two lines, the tangents from a point
-to a conic, circle inversion and the measures of a triangle, each
-written from its formula on floats.  None of it calls the package's
+to a conic, circle inversion, the members of a pencil of two conics and
+the measures of a triangle, each written from its formula on floats.  None of it calls the package's
 elementwise kernels, so a test that checks a kernel against these
 functions compares two derivations of the same geometry.
 """
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from typing import Optional, Tuple
+
+import numpy as np
 
 from poncelet.families import DegenerateTriangle, Triangle
 from poncelet.geom import (
@@ -21,6 +23,7 @@ from poncelet.geom import (
     InversionOfCenter,
     Line,
     Point,
+    classify_conic,
     conic_gradient,
     conic_value,
 )
@@ -149,6 +152,32 @@ def circle_inverse(p: Point, circle: Conic) -> Point:
         raise InversionOfCenter("cannot invert the circle center")
     w = o + circle.semi_axes[0] ** 2 / z.conjugate()
     return Point(w.real, w.imag)
+
+
+def pencil_member(c1: Conic, c2: Conic, u: float) -> Conic:
+    """The combination (1-u)*C1 + u*C2 of two conics.
+
+    Before combining, each coefficient vector is rescaled so its
+    quadratic trace A + C equals 2.  For circles this reproduces the
+    monic representation x^2 + y^2 + ... = 0, which pins down the
+    meaning of the parameter u independently of storage normalization.
+    """
+    if u == 0.0:
+        return c1
+    if u == 1.0:
+        return c2
+    q1 = np.asarray(c1.coeffs, dtype=float)
+    q2 = np.asarray(c2.coeffs, dtype=float)
+    tr1 = q1[0] + q1[2]
+    tr2 = q2[0] + q2[2]
+    if abs(tr1) > 1e-12 and abs(tr2) > 1e-12:
+        q1 = q1 * (2.0 / tr1)
+        q2 = q2 * (2.0 / tr2)
+    combo = (1.0 - u) * q1 + u * q2
+    scale = max(float(np.linalg.norm(q1)), float(np.linalg.norm(q2)))
+    if float(np.linalg.norm(combo)) <= 1e-12 * scale:
+        raise GeometryError(f"pencil member at u={u} vanishes")
+    return classify_conic(combo)
 
 
 class MeasuredTriangle(Triangle):

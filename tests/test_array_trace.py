@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from poncelet.centers import (
+    _barycentric,
     CenterDefinition,
     builtin_centers,
     center,
@@ -245,9 +246,7 @@ DEGENERATE = {
 GOOD = ((0.0, 0.0), (4.0, 0.0), (1.0, 3.0))
 
 # Barycentric weights (b - c, c - a, a - b) sum to zero on every triangle.
-ZERO_SUM = CenterDefinition(
-    900001, lambda a, b, c: (b - c, c - a, a - b), name="zero-sum test weights"
-)
+ZERO_SUM = CenterDefinition(900001, _barycentric(lambda a, b, c: b - c))
 
 
 def _triangle(vertices):

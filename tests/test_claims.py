@@ -7,8 +7,10 @@ from poncelet.claims import (
     _hausdorff,
     ClaimReport,
     all_claims,
+    check_bicII_envelope,
     check_bicII_excenter_circle,
     check_bicII_x1_circle,
+    check_confII_envelope,
     check_confII_excenter_ellipse,
     claim_ids,
     run_claims,
@@ -138,3 +140,11 @@ def test_hausdorff_in_row_blocks_is_bitwise_the_tensor_form():
         pb = rng.normal(size=(nb, 2)) * 3.0 + 0.5
         assert _hausdorff(pa, pb) == _tensor_hausdorff(pa, pb)
         assert _hausdorff(pb, pa) == _tensor_hausdorff(pb, pa)
+
+
+@pytest.mark.parametrize("k", [1e-3, 1e4])
+def test_envelope_claims_pass_at_any_frame_scale(k):
+    """The closed-form envelopes are classified conics whose kind does not
+    depend on the length unit."""
+    assert check_bicII_envelope(BicentricParams(k, 0.2 * k, 0.3 * k)).passed
+    assert check_confII_envelope(ConfocalParams(2.0 * k, k, 0.5 * k * k)).passed

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from poncelet import claims
-from poncelet.cli import _build_family, _build_parser, main
+from poncelet.cli import _NUMBER_DESTS, _build_family, _build_parser, main
 from poncelet.families import (
     BicentricParams,
     ConfocalParams,
@@ -423,6 +423,24 @@ def test_unknown_claim_id_is_a_usage_error(capsys):
         "poncelet verify: error: unknown claim id(s): thm:nonsense;"
         f" known: {', '.join(claims.claim_ids())}\n"
     )
+
+
+def test_verify_takes_exactly_the_number_flags_the_claims_read():
+    assert set().union(*(c.flags for c in claims.all_claims())) == set(_NUMBER_DESTS)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm:bicII-x1", "--family", "conf-II"),
+    ("verify", "thm:bicII-x1", "--branch", "minus"),
+    ("verify", "thm:bicII-x1", "--center", "X9"),
+    ("verify", "thm:bicII-x1", "-n", "7"),
+    ("table", "--config", "fam.json"),
+], ids=lambda argv: " ".join(argv))
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def _params_lines(out):

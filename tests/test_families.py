@@ -11,7 +11,6 @@ from poncelet.geom import (
     Line,
     Point,
     line_tangent_to_conic_residual,
-    pencil_member,
 )
 from poncelet.families import (
     MINUS,
@@ -45,6 +44,7 @@ from poncelet.families import (
 from _geometry_oracle import (
     MeasuredTriangle,
     line_from_points,
+    pencil_member,
     second_intersection,
     tangent_contact_points,
 )

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from poncelet.families import BicentricParams, _bic3_limiting_points, _bic3_radius2
 from poncelet.geom import (
-    CirclePencil,
-    ComplexLimitingPoints,
+    CIRCLE,
+    DEGENERATE,
+    ELLIPSE,
+    HYPERBOLA,
+    PARABOLA,
+    POINT,
     Conic,
     InversionOfCenter,
     Point,
     classify_conic,
     conic_span_residual,
-    limiting_points,
     line_tangent_to_conic_residual,
-    pencil_member,
 )
 
 from _geometry_oracle import (
@@ -22,6 +25,7 @@ from _geometry_oracle import (
     circle_inverse,
     line_from_points,
     line_intersection,
+    pencil_member,
     second_intersection,
     tangent_contact_points,
     tangent_lines_from_point,
@@ -65,7 +69,7 @@ def test_circle_conic_basics():
 def test_axis_ellipse_roundtrip():
     e = Conic.axis_ellipse(Point(0.5, 0.25), 2.0, 1.0)
     assert e.kind == "ellipse"
-    again = Conic.from_coeffs(e.coeffs)
+    again = classify_conic(e.coeffs)
     assert math.dist(again.center, e.center) < 1e-12
     assert abs(again.semi_axes[0] - 2.0) < 1e-12
     assert abs(again.semi_axes[1] - 1.0) < 1e-12
@@ -74,6 +78,37 @@ def test_axis_ellipse_roundtrip():
 def test_classify_conic_cases():
     assert classify_conic(Conic.circle(Point(0, 0), 1.0).coeffs).kind == "circle"
     assert classify_conic(Conic.axis_ellipse(Point(0, 0), 2.0, 1.0).coeffs).kind == "ellipse"
+
+
+@pytest.mark.parametrize("k", [10.0 ** e for e in range(-3, 5)])
+def test_conic_kind_does_not_depend_on_the_frame_scale(k):
+    """Each conic, drawn with every length multiplied by k, keeps its kind,
+    and its center and semi-axes scale by k."""
+    theta = 0.3
+    cos, sin = math.cos(theta), math.sin(theta)
+    # The ellipse x'^2/4 + y'^2 = k^2 in axes turned by theta, about (k, -k).
+    qa, qb, qc = cos * cos / 4.0 + sin * sin, 2.0 * cos * sin * (1.0 / 4.0 - 1.0), sin * sin / 4.0 + cos * cos
+    rotated = classify_conic([qa, qb, qc, -2.0 * qa * k + qb * k, -qb * k + 2.0 * qc * k,
+                              (qa - qb + qc) * k * k - k * k])
+    cases = [
+        (Conic.circle(Point(0.0, 0.0), k), CIRCLE, (k, k)),
+        (Conic.circle(Point(0.3 * k, -0.1 * k), 0.2 * k), CIRCLE, (0.2 * k, 0.2 * k)),
+        (Conic.axis_ellipse(Point(0.5 * k, 0.25 * k), 2.0 * k, k), ELLIPSE, (2.0 * k, k)),
+        (rotated, ELLIPSE, (2.0 * k, k)),
+        (Conic.circle(Point(0.3 * k, 0.0), 0.0), POINT, (0.0, 0.0)),
+        (classify_conic([1.0, 0.0, -1.0, 0.0, 0.0, -k * k]), HYPERBOLA, None),
+        (classify_conic([1.0, 0.0, 0.0, 0.0, -k, 0.0]), PARABOLA, None),
+        (classify_conic([1.0, 0.0, -1.0, -2.0 * k, 0.0, k * k]), DEGENERATE, None),
+        (classify_conic([1.0, 0.0, 1.0, 0.0, 0.0, k * k]), DEGENERATE, None),
+    ]
+    for conic, kind, axes in cases:
+        assert conic.kind == kind
+        if axes is None:
+            assert conic.semi_axes is None
+        else:
+            assert conic.semi_axes == pytest.approx(axes, rel=1e-12, abs=1e-12 * k)
+    assert math.dist(rotated.center, (k, -k)) < 1e-12 * k
+    assert rotated.axis_angle == pytest.approx(theta, rel=1e-12)
 
 
 @given(cx=small_floats, cy=small_floats, r=radii, px=small_floats, py=small_floats)
@@ -180,38 +215,49 @@ def test_pencil_member_endpoints():
 
 
 def test_circle_pencil_member_closed_form():
-    """Monic-form invariants of the pencil through two nested circles."""
+    """The bicentric pencil's closed form (center d(1 - u), squared
+    radius k2 u^2 + k1 u + k0) is the monic-form member through the
+    caustic (u = 0) and the outer circle (u = 1)."""
     R, r, d = 1.0, 0.2, 0.3
-    c1 = Conic.circle(Point(d, 0.0), r)       # caustic at u = 0
-    c2 = Conic.circle(Point(0.0, 0.0), R)     # outer at u = 1
-    pencil = CirclePencil(c1, c2)
+    c1 = Conic.circle(Point(d, 0.0), r)
+    c2 = Conic.circle(Point(0.0, 0.0), R)
+    k2, k1, k0 = _bic3_radius2(BicentricParams(R, r, d))
     for u in (0.1, 0.4, 0.8):
-        m = pencil.member(u)
-        want_center = d * (1.0 - u)
-        want_r2 = d * d * u * u + (R * R - d * d - r * r) * u + r * r
-        assert abs(m.center.x - want_center) < 1e-14
+        m = pencil_member(c1, c2, u)
+        assert abs(m.center.x - d * (1.0 - u)) < 1e-14
         assert abs(m.center.y) < 1e-14
-        assert abs(m.semi_axes[0] ** 2 - want_r2) < 1e-14
+        assert abs(m.semi_axes[0] ** 2 - (k2 * u * u + k1 * u + k0)) < 1e-14
 
 
 def test_limiting_points_inverse_in_every_member():
-    c1 = Conic.circle(Point(0.3, 0.0), 0.2)
-    c2 = Conic.circle(Point(0.0, 0.0), 1.0)
-    pencil = CirclePencil(c1, c2)
-    l1, l2 = limiting_points(pencil)
+    """The two limiting points are inverse in every member of the
+    pencil, and each is the pencil's point circle at its root u."""
+    R, r, d = 1.0, 0.2, 0.3
+    c1 = Conic.circle(Point(d, 0.0), r)
+    c2 = Conic.circle(Point(0.0, 0.0), R)
+    l1, l2 = _bic3_limiting_points(BicentricParams(R, r, d))
     assert l1.x < l2.x
-    assert abs(l1.y) < 1e-14 and abs(l2.y) < 1e-14
+    assert l1.y == 0.0 and l2.y == 0.0
     for u in (0.0, 0.25, 0.6, 1.0):
-        m = pencil.member(u)
-        assert math.dist(circle_inverse(l1, m), l2) < 1e-10
+        m = pencil_member(c1, c2, u)
+        assert math.dist(circle_inverse(l1, m), l2) < 1e-10 * R
+    for point in (l1, l2):
+        m = pencil_member(c1, c2, 1.0 - point.x / d)
+        assert m.kind == POINT
+        assert math.dist(m.center, point) < 1e-10 * R
 
 
-def test_limiting_points_complex_for_intersecting_circles():
-    pencil = CirclePencil(
-        Conic.circle(Point(0.0, 0.0), 1.0), Conic.circle(Point(1.0, 0.0), 1.0)
-    )
-    with pytest.raises(ComplexLimitingPoints):
-        limiting_points(pencil)
+@pytest.mark.parametrize("d", [0.25, 1e-3, 1e-6, 0.0])
+def test_limiting_points_are_inverse_in_the_outer_circle(d):
+    """x_inner * x_outer = R^2 to rounding, also at small d, where the
+    textbook root formula cancels; a concentric pair has both points at
+    the common center."""
+    inner, outer = _bic3_limiting_points(BicentricParams(1.0, 0.15, d))
+    if d == 0.0:
+        assert inner == outer == (0.0, 0.0)
+    else:
+        assert d < inner.x < d + 0.15 < 1.0 < outer.x
+        assert inner.x * outer.x == pytest.approx(1.0, rel=1e-14)
 
 
 def test_conic_span_residual():

@@ -448,6 +448,28 @@ def test_fit_recovers_synthetic_circles(cx, cy, rad):
     assert abs(fit.conic.semi_axes[0] - rad) < 1e-8
 
 
+# The pair families' table cells at unit scale: a letter P, C or E must
+# stay, and a degree must stay non-conic.
+_PAIR_GRID = [
+    (lambda k: bic1_config(k, 0.25 * k), "PCPCCC"),
+    (lambda k: bic2_config(k, 0.2 * k, 0.3 * k), "C6PC66"),
+    (lambda k: conf1_config(2.0 * k, k), "EEEEEE"),
+    (lambda k: conf2_config(2.0 * k, k, 0.5 * k * k), "6666EE"),
+]
+
+
+@pytest.mark.parametrize("k", [10.0 ** e for e in range(-3, 5)])
+def test_conic_verdicts_do_not_depend_on_the_frame_scale(k):
+    for make, letters in _PAIR_GRID:
+        cfg = make(k)
+        for tracked, want in zip(_TABLE2_COLUMNS, letters):
+            got = verdict_letter(classify_locus(trace_locus(cfg, tracked, n=512)))
+            if want in "PCE":
+                assert got == want, (cfg.kind, tracked)
+            else:
+                assert got not in "PCE", (cfg.kind, tracked)
+
+
 # ---------------------------------------------------------------------------
 # Array storage and the one-design ladder.
 
@@ -459,13 +481,11 @@ def _reference_ladder(locus):
     pts = locus.valid_xy()
     if len(pts) < MIN_VALID_SAMPLES:
         raise InsufficientSamples(f"{len(pts)} valid samples")
-    spread = stationarity_spread(locus)
-    if spread <= loci.POINT_TOL:
-        return CurveFit(degree=1, coeffs=(), residual=0.0, verdict="point",
-                        spread=spread, shift=(float(pts[0, 0]), float(pts[0, 1])))
+    if stationarity_spread(locus) <= loci.POINT_TOL:
+        return CurveFit(degree=1, residual=0.0, verdict="point")
     quad = fit_curve(pts, 2)
     if quad.verdict in ("circle", "ellipse"):
-        return replace(quad, spread=spread)
+        return quad
     fits = {2: quad}
 
     def fit_at(degree):
@@ -481,9 +501,9 @@ def _reference_ladder(locus):
                 if fit_at(degree + 1).residual < loci.ELBOW_FACTOR * fit.residual:
                     best = fit
                     continue
-            return replace(fit, spread=spread)
+            return fit
         best = fit
-    return replace(best, verdict="nonconic", spread=spread, conic=None, conic_coeffs=None)
+    return replace(best, verdict="nonconic", conic=None)
 
 
 def _assert_bitwise_equal(got, want):
@@ -666,19 +686,13 @@ def _svd_oracle_fits(samples, degrees):
     whole = np.column_stack([norm[:, 0] ** i * norm[:, 1] ** j for i, j in monomial_exponents(8)])
     for degree in degrees:
         _, sigma, vt = np.linalg.svd(whole[:, : len(monomial_exponents(degree))], full_matrices=False)
-        coeffs = vt[-1]
-        first = coeffs[np.abs(coeffs) > 1e-12][0]
-        if first < 0.0:
-            coeffs = -coeffs
         residual = float(sigma[-1]) / math.sqrt(len(norm))
-        verdict, conic, conic_coeffs = "algebraic", None, None
+        verdict, conic = "algebraic", None
         if degree == 2:
-            conic_coeffs = loci._denormalized_conic(coeffs, shift, s)
-            conic = classify_conic(conic_coeffs)
+            conic = classify_conic(loci._denormalized_conic(vt[-1], shift, s))
             if residual <= loci.CONIC_TOL and conic.kind in ("circle", "ellipse"):
                 verdict = conic.kind
-        yield CurveFit(degree=degree, coeffs=tuple(float(c) for c in coeffs), residual=residual,
-                       verdict=verdict, conic=conic, conic_coeffs=conic_coeffs, shift=shift, scale=s)
+        yield CurveFit(degree=degree, residual=residual, verdict=verdict, conic=conic)
 
 
 def _assert_fit_curve_is_the_svd_oracle(samples):

@@ -13,31 +13,29 @@ each one is guarded by an independent geometric incidence oracle in
 the test suite (bisector/altitude concurrences, inversion identities,
 known collinearities) to protect against transcription slips.
 
-Every kernel is elementwise: it runs on coordinate arrays over a whole
-batch of triangles (``center_arrays``, ``excenter_arrays``) and on the
-floats of one triangle (``center``, ``excenters``), which raise where
-the batch form marks the triangle invalid.
+Every kernel is elementwise on coordinate arrays over a batch of
+triangles (``center_arrays``, ``excenter_arrays``).  ``center`` and
+``excenters`` run it on the batch of one triangle and raise where that
+batch marks the triangle invalid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
+import numpy as np
 
 from .families import DegenerateTriangle, Triangle, TriangleBatch
 from .geom import (
     GeometryError,
     InversionOfCenter,
     Point,
-    _hypot,
     _invert,
     _line_through,
-    _max3,
     _meet,
     _nonzero,
     _unless,
-    _where,
     quiet_fp,
 )
 
@@ -61,15 +59,16 @@ _ZERO_WEIGHT_SUM = 1e-14
 _CONCURRENCE_TOL = 1e-8
 
 # Fault flags of the kernels below, or-ed together; 0 marks a valid
-# sample.  The scalar functions raise the error of the first flag set.
+# sample.  ``center`` and ``excenters`` raise the error of the first
+# flag set, testing _DEGENERATE first.
 _DEGENERATE = 1  # collinear vertices, or weights summing to zero
 _AT_CENTER = 2  # inversion of the circumcenter itself
 _NO_MEET = 4  # construction lines undefined, parallel or not concurrent
 
 
 class _Shape(NamedTuple):
-    """Triangles as coordinate arrays (or floats), with their side lengths
-    s_i opposite P_i, area, longest side, and fault flags."""
+    """Triangles as coordinate arrays, with their side lengths s_i
+    opposite P_i, area, longest side, and fault flags."""
 
     x1: Any
     y1: Any
@@ -92,8 +91,7 @@ Kernel = Callable[[_Shape], Tuple[Any, Any, Any]]
 @dataclass(frozen=True)
 class CenterDefinition:
     """A triangle center: its Kimberling index and its kernel, which maps
-    a _Shape (arrays over many triangles, or the floats of one) to
-    (x, y, fault flags)."""
+    a _Shape to (x, y, fault flags)."""
 
     id: int
     kernel: Kernel
@@ -119,11 +117,11 @@ class ExcentralTriangle:
 
 
 def _shape(x1: Any, y1: Any, x2: Any, y2: Any, x3: Any, y3: Any) -> _Shape:
-    s1 = _hypot(x2 - x3, y2 - y3)
-    s2 = _hypot(x3 - x1, y3 - y1)
-    s3 = _hypot(x1 - x2, y1 - y2)
+    s1 = np.hypot(x2 - x3, y2 - y3)
+    s2 = np.hypot(x3 - x1, y3 - y1)
+    s3 = np.hypot(x1 - x2, y1 - y2)
     area = 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
-    scale = _max3(s1, s2, s3)
+    scale = np.maximum(np.maximum(s1, s2), s3)
     collinear = (scale == 0.0) | (area <= _DEGENERATE_AREA * scale * scale)
     return _Shape(x1, y1, x2, y2, x3, y3, s1, s2, s3, area, scale, _DEGENERATE * collinear)
 
@@ -251,30 +249,32 @@ def _x484(t: _Shape):
     """Evans perspector: the concurrence of the lines joining each
     excenter to the reflection of its opposite vertex across the far side.
 
-    The lines are concurrent for every non-degenerate triangle; the third
-    line's residual through the intersection of the other two must stay
-    within ``_CONCURRENCE_TOL`` of the triangle scale.
+    The lines are concurrent for every non-degenerate triangle.  The
+    best-conditioned pair gives the point; the third line's residual
+    through it must stay within ``_CONCURRENCE_TOL`` of the triangle
+    scale.
     """
     exs, eys, fault = _excenters(t)
     refl, refl_fault = _reflections(t)
     lines = [_line_through(exs[i], eys[i], *refl[i]) for i in range(3)]
-    (a0, b0, c0, ok0), (a1, b1, c1, ok1), (a2, b2, c2, ok2) = lines
-    x01, y01, meet01 = _meet(a0, b0, c0, a1, b1, c1)
-    x02, y02, meet02 = _meet(a0, b0, c0, a2, b2, c2)
-    # Lines 0 and 1 meet unless parallel; then lines 0 and 2, and the
-    # remaining line checks the concurrence.
-    x = _where(meet01, x01, x02)
-    y = _where(meet01, y01, y02)
-    residual = abs(
-        _where(meet01, a2, a1) * x + _where(meet01, b2, b1) * y + _where(meet01, c2, c1)
-    )
-    defined = ok0 & ok1 & ok2 & (meet01 | meet02)
+    a, b, c, ok = (np.stack(v) for v in zip(*lines))
+    # Per sample, the pair (i, j) of lines with the largest |a_i b_j - a_j b_i|
+    # meets, and the remaining line k checks the concurrence.
+    i, j, k = np.array([[0, 0, 1], [1, 2, 2], [2, 1, 0]])
+    best = np.argmax(abs(a[i] * b[j] - a[j] * b[i]), axis=0)[np.newaxis]
+
+    def pick(v, rows):
+        return np.take_along_axis(v, rows[best], axis=0)[0]
+
+    x, y, meets = _meet(pick(a, i), pick(b, i), pick(c, i), pick(a, j), pick(b, j), pick(c, j))
+    residual = abs(pick(a, k) * x + pick(b, k) * y + pick(c, k))
+    defined = ok.all(axis=0) & meets
     off = residual > _CONCURRENCE_TOL * t.scale
     return x, y, fault | refl_fault | _unless(defined, _NO_MEET) | _NO_MEET * off
 
 
 # ---------------------------------------------------------------------------
-# Scalar and array entry points.
+# Entry points: a batch of triangles, or the batch of one.
 
 
 def _raise_for(fault: Any) -> None:
@@ -286,17 +286,16 @@ def _raise_for(fault: Any) -> None:
         raise GeometryError("construction lines are parallel or not concurrent")
 
 
-def _shape_of(tri: Triangle) -> _Shape:
-    """One triangle's _Shape; raises for a degenerate triangle, before any
-    construction divides by its vanishing sides or area."""
-    (x1, y1), (x2, y2), (x3, y3) = tri.p1, tri.p2, tri.p3
-    shape = _shape(x1, y1, x2, y2, x3, y3)
-    _raise_for(shape.fault)
-    return shape
+def _evaluate(kernel: Kernel, coords: Sequence[Any]):
+    """The kernel on the triangles with the vertex coordinate arrays
+    (x1, y1, x2, y2, x3, y3)."""
+    with quiet_fp():
+        return kernel(_shape(*coords))
 
 
-def _batch_shape(tri: TriangleBatch) -> _Shape:
-    return _shape(tri.x1, tri.y1, tri.x2, tri.y2, tri.x3, tri.y3)
+def _one(tri: Triangle) -> List[Any]:
+    """The vertex coordinate arrays of the batch that holds one triangle."""
+    return [np.array([c]) for p in tri.vertices() for c in p]
 
 
 def _resolve(definition: Union["CenterDefinition", str, int]) -> "CenterDefinition":
@@ -306,15 +305,16 @@ def _resolve(definition: Union["CenterDefinition", str, int]) -> "CenterDefiniti
 
 
 def center(tri: Triangle, definition: Union[CenterDefinition, str, int]) -> Point:
-    """Evaluate a triangle center.
+    """Evaluate a triangle center by its kernel on the batch that holds
+    only tri; raises where that batch marks the triangle invalid.
 
     ``definition`` may be a CenterDefinition, a Kimberling index, or a
     string like "X165".
     """
     definition = _resolve(definition)
-    x, y, fault = definition.kernel(_shape_of(tri))
-    _raise_for(fault)
-    return Point(x, y)
+    x, y, fault = _evaluate(definition.kernel, _one(tri))
+    _raise_for(fault[0])
+    return Point(float(x[0]), float(y[0]))
 
 
 def center_arrays(tri: TriangleBatch, definition: Union[CenterDefinition, str, int]):
@@ -324,22 +324,21 @@ def center_arrays(tri: TriangleBatch, definition: Union[CenterDefinition, str, i
     raises for it.
     """
     definition = _resolve(definition)
-    with quiet_fp():
-        x, y, fault = definition.kernel(_batch_shape(tri))
+    x, y, fault = _evaluate(definition.kernel, tri[:6])
     return x, y, tri.ok & (fault == 0)
 
 
 def excenters(tri: Triangle) -> ExcentralTriangle:
-    """Excenters of a triangle; the vertices of its excentral triangle."""
-    xs, ys, fault = _excenters(_shape_of(tri))
-    _raise_for(fault)
-    return ExcentralTriangle(*(Point(x, y) for x, y in zip(xs, ys)))
+    """Excenters of a triangle; the vertices of its excentral triangle.
+    Runs the kernel of ``excenter_arrays`` on the batch of one."""
+    xs, ys, fault = _evaluate(_excenters, _one(tri))
+    _raise_for(fault[0])
+    return ExcentralTriangle(*(Point(float(x[0]), float(y[0])) for x, y in zip(xs, ys)))
 
 
 def excenter_arrays(tri: TriangleBatch):
     """((x1', x2', x3'), (y1', y2', y3'), ok): ``excenters`` on a batch."""
-    with quiet_fp():
-        xs, ys, fault = _excenters(_batch_shape(tri))
+    xs, ys, fault = _evaluate(_excenters, tri[:6])
     return xs, ys, tri.ok & (fault == 0)
 
 

@@ -41,11 +41,8 @@ from .geom import (
     Conic,
     GeometryError,
     Point,
-    _cos,
     _line_through,
     _meet,
-    _sin,
-    _sqrt,
     quiet_fp,
 )
 
@@ -148,10 +145,10 @@ def _branch_sign(label: str) -> float:
 # selects the tangent; the labeling is continuous in the vertex, so a
 # fixed sign traces a single smooth family over a full sweep.
 #
-# Both maps are elementwise in the vertex (x1, y1), which may be numpy
-# arrays, and return (x2, y2, ok) with ok false where the vertex has no
-# real tangent to the caustic (on or inside it); the root is taken of
-# |delta2|, so such a vertex still gets a finite, meaningless image.
+# Both maps are elementwise in the vertex arrays (x1, y1) and return
+# (x2, y2, ok) with ok false where the vertex has no real tangent to the
+# caustic (on or inside it); the root is taken of |delta2|, so such a
+# vertex still gets a finite, meaningless image.
 
 
 def _require_finite(params: Any) -> None:
@@ -196,7 +193,7 @@ class BicentricParams:
         return bic3_caustic2(self)
 
     def vertex(self, t: Any) -> Tuple[Any, Any]:
-        return self.R * _cos(t), self.R * _sin(t)
+        return self.R * np.cos(t), self.R * np.sin(t)
 
     def shape(self, pencil: bool = False) -> Tuple[float, float]:
         """(radius, center offset) of the caustic, or of the pencil caustic."""
@@ -207,7 +204,7 @@ class BicentricParams:
         R = self.R
         rc, dc = shape
         delta2 = R * R + dc * dc - 2.0 * dc * x1 - rc * rc
-        delta = sign * _sqrt(abs(delta2))
+        delta = sign * np.sqrt(abs(delta2))
         base = R * R + dc * dc - 2.0 * dc * x1
         den = base * base
         rr_dd = R * R - dc * dc
@@ -265,7 +262,7 @@ class ConfocalParams:
         return Conic.axis_ellipse(Point(0.0, 0.0), *_conf3_second_caustic(self))
 
     def vertex(self, t: Any) -> Tuple[Any, Any]:
-        return self.a * _cos(t), self.b * _sin(t)
+        return self.a * np.cos(t), self.b * np.sin(t)
 
     def shape(self, pencil: bool = False) -> Tuple[float, float]:
         """Semi-axes of the confocal caustic, or of the pencil caustic."""
@@ -281,7 +278,7 @@ class ConfocalParams:
         ca2 = ca * ca
         cb2 = cb * cb
         delta2 = (a2 * cb2 - ca2 * cb2) * x1 * x1 + (a2 * ca2 - a2 * ca2 * cb2 / b2) * y1 * y1
-        delta = sign * _sqrt(abs(delta2))
+        delta = sign * np.sqrt(abs(delta2))
         alpha1 = a2 * (b2 - cb2) - ca2 * b2
         alpha2 = (a2 - ca2) * b2 + a2 * cb2
         alpha3 = a2 * (b2 - cb2) + ca2 * b2
@@ -310,9 +307,9 @@ class Triangle:
 class TriangleBatch(NamedTuple):
     """Family members at many angles t, as coordinate arrays.
 
-    Every field has the shape of t (floats for a single angle).  ``ok``
-    is false where a chord step found no real tangent; the coordinates
-    there are meaningless.
+    Every field is an array of the shape of t.  ``ok`` is false where a
+    chord step found no real tangent; the coordinates there are
+    meaningless.
     """
 
     x1: Any
@@ -651,11 +648,11 @@ class FamilyConfig:
         return (p.caustic(),)
 
     def triangles(self, t: Any) -> TriangleBatch:
-        """The members at the angles t (a numpy array, or one float).
+        """The members at the angles t, a numpy array.
 
         P1 is the outer conic's point at eccentric angle t; the chord
         maps give P2 and P3 (see FamilySpec).  The one construction
-        path: ``triangle`` evaluates it at a single angle.  Raises only
+        path: ``triangle`` is its batch of one angle.  Raises only
         for parameters that admit no member at all (an imaginary second
         caustic); a vertex without a real tangent clears ``ok`` at its
         angle.
@@ -675,11 +672,13 @@ class FamilyConfig:
         return TriangleBatch(x1, y1, x2, y2, x3, y3, ok)
 
     def triangle(self, t: float) -> Triangle:
-        """The member at angle t; raises where ``triangles`` clears ok."""
-        b = self.triangles(t)
-        if not b.ok:
+        """The member at angle t, the one-angle batch of ``triangles``;
+        raises where that batch clears ok."""
+        b = self.triangles(np.array([t]))
+        if not b.ok[0]:
             raise VertexInsideCaustic(f"no real tangent from the vertex at t={t}")
-        return Triangle(Point(b.x1, b.y1), Point(b.x2, b.y2), Point(b.x3, b.y3), t)
+        x1, y1, x2, y2, x3, y3 = (float(v[0]) for v in b[:6])
+        return Triangle(Point(x1, y1), Point(x2, y2), Point(x3, y3), t)
 
     def free_sides(self, t: Any) -> Tuple[Any, Any, Any, Any]:
         """(a, b, c, ok): the free side a x + b y + c = 0, with unit normal

@@ -90,16 +90,12 @@ class Line(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Elementwise kernels.  Each takes floats or equally shaped numpy arrays
-# and returns its values together with a validity mask; values where the
-# mask is false are meaningless.  The scalar functions of this package
-# evaluate the same kernels on single floats and raise where the mask is
-# false, so an array evaluation marks a sample invalid exactly when the
-# scalar function raises for it.  The few non-arithmetic primitives below
-# take math's path on floats, for speed, and numpy's on arrays; both give
-# the same bits.  Squares are written as products: ``x ** 2`` calls libm
-# pow on a float but multiplies on an array, which can differ in the last
-# bit.
+# Elementwise kernels.  Each takes equally shaped numpy arrays and returns
+# its values together with a validity mask; values where the mask is
+# false are meaningless.  The one-triangle calls of this package run the
+# same kernels on one-element arrays and raise where the mask is false,
+# so an array evaluation marks a sample invalid exactly when the
+# one-triangle call raises for it.
 
 
 def quiet_fp() -> np.errstate:
@@ -108,25 +104,9 @@ def quiet_fp() -> np.errstate:
     return np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
-def _elementwise(on_float, on_array):
-    def primitive(x, *rest):
-        return on_array(x, *rest) if isinstance(x, np.ndarray) else on_float(x, *rest)
-
-    return primitive
-
-
-_cos = _elementwise(math.cos, np.cos)
-_sin = _elementwise(math.sin, np.sin)
-_sqrt = _elementwise(math.sqrt, np.sqrt)
-# numpy's hypot on floats too: math.hypot rounds differently.
-_hypot = _elementwise(lambda x, y: float(np.hypot(x, y)), np.hypot)
-_max3 = _elementwise(max, lambda a, b, c: np.maximum(np.maximum(a, b), c))
-_where = _elementwise(lambda cond, a, b: a if cond else b, np.where)
-
-
 def _nonzero(x):
     """x with exact zeros replaced by 1, so that a kernel can divide by it
-    at a masked-out sample without a warning or, on floats, an exception."""
+    at a masked-out sample without a warning."""
     return x + (x == 0.0)
 
 
@@ -140,7 +120,7 @@ def _line_through(px, py, qx, qy):
     ok is false where p and q coincide."""
     dx = qx - px
     dy = qy - py
-    n = _hypot(dx, dy)
+    n = np.hypot(dx, dy)
     a = -dy / _nonzero(n)
     b = dx / _nonzero(n)
     return a, b, -(a * px + b * py), n != 0.0
@@ -330,7 +310,7 @@ def line_tangent_to_conic_residual(line: Line, conic: Conic) -> float:
             major, minor = conic.semi_axes
             u = major * nmaj
             v = minor * nmin
-            support = _sqrt(u * u + v * v)
+            support = np.sqrt(u * u + v * v)
         return support - abs(c0)
     # Fallback: discriminant of the quadratic along the line.
     dvec = line.direction()

@@ -165,9 +165,9 @@ def trace_locus(
     Family configurations where some angles are inadmissible (vertex
     inside a caustic, degenerate triangle) yield invalid samples, which
     are kept in place — marked — so the t-grid stays uniform.  A sample
-    is invalid exactly where the scalar API raises for it
+    is invalid exactly where the one-angle calls raise for it
     (``cfg.triangle``, then ``center`` or ``excenters``), or where the
-    point is not finite; where it is valid, it has the scalar API's bits.
+    point is not finite; where it is valid, it has their bits.
 
     ``min_valid`` defaults to the floor classification needs; pass a
     smaller value when the samples are only being printed or plotted.

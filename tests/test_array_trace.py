@@ -1,12 +1,13 @@
-"""The array paths against the scalar API they share their kernels with.
+"""The array paths against their one-element calls.
 
 ``trace_locus`` evaluates the family and the tracked point on the whole t
-grid at once; ``FamilyConfig.triangle``, ``center`` and ``excenters``
-evaluate the same elementwise kernels on one triangle and raise where the
-mask is false.  Both forms give the same bits.  So do the batch
-consumers: ``envelope_points`` on ``FamilyConfig.free_sides`` and the
-all-brackets bisection of ``claims._min_axis_distance``.  Each reference
-here is the per-sample scalar loop, rebuilt in the test.
+grid at once; ``FamilyConfig.triangle``, ``center`` and ``excenters`` run
+the same batch path on one triangle and raise where its mask is false.
+The per-angle loop checks that a one-element batch gives the same bits as
+the same sample inside the 64-sample grid.  So do the batch consumers:
+``envelope_points`` on ``FamilyConfig.free_sides`` and the all-brackets
+bisection of ``claims._min_axis_distance``.  Each reference here is the
+per-sample loop, rebuilt in the test.
 """
 
 import math
@@ -73,7 +74,8 @@ TRACKED = [f"X{c.id}" for c in builtin_centers()] + list(TRACKED_IDS)
 
 
 def _scalar_point(tri, tracked):
-    """A vertex, excenter or center of one triangle, from the scalar API."""
+    """A vertex, excenter or center of one triangle, from the one-element
+    calls."""
     if tracked in ("P1", "P2", "P3"):
         return tri.vertices()[int(tracked[1]) - 1]
     if tracked in ("P1'", "P2'", "P3'"):
@@ -81,17 +83,30 @@ def _scalar_point(tri, tracked):
     return center(tri, tracked)
 
 
-def _scalar_trace(cfg, tracked, n):
-    """The per-sample loop: (x, y, valid) from the scalar API."""
-    xs, ys, valid = [], [], []
+def _scalar_triangles(cfg, n):
+    """``cfg.triangle`` at each angle of the n-sample grid, None where it
+    raises."""
+    tris = []
     for k in range(n):
-        t = 2.0 * math.pi * k / n
         try:
-            p = _scalar_point(cfg.triangle(t), tracked)
+            tris.append(cfg.triangle(2.0 * math.pi * k / n))
         except GeometryError:
-            xs.append(math.nan), ys.append(math.nan), valid.append(False)
-            continue
-        ok = math.isfinite(p.x) and math.isfinite(p.y)
+            tris.append(None)
+    return tris
+
+
+def _scalar_trace(tris, tracked):
+    """The per-sample loop over one-angle triangles (None where there is
+    none): (x, y, valid) from the one-element calls."""
+    xs, ys, valid = [], [], []
+    for tri in tris:
+        p = None
+        if tri is not None:
+            try:
+                p = _scalar_point(tri, tracked)
+            except GeometryError:
+                pass
+        ok = p is not None and math.isfinite(p.x) and math.isfinite(p.y)
         xs.append(p.x if ok else math.nan)
         ys.append(p.y if ok else math.nan)
         valid.append(ok)
@@ -104,8 +119,9 @@ def _label(cfg):
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_label)
 def test_trace_matches_the_scalar_loop(cfg):
+    tris = _scalar_triangles(cfg, N)
     for tracked in TRACKED:
-        xs, ys, valid = _scalar_trace(cfg, tracked, N)
+        xs, ys, valid = _scalar_trace(tris, tracked)
         loc = trace_locus(cfg, tracked, N, min_valid=0)
         got_valid = np.array([s.valid for s in loc.samples])
         assert (got_valid == valid).all(), tracked

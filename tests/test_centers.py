@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poncelet.geom import Conic, Point
-from poncelet.families import BicentricParams, FamilyConfig, Triangle, chapple_distance
+from poncelet.families import (
+    BicentricParams,
+    FamilyConfig,
+    Triangle,
+    TriangleBatch,
+    bic1_config,
+    bic2_config,
+    bic3_config,
+    chapple_distance,
+    conf1_config,
+    conf2_config,
+    conf3_config,
+)
 from poncelet import centers as C
 
 from _geometry_oracle import (
@@ -375,6 +387,51 @@ def test_vertex_permutation_invariance():
             for p in perms[1:]:
                 permuted = Triangle(verts[p[0]], verts[p[1]], verts[p[2]], 0.0)
                 assert math.dist(C.center(permuted, key), base) < 1e-9
+
+
+# The six README families.  A center does not depend on the vertex
+# labels, so relabelling every triangle of a 512-sample batch moves each
+# point only by its kernel's rounding error.  Measured over the outer
+# scale: at most 4.5e-13 for X484 (bic-III) and 3.2e-14 for every other
+# kernel.
+README_FAMILIES = [
+    bic1_config(1.0, 0.25),
+    bic2_config(1.0, 0.2, 0.3),
+    bic3_config(1.0, 0.15, 0.25, 0.4),
+    conf1_config(2.0, 1.0),
+    conf2_config(2.0, 1.0, 0.5),
+    conf3_config(2.0, 1.0, 0.3, 0.5),
+]
+LABEL_SPREAD_BOUND = 1e-12
+# The three cyclic relabellings (the identity first) and one reflection.
+RELABELLINGS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1))
+
+
+def _relabel(tri: TriangleBatch, perm) -> TriangleBatch:
+    """The batch whose vertex m is vertex perm[m] of tri."""
+    verts = ((tri.x1, tri.y1), (tri.x2, tri.y2), (tri.x3, tri.y3))
+    return TriangleBatch(*(c for m in perm for c in verts[m]), tri.ok)
+
+
+@pytest.mark.parametrize("cfg", README_FAMILIES, ids=lambda cfg: cfg.kind)
+def test_label_symmetry_bounds_every_kernel_rounding(cfg):
+    tri = cfg.triangles(2.0 * np.pi * np.arange(512) / 512)
+    batches = [_relabel(tri, perm) for perm in RELABELLINGS]
+    for definition in C.builtin_centers():
+        (x0, y0, ok0), *rest = [C.center_arrays(b, definition) for b in batches]
+        assert ok0.sum() == 512, definition.id
+        for x, y, ok in rest:
+            assert (ok == ok0).all(), definition.id
+            spread = np.hypot(x - x0, y - y0).max() / cfg.outer_scale
+            assert spread < LABEL_SPREAD_BOUND, (definition.id, spread)
+    # The excenter opposite relabelled vertex m is the one opposite perm[m].
+    (xs0, ys0, ok0), *rest = [C.excenter_arrays(b) for b in batches]
+    assert ok0.sum() == 512
+    for perm, (xs, ys, ok) in zip(RELABELLINGS[1:], rest):
+        assert (ok == ok0).all()
+        for m in range(3):
+            spread = np.hypot(xs[m] - xs0[perm[m]], ys[m] - ys0[perm[m]]).max()
+            assert spread / cfg.outer_scale < LABEL_SPREAD_BOUND, (perm, m)
 
 
 def test_bic1_frozen_positions():

@@ -14,9 +14,11 @@ the test suite (bisector/altitude concurrences, inversion identities,
 known collinearities) to protect against transcription slips.
 
 Every kernel is elementwise on coordinate arrays over a batch of
-triangles (``center_arrays``, ``excenter_arrays``).  ``center`` and
-``excenters`` run it on the batch of one triangle and raise where that
-batch marks the triangle invalid.
+triangles (``center_arrays``, ``excenter_arrays``).  It reads the
+batch's ``_Shape`` (vertices, side lengths, area, fault flags), which a
+caller that keeps one reuses (``_center_on``, ``_excenters_on``).
+``center`` and ``excenters`` run it on the batch of one triangle and
+raise where that batch marks the triangle invalid.
 """
 
 from __future__ import annotations
@@ -286,11 +288,16 @@ def _raise_for(fault: Any) -> None:
         raise GeometryError("construction lines are parallel or not concurrent")
 
 
-def _evaluate(kernel: Kernel, coords: Sequence[Any]):
-    """The kernel on the triangles with the vertex coordinate arrays
-    (x1, y1, x2, y2, x3, y3)."""
+def _shape_of(coords: Sequence[Any]) -> _Shape:
+    """The _Shape of the triangles with the vertex coordinate arrays
+    (x1, y1, x2, y2, x3, y3), which every kernel reads."""
     with quiet_fp():
-        return kernel(_shape(*coords))
+        return _shape(*coords)
+
+
+def _evaluate(kernel: Kernel, shape: _Shape):
+    with quiet_fp():
+        return kernel(shape)
 
 
 def _one(tri: Triangle) -> List[Any]:
@@ -312,7 +319,7 @@ def center(tri: Triangle, definition: Union[CenterDefinition, str, int]) -> Poin
     string like "X165".
     """
     definition = _resolve(definition)
-    x, y, fault = _evaluate(definition.kernel, _one(tri))
+    x, y, fault = _evaluate(definition.kernel, _shape_of(_one(tri)))
     _raise_for(fault[0])
     return Point(float(x[0]), float(y[0]))
 
@@ -323,23 +330,32 @@ def center_arrays(tri: TriangleBatch, definition: Union[CenterDefinition, str, i
     ok is false where the batch has no triangle or where ``center``
     raises for it.
     """
-    definition = _resolve(definition)
-    x, y, fault = _evaluate(definition.kernel, tri[:6])
-    return x, y, tri.ok & (fault == 0)
+    return _center_on(_shape_of(tri[:6]), tri.ok, definition)
+
+
+def _center_on(shape: _Shape, ok: Any, definition: Union[CenterDefinition, str, int]):
+    """``center_arrays`` on the batch with the built _Shape and the mask ok."""
+    x, y, fault = _evaluate(_resolve(definition).kernel, shape)
+    return x, y, ok & (fault == 0)
 
 
 def excenters(tri: Triangle) -> ExcentralTriangle:
     """Excenters of a triangle; the vertices of its excentral triangle.
     Runs the kernel of ``excenter_arrays`` on the batch of one."""
-    xs, ys, fault = _evaluate(_excenters, _one(tri))
+    xs, ys, fault = _evaluate(_excenters, _shape_of(_one(tri)))
     _raise_for(fault[0])
     return ExcentralTriangle(*(Point(float(x[0]), float(y[0])) for x, y in zip(xs, ys)))
 
 
 def excenter_arrays(tri: TriangleBatch):
     """((x1', x2', x3'), (y1', y2', y3'), ok): ``excenters`` on a batch."""
-    xs, ys, fault = _evaluate(_excenters, tri[:6])
-    return xs, ys, tri.ok & (fault == 0)
+    return _excenters_on(_shape_of(tri[:6]), tri.ok)
+
+
+def _excenters_on(shape: _Shape, ok: Any):
+    """``excenter_arrays`` on the batch with the built _Shape and the mask ok."""
+    xs, ys, fault = _evaluate(_excenters, shape)
+    return xs, ys, ok & (fault == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,11 @@ from .families import (
     degenerate_envelope_inradius,
     envelope_points,
 )
-from .centers import _cosines, _shape
+from .centers import _cosines
 from .loci import (
     _grid,
+    _grid_samples,
+    _sample,
     _tracked_arrays,
     CONIC_TOL,
     Locus,
@@ -444,8 +446,8 @@ def _free_sides(cfg: FamilyConfig, n: int) -> Line:
 def _member_shapes(cfg: FamilyConfig, n: int):
     """Side lengths and area (``centers._shape``) of the members at n
     uniformly spaced angles, where they exist."""
-    tri = cfg.triangles(_grid(n))
-    return _shape(*(v[tri.ok] for v in tri[:6]))
+    samples = _grid_samples(cfg, n)
+    return samples.shape._make(v[samples.tri.ok] for v in samples.shape)
 
 
 def _worst(values: np.ndarray) -> float:
@@ -478,7 +480,7 @@ def _min_axis_distance(cfg: FamilyConfig, tracked: str) -> float:
     """
 
     def y_at(ts: np.ndarray):
-        _, y, ok = _tracked_arrays(cfg.triangles(ts), tracked)
+        _, y, ok = _tracked_arrays(_sample(cfg, ts), tracked)
         return y, ok
 
     ts = 2.0 * np.pi * np.arange(_AXIS_SAMPLES + 1) / _AXIS_SAMPLES  # both ends
@@ -827,7 +829,7 @@ def check_x2_homothety_half_n4(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     loc = trace_locus(cfg, "X2", 512)
     metric = _ellipse_deviation(loc.valid_xy(), a / 3.0, b / 3.0)
 
-    tri = cfg.triangles(_grid(512))
+    tri = _grid_samples(cfg, 512).tri
     midpoint_worst = _worst(np.hypot(tri.x2 + tri.x3, tri.y2 + tri.y3)[tri.ok] / 2.0)
 
     loc_off = trace_locus(conf2_config(a, b, 0.8 * lam4), "X2", 512)

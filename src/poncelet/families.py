@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -630,6 +631,13 @@ class FamilyConfig:
                 f"{self.kind} takes only the default tangent branch (plus, plus):"
                 " both its tangents leave P1"
             )
+
+    @cached_property
+    def _kept(self) -> dict:
+        """What the last trace of this object sampled before picking its
+        point, by n (filled by ``loci._grid_samples``).  Not a field, so
+        ==, hash and repr do not see it; an equal config keeps its own."""
+        return {}
 
     @property
     def outer_scale(self) -> float:

@@ -138,22 +138,57 @@ _EXCENTER_ALIASES = {"P1'": 0, "P2'": 1, "P3'": 2}
 _VERTEX_FIELDS = {"P1": ("x1", "y1"), "P2": ("x2", "y2"), "P3": ("x3", "y3")}
 
 
-def _tracked_arrays(tri: TriangleBatch, tracked: str):
+class _Samples(NamedTuple):
+    """A family at the angles t: its TriangleBatch and the batch's
+    ``centers._Shape`` (side lengths, area, scale, fault flags)."""
+
+    t: np.ndarray
+    tri: TriangleBatch
+    shape: _centers._Shape
+
+
+def _sample(cfg: FamilyConfig, ts: np.ndarray) -> _Samples:
+    tri = cfg.triangles(ts)
+    return _Samples(ts, tri, _centers._shape_of(tri[:6]))
+
+
+def _tracked_arrays(samples: _Samples, tracked: str):
     """(x, y, ok): the tracked point (a vertex, excenter or center id) on
-    every triangle of a batch."""
+    every triangle of the samples."""
+    tri, shape = samples.tri, samples.shape
     if tracked in _VERTEX_FIELDS:
         fx, fy = _VERTEX_FIELDS[tracked]
         return getattr(tri, fx), getattr(tri, fy), tri.ok
     if tracked in _EXCENTER_ALIASES:
-        xs, ys, ok = _centers.excenter_arrays(tri)
+        xs, ys, ok = _centers._excenters_on(shape, tri.ok)
         k = _EXCENTER_ALIASES[tracked]
         return xs[k], ys[k], ok
-    return _centers.center_arrays(tri, tracked)
+    return _centers._center_on(shape, tri.ok, tracked)
 
 
 def _grid(n: int) -> np.ndarray:
     """The t grid of n samples: 2 pi k / n for k = 0 .. n - 1."""
     return 2.0 * np.pi * np.arange(n) / n
+
+
+def _grid_samples(cfg: FamilyConfig, n: int) -> _Samples:
+    """The family on the n-sample grid, kept read-only on the config
+    object until it is asked for another n.
+
+    Every kernel is elementwise, so what a tracked point reads from kept
+    samples has the bits of a fresh config's.  The holder belongs to the
+    object, never to an equal one: equal parameters (0.0 and -0.0) need
+    not give the same bits.  Raises, and keeps nothing, where the
+    parameters admit no member at all.
+    """
+    kept = cfg._kept
+    if n not in kept:
+        samples = _sample(cfg, _grid(n))
+        for arr in (samples.t, *samples.tri, *samples.shape):
+            arr.flags.writeable = False
+        kept.clear()
+        kept[n] = samples
+    return kept[n]
 
 
 def trace_locus(
@@ -162,7 +197,10 @@ def trace_locus(
     """Trace a tracked point over n uniformly spaced driving angles.
 
     The family and the point are evaluated on the whole t grid at once.
-    Family configurations where some angles are inadmissible (vertex
+    The config object keeps the grid's triangles and side lengths for
+    the last n traced, so tracing many points of one family at one n
+    builds them once; the bits are those of a fresh config.  Family
+    configurations where some angles are inadmissible (vertex
     inside a caustic, degenerate triangle) yield invalid samples, which
     are kept in place — marked — so the t-grid stays uniform.  A sample
     is invalid exactly where the one-angle calls raise for it
@@ -175,13 +213,16 @@ def trace_locus(
     need = MIN_VALID_SAMPLES if min_valid is None else min_valid
     if n < need:
         raise InsufficientSamples(f"need at least {need} samples, got {n}")
-    ts = _grid(n)
     try:
-        x, y, ok = _tracked_arrays(cfg.triangles(ts), tracked)
+        samples = _grid_samples(cfg, n)
     except GeometryError:
         # The parameters admit no member at all.
+        ts = _grid(n)
         x = y = np.full(n, np.nan)
         ok = np.zeros(n, dtype=bool)
+    else:
+        ts = samples.t
+        x, y, ok = _tracked_arrays(samples, tracked)
     ok = ok & np.isfinite(x) & np.isfinite(y)
     valid = int(np.count_nonzero(ok))
     if valid < need:
@@ -315,16 +356,25 @@ def fit_curve(samples, degree: int) -> CurveFit:
 _DIAMETER_BLOCK = 16
 
 
+def _extremes_spread2(arr: np.ndarray) -> float:
+    """L: the largest squared distance among the x/y-extreme samples of
+    a nonempty (n, 2) array, a lower bound of the squared diameter."""
+    ext = arr[[arr[:, 0].argmin(), arr[:, 0].argmax(), arr[:, 1].argmin(), arr[:, 1].argmax()]]
+    dx = ext[:, 0, None] - ext[:, 0]
+    dy = ext[:, 1, None] - ext[:, 1]
+    return float((dx * dx + dy * dy).max())
+
+
 def _diameter(points) -> float:
     """Largest distance between two points, bitwise as a scan of every pair.
 
     The samples are cut, in order, into blocks of ``_DIAMETER_BLOCK``.  A
     block pair is compared point by point only if the squared far-corner
-    distance U of the two bounding boxes reaches L, the largest squared
-    distance among the x/y-extreme samples.  Rounded subtraction, product
-    and sum are monotone, so U dominates every pair value of its block
-    pair, and the pair attaining the maximum (which is >= L) is always
-    kept.  Block rows and kept pairs go in chunks: memory is O(n * block).
+    distance U of the two bounding boxes reaches L (``_extremes_spread2``).
+    Rounded subtraction, product and sum are monotone, so U dominates
+    every pair value of its block pair, and the pair attaining the
+    maximum (which is >= L) is always kept.  Block rows and kept pairs go
+    in chunks: memory is O(n * block).
     """
     arr = np.asarray(points, dtype=float)
     n = len(arr)
@@ -336,10 +386,7 @@ def _diameter(points) -> float:
     pad = np.concatenate((arr, np.repeat(arr[-1:], nb * b - n, axis=0)))
     xb = pad[:, 0].reshape(nb, b)
     yb = pad[:, 1].reshape(nb, b)
-    ext = arr[[arr[:, 0].argmin(), arr[:, 0].argmax(), arr[:, 1].argmin(), arr[:, 1].argmax()]]
-    dx = ext[:, 0, None] - ext[:, 0]
-    dy = ext[:, 1, None] - ext[:, 1]
-    best = float((dx * dx + dy * dy).max())
+    best = _extremes_spread2(arr)
     xlo, xhi, ylo, yhi = xb.min(axis=1), xb.max(axis=1), yb.min(axis=1), yb.max(axis=1)
     rows = b * b  # block rows per chunk: rows * nb bounds, about n * b
     for r in range(0, nb, rows):
@@ -371,7 +418,10 @@ def classify_locus(locus: Locus) -> CurveFit:
     pts = locus.valid_xy()
     if len(pts) < MIN_VALID_SAMPLES:
         raise InsufficientSamples(f"{len(pts)} valid samples")
-    if stationarity_spread(locus) <= POINT_TOL:
+    # sqrt(L) / scale <= stationarity_spread (rounding is monotone), so a
+    # locus whose extremes are already too far apart skips the full scan.
+    point = math.sqrt(_extremes_spread2(pts)) / locus.family.outer_scale <= POINT_TOL
+    if point and stationarity_spread(locus) <= POINT_TOL:
         return CurveFit(degree=1, residual=0.0, verdict="point")
     norm, shift, s = _normalize_samples(pts)
     design = _MonomialDesign(norm, max(2, MAX_DEGREE))

@@ -4,12 +4,15 @@
 grid at once; ``FamilyConfig.triangle``, ``center`` and ``excenters`` run
 the same batch path on one triangle and raise where its mask is false.
 The per-angle loop checks that a one-element batch gives the same bits as
-the same sample inside the 64-sample grid.  So do the batch consumers:
+the same sample inside the 64-sample grid.  A config object keeps the
+grid batch of its last trace; a trace that reuses it gives the bits of a
+fresh equal config.  So do the batch consumers:
 ``envelope_points`` on ``FamilyConfig.free_sides`` and the all-brackets
 bisection of ``claims._min_axis_distance``.  Each reference here is the
 per-sample loop, rebuilt in the test.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -44,7 +47,7 @@ from poncelet.families import (
 from poncelet.claims import DEFAULT_BIC2, _min_axis_distance
 from poncelet.families import _ENVELOPE_STEP, envelope_points
 from poncelet.geom import GeometryError, Line, Point
-from poncelet.loci import TRACKED_IDS, trace_locus
+from poncelet.loci import TRACKED_IDS, _grid_samples, trace_locus
 
 from _geometry_oracle import line_intersection
 
@@ -151,6 +154,68 @@ def test_inadmissible_family_is_invalid_where_the_scalar_api_raises(cfg, error):
     for tracked in ("P1", "X1", "P2'"):
         loc = trace_locus(cfg, tracked, N, min_valid=0)
         assert not any(s.valid for s in loc.samples)
+
+
+# ---------------------------------------------------------------------------
+# The grid samples kept on a config object.
+
+
+def _fresh(cfg):
+    """An equal config object that has traced nothing."""
+    return FamilyConfig(cfg.kind, cfg.params, cfg.branch)
+
+
+def _locus_bytes(loc):
+    return [arr.tobytes() for arr in (loc.t, loc.x, loc.y, loc.ok)]
+
+
+@pytest.mark.parametrize("cfg", [
+    bic1_config(1.0, 0.25),
+    bic2_config(1.0, 0.2, 0.3),
+    bic3_config(1.0, 0.15, 0.25, 0.4),
+    conf1_config(2.0, 1.0),
+    conf2_config(2.0, 1.0, 0.5),
+    conf3_config(2.0, 1.0, 0.3, 0.5),
+], ids=_label)
+def test_kept_samples_give_the_bits_of_a_fresh_config(cfg):
+    """Every tracked id, in both orders, at n = 256, then 1024, then 256
+    again: one config object traces them all, each against a new one."""
+    reused = _fresh(cfg)
+    for n in (256, 1024, 256):
+        for ids in (TRACKED, TRACKED[::-1]):
+            for tracked in ids:
+                want = _locus_bytes(trace_locus(_fresh(cfg), tracked, n, min_valid=0))
+                got = _locus_bytes(trace_locus(reused, tracked, n, min_valid=0))
+                assert got == want, (n, tracked)
+        assert list(reused._kept) == [n]
+
+
+def test_kept_samples_are_read_only():
+    cfg = conf3_config(2.0, 1.0, 0.3, 0.5)
+    trace_locus(cfg, "X1", N)
+    kept = _grid_samples(cfg, N)
+    assert _grid_samples(cfg, N) is kept
+    for arr in (kept.t, *kept.tri, *kept.shape):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_a_trace_leaves_equality_hash_and_repr_alone():
+    cfg = bic2_config(1.0, 0.2, 0.3)
+    before = (hash(cfg), repr(cfg), dataclasses.fields(cfg))
+    trace_locus(cfg, "X1", N)
+    assert (hash(cfg), repr(cfg), dataclasses.fields(cfg)) == before
+    twin = _fresh(cfg)
+    assert cfg == twin and hash(cfg) == hash(twin)
+
+
+def test_a_family_without_members_keeps_nothing():
+    cfg = bic3_config(1.0, 0.2, 0.3, -0.5)  # imaginary second caustic
+    for _ in range(2):
+        with pytest.raises(ImaginaryPencilCircle):
+            _grid_samples(cfg, N)
+        assert not trace_locus(cfg, "X1", N, min_valid=0).ok.any()
+    assert cfg._kept == {}
 
 
 # ---------------------------------------------------------------------------

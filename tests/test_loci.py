@@ -248,6 +248,38 @@ def test_classify_point_verdict():
     assert verdict_letter(fit) == "P"
 
 
+def test_point_verdict_is_the_spread_bound_at_its_edge():
+    """Clouds scaled so that their diameter, or their x/y-extremes' spread,
+    sits 1e-3 (relative) on either side of POINT_TOL times the outer
+    scale: the verdict is "point" exactly when stationarity_spread is
+    within POINT_TOL.  The diagonal cloud's diameter (sqrt 2, from (0, 0)
+    to (1, 1)) exceeds its extremes' spread (1.2)."""
+    cfg = conf2_config(2.0, 1.0, 0.5)
+    n = 128
+    th = 2.0 * np.pi * np.arange(n) / n
+    extremes = [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)]
+    diagonal = np.r_[np.linspace(0.0, 1.0, n - 8)[:, None].repeat(2, axis=1), extremes * 2]
+    clouds = [
+        np.c_[np.cos(th), 0.4 * np.sin(th)],
+        diagonal,
+        np.random.default_rng(5).normal(size=(n, 2)),
+    ]
+    bound = loci.POINT_TOL * cfg.outer_scale
+    seen = set()
+    for cloud in clouds:
+        for size in (_diameter(cloud), math.sqrt(loci._extremes_spread2(cloud))):
+            for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+                arr = cloud * (bound * factor / size) + (0.3, -0.2)
+                locus = Locus(cfg, "cloud", th, arr[:, 0], arr[:, 1], np.ones(n, dtype=bool))
+                spread = stationarity_spread(locus)
+                extremes_pass = math.sqrt(loci._extremes_spread2(arr)) / cfg.outer_scale <= loci.POINT_TOL
+                point = spread <= loci.POINT_TOL
+                assert (classify_locus(locus).verdict == "point") == point
+                seen.add((extremes_pass, point))
+    # Both verdicts, and extremes within the bound around a diameter past it.
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
 def test_verdict_letter_fallback():
     from dataclasses import replace
 

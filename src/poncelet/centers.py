@@ -134,14 +134,19 @@ def _barycentric(f: Callable[[Any, Any, Any], Any]) -> Kernel:
     f(a, b, c) gives the weight of the vertex opposite side a."""
 
     def kernel(t: _Shape):
-        w1, w2, w3 = f(t.s1, t.s2, t.s3), f(t.s2, t.s3, t.s1), f(t.s3, t.s1, t.s2)
-        total = w1 + w2 + w3
-        at_infinity = abs(total) <= _ZERO_WEIGHT_SUM * (abs(w1) + abs(w2) + abs(w3))
-        x = (w1 * t.x1 + w2 * t.x2 + w3 * t.x3) / _nonzero(total)
-        y = (w1 * t.y1 + w2 * t.y2 + w3 * t.y3) / _nonzero(total)
-        return x, y, t.fault | _DEGENERATE * at_infinity
+        return _weighted(t, f(t.s1, t.s2, t.s3), f(t.s2, t.s3, t.s1), f(t.s3, t.s1, t.s2))
 
     return kernel
+
+
+def _weighted(t: _Shape, w1: Any, w2: Any, w3: Any):
+    """The point with homogeneous barycentric weights (w1, w2, w3)."""
+    total = w1 + w2 + w3
+    at_infinity = abs(total) <= _ZERO_WEIGHT_SUM * (abs(w1) + abs(w2) + abs(w3))
+    den = _nonzero(total)
+    x = (w1 * t.x1 + w2 * t.x2 + w3 * t.x3) / den
+    y = (w1 * t.y1 + w2 * t.y2 + w3 * t.y3) / den
+    return x, y, t.fault | _DEGENERATE * at_infinity
 
 
 def _excenters(t: _Shape):
@@ -153,22 +158,22 @@ def _excenters(t: _Shape):
     d3 = s1 + s2 - s3
     inequality_fails = (d1 <= 0.0) | (d2 <= 0.0) | (d3 <= 0.0)
     d1, d2, d3 = _nonzero(d1), _nonzero(d2), _nonzero(d3)
-    xs = (
-        (-s1 * t.x1 + s2 * t.x2 + s3 * t.x3) / d1,
-        (s1 * t.x1 - s2 * t.x2 + s3 * t.x3) / d2,
-        (s1 * t.x1 + s2 * t.x2 - s3 * t.x3) / d3,
-    )
-    ys = (
-        (-s1 * t.y1 + s2 * t.y2 + s3 * t.y3) / d1,
-        (s1 * t.y1 - s2 * t.y2 + s3 * t.y3) / d2,
-        (s1 * t.y1 + s2 * t.y2 - s3 * t.y3) / d3,
-    )
+    # (-s1)·x1 is -(s1·x1) exactly, so each product is formed once.
+    u1, u2, u3 = s1 * t.x1, s2 * t.x2, s3 * t.x3
+    v1, v2, v3 = s1 * t.y1, s2 * t.y2, s3 * t.y3
+    xs = ((-u1 + u2 + u3) / d1, (u1 - u2 + u3) / d2, (u1 + u2 - u3) / d3)
+    ys = ((-v1 + v2 + v3) / d1, (v1 - v2 + v3) / d2, (v1 + v2 - v3) / d3)
     return xs, ys, t.fault | _DEGENERATE * inequality_fails
 
 
 def _bevan(t: _Shape):
     """X40, the circumcenter of the excentral triangle: 2·X3 − X1."""
-    ox, oy, f3 = _circumcenter(t)
+    return _bevan_of(t, _circumcenter(t))
+
+
+def _bevan_of(t: _Shape, circumcenter: Any):
+    """X40 from X3 (``_circumcenter``'s triple)."""
+    ox, oy, f3 = circumcenter
     ix, iy, f1 = _incenter(t)
     return 2.0 * ox - ix, 2.0 * oy - iy, f3 | f1
 
@@ -180,20 +185,22 @@ def _excentral_centroid(t: _Shape):
     return (4.0 * ox - ix) / 3.0, (4.0 * oy - iy) / 3.0, f3 | f1
 
 
-def _circumcircle_inverse(t: _Shape, px: Any, py: Any, fault: Any):
-    """Inverse of p in the circumcircle, with circumradius s1 s2 s3 / 4K."""
-    ox, oy, f3 = _circumcenter(t)
+def _circumcircle_inverse(t: _Shape, circumcenter: Any, px: Any, py: Any, fault: Any):
+    """Inverse of p in the circumcircle about X3 (``_circumcenter``'s
+    triple), with circumradius s1 s2 s3 / 4K."""
+    ox, oy, f3 = circumcenter
     radius = t.s1 * t.s2 * t.s3 / (4.0 * t.area)
     x, y, ok = _invert(px, py, ox, oy, radius)
     return x, y, fault | f3 | _unless(ok, _AT_CENTER)
 
 
 def _x36(t: _Shape):
-    return _circumcircle_inverse(t, *_incenter(t))
+    return _circumcircle_inverse(t, _circumcenter(t), *_incenter(t))
 
 
 def _x2077(t: _Shape):
-    return _circumcircle_inverse(t, *_bevan(t))
+    o = _circumcenter(t)
+    return _circumcircle_inverse(t, o, *_bevan_of(t, o))
 
 
 def _intouch(t: _Shape) -> Tuple[Any, Any, Any, Any, Any, Any]:
@@ -258,19 +265,24 @@ def _x484(t: _Shape):
     """
     exs, eys, fault = _excenters(t)
     refl, refl_fault = _reflections(t)
-    lines = [_line_through(exs[i], eys[i], *refl[i]) for i in range(3)]
-    a, b, c, ok = (np.stack(v) for v in zip(*lines))
+    (a0, b0, c0, ok0), (a1, b1, c1, ok1), (a2, b2, c2, ok2) = (
+        _line_through(exs[i], eys[i], *refl[i]) for i in range(3)
+    )
     # Per sample, the pair (i, j) of lines with the largest |a_i b_j - a_j b_i|
-    # meets, and the remaining line k checks the concurrence.
-    i, j, k = np.array([[0, 0, 1], [1, 2, 2], [2, 1, 0]])
-    best = np.argmax(abs(a[i] * b[j] - a[j] * b[i]), axis=0)[np.newaxis]
+    # meets, and the remaining line k checks the concurrence; the pairs
+    # (0, 1), (0, 2), (1, 2) are numbered 0, 1, 2.
+    cross = np.stack((abs(a0 * b1 - a1 * b0), abs(a0 * b2 - a2 * b0), abs(a1 * b2 - a2 * b1)))
+    best = np.argmax(cross, axis=0)
 
-    def pick(v, rows):
-        return np.take_along_axis(v, rows[best], axis=0)[0]
+    def pick(v0, v1, v2):
+        """The coefficient of lines i, j and k, chosen by best."""
+        return (np.choose(best, (v0, v0, v1)), np.choose(best, (v1, v2, v2)),
+                np.choose(best, (v2, v1, v0)))
 
-    x, y, meets = _meet(pick(a, i), pick(b, i), pick(c, i), pick(a, j), pick(b, j), pick(c, j))
-    residual = abs(pick(a, k) * x + pick(b, k) * y + pick(c, k))
-    defined = ok.all(axis=0) & meets
+    (ai, aj, ak), (bi, bj, bk), (ci, cj, ck) = pick(a0, a1, a2), pick(b0, b1, b2), pick(c0, c1, c2)
+    x, y, meets = _meet(ai, bi, ci, aj, bj, cj)
+    residual = abs(ak * x + bk * y + ck)
+    defined = ok0 & ok1 & ok2 & meets
     off = residual > _CONCURRENCE_TOL * t.scale
     return x, y, fault | refl_fault | _unless(defined, _NO_MEET) | _NO_MEET * off
 
@@ -393,12 +405,6 @@ def _w_x35(a: float, b: float, c: float) -> float:
     return a * a * (b * b + c * c - a * a + b * c)
 
 
-def _w_x46(a: float, b: float, c: float) -> float:
-    """Trilinear cos B + cos C - cos A, times a for barycentric."""
-    ca, cb, cc = _cosines(a, b, c)
-    return (cb + cc - ca) * a
-
-
 def _w_x56(a: float, b: float, c: float) -> float:
     return a * a * (c + a - b) * (a + b - c)
 
@@ -411,6 +417,13 @@ def _w_x59(a: float, b: float, c: float) -> float:
     ab = a - b
     ac = a - c
     return a * a * (ab * ab) * (ac * ac) * (c + a - b) * (a + b - c)
+
+
+def _x46(t: _Shape):
+    """Trilinears cos B + cos C - cos A, times the side for barycentric
+    weights; the three cosines are shared by the three weights."""
+    ca, cb, cc = _cosines(t.s1, t.s2, t.s3)
+    return _weighted(t, (cb + cc - ca) * t.s1, (cc + ca - cb) * t.s2, (ca + cb - cc) * t.s3)
 
 
 _incenter = _barycentric(lambda a, b, c: a)
@@ -431,7 +444,7 @@ _DEFINITIONS: List[CenterDefinition] = [
     CenterDefinition(35, _barycentric(_w_x35)),
     CenterDefinition(36, _x36),  # circumcircle inverse of the incenter
     CenterDefinition(40, _bevan),  # Bevan point
-    CenterDefinition(46, _barycentric(_w_x46)),
+    CenterDefinition(46, _x46),
     # insimilicenter of circumcircle and incircle
     CenterDefinition(55, _barycentric(lambda a, b, c: a * a * (b + c - a))),
     # exsimilicenter of circumcircle and incircle

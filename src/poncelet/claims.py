@@ -33,6 +33,7 @@ from .geom import (
 )
 from .families import (
     _bic3_limiting_points,
+    _bic3_second_caustic,
     MINUS,
     PLUS,
     BicentricParams,
@@ -403,13 +404,25 @@ def bic3_collapse_u(R: float, r: float, d: float) -> float:
     """
     first, second = _bic3_limiting_points(BicentricParams(R, r, d))
     target = first if abs(first.x) < abs(second.x) else second
+    # P1 and P2 do not depend on u: one first step serves every candidate,
+    # and each u adds its pencil circle and the chain step from P2.  The
+    # config's own u is never read.
+    cfg = bic3_config(R, r, d, u=0.0)
+    start = cfg._first_step(_grid(64))
 
-    def worst_chord_distance(u: float) -> float:
-        lines = _free_sides(bic3_config(R, r, d, u=u), 64)
-        return _worst(lines.signed_distance(target)) if len(lines.a) >= 16 else math.inf
+    def worst_chord_distance(us: np.ndarray) -> np.ndarray:
+        """Per u, the largest |distance| from the target to the free sides
+        that exist, or inf where fewer than 16 of the 64 do."""
+        tri = cfg._chain_step(start, _bic3_second_caustic(cfg.params, us[:, None]))
+        a, b, c, ok = cfg._free_sides_of(tri)
+        dist = np.where(ok, np.abs(Line(a, b, c).signed_distance(target)), 0.0)
+        return np.where(ok.sum(axis=1) >= 16, dist.max(axis=1), math.inf)
+
+    def worst_at(u: float) -> float:
+        return float(worst_chord_distance(np.array([u]))[0])
 
     grid = [0.30 + 0.005 * k for k in range(int((0.995 - 0.30) / 0.005) + 1)]
-    values = [worst_chord_distance(u) for u in grid]
+    values = worst_chord_distance(np.array(grid)).tolist()
     k0 = values.index(min(values))
     lo = grid[max(k0 - 1, 0)]
     hi = grid[min(k0 + 1, len(grid) - 1)]
@@ -417,16 +430,16 @@ def bic3_collapse_u(R: float, r: float, d: float) -> float:
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = worst_chord_distance(x1), worst_chord_distance(x2)
+    f1, f2 = worst_at(x1), worst_at(x2)
     for _ in range(80):
         if f1 < f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)
-            f1 = worst_chord_distance(x1)
+            f1 = worst_at(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv_phi * (hi - lo)
-            f2 = worst_chord_distance(x2)
+            f2 = worst_at(x2)
         if hi - lo < 1e-13:
             break
     return 0.5 * (lo + hi)
@@ -470,37 +483,58 @@ _AXIS_SAMPLES = 512
 _AXIS_BISECTIONS = 64
 
 
-def _min_axis_distance(cfg: FamilyConfig, tracked: str) -> float:
-    """Closest approach of a traced locus to the x-axis.
+def _min_axis_distance(cfg: FamilyConfig, tracked: Sequence[str]) -> List[float]:
+    """Closest approach to the x-axis of each tracked point's locus.
 
     Sign changes of y(t) between consecutive samples are refined by
-    bisection, all brackets at once, so a transversal crossing resolves
-    far below the sample spacing.  A bracket stops where its midpoint
-    has no valid point; an exact zero ends the search.
+    bisection, all brackets of all the points at once: each step samples
+    the family once, at every bracket's midpoint.  A transversal crossing
+    so resolves far below the sample spacing.  A bracket stops where its
+    midpoint has no valid point; an exact zero ends a point's search with
+    0.0.  The steps end early once every live bracket's midpoint equals
+    one of its ends, after which no step moves a bracket.
     """
 
-    def y_at(ts: np.ndarray):
-        _, y, ok = _tracked_arrays(_sample(cfg, ts), tracked)
-        return y, ok
+    def ys_at(ts: np.ndarray):
+        samples = _sample(cfg, ts)
+        return [_tracked_arrays(samples, pid)[1:] for pid in tracked]
 
     ts = 2.0 * np.pi * np.arange(_AXIS_SAMPLES + 1) / _AXIS_SAMPLES  # both ends
-    y, ok = y_at(ts)
-    best = float(np.abs(y[ok]).min()) if ok.any() else math.inf
-    crossing = ok[:-1] & ok[1:] & ((y[:-1] < 0.0) != (y[1:] < 0.0))
-    lo, hi, y_lo = ts[:-1][crossing], ts[1:][crossing], y[:-1][crossing]
-    live = np.ones(len(lo), dtype=bool)
+    best, brackets = [], []
+    for k, (y, ok) in enumerate(ys_at(ts)):
+        best.append(float(np.abs(y[ok]).min()) if ok.any() else math.inf)
+        crossing = ok[:-1] & ok[1:] & ((y[:-1] < 0.0) != (y[1:] < 0.0))
+        lo, hi, y_lo = ts[:-1][crossing], ts[1:][crossing], y[:-1][crossing]
+        brackets.append((lo, hi, y_lo, np.full(len(lo), k)))
+    # The brackets of every point, one after another; owner[i] is the
+    # index in tracked of bracket i's point.
+    lo, hi, y_lo, owner = (np.concatenate(v) for v in zip(*brackets))
+    rows = np.arange(len(owner))
+    zero = np.zeros(len(tracked), dtype=bool)
+    live = np.ones(len(owner), dtype=bool)
+
+    def y_of_owner(ts: np.ndarray):
+        ys, oks = zip(*ys_at(ts))
+        return np.stack(ys)[owner, rows], np.stack(oks)[owner, rows]
+
     for _ in range(_AXIS_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        ym, okm = y_at(mid)
+        if not (live & (mid != lo) & (mid != hi)).any():
+            break
+        ym, okm = y_of_owner(mid)
         live &= okm
-        if (live & (ym == 0.0)).any():
-            return 0.0
+        zero[owner[live & (ym == 0.0)]] = True
+        live &= ~zero[owner]
         left = live & ((ym < 0.0) == (y_lo < 0.0))
         lo, y_lo = np.where(left, mid, lo), np.where(left, ym, y_lo)
         hi = np.where(live & ~left, mid, hi)
-    ym, okm = y_at(0.5 * (lo + hi))
-    if okm.any():
-        best = min(best, float(np.abs(ym[okm]).min()))
+    ym, okm = y_of_owner(0.5 * (lo + hi))
+    for k in range(len(tracked)):
+        hit = okm & (owner == k)
+        if zero[k]:
+            best[k] = 0.0
+        elif hit.any():
+            best[k] = min(best[k], float(np.abs(ym[hit]).min()))
     return best
 
 
@@ -610,11 +644,11 @@ def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimRepor
 
     deg6_ok = True
     axis_ok = True
-    for pid in ("P2'", "P3'"):
+    pids = ("P2'", "P3'")
+    for pid, crossing in zip(pids, _min_axis_distance(cfg, pids)):
         loc = trace_locus(cfg, pid, 512)
         fit6 = fit_curve(loc.valid_xy(), 6)
         nonconic, fit2res = _nonconic_evidence(loc)
-        crossing = _min_axis_distance(cfg, pid)
         deg6_ok = deg6_ok and fit6.residual <= 1e-8 and nonconic
         axis_ok = axis_ok and crossing <= 1e-6
         notes.append(

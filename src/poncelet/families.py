@@ -198,7 +198,10 @@ class BicentricParams:
 
     def shape(self, pencil: bool = False) -> Tuple[float, float]:
         """(radius, center offset) of the caustic, or of the pencil caustic."""
-        return _bic3_second_caustic(self) if pencil else (self.r, self.d)
+        if not pencil:
+            return (self.r, self.d)
+        radius, offset = _bic3_second_caustic(self, self.u)
+        return (float(radius), offset)
 
     def chord(self, shape: Tuple[float, float], x1: Any, y1: Any, sign: float):
         """Chord map to the caustic circle of the given ``shape``."""
@@ -416,16 +419,16 @@ def _bic3_radius2(p: BicentricParams) -> Tuple[float, float, float]:
     return p.d * p.d, p.R * p.R - p.d * p.d - p.r * p.r, p.r * p.r
 
 
-def _bic3_second_caustic(p: BicentricParams) -> Tuple[float, float]:
-    """(radius, center offset) of the pencil circle at parameter u."""
-    if p.u is None:
+def _bic3_second_caustic(p: BicentricParams, u: Any) -> Tuple[Any, Any]:
+    """(radius, center offset) of the pencil circle of (p.R, p.r, p.d) at
+    parameter u, a number or an array; raises if any of them is imaginary."""
+    if u is None:
         raise ValueError("three-caustic family needs the pencil parameter u")
-    u = p.u
     k2, k1, k0 = _bic3_radius2(p)
     radicand = k2 * u * u + k1 * u + k0
-    if radicand <= 0.0:
+    if np.any(radicand <= 0.0):
         raise ImaginaryPencilCircle(f"pencil circle at u={u} is imaginary")
-    return (math.sqrt(radicand), p.d * (1.0 - u))
+    return (np.sqrt(radicand), p.d * (1.0 - u))
 
 
 def _bic3_limiting_points(p: BicentricParams) -> Tuple[Point, Point]:
@@ -446,7 +449,7 @@ def _bic3_limiting_points(p: BicentricParams) -> Tuple[Point, Point]:
 def bic3_caustic2(p: BicentricParams) -> Conic:
     """Second circular caustic: the pencil member at parameter u with
     center (d(1-u), 0) and radius sqrt(d^2 u^2 + (R^2-d^2-r^2) u + r^2)."""
-    radius, offset = _bic3_second_caustic(p)
+    radius, offset = p.shape(pencil=True)
     return Conic.circle(Point(offset, 0.0), radius)
 
 
@@ -665,19 +668,31 @@ class FamilyConfig:
         caustic); a vertex without a real tangent clears ``ok`` at its
         angle.
         """
-        spec = FAMILY_SPECS[self.kind]
+        p = self.params
+        first = self._first_step(t)
+        if FAMILY_SPECS[self.kind].chain:
+            return self._chain_step(first, p.shape(pencil=True))
+        # Both tangents leave P1: one tangent condition for the pair.
+        x1, y1, x2, y2, ok = first
+        x3, y3, _ = p.chord(p.shape(), x1, y1, -_branch_sign(self.branch.first))
+        return TriangleBatch(x1, y1, x2, y2, x3, y3, ok)
+
+    def _first_step(self, t: Any) -> Tuple[Any, Any, Any, Any, Any]:
+        """(x1, y1, x2, y2, ok): P1 at the angles t, and P2 along the first
+        branch's tangent to the caustic; ok is false where it has none."""
         p = self.params
         x1, y1 = p.vertex(t)
-        s = _branch_sign(self.branch.first)
-        first = p.shape()
-        x2, y2, ok = p.chord(first, x1, y1, s)
-        if spec.chain:
-            x3, y3, ok3 = p.chord(p.shape(pencil=True), x2, y2, _branch_sign(self.branch.second))
-            ok = ok & ok3
-        else:
-            # Both tangents leave P1: one tangent condition for the pair.
-            x3, y3, _ = p.chord(first, x1, y1, -s)
-        return TriangleBatch(x1, y1, x2, y2, x3, y3, ok)
+        x2, y2, ok = p.chord(p.shape(), x1, y1, _branch_sign(self.branch.first))
+        return x1, y1, x2, y2, ok
+
+    def _chain_step(self, first: Tuple[Any, ...], pencil: Tuple[Any, Any]) -> TriangleBatch:
+        """A chain's members from their ``_first_step``: P3 along the second
+        branch's tangent from P2 to the pencil caustic of shape ``pencil``.
+        The shape may hold arrays that broadcast against P2 (a column of
+        pencil circles gives one row of members per circle)."""
+        x1, y1, x2, y2, ok = first
+        x3, y3, ok3 = self.params.chord(pencil, x2, y2, _branch_sign(self.branch.second))
+        return TriangleBatch(x1, y1, x2, y2, x3, y3, ok & ok3)
 
     def triangle(self, t: float) -> Triangle:
         """The member at angle t, the one-angle batch of ``triangles``;
@@ -695,7 +710,10 @@ class FamilyConfig:
         The free side is the one no prescribed caustic constrains: P2P3
         for a pair, P3P1 for a chain.
         """
-        tri = self.triangles(t)
+        return self._free_sides_of(self.triangles(t))
+
+    def _free_sides_of(self, tri: TriangleBatch) -> Tuple[Any, Any, Any, Any]:
+        """``free_sides`` of the members in tri."""
         if FAMILY_SPECS[self.kind].chain:
             a, b, c, ok = _line_through(tri.x3, tri.y3, tri.x1, tri.y1)
         else:

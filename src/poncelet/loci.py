@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,6 +83,15 @@ MAX_DEGREE = 8
 ELBOW_FACTOR = 1e-2
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """values itself if it is a read-only array of dtype that owns its
+    data, which nothing can change; otherwise a copy as that dtype."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and not values.flags.writeable and values.flags.owndata):
+        return values
+    return np.array(values, dtype=dtype)
+
+
 class LocusSample(NamedTuple):
     t: float
     p: Point
@@ -90,7 +100,10 @@ class LocusSample(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Locus:
-    """Samples on the t grid as read-only array copies; x, y are NaN where ok is false."""
+    """Samples on the t grid as read-only arrays; x, y are NaN where ok is
+    false.  A t or ok that is already a read-only float or bool array
+    owning its data is kept as given (a trace passes its config's kept
+    grid); any other is copied."""
 
     family: FamilyConfig
     tracked: str
@@ -100,8 +113,8 @@ class Locus:
     ok: np.ndarray
 
     def __post_init__(self) -> None:
-        ok = np.array(self.ok, dtype=bool)
-        for name, arr in (("t", np.array(self.t, dtype=float)), ("ok", ok),
+        ok = _frozen(self.ok, bool)
+        for name, arr in (("t", _frozen(self.t, float)), ("ok", ok),
                           ("x", np.where(ok, self.x, np.nan)), ("y", np.where(ok, self.y, np.nan))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -224,6 +237,7 @@ def trace_locus(
         ts = samples.t
         x, y, ok = _tracked_arrays(samples, tracked)
     ok = ok & np.isfinite(x) & np.isfinite(y)
+    ok.flags.writeable = False
     valid = int(np.count_nonzero(ok))
     if valid < need:
         raise InsufficientSamples(f"only {valid} valid samples for {tracked}")
@@ -365,6 +379,14 @@ def _extremes_spread2(arr: np.ndarray) -> float:
     return float((dx * dx + dy * dy).max())
 
 
+def _box_diagonal(arr: np.ndarray) -> float:
+    """The diagonal of a nonempty (n, 2) array's bounding box, rounded as
+    ``_diameter`` rounds a pair's distance, so never below it."""
+    dx = float(arr[:, 0].max() - arr[:, 0].min())
+    dy = float(arr[:, 1].max() - arr[:, 1].min())
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def _diameter(points) -> float:
     """Largest distance between two points, bitwise as a scan of every pair.
 
@@ -418,10 +440,14 @@ def classify_locus(locus: Locus) -> CurveFit:
     pts = locus.valid_xy()
     if len(pts) < MIN_VALID_SAMPLES:
         raise InsufficientSamples(f"{len(pts)} valid samples")
-    # sqrt(L) / scale <= stationarity_spread (rounding is monotone), so a
-    # locus whose extremes are already too far apart skips the full scan.
-    point = math.sqrt(_extremes_spread2(pts)) / locus.family.outer_scale <= POINT_TOL
-    if point and stationarity_spread(locus) <= POINT_TOL:
+    # sqrt(L) / scale <= stationarity_spread <= the bounding box's
+    # diagonal / scale (rounding is monotone), so a locus whose extremes
+    # are already too far apart, or whose box is small enough, skips the
+    # full scan.
+    scale = locus.family.outer_scale
+    if math.sqrt(_extremes_spread2(pts)) / scale <= POINT_TOL and (
+        _box_diagonal(pts) / scale <= POINT_TOL or stationarity_spread(locus) <= POINT_TOL
+    ):
         return CurveFit(degree=1, residual=0.0, verdict="point")
     norm, shift, s = _normalize_samples(pts)
     design = _MonomialDesign(norm, max(2, MAX_DEGREE))
@@ -738,11 +764,19 @@ def sextic_residual(coeffs: Dict[Tuple[int, int], float], xy: np.ndarray) -> flo
     rows = xy.tolist()
     scale = max(max(abs(x), abs(y)) for x, y in rows)
     scale = max(scale, 1e-300)
+    keys, v = zip(*sorted(coeffs.items()))
+    i, j = np.array(keys).T
+    # The powers are Python's (libm pow), once per sample and exponent; the
+    # products (v x^i) y^j are numpy's, rounded as Python's are; each
+    # sample's terms get one exact sum.
+    top = range(int(np.max(keys)) + 1)
+    xs, ys = xy[:, 0].tolist(), xy[:, 1].tolist()
+    xp = np.array([list(map(pow, xs, repeat(k))) for k in top])
+    yp = np.array([list(map(pow, ys, repeat(k))) for k in top])
+    terms = np.ascontiguousarray(((np.array(v)[:, None] * xp[i]) * yp[j]).T)
     worst = 0.0
-    items = sorted(coeffs.items())
-    for x, y in rows:
-        val = math.fsum(v * x ** i * y ** j for (i, j), v in items)
-        worst = max(worst, abs(val))
+    for value in map(math.fsum, terms.tolist()):
+        worst = max(worst, abs(value))
     return worst / (norm * scale ** 6)
 
 

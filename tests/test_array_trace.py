@@ -307,12 +307,32 @@ class _CellCenterHoles(FamilyConfig):
 @pytest.mark.parametrize("tracked", ["P2'", "P3'"])
 def test_min_axis_distance_matches_the_scalar_bisection(tracked):
     cfg = FamilyConfig("bic-II", DEFAULT_BIC2)
-    assert _min_axis_distance(cfg, tracked) == _scalar_min_axis_distance(cfg, tracked)
+    assert _min_axis_distance(cfg, [tracked]) == [_scalar_min_axis_distance(cfg, tracked)]
     # Every bracket stops at its first midpoint, as the scalar loop's does.
     holed = _CellCenterHoles("bic-II", DEFAULT_BIC2)
-    got = _min_axis_distance(holed, tracked)
+    [got] = _min_axis_distance(holed, [tracked])
     assert got == _scalar_min_axis_distance(holed, tracked)
-    assert got > _min_axis_distance(cfg, tracked)
+    assert got > _min_axis_distance(cfg, [tracked])[0]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        FamilyConfig("bic-II", DEFAULT_BIC2),
+        _CellCenterHoles("bic-II", DEFAULT_BIC2),
+        bic2_config(1.0, 0.15, 0.35),
+    ],
+    ids=["default", "holed", "exact-zero"],
+)
+def test_joint_min_axis_distance_is_each_scalar_bisection(cfg):
+    """One bisection over the brackets of both excenters gives each one's
+    scalar result, also where a bracket of one of them ends at 0.0."""
+    pids = ("P2'", "P3'")
+    want = [_scalar_min_axis_distance(cfg, pid) for pid in pids]
+    assert _min_axis_distance(cfg, pids) == want
+    assert _min_axis_distance(cfg, pids[::-1]) == want[::-1]
+    if cfg.params.d == 0.35:
+        assert want == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

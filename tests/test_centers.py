@@ -452,3 +452,118 @@ def test_bic1_frozen_positions():
     for key, x in expected.items():
         p = C.center(tri, key)
         assert math.dist(p, Point(x, 0.0)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The kernels that share their subexpressions against the expressions they
+# replaced, written out here as they were.
+
+
+def _old_barycentric(f):
+    def kernel(t):
+        w1, w2, w3 = f(t.s1, t.s2, t.s3), f(t.s2, t.s3, t.s1), f(t.s3, t.s1, t.s2)
+        total = w1 + w2 + w3
+        at_infinity = abs(total) <= C._ZERO_WEIGHT_SUM * (abs(w1) + abs(w2) + abs(w3))
+        x = (w1 * t.x1 + w2 * t.x2 + w3 * t.x3) / C._nonzero(total)
+        y = (w1 * t.y1 + w2 * t.y2 + w3 * t.y3) / C._nonzero(total)
+        return x, y, t.fault | C._DEGENERATE * at_infinity
+
+    return kernel
+
+
+def _old_w_x46(a, b, c):
+    ca, cb, cc = C._cosines(a, b, c)
+    return (cb + cc - ca) * a
+
+
+_old_incenter = _old_barycentric(lambda a, b, c: a)
+_old_circumcenter = _old_barycentric(C._w_x3)
+
+
+def _old_excenters(t):
+    s1, s2, s3 = t.s1, t.s2, t.s3
+    d1, d2, d3 = -s1 + s2 + s3, s1 - s2 + s3, s1 + s2 - s3
+    fails = (d1 <= 0.0) | (d2 <= 0.0) | (d3 <= 0.0)
+    d1, d2, d3 = C._nonzero(d1), C._nonzero(d2), C._nonzero(d3)
+    xs = (
+        (-s1 * t.x1 + s2 * t.x2 + s3 * t.x3) / d1,
+        (s1 * t.x1 - s2 * t.x2 + s3 * t.x3) / d2,
+        (s1 * t.x1 + s2 * t.x2 - s3 * t.x3) / d3,
+    )
+    ys = (
+        (-s1 * t.y1 + s2 * t.y2 + s3 * t.y3) / d1,
+        (s1 * t.y1 - s2 * t.y2 + s3 * t.y3) / d2,
+        (s1 * t.y1 + s2 * t.y2 - s3 * t.y3) / d3,
+    )
+    return xs, ys, t.fault | C._DEGENERATE * fails
+
+
+def _old_bevan(t):
+    ox, oy, f3 = _old_circumcenter(t)
+    ix, iy, f1 = _old_incenter(t)
+    return 2.0 * ox - ix, 2.0 * oy - iy, f3 | f1
+
+
+def _old_circumcircle_inverse(t, px, py, fault):
+    ox, oy, f3 = _old_circumcenter(t)
+    radius = t.s1 * t.s2 * t.s3 / (4.0 * t.area)
+    x, y, ok = C._invert(px, py, ox, oy, radius)
+    return x, y, fault | f3 | C._unless(ok, C._AT_CENTER)
+
+
+def _old_x484(t):
+    exs, eys, fault = _old_excenters(t)
+    refl, refl_fault = C._reflections(t)
+    lines = [C._line_through(exs[i], eys[i], *refl[i]) for i in range(3)]
+    a, b, c, ok = (np.stack(v) for v in zip(*lines))
+    i, j, k = np.array([[0, 0, 1], [1, 2, 2], [2, 1, 0]])
+    best = np.argmax(abs(a[i] * b[j] - a[j] * b[i]), axis=0)[np.newaxis]
+
+    def pick(v, rows):
+        return np.take_along_axis(v, rows[best], axis=0)[0]
+
+    x, y, meets = C._meet(pick(a, i), pick(b, i), pick(c, i), pick(a, j), pick(b, j), pick(c, j))
+    residual = abs(pick(a, k) * x + pick(b, k) * y + pick(c, k))
+    defined = ok.all(axis=0) & meets
+    off = residual > C._CONCURRENCE_TOL * t.scale
+    return x, y, fault | refl_fault | C._unless(defined, C._NO_MEET) | C._NO_MEET * off
+
+
+OLD_KERNELS = {
+    1: _old_incenter,
+    3: _old_circumcenter,
+    36: lambda t: _old_circumcircle_inverse(t, *_old_incenter(t)),
+    40: _old_bevan,
+    46: _old_barycentric(_old_w_x46),
+    484: _old_x484,
+    2077: lambda t: _old_circumcircle_inverse(t, *_old_bevan(t)),
+}
+# Degenerate rows after every family's grid: collinear, coincident, all
+# coincident, and a triangle whose weight sums vanish for some centers.
+DEGENERATE_ROWS = [
+    ((0.0, 0.0), (1.0, 0.0), (3.0, 0.0)),
+    ((0.5, 0.5), (0.5, 0.5), (2.0, -1.0)),
+    ((1.0, 2.0), (1.0, 2.0), (1.0, 2.0)),
+    ((0.0, 0.0), (2.0, 0.0), (1.0, 1e-9)),
+]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# bic-III at u = 1.2 has members only on part of the grid: the coordinates
+# it gives elsewhere are meaningless, and go through the kernels too.
+@pytest.mark.parametrize(
+    "cfg", README_FAMILIES + [bic3_config(1.0, 0.2, 0.3, 1.2)], ids=lambda cfg: cfg.kind
+)
+def test_shared_subexpression_kernels_keep_their_bits(cfg):
+    tri = cfg.triangles(2.0 * np.pi * np.arange(1024) / 1024)
+    extra = np.array([[c for v in row for c in v] for row in DEGENERATE_ROWS]).T
+    shape = C._shape_of([np.concatenate((v, e)) for v, e in zip(tri[:6], extra)])
+    for key, old in OLD_KERNELS.items():
+        got, want = C._evaluate(C.center_definition(key).kernel, shape), C._evaluate(old, shape)
+        assert all(_same_bits(g, w) for g, w in zip(got, want)), key
+    (gx, gy, gf), (wx, wy, wf) = C._evaluate(C._excenters, shape), C._evaluate(_old_excenters, shape)
+    assert all(map(_same_bits, gx + gy + (gf,), wx + wy + (wf,)))

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from poncelet import claims
-from poncelet.families import BicentricParams, ConfocalParams, bic3_config, critical_lambda
+from poncelet.families import BicentricParams, ConfocalParams, bic2_config, bic3_config, critical_lambda
 from poncelet.claims import (
     _hausdorff,
     ClaimReport,
@@ -16,7 +18,12 @@ from poncelet.claims import (
     run_claims,
     summary_table,
 )
-from poncelet.loci import trace_locus
+from poncelet.loci import (
+    sextic_coefficients_x2,
+    sextic_coefficients_x2_weighted,
+    sextic_residual,
+    trace_locus,
+)
 
 
 def test_registry_is_complete_and_green():
@@ -148,3 +155,63 @@ def test_envelope_claims_pass_at_any_frame_scale(k):
     depend on the length unit."""
     assert check_bicII_envelope(BicentricParams(k, 0.2 * k, 0.3 * k)).passed
     assert check_confII_envelope(ConfocalParams(2.0 * k, k, 0.5 * k * k)).passed
+
+
+def _per_u_collapse(R, r, d):
+    """bic3_collapse_u with one config and one free-side scan per candidate u."""
+    first, second = claims._bic3_limiting_points(BicentricParams(R, r, d))
+    target = first if abs(first.x) < abs(second.x) else second
+
+    def worst(u):
+        lines = claims._free_sides(bic3_config(R, r, d, u=u), 64)
+        return claims._worst(lines.signed_distance(target)) if len(lines.a) >= 16 else math.inf
+
+    grid = [0.30 + 0.005 * k for k in range(int((0.995 - 0.30) / 0.005) + 1)]
+    values = [worst(u) for u in grid]
+    k0 = values.index(min(values))
+    lo, hi = grid[max(k0 - 1, 0)], grid[min(k0 + 1, len(grid) - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    f1, f2 = worst(x1), worst(x2)
+    for _ in range(80):
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = worst(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = worst(x2)
+        if hi - lo < 1e-13:
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("params", [(1.0, 0.15, 0.25), (1.0, 0.2, 0.3)])
+def test_bic3_collapse_u_is_the_per_u_search(params):
+    """All candidates of the coarse grid in one array, then one-element
+    golden steps: the bits of a config per candidate."""
+    assert claims.bic3_collapse_u(*params) == _per_u_collapse(*params)
+
+
+def _per_row_sextic_residual(coeffs, xy):
+    """sextic_residual as a Python sum per row, every power taken per term."""
+    norm = math.sqrt(math.fsum(v * v for v in coeffs.values()))
+    rows = xy.tolist()
+    scale = max(max(max(abs(x), abs(y)) for x, y in rows), 1e-300)
+    worst = 0.0
+    items = sorted(coeffs.items())
+    for x, y in rows:
+        worst = max(worst, abs(math.fsum(v * x ** i * y ** j for (i, j), v in items)))
+    return worst / (norm * scale ** 6)
+
+
+def test_sextic_residual_is_the_per_row_sum():
+    p = claims.DEFAULT_BIC2
+    loc = trace_locus(bic2_config(p.R, p.r, p.d), "X2", 512)
+    xy = loc.valid_xy()
+    ws = np.array([p.R * p.R + p.d * p.d - 2.0 * p.d * (p.R * math.cos(t)) for t in loc.t[loc.ok].tolist()])
+    plain = sextic_coefficients_x2(p)
+    weighted = sextic_coefficients_x2_weighted(p)
+    for coeffs, pts in ((plain, xy), (weighted, xy * ws[:, None]), (weighted, xy)):
+        assert sextic_residual(coeffs, pts) == _per_row_sextic_residual(coeffs, pts)

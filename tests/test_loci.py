@@ -249,11 +249,13 @@ def test_classify_point_verdict():
 
 
 def test_point_verdict_is_the_spread_bound_at_its_edge():
-    """Clouds scaled so that their diameter, or their x/y-extremes' spread,
-    sits 1e-3 (relative) on either side of POINT_TOL times the outer
-    scale: the verdict is "point" exactly when stationarity_spread is
-    within POINT_TOL.  The diagonal cloud's diameter (sqrt 2, from (0, 0)
-    to (1, 1)) exceeds its extremes' spread (1.2)."""
+    """Clouds scaled so that their diameter, their x/y-extremes' spread, or
+    their bounding box's diagonal sits 1e-3 (relative) on either side of
+    POINT_TOL times the outer scale: the verdict is "point" exactly when
+    stationarity_spread is within POINT_TOL.  The diagonal cloud's
+    diameter (sqrt 2, from (0, 0) to (1, 1)) exceeds its extremes' spread
+    (1.2); the ellipse's box diagonal (2 sqrt 1.16) exceeds its diameter
+    (2), so a box past the bound can hold a point."""
     cfg = conf2_config(2.0, 1.0, 0.5)
     n = 128
     th = 2.0 * np.pi * np.arange(n) / n
@@ -267,17 +269,21 @@ def test_point_verdict_is_the_spread_bound_at_its_edge():
     bound = loci.POINT_TOL * cfg.outer_scale
     seen = set()
     for cloud in clouds:
-        for size in (_diameter(cloud), math.sqrt(loci._extremes_spread2(cloud))):
+        sizes = (_diameter(cloud), math.sqrt(loci._extremes_spread2(cloud)), loci._box_diagonal(cloud))
+        for size in sizes:
             for factor in (1.0 - 1e-3, 1.0 + 1e-3):
                 arr = cloud * (bound * factor / size) + (0.3, -0.2)
                 locus = Locus(cfg, "cloud", th, arr[:, 0], arr[:, 1], np.ones(n, dtype=bool))
                 spread = stationarity_spread(locus)
                 extremes_pass = math.sqrt(loci._extremes_spread2(arr)) / cfg.outer_scale <= loci.POINT_TOL
+                box_pass = loci._box_diagonal(arr) / cfg.outer_scale <= loci.POINT_TOL
                 point = spread <= loci.POINT_TOL
+                assert spread <= loci._box_diagonal(arr) / cfg.outer_scale
                 assert (classify_locus(locus).verdict == "point") == point
-                seen.add((extremes_pass, point))
-    # Both verdicts, and extremes within the bound around a diameter past it.
-    assert seen == {(True, True), (True, False), (False, False)}
+                seen.add((extremes_pass, box_pass, point))
+    # Both verdicts; extremes within the bound around a diameter past it;
+    # a box within the bound, and one past it around a diameter within it.
+    assert seen == {(True, True, True), (True, False, True), (True, False, False), (False, False, False)}
 
 
 def test_verdict_letter_fallback():
@@ -807,6 +813,21 @@ def test_locus_arrays_are_read_only_copies():
     assert x.flags.writeable and not np.shares_memory(x, loc.x)
     x[0] = 99.0
     assert loc.x[0] == 0.0
+
+
+def test_a_traced_locus_shares_the_kept_grid():
+    """The trace's t is its config's kept read-only grid, not a copy, and
+    its ok is frozen where it is made; a Locus given them keeps them."""
+    cfg = bic2_config(1.0, 0.2, 0.3)
+    loc = trace_locus(cfg, "X1", 256)
+    assert loc.t is cfg._kept[256].t
+    assert not loc.t.flags.writeable and not loc.ok.flags.writeable
+    again = Locus(cfg, "X1", loc.t, loc.x, loc.y, loc.ok)
+    assert again.t is loc.t and again.ok is loc.ok
+    # A read-only view does not own its data: its base may still change.
+    view = np.arange(4.0)[:]
+    view.flags.writeable = False
+    assert Locus(cfg, "X1", view, view, view, np.ones(4, dtype=bool)).t is not view
 
 
 def test_locus_samples_and_valid_xy_round_trip_the_arrays():

@@ -1,9 +1,11 @@
-"""Triangle centers, excenters, and derived point constructions.
+"""Triangle centers, excenters, vertices, and derived point constructions.
 
-Centers are addressed by their Kimberling index (X1 = incenter,
-X2 = barycenter, ...).  Each center is one kernel.  Most kernels are
-made by ``_barycentric`` from a homogeneous barycentric weight generator
-of the side lengths; a few are geometric constructions (circumcircle
+Every tracked point is one kernel, looked up by its id in one table
+(``kernel_of``): the vertices P1 P2 P3, the excenters P1' P2' P3' (P_k'
+opposite P_k), and the centers by their Kimberling index (X1 =
+incenter, X2 = barycenter, ...).  Most center kernels are made by
+``_barycentric`` from a homogeneous barycentric weight generator of the
+side lengths; a few are geometric constructions (circumcircle
 inversion, excentral-triangle circumcenter/centroid, intouch-triangle
 centers, a perspector), which the test suite checks against their own
 trilinear or barycentric formulas, not held in this module.
@@ -14,11 +16,11 @@ the test suite (bisector/altitude concurrences, inversion identities,
 known collinearities) to protect against transcription slips.
 
 Every kernel is elementwise on coordinate arrays over a batch of
-triangles (``center_arrays``, ``excenter_arrays``).  It reads the
-batch's ``_Shape`` (vertices, side lengths, area, fault flags), which a
-caller that keeps one reuses (``_center_on``, ``_excenters_on``).
-``center`` and ``excenters`` run it on the batch of one triangle and
-raise where that batch marks the triangle invalid.
+triangles (``center_arrays``).  It reads the batch's ``_Shape``
+(vertices, side lengths, area, fault flags), which a caller that keeps
+one reuses (``_center_on``).  ``center`` and ``excenters`` run a kernel
+on the batch of one triangle and raise where that batch marks the
+triangle invalid.
 """
 
 from __future__ import annotations
@@ -47,10 +49,8 @@ __all__ = [
     "center",
     "center_arrays",
     "excenters",
-    "excenter_arrays",
     "builtin_centers",
-    "center_definition",
-    "parse_center_id",
+    "kernel_of",
 ]
 
 # Relative area below which a triangle is treated as collinear.
@@ -149,21 +149,47 @@ def _weighted(t: _Shape, w1: Any, w2: Any, w3: Any):
     return x, y, t.fault | _DEGENERATE * at_infinity
 
 
-def _excenters(t: _Shape):
-    """((x1', x2', x3'), (y1', y2', y3'), fault): the excenter opposite P1
-    is (−s1·P1 + s2·P2 + s3·P3)/(−s1+s2+s3), and cyclically."""
+# The sum with term k negated: −a+b+c, a−b+c, a+b−c.
+_SIGNED_SUMS = (lambda a, b, c: -a + b + c, lambda a, b, c: a - b + c, lambda a, b, c: a + b - c)
+
+
+def _excentral_weights(t: _Shape):
+    """What the three excenters share: the denominators d_k (the side sum
+    with s_k negated), the products s_i·x_i and s_i·y_i, and the fault
+    flags, which fail all three where any d_k <= 0."""
     s1, s2, s3 = t.s1, t.s2, t.s3
-    d1 = -s1 + s2 + s3
-    d2 = s1 - s2 + s3
-    d3 = s1 + s2 - s3
-    inequality_fails = (d1 <= 0.0) | (d2 <= 0.0) | (d3 <= 0.0)
-    d1, d2, d3 = _nonzero(d1), _nonzero(d2), _nonzero(d3)
+    d = (-s1 + s2 + s3, s1 - s2 + s3, s1 + s2 - s3)
+    inequality_fails = (d[0] <= 0.0) | (d[1] <= 0.0) | (d[2] <= 0.0)
     # (-s1)·x1 is -(s1·x1) exactly, so each product is formed once.
-    u1, u2, u3 = s1 * t.x1, s2 * t.x2, s3 * t.x3
-    v1, v2, v3 = s1 * t.y1, s2 * t.y2, s3 * t.y3
-    xs = ((-u1 + u2 + u3) / d1, (u1 - u2 + u3) / d2, (u1 + u2 - u3) / d3)
-    ys = ((-v1 + v2 + v3) / d1, (v1 - v2 + v3) / d2, (v1 + v2 - v3) / d3)
-    return xs, ys, t.fault | _DEGENERATE * inequality_fails
+    u = (s1 * t.x1, s2 * t.x2, s3 * t.x3)
+    v = (s1 * t.y1, s2 * t.y2, s3 * t.y3)
+    return d, u, v, t.fault | _DEGENERATE * inequality_fails
+
+
+def _excenter_of(weights: Any, k: int):
+    """The excenter opposite P_(k+1), (−s1·P1 + s2·P2 + s3·P3)/(−s1+s2+s3)
+    for k = 0 and cyclically, from ``_excentral_weights``."""
+    d, u, v, fault = weights
+    den = _nonzero(d[k])
+    return _SIGNED_SUMS[k](*u) / den, _SIGNED_SUMS[k](*v) / den, fault
+
+
+def _excenters(t: _Shape):
+    """((x1', x2', x3'), (y1', y2', y3'), fault), the shared weights formed once."""
+    weights = _excentral_weights(t)
+    (x1, y1, _), (x2, y2, _), (x3, y3, fault) = [_excenter_of(weights, k) for k in range(3)]
+    return (x1, x2, x3), (y1, y2, y3), fault
+
+
+def _excenter(k: int) -> Kernel:
+    """The kernel of the excenter opposite P_(k+1): its own quotient only."""
+    return lambda t: _excenter_of(_excentral_weights(t), k)
+
+
+def _vertex(k: int) -> Kernel:
+    """The kernel of vertex P_(k+1), valid wherever the batch has a
+    triangle, degenerate or not."""
+    return lambda t: (t[2 * k], t[2 * k + 1], np.zeros_like(t.fault))
 
 
 def _bevan(t: _Shape):
@@ -317,57 +343,36 @@ def _one(tri: Triangle) -> List[Any]:
     return [np.array([c]) for p in tri.vertices() for c in p]
 
 
-def _resolve(definition: Union["CenterDefinition", str, int]) -> "CenterDefinition":
-    if isinstance(definition, (str, int)):
-        return center_definition(definition)
-    return definition
-
-
-def center(tri: Triangle, definition: Union[CenterDefinition, str, int]) -> Point:
-    """Evaluate a triangle center by its kernel on the batch that holds
-    only tri; raises where that batch marks the triangle invalid.
-
-    ``definition`` may be a CenterDefinition, a Kimberling index, or a
-    string like "X165".
-    """
-    definition = _resolve(definition)
-    x, y, fault = _evaluate(definition.kernel, _shape_of(_one(tri)))
+def center(tri: Triangle, tracked: Union[CenterDefinition, str, int]) -> Point:
+    """Evaluate a tracked point (see ``kernel_of``) by its kernel on the
+    batch that holds only tri; raises where that batch marks the triangle
+    invalid."""
+    x, y, fault = _evaluate(kernel_of(tracked), _shape_of(_one(tri)))
     _raise_for(fault[0])
     return Point(float(x[0]), float(y[0]))
 
 
-def center_arrays(tri: TriangleBatch, definition: Union[CenterDefinition, str, int]):
+def center_arrays(tri: TriangleBatch, tracked: Union[CenterDefinition, str, int]):
     """(x, y, ok): ``center`` on every triangle of a batch at once.
 
     ok is false where the batch has no triangle or where ``center``
     raises for it.
     """
-    return _center_on(_shape_of(tri[:6]), tri.ok, definition)
+    return _center_on(_shape_of(tri[:6]), tri.ok, kernel_of(tracked))
 
 
-def _center_on(shape: _Shape, ok: Any, definition: Union[CenterDefinition, str, int]):
-    """``center_arrays`` on the batch with the built _Shape and the mask ok."""
-    x, y, fault = _evaluate(_resolve(definition).kernel, shape)
+def _center_on(shape: _Shape, ok: Any, kernel: Kernel):
+    """``center_arrays`` of a kernel on the built _Shape and the mask ok."""
+    x, y, fault = _evaluate(kernel, shape)
     return x, y, ok & (fault == 0)
 
 
 def excenters(tri: Triangle) -> ExcentralTriangle:
-    """Excenters of a triangle; the vertices of its excentral triangle.
-    Runs the kernel of ``excenter_arrays`` on the batch of one."""
+    """Excenters of a triangle, the vertices of its excentral triangle,
+    from their shared weights on the batch of one."""
     xs, ys, fault = _evaluate(_excenters, _shape_of(_one(tri)))
     _raise_for(fault[0])
     return ExcentralTriangle(*(Point(float(x[0]), float(y[0])) for x, y in zip(xs, ys)))
-
-
-def excenter_arrays(tri: TriangleBatch):
-    """((x1', x2', x3'), (y1', y2', y3'), ok): ``excenters`` on a batch."""
-    return _excenters_on(_shape_of(tri[:6]), tri.ok)
-
-
-def _excenters_on(shape: _Shape, ok: Any):
-    """``excenter_arrays`` on the batch with the built _Shape and the mask ok."""
-    xs, ys, fault = _evaluate(_excenters, shape)
-    return xs, ys, ok & (fault == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +465,13 @@ _DEFINITIONS: List[CenterDefinition] = [
     CenterDefinition(2077, _x2077),  # circumcircle inverse of the Bevan point
 ]
 
-_BY_ID: Dict[int, CenterDefinition] = {d.id: d for d in _DEFINITIONS}
+# Every tracked point by its id: the vertices, the excenters (P_k' is
+# opposite P_k) and the built-in centers.
+_KERNELS: Dict[str, Kernel] = {
+    "P1": _vertex(0), "P2": _vertex(1), "P3": _vertex(2),
+    "P1'": _excenter(0), "P2'": _excenter(1), "P3'": _excenter(2),
+    **{f"X{d.id}": d.kernel for d in _DEFINITIONS},
+}
 
 
 def builtin_centers() -> List[CenterDefinition]:
@@ -468,21 +479,22 @@ def builtin_centers() -> List[CenterDefinition]:
     return list(_DEFINITIONS)
 
 
-def parse_center_id(key: Union[str, int]) -> int:
+def kernel_of(tracked: Union[CenterDefinition, str, int]) -> Kernel:
+    """The kernel of a tracked point: a CenterDefinition's own, or the
+    built-in one of a vertex id (P1 P2 P3), an excenter id (P1' P2' P3'),
+    a Kimberling index or a name like "X165"."""
+    if isinstance(tracked, CenterDefinition):
+        return tracked.kernel
+    key = tracked
     if isinstance(key, int):
-        return key
-    s = key.strip()
-    if s and (s[0] in "xX"):
-        s = s[1:]
-    if not s.isdigit():
-        raise KeyError(f"not a center identifier: {key!r}")
-    return int(s)
-
-
-def center_definition(key: Union[str, int]) -> CenterDefinition:
-    """Look up a built-in center by index or by a name like "X165"."""
-    idx = parse_center_id(key)
+        key = f"X{key}"
+    elif key not in _KERNELS:
+        digits = key.strip()
+        digits = digits[1:] if digits[:1] in ("x", "X") else digits
+        if not digits.isdigit():
+            raise KeyError(f"not a center identifier: {tracked!r}")
+        key = f"X{int(digits)}"
     try:
-        return _BY_ID[idx]
+        return _KERNELS[key]
     except KeyError:
-        raise KeyError(f"no built-in center X{idx}") from None
+        raise KeyError(f"no built-in center {key}") from None

@@ -54,12 +54,11 @@ from .families import (
     degenerate_envelope_inradius,
     envelope_points,
 )
-from .centers import _cosines
+from .centers import _center_on, _cosines, kernel_of
 from .loci import (
     _grid,
     _grid_samples,
     _sample,
-    _tracked_arrays,
     CONIC_TOL,
     Locus,
     classify_locus,
@@ -220,17 +219,15 @@ def _report(
 def _fmt_params(params: object) -> str:
     if isinstance(params, BicentricParams):
         bits = [f"R={params.R:g}", f"r={params.r:g}", f"d={params.d:g}"]
-        if params.u is not None:
-            bits.append(f"u={params.u:g}")
-        return " ".join(bits)
-    if isinstance(params, ConfocalParams):
+    elif isinstance(params, ConfocalParams):
         bits = [f"a={params.a:g}", f"b={params.b:g}", f"lam={params.lam:.12g}"]
-        if params.pencil_u is not None:
-            bits.append(f"pencil_u={params.pencil_u:g}")
-        return " ".join(bits)
-    if isinstance(params, tuple):
+    elif isinstance(params, tuple):
         return "; ".join(_fmt_params(p) for p in params)
-    return str(params)
+    else:
+        return str(params)
+    if params.u is not None:
+        bits.append(f"u={params.u:g}")
+    return " ".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +492,11 @@ def _min_axis_distance(cfg: FamilyConfig, tracked: Sequence[str]) -> List[float]
     one of its ends, after which no step moves a bracket.
     """
 
+    kernels = [kernel_of(pid) for pid in tracked]
+
     def ys_at(ts: np.ndarray):
         samples = _sample(cfg, ts)
-        return [_tracked_arrays(samples, pid)[1:] for pid in tracked]
+        return [_center_on(samples.shape, samples.tri.ok, k)[1:] for k in kernels]
 
     ts = 2.0 * np.pi * np.arange(_AXIS_SAMPLES + 1) / _AXIS_SAMPLES  # both ends
     best, brackets = [], []

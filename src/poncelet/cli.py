@@ -20,7 +20,7 @@ from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import claims as claims_mod
-from .centers import center_definition
+from .centers import kernel_of
 from .families import (
     DEFAULT_BRANCH,
     FAMILY_KINDS,
@@ -34,7 +34,6 @@ from .families import (
 from .geom import Conic
 from .loci import (
     _grid,
-    TRACKED_IDS,
     InsufficientSamples,
     classify_locus,
     fit_curve,
@@ -148,8 +147,7 @@ def _build_family(args: argparse.Namespace) -> FamilyConfig:
         raise _CliUsage(f"unknown family {family!r}")
     spec = FAMILY_SPECS[family]
     branch = _parse_branch(getattr(args, "branch", None))
-    dests = ["u" if f.name == "pencil_u" else f.name for f in fields(spec.params)]
-    dests = dests[: 4 if spec.chain else 3]
+    dests = [f.name for f in fields(spec.params)][: 4 if spec.chain else 3]
     values = [getattr(args, dest) for dest in dests]
     for k, dest in enumerate(dests):
         if values[k] is None and k == 2 and spec.closure is not None:
@@ -162,11 +160,10 @@ def _build_family(args: argparse.Namespace) -> FamilyConfig:
 def _check_tracked(ids: Sequence[str]) -> None:
     """An unknown tracked point id is a usage error."""
     for tracked in ids:
-        if tracked not in TRACKED_IDS:
-            try:
-                center_definition(tracked)
-            except KeyError as exc:
-                raise _CliUsage(exc.args[0]) from None
+        try:
+            kernel_of(tracked)
+        except KeyError as exc:
+            raise _CliUsage(exc.args[0]) from None
 
 
 def _samples(args: argparse.Namespace) -> int:

@@ -196,10 +196,12 @@ class BicentricParams:
     def vertex(self, t: Any) -> Tuple[Any, Any]:
         return self.R * np.cos(t), self.R * np.sin(t)
 
-    def shape(self, pencil: bool = False) -> Tuple[float, float]:
-        """(radius, center offset) of the caustic, or of the pencil caustic."""
-        if not pencil:
-            return (self.r, self.d)
+    def caustic_shape(self) -> Tuple[float, float]:
+        """(radius, center offset) of the caustic."""
+        return (self.r, self.d)
+
+    def pencil_shape(self) -> Tuple[float, float]:
+        """(radius, center offset) of the pencil caustic."""
         radius, offset = _bic3_second_caustic(self, self.u)
         return (float(radius), offset)
 
@@ -228,7 +230,7 @@ class ConfocalParams:
     """Outer ellipse semi-axes (a, b) with a > b, caustic parameter lam.
 
     The confocal caustic has semi-axes (sqrt(a^2-lam), sqrt(b^2-lam)),
-    so lam must lie in [0, b^2).  ``pencil_u`` selects the second
+    so lam must lie in [0, b^2).  ``u`` selects the second
     caustic of the three-caustic family inside the pencil spanned by
     the outer ellipse and the confocal caustic (u=0 caustic, u=1 outer).
     """
@@ -236,7 +238,7 @@ class ConfocalParams:
     a: float
     b: float
     lam: float
-    pencil_u: Optional[float] = None
+    u: Optional[float] = None
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -249,7 +251,8 @@ class ConfocalParams:
     def c2(self) -> float:
         return self.a * self.a - self.b * self.b
 
-    def caustic_semi_axes(self) -> Tuple[float, float]:
+    def caustic_shape(self) -> Tuple[float, float]:
+        """Semi-axes of the confocal caustic."""
         return (
             math.sqrt(self.a * self.a - self.lam),
             math.sqrt(self.b * self.b - self.lam),
@@ -259,18 +262,18 @@ class ConfocalParams:
         return Conic.axis_ellipse(Point(0.0, 0.0), self.a, self.b)
 
     def caustic(self) -> Conic:
-        ca, cb = self.caustic_semi_axes()
+        ca, cb = self.caustic_shape()
         return Conic.axis_ellipse(Point(0.0, 0.0), ca, cb)
 
     def pencil_caustic(self) -> Conic:
-        return Conic.axis_ellipse(Point(0.0, 0.0), *_conf3_second_caustic(self))
+        return Conic.axis_ellipse(Point(0.0, 0.0), *self.pencil_shape())
 
     def vertex(self, t: Any) -> Tuple[Any, Any]:
         return self.a * np.cos(t), self.b * np.sin(t)
 
-    def shape(self, pencil: bool = False) -> Tuple[float, float]:
-        """Semi-axes of the confocal caustic, or of the pencil caustic."""
-        return _conf3_second_caustic(self) if pencil else self.caustic_semi_axes()
+    def pencil_shape(self) -> Tuple[float, float]:
+        """Semi-axes of the pencil caustic."""
+        return _conf3_second_caustic(self)
 
     def chord(self, shape: Tuple[float, float], x1: Any, y1: Any, sign: float):
         """Chord map to the concentric axis-parallel caustic ellipse of the
@@ -449,22 +452,22 @@ def _bic3_limiting_points(p: BicentricParams) -> Tuple[Point, Point]:
 def bic3_caustic2(p: BicentricParams) -> Conic:
     """Second circular caustic: the pencil member at parameter u with
     center (d(1-u), 0) and radius sqrt(d^2 u^2 + (R^2-d^2-r^2) u + r^2)."""
-    radius, offset = p.shape(pencil=True)
+    radius, offset = p.pencil_shape()
     return Conic.circle(Point(offset, 0.0), radius)
 
 
 def _conf3_second_caustic(p: ConfocalParams) -> Tuple[float, float]:
-    """Semi-axes (along x, along y) of the pencil ellipse at pencil_u.
+    """Semi-axes (along x, along y) of the pencil ellipse at p.u.
 
-    The member is pencil_u * outer + (1 - pencil_u) * caustic, with each
+    The member is u * outer + (1 - u) * caustic, with each
     x^2/ex^2 + y^2/ey^2 - 1 = 0 first scaled to quadratic trace 2 (for
     circles, the monic form x^2 + y^2 + ... = 0); it stays concentric and
     axis-parallel.
     """
-    if p.pencil_u is None:
-        raise ValueError("three-caustic family needs the pencil parameter pencil_u")
-    u = p.pencil_u
-    ca, cb = p.caustic_semi_axes()
+    if p.u is None:
+        raise ValueError("three-caustic family needs the pencil parameter u")
+    u = p.u
+    ca, cb = p.caustic_shape()
     qx = qy = k = 0.0
     for weight, ex, ey in ((u, p.a, p.b), (1.0 - u, ca, cb)):
         ix = 1.0 / (ex * ex)
@@ -628,7 +631,7 @@ class FamilyConfig:
         if spec.closure is not None:
             spec.closure(x, y, z)
         if spec.chain and pencil is None:
-            raise ValueError(f"{self.kind} needs the pencil parameter {fields(p)[3].name}")
+            raise ValueError(f"{self.kind} needs the pencil parameter u")
         if not spec.chain and self.branch != DEFAULT_BRANCH:
             raise ValueError(
                 f"{self.kind} takes only the default tangent branch (plus, plus):"
@@ -671,10 +674,10 @@ class FamilyConfig:
         p = self.params
         first = self._first_step(t)
         if FAMILY_SPECS[self.kind].chain:
-            return self._chain_step(first, p.shape(pencil=True))
+            return self._chain_step(first, p.pencil_shape())
         # Both tangents leave P1: one tangent condition for the pair.
         x1, y1, x2, y2, ok = first
-        x3, y3, _ = p.chord(p.shape(), x1, y1, -_branch_sign(self.branch.first))
+        x3, y3, _ = p.chord(p.caustic_shape(), x1, y1, -_branch_sign(self.branch.first))
         return TriangleBatch(x1, y1, x2, y2, x3, y3, ok)
 
     def _first_step(self, t: Any) -> Tuple[Any, Any, Any, Any, Any]:
@@ -682,7 +685,7 @@ class FamilyConfig:
         branch's tangent to the caustic; ok is false where it has none."""
         p = self.params
         x1, y1 = p.vertex(t)
-        x2, y2, ok = p.chord(p.shape(), x1, y1, _branch_sign(self.branch.first))
+        x2, y2, ok = p.chord(p.caustic_shape(), x1, y1, _branch_sign(self.branch.first))
         return x1, y1, x2, y2, ok
 
     def _chain_step(self, first: Tuple[Any, ...], pencil: Tuple[Any, Any]) -> TriangleBatch:
@@ -752,9 +755,7 @@ def conf3_config(
     a: float,
     b: float,
     lam: float,
-    pencil_u: float,
+    u: float,
     branch: TangentBranch = DEFAULT_BRANCH,
 ) -> FamilyConfig:
-    return FamilyConfig(
-        "conf-III", ConfocalParams(a, b, lam, pencil_u=pencil_u), branch=branch
-    )
+    return FamilyConfig("conf-III", ConfocalParams(a, b, lam, u=u), branch=branch)

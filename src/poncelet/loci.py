@@ -42,7 +42,6 @@ __all__ = [
     "LocusSample",
     "Locus",
     "CurveFit",
-    "TRACKED_IDS",
     "trace_locus",
     "monomial_exponents",
     "fit_curve",
@@ -142,15 +141,6 @@ class CurveFit:
     conic: Optional[Conic] = None
 
 
-# Tracked-point identifiers: vertices, excenters, or center ids like "X9".
-TRACKED_IDS = ("P1", "P2", "P3", "P1'", "P2'", "P3'")
-
-_EXCENTER_ALIASES = {"P1'": 0, "P2'": 1, "P3'": 2}
-
-
-_VERTEX_FIELDS = {"P1": ("x1", "y1"), "P2": ("x2", "y2"), "P3": ("x3", "y3")}
-
-
 class _Samples(NamedTuple):
     """A family at the angles t: its TriangleBatch and the batch's
     ``centers._Shape`` (side lengths, area, scale, fault flags)."""
@@ -163,20 +153,6 @@ class _Samples(NamedTuple):
 def _sample(cfg: FamilyConfig, ts: np.ndarray) -> _Samples:
     tri = cfg.triangles(ts)
     return _Samples(ts, tri, _centers._shape_of(tri[:6]))
-
-
-def _tracked_arrays(samples: _Samples, tracked: str):
-    """(x, y, ok): the tracked point (a vertex, excenter or center id) on
-    every triangle of the samples."""
-    tri, shape = samples.tri, samples.shape
-    if tracked in _VERTEX_FIELDS:
-        fx, fy = _VERTEX_FIELDS[tracked]
-        return getattr(tri, fx), getattr(tri, fy), tri.ok
-    if tracked in _EXCENTER_ALIASES:
-        xs, ys, ok = _centers._excenters_on(shape, tri.ok)
-        k = _EXCENTER_ALIASES[tracked]
-        return xs[k], ys[k], ok
-    return _centers._center_on(shape, tri.ok, tracked)
 
 
 def _grid(n: int) -> np.ndarray:
@@ -207,7 +183,9 @@ def _grid_samples(cfg: FamilyConfig, n: int) -> _Samples:
 def trace_locus(
     cfg: FamilyConfig, tracked: str, n: int = 512, min_valid: Optional[int] = None
 ) -> Locus:
-    """Trace a tracked point over n uniformly spaced driving angles.
+    """Trace a tracked point (any id ``centers.kernel_of`` knows: a
+    vertex, an excenter or a center) over n uniformly spaced driving
+    angles.
 
     The family and the point are evaluated on the whole t grid at once.
     The config object keeps the grid's triangles and side lengths for
@@ -217,12 +195,13 @@ def trace_locus(
     inside a caustic, degenerate triangle) yield invalid samples, which
     are kept in place — marked — so the t-grid stays uniform.  A sample
     is invalid exactly where the one-angle calls raise for it
-    (``cfg.triangle``, then ``center`` or ``excenters``), or where the
+    (``cfg.triangle``, then ``center``), or where the
     point is not finite; where it is valid, it has their bits.
 
     ``min_valid`` defaults to the floor classification needs; pass a
     smaller value when the samples are only being printed or plotted.
     """
+    kernel = _centers.kernel_of(tracked)
     need = MIN_VALID_SAMPLES if min_valid is None else min_valid
     if n < need:
         raise InsufficientSamples(f"need at least {need} samples, got {n}")
@@ -235,7 +214,7 @@ def trace_locus(
         ok = np.zeros(n, dtype=bool)
     else:
         ts = samples.t
-        x, y, ok = _tracked_arrays(samples, tracked)
+        x, y, ok = _centers._center_on(samples.shape, samples.tri.ok, kernel)
     ok = ok & np.isfinite(x) & np.isfinite(y)
     ok.flags.writeable = False
     valid = int(np.count_nonzero(ok))
@@ -338,12 +317,11 @@ def _rung(design: _MonomialDesign, degree: int) -> _Rung:
     return _Rung(degree, vt[-1], float(sigma[-1]) / math.sqrt(n))
 
 
-def _curve_fit(rung: _Rung, shift: Tuple[float, float], s: float, nonconic: bool = False) -> CurveFit:
-    """The CurveFit of a rung; a degree-2 rung also gets its conic, unless
-    it is the fallback of a ladder that found nothing (``nonconic``)."""
-    verdict = "nonconic" if nonconic else "algebraic"
+def _curve_fit(rung: _Rung, shift: Tuple[float, float], s: float) -> CurveFit:
+    """The CurveFit of a rung; a degree-2 rung also gets its conic."""
+    verdict = "algebraic"
     conic = None
-    if rung.degree == 2 and not nonconic:
+    if rung.degree == 2:
         conic = classify_conic(_denormalized_conic(rung.null, shift, s))
         if rung.residual <= CONIC_TOL and conic.kind in ("circle", "ellipse"):
             verdict = conic.kind
@@ -477,7 +455,7 @@ def classify_locus(locus: Locus) -> CurveFit:
                     continue
             return _curve_fit(rung, shift, s)
         best = rung
-    return _curve_fit(best, shift, s, nonconic=True)
+    return CurveFit(best.degree, best.residual, "nonconic")
 
 
 def verdict_letter(fit: CurveFit) -> str:

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .families import FamilyConfig, envelope_points
-from .geom import Conic, GeometryError
+from .geom import Conic
 from .loci import _grid, trace_locus
 
 __all__ = ["render_family", "DEFAULT_SIZE"]
@@ -180,10 +180,9 @@ def render_family(
     if envelope is None:
         env_samples = envelope_points(cfg.free_sides, _grid(max(n, 64)))
 
-    try:
-        tri = cfg.triangle(_SAMPLE_TRIANGLE_T)
-    except GeometryError:
-        tri = None
+    # The sample triangle's vertices as a (3, 2) array, None where it has none.
+    batch = cfg.triangles(np.array([_SAMPLE_TRIANGLE_T]))
+    tri = np.array(batch[:6]).reshape(3, 2) if batch.ok[0] else None
 
     bbox = _conic_bbox(outer)
     for c in caustics:
@@ -195,7 +194,7 @@ def render_family(
     for _, xy in loci:
         bbox = _merge(bbox, _points_bbox(xy))
     if tri is not None:
-        bbox = _merge(bbox, _points_bbox(np.array(tri.vertices())))
+        bbox = _merge(bbox, _points_bbox(tri))
     if bbox is None:
         raise ValueError("nothing drawable for this configuration")
     size = DEFAULT_SIZE
@@ -224,7 +223,7 @@ def render_family(
             _locus_elements(env_samples, frame, "envelope", "free-side envelope (sampled)")
         )
     if tri is not None:
-        p1, p2, p3 = (frame.to_px(v) for v in tri.vertices())
+        p1, p2, p3 = (frame.to_px(v) for v in tri.tolist())
         parts.append(
             f'  <path class="triangle" d="M {_fmt(p1[0])} {_fmt(p1[1])}'
             f" L {_fmt(p2[0])} {_fmt(p2[1])} L {_fmt(p3[0])} {_fmt(p3[1])} Z\">"

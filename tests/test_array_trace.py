@@ -24,7 +24,6 @@ from poncelet.centers import (
     builtin_centers,
     center,
     center_arrays,
-    excenter_arrays,
     excenters,
 )
 from poncelet.families import (
@@ -47,7 +46,7 @@ from poncelet.families import (
 from poncelet.claims import DEFAULT_BIC2, _min_axis_distance
 from poncelet.families import _ENVELOPE_STEP, envelope_points
 from poncelet.geom import GeometryError, Line, Point
-from poncelet.loci import TRACKED_IDS, _grid_samples, trace_locus
+from poncelet.loci import _grid_samples, trace_locus
 
 from _geometry_oracle import line_intersection
 
@@ -73,7 +72,9 @@ def _configs():
 
 
 CONFIGS = _configs()
-TRACKED = [f"X{c.id}" for c in builtin_centers()] + list(TRACKED_IDS)
+EXCENTER_IDS = ("P1'", "P2'", "P3'")
+POINT_IDS = ("P1", "P2", "P3") + EXCENTER_IDS
+TRACKED = [f"X{c.id}" for c in builtin_centers()] + list(POINT_IDS)
 
 
 def _scalar_point(tri, tracked):
@@ -376,8 +377,14 @@ def test_degenerate_triangles_invalid_in_arrays_and_raise_in_scalars(name):
         if expect_good:
             p = center(good, definition)
             assert (x[1], y[1]) == (p.x, p.y)
-    xs, ys, ok = excenter_arrays(batch)
-    assert ok.tolist() == [False, True]
+    # A vertex is valid wherever the batch has a triangle, degenerate or not.
+    for k, pid in enumerate(("P1", "P2", "P3")):
+        x, y, ok = center_arrays(batch, pid)
+        assert ok.tolist() == [True, True]
+        assert (x.tolist(), y.tolist()) == ([rows[0][k][0], GOOD[k][0]], [rows[0][k][1], GOOD[k][1]])
+    xs, ys, oks = zip(*(center_arrays(batch, pid) for pid in EXCENTER_IDS))
+    for ok in oks:
+        assert ok.tolist() == [False, True]
     assert [(x[1], y[1]) for x, y in zip(xs, ys)] == list(excenters(good).vertices())
     with pytest.raises(DegenerateTriangle):
         excenters(tri)
@@ -392,4 +399,5 @@ def test_absent_triangles_stay_invalid():
     batch = _batch([GOOD, GOOD])._replace(ok=np.array([True, False]))
     for definition in builtin_centers():
         assert center_arrays(batch, definition)[2].tolist() == [True, False]
-    assert excenter_arrays(batch)[2].tolist() == [True, False]
+    for pid in POINT_IDS:
+        assert center_arrays(batch, pid)[2].tolist() == [True, False]

@@ -112,6 +112,10 @@ def test_barycentric_oracles(key):
 
 def test_center_accepts_int_and_string():
     assert math.dist(C.center(T345, 1), C.center(T345, "X1")) < 1e-15
+    assert C.kernel_of("x9") is C.kernel_of(" X009 ") is C.kernel_of(9)
+    # Vertex and excenter ids go through the same lookup.
+    assert C.center(T345, "P2") == T345.p2
+    assert C.center(T345, "P1'") == C.excenters(T345).p1p
     with pytest.raises(KeyError):
         C.center(T345, "X99999")
 
@@ -413,6 +417,17 @@ def _relabel(tri: TriangleBatch, perm) -> TriangleBatch:
     return TriangleBatch(*(c for m in perm for c in verts[m]), tri.ok)
 
 
+EXCENTER_IDS = ("P1'", "P2'", "P3'")
+
+
+def _excenter_arrays(tri: TriangleBatch):
+    """((x1', x2', x3'), (y1', y2', y3'), ok) from the three excenter ids,
+    whose masks agree."""
+    xs, ys, oks = zip(*(C.center_arrays(tri, pid) for pid in EXCENTER_IDS))
+    assert all((ok == oks[0]).all() for ok in oks)
+    return xs, ys, oks[0]
+
+
 @pytest.mark.parametrize("cfg", README_FAMILIES, ids=lambda cfg: cfg.kind)
 def test_label_symmetry_bounds_every_kernel_rounding(cfg):
     tri = cfg.triangles(2.0 * np.pi * np.arange(512) / 512)
@@ -425,7 +440,7 @@ def test_label_symmetry_bounds_every_kernel_rounding(cfg):
             spread = np.hypot(x - x0, y - y0).max() / cfg.outer_scale
             assert spread < LABEL_SPREAD_BOUND, (definition.id, spread)
     # The excenter opposite relabelled vertex m is the one opposite perm[m].
-    (xs0, ys0, ok0), *rest = [C.excenter_arrays(b) for b in batches]
+    (xs0, ys0, ok0), *rest = [_excenter_arrays(b) for b in batches]
     assert ok0.sum() == 512
     for perm, (xs, ys, ok) in zip(RELABELLINGS[1:], rest):
         assert (ok == ok0).all()
@@ -498,6 +513,18 @@ def _old_excenters(t):
     return xs, ys, t.fault | C._DEGENERATE * fails
 
 
+def _old_vertex(k):
+    return lambda t: (t[2 * k], t[2 * k + 1], 0 * t.fault)
+
+
+def _old_excenter(k):
+    def kernel(t):
+        xs, ys, fault = _old_excenters(t)
+        return xs[k], ys[k], fault
+
+    return kernel
+
+
 def _old_bevan(t):
     ox, oy, f3 = _old_circumcenter(t)
     ix, iy, f1 = _old_incenter(t)
@@ -537,6 +564,12 @@ OLD_KERNELS = {
     46: _old_barycentric(_old_w_x46),
     484: _old_x484,
     2077: lambda t: _old_circumcircle_inverse(t, *_old_bevan(t)),
+    "P1": _old_vertex(0),
+    "P2": _old_vertex(1),
+    "P3": _old_vertex(2),
+    "P1'": _old_excenter(0),
+    "P2'": _old_excenter(1),
+    "P3'": _old_excenter(2),
 }
 # Degenerate rows after every family's grid: collinear, coincident, all
 # coincident, and a triangle whose weight sums vanish for some centers.
@@ -563,7 +596,7 @@ def test_shared_subexpression_kernels_keep_their_bits(cfg):
     extra = np.array([[c for v in row for c in v] for row in DEGENERATE_ROWS]).T
     shape = C._shape_of([np.concatenate((v, e)) for v, e in zip(tri[:6], extra)])
     for key, old in OLD_KERNELS.items():
-        got, want = C._evaluate(C.center_definition(key).kernel, shape), C._evaluate(old, shape)
+        got, want = C._evaluate(C.kernel_of(key), shape), C._evaluate(old, shape)
         assert all(_same_bits(g, w) for g, w in zip(got, want)), key
     (gx, gy, gf), (wx, wy, wf) = C._evaluate(C._excenters, shape), C._evaluate(_old_excenters, shape)
     assert all(map(_same_bits, gx + gy + (gf,), wx + wy + (wf,)))

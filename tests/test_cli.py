@@ -2,15 +2,16 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from poncelet import claims
+from poncelet.centers import excenters
 from poncelet.cli import _NUMBER_DESTS, _build_family, _build_parser, main
 from poncelet.families import (
     BicentricParams,
     ConfocalParams,
     FamilyConfig,
-    VertexInsideCaustic,
     bic1_config,
     bic2_config,
     bic3_config,
@@ -18,7 +19,7 @@ from poncelet.families import (
     conf2_config,
     conf3_config,
 )
-from poncelet.svgplot import render_family
+from poncelet.svgplot import _SAMPLE_TRIANGLE_T, render_family
 
 
 def run(capsys, *argv):
@@ -167,25 +168,31 @@ def test_svg_deterministic(capsys):
     assert 'class="locus"' in out1 or 'class="locus-dot"' in out1
 
 
-def _raising(error):
-    def triangle(self, t):
-        raise error
+class _NoSampleTriangle(FamilyConfig):
+    """bic-II without a member at the sample triangle's angle, or raising
+    ``error`` there; every other angle keeps its member."""
 
-    return triangle
+    error = None
+
+    def triangles(self, t):
+        tri = super().triangles(t)
+        at_sample = np.asarray(t) == _SAMPLE_TRIANGLE_T
+        if self.error is not None and at_sample.any():
+            raise self.error
+        return tri._replace(ok=tri.ok & ~at_sample)
 
 
-def test_svg_without_its_sample_triangle_on_a_geometry_error(monkeypatch):
+def test_svg_without_its_sample_triangle_where_it_has_no_member():
     cfg = bic2_config(1.0, 0.2, 0.3)
     assert 'class="triangle"' in render_family(cfg, n=64)
-    monkeypatch.setattr(FamilyConfig, "triangle", _raising(VertexInsideCaustic("no tangent")))
-    svg = render_family(cfg, n=64)
+    svg = render_family(_NoSampleTriangle(cfg.kind, cfg.params), n=64)
     assert svg.startswith("<svg") and 'class="triangle"' not in svg
 
 
 def test_svg_sample_triangle_programming_error_propagates(monkeypatch):
-    monkeypatch.setattr(FamilyConfig, "triangle", _raising(TypeError("not geometry")))
+    monkeypatch.setattr(_NoSampleTriangle, "error", TypeError("not geometry"))
     with pytest.raises(TypeError, match="not geometry"):
-        render_family(bic2_config(1.0, 0.2, 0.3), n=64)
+        render_family(_NoSampleTriangle("bic-II", BicentricParams(1.0, 0.2, 0.3)), n=64)
 
 
 def test_svg_out_file(tmp_path, capsys):
@@ -280,8 +287,15 @@ def test_missing_family_flag_is_named(flags, want, capsys):
         assert f"requires {name}" in err
 
 
+UNKNOWN_CENTER_ERRORS = {
+    "X7": "no built-in center X7",
+    "foo": "not a center identifier: 'foo'",
+    "P4": "not a center identifier: 'P4'",
+}
+
+
 @pytest.mark.parametrize("command", ["trace", "classify", "svg"])
-@pytest.mark.parametrize("center", ["X7", "foo"])
+@pytest.mark.parametrize("center", sorted(UNKNOWN_CENTER_ERRORS))
 def test_unknown_center_is_a_usage_error(command, center, capsys):
     code, out, err = run(
         capsys, command, "--family", "bic-II", "--R", "1", "--r", "0.2", "--d", "0.3",
@@ -291,6 +305,24 @@ def test_unknown_center_is_a_usage_error(command, center, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert center in err
+    assert err == f"poncelet {command}: error: {UNKNOWN_CENTER_ERRORS[center]}\n"
+
+
+@pytest.mark.parametrize("center", ["P2", "P3'"])
+def test_trace_tracks_a_vertex_or_an_excenter(center, capsys):
+    code, out, err = run(
+        capsys, "trace", "--family", "bic-II", "--R", "1", "--r", "0.2", "--d", "0.3",
+        "--center", center, "-n", "16",
+    )
+    assert (code, err) == (0, "")
+    lines = out.strip().splitlines()
+    assert lines[0] == "t,x,y,valid" and len(lines) == 17
+    cfg = bic2_config(1.0, 0.2, 0.3)
+    for row in lines[1:]:
+        t, x, y, valid = row.split(",")
+        tri = cfg.triangle(float(t))
+        want = tri.p2 if center == "P2" else excenters(tri).p3p
+        assert (valid, float(x), float(y)) == ("1", want.x, want.y)
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -359,7 +391,7 @@ def test_envelope_nonpositive_sample_count_is_a_usage_error(family, n, capsys):
     [
         (("bic-II", "--R", "1", "--r", "0.2", "--d", "nan"), "d"),
         (("bic-III", "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "nan"), "u"),
-        (("conf-III", "--a", "2", "--b", "1", "--lambda", "0.3", "--u", "nan"), "pencil_u"),
+        (("conf-III", "--a", "2", "--b", "1", "--lambda", "0.3", "--u", "nan"), "u"),
         (("bic-II", "--R", "inf", "--r", "0.2", "--d", "0.3"), "R"),
         (("bic-III", "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "inf"), "u"),
         (("conf-II", "--a", "inf", "--b", "1", "--lambda", "0.5"), "a"),

@@ -93,7 +93,7 @@ def test_critical_lambda_value():
 
 def test_confocal_caustic_axes():
     p = ConfocalParams(2.0, 1.0, 0.5)
-    ca, cb = p.caustic_semi_axes()
+    ca, cb = p.caustic_shape()
     assert abs(ca - math.sqrt(4.0 - 0.5)) < 1e-15
     assert abs(cb - math.sqrt(1.0 - 0.5)) < 1e-15
     # closing caustic: both semi-axes from the closing parameter
@@ -148,7 +148,7 @@ def test_params_validation():
 
 _FINITE_PARAMS = {
     BicentricParams: dict(R=1.0, r=0.15, d=0.25, u=0.4),
-    ConfocalParams: dict(a=2.0, b=1.0, lam=0.3, pencil_u=0.5),
+    ConfocalParams: dict(a=2.0, b=1.0, lam=0.3, u=0.5),
 }
 
 
@@ -271,7 +271,7 @@ def _tangent_chain_step(outer: Conic, caustic: Conic, vertex: Point, sign: float
 def test_conf3_matches_geometric_tangent_chain(a, b, lam, u, branch):
     """The closed-form chord maps reproduce the tangent chain built from
     the pencil conic, branch label for branch label."""
-    p = ConfocalParams(a, b, lam, pencil_u=u)
+    p = ConfocalParams(a, b, lam, u=u)
     outer = p.outer_conic()
     first = p.caustic()
     second = pencil_member(outer, first, 1.0 - u)
@@ -287,7 +287,7 @@ def test_conf3_matches_geometric_tangent_chain(a, b, lam, u, branch):
 
 @pytest.mark.parametrize("u", [0.0, 0.3, 0.5, 1.0])
 def test_conf3_second_caustic_pencil_form(u):
-    p = ConfocalParams(2.0, 1.0, 0.3, pencil_u=u)
+    p = ConfocalParams(2.0, 1.0, 0.3, u=u)
     want = pencil_member(p.outer_conic(), p.caustic(), 1.0 - u)
     ea, eb = _conf3_second_caustic(p)
     assert abs(ea - want.semi_axes[0]) < 1e-14
@@ -295,7 +295,7 @@ def test_conf3_second_caustic_pencil_form(u):
 
 
 def test_conf3_second_caustic_rejects_hyperbola():
-    p = ConfocalParams(2.0, 1.0, 0.3, pencil_u=-5.0)
+    p = ConfocalParams(2.0, 1.0, 0.3, u=-5.0)
     assert pencil_member(p.outer_conic(), p.caustic(), 6.0).kind == "hyperbola"
     with pytest.raises(ImaginaryPencilCircle):
         _conf3_second_caustic(p)

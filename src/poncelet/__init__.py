@@ -27,19 +27,15 @@ from .families import (
     bic1_config,
     bic2_config,
     bic2_envelope,
-    bic3_caustic2,
     bic3_config,
     chapple_distance,
     conf1_config,
     conf2_config,
     conf2_envelope,
     conf3_config,
-    confocal_caustic,
     critical_lambda,
     degenerate_envelope_inradius,
     envelope_points,
-    n4_caustic,
-    n6_caustic,
 )
 from .centers import builtin_centers, center, excenters
 from .loci import (
@@ -77,7 +73,6 @@ __all__ = [
     "bic1_config",
     "bic2_config",
     "bic2_envelope",
-    "bic3_caustic2",
     "bic3_config",
     "builtin_centers",
     "center",
@@ -89,7 +84,6 @@ __all__ = [
     "conf2_config",
     "conf2_envelope",
     "conf3_config",
-    "confocal_caustic",
     "conic_span_residual",
     "convexity_check",
     "convexity_lambda_root",
@@ -99,8 +93,6 @@ __all__ = [
     "excenters",
     "fit_curve",
     "line_tangent_to_conic_residual",
-    "n4_caustic",
-    "n6_caustic",
     "render_family",
     "run_claims",
     "sextic_coefficients_x2",

@@ -1235,18 +1235,15 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
     endpoint_ok = fit0.verdict == "circle"
     notes.append(f"u=0 endpoint: incenter verdict {fit0.verdict} at {fit0.residual:.2e}")
 
-    # Four tangency branches, two distinct free-side envelopes.
+    # Four tangency branches, two distinct free-side envelopes: each
+    # branch's (center x, center y, major semi-axis) from its conic fit.
     fitted: List[Tuple[float, float, float]] = []
     for first in (PLUS, MINUS):
         for second in (PLUS, MINUS):
             bcfg = bic3_config(p.R, p.r, p.d, u=p.u, branch=TangentBranch(first, second))
-            arr = envelope_points(bcfg.free_sides, _grid(128))
-            mat = np.column_stack([arr[:, 0], arr[:, 1], np.ones(len(arr))])
-            rhs = -(arr[:, 0] ** 2 + arr[:, 1] ** 2)
-            sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-            cx, cy = -sol[0] / 2.0, -sol[1] / 2.0
-            rad = math.sqrt(max(cx * cx + cy * cy - sol[2], 0.0))
-            fitted.append((cx, cy, rad))
+            conic = fit_curve(envelope_points(bcfg.free_sides, _grid(128)), 2).conic
+            if conic.center is not None and conic.semi_axes is not None:
+                fitted.append((*conic.center, conic.semi_axes[0]))
     clusters: List[Tuple[float, float, float]] = []
     for cand in fitted:
         for seen in clusters:
@@ -1262,7 +1259,7 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
         ),
         default=0.0,
     )
-    envelopes_ok = len(clusters) == 2 and separation > 1e-3 * p.R
+    envelopes_ok = len(fitted) == 4 and len(clusters) == 2 and separation > 1e-3 * p.R
     notes.append(
         f"branch envelopes: {len(clusters)} distinct circles, separation {separation:.3e}"
     )

@@ -23,7 +23,6 @@ from . import claims as claims_mod
 from .centers import kernel_of
 from .families import (
     DEFAULT_BRANCH,
-    FAMILY_KINDS,
     FAMILY_SPECS,
     MINUS,
     PLUS,
@@ -78,7 +77,7 @@ def _add_number_flags(sp: argparse.ArgumentParser) -> None:
 def _add_family_flags(sp: argparse.ArgumentParser, multi_center: bool = False) -> None:
     """The number flags, and the flags that pick a family member and its
     tracked points."""
-    sp.add_argument("--family", choices=sorted(FAMILY_KINDS))
+    sp.add_argument("--family", choices=sorted(FAMILY_SPECS))
     _add_number_flags(sp)
     sp.add_argument(
         "--branch", default=None,

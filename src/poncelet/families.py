@@ -49,7 +49,6 @@ from .geom import (
 
 __all__ = [
     "NoPoristicPair",
-    "CircularOuterUnsupported",
     "VertexInsideCaustic",
     "ImaginaryPencilCircle",
     "DegenerateTriangle",
@@ -64,15 +63,10 @@ __all__ = [
     "FamilySpec",
     "FamilyConfig",
     "FAMILY_SPECS",
-    "FAMILY_KINDS",
     "chapple_distance",
     "degenerate_envelope_inradius",
     "confocal_delta",
-    "confocal_caustic",
     "critical_lambda",
-    "n4_caustic",
-    "n6_caustic",
-    "bic3_caustic2",
     "bic2_envelope",
     "bic2_envelope_radius_pq",
     "conf2_envelope",
@@ -88,10 +82,6 @@ __all__ = [
 
 class NoPoristicPair(GeometryError):
     """No poristic triangle family exists for the given circle pair."""
-
-
-class CircularOuterUnsupported(GeometryError):
-    """Confocal constructions need a strictly elliptical outer conic."""
 
 
 class VertexInsideCaustic(GeometryError):
@@ -191,7 +181,10 @@ class BicentricParams:
         return Conic.circle(Point(self.d, 0.0), self.r)
 
     def pencil_caustic(self) -> Conic:
-        return bic3_caustic2(self)
+        """The pencil circle at u, centered at (d(1-u), 0) with radius
+        sqrt(d^2 u^2 + (R^2-d^2-r^2) u + r^2)."""
+        radius, offset = self.pencil_shape()
+        return Conic.circle(Point(offset, 0.0), radius)
 
     def vertex(self, t: Any) -> Tuple[Any, Any]:
         return self.R * np.cos(t), self.R * np.sin(t)
@@ -355,23 +348,8 @@ def confocal_delta(a: float, b: float) -> float:
     return math.sqrt(a2 * a2 - a2 * b2 + b2 * b2)
 
 
-def confocal_caustic(a: float, b: float) -> Tuple[float, float]:
-    """Semi-axes of the confocal caustic closing billiard triangles."""
-    if a == b:
-        raise CircularOuterUnsupported("confocal caustic undefined for a circle")
-    if not a > b > 0.0:
-        raise ValueError("need a > b > 0")
-    a2 = a * a
-    b2 = b * b
-    c2 = a2 - b2
-    delta = confocal_delta(a, b)
-    return (a * (delta - b2) / c2, b * (a2 - delta) / c2)
-
-
 def critical_lambda(a: float, b: float) -> float:
     """Pencil parameter of the confocal caustic that closes triangles."""
-    if a == b:
-        raise CircularOuterUnsupported("critical parameter undefined for a circle")
     if not a > b > 0.0:
         raise ValueError("need a > b > 0")
     a2 = a * a
@@ -395,21 +373,6 @@ def _closing_lambda(a: float, b: float, lam: Optional[float] = None) -> float:
     if lam is not None and abs(lam - want) > 1e-12 * max(b ** 2, 1.0):
         raise ValueError(f"lam={lam} is not the closure value {want}")
     return want
-
-
-def n4_caustic(a: float, b: float) -> Tuple[float, float]:
-    """Confocal caustic whose billiard polygons close after 4 bounces."""
-    root = math.sqrt(a * a + b * b)
-    return (a * a / root, b * b / root)
-
-
-def n6_caustic(a: float, b: float) -> Tuple[float, float]:
-    """Confocal caustic whose billiard polygons close after 6 bounces."""
-    s = a + b
-    return (
-        a * math.sqrt(a * (a + 2.0 * b)) / s,
-        b * math.sqrt(b * (2.0 * a + b)) / s,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +410,6 @@ def _bic3_limiting_points(p: BicentricParams) -> Tuple[Point, Point]:
     # product k0 / k2 over the other, not by the cancelling difference.
     far = -k1 - math.sqrt(k1 * k1 - 4.0 * k2 * k0)
     return Point(p.d * (1.0 - 2.0 * k0 / far), 0.0), Point(p.d * (1.0 - far / (2.0 * k2)), 0.0)
-
-
-def bic3_caustic2(p: BicentricParams) -> Conic:
-    """Second circular caustic: the pencil member at parameter u with
-    center (d(1-u), 0) and radius sqrt(d^2 u^2 + (R^2-d^2-r^2) u + r^2)."""
-    radius, offset = p.pencil_shape()
-    return Conic.circle(Point(offset, 0.0), radius)
 
 
 def _conf3_second_caustic(p: ConfocalParams) -> Tuple[float, float]:
@@ -607,8 +563,6 @@ FAMILY_SPECS = {
     "conf-II": FamilySpec(ConfocalParams, False, None, conf2_envelope),
     "conf-III": FamilySpec(ConfocalParams, True, None, None),
 }
-
-FAMILY_KINDS = tuple(FAMILY_SPECS)
 
 
 @dataclass(frozen=True)

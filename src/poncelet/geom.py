@@ -37,8 +37,6 @@ __all__ = [
     "Line",
     "Conic",
     "classify_conic",
-    "conic_value",
-    "conic_gradient",
     "line_tangent_to_conic_residual",
     "conic_span_residual",
 ]
@@ -84,9 +82,6 @@ class Line(NamedTuple):
 
     def signed_distance(self, p: Point) -> float:
         return self.a * p[0] + self.b * p[1] + self.c
-
-    def direction(self) -> Tuple[float, float]:
-        return (-self.b, self.a)
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +203,17 @@ class Conic:
 
 
 def classify_conic(values: Sequence[float]) -> Conic:
-    """The conic of a coefficient 6-vector of any nonzero scale.
-
-    The vector is stored at unit norm.  Kind, center, axes and angle are
-    computed from the stored vector normalized once more: renormalizing
-    can move a unit vector's last bits, and the recorded verdicts and
-    axes were computed this way.
-    """
+    """The conic of a coefficient 6-vector of any nonzero scale: the
+    vector at unit norm, and the kind, center, axes and angle computed
+    from it."""
     coeffs = _unit_coeffs(values)
-    unit = _unit_coeffs(coeffs)
-    a, b, c, d, e, f = unit
+    a, b, c, d, e, f = coeffs
     m3 = np.array(
         [[a, b / 2.0, d / 2.0], [b / 2.0, c, e / 2.0], [d / 2.0, e / 2.0, f]]
     )
     det3 = float(np.linalg.det(m3))
     disc = b * b - 4.0 * a * c
-    center = _conic_center(unit)
+    center = _conic_center(coeffs)
     # det3 and disc are each tested against the sum of the magnitudes of
     # their own terms.  The terms of one scale alike under a change of
     # length unit (A, B, C as 1/L^2, D, E as 1/L), so unlike a threshold
@@ -261,18 +251,6 @@ def classify_conic(values: Sequence[float]) -> Conic:
     return Conic(coeffs, PARABOLA, None, None, None)
 
 
-def conic_value(conic: Conic, p: Point) -> float:
-    a, b, c, d, e, f = conic.coeffs
-    x, y = p
-    return a * x * x + b * x * y + c * y * y + d * x + e * y + f
-
-
-def conic_gradient(conic: Conic, p: Point) -> Tuple[float, float]:
-    a, b, c, d, e, _ = conic.coeffs
-    x, y = p
-    return (2.0 * a * x + b * y + d, b * x + 2.0 * c * y + e)
-
-
 def conic_span_residual(target: Conic, c1: Conic, c2: Conic) -> float:
     """Distance from the target's unit 6-vector to span{C1, C2}.
 
@@ -287,39 +265,26 @@ def conic_span_residual(target: Conic, c1: Conic, c2: Conic) -> float:
 
 
 def line_tangent_to_conic_residual(line: Line, conic: Conic) -> float:
-    """Signed tangency defect of a line against a conic.
-
-    For circles, ellipses, and point conics this is the support
-    function minus the center distance, a length: zero means tangent,
-    positive means the line cuts the conic, negative means it misses.
-    Other kinds fall back to the normalized discriminant of the
-    restriction of the conic to the line (same sign convention).
-    Elementwise for a Line of arrays.
+    """Signed tangency defect of a line against a circle, an ellipse or
+    a point conic: the support function minus the center distance, a
+    length.  Zero means tangent, positive means the line cuts the conic,
+    negative means it misses.  Elementwise for a Line of arrays; any
+    other kind raises GeometryError.
     """
-    if conic.kind in (CIRCLE, ELLIPSE, POINT):
-        assert conic.center is not None and conic.semi_axes is not None
-        c0 = line.signed_distance(conic.center)
-        if conic.kind == CIRCLE:
-            support = conic.semi_axes[0]
-        elif conic.kind == POINT:
-            support = 0.0
-        else:
-            phi = conic.axis_angle or 0.0
-            nmaj = line.a * math.cos(phi) + line.b * math.sin(phi)
-            nmin = -line.a * math.sin(phi) + line.b * math.cos(phi)
-            major, minor = conic.semi_axes
-            u = major * nmaj
-            v = minor * nmin
-            support = np.sqrt(u * u + v * v)
-        return support - abs(c0)
-    # Fallback: discriminant of the quadratic along the line.
-    dvec = line.direction()
-    base = Point(-line.c * line.a, -line.c * line.b)
-    a, b, c, _, _, _ = conic.coeffs
-    q2 = a * dvec[0] * dvec[0] + b * dvec[0] * dvec[1] + c * dvec[1] * dvec[1]
-    gx, gy = conic_gradient(conic, base)
-    lin = gx * dvec[0] + gy * dvec[1]
-    cst = conic_value(conic, base)
-    disc = lin * lin - 4.0 * q2 * cst
-    denom = q2 * q2 + lin * lin + cst * cst
-    return disc / _nonzero(denom)  # disc itself where denom is 0
+    if conic.kind not in (CIRCLE, ELLIPSE, POINT):
+        raise GeometryError(f"tangency residual undefined for kind {conic.kind!r}")
+    assert conic.center is not None and conic.semi_axes is not None
+    c0 = line.signed_distance(conic.center)
+    if conic.kind == CIRCLE:
+        support = conic.semi_axes[0]
+    elif conic.kind == POINT:
+        support = 0.0
+    else:
+        phi = conic.axis_angle or 0.0
+        nmaj = line.a * math.cos(phi) + line.b * math.sin(phi)
+        nmin = -line.a * math.sin(phi) + line.b * math.cos(phi)
+        major, minor = conic.semi_axes
+        u = major * nmaj
+        v = minor * nmin
+        support = np.sqrt(u * u + v * v)
+    return support - abs(c0)

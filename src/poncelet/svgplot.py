@@ -173,7 +173,7 @@ def render_family(
 
     loci: List[Tuple[str, np.ndarray]] = []
     for cid in center_ids:
-        locus = trace_locus(cfg, cid, n)
+        locus = trace_locus(cfg, cid, n, min_valid=1)  # plotted, not fitted
         loci.append((cid, np.column_stack((locus.x, locus.y))))  # NaN where invalid
 
     env_samples = np.empty((0, 2))

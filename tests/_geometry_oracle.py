@@ -1,10 +1,12 @@
 """Construction-free plane geometry: the tests' independent oracle.
 
-Lines through points, the meet of two lines, the tangents from a point
-to a conic, circle inversion, the members of a pencil of two conics and
-the measures of a triangle, each written from its formula on floats.  None of it calls the package's
-elementwise kernels, so a test that checks a kernel against these
-functions compares two derivations of the same geometry.
+Lines through points, the meet of two lines, a conic's implicit value
+and gradient, the tangents from a point to a conic, circle inversion,
+the members of a pencil of two conics and the measures of a triangle,
+each written from its formula on floats.  None of it calls the
+package's elementwise kernels or evaluators, so a test that checks a
+kernel against these functions compares two derivations of the same
+geometry.
 """
 
 from __future__ import annotations
@@ -24,14 +26,24 @@ from poncelet.geom import (
     Line,
     Point,
     classify_conic,
-    conic_gradient,
-    conic_value,
 )
 
 # Bound on the cross product of two unit line normals.
 _PARALLEL_TOL = 1e-14
 # Bound on a unit-norm conic's value at a point taken to lie on the conic.
 _BOUNDARY_TOL = 1e-12
+
+
+def conic_value(conic: Conic, p: Point) -> float:
+    a, b, c, d, e, f = conic.coeffs
+    x, y = p
+    return a * x * x + b * x * y + c * y * y + d * x + e * y + f
+
+
+def conic_gradient(conic: Conic, p: Point) -> Tuple[float, float]:
+    a, b, c, d, e, _ = conic.coeffs
+    x, y = p
+    return (2.0 * a * x + b * y + d, b * x + 2.0 * c * y + e)
 
 
 class NoRealTangent(GeometryError):

@@ -72,6 +72,17 @@ def test_report_serialization_labels():
     assert d1["status"] in ("pass", "fail")
 
 
+def test_bicIII_branch_envelope_fit_without_axes_fails_the_claim(monkeypatch):
+    """A branch envelope whose conic fit has no axes (here a hyperbola)
+    fails the envelope check instead of raising."""
+    t = np.linspace(-1.0, 1.0, 64)
+    hyperbola = np.column_stack((np.cosh(t), np.sinh(t)))
+    monkeypatch.setattr(claims, "envelope_points", lambda sides, ts: hyperbola)
+    report = claims.check_conjectures_bicIII()
+    assert not report.passed
+    assert "branch envelopes: 0 distinct circles, separation 0.000e+00" in report.notes
+
+
 def test_stationary_conjecture_reports_reference_divergences():
     (rep,) = run_claims(["conj:bicII-stationary"])
     assert rep.passed

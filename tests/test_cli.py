@@ -168,6 +168,31 @@ def test_svg_deterministic(capsys):
     assert 'class="locus"' in out1 or 'class="locus-dot"' in out1
 
 
+def test_svg_plots_fewer_samples_than_a_fit_needs(capsys):
+    """svg draws samples and fits none: like trace, it takes any positive
+    n, and n = 0 stays a usage error."""
+    argv = ("svg", "--family", "bic-I", "--R", "1", "--r", "0.25")
+    code, out, err = run(capsys, *argv, "-n", "16")
+    assert (code, err) == (0, "")
+    assert out.startswith("<svg") and "locus of X1" in out
+    code, out, err = run(capsys, *argv, "-n", "0")
+    assert (code, out) == (2, "")
+    assert "got 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--family", "conf-I", "--a", "1", "--b", "1"),
+        ("verify", "prop:confII-x1", "--a", "1", "--b", "1"),
+    ],
+)
+def test_circular_outer_for_a_confocal_family_is_a_usage_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"poncelet {argv[0]}: error: need a > b > 0\n"
+
+
 class _NoSampleTriangle(FamilyConfig):
     """bic-II without a member at the sample triangle's angle, or raising
     ``error`` there; every other angle keeps its member."""

@@ -26,19 +26,15 @@ from poncelet.families import (
     bic1_config,
     bic2_config,
     bic2_envelope,
-    bic3_caustic2,
     bic3_config,
     chapple_distance,
     conf1_config,
     conf2_config,
     conf2_envelope,
     conf3_config,
-    confocal_caustic,
     critical_lambda,
     degenerate_envelope_inradius,
     envelope_points,
-    n4_caustic,
-    n6_caustic,
 )
 
 from _geometry_oracle import (
@@ -96,23 +92,31 @@ def test_confocal_caustic_axes():
     ca, cb = p.caustic_shape()
     assert abs(ca - math.sqrt(4.0 - 0.5)) < 1e-15
     assert abs(cb - math.sqrt(1.0 - 0.5)) < 1e-15
-    # closing caustic: both semi-axes from the closing parameter
-    cax, cay = confocal_caustic(2.0, 1.0)
-    lam = critical_lambda(2.0, 1.0)
-    assert abs(cax - math.sqrt(4.0 - lam)) < 1e-12
-    assert abs(cay - math.sqrt(1.0 - lam)) < 1e-12
+    # closing caustic at the closing parameter: with
+    # delta = sqrt(a^4 - a^2 b^2 + b^4), semi-axes a (delta - b^2) / c^2
+    # and b (a^2 - delta) / c^2
+    a, b = 2.0, 1.0
+    cax, cay = ConfocalParams(a, b, critical_lambda(a, b)).caustic_shape()
+    delta = math.sqrt(a ** 4 - a * a * b * b + b ** 4)
+    c2 = a * a - b * b
+    assert abs(cax - a * (delta - b * b) / c2) < 1e-12
+    assert abs(cay - b * (a * a - delta) / c2) < 1e-12
 
 
 def test_n4_n6_caustics():
+    """The caustics at the 4- and 6-bounce parameters have semi-axes
+    (a^2, b^2) / sqrt(a^2 + b^2) and
+    (a sqrt(a (a + 2b)), b sqrt(b (2a + b))) / (a + b)."""
     a, b = 2.0, 1.0
-    ax4, ay4 = n4_caustic(a, b)
     lam4 = a * a * b * b / (a * a + b * b)
-    assert abs(ax4 - math.sqrt(a * a - lam4)) < 1e-14
-    assert abs(ay4 - math.sqrt(b * b - lam4)) < 1e-14
-    ax6, ay6 = n6_caustic(a, b)
+    ax4, ay4 = ConfocalParams(a, b, lam4).caustic_shape()
+    root = math.sqrt(a * a + b * b)
+    assert abs(ax4 - a * a / root) < 1e-14
+    assert abs(ay4 - b * b / root) < 1e-14
     lam6 = (a * b / (a + b)) ** 2
-    assert abs(ax6 - math.sqrt(a * a - lam6)) < 1e-14
-    assert abs(ay6 - math.sqrt(b * b - lam6)) < 1e-14
+    ax6, ay6 = ConfocalParams(a, b, lam6).caustic_shape()
+    assert abs(ax6 - a * math.sqrt(a * (a + 2.0 * b)) / (a + b)) < 1e-14
+    assert abs(ay6 - b * math.sqrt(b * (2.0 * a + b)) / (a + b)) < 1e-14
 
 
 def test_params_validation():
@@ -201,7 +205,7 @@ def test_bic3_two_caustics(t):
 
 def test_bic3_second_caustic_pencil_form():
     p = BicentricParams(1.0, 0.15, 0.25, u=0.4)
-    c2 = bic3_caustic2(p)
+    c2 = p.pencil_caustic()
     R, r, d, u = 1.0, 0.15, 0.25, 0.4
     assert abs(c2.center.x - d * (1.0 - u)) < 1e-14
     want_r = math.sqrt(d * d * u * u + (R * R - d * d - r * r) * u + r * r)

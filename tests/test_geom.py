@@ -13,6 +13,7 @@ from poncelet.geom import (
     PARABOLA,
     POINT,
     Conic,
+    GeometryError,
     InversionOfCenter,
     Point,
     classify_conic,
@@ -185,6 +186,32 @@ def test_tangency_residual_ellipse():
     # support-style: tangent at the major-axis end
     vert = line_from_points(Point(2.0, -1.0), Point(2.0, 1.0))
     assert abs(line_tangent_to_conic_residual(vert, e)) < 1e-12
+
+
+def test_tangency_residual_point_conic():
+    """A point conic's residual is minus the line's distance to it."""
+    dot = Conic.circle(Point(1.0, 2.0), 0.0)
+    assert dot.kind == POINT
+    line = line_from_points(Point(-3.0, 0.5), Point(3.0, 0.5))
+    assert abs(line_tangent_to_conic_residual(line, dot) + 1.5) < 1e-15
+    through = line_from_points(Point(1.0, -1.0), Point(1.0, 4.0))
+    assert abs(line_tangent_to_conic_residual(through, dot)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "values, kind",
+    [
+        ([1.0, 0.0, -1.0, 0.0, 0.0, -1.0], HYPERBOLA),
+        ([1.0, 0.0, 0.0, 0.0, -1.0, 0.0], PARABOLA),
+        ([1.0, 0.0, -1.0, -2.0, 0.0, 1.0], DEGENERATE),
+    ],
+)
+def test_tangency_residual_rejects_other_kinds(values, kind):
+    conic = classify_conic(values)
+    assert conic.kind == kind
+    line = line_from_points(Point(-3.0, 0.5), Point(3.0, 0.5))
+    with pytest.raises(GeometryError, match=kind):
+        line_tangent_to_conic_residual(line, conic)
 
 
 @given(u=st.floats(min_value=-0.5, max_value=1.5, **finite))

@@ -66,7 +66,7 @@ from .loci import (
     convexity_lambda_root,
     convexity_quintic_coeffs,
     fit_curve,
-    sextic_coefficients_x2_weighted,
+    sextic_coefficients_x2,
     sextic_residual,
     stationarity_spread,
     trace_locus,
@@ -475,6 +475,13 @@ def _ellipse_deviation(xy: np.ndarray, ax: float, ay: float) -> float:
     return _worst(u * u + v * v - 1.0)
 
 
+def _excentral_deviation(cfg: FamilyConfig, ax: float, ay: float, n: int) -> float:
+    """Worst _ellipse_deviation of the P2' and P3' loci over n samples."""
+    return max(
+        _ellipse_deviation(trace_locus(cfg, pid, n).valid_xy(), ax, ay) for pid in ("P2'", "P3'")
+    )
+
+
 # Samples and bisection steps of _min_axis_distance.
 _AXIS_SAMPLES = 512
 _AXIS_BISECTIONS = 64
@@ -679,27 +686,21 @@ def check_bicII_x2_sextic(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
 
     fit2 = fit_curve(xy, 2)
     fit = classify_locus(loc)
-
-    # The companion form weighted by the squared vertex-to-caustic-center
-    # distance vanishes on the rescaled samples, not on the locus itself.
-    weighted = sextic_coefficients_x2_weighted(p)
-    ws = [p.R * p.R + p.d * p.d - 2.0 * p.d * (p.R * math.cos(t)) for t in loc.t[loc.ok].tolist()]
-    companion = sextic_residual(weighted, xy * np.array(ws)[:, None])
-    companion_plain = sextic_residual(weighted, xy)
+    # r - 1% rather than r + 1%: the smaller caustic stays inside the
+    # outer circle for every valid parameter set.
+    control = sextic_residual(sextic_coefficients_x2(replace(p, r=0.99 * p.r)), xy)
 
     ok = (
         metric <= 1e-8
         and fit2.residual > 1e-3
         and fit.verdict == "algebraic"
         and fit.degree == 6
-        and companion <= 1e-10
-        and companion_plain > 1e-3
+        and control > 1e-6
     )
     notes = (
         f"conic control residual: {fit2.residual:.3e} (needs > 1e-3)",
         f"classification: {fit.verdict} degree {fit.degree} at {fit.residual:.3e}",
-        f"weighted companion on rescaled samples: {companion:.3e}",
-        f"weighted companion on plain samples: {companion_plain:.3e} (needs > 1e-3)",
+        f"negative control (r -1%): residual {control:.3e} (needs > 1e-6)",
     )
     return _report(
         p, ok, metric, 1e-8,
@@ -758,10 +759,7 @@ def check_confII_excenter_ellipse(p: ConfocalParams = DEFAULT_CONF2) -> ClaimRep
     cfg = conf2_config(p.a, p.b, p.lam)
     ax, ay = conf2_excentral_axes(p)
 
-    metric = 0.0
-    for pid in ("P2'", "P3'"):
-        loc = trace_locus(cfg, pid, 512)
-        metric = max(metric, _ellipse_deviation(loc.valid_xy(), ax, ay))
+    metric = _excentral_deviation(cfg, ax, ay, 512)
 
     lam_c = critical_lambda(p.a, p.b)
     at_critical = abs(p.lam - lam_c) <= 1e-9 * p.b * p.b
@@ -934,10 +932,7 @@ def check_confII_n4_excentral_aspect(a: float = 2.0, b: float = 1.0) -> ClaimRep
     metric = abs(ax / ay - b / a)
 
     cfg = conf2_config(a, b, lam4)
-    dev = max(
-        _ellipse_deviation(trace_locus(cfg, pid, 256).valid_xy(), ax, ay)
-        for pid in ("P2'", "P3'")
-    )
+    dev = _excentral_deviation(cfg, ax, ay, 256)
     ok = metric <= 1e-10 and dev <= 1e-9
     return _report(
         p, ok, metric, 1e-10,
@@ -957,10 +952,7 @@ def check_confII_n6_excentral_circle(a: float = 2.0, b: float = 1.0) -> ClaimRep
     metric = abs(ax - ay) / ax
 
     cfg = conf2_config(a, b, lam6)
-    dev = max(
-        _ellipse_deviation(trace_locus(cfg, pid, 256).valid_xy(), ax, ay)
-        for pid in ("P2'", "P3'")
-    )
+    dev = _excentral_deviation(cfg, ax, ay, 256)
     ok = metric <= 1e-10 and dev <= 1e-9
     return _report(
         p, ok, metric, 1e-10,

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from dataclasses import fields
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import claims as claims_mod
 from .centers import kernel_of
@@ -223,7 +223,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_report(rep: "claims_mod.ClaimReport", verbose: bool) -> None:
+def _aligned(rows: Sequence[Sequence[str]]) -> List[str]:
+    """Each row's cells right-justified to their column's width, two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows]
+
+
+def _print_report(rep: "claims_mod.ClaimReport") -> None:
     if rep.kind == "conjecture":
         head = "EVIDENCE" if rep.passed else "EVIDENCE?"
         label = "numerical evidence, not a proof"
@@ -239,11 +245,8 @@ def _print_report(rep: "claims_mod.ClaimReport", verbose: bool) -> None:
     sys.stdout.write(f"    observed: {rep.observed}\n")
     for note in rep.notes:
         sys.stdout.write(f"    note: {note}\n")
-    if verbose and rep.rows:
-        widths = [max(len(row[k]) for row in rep.rows) for k in range(len(rep.rows[0]))]
-        for row in rep.rows:
-            cells = "  ".join(c.rjust(w) for c, w in zip(row, widths))
-            sys.stdout.write(f"    | {cells}\n")
+    for line in _aligned(rep.rows):
+        sys.stdout.write(f"    | {line}\n")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -262,7 +265,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     else:
         for rep in reports:
-            _print_report(rep, verbose=True)
+            _print_report(rep)
     gating = [rep for rep in reports if rep.gating]
     failed = [rep for rep in gating if not rep.passed]
     conjectures = [rep for rep in reports if not rep.gating]
@@ -282,9 +285,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     rep = claims_mod.summary_table()
-    widths = [max(len(row[k]) for row in rep.rows) for k in range(len(rep.rows[0]))]
-    for row in rep.rows:
-        sys.stdout.write("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n")
+    for line in _aligned(rep.rows):
+        sys.stdout.write(line + "\n")
     if not rep.passed:
         sys.stdout.write("mismatched cells:\n")
         for note in rep.notes:

@@ -68,7 +68,6 @@ __all__ = [
     "confocal_delta",
     "critical_lambda",
     "bic2_envelope",
-    "bic2_envelope_radius_pq",
     "conf2_envelope",
     "envelope_points",
     "bic1_config",
@@ -448,8 +447,7 @@ def bic2_envelope(p: BicentricParams) -> Conic:
     A circle of the same pencil, centered at (4 d R^2 r^2/(R^2-d^2)^2, 0)
     with signed radius R (R^4 - 2R^2 d^2 - 2R^2 r^2 + d^4 - 2 d^2 r^2)
     / (R^2-d^2)^2; the absolute value is used for the returned conic and
-    a zero radius yields a point conic.  The equivalent product form of
-    the radius (see bic2_envelope_radius_pq) is asserted to agree.
+    a zero radius yields a point conic.
     """
     R, r, d = p.R, p.r, p.d
     den = (R * R - d * d) ** 2
@@ -459,22 +457,7 @@ def bic2_envelope(p: BicentricParams) -> Conic:
         * (R ** 4 - 2.0 * R * R * d * d - 2.0 * R * R * r * r + d ** 4 - 2.0 * d * d * r * r)
         / den
     )
-    if d > 1e-12 * R:
-        alt = bic2_envelope_radius_pq(R, r, d)
-        if abs(alt - radius) > 1e-12 * max(1.0, abs(radius), R):
-            raise GeometryError("envelope radius forms disagree; parameters ill-conditioned")
     return Conic.circle(Point(cx, 0.0), abs(radius))
-
-
-def bic2_envelope_radius_pq(R: float, r: float, d: float) -> float:
-    """Signed envelope radius via the substitution p=(R+d)/r, q=(R-d)/r."""
-    if d == 0.0:
-        raise ValueError("product form needs d > 0")
-    pp = (R + d) / r
-    qq = (R - d) / r
-    return (pp * pp * qq * qq - pp * pp - qq * qq) * (pp + qq) * d / (
-        pp * pp * qq * qq * (pp - qq)
-    )
 
 
 def conf2_envelope(p: ConfocalParams) -> Conic:

@@ -52,7 +52,6 @@ __all__ = [
     "convexity_quintic_coeffs",
     "convexity_lambda_root",
     "sextic_coefficients_x2",
-    "sextic_coefficients_x2_weighted",
     "sextic_residual",
     "verify_implicit_sextic_x2",
 ]
@@ -643,94 +642,6 @@ def sextic_coefficients_x2(p: BicentricParams) -> dict:
         * ((R + d) ** 2 - 4.0 * r2)
         * ((R - d) ** 2 - 4.0 * r2)
         * (3.0 * w + 4.0 * r2) ** 2 / w4)
-    return c
-
-
-def sextic_coefficients_x2_weighted(p: BicentricParams) -> dict:
-    """Monomial coefficients {(i, j): c} of the degree-6 implicit
-    polynomial vanishing on the companion curve swept by the barycenter
-    scaled by its own chord-map weight: the point X2(t) * s(t) with
-    s(t) = R^2 + d^2 - 2 d x1(t), the squared distance from the driving
-    vertex to the inner-circle center.
-
-    Same leading form 729 (x^2 + y^2)^3 as the plain barycenter sextic,
-    but all lower-order coefficients differ; the weighted curve is a
-    genuinely different sextic from the barycenter locus itself."""
-    R, r, d = p.R, p.r, p.d
-    R2, d2, r2 = R * R, d * d, r * r
-    R4, d4, r4 = R2 * R2, d2 * d2, r2 * r2
-    R6, d6, r6 = R4 * R2, d4 * d2, r4 * r2
-    R8, d8, r8 = R4 * R4, d4 * d4, r4 * r4
-    R10 = R8 * R2
-
-    c: dict = {}
-
-    def add(i: int, j: int, v: float) -> None:
-        if v != 0.0:
-            c[(i, j)] = c.get((i, j), 0.0) + v
-
-    # 729 (x^2+y^2)^3
-    add(6, 0, 729.0)
-    add(4, 2, 3 * 729.0)
-    add(2, 4, 3 * 729.0)
-    add(0, 6, 729.0)
-
-    # -972 d x (x^2+y^2) ((4R^2-3d^2-4r^2) x^2 + (4R^2+5d^2-4r^2) y^2)
-    kx = 4.0 * R2 - 3.0 * d2 - 4.0 * r2
-    ky = 4.0 * R2 + 5.0 * d2 - 4.0 * r2
-    add(5, 0, -972.0 * d * kx)
-    add(3, 2, -972.0 * d * (kx + ky))
-    add(1, 4, -972.0 * d * ky)
-
-    # -81 (x^2+y^2) (Kx x^2 + Ky y^2)
-    Kx = (R6 - 86.0 * R4 * d2 - 8.0 * R4 * r2 + 121.0 * R2 * d4
-          + 128.0 * R2 * d2 * r2 + 16.0 * R2 * r4 - 36.0 * d6
-          - 72.0 * d4 * r2 - 96.0 * d2 * r4)
-    Ky = (R6 - 42.0 * R4 * d2 - 8.0 * R4 * r2 - 63.0 * R2 * d4
-          + 128.0 * R2 * d2 * r2 + 16.0 * R2 * r4 - 4.0 * d6
-          + 24.0 * d4 * r2 - 32.0 * d2 * r4)
-    add(4, 0, -81.0 * Kx)
-    add(2, 2, -81.0 * (Kx + Ky))
-    add(0, 4, -81.0 * Ky)
-
-    # +108 d x (Lx x^2 + Ly y^2)
-    Lx = (3.0 * R8 - 45.0 * R6 * d2 - 28.0 * R6 * r2 + 81.0 * R4 * d4
-          + 44.0 * R4 * d2 * r2 + 80.0 * R4 * r4 - 39.0 * R2 * d6
-          + 20.0 * R2 * d4 * r2 - 112.0 * R2 * d2 * r4 - 64.0 * R2 * r6
-          - 36.0 * d6 * r2 + 64.0 * d2 * r6)
-    Ly = (3.0 * R8 - 45.0 * R6 * d2 - 28.0 * R6 * r2 + 81.0 * R4 * d4
-          + 76.0 * R4 * d2 * r2 + 80.0 * R4 * r4 - 39.0 * R2 * d6
-          - 44.0 * R2 * d4 * r2 + 16.0 * R2 * d2 * r4 - 64.0 * R2 * r6
-          - 4.0 * d6 * r2 + 64.0 * d2 * r6)
-    add(3, 0, 108.0 * d * Lx)
-    add(1, 2, 108.0 * d * Ly)
-
-    # -36 d^2 (Mx x^2 + My y^2)
-    Mx = (9.0 * R10 - 36.0 * R8 * d2 - 90.0 * R8 * r2 + 54.0 * R6 * d4
-          - 18.0 * R6 * d2 * r2 + 312.0 * R6 * r4 - 36.0 * R4 * d6
-          + 306.0 * R4 * d4 * r2 - 372.0 * R4 * d2 * r4 - 480.0 * R4 * r6
-          + 9.0 * R2 * d8 - 198.0 * R2 * d6 * r2 + 96.0 * R2 * d4 * r4
-          + 256.0 * R2 * d2 * r6 + 384.0 * R2 * r8 - 36.0 * d6 * r4
-          + 96.0 * d4 * r6 - 64.0 * d2 * r8)
-    My = (9.0 * R10 - 36.0 * R8 * d2 - 102.0 * R8 * r2 + 54.0 * R6 * d4
-          + 126.0 * R6 * d2 * r2 + 392.0 * R6 * r4 - 36.0 * R4 * d6
-          + 54.0 * R4 * d4 * r2 - 116.0 * R4 * d2 * r4 - 544.0 * R4 * r6
-          + 9.0 * R2 * d8 - 78.0 * R2 * d6 * r2 + 160.0 * R2 * d4 * r4
-          + 128.0 * R2 * r8 - 4.0 * d6 * r4 + 32.0 * d4 * r6 - 64.0 * d2 * r8)
-    add(2, 0, -36.0 * d2 * Mx)
-    add(0, 2, -36.0 * d2 * My)
-
-    # +48 R^2 d^3 r^2 (3R^2-3d^2+4r^2) Q x
-    Q = (3.0 * R6 - 9.0 * R4 * d2 - 28.0 * R4 * r2 + 9.0 * R2 * d4
-         - 4.0 * R2 * d2 * r2 + 80.0 * R2 * r4 - 3.0 * d6
-         + 32.0 * d4 * r2 - 32.0 * d2 * r4 - 64.0 * r6)
-    add(1, 0, 48.0 * R2 * d2 * d * r2 * (3.0 * R2 - 3.0 * d2 + 4.0 * r2) * Q)
-
-    # -16 R^2 d^4 r^4 ((R+d)^2-4r^2) ((R-d)^2-4r^2) (3R^2-3d^2+4r^2)^2
-    add(0, 0, -16.0 * R2 * d4 * r4
-        * ((R + d) ** 2 - 4.0 * r2)
-        * ((R - d) ** 2 - 4.0 * r2)
-        * (3.0 * R2 - 3.0 * d2 + 4.0 * r2) ** 2)
     return c
 
 

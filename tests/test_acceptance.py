@@ -3,8 +3,9 @@
 Each test prints a single ``CRITERION nn: PASS/FAIL`` line (visible with
 ``pytest -s``; under plain ``pytest -v`` the test outcome itself is the
 per-criterion line) and then asserts, so a failing criterion fails its
-test with the full measured evidence in the message.  Criterion 11's
-reference row is backed by an exact certificate, tested next to it.
+test with the full measured evidence in the message.  Criterion 4's
+sextic and criterion 11's reference row are each backed by an exact
+certificate, tested next to them.
 """
 
 import math
@@ -41,6 +42,7 @@ from poncelet.loci import (
     convexity_lambda_root,
     convexity_quintic_coeffs,
     fit_curve,
+    sextic_coefficients_x2,
     stationarity_spread,
     trace_locus,
     verdict_letter,
@@ -155,6 +157,52 @@ def test_criterion_04_centroid_sextic_grid():
     _report(4, ok,
             f"X2 implicit sextic residual {worst:.3e} over the grid; "
             f"smallest conic-fit residual {worst_conic:.3e} (must stay large)")
+
+
+@pytest.mark.parametrize(
+    "R, r, d",
+    [(1, Fraction(1, 5), Fraction(3, 10)), (1, Fraction(3, 20), Fraction(7, 20))],
+    ids=["r=1/5,d=3/10", "r=3/20,d=7/20"],
+)
+def test_criterion_04_centroid_sextic_certificate(R, r, d):
+    """Exact derivation of the barycenter sextic, apart from the package.
+
+    P1 and P(s) run on the outer circle in half-angle parameters t and s.
+    The chord P1P(s) is tangent to the caustic where a quadratic in s
+    vanishes (the tangency condition over (s - t)^2); its roots are P2 and
+    P3, so Vieta's formulas give P2 + P3, and X2 = (P1 + P2 + P3)/3, as
+    rational functions of t.  A resultant eliminates t.  The result must
+    be the transcribed ``sextic_coefficients_x2``, monomial for monomial.
+    """
+    sp = pytest.importorskip("sympy")
+    t, s, x, y = sp.symbols("t s x y")
+    R, r, d = sp.Rational(R), sp.Rational(r), sp.Rational(d)
+
+    def on_outer(u):  # homogeneous coordinates (X, Y, W) of the point
+        return R * (1 - u ** 2), 2 * R * u, 1 + u ** 2
+
+    (x1, y1, w1), (xs, ys, ws) = on_outer(t), on_outer(s)
+    # the chord a X + b Y + c W = 0 through P1 and P(s), tangent to the caustic
+    a, b, c = y1 * ws - w1 * ys, w1 * xs - x1 * ws, x1 * ys - y1 * xs
+    tangency = sp.expand((a * d + c) ** 2 - r ** 2 * (a * a + b * b))
+    quadratic, rem = sp.div(tangency, sp.expand((s - t) ** 2), s)
+    assert rem == 0
+    qa, qb, qc = sp.Poly(quadratic, s).all_coeffs()
+    e1, e2 = -qb / qa, qc / qa  # s2 + s3 and s2 s3
+    norm = 1 + e1 ** 2 - 2 * e2 + e2 ** 2  # (1 + s2^2)(1 + s3^2)
+    gx = (x1 / w1 + R * (2 * (2 + e1 ** 2 - 2 * e2) / norm - 2)) / 3
+    gy = (y1 / w1 + R * 2 * (e1 + e1 * e2) / norm) / 3
+    px, qx = sp.fraction(sp.cancel(gx))
+    py, qy = sp.fraction(sp.cancel(gy))
+    res = sp.Poly(sp.resultant(sp.expand(x * qx - px), sp.expand(y * qy - py), t), x, y)
+    assert res.total_degree() == 6
+
+    scale = 729 / res.coeff_monomial(x ** 6)
+    exact = {m: float(v * scale) for m, v in res.terms()}
+    got = sextic_coefficients_x2(BicentricParams(float(R), float(r), float(d)))
+    assert set(got) == set(exact)
+    worst = max(abs(got[m] - v) / abs(v) for m, v in exact.items())
+    assert worst <= 1e-14, worst
 
 
 def test_criterion_05_excentral_ellipse_and_odd_one_out():

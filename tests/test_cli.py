@@ -145,6 +145,31 @@ def test_envelope_closed_form(capsys):
     assert abs(doc["center"][0] - 0.05796401400797005) < 1e-12
 
 
+# A small caustic offset is a well-posed bic-II family: its envelope
+# radius is 0.92 to twelve digits, not a refusal.
+_SMALL_OFFSET = ("--family", "bic-II", "--R", "1", "--r", "0.2", "--d", "1e-6")
+
+
+def test_envelope_at_a_small_offset(capsys):
+    code, out, err = run(capsys, "envelope", *_SMALL_OFFSET)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["kind"] == "circle"
+    assert abs(doc["radius"] - 0.92) < 1e-12
+
+
+def test_svg_at_a_small_offset(capsys):
+    code, out, err = run(capsys, "svg", *_SMALL_OFFSET, "-n", "64")
+    assert code == 0, err
+    assert 'class="envelope"' in out
+
+
+def test_verify_envelope_claim_at_a_small_offset(capsys):
+    code, out, err = run(capsys, "verify", "prop:bicII-envelope", *_SMALL_OFFSET[2:])
+    assert code == 0, err
+    assert "[PASS] prop:bicII-envelope" in out
+
+
 def test_envelope_sampled_fallback(capsys):
     code, out, err = run(
         capsys, "envelope", "--family", "bic-III",

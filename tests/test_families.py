@@ -320,17 +320,54 @@ def test_free_side_matches_vertices():
     assert abs(line3.signed_distance(tri3.p1)) < 1e-12
 
 
+def _bic2_envelope_radius(R, r, d):
+    """Signed envelope radius of the two-caustic family, as bic2_envelope
+    documents it; for floats, sympy symbols or mpmath numbers alike."""
+    return R * (R ** 4 - 2 * R * R * d * d - 2 * R * R * r * r + d ** 4 - 2 * d * d * r * r) / (
+        (R * R - d * d) ** 2
+    )
+
+
+def _bic2_envelope_radius_pq(R, r, d):
+    """The same radius in the substitution p = (R+d)/r, q = (R-d)/r."""
+    p, q = (R + d) / r, (R - d) / r
+    return (p * p * q * q - p * p - q * q) * (p + q) * d / (p * p * q * q * (p - q))
+
+
 def test_bic2_envelope_closed_form():
     p = BicentricParams(1.0, 0.2, 0.3)
     env = bic2_envelope(p)
     R, r, d = 1.0, 0.2, 0.3
     w = R * R - d * d
     assert abs(env.center.x - 4.0 * d * R * R * r * r / (w * w)) < 1e-14
-    want_r = R * (R ** 4 - 2 * R * R * d * d - 2 * R * R * r * r + d ** 4 - 2 * d * d * r * r) / (w * w)
-    assert abs(env.semi_axes[0] - want_r) < 1e-14
+    assert abs(env.semi_axes[0] - _bic2_envelope_radius(R, r, d)) < 1e-14
     # frozen values for the documented default parameters
     assert abs(env.center.x - 0.05796401400797005) < 1e-15
     assert abs(env.semi_axes[0] - 0.894698707885521) < 1e-14
+
+
+def test_bic2_envelope_radius_forms_are_one_rational_function():
+    sp = pytest.importorskip("sympy")
+    R, r, d = sp.symbols("R r d", positive=True)
+    assert sp.cancel(_bic2_envelope_radius(R, r, d) - _bic2_envelope_radius_pq(R, r, d)) == 0
+
+
+def test_bic2_envelope_radius_against_60_digits():
+    """The radius within 1e-12 R of its 60-digit value over a seeded
+    sample: R from 1e-3 to 1e4, r from 0.05 R, and d uniform, at 0, at
+    1e-9 R and 1e-6 R, and within 1e-12 of the outer circle (r + d -> R)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20)
+    worst = 0.0
+    with mpmath.workdps(60):
+        for _ in range(200):
+            R = 10.0 ** rng.uniform(-3.0, 4.0)
+            r = R * rng.uniform(0.05, 1.0)
+            for d in ((R - r) * rng.uniform(), 0.0, 1e-9 * R, 1e-6 * R, (R - r) * (1.0 - 1e-12)):
+                got = bic2_envelope(BicentricParams(R, r, d)).semi_axes[0]
+                want = abs(_bic2_envelope_radius(*map(mpmath.mpf, (R, r, d))))
+                worst = max(worst, float(abs(got - want)) / R)
+    assert worst <= 1e-12, worst
 
 
 @given(t=angles)

@@ -31,7 +31,6 @@ from poncelet.loci import (
     fit_curve,
     monomial_exponents,
     sextic_coefficients_x2,
-    sextic_coefficients_x2_weighted,
     stationarity_spread,
     trace_locus,
     verdict_letter,
@@ -441,21 +440,6 @@ def test_sextic_rejects_wrong_parameters():
     loc = trace_locus(BIC2, "X2", n=256)
     wrong = BicentricParams(1.0, 0.2, 0.35)
     assert verify_implicit_sextic_x2(wrong, loc) > 1e-6
-
-
-def test_weighted_companion_needs_the_weight():
-    """The companion form vanishes only after rescaling each sample by
-    the driving-vertex chordal factor, not on the raw locus."""
-    loc = trace_locus(BIC2, "X2", n=256)
-    cs = sextic_coefficients_x2_weighted(BIC2_PARAMS)
-    norm = math.sqrt(sum(v * v for v in cs.values()))
-    pts = loc.valid_xy().tolist()
-    scale = max(max(abs(x), abs(y)) for x, y in pts)
-    worst = 0.0
-    for x, y in pts:
-        val = sum(v * x ** i * y ** j for (i, j), v in cs.items())
-        worst = max(worst, abs(val) / (norm * scale ** 6))
-    assert worst > 0.1
 
 
 def test_classify_rigid_motion_invariance():

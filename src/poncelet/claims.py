@@ -66,8 +66,6 @@ from .loci import (
     convexity_lambda_root,
     convexity_quintic_coeffs,
     fit_curve,
-    sextic_coefficients_x2,
-    sextic_residual,
     stationarity_spread,
     trace_locus,
     verdict_letter,
@@ -396,8 +394,9 @@ def bic3_collapse_u(R: float, r: float, d: float) -> float:
     collapse onto the interior limiting point of the circle pair.
 
     Found by minimizing the worst chord distance to the limiting point
-    over u (coarse grid, then golden-section); the minimum is zero at
-    the collapse.
+    over u: a coarse grid, then rounds of 64 values spanning the best
+    value's neighbours until they are within 1e-13; the minimum is zero
+    at the collapse.
     """
     first, second = _bic3_limiting_points(BicentricParams(R, r, d))
     target = first if abs(first.x) < abs(second.x) else second
@@ -415,31 +414,13 @@ def bic3_collapse_u(R: float, r: float, d: float) -> float:
         dist = np.where(ok, np.abs(Line(a, b, c).signed_distance(target)), 0.0)
         return np.where(ok.sum(axis=1) >= 16, dist.max(axis=1), math.inf)
 
-    def worst_at(u: float) -> float:
-        return float(worst_chord_distance(np.array([u]))[0])
-
-    grid = [0.30 + 0.005 * k for k in range(int((0.995 - 0.30) / 0.005) + 1)]
-    values = worst_chord_distance(np.array(grid)).tolist()
-    k0 = values.index(min(values))
-    lo = grid[max(k0 - 1, 0)]
-    hi = grid[min(k0 + 1, len(grid) - 1)]
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = worst_at(x1), worst_at(x2)
-    for _ in range(80):
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = worst_at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = worst_at(x2)
+    us = np.array([0.30 + 0.005 * k for k in range(int((0.995 - 0.30) / 0.005) + 1)])
+    while True:
+        k0 = int(np.argmin(worst_chord_distance(us)))
+        lo, hi = us[max(k0 - 1, 0)], us[min(k0 + 1, len(us) - 1)]
         if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
+            return float(0.5 * (lo + hi))
+        us = np.linspace(lo, hi, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +529,21 @@ def _min_axis_distance(cfg: FamilyConfig, tracked: Sequence[str]) -> List[float]
 _ROW_BLOCK = 32
 
 
-def _hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
-    """Hausdorff distance of two (m, 2) point sets, a block of pa's rows at
-    a time: each row's minimum, and a running minimum per column of pb."""
-    row_max = 0.0
-    col_min = np.full(len(pb), np.inf)
+def _row_blocks(pa: np.ndarray, pb: np.ndarray):
+    """Squared distances from a block of pa's rows at a time to every
+    row of pb."""
     for s in range(0, len(pa), _ROW_BLOCK):
         dx = pa[s : s + _ROW_BLOCK, 0, None] - pb[:, 0]
         dy = pa[s : s + _ROW_BLOCK, 1, None] - pb[:, 1]
-        d2 = dx * dx + dy * dy
+        yield dx * dx + dy * dy
+
+
+def _hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Hausdorff distance of two (m, 2) point sets: each row's minimum,
+    and a running minimum per column of pb."""
+    row_max = 0.0
+    col_min = np.full(len(pb), np.inf)
+    for d2 in _row_blocks(pa, pb):
         row_max = max(row_max, float(d2.min(axis=1).max()))
         col_min = np.minimum(col_min, d2.min(axis=0))
     return math.sqrt(max(row_max, float(col_min.max())))
@@ -564,14 +551,10 @@ def _hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
 
 def _symmetry_closure(loc: Locus, sx: float, sy: float) -> float:
     """Largest distance from a reflected valid sample (sx x, sy y) to its
-    nearest valid sample, a block of reflected rows at a time."""
-    x, y = loc.x[loc.ok], loc.y[loc.ok]
-    out = 0.0
-    for s in range(0, len(x), _ROW_BLOCK):
-        fx = sx * x[s : s + _ROW_BLOCK, None]
-        fy = sy * y[s : s + _ROW_BLOCK, None]
-        out = max(out, float(np.hypot(x - fx, y - fy).min(axis=1).max()))
-    return out
+    nearest valid sample."""
+    xy = loc.valid_xy()
+    blocks = _row_blocks(xy * (sx, sy), xy)
+    return math.sqrt(max((float(d2.min(axis=1).max()) for d2 in blocks), default=0.0))
 
 
 def _nonconic_evidence(loc: Locus) -> Tuple[bool, float]:
@@ -688,7 +671,7 @@ def check_bicII_x2_sextic(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     fit = classify_locus(loc)
     # r - 1% rather than r + 1%: the smaller caustic stays inside the
     # outer circle for every valid parameter set.
-    control = sextic_residual(sextic_coefficients_x2(replace(p, r=0.99 * p.r)), xy)
+    control = verify_implicit_sextic_x2(replace(p, r=0.99 * p.r), loc)
 
     ok = (
         metric <= 1e-8

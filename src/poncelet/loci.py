@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,15 +80,6 @@ MAX_DEGREE = 8
 ELBOW_FACTOR = 1e-2
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """values itself if it is a read-only array of dtype that owns its
-    data, which nothing can change; otherwise a copy as that dtype."""
-    if (isinstance(values, np.ndarray) and values.dtype == dtype
-            and not values.flags.writeable and values.flags.owndata):
-        return values
-    return np.array(values, dtype=dtype)
-
-
 class LocusSample(NamedTuple):
     t: float
     p: Point
@@ -98,10 +88,8 @@ class LocusSample(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Locus:
-    """Samples on the t grid as read-only arrays; x, y are NaN where ok is
-    false.  A t or ok that is already a read-only float or bool array
-    owning its data is kept as given (a trace passes its config's kept
-    grid); any other is copied."""
+    """Samples on the t grid as read-only copies of the arrays given; x, y
+    are NaN where ok is false."""
 
     family: FamilyConfig
     tracked: str
@@ -111,8 +99,8 @@ class Locus:
     ok: np.ndarray
 
     def __post_init__(self) -> None:
-        ok = _frozen(self.ok, bool)
-        for name, arr in (("t", _frozen(self.t, float)), ("ok", ok),
+        ok = np.array(self.ok, dtype=bool)
+        for name, arr in (("t", np.array(self.t, dtype=float)), ("ok", ok),
                           ("x", np.where(ok, self.x, np.nan)), ("y", np.where(ok, self.y, np.nan))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -215,7 +203,6 @@ def trace_locus(
         ts = samples.t
         x, y, ok = _centers._center_on(samples.shape, samples.tri.ok, kernel)
     ok = ok & np.isfinite(x) & np.isfinite(y)
-    ok.flags.writeable = False
     valid = int(np.count_nonzero(ok))
     if valid < need:
         raise InsufficientSamples(f"only {valid} valid samples for {tracked}")
@@ -648,30 +635,25 @@ def sextic_coefficients_x2(p: BicentricParams) -> dict:
 def sextic_residual(coeffs: Dict[Tuple[int, int], float], xy: np.ndarray) -> float:
     """Max absolute value of a degree-6 polynomial {(i, j): c} over the
     rows of an (m, 2) array, normalized by the coefficient norm and the
-    sixth power of the sample scale."""
+    sixth power of the sample scale.  Each row's terms get one exact sum."""
     norm = math.sqrt(math.fsum(v * v for v in coeffs.values()))
     rows = xy.tolist()
-    scale = max(max(abs(x), abs(y)) for x, y in rows)
-    scale = max(scale, 1e-300)
-    keys, v = zip(*sorted(coeffs.items()))
-    i, j = np.array(keys).T
-    # The powers are Python's (libm pow), once per sample and exponent; the
-    # products (v x^i) y^j are numpy's, rounded as Python's are; each
-    # sample's terms get one exact sum.
-    top = range(int(np.max(keys)) + 1)
-    xs, ys = xy[:, 0].tolist(), xy[:, 1].tolist()
-    xp = np.array([list(map(pow, xs, repeat(k))) for k in top])
-    yp = np.array([list(map(pow, ys, repeat(k))) for k in top])
-    terms = np.ascontiguousarray(((np.array(v)[:, None] * xp[i]) * yp[j]).T)
+    scale = max(max(max(abs(x), abs(y)) for x, y in rows), 1e-300)
+    items = sorted(coeffs.items())
     worst = 0.0
-    for value in map(math.fsum, terms.tolist()):
-        worst = max(worst, abs(value))
+    for x, y in rows:
+        worst = max(worst, abs(math.fsum(v * x ** i * y ** j for (i, j), v in items)))
     return worst / (norm * scale ** 6)
 
 
 def verify_implicit_sextic_x2(p: BicentricParams, locus: Locus) -> float:
-    """sextic_residual of the barycenter sextic over the locus samples."""
+    """sextic_residual of the barycenter sextic over the locus samples, at
+    unit outer radius: the coefficient of x^i y^j is divided by
+    R^(6 - i - j) and the samples by R, since the coefficients are not
+    homogeneous in the length unit."""
     xy = locus.valid_xy()
     if not len(xy):
         raise InsufficientSamples("no valid samples")
-    return sextic_residual(sextic_coefficients_x2(p), xy)
+    R = p.R
+    coeffs = {(i, j): v / R ** (6 - i - j) for (i, j), v in sextic_coefficients_x2(p).items()}
+    return sextic_residual(coeffs, xy / R)

@@ -19,11 +19,8 @@ from poncelet.claims import (
     run_claims,
     summary_table,
 )
-from poncelet.loci import (
-    sextic_coefficients_x2,
-    sextic_residual,
-    trace_locus,
-)
+from poncelet.geom import Point
+from poncelet.loci import trace_locus, verify_implicit_sextic_x2
 
 
 def test_registry_is_complete_and_green():
@@ -200,26 +197,51 @@ def _per_u_collapse(R, r, d):
 
 @pytest.mark.parametrize("params", [(1.0, 0.15, 0.25), (1.0, 0.2, 0.3)])
 def test_bic3_collapse_u_is_the_per_u_search(params):
-    """All candidates of the coarse grid in one array, then one-element
-    golden steps: the bits of a config per candidate."""
-    assert claims.bic3_collapse_u(*params) == _per_u_collapse(*params)
+    """The array rounds find, to 1e-12, the u that a config per
+    candidate and a golden-section refinement find."""
+    assert abs(claims.bic3_collapse_u(*params) - _per_u_collapse(*params)) <= 1e-12
 
 
-def _per_row_sextic_residual(coeffs, xy):
-    """sextic_residual as a Python sum per row, every power taken per term."""
-    norm = math.sqrt(math.fsum(v * v for v in coeffs.values()))
-    rows = xy.tolist()
-    scale = max(max(max(abs(x), abs(y)) for x, y in rows), 1e-300)
-    worst = 0.0
-    items = sorted(coeffs.items())
-    for x, y in rows:
-        worst = max(worst, abs(math.fsum(v * x ** i * y ** j for (i, j), v in items)))
-    return worst / (norm * scale ** 6)
+def _interior_limiting_point(R, r, d):
+    """The point circle of the pencil of [(0, 0), R] and [(d, 0), r] inside
+    the caustic: the smaller root of x^2 - s x + R^2, where x and R^2 / x
+    are inverse in both circles, so x + R^2 / x = s = (R^2 + d^2 - r^2) / d."""
+    s = (R * R + d * d - r * r) / d
+    return Point(2.0 * R * R / (s + math.sqrt(s * s - 4.0 * R * R)), 0.0)
 
 
-def test_sextic_residual_is_the_per_row_sum():
-    p = claims.DEFAULT_BIC2
-    xy = trace_locus(bic2_config(p.R, p.r, p.d), "X2", 512).valid_xy()
-    for params in (p, replace(p, r=0.99 * p.r)):
-        coeffs = sextic_coefficients_x2(params)
-        assert sextic_residual(coeffs, xy) == _per_row_sextic_residual(coeffs, xy)
+def _worst_side_miss(R, r, d, u):
+    lines = claims._free_sides(bic3_config(R, r, d, u=u), 256)
+    assert len(lines.a) == 256
+    return float(np.abs(lines.signed_distance(_interior_limiting_point(R, r, d))).max())
+
+
+@pytest.mark.parametrize(
+    "params", [(1.0, 0.15, 0.25), (1.0, 0.2, 0.3), (1.0, 0.1, 0.2), (1.0, 0.25, 0.3), (1.0, 0.2, 0.5)]
+)
+def test_bic3_collapse_u_collapses_the_envelope(params):
+    """At the found u every free side passes through the interior
+    limiting point; a millionth away some side misses it; u does not
+    depend on the length unit."""
+    R = params[0]
+    u = claims.bic3_collapse_u(*params)
+    assert _worst_side_miss(*params, u) <= 1e-13 * R
+    for off in (-1e-6, 1e-6):
+        assert _worst_side_miss(*params, u + off) >= 1e-7 * R
+    for k in (1e-3, 1e4):
+        assert abs(claims.bic3_collapse_u(*(k * v for v in params)) - u) <= 1e-12
+
+
+@pytest.mark.parametrize("R", [1e-3, 1.0, 1e4])
+def test_bicII_x2_sextic_is_scale_free(R):
+    """The sextic check and its r - 1% control read the same at any
+    length unit."""
+    def control(p):
+        loc = trace_locus(bic2_config(p.R, p.r, p.d), "X2", 512)
+        return verify_implicit_sextic_x2(replace(p, r=0.99 * p.r), loc)
+
+    p = BicentricParams(R, 0.2 * R, 0.3 * R)
+    rep = claims.check_bicII_x2_sextic(p)
+    assert rep.passed and rep.metric <= 1e-14
+    unit = control(BicentricParams(1.0, 0.2, 0.3))
+    assert control(p) == pytest.approx(unit, rel=1e-9)

@@ -799,19 +799,17 @@ def test_locus_arrays_are_read_only_copies():
     assert loc.x[0] == 0.0
 
 
-def test_a_traced_locus_shares_the_kept_grid():
-    """The trace's t is its config's kept read-only grid, not a copy, and
-    its ok is frozen where it is made; a Locus given them keeps them."""
+def test_a_traced_locus_copies_the_kept_grid():
+    """A traced Locus holds read-only copies: none of its arrays shares
+    memory with its config's kept grid."""
     cfg = bic2_config(1.0, 0.2, 0.3)
     loc = trace_locus(cfg, "X1", 256)
-    assert loc.t is cfg._kept[256].t
-    assert not loc.t.flags.writeable and not loc.ok.flags.writeable
-    again = Locus(cfg, "X1", loc.t, loc.x, loc.y, loc.ok)
-    assert again.t is loc.t and again.ok is loc.ok
-    # A read-only view does not own its data: its base may still change.
-    view = np.arange(4.0)[:]
-    view.flags.writeable = False
-    assert Locus(cfg, "X1", view, view, view, np.ones(4, dtype=bool)).t is not view
+    kept = cfg._kept[256]
+    for name in ("t", "x", "y", "ok"):
+        arr = getattr(loc, name)
+        assert not arr.flags.writeable, name
+        for held in (*kept.tri, *kept.shape, kept.t):
+            assert not np.shares_memory(arr, held), name
 
 
 def test_locus_samples_and_valid_xy_round_trip_the_arrays():

@@ -16,21 +16,21 @@ the test suite (bisector/altitude concurrences, inversion identities,
 known collinearities) to protect against transcription slips.
 
 Every kernel is elementwise on coordinate arrays over a batch of
-triangles (``center_arrays``).  It reads the batch's ``_Shape``
-(vertices, side lengths, area, fault flags), which a caller that keeps
-one reuses (``_center_on``).  ``center`` and ``excenters`` run a kernel
-on the batch of one triangle and raise where that batch marks the
-triangle invalid.
+triangles (``center_arrays``).  It reads the ``TriangleBatch``'s
+vertices, side lengths, area and collinearity flag, which the batch
+carries from its builder, so a caller that keeps a batch reuses them.
+``center`` and ``excenters`` run a kernel on the batch of one triangle
+and raise where that batch marks the triangle invalid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
-from .families import DegenerateTriangle, Triangle, TriangleBatch
+from .families import _DEGENERATE, DegenerateTriangle, Triangle, TriangleBatch
 from .geom import (
     GeometryError,
     InversionOfCenter,
@@ -53,8 +53,6 @@ __all__ = [
     "kernel_of",
 ]
 
-# Relative area below which a triangle is treated as collinear.
-_DEGENERATE_AREA = 1e-14
 # Relative weight sum below which a center is at infinity.
 _ZERO_WEIGHT_SUM = 1e-14
 # Relative residual allowed in the X484 perspector's concurrence.
@@ -62,38 +60,20 @@ _CONCURRENCE_TOL = 1e-8
 
 # Fault flags of the kernels below, or-ed together; 0 marks a valid
 # sample.  ``center`` and ``excenters`` raise the error of the first
-# flag set, testing _DEGENERATE first.
-_DEGENERATE = 1  # collinear vertices, or weights summing to zero
+# flag set, testing _DEGENERATE first: collinear vertices (the batch's
+# own flag), or weights summing to zero.
 _AT_CENTER = 2  # inversion of the circumcenter itself
 _NO_MEET = 4  # construction lines undefined, parallel or not concurrent
 
 
-class _Shape(NamedTuple):
-    """Triangles as coordinate arrays, with their side lengths s_i
-    opposite P_i, area, longest side, and fault flags."""
-
-    x1: Any
-    y1: Any
-    x2: Any
-    y2: Any
-    x3: Any
-    y3: Any
-    s1: Any
-    s2: Any
-    s3: Any
-    area: Any
-    scale: Any
-    fault: Any
-
-
-# A kernel maps a _Shape to (x, y, fault), elementwise.
-Kernel = Callable[[_Shape], Tuple[Any, Any, Any]]
+# A kernel maps a TriangleBatch to (x, y, fault), elementwise.
+Kernel = Callable[[TriangleBatch], Tuple[Any, Any, Any]]
 
 
 @dataclass(frozen=True)
 class CenterDefinition:
     """A triangle center: its Kimberling index and its kernel, which maps
-    a _Shape to (x, y, fault flags)."""
+    a TriangleBatch to (x, y, fault flags)."""
 
     id: int
     kernel: Kernel
@@ -113,19 +93,9 @@ class ExcentralTriangle:
 
 
 # ---------------------------------------------------------------------------
-# Elementwise kernels.  Each takes a _Shape and returns its values with
-# the fault flags of every step; values where a flag is set are
+# Elementwise kernels.  Each takes a TriangleBatch and returns its values
+# with the fault flags of every step; values where a flag is set are
 # meaningless.
-
-
-def _shape(x1: Any, y1: Any, x2: Any, y2: Any, x3: Any, y3: Any) -> _Shape:
-    s1 = np.hypot(x2 - x3, y2 - y3)
-    s2 = np.hypot(x3 - x1, y3 - y1)
-    s3 = np.hypot(x1 - x2, y1 - y2)
-    area = 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
-    scale = np.maximum(np.maximum(s1, s2), s3)
-    collinear = (scale == 0.0) | (area <= _DEGENERATE_AREA * scale * scale)
-    return _Shape(x1, y1, x2, y2, x3, y3, s1, s2, s3, area, scale, _DEGENERATE * collinear)
 
 
 def _barycentric(f: Callable[[Any, Any, Any], Any]) -> Kernel:
@@ -133,13 +103,13 @@ def _barycentric(f: Callable[[Any, Any, Any], Any]) -> Kernel:
     (f(s1, s2, s3), f(s2, s3, s1), f(s3, s1, s2)): the generator
     f(a, b, c) gives the weight of the vertex opposite side a."""
 
-    def kernel(t: _Shape):
+    def kernel(t: TriangleBatch):
         return _weighted(t, f(t.s1, t.s2, t.s3), f(t.s2, t.s3, t.s1), f(t.s3, t.s1, t.s2))
 
     return kernel
 
 
-def _weighted(t: _Shape, w1: Any, w2: Any, w3: Any):
+def _weighted(t: TriangleBatch, w1: Any, w2: Any, w3: Any):
     """The point with homogeneous barycentric weights (w1, w2, w3)."""
     total = w1 + w2 + w3
     at_infinity = abs(total) <= _ZERO_WEIGHT_SUM * (abs(w1) + abs(w2) + abs(w3))
@@ -153,7 +123,7 @@ def _weighted(t: _Shape, w1: Any, w2: Any, w3: Any):
 _SIGNED_SUMS = (lambda a, b, c: -a + b + c, lambda a, b, c: a - b + c, lambda a, b, c: a + b - c)
 
 
-def _excentral_weights(t: _Shape):
+def _excentral_weights(t: TriangleBatch):
     """What the three excenters share: the denominators d_k (the side sum
     with s_k negated), the products s_i·x_i and s_i·y_i, and the fault
     flags, which fail all three where any d_k <= 0."""
@@ -174,7 +144,7 @@ def _excenter_of(weights: Any, k: int):
     return _SIGNED_SUMS[k](*u) / den, _SIGNED_SUMS[k](*v) / den, fault
 
 
-def _excenters(t: _Shape):
+def _excenters(t: TriangleBatch):
     """((x1', x2', x3'), (y1', y2', y3'), fault), the shared weights formed once."""
     weights = _excentral_weights(t)
     (x1, y1, _), (x2, y2, _), (x3, y3, fault) = [_excenter_of(weights, k) for k in range(3)]
@@ -192,26 +162,26 @@ def _vertex(k: int) -> Kernel:
     return lambda t: (t[2 * k], t[2 * k + 1], np.zeros_like(t.fault))
 
 
-def _bevan(t: _Shape):
+def _bevan(t: TriangleBatch):
     """X40, the circumcenter of the excentral triangle: 2·X3 − X1."""
     return _bevan_of(t, _circumcenter(t))
 
 
-def _bevan_of(t: _Shape, circumcenter: Any):
+def _bevan_of(t: TriangleBatch, circumcenter: Any):
     """X40 from X3 (``_circumcenter``'s triple)."""
     ox, oy, f3 = circumcenter
     ix, iy, f1 = _incenter(t)
     return 2.0 * ox - ix, 2.0 * oy - iy, f3 | f1
 
 
-def _excentral_centroid(t: _Shape):
+def _excentral_centroid(t: TriangleBatch):
     """X165, the centroid of the excentral triangle: X3 + (X3 − X1)/3."""
     ox, oy, f3 = _circumcenter(t)
     ix, iy, f1 = _incenter(t)
     return (4.0 * ox - ix) / 3.0, (4.0 * oy - iy) / 3.0, f3 | f1
 
 
-def _circumcircle_inverse(t: _Shape, circumcenter: Any, px: Any, py: Any, fault: Any):
+def _circumcircle_inverse(t: TriangleBatch, circumcenter: Any, px: Any, py: Any, fault: Any):
     """Inverse of p in the circumcircle about X3 (``_circumcenter``'s
     triple), with circumradius s1 s2 s3 / 4K."""
     ox, oy, f3 = circumcenter
@@ -220,16 +190,16 @@ def _circumcircle_inverse(t: _Shape, circumcenter: Any, px: Any, py: Any, fault:
     return x, y, fault | f3 | _unless(ok, _AT_CENTER)
 
 
-def _x36(t: _Shape):
+def _x36(t: TriangleBatch):
     return _circumcircle_inverse(t, _circumcenter(t), *_incenter(t))
 
 
-def _x2077(t: _Shape):
+def _x2077(t: TriangleBatch):
     o = _circumcenter(t)
     return _circumcircle_inverse(t, o, *_bevan_of(t, o))
 
 
-def _intouch(t: _Shape) -> Tuple[Any, Any, Any, Any, Any, Any]:
+def _intouch(t: TriangleBatch) -> Tuple[Any, Any, Any, Any, Any, Any]:
     """Contact triangle: vertex i is the incircle's touchpoint on the side
     opposite P_i, at tangent length s - s_j from the side's start P_j."""
     s = 0.5 * (t.s1 + t.s2 + t.s3)
@@ -243,19 +213,19 @@ def _intouch(t: _Shape) -> Tuple[Any, Any, Any, Any, Any, Any]:
     )
 
 
-def _x65(t: _Shape):
+def _x65(t: TriangleBatch):
     """Orthocenter of the intouch triangle."""
-    x, y, fault = _orthocenter(_shape(*_intouch(t)))
+    x, y, fault = _orthocenter(TriangleBatch.of(*_intouch(t), t.ok))
     return x, y, t.fault | fault
 
 
-def _x354(t: _Shape):
+def _x354(t: TriangleBatch):
     """Centroid of the intouch triangle."""
     u1, v1, u2, v2, u3, v3 = _intouch(t)
     return (u1 + u2 + u3) / 3.0, (v1 + v2 + v3) / 3.0, t.fault
 
 
-def _x942(t: _Shape):
+def _x942(t: TriangleBatch):
     """Nine-point center of the intouch triangle: midpoint of its
     circumcenter (= X1 of the base triangle) and its orthocenter."""
     ix, iy, f1 = _incenter(t)
@@ -263,7 +233,7 @@ def _x942(t: _Shape):
     return 0.5 * (ix + hx), 0.5 * (iy + hy), f1 | fh
 
 
-def _reflections(t: _Shape):
+def _reflections(t: TriangleBatch):
     """((x, y) per vertex, fault): each vertex reflected across the line of
     its opposite side."""
     out = []
@@ -280,7 +250,7 @@ def _reflections(t: _Shape):
     return out, fault
 
 
-def _x484(t: _Shape):
+def _x484(t: TriangleBatch):
     """Evans perspector: the concurrence of the lines joining each
     excenter to the reflection of its opposite vertex across the far side.
 
@@ -326,28 +296,21 @@ def _raise_for(fault: Any) -> None:
         raise GeometryError("construction lines are parallel or not concurrent")
 
 
-def _shape_of(coords: Sequence[Any]) -> _Shape:
-    """The _Shape of the triangles with the vertex coordinate arrays
-    (x1, y1, x2, y2, x3, y3), which every kernel reads."""
+def _evaluate(kernel: Kernel, tri: TriangleBatch):
     with quiet_fp():
-        return _shape(*coords)
+        return kernel(tri)
 
 
-def _evaluate(kernel: Kernel, shape: _Shape):
-    with quiet_fp():
-        return kernel(shape)
-
-
-def _one(tri: Triangle) -> List[Any]:
-    """The vertex coordinate arrays of the batch that holds one triangle."""
-    return [np.array([c]) for p in tri.vertices() for c in p]
+def _one(tri: Triangle) -> TriangleBatch:
+    """The batch that holds one triangle."""
+    return TriangleBatch.of(*(np.array([c]) for p in tri.vertices() for c in p), np.array([True]))
 
 
 def center(tri: Triangle, tracked: Union[CenterDefinition, str, int]) -> Point:
     """Evaluate a tracked point (see ``kernel_of``) by its kernel on the
     batch that holds only tri; raises where that batch marks the triangle
     invalid."""
-    x, y, fault = _evaluate(kernel_of(tracked), _shape_of(_one(tri)))
+    x, y, fault = _evaluate(kernel_of(tracked), _one(tri))
     _raise_for(fault[0])
     return Point(float(x[0]), float(y[0]))
 
@@ -358,19 +321,14 @@ def center_arrays(tri: TriangleBatch, tracked: Union[CenterDefinition, str, int]
     ok is false where the batch has no triangle or where ``center``
     raises for it.
     """
-    return _center_on(_shape_of(tri[:6]), tri.ok, kernel_of(tracked))
-
-
-def _center_on(shape: _Shape, ok: Any, kernel: Kernel):
-    """``center_arrays`` of a kernel on the built _Shape and the mask ok."""
-    x, y, fault = _evaluate(kernel, shape)
-    return x, y, ok & (fault == 0)
+    x, y, fault = _evaluate(kernel_of(tracked), tri)
+    return x, y, tri.ok & (fault == 0)
 
 
 def excenters(tri: Triangle) -> ExcentralTriangle:
     """Excenters of a triangle, the vertices of its excentral triangle,
     from their shared weights on the batch of one."""
-    xs, ys, fault = _evaluate(_excenters, _shape_of(_one(tri)))
+    xs, ys, fault = _evaluate(_excenters, _one(tri))
     _raise_for(fault[0])
     return ExcentralTriangle(*(Point(float(x[0]), float(y[0])) for x, y in zip(xs, ys)))
 
@@ -424,7 +382,7 @@ def _w_x59(a: float, b: float, c: float) -> float:
     return a * a * (ab * ab) * (ac * ac) * (c + a - b) * (a + b - c)
 
 
-def _x46(t: _Shape):
+def _x46(t: TriangleBatch):
     """Trilinears cos B + cos C - cos A, times the side for barycentric
     weights; the three cosines are shared by the three weights."""
     ca, cb, cc = _cosines(t.s1, t.s2, t.s3)

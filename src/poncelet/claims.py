@@ -34,12 +34,15 @@ from .geom import (
 from .families import (
     _bic3_limiting_points,
     _bic3_second_caustic,
+    _poristic_offset,
     MINUS,
     PLUS,
     BicentricParams,
     ConfocalParams,
     FamilyConfig,
+    NoPoristicPair,
     TangentBranch,
+    TriangleBatch,
     bic1_config,
     bic2_config,
     bic2_envelope,
@@ -54,11 +57,10 @@ from .families import (
     degenerate_envelope_inradius,
     envelope_points,
 )
-from .centers import _center_on, _cosines, kernel_of
+from .centers import _cosines, center_arrays
 from .loci import (
     _grid,
     _grid_samples,
-    _sample,
     CONIC_TOL,
     Locus,
     classify_locus,
@@ -434,11 +436,10 @@ def _free_sides(cfg: FamilyConfig, n: int) -> Line:
     return Line(a[ok], b[ok], c[ok])
 
 
-def _member_shapes(cfg: FamilyConfig, n: int):
-    """Side lengths and area (``centers._shape``) of the members at n
-    uniformly spaced angles, where they exist."""
-    samples = _grid_samples(cfg, n)
-    return samples.shape._make(v[samples.tri.ok] for v in samples.shape)
+def _members(cfg: FamilyConfig, n: int) -> TriangleBatch:
+    """The members at n uniformly spaced angles, where they exist."""
+    _, tri = _grid_samples(cfg, n)
+    return tri._make(v[tri.ok] for v in tri)
 
 
 def _worst(values: np.ndarray) -> float:
@@ -480,11 +481,9 @@ def _min_axis_distance(cfg: FamilyConfig, tracked: Sequence[str]) -> List[float]
     one of its ends, after which no step moves a bracket.
     """
 
-    kernels = [kernel_of(pid) for pid in tracked]
-
     def ys_at(ts: np.ndarray):
-        samples = _sample(cfg, ts)
-        return [_center_on(samples.shape, samples.tri.ok, k)[1:] for k in kernels]
+        tri = cfg.triangles(ts)
+        return [center_arrays(tri, pid)[1:] for pid in tracked]
 
     ts = 2.0 * np.pi * np.arange(_AXIS_SAMPLES + 1) / _AXIS_SAMPLES  # both ends
     best, brackets = [], []
@@ -568,8 +567,13 @@ def _nonconic_evidence(loc: Locus) -> Tuple[bool, float]:
 
 
 def _is_poristic(p: BicentricParams) -> bool:
-    """Whether d is Chapple's poristic offset; never when R < 2r."""
-    return p.R >= 2.0 * p.r and abs(p.d - chapple_distance(p.R, p.r)) <= 1e-12
+    """Whether d is Chapple's poristic offset, as a bic-I config checks
+    it; never when R < 2r."""
+    try:
+        _poristic_offset(p.R, p.r, p.d)
+    except NoPoristicPair:
+        return False
+    return True
 
 
 @_claim("thm:bicII-x1", "theorem")
@@ -843,7 +847,7 @@ def check_x2_homothety_half_n4(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     loc = trace_locus(cfg, "X2", 512)
     metric = _ellipse_deviation(loc.valid_xy(), a / 3.0, b / 3.0)
 
-    tri = _grid_samples(cfg, 512).tri
+    _, tri = _grid_samples(cfg, 512)
     midpoint_worst = _worst(np.hypot(tri.x2 + tri.x3, tri.y2 + tri.y3)[tri.ok] / 2.0)
 
     loc_off = trace_locus(conf2_config(a, b, 0.8 * lam4), "X2", 512)
@@ -996,14 +1000,14 @@ def check_conserved_quantities() -> ClaimReport:
     and reciprocal aspect ratios of the two closing-family ellipses."""
     R, r = 1.0, 0.2
     cfg1 = bic1_config(R, r)
-    shape = _member_shapes(cfg1, 512)
-    cos_worst = _worst(sum(_cosines(shape.s1, shape.s2, shape.s3)) - (1.0 + r / R))
+    tri = _members(cfg1, 512)
+    cos_worst = _worst(sum(_cosines(tri.s1, tri.s2, tri.s3)) - (1.0 + r / R))
 
     a, b = 2.0, 1.0
     cfgc = conf1_config(a, b)
-    shape = _member_shapes(cfgc, 512)
-    perims = shape.s1 + shape.s2 + shape.s3
-    ratios = (2.0 * shape.area / perims) / (shape.s1 * shape.s2 * shape.s3 / (4.0 * shape.area))
+    tri = _members(cfgc, 512)
+    perims = tri.s1 + tri.s2 + tri.s3
+    ratios = (2.0 * tri.area / perims) / (tri.s1 * tri.s2 * tri.s3 / (4.0 * tri.area))
     perim_spread = float((perims.max() - perims.min()) / perims.mean())
     ratio_spread = float((ratios.max() - ratios.min()) / ratios.mean())
 

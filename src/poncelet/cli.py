@@ -4,7 +4,8 @@ Subcommands: trace (CSV locus samples), classify (JSON verdict),
 verify (run registered checks), table (verdict grid), envelope
 (free-side envelope description), svg (deterministic drawing).
 
-Exit codes: 0 success, 1 check failure, 2 usage error.  Output is
+Exit codes: 0 success, 1 check failure, 2 usage error, 141 (128 +
+SIGPIPE) when the reader of stdout closed it early.  Output is
 deterministic — JSON objects use sorted keys, CSV floats carry 17
 significant digits, and no environment or network state is consulted.
 """
@@ -15,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from typing import List, Optional, Sequence
@@ -380,7 +382,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         _apply_config(args)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone: say nothing, and keep the flush at exit quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (_CliUsage, ValueError, OSError) as exc:  # GeometryError is a ValueError
         sys.stderr.write(f"poncelet {args.command}: error: {exc}\n")
         return 2

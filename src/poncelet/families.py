@@ -95,6 +95,13 @@ class DegenerateTriangle(GeometryError):
     """Triangle with (numerically) collinear or coincident vertices."""
 
 
+# Relative area below which a triangle is collinear: its area is at most
+# _DEGENERATE_AREA times its longest side squared.  TriangleBatch.fault
+# holds the flag _DEGENERATE there, 0 elsewhere.
+_DEGENERATE_AREA = 1e-14
+_DEGENERATE = 1
+
+
 PLUS = "plus"
 MINUS = "minus"
 
@@ -304,11 +311,13 @@ class Triangle:
 
 
 class TriangleBatch(NamedTuple):
-    """Family members at many angles t, as coordinate arrays.
+    """Family members at many angles t, as arrays of the shape of t.
 
-    Every field is an array of the shape of t.  ``ok`` is false where a
-    chord step found no real tangent; the coordinates there are
-    meaningless.
+    ``ok`` is false where a chord step found no real tangent; the values
+    there are meaningless.  s_i is the side length opposite P_i, ``scale``
+    the longest side, and ``fault`` the collinearity flag
+    (``_DEGENERATE``, 0 for a proper triangle), which every center kernel
+    reads.  Build one with ``TriangleBatch.of``.
     """
 
     x1: Any
@@ -318,6 +327,24 @@ class TriangleBatch(NamedTuple):
     x3: Any
     y3: Any
     ok: Any
+    s1: Any
+    s2: Any
+    s3: Any
+    area: Any
+    scale: Any
+    fault: Any
+
+    @classmethod
+    def of(cls, x1: Any, y1: Any, x2: Any, y2: Any, x3: Any, y3: Any, ok: Any) -> "TriangleBatch":
+        """The batch of the triangles with these vertex coordinates and mask."""
+        with quiet_fp():
+            s1 = np.hypot(x2 - x3, y2 - y3)
+            s2 = np.hypot(x3 - x1, y3 - y1)
+            s3 = np.hypot(x1 - x2, y1 - y2)
+            area = 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
+            scale = np.maximum(np.maximum(s1, s2), s3)
+            collinear = (scale == 0.0) | (area <= _DEGENERATE_AREA * scale * scale)
+        return cls(x1, y1, x2, y2, x3, y3, ok, s1, s2, s3, area, scale, _DEGENERATE * collinear)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +635,11 @@ class FamilyConfig:
         caustic); a vertex without a real tangent clears ``ok`` at its
         angle.
         """
+        return TriangleBatch.of(*self._vertices(t))
+
+    def _vertices(self, t: Any) -> Tuple[Any, ...]:
+        """(x1, y1, x2, y2, x3, y3, ok): the members at the angles t, without
+        the measures ``TriangleBatch.of`` adds."""
         p = self.params
         first = self._first_step(t)
         if FAMILY_SPECS[self.kind].chain:
@@ -615,7 +647,7 @@ class FamilyConfig:
         # Both tangents leave P1: one tangent condition for the pair.
         x1, y1, x2, y2, ok = first
         x3, y3, _ = p.chord(p.caustic_shape(), x1, y1, -_branch_sign(self.branch.first))
-        return TriangleBatch(x1, y1, x2, y2, x3, y3, ok)
+        return x1, y1, x2, y2, x3, y3, ok
 
     def _first_step(self, t: Any) -> Tuple[Any, Any, Any, Any, Any]:
         """(x1, y1, x2, y2, ok): P1 at the angles t, and P2 along the first
@@ -625,14 +657,14 @@ class FamilyConfig:
         x2, y2, ok = p.chord(p.caustic_shape(), x1, y1, _branch_sign(self.branch.first))
         return x1, y1, x2, y2, ok
 
-    def _chain_step(self, first: Tuple[Any, ...], pencil: Tuple[Any, Any]) -> TriangleBatch:
-        """A chain's members from their ``_first_step``: P3 along the second
-        branch's tangent from P2 to the pencil caustic of shape ``pencil``.
-        The shape may hold arrays that broadcast against P2 (a column of
-        pencil circles gives one row of members per circle)."""
+    def _chain_step(self, first: Tuple[Any, ...], pencil: Tuple[Any, Any]) -> Tuple[Any, ...]:
+        """A chain's ``_vertices`` from their ``_first_step``: P3 along the
+        second branch's tangent from P2 to the pencil caustic of shape
+        ``pencil``.  The shape may hold arrays that broadcast against P2 (a
+        column of pencil circles gives one row of members per circle)."""
         x1, y1, x2, y2, ok = first
         x3, y3, ok3 = self.params.chord(pencil, x2, y2, _branch_sign(self.branch.second))
-        return TriangleBatch(x1, y1, x2, y2, x3, y3, ok & ok3)
+        return x1, y1, x2, y2, x3, y3, ok & ok3
 
     def triangle(self, t: float) -> Triangle:
         """The member at angle t, the one-angle batch of ``triangles``;
@@ -650,15 +682,16 @@ class FamilyConfig:
         The free side is the one no prescribed caustic constrains: P2P3
         for a pair, P3P1 for a chain.
         """
-        return self._free_sides_of(self.triangles(t))
+        return self._free_sides_of(self._vertices(t))
 
-    def _free_sides_of(self, tri: TriangleBatch) -> Tuple[Any, Any, Any, Any]:
-        """``free_sides`` of the members in tri."""
+    def _free_sides_of(self, vertices: Tuple[Any, ...]) -> Tuple[Any, Any, Any, Any]:
+        """``free_sides`` of the members with these ``_vertices``."""
+        x1, y1, x2, y2, x3, y3, ok = vertices
         if FAMILY_SPECS[self.kind].chain:
-            a, b, c, ok = _line_through(tri.x3, tri.y3, tri.x1, tri.y1)
+            a, b, c, ok_line = _line_through(x3, y3, x1, y1)
         else:
-            a, b, c, ok = _line_through(tri.x2, tri.y2, tri.x3, tri.y3)
-        return a, b, c, tri.ok & ok
+            a, b, c, ok_line = _line_through(x2, y2, x3, y3)
+        return a, b, c, ok & ok_line
 
     def closed_form_envelope(self) -> Optional[Conic]:
         """Known envelope of the free side, where a closed form exists."""

@@ -128,28 +128,14 @@ class CurveFit:
     conic: Optional[Conic] = None
 
 
-class _Samples(NamedTuple):
-    """A family at the angles t: its TriangleBatch and the batch's
-    ``centers._Shape`` (side lengths, area, scale, fault flags)."""
-
-    t: np.ndarray
-    tri: TriangleBatch
-    shape: _centers._Shape
-
-
-def _sample(cfg: FamilyConfig, ts: np.ndarray) -> _Samples:
-    tri = cfg.triangles(ts)
-    return _Samples(ts, tri, _centers._shape_of(tri[:6]))
-
-
 def _grid(n: int) -> np.ndarray:
     """The t grid of n samples: 2 pi k / n for k = 0 .. n - 1."""
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _grid_samples(cfg: FamilyConfig, n: int) -> _Samples:
-    """The family on the n-sample grid, kept read-only on the config
-    object until it is asked for another n.
+def _grid_samples(cfg: FamilyConfig, n: int) -> Tuple[np.ndarray, TriangleBatch]:
+    """(t, members): the family on the n-sample grid, kept read-only on
+    the config object until it is asked for another n.
 
     Every kernel is elementwise, so what a tracked point reads from kept
     samples has the bits of a fresh config's.  The holder belongs to the
@@ -159,11 +145,12 @@ def _grid_samples(cfg: FamilyConfig, n: int) -> _Samples:
     """
     kept = cfg._kept
     if n not in kept:
-        samples = _sample(cfg, _grid(n))
-        for arr in (samples.t, *samples.tri, *samples.shape):
+        ts = _grid(n)
+        tri = cfg.triangles(ts)
+        for arr in (ts, *tri):
             arr.flags.writeable = False
         kept.clear()
-        kept[n] = samples
+        kept[n] = (ts, tri)
     return kept[n]
 
 
@@ -175,9 +162,9 @@ def trace_locus(
     angles.
 
     The family and the point are evaluated on the whole t grid at once.
-    The config object keeps the grid's triangles and side lengths for
-    the last n traced, so tracing many points of one family at one n
-    builds them once; the bits are those of a fresh config.  Family
+    The config object keeps the grid and its TriangleBatch for the last
+    n traced, so tracing many points of one family at one n builds them
+    once; the bits are those of a fresh config.  Family
     configurations where some angles are inadmissible (vertex
     inside a caustic, degenerate triangle) yield invalid samples, which
     are kept in place — marked — so the t-grid stays uniform.  A sample
@@ -188,20 +175,19 @@ def trace_locus(
     ``min_valid`` defaults to the floor classification needs; pass a
     smaller value when the samples are only being printed or plotted.
     """
-    kernel = _centers.kernel_of(tracked)
+    _centers.kernel_of(tracked)  # an unknown id raises before any sampling
     need = MIN_VALID_SAMPLES if min_valid is None else min_valid
     if n < need:
         raise InsufficientSamples(f"need at least {need} samples, got {n}")
     try:
-        samples = _grid_samples(cfg, n)
+        ts, tri = _grid_samples(cfg, n)
     except GeometryError:
         # The parameters admit no member at all.
         ts = _grid(n)
         x = y = np.full(n, np.nan)
         ok = np.zeros(n, dtype=bool)
     else:
-        ts = samples.t
-        x, y, ok = _centers._center_on(samples.shape, samples.tri.ok, kernel)
+        x, y, ok = _centers.center_arrays(tri, tracked)
     ok = ok & np.isfinite(x) & np.isfinite(y)
     valid = int(np.count_nonzero(ok))
     if valid < need:

@@ -43,7 +43,7 @@ from poncelet.families import (
     conf2_config,
     conf3_config,
 )
-from poncelet.claims import DEFAULT_BIC2, _min_axis_distance
+from poncelet.claims import DEFAULT_BIC2, _min_axis_distance, bic3_collapse_u
 from poncelet.families import _ENVELOPE_STEP, envelope_points
 from poncelet.geom import GeometryError, Line, Point
 from poncelet.loci import _grid_samples, trace_locus
@@ -196,7 +196,8 @@ def test_kept_samples_are_read_only():
     trace_locus(cfg, "X1", N)
     kept = _grid_samples(cfg, N)
     assert _grid_samples(cfg, N) is kept
-    for arr in (kept.t, *kept.tri, *kept.shape):
+    ts, tri = kept
+    for arr in (ts, *tri):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
 
@@ -258,6 +259,25 @@ def test_envelope_points_match_the_per_angle_construction(cfg):
         want = _scalar_envelope(cfg, ts.tolist())
         assert got.shape == (len(want), 2)
         assert got.tolist() == want
+
+
+def test_only_the_members_with_their_measures_build_a_batch(monkeypatch):
+    """The free sides, their envelope and the collapse search read bare
+    member coordinates; ``triangles`` and a trace build the batch."""
+
+    def refuse(*args):
+        raise RuntimeError("batch built")
+
+    monkeypatch.setattr(TriangleBatch, "of", refuse)
+    ts = 2.0 * np.pi * np.arange(N) / N
+    for cfg in (bic2_config(1.0, 0.2, 0.3), bic3_config(1.0, 0.15, 0.25, 0.4)):
+        assert cfg.free_sides(ts)[3].any()
+        assert len(envelope_points(cfg.free_sides, ts))
+        with pytest.raises(RuntimeError, match="batch built"):
+            cfg.triangles(ts)
+        with pytest.raises(RuntimeError, match="batch built"):
+            trace_locus(cfg, "X1", N)
+    assert 0.3 < bic3_collapse_u(1.0, 0.15, 0.25) < 1.0
 
 
 def _scalar_min_axis_distance(cfg, tracked, n=512, steps=64):
@@ -359,7 +379,7 @@ def _triangle(vertices):
 def _batch(rows):
     """A TriangleBatch over the given vertex triples, all marked present."""
     cols = np.array([[c for v in row for c in v] for row in rows]).T
-    return TriangleBatch(*cols, np.ones(len(rows), dtype=bool))
+    return TriangleBatch.of(*cols, np.ones(len(rows), dtype=bool))
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))

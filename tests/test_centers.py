@@ -202,7 +202,7 @@ def test_bevan_point_alias():
 def _intouch_triangle(tri: Triangle) -> Triangle:
     """The contact triangle from the intouch kernel; vertex i is the
     incircle's touchpoint on the side opposite P_i."""
-    u1, v1, u2, v2, u3, v3 = C._intouch(C._shape(*tri.p1, *tri.p2, *tri.p3))
+    u1, v1, u2, v2, u3, v3 = C._intouch(TriangleBatch.of(*tri.p1, *tri.p2, *tri.p3, True))
     return Triangle(Point(u1, v1), Point(u2, v2), Point(u3, v3), tri.t)
 
 
@@ -414,7 +414,7 @@ RELABELLINGS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1))
 def _relabel(tri: TriangleBatch, perm) -> TriangleBatch:
     """The batch whose vertex m is vertex perm[m] of tri."""
     verts = ((tri.x1, tri.y1), (tri.x2, tri.y2), (tri.x3, tri.y3))
-    return TriangleBatch(*(c for m in perm for c in verts[m]), tri.ok)
+    return TriangleBatch.of(*(c for m in perm for c in verts[m]), tri.ok)
 
 
 EXCENTER_IDS = ("P1'", "P2'", "P3'")
@@ -594,7 +594,8 @@ def _same_bits(got, want):
 def test_shared_subexpression_kernels_keep_their_bits(cfg):
     tri = cfg.triangles(2.0 * np.pi * np.arange(1024) / 1024)
     extra = np.array([[c for v in row for c in v] for row in DEGENERATE_ROWS]).T
-    shape = C._shape_of([np.concatenate((v, e)) for v, e in zip(tri[:6], extra)])
+    ok = np.concatenate((tri.ok, np.ones(len(DEGENERATE_ROWS), dtype=bool)))
+    shape = TriangleBatch.of(*(np.concatenate((v, e)) for v, e in zip(tri[:6], extra)), ok)
     for key, old in OLD_KERNELS.items():
         got, want = C._evaluate(C.kernel_of(key), shape), C._evaluate(old, shape)
         assert all(_same_bits(g, w) for g, w in zip(got, want)), key

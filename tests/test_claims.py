@@ -5,9 +5,19 @@ import numpy as np
 import pytest
 
 from poncelet import claims
-from poncelet.families import BicentricParams, ConfocalParams, bic2_config, bic3_config, critical_lambda
+from poncelet.families import (
+    BicentricParams,
+    ConfocalParams,
+    FamilyConfig,
+    NoPoristicPair,
+    bic2_config,
+    bic3_config,
+    chapple_distance,
+    critical_lambda,
+)
 from poncelet.claims import (
     _hausdorff,
+    _is_poristic,
     ClaimReport,
     all_claims,
     check_bicII_envelope,
@@ -15,6 +25,7 @@ from poncelet.claims import (
     check_bicII_x1_circle,
     check_confII_envelope,
     check_confII_excenter_ellipse,
+    check_confII_x1_conic_only_at_critical,
     claim_ids,
     run_claims,
     summary_table,
@@ -245,3 +256,28 @@ def test_bicII_x2_sextic_is_scale_free(R):
     assert rep.passed and rep.metric <= 1e-14
     unit = control(BicentricParams(1.0, 0.2, 0.3))
     assert control(p) == pytest.approx(unit, rel=1e-9)
+
+
+@pytest.mark.parametrize("R", [1.0, 1e4])
+def test_poristic_offset_is_the_one_bic_I_accepts(R):
+    """An offset one part in 1e14 off Chapple's is the closing pair at any
+    length unit, as a bic-I config accepts it; 1e-10 off is neither."""
+    r = 0.2 * R
+    near = BicentricParams(R, r, chapple_distance(R, r) * (1.0 + 1e-14))
+    FamilyConfig("bic-I", near)  # accepted
+    assert _is_poristic(near)
+    notes = check_bicII_excenter_circle(near).notes
+    assert any(note.startswith("closing pair: ") for note in notes)
+    far = replace(near, d=chapple_distance(R, r) * (1.0 + 1e-10))
+    with pytest.raises(NoPoristicPair):
+        FamilyConfig("bic-I", far)
+    assert not _is_poristic(far)
+    assert not _is_poristic(BicentricParams(R, 0.6 * R, 0.1 * R))  # R < 2r
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "CHANGES.md FOUND: prop:confII-x1 fails for eccentric outer ellipses; the"
+    " smallest off-closing conic residual (7.4e-7 at a = 6) falls under its"
+    " fixed 1e-6 bound"))
+def test_confII_x1_holds_for_an_eccentric_outer_ellipse():
+    assert check_confII_x1_conic_only_at_critical(6.0, 1.0).passed

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -576,3 +580,21 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     for argv, want in zip(calls + calls, first + first):
         assert run(capsys, *argv) == want
     assert _build_parser() is parser
+
+
+@pytest.mark.parametrize("argv", [("verify", "--all"), ("verify", "thm:bicII-x1")])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    """A reader that closes stdout early (``verify --all | head -1``) is not
+    a usage error: the CLI writes nothing to stderr and exits 128 + SIGPIPE,
+    also where the output fits the buffer that is flushed last."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "poncelet.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert err == b""

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from poncelet.centers import _shape
 from poncelet.geom import (
     Conic,
     Line,
@@ -22,6 +21,7 @@ from poncelet.families import (
     NoPoristicPair,
     TangentBranch,
     Triangle,
+    TriangleBatch,
     _conf3_second_caustic,
     bic1_config,
     bic2_config,
@@ -433,14 +433,14 @@ def test_closed_form_envelope_presence():
 
 
 def test_triangle_metrics():
-    """The test oracle's measures and the center kernels' _shape agree."""
+    """The test oracle's measures and the batch builder's agree."""
     tri = MeasuredTriangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0), 0.0)
     assert abs(tri.area() - 6.0) < 1e-15
     assert abs(tri.inradius() - 1.0) < 1e-15
     assert abs(tri.circumradius() - 2.5) < 1e-15
     s = sorted(tri.side_lengths())
     assert abs(s[0] - 3.0) < 1e-15 and abs(s[2] - 5.0) < 1e-15
-    shape = _shape(*tri.p1, *tri.p2, *tri.p3)
+    shape = TriangleBatch.of(*tri.p1, *tri.p2, *tri.p3, True)
     assert (shape.s1, shape.s2, shape.s3) == tri.side_lengths()
     assert shape.area == tri.area()
 

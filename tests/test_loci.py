@@ -804,11 +804,11 @@ def test_a_traced_locus_copies_the_kept_grid():
     memory with its config's kept grid."""
     cfg = bic2_config(1.0, 0.2, 0.3)
     loc = trace_locus(cfg, "X1", 256)
-    kept = cfg._kept[256]
+    ts, tri = cfg._kept[256]
     for name in ("t", "x", "y", "ok"):
         arr = getattr(loc, name)
         assert not arr.flags.writeable, name
-        for held in (*kept.tri, *kept.shape, kept.t):
+        for held in (ts, *tri):
             assert not np.shares_memory(arr, held), name
 
 

@@ -11,11 +11,11 @@ Fits are total-least-squares implicit fits: the sample coordinates are
 centered and scaled to unit RMS radius, a design matrix over all
 monomials up to the requested degree is assembled (graded, so a lower
 degree's design is a column prefix: the ladder fills one design, each
-grade when a degree first reaches it, and takes one SVD per degree, of
-the m x m QR factor R of its n x m prefix), and the smallest right
-singular vector gives the coefficient vector; the residual is the
-smallest singular value over sqrt(n), i.e. the RMS of the normalized
-implicit values.
+grade when a degree first reaches it, its powers as running products,
+and takes one SVD per degree, of the m x m QR factor R of its n x m
+prefix), and the smallest right singular vector gives the coefficient
+vector; the residual is the smallest singular value over sqrt(n), i.e.
+the RMS of the normalized implicit values.
 """
 
 from __future__ import annotations
@@ -242,7 +242,9 @@ class _MonomialDesign:
 
     Columns are written into one column-major buffer, so every degree's
     design is a ready column prefix; each is ``xp[i] * yp[j]`` with
-    ``xp[i] = x ** i``, the same bits as a design built whole."""
+    ``xp[i] = xp[i - 1] * x`` from i = 2 on (``x ** 2``'s bits), so no bit
+    hangs on the host's ``pow`` and -x gives the sign-flipped design: the
+    same bits as a design built whole from sequential products."""
 
     def __init__(self, norm: np.ndarray, top: int) -> None:
         self._norm = norm
@@ -259,9 +261,10 @@ class _MonomialDesign:
     def columns(self, degree: int) -> np.ndarray:
         """The (n, m) design up to ``degree``; builds the grades it lacks."""
         xp, yp, cols = self._xp, self._yp, self._cols
+        x, y = self._norm[:, 0], self._norm[:, 1]
         for d in range(len(xp), degree + 1):
-            xp.append(self._norm[:, 0] ** d)
-            yp.append(self._norm[:, 1] ** d)
+            xp.append(x ** d if d < 2 else xp[d - 1] * x)
+            yp.append(y ** d if d < 2 else yp[d - 1] * y)
             first = d * (d + 1) // 2
             for i in range(d, -1, -1):
                 np.multiply(xp[i], yp[d - i], out=cols[:, first + d - i])

@@ -628,6 +628,25 @@ def test_classify_raises_mid_ladder_where_the_fit_curve_ladder_does(n, monkeypat
     assert raised > 0
 
 
+@pytest.mark.parametrize("cfg", _LADDER_CONFIGS, ids=lambda cfg: f"{cfg.kind}-{cfg.params}")
+def test_verdicts_do_not_depend_on_axis_reflections(cfg):
+    for tracked in _TABLE2_COLUMNS:
+        for n in (256, 512, 1024):
+            loc = trace_locus(cfg, tracked, n=n)
+            want = classify_locus(loc)
+            for sx, sy in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+                got = classify_locus(Locus(cfg, tracked, loc.t, sx * loc.x, sy * loc.y, loc.ok))
+                assert (got.degree, got.verdict) == (want.degree, want.verdict), (tracked, n, sx, sy)
+
+
+@pytest.mark.parametrize("k", [1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4])
+def test_conf2_x2_reads_degree_6_at_every_frame_scale(k):
+    # The certified sextic (ROADMAP item 1) at n = 512 and k times the
+    # default frame (a, b) = (2, 1), lambda = 0.5.
+    fit = classify_locus(trace_locus(conf2_config(2.0 * k, k, 0.5 * k * k), "X2", n=512))
+    assert (fit.verdict, fit.degree) == ("algebraic", 6)
+
+
 def _record_designs(monkeypatch):
     """A list that collects every design made from now on."""
     made = []
@@ -676,9 +695,18 @@ def test_ladder_builds_every_grade_for_a_nonconic_locus(monkeypatch):
     assert built == [loci.MAX_DEGREE]
 
 
+def _whole_design(norm, degree):
+    """Every monomial column up to ``degree`` at once, its powers the
+    running products of ``np.cumprod`` (x^0 = 1, then x, x * x, ...)."""
+    ones = np.ones((len(norm), 1))
+    xp = np.cumprod(np.hstack([ones] + [norm[:, :1]] * degree), axis=1)
+    yp = np.cumprod(np.hstack([ones] + [norm[:, 1:]] * degree), axis=1)
+    return np.column_stack([xp[:, i] * yp[:, j] for i, j in monomial_exponents(degree)])
+
+
 def test_design_grades_are_the_columns_of_the_whole_design():
     norm, _, _ = loci._normalize_samples(trace_locus(BIC2, "X2", n=512).valid_xy())
-    whole = np.column_stack([norm[:, 0] ** i * norm[:, 1] ** j for i, j in monomial_exponents(8)])
+    whole = _whole_design(norm, 8)
     design = loci._MonomialDesign(norm, 8)
     built = -1
     for degree in (2, 1, 5, 3, 8):  # grades are built once, on first reach
@@ -705,7 +733,7 @@ def _svd_oracle_fits(samples, degrees):
     """fit_curve at each degree, rebuilt on the SVD of the n x m prefix
     of the whole degree-8 design, with no code shared with the rung."""
     norm, shift, s = loci._normalize_samples(samples)
-    whole = np.column_stack([norm[:, 0] ** i * norm[:, 1] ** j for i, j in monomial_exponents(8)])
+    whole = _whole_design(norm, 8)
     for degree in degrees:
         _, sigma, vt = np.linalg.svd(whole[:, : len(monomial_exponents(degree))], full_matrices=False)
         residual = float(sigma[-1]) / math.sqrt(len(norm))

@@ -5,10 +5,12 @@ Every tracked point is one kernel, looked up by its id in one table
 opposite P_k), and the centers by their Kimberling index (X1 =
 incenter, X2 = barycenter, ...).  Most center kernels are made by
 ``_barycentric`` from a homogeneous barycentric weight generator of the
-side lengths; a few are geometric constructions (circumcircle
-inversion, excentral-triangle circumcenter/centroid, intouch-triangle
-centers, a perspector), which the test suite checks against their own
-trilinear or barycentric formulas, not held in this module.
+side lengths; a few compose other kernels (the circumcircle inverses
+X36, X484 and X2077 of X1, X35 and X40, the points X40, X165 and X942
+of the line OI, the intouch centroid X354).  The test suite checks them
+against their own trilinear or barycentric formulas and against the
+constructions they equal (the Evans perspector's three lines, the
+intouch orthocenter), which this module does not hold.
 
 Weight formulas follow the standard encyclopedia of triangle centers;
 each one is guarded by an independent geometric incidence oracle in
@@ -32,12 +34,9 @@ import numpy as np
 
 from .families import _DEGENERATE, DegenerateTriangle, Triangle, TriangleBatch
 from .geom import (
-    GeometryError,
     InversionOfCenter,
     Point,
     _invert,
-    _line_through,
-    _meet,
     _nonzero,
     _unless,
     quiet_fp,
@@ -55,15 +54,12 @@ __all__ = [
 
 # Relative weight sum below which a center is at infinity.
 _ZERO_WEIGHT_SUM = 1e-14
-# Relative residual allowed in the X484 perspector's concurrence.
-_CONCURRENCE_TOL = 1e-8
 
 # Fault flags of the kernels below, or-ed together; 0 marks a valid
 # sample.  ``center`` and ``excenters`` raise the error of the first
 # flag set, testing _DEGENERATE first: collinear vertices (the batch's
 # own flag), or weights summing to zero.
 _AT_CENTER = 2  # inversion of the circumcenter itself
-_NO_MEET = 4  # construction lines undefined, parallel or not concurrent
 
 
 # A kernel maps a TriangleBatch to (x, y, fault), elementwise.
@@ -199,6 +195,11 @@ def _x2077(t: TriangleBatch):
     return _circumcircle_inverse(t, o, *_bevan_of(t, o))
 
 
+def _x484(t: TriangleBatch):
+    """Evans perspector: the circumcircle inverse of X35."""
+    return _circumcircle_inverse(t, _circumcenter(t), *_x35(t))
+
+
 def _intouch(t: TriangleBatch) -> Tuple[Any, Any, Any, Any, Any, Any]:
     """Contact triangle: vertex i is the incircle's touchpoint on the side
     opposite P_i, at tangent length s - s_j from the side's start P_j."""
@@ -211,12 +212,6 @@ def _intouch(t: TriangleBatch) -> Tuple[Any, Any, Any, Any, Any, Any]:
         t.x3 + f2 * (t.x1 - t.x3), t.y3 + f2 * (t.y1 - t.y3),
         t.x1 + f3 * (t.x2 - t.x1), t.y1 + f3 * (t.y2 - t.y1),
     )
-
-
-def _x65(t: TriangleBatch):
-    """Orthocenter of the intouch triangle."""
-    x, y, fault = _orthocenter(TriangleBatch.of(*_intouch(t), t.ok))
-    return x, y, t.fault | fault
 
 
 def _x354(t: TriangleBatch):
@@ -233,56 +228,6 @@ def _x942(t: TriangleBatch):
     return 0.5 * (ix + hx), 0.5 * (iy + hy), f1 | fh
 
 
-def _reflections(t: TriangleBatch):
-    """((x, y) per vertex, fault): each vertex reflected across the line of
-    its opposite side."""
-    out = []
-    fault = t.fault
-    for px, py, qx1, qy1, qx2, qy2 in (
-        (t.x1, t.y1, t.x2, t.y2, t.x3, t.y3),
-        (t.x2, t.y2, t.x3, t.y3, t.x1, t.y1),
-        (t.x3, t.y3, t.x1, t.y1, t.x2, t.y2),
-    ):
-        a, b, c, ok = _line_through(qx1, qy1, qx2, qy2)
-        dist = a * px + b * py + c
-        out.append((px - 2.0 * dist * a, py - 2.0 * dist * b))
-        fault = fault | _unless(ok, _NO_MEET)
-    return out, fault
-
-
-def _x484(t: TriangleBatch):
-    """Evans perspector: the concurrence of the lines joining each
-    excenter to the reflection of its opposite vertex across the far side.
-
-    The lines are concurrent for every non-degenerate triangle.  The
-    best-conditioned pair gives the point; the third line's residual
-    through it must stay within ``_CONCURRENCE_TOL`` of the triangle
-    scale.
-    """
-    exs, eys, fault = _excenters(t)
-    refl, refl_fault = _reflections(t)
-    (a0, b0, c0, ok0), (a1, b1, c1, ok1), (a2, b2, c2, ok2) = (
-        _line_through(exs[i], eys[i], *refl[i]) for i in range(3)
-    )
-    # Per sample, the pair (i, j) of lines with the largest |a_i b_j - a_j b_i|
-    # meets, and the remaining line k checks the concurrence; the pairs
-    # (0, 1), (0, 2), (1, 2) are numbered 0, 1, 2.
-    cross = np.stack((abs(a0 * b1 - a1 * b0), abs(a0 * b2 - a2 * b0), abs(a1 * b2 - a2 * b1)))
-    best = np.argmax(cross, axis=0)
-
-    def pick(v0, v1, v2):
-        """The coefficient of lines i, j and k, chosen by best."""
-        return (np.choose(best, (v0, v0, v1)), np.choose(best, (v1, v2, v2)),
-                np.choose(best, (v2, v1, v0)))
-
-    (ai, aj, ak), (bi, bj, bk), (ci, cj, ck) = pick(a0, a1, a2), pick(b0, b1, b2), pick(c0, c1, c2)
-    x, y, meets = _meet(ai, bi, ci, aj, bj, cj)
-    residual = abs(ak * x + bk * y + ck)
-    defined = ok0 & ok1 & ok2 & meets
-    off = residual > _CONCURRENCE_TOL * t.scale
-    return x, y, fault | refl_fault | _unless(defined, _NO_MEET) | _NO_MEET * off
-
-
 # ---------------------------------------------------------------------------
 # Entry points: a batch of triangles, or the batch of one.
 
@@ -292,8 +237,6 @@ def _raise_for(fault: Any) -> None:
         raise DegenerateTriangle("degenerate triangle, or center weights summing to zero")
     if fault & _AT_CENTER:
         raise InversionOfCenter("cannot invert the circle center")
-    if fault:
-        raise GeometryError("construction lines are parallel or not concurrent")
 
 
 def _evaluate(kernel: Kernel, tri: TriangleBatch):
@@ -389,22 +332,29 @@ def _x46(t: TriangleBatch):
     return _weighted(t, (cb + cc - ca) * t.s1, (cc + ca - cb) * t.s2, (ca + cb - cc) * t.s3)
 
 
+def _x65(t: TriangleBatch):
+    """Trilinears cos B + cos C, times the side for barycentric weights:
+    the orthocenter of the intouch triangle."""
+    ca, cb, cc = _cosines(t.s1, t.s2, t.s3)
+    return _weighted(t, (cb + cc) * t.s1, (cc + ca) * t.s2, (ca + cb) * t.s3)
+
+
 _incenter = _barycentric(lambda a, b, c: a)
 _circumcenter = _barycentric(_w_x3)
-_orthocenter = _barycentric(_w_x4)
+_x35 = _barycentric(_w_x35)
 
 _DEFINITIONS: List[CenterDefinition] = [
     CenterDefinition(1, _incenter),
     CenterDefinition(2, _barycentric(lambda a, b, c: 1.0)),  # barycenter
     CenterDefinition(3, _circumcenter),
-    CenterDefinition(4, _orthocenter),
+    CenterDefinition(4, _barycentric(_w_x4)),  # orthocenter
     CenterDefinition(5, _barycentric(_w_x5)),  # nine-point center
     CenterDefinition(6, _barycentric(lambda a, b, c: a * a)),  # symmedian point
     CenterDefinition(8, _barycentric(lambda a, b, c: b + c - a)),  # Nagel point
     CenterDefinition(9, _barycentric(lambda a, b, c: a * (b + c - a))),  # mittenpunkt
     CenterDefinition(10, _barycentric(lambda a, b, c: b + c)),  # Spieker center
     CenterDefinition(11, _barycentric(_w_x11)),  # Feuerbach point
-    CenterDefinition(35, _barycentric(_w_x35)),
+    CenterDefinition(35, _x35),
     CenterDefinition(36, _x36),  # circumcircle inverse of the incenter
     CenterDefinition(40, _bevan),  # Bevan point
     CenterDefinition(46, _x46),

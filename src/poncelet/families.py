@@ -476,15 +476,19 @@ def bic2_envelope(p: BicentricParams) -> Conic:
     / (R^2-d^2)^2; the absolute value is used for the returned conic and
     a zero radius yields a point conic.
     """
-    R, r, d = p.R, p.r, p.d
-    den = (R * R - d * d) ** 2
-    cx = 4.0 * d * R * R * r * r / den
-    radius = (
-        R
-        * (R ** 4 - 2.0 * R * R * d * d - 2.0 * R * R * r * r + d ** 4 - 2.0 * d * d * r * r)
-        / den
-    )
+    cx, radius = _bic2_envelope_circle(p)
     return Conic.circle(Point(cx, 0.0), abs(radius))
+
+
+def _bic2_envelope_circle(p: BicentricParams) -> Tuple[float, float]:
+    """(center x, signed radius) of ``bic2_envelope``.  w = (R-d)(R+d) is
+    R^2 - d^2 to a few ulps of itself, so the radius's numerator
+    w^2 - 2r^2(R^2+d^2) cancels no more than the radius itself does as
+    r + d -> R."""
+    R, r, d = p.R, p.r, p.d
+    w = (R - d) * (R + d)
+    den = w * w
+    return 4.0 * d * R * R * r * r / den, R * (den - 2.0 * r * r * (R * R + d * d)) / den
 
 
 def conf2_envelope(p: ConfocalParams) -> Conic:

@@ -396,8 +396,7 @@ def test_vertex_permutation_invariance():
 # The six README families.  A center does not depend on the vertex
 # labels, so relabelling every triangle of a 512-sample batch moves each
 # point only by its kernel's rounding error.  Measured over the outer
-# scale: at most 4.5e-13 for X484 (bic-III) and 3.2e-14 for every other
-# kernel.
+# scale: at most 3.2e-14 (X484 on bic-III; the excenters 3.1e-14).
 README_FAMILIES = [
     bic1_config(1.0, 0.25),
     bic2_config(1.0, 0.2, 0.3),
@@ -447,6 +446,66 @@ def test_label_symmetry_bounds_every_kernel_rounding(cfg):
         for m in range(3):
             spread = np.hypot(xs[m] - xs0[perm[m]], ys[m] - ys0[perm[m]]).max()
             assert spread / cfg.outer_scale < LABEL_SPREAD_BOUND, (perm, m)
+
+
+def _perspector_lines(t: TriangleBatch):
+    """(x, y, defined): the Evans perspector as the concurrence of the
+    lines joining each excenter to the reflection of its opposite vertex
+    across that vertex's opposite side.  The pair of lines with the
+    largest normal cross product meets; defined is false where the
+    triangle or a line is undefined, that pair is parallel, or the third
+    line misses the point by more than 1e-8 of the longest side."""
+    verts = ((t.x1, t.y1), (t.x2, t.y2), (t.x3, t.y3))
+    s1, s2, s3 = t.s1, t.s2, t.s3
+    weights = ((-s1, s2, s3), (s1, -s2, s3), (s1, s2, -s3))
+    defined = t.ok & (t.fault == 0)
+    lines = []
+    for k, w in enumerate(weights):
+        den = w[0] + w[1] + w[2]
+        defined &= den > 0.0
+        ex = sum(wi * v[0] for wi, v in zip(w, verts)) / den
+        ey = sum(wi * v[1] for wi, v in zip(w, verts)) / den
+        (px, py), (qx, qy), (rx, ry) = verts[k], verts[(k + 1) % 3], verts[(k + 2) % 3]
+        nx, ny = qy - ry, rx - qx
+        off = ((px - qx) * nx + (py - qy) * ny) / (nx * nx + ny * ny)
+        fx, fy = px - 2.0 * off * nx, py - 2.0 * off * ny
+        a, b = ey - fy, fx - ex
+        norm = np.hypot(a, b)
+        defined &= norm > 0.0
+        a, b = a / norm, b / norm
+        lines.append((a, b, -(a * ex + b * ey)))
+    pairs = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+    cross = np.stack([lines[i][0] * lines[j][1] - lines[j][0] * lines[i][1] for i, j, _ in pairs])
+    best = np.argmax(abs(cross), axis=0)
+    x, y, residual = (np.empty_like(t.x1) for _ in range(3))
+    for p, (i, j, k) in enumerate(pairs):
+        m = best == p
+        (ai, bi, ci), (aj, bj, cj), (ak, bk, ck) = ([v[m] for v in lines[q]] for q in (i, j, k))
+        det = cross[p][m]
+        x[m] = (bi * cj - bj * ci) / det
+        y[m] = (aj * ci - ai * cj) / det
+        residual[m] = abs(ak * x[m] + bk * y[m] + ck)
+    defined &= (abs(np.choose(best, cross)) > 1e-14) & (residual <= 1e-8 * t.scale)
+    return x, y, defined
+
+
+@pytest.mark.parametrize("cfg", README_FAMILIES, ids=lambda cfg: cfg.kind)
+def test_x484_and_x65_equal_their_constructions(cfg):
+    """X484 is the meet of the perspector lines and X65 the orthocenter of
+    the intouch triangle, on the same samples, at a trace's sample count."""
+    tri = cfg.triangles(2.0 * np.pi * np.arange(1024) / 1024)
+    x, y, defined = _perspector_lines(tri)
+    got = C.center_arrays(tri, "X484")
+    assert defined.sum() > 1000
+    assert (got[2] == defined).all()
+    assert np.hypot(got[0] - x, got[1] - y)[defined].max() < 1e-9 * cfg.outer_scale
+    intouch = TriangleBatch.of(*C._intouch(tri), tri.ok)
+    hx, hy, hok = C.center_arrays(intouch, 4)
+    hok &= tri.fault == 0
+    got = C.center_arrays(tri, "X65")
+    assert hok.sum() > 1000
+    assert (got[2] == hok).all()
+    assert np.hypot(got[0] - hx, got[1] - hy)[hok].max() < 1e-9 * cfg.outer_scale
 
 
 def test_bic1_frozen_positions():
@@ -538,22 +597,9 @@ def _old_circumcircle_inverse(t, px, py, fault):
     return x, y, fault | f3 | C._unless(ok, C._AT_CENTER)
 
 
-def _old_x484(t):
-    exs, eys, fault = _old_excenters(t)
-    refl, refl_fault = C._reflections(t)
-    lines = [C._line_through(exs[i], eys[i], *refl[i]) for i in range(3)]
-    a, b, c, ok = (np.stack(v) for v in zip(*lines))
-    i, j, k = np.array([[0, 0, 1], [1, 2, 2], [2, 1, 0]])
-    best = np.argmax(abs(a[i] * b[j] - a[j] * b[i]), axis=0)[np.newaxis]
-
-    def pick(v, rows):
-        return np.take_along_axis(v, rows[best], axis=0)[0]
-
-    x, y, meets = C._meet(pick(a, i), pick(b, i), pick(c, i), pick(a, j), pick(b, j), pick(c, j))
-    residual = abs(pick(a, k) * x + pick(b, k) * y + pick(c, k))
-    defined = ok.all(axis=0) & meets
-    off = residual > C._CONCURRENCE_TOL * t.scale
-    return x, y, fault | refl_fault | C._unless(defined, C._NO_MEET) | C._NO_MEET * off
+def _old_w_x65(a, b, c):
+    ca, cb, cc = C._cosines(a, b, c)
+    return (cb + cc) * a
 
 
 OLD_KERNELS = {
@@ -562,7 +608,8 @@ OLD_KERNELS = {
     36: lambda t: _old_circumcircle_inverse(t, *_old_incenter(t)),
     40: _old_bevan,
     46: _old_barycentric(_old_w_x46),
-    484: _old_x484,
+    65: _old_barycentric(_old_w_x65),
+    484: lambda t: _old_circumcircle_inverse(t, *_old_barycentric(C._w_x35)(t)),
     2077: lambda t: _old_circumcircle_inverse(t, *_old_bevan(t)),
     "P1": _old_vertex(0),
     "P2": _old_vertex(1),

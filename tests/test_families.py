@@ -22,6 +22,7 @@ from poncelet.families import (
     TangentBranch,
     Triangle,
     TriangleBatch,
+    _bic2_envelope_circle,
     _conf3_second_caustic,
     bic1_config,
     bic2_config,
@@ -354,20 +355,27 @@ def test_bic2_envelope_radius_forms_are_one_rational_function():
 
 def test_bic2_envelope_radius_against_60_digits():
     """The radius within 1e-12 R of its 60-digit value over a seeded
-    sample: R from 1e-3 to 1e4, r from 0.05 R, and d uniform, at 0, at
-    1e-9 R and 1e-6 R, and within 1e-12 of the outer circle (r + d -> R)."""
+    sample: R from 1e-3 to 1e4, r from 1e-4 R (log-uniform), and d
+    uniform, at 0, at 1e-9 R and 1e-6 R, and within 1e-12 of the outer
+    circle (r + d -> R).  The envelope conic's semi-axis is held to the
+    same bound from r = 0.05 R: ``Conic.circle`` turns a circle whose
+    radius is below about 1e-6 of its center offset into a point."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20)
-    worst = 0.0
+    worst = conic_worst = 0.0
     with mpmath.workdps(60):
         for _ in range(200):
             R = 10.0 ** rng.uniform(-3.0, 4.0)
-            r = R * rng.uniform(0.05, 1.0)
+            r = R * 10.0 ** rng.uniform(-4.0, 0.0)
             for d in ((R - r) * rng.uniform(), 0.0, 1e-9 * R, 1e-6 * R, (R - r) * (1.0 - 1e-12)):
-                got = bic2_envelope(BicentricParams(R, r, d)).semi_axes[0]
+                p = BicentricParams(R, r, d)
                 want = abs(_bic2_envelope_radius(*map(mpmath.mpf, (R, r, d))))
-                worst = max(worst, float(abs(got - want)) / R)
+                worst = max(worst, float(abs(abs(_bic2_envelope_circle(p)[1]) - want)) / R)
+                if r >= 0.05 * R:
+                    got = bic2_envelope(p).semi_axes[0]
+                    conic_worst = max(conic_worst, float(abs(got - want)) / R)
     assert worst <= 1e-12, worst
+    assert conic_worst <= 1e-12, conic_worst
 
 
 @given(t=angles)

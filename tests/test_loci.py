@@ -647,6 +647,14 @@ def test_conf2_x2_reads_degree_6_at_every_frame_scale(k):
     assert (fit.verdict, fit.degree) == ("algebraic", 6)
 
 
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+def test_bic2_x484_reads_its_certified_quartic(n):
+    # The Evans perspector sweeps a quartic over bic-II (the sympy
+    # certificate of the catalogue row), read at every sample count.
+    fit = classify_locus(trace_locus(BIC2, "X484", n=n))
+    assert (fit.verdict, fit.degree) == ("algebraic", 4)
+
+
 def _record_designs(monkeypatch):
     """A list that collects every design made from now on."""
     made = []

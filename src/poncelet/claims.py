@@ -1,8 +1,12 @@
 """Numerical verification of closed-form claims about the six families.
 
 Every check traces loci at explicit parameters, compares them against a
-closed form or a classification verdict, and returns a ClaimReport with
-the worst residual as its metric.  Checks carry a kind; ``conjecture``
+closed form or a classification verdict, and returns a ClaimReport of
+gates: each condition once, as a name, a value, a relation and a bound.
+The report passes when every gate holds; its first gate is the headline,
+whose value and bound are the metric and tolerance.  Each note line is
+a gate (name, value, relation, bound, and whether it failed) or a free
+note, a fact no gate reads.  Checks carry a kind; ``conjecture``
 entries are numerical evidence only and never gate a verification run,
 while theorem/corollary/proposition/invariant/table entries do.
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+from itertools import combinations
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -145,28 +150,67 @@ _TABLE2_EXPECTED = {
 
 
 @dataclass(frozen=True)
+class _Gate:
+    """One asserted condition: it holds when ``value > bound`` if
+    ``above``, else when ``value <= bound``.  A condition that is not a
+    number is a gate on a count or a 0/1 value."""
+
+    name: str
+    value: float
+    bound: float
+    above: bool
+
+    @property
+    def held(self) -> bool:
+        return bool(self.value > self.bound if self.above else self.value <= self.bound)
+
+    @property
+    def relation(self) -> str:
+        return ">" if self.above else "<="
+
+    def __str__(self) -> str:
+        line = f"{self.name}: {self.value:.4g} {self.relation} {self.bound:g}"
+        return line if self.held else line + " (failed)"
+
+
+@dataclass(frozen=True)
 class ClaimReport:
     """Outcome of one numerical check.
 
-    ``metric`` is the worst residual the verdict rests on and
-    ``status`` is "pass" exactly when every asserted condition held
-    (the headline condition being metric <= tolerance).
+    ``status`` is "pass" exactly when every gate held; the first gate is
+    the headline, whose value and bound are ``metric`` and ``tolerance``.
+    ``notes`` renders the other gates, one line each, then the free
+    notes: facts no gate reads.
     """
 
     claim_id: str
     kind: str
     params: str
-    status: str
-    metric: float
-    tolerance: float
     expected: str
     observed: str
-    notes: Tuple[str, ...] = ()
+    gates: Tuple[_Gate, ...]
+    free_notes: Tuple[str, ...] = ()
     rows: Tuple[Tuple[str, ...], ...] = ()
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return all(g.held for g in self.gates)
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
+
+    @property
+    def metric(self) -> float:
+        return float(self.gates[0].value)
+
+    @property
+    def tolerance(self) -> float:
+        return float(self.gates[0].bound)
+
+    @property
+    def notes(self) -> Tuple[str, ...]:
+        return tuple(str(g) for g in self.gates[1:]) + self.free_notes
 
     @property
     def gating(self) -> bool:
@@ -185,6 +229,11 @@ class ClaimReport:
             "expected": self.expected,
             "observed": self.observed,
             "notes": list(self.notes),
+            "gates": [
+                dict(name=g.name, value=float(g.value), relation=g.relation,
+                     bound=float(g.bound), held=g.held)
+                for g in self.gates
+            ],
         }
         if self.rows:
             out["rows"] = [list(r) for r in self.rows]
@@ -193,26 +242,16 @@ class ClaimReport:
 
 def _report(
     params: object,
-    ok: bool,
-    metric: float,
-    tol: float,
     expected: str,
     observed: str,
+    gates: Sequence[_Gate],
     notes: Sequence[str] = (),
     rows: Sequence[Tuple[str, ...]] = (),
 ) -> ClaimReport:
     """The report of a check; ``_claim`` fills in its claim id and kind."""
     return ClaimReport(
-        claim_id="",
-        kind="",
-        params=_fmt_params(params),
-        status="pass" if ok else "fail",
-        metric=float(metric),
-        tolerance=float(tol),
-        expected=expected,
-        observed=observed,
-        notes=tuple(notes),
-        rows=tuple(tuple(r) for r in rows),
+        "", "", _fmt_params(params), expected, observed,
+        tuple(gates), tuple(notes), tuple(tuple(r) for r in rows),
     )
 
 
@@ -556,12 +595,6 @@ def _symmetry_closure(loc: Locus, sx: float, sy: float) -> float:
     return math.sqrt(max((float(d2.min(axis=1).max()) for d2 in blocks), default=0.0))
 
 
-def _nonconic_evidence(loc: Locus) -> Tuple[bool, float]:
-    """(is the locus not a conic, its best degree-2 residual)."""
-    fit2 = fit_curve(loc.valid_xy(), 2)
-    return (fit2.residual > CONIC_TOL, fit2.residual)
-
-
 # ---------------------------------------------------------------------------
 # Bicentric checks.
 
@@ -591,28 +624,31 @@ def check_bicII_x1_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     reflected = Point(-center.x, -center.y)
     dev40 = _circle_deviation(loc40.valid_xy(), reflected, abs(radius)) / p.R
 
-    notes = [f"reflected-center circle deviation for X40: {dev40:.3e}"]
-    span_ok = True
+    gates = [
+        _Gate("incenter circle deviation/R", metric, 1e-9, False),
+        _Gate("reflected-center circle deviation for X40", dev40, 1e-9, False),
+    ]
+    notes = []
     if abs(radius) > 1e-12 * p.R:
+        # The three circles at unit outer radius: the entries of their
+        # unit coefficient vectors scale differently with the length unit.
+        cr, cd = cfg.params.caustic_shape()
         span = conic_span_residual(
-            Conic.circle(center, abs(radius)),
-            cfg.outer_conic(),
-            cfg.caustics()[0],
+            Conic.circle(Point(center.x / p.R, 0.0), abs(radius) / p.R),
+            Conic.circle(Point(0.0, 0.0), 1.0),
+            Conic.circle(Point(cd / p.R, 0.0), cr / p.R),
         )
-        span_ok = span > 1e-6
-        notes.append(f"pencil-exclusion span residual: {span:.3e} (needs > 1e-6)")
+        gates.append(_Gate("pencil-exclusion span residual", span, 1e-6, True))
     else:
         notes.append("radius is zero (closing pair): pencil exclusion skipped")
 
     control = _circle_deviation(xy, center, abs(radius) + 0.01 * p.R) / p.R
-    control_ok = control > 1e-6
-    notes.append(f"negative control (radius +1% of R): deviation {control:.3e}")
-
-    ok = metric <= 1e-9 and dev40 <= 1e-9 and span_ok and control_ok
+    gates.append(_Gate("negative control (radius +1% of R) deviation", control, 1e-6, True))
     return _report(
-        p, ok, metric, 1e-9,
+        p,
         f"circle center ({center.x:.9g}, 0), radius {abs(radius):.9g}",
         f"max |dist - r1|/R = {metric:.3e} over {len(xy)} samples",
+        gates,
         notes,
     )
 
@@ -628,36 +664,30 @@ def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimRepor
 
     loc1 = trace_locus(cfg, "P1'", 512)
     metric = _circle_deviation(loc1.valid_xy(), anti, radius) / p.R
+    gates = [_Gate("first-excenter circle deviation/R", metric, 1e-9, False)]
+
+    pids = ("P2'", "P3'")
+    for pid, crossing in zip(pids, _min_axis_distance(cfg, pids)):
+        xy = trace_locus(cfg, pid, 512).valid_xy()
+        gates += [
+            _Gate(f"{pid} degree-6 residual", fit_curve(xy, 6).residual, 1e-8, False),
+            _Gate(f"{pid} conic residual", fit_curve(xy, 2).residual, CONIC_TOL, True),
+            _Gate(f"{pid} axis distance", crossing, 1e-6, False),
+        ]
+
+    control = _circle_deviation(loc1.valid_xy(), anti, radius * 1.01) / p.R
+    gates.append(_Gate("negative control (radius +1%) deviation", control, 1e-6, True))
 
     notes = []
     if _is_poristic(p):
         notes.append(
             f"closing pair: r1' = {radius:.15g}, |r1' - 2R|/R = {abs(radius - 2.0 * p.R) / p.R:.3e}"
         )
-
-    deg6_ok = True
-    axis_ok = True
-    pids = ("P2'", "P3'")
-    for pid, crossing in zip(pids, _min_axis_distance(cfg, pids)):
-        loc = trace_locus(cfg, pid, 512)
-        fit6 = fit_curve(loc.valid_xy(), 6)
-        nonconic, fit2res = _nonconic_evidence(loc)
-        deg6_ok = deg6_ok and fit6.residual <= 1e-8 and nonconic
-        axis_ok = axis_ok and crossing <= 1e-6
-        notes.append(
-            f"{pid}: degree-6 residual {fit6.residual:.3e}, conic residual {fit2res:.3e},"
-            f" axis distance {crossing:.3e}"
-        )
-
-    control = _circle_deviation(loc1.valid_xy(), anti, radius * 1.01) / p.R
-    control_ok = control > 1e-6
-    notes.append(f"negative control (radius +1%): deviation {control:.3e}")
-
-    ok = metric <= 1e-9 and deg6_ok and axis_ok and control_ok
     return _report(
-        p, ok, metric, 1e-9,
+        p,
         f"circle center ({-center.x:.9g}, 0), radius {radius:.9g}; other excenters degree-6",
         f"max |dist - r1'|/R = {metric:.3e}",
+        gates,
         notes,
     )
 
@@ -671,29 +701,25 @@ def check_bicII_x2_sextic(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     xy = loc.valid_xy()
     metric = verify_implicit_sextic_x2(p, loc)
 
-    fit2 = fit_curve(xy, 2)
     fit = classify_locus(loc)
     # r - 1% rather than r + 1%: the smaller caustic stays inside the
     # outer circle for every valid parameter set.
     control = verify_implicit_sextic_x2(replace(p, r=0.99 * p.r), loc)
-
-    ok = (
-        metric <= 1e-8
-        and fit2.residual > 1e-3
-        and fit.verdict == "algebraic"
-        and fit.degree == 6
-        and control > 1e-6
-    )
-    notes = (
-        f"conic control residual: {fit2.residual:.3e} (needs > 1e-3)",
-        f"classification: {fit.verdict} degree {fit.degree} at {fit.residual:.3e}",
-        f"negative control (r -1%): residual {control:.3e} (needs > 1e-6)",
+    gates = (
+        _Gate("normalized sextic residual", metric, 1e-8, False),
+        _Gate("conic control residual", fit_curve(xy, 2).residual, 1e-3, True),
+        _Gate(
+            f"classified algebraic degree 6 (measured {fit.verdict} degree {fit.degree}"
+            f" at {fit.residual:.3e})",
+            float(fit.verdict == "algebraic" and fit.degree == 6), 0.0, True,
+        ),
+        _Gate("negative control (r -1%) residual", control, 1e-6, True),
     )
     return _report(
-        p, ok, metric, 1e-8,
+        p,
         "implicit degree-6 polynomial vanishes on the barycenter locus",
         f"max normalized residual {metric:.3e} over {len(xy)} samples",
-        notes,
+        gates,
     )
 
 
@@ -710,7 +736,7 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     r_collapse = degenerate_envelope_inradius(p.R, p.d)
     collapse_cfg = bic2_config(p.R, r_collapse, p.d)
     target = bic2_collapse_point(p.R, p.d)
-    point_worst = _worst(_free_sides(collapse_cfg, 512).signed_distance(target))
+    point_worst = _worst(_free_sides(collapse_cfg, 512).signed_distance(target)) / p.R
 
     sampled = envelope_points(cfg.free_sides, _grid(256))
     assert env.center is not None
@@ -720,18 +746,20 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
 
     shifted = Conic.circle(Point(env.center.x + 0.01 * p.R, 0.0), env.semi_axes[0])
     control = _worst(line_tangent_to_conic_residual(_free_sides(cfg, 64), shifted)) / p.R
-
-    ok = metric <= 1e-9 and point_worst / p.R <= 1e-8 and control > 1e-6
-    notes = (
-        f"collapse radius {r_collapse:.9g}: worst chord distance to point {point_worst:.3e}",
-        f"sampled envelope vs closed form: {sample_dev:.3e}",
-        f"negative control (center shifted 1%): {control:.3e}",
+    gates = (
+        _Gate("tangency defect/R", metric, 1e-9, False),
+        _Gate(
+            f"worst chord distance/R to the point at collapse radius {r_collapse:.9g}",
+            point_worst, 1e-8, False,
+        ),
+        _Gate("negative control (center shifted 1%)", control, 1e-6, True),
     )
     return _report(
-        p, ok, metric, 1e-9,
+        p,
         "every free chord tangent to the predicted pencil circle",
         f"worst tangency defect/R = {metric:.3e} over {len(lines.a)} chords",
-        notes,
+        gates,
+        (f"sampled envelope vs closed form: {sample_dev:.3e}",),
     )
 
 
@@ -747,38 +775,36 @@ def check_confII_excenter_ellipse(p: ConfocalParams = DEFAULT_CONF2) -> ClaimRep
     ax, ay = conf2_excentral_axes(p)
 
     metric = _excentral_deviation(cfg, ax, ay, 512)
+    gates = [_Gate("shared-ellipse implicit deviation", metric, 1e-9, False)]
 
     lam_c = critical_lambda(p.a, p.b)
     at_critical = abs(p.lam - lam_c) <= 1e-9 * p.b * p.b
-    loc1 = trace_locus(cfg, "P1'", 512)
+    xy1 = trace_locus(cfg, "P1'", 512).valid_xy()
     notes = []
     if at_critical:
-        dev1 = _ellipse_deviation(loc1.valid_xy(), ax, ay)
-        first_ok = dev1 <= 1e-9
+        gates.append(_Gate(
+            "first excenter off the same ellipse (closing parameter)",
+            _ellipse_deviation(xy1, ax, ay), 1e-9, False,
+        ))
         cax, cay = conf1_excentral_axes(p.a, p.b)
         notes.append(
-            f"closing parameter: first excenter on the same ellipse ({dev1:.3e});"
-            f" axes vs closed form: {abs(ax - cax):.3e}, {abs(ay - cay):.3e}"
+            f"closing parameter: axes vs closed form: {abs(ax - cax):.3e}, {abs(ay - cay):.3e}"
         )
     else:
-        fit6 = fit_curve(loc1.valid_xy(), 6)
-        nonconic, fit2res = _nonconic_evidence(loc1)
-        first_ok = fit6.residual <= 1e-8 and fit2res > 10.0 * CONIC_TOL
-        notes.append(
-            f"first excenter: degree-6 residual {fit6.residual:.3e},"
-            f" conic residual {fit2res:.3e} (needs > {10.0 * CONIC_TOL:.1e})"
-        )
+        fit6, fit2 = fit_curve(xy1, 6), fit_curve(xy1, 2)
+        gates += [
+            _Gate("first excenter degree-6 residual", fit6.residual, 1e-8, False),
+            _Gate("first excenter conic residual", fit2.residual, 10.0 * CONIC_TOL, True),
+        ]
 
     loc2 = trace_locus(cfg, "P2'", 128)
     control = _ellipse_deviation(loc2.valid_xy(), ax, ay * 1.01)
-    control_ok = control > 1e-6
-    notes.append(f"negative control (minor axis +1%): {control:.3e}")
-
-    ok = metric <= 1e-9 and first_ok and control_ok
+    gates.append(_Gate("negative control (minor axis +1%)", control, 1e-6, True))
     return _report(
-        p, ok, metric, 1e-9,
+        p,
         f"shared excentral ellipse semi-axes ({ax:.9g}, {ay:.9g})",
         f"max implicit deviation {metric:.3e}",
+        gates,
         notes,
     )
 
@@ -790,19 +816,15 @@ def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> Cl
     lam_c = critical_lambda(a, b)
 
     loc_c = trace_locus(conf2_config(a, b, lam_c), "X1", 512)
-    fit_c = fit_curve(loc_c.valid_xy(), 2)
-    metric = fit_c.residual
+    metric = fit_curve(loc_c.valid_xy(), 2).residual
 
     cax, cay = conf1_x1_axes(a, b)
     cls = classify_locus(loc_c)
-    axes_note = "fit did not expose semi-axes"
-    axes_ok = False
+    axes_err = math.inf  # unless the fit is an ellipse with semi-axes
     if cls.verdict == "ellipse" and cls.conic is not None and cls.conic.semi_axes is not None:
         got = tuple(sorted(cls.conic.semi_axes, reverse=True))
         want = tuple(sorted((cax, cay), reverse=True))
         axes_err = max(abs(g - w) / w for g, w in zip(got, want))
-        axes_ok = axes_err <= 1e-8
-        axes_note = f"fitted semi-axes vs closed form: rel err {axes_err:.3e}"
 
     grid = [lam for lam in np.linspace(0.08, 0.95, 12) * b * b if abs(lam - lam_c) > 0.05 * b * b]
     worst_offgrid = math.inf
@@ -815,25 +837,18 @@ def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> Cl
         _symmetry_closure(loc_c, -1.0, -1.0),
         _symmetry_closure(loc_c, 1.0, -1.0),
     )
-
-    ok = (
-        metric <= CONIC_TOL
-        and worst_offgrid > 10.0 * CONIC_TOL
-        and len(grid) >= 9
-        and axes_ok
-        and sym <= 1e-8 * a
-    )
-    notes = (
-        axes_note,
-        f"off-closing grid ({len(grid)} values): smallest conic residual {worst_offgrid:.3e}"
-        f" (needs > {10.0 * CONIC_TOL:.1e})",
-        f"sample-set symmetry closure under both reflections: {sym:.3e}",
+    gates = (
+        _Gate("conic residual at the closing parameter", metric, CONIC_TOL, False),
+        _Gate("fitted semi-axes vs closed form, relative error", axes_err, 1e-8, False),
+        _Gate("off-closing grid values", float(len(grid)), 8.0, True),
+        _Gate("least conic residual off the closing value", worst_offgrid, 10.0 * CONIC_TOL, True),
+        _Gate("sample-set symmetry closure under both reflections", sym, 1e-8 * a, False),
     )
     return _report(
-        ConfocalParams(a, b, lam_c), ok, metric, CONIC_TOL,
+        ConfocalParams(a, b, lam_c),
         "conic verdict only at the closing caustic parameter",
         f"conic residual {metric:.3e} at closing parameter",
-        notes,
+        gates,
     )
 
 
@@ -858,23 +873,17 @@ def check_x2_homothety_half_n4(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     circ = bic2_config(a, a / math.sqrt(2.0), 0.0)
     circ_loc = trace_locus(circ, "X2", 128)
     circ_dev = _circle_deviation(circ_loc.valid_xy(), Point(0.0, 0.0), a / 3.0)
-
-    ok = (
-        metric <= 1e-9
-        and midpoint_worst <= 1e-9 * a
-        and fit_off.residual > CONIC_TOL
-        and circ_dev <= 1e-9 * a
-    )
-    notes = (
-        f"worst |P2+P3|/2 distance from center: {midpoint_worst:.3e}",
-        f"off-caustic control (0.8x): conic residual {fit_off.residual:.3e}",
-        f"concentric-circle analogue deviation: {circ_dev:.3e}",
+    gates = (
+        _Gate("barycenter ellipse implicit deviation", metric, 1e-9, False),
+        _Gate("worst |P2+P3|/2 distance from center", midpoint_worst, 1e-9 * a, False),
+        _Gate("off-caustic control (0.8x) conic residual", fit_off.residual, CONIC_TOL, True),
+        _Gate("concentric-circle analogue deviation", circ_dev, 1e-9 * a, False),
     )
     return _report(
-        ConfocalParams(a, b, lam4), ok, metric, 1e-9,
+        ConfocalParams(a, b, lam4),
         f"barycenter on the ({a / 3.0:.9g}, {b / 3.0:.9g}) ellipse",
         f"max implicit deviation {metric:.3e}",
-        notes,
+        gates,
     )
 
 
@@ -890,22 +899,21 @@ def check_confII_envelope(p: ConfocalParams = DEFAULT_CONF2) -> ClaimReport:
 
     lam4 = n4_lambda(p.a, p.b)
     cfg4 = conf2_config(p.a, p.b, lam4)
-    point_worst = _worst(_free_sides(cfg4, 512).signed_distance(Point(0.0, 0.0)))
+    point_worst = _worst(_free_sides(cfg4, 512).signed_distance(Point(0.0, 0.0))) / p.a
 
     assert env.semi_axes is not None
     grown = Conic.axis_ellipse(Point(0.0, 0.0), env.semi_axes[0] * 1.01, env.semi_axes[1])
     control = _worst(line_tangent_to_conic_residual(_free_sides(cfg, 64), grown)) / p.a
-
-    ok = metric <= 1e-9 and point_worst <= 1e-9 and control > 1e-6
-    notes = (
-        f"4-bounce caustic: worst chord distance to center {point_worst:.3e}",
-        f"negative control (major axis +1%): {control:.3e}",
+    gates = (
+        _Gate("tangency defect/a", metric, 1e-9, False),
+        _Gate("worst chord distance/a to the center, 4-bounce caustic", point_worst, 1e-9, False),
+        _Gate("negative control (major axis +1%)", control, 1e-6, True),
     )
     return _report(
-        p, ok, metric, 1e-9,
+        p,
         "every free chord tangent to the predicted concentric ellipse",
         f"worst tangency defect/a = {metric:.3e} over {len(lines.a)} chords",
-        notes,
+        gates,
     )
 
 
@@ -918,14 +926,15 @@ def check_confII_n4_excentral_aspect(a: float = 2.0, b: float = 1.0) -> ClaimRep
     ax, ay = conf2_excentral_axes(p)
     metric = abs(ax / ay - b / a)
 
-    cfg = conf2_config(a, b, lam4)
-    dev = _excentral_deviation(cfg, ax, ay, 256)
-    ok = metric <= 1e-10 and dev <= 1e-9
+    dev = _excentral_deviation(conf2_config(a, b, lam4), ax, ay, 256)
     return _report(
-        p, ok, metric, 1e-10,
+        p,
         f"excentral aspect ratio {b / a:.9g}",
         f"|ax/ay - b/a| = {metric:.3e}",
-        (f"traced excenters on the ellipse within {dev:.3e}",),
+        (
+            _Gate("|ax/ay - b/a|", metric, 1e-10, False),
+            _Gate("traced excenters off the ellipse", dev, 1e-9, False),
+        ),
     )
 
 
@@ -938,14 +947,15 @@ def check_confII_n6_excentral_circle(a: float = 2.0, b: float = 1.0) -> ClaimRep
     ax, ay = conf2_excentral_axes(p)
     metric = abs(ax - ay) / ax
 
-    cfg = conf2_config(a, b, lam6)
-    dev = _excentral_deviation(cfg, ax, ay, 256)
-    ok = metric <= 1e-10 and dev <= 1e-9
+    dev = _excentral_deviation(conf2_config(a, b, lam6), ax, ay, 256)
     return _report(
-        p, ok, metric, 1e-10,
+        p,
         "equal excentral semi-axes",
         f"|ax - ay|/ax = {metric:.3e} (radius {ax:.9g})",
-        (f"traced excenters on the circle within {dev:.3e}",),
+        (
+            _Gate("|ax - ay|/ax", metric, 1e-10, False),
+            _Gate("traced excenters off the circle", dev, 1e-9, False),
+        ),
     )
 
 
@@ -964,7 +974,6 @@ def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     lo, hi = 0.85 * lam_o, 1.15 * lam_o
     is_lo = convex_at(lo)
     is_hi = convex_at(hi)
-    bracket_ok = is_lo != is_hi
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         if convex_at(mid) == is_lo:
@@ -972,24 +981,26 @@ def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
         else:
             hi = mid
     empirical = 0.5 * (lo + hi)
-    metric = abs(empirical - lam_o)
+    metric = abs(empirical - lam_o) / (b * b)
 
     real_roots = sorted(
         z.real for z in np.roots(coeffs) if abs(z.imag) <= 1e-9 * (1.0 + abs(z))
     )
-
-    ok = quintic_res <= 1e-10 and bracket_ok and is_lo and metric <= 1e-3
-    notes = (
-        f"quintic residual at root: {quintic_res:.3e}",
-        f"real roots: {', '.join(f'{r:.6f}' for r in real_roots)}"
-        f" ({len(real_roots)} real)",
-        f"traced transition at {empirical:.9f}; convex below, not above",
+    gates = (
+        _Gate("|traced - predicted transition|/b^2", metric, 1e-3, False),
+        _Gate("quintic residual at root", quintic_res, 1e-10, False),
+        _Gate("convex at 0.85 times the root", float(is_lo), 0.0, True),
+        _Gate("convexity flips from 0.85 to 1.15 times the root", float(is_lo != is_hi), 0.0, True),
     )
     return _report(
-        f"a={a:g} b={b:g}", ok, metric, 1e-3,
+        f"a={a:g} b={b:g}",
         f"convexity transition at caustic parameter {lam_o:.9f}",
         f"traced transition within {metric:.3e}",
-        notes,
+        gates,
+        (
+            f"real roots: {', '.join(f'{r:.6f}' for r in real_roots)} ({len(real_roots)} real)",
+            f"traced transition at {empirical:.9f}",
+        ),
     )
 
 
@@ -1018,25 +1029,19 @@ def check_conserved_quantities() -> ClaimReport:
     aspect_gap = abs(ax1 / ay1 - aye / axe)
 
     metric = max(cos_worst, perim_spread, x9_spread, aspect_gap)
-    ok = (
-        cos_worst <= 1e-10
-        and perim_spread <= 1e-9
-        and ratio_spread <= 1e-9
-        and x9_spread <= 1e-10
-        and aspect_gap <= 1e-10
-    )
-    notes = (
-        f"cosine sum spread: {cos_worst:.3e} (vs 1 + r/R)",
-        f"closing-family perimeter relative spread: {perim_spread:.3e}",
-        f"inradius/circumradius relative spread: {ratio_spread:.3e}",
-        f"mittenpunkt spread: {x9_spread:.3e}",
-        f"|a1/b1 - be/ae| = {aspect_gap:.3e}",
+    gates = (
+        _Gate("worst spread", metric, 1e-9, False),
+        _Gate("cosine sum spread (vs 1 + r/R)", cos_worst, 1e-10, False),
+        _Gate("closing-family perimeter relative spread", perim_spread, 1e-9, False),
+        _Gate("inradius/circumradius relative spread", ratio_spread, 1e-9, False),
+        _Gate("mittenpunkt spread", x9_spread, 1e-10, False),
+        _Gate("|a1/b1 - be/ae|", aspect_gap, 1e-10, False),
     )
     return _report(
-        (BicentricParams(R, r, chapple_distance(R, r)), cfgc.params), ok, metric, 1e-9,
+        (BicentricParams(R, r, chapple_distance(R, r)), cfgc.params),
         "cosine sum, perimeter, radius ratio, mittenpunkt, aspect reciprocity",
         f"worst spread {metric:.3e}",
-        notes,
+        gates,
     )
 
 
@@ -1078,11 +1083,11 @@ def summary_table() -> ClaimReport:
                 )
         rows.append((family,) + tuple(letters))
 
-    ok = not mismatches
     return _report(
-        "documented defaults per family", ok, float(len(mismatches)), 0.0,
+        "documented defaults per family",
         "all 36 verdict cells as expected",
-        "all cells match" if ok else "; ".join(mismatches),
+        "; ".join(mismatches) or "all cells match",
+        (_Gate("mismatched cells", float(len(mismatches)), 0.0, False),),
         mismatches,
         rows,
     )
@@ -1111,6 +1116,7 @@ def check_conjecture_bicII_stationary() -> ClaimReport:
     violations: List[str] = []
     divergences: List[str] = []
     flagged: List[str] = []
+    stationary_tol = 1e-9  # the largest bic-I spread of a stationary locus
     worst_conic_spread = 0.0
     for cid in STATIONARY_CENTER_IDS + _MOVING_CONTROL_IDS:
         spread = stationarity_spread(trace_locus(cfg1, cid, 256))
@@ -1118,7 +1124,7 @@ def check_conjecture_bicII_stationary() -> ClaimReport:
         letter2 = verdict_letter(fit2)
         fit3 = classify_locus(trace_locus(cfg3, cid, 512))
         letter3 = verdict_letter(fit3)
-        stationary = spread <= 1e-9
+        stationary = spread <= stationary_tol
         conic2 = letter2 in ("P", "C", "E")
         if conic2:
             worst_conic_spread = max(worst_conic_spread, spread)
@@ -1141,20 +1147,17 @@ def check_conjecture_bicII_stationary() -> ClaimReport:
             )
         rows.append((cid, f"{spread:.2e}", letter2, ref2 or "-", letter3, ref3 or "-"))
 
-    ok = not violations
     notes = [
         "stationary yet not conic over bic-II: " + ", ".join(flagged),
         *divergences,
     ]
     if divergences:
-        notes.append(
-            f"{len(divergences)} reference letters differ from measurement;"
-            " the implication itself has no counterexample here"
-        )
+        notes.append(f"{len(divergences)} reference letters differ from measurement")
     return _report(
-        (cfg1.params, cfg2.params), ok, worst_conic_spread, 1e-9,
+        (cfg1.params, cfg2.params),
         "every conic-locus center is stationary over the closing family",
-        "no counterexample found" if ok else "; ".join(violations),
+        "; ".join(violations) or "no counterexample found",
+        (_Gate("worst bic-I spread of a conic center", worst_conic_spread, stationary_tol, False),),
         notes,
         rows,
     )
@@ -1169,50 +1172,35 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
     assert p.u is not None
     cfg = bic3_config(p.R, p.r, p.d, u=p.u)
 
-    loc_x1 = trace_locus(cfg, "X1", 512)
-    convex = convexity_check(loc_x1.valid_xy())
-    x1_nonconic, x1_fit2 = _nonconic_evidence(loc_x1)
+    xy1 = trace_locus(cfg, "X1", 512).valid_xy()
+    x1_fit2 = fit_curve(xy1, 2).residual
+    gates = [
+        _Gate("incenter conic residual", x1_fit2, CONIC_TOL, True),
+        _Gate("incenter locus convex", float(convexity_check(xy1)), 0.0, True),
+    ]
+    exc = {pid: trace_locus(cfg, pid, 512).valid_xy() for pid in ("P1'", "P2'", "P3'")}
+    for pid, xy in exc.items():
+        gates.append(_Gate(f"{pid} conic residual", fit_curve(xy, 2).residual, CONIC_TOL, True))
 
-    exc_loci = {pid: trace_locus(cfg, pid, 512) for pid in ("P1'", "P2'", "P3'")}
-    exc_nonconic = True
-    notes = [f"incenter: convex={convex}, conic residual {x1_fit2:.3e}"]
-    for pid, loc in exc_loci.items():
-        nonconic, fit2res = _nonconic_evidence(loc)
-        exc_nonconic = exc_nonconic and nonconic
-        notes.append(f"{pid}: conic residual {fit2res:.3e}")
-
-    pair_gap = min(
-        _hausdorff(exc_loci["P1'"].valid_xy(), exc_loci["P2'"].valid_xy()),
-        _hausdorff(exc_loci["P1'"].valid_xy(), exc_loci["P3'"].valid_xy()),
-        _hausdorff(exc_loci["P2'"].valid_xy(), exc_loci["P3'"].valid_xy()),
-    )
-    distinct = pair_gap > 1e-3 * p.R
+    pair_gap = min(_hausdorff(exc[i], exc[j]) for i, j in combinations(exc, 2))
+    gates.append(_Gate("least Hausdorff gap of two excenter loci", pair_gap, 1e-3 * p.R, True))
 
     # Collapse configuration: envelope shrunk to the interior limiting
     # point; the excenter loci must remain non-conic there.
     u_star = bic3_collapse_u(p.R, p.r, p.d)
     cfg_star = bic3_config(p.R, p.r, p.d, u=u_star)
-    collapse_margin = math.inf
-    collapse_nonconic = True
-    near_circle = ""
-    for pid in ("P1'", "P2'", "P3'"):
-        loc = trace_locus(cfg_star, pid, 512)
-        nonconic, fit2res = _nonconic_evidence(loc)
-        collapse_nonconic = collapse_nonconic and nonconic
-        if fit2res < collapse_margin:
-            collapse_margin = fit2res
-            near_circle = pid
-    notes.append(
-        f"collapse at u={u_star:.9f}: all excenters non-conic;"
-        f" {near_circle} closest to a conic at residual {collapse_margin:.3e}"
-        f" ({collapse_margin / CONIC_TOL:.0f}x the conic tolerance)"
-    )
+    for pid in exc:
+        xy = trace_locus(cfg_star, pid, 512).valid_xy()
+        name = f"{pid} conic residual at the collapse u={u_star:.9f}"
+        gates.append(_Gate(name, fit_curve(xy, 2).residual, CONIC_TOL, True))
 
     # Endpoint consistency: u -> 0 reduces to the two-caustic family.
     cfg0 = bic3_config(p.R, p.r, p.d, u=0.0)
     fit0 = classify_locus(trace_locus(cfg0, "X1", 256))
-    endpoint_ok = fit0.verdict == "circle"
-    notes.append(f"u=0 endpoint: incenter verdict {fit0.verdict} at {fit0.residual:.2e}")
+    gates.append(_Gate(
+        f"u=0 endpoint incenter is a circle (measured {fit0.verdict} at {fit0.residual:.2e})",
+        float(fit0.verdict == "circle"), 0.0, True,
+    ))
 
     # Four tangency branches, two distinct free-side envelopes: each
     # branch's (center x, center y, major semi-axis) from its conic fit.
@@ -1230,32 +1218,20 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
                 break
         else:
             clusters.append(cand)
+    # 0.0 for fewer than two clusters, so that the separation gate fails them.
     separation = min(
-        (
-            max(abs(x - y) for x, y in zip(c1, c2))
-            for i, c1 in enumerate(clusters)
-            for c2 in clusters[i + 1:]
-        ),
+        (max(abs(x - y) for x, y in zip(c1, c2)) for c1, c2 in combinations(clusters, 2)),
         default=0.0,
     )
-    envelopes_ok = len(fitted) == 4 and len(clusters) == 2 and separation > 1e-3 * p.R
-    notes.append(
-        f"branch envelopes: {len(clusters)} distinct circles, separation {separation:.3e}"
-    )
-
-    ok = (
-        convex
-        and x1_nonconic
-        and exc_nonconic
-        and distinct
-        and collapse_nonconic
-        and endpoint_ok
-        and envelopes_ok
-    )
+    gates += [
+        _Gate("branch envelopes fitted without semi-axes", float(4 - len(fitted)), 0.0, False),
+        _Gate("distinct branch envelope circles", float(len(clusters)), 2.0, False),
+        _Gate("branch envelope separation", separation, 1e-3 * p.R, True),
+    ]
     return _report(
-        p, ok, x1_fit2, CONIC_TOL,
+        p,
         "convex non-conic incenter locus; distinct non-conic excenter loci;"
         " two branch envelopes",
         f"pairwise excenter gap {pair_gap:.3e}; incenter conic residual {x1_fit2:.3e}",
-        notes,
+        gates,
     )

@@ -80,6 +80,12 @@ def test_report_serialization_labels():
     assert d1["status"] in ("pass", "fail")
 
 
+def _gate(report, prefix):
+    """The one gate of the report whose name starts with prefix."""
+    (gate,) = [g for g in report.gates if g.name.startswith(prefix)]
+    return gate
+
+
 def test_bicIII_branch_envelope_fit_without_axes_fails_the_claim(monkeypatch):
     """A branch envelope whose conic fit has no axes (here a hyperbola)
     fails the envelope check instead of raising."""
@@ -88,7 +94,76 @@ def test_bicIII_branch_envelope_fit_without_axes_fails_the_claim(monkeypatch):
     monkeypatch.setattr(claims, "envelope_points", lambda sides, ts: hyperbola)
     report = claims.check_conjectures_bicIII()
     assert not report.passed
-    assert "branch envelopes: 0 distinct circles, separation 0.000e+00" in report.notes
+    assert _gate(report, "distinct branch envelope circles").value == 0
+    separation = _gate(report, "branch envelope separation")
+    assert separation.value == 0.0 and not separation.held
+    assert "branch envelope separation: 0 > 0.001 (failed)" in report.notes
+
+
+def test_report_status_metric_and_notes_come_from_the_gates():
+    rep = check_bicII_x1_circle()
+    assert rep.status == "pass" and all(g.held for g in rep.gates)
+    assert (rep.metric, rep.tolerance) == (rep.gates[0].value, rep.gates[0].bound)
+    assert rep.notes == tuple(str(g) for g in rep.gates[1:])
+    failing = replace(rep, gates=rep.gates + (claims._Gate("extra", 2.0, 1.0, False),))
+    assert failing.status == "fail"
+    assert failing.notes[-1] == "extra: 2 <= 1 (failed)"
+    assert replace(rep, gates=(claims._Gate("h", 1.0, 1.0, True),)).status == "fail"
+
+
+def test_convexity_note_does_not_claim_a_failed_bracket(monkeypatch):
+    """With convexity read on both sides of the root, the bracket gate
+    fails the claim and no note says the flip was seen."""
+    monkeypatch.setattr(claims, "convexity_check", lambda xy: True)
+    rep = claims.check_convexity_transition()
+    assert not rep.passed
+    assert not _gate(rep, "convexity flips").held
+    assert _gate(rep, "convex at 0.85").held
+    assert not any("convex below, not above" in n for n in rep.notes)
+
+
+def test_bicIII_conic_collapse_loci_fail_their_gate(monkeypatch):
+    """Collapse loci that read as conics (here the circles the bic-I
+    excenters sweep) fail their gate, and no note says otherwise."""
+    bic3 = claims.bic3_config
+    collapse = 0.625
+
+    def config(R, r, d, u, **kwargs):
+        return claims.bic1_config(R, r) if u == collapse else bic3(R, r, d, u=u, **kwargs)
+
+    monkeypatch.setattr(claims, "bic3_collapse_u", lambda R, r, d: collapse)
+    monkeypatch.setattr(claims, "bic3_config", config)
+    rep = claims.check_conjectures_bicIII()
+    assert not rep.passed
+    gates = [g for g in rep.gates if "at the collapse" in g.name]
+    assert len(gates) == 3
+    assert all(not g.held and g.value <= 1e-12 for g in gates)
+    assert sum("(failed)" in n for n in rep.notes) == 3
+    assert not any("all excenters non-conic" in n for n in rep.notes)
+
+
+def _scaled(value, s):
+    """A claim's default argument in a frame s times the unit: lengths
+    times s, caustic parameters times s^2."""
+    if isinstance(value, BicentricParams):
+        return replace(value, R=value.R * s, r=value.r * s, d=value.d * s)
+    if isinstance(value, ConfocalParams):
+        return replace(value, a=value.a * s, b=value.b * s, lam=value.lam * s * s)
+    return value * s
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e4, 1e7])
+def test_statuses_do_not_depend_on_the_frame(s):
+    """Every claim that takes lengths has, at its defaults scaled by s,
+    the status it has at its defaults (all pass: see
+    test_registry_is_complete_and_green)."""
+    scaled = {
+        claim.claim_id: claim.run(**{k: _scaled(v, s) for k, v in claim.defaults.items()}).status
+        for claim in all_claims()
+        if claim.defaults
+    }
+    assert len(scaled) == 12
+    assert scaled == dict.fromkeys(scaled, "pass")
 
 
 def test_stationary_conjecture_reports_reference_divergences():
@@ -137,7 +212,7 @@ def test_excentral_ellipse_at_critical_aspect():
     lam = critical_lambda(a, b)
     rep = check_confII_excenter_ellipse(ConfocalParams(a, b, lam))
     assert rep.passed
-    assert any("same ellipse" in n for n in rep.notes)
+    assert _gate(rep, "first excenter off the same ellipse").held
 
 
 def test_bicII_x1_circle_expected_radius_is_unsigned():

@@ -111,6 +111,20 @@ def test_verify_json(capsys):
     assert docs[0]["label"] == "checked claim"
 
 
+def test_verify_json_carries_the_gates(capsys):
+    """Each gate as name, value, relation, bound and held; the first is
+    the headline, whose value and bound are the metric and tolerance."""
+    code, out, err = run(capsys, "verify", "thm:bicII-x1", "--json")
+    assert code == 0
+    (doc,) = json.loads(out)
+    gates = doc["gates"]
+    assert [set(g) for g in gates] == [{"name", "value", "relation", "bound", "held"}] * 4
+    assert (gates[0]["value"], gates[0]["bound"]) == (doc["metric"], doc["tolerance"])
+    assert all(g["held"] for g in gates)
+    assert [g["relation"] for g in gates] == ["<=", "<=", ">", ">"]
+    assert len(doc["notes"]) == len(gates) - 1
+
+
 def test_verify_unknown_claim(capsys):
     code, out, err = run(capsys, "verify", "thm:does-not-exist")
     assert code == 2

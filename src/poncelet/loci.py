@@ -13,9 +13,12 @@ monomials up to the requested degree is assembled (graded, so a lower
 degree's design is a column prefix: the ladder fills one design, each
 grade when a degree first reaches it, its powers as running products,
 and takes one SVD per degree, of the m x m QR factor R of its n x m
-prefix), and the smallest right singular vector gives the coefficient
-vector; the residual is the smallest singular value over sqrt(n), i.e.
-the RMS of the normalized implicit values.
+prefix).  The residual is the smallest singular value over sqrt(n), i.e.
+the RMS of the normalized implicit values.  Only degree 2 computes
+singular vectors: its smallest right singular vector gives the conic's
+coefficient vector, with the bits of the full SVD of the prefix.  Every
+other degree takes the singular values alone, so its residual has the
+bits of ``np.linalg.svd(prefix, compute_uv=False)``.
 """
 
 from __future__ import annotations
@@ -272,23 +275,39 @@ class _MonomialDesign:
 
 
 class _Rung(NamedTuple):
-    """One degree of the ladder: the smallest right singular vector of its
-    design prefix, and its residual."""
+    """One degree of the ladder: its residual and, at degree 2 only, the
+    smallest right singular vector of its design prefix (None above)."""
 
     degree: int
-    null: np.ndarray
+    null: Optional[np.ndarray]
     residual: float
 
 
+# The strict lower triangle of an m x m matrix, per m.
+_LOWER: Dict[int, np.ndarray] = {}
+
+
 def _rung(design: _MonomialDesign, degree: int) -> _Rung:
-    """The degree's prefix SVD, taken of its QR factor R once n >= 2m is
-    checked: dgesdd takes that path itself for so tall a matrix, so the
-    bits are those of ``np.linalg.svd(prefix, full_matrices=False)``."""
+    """The degree's prefix spectrum, taken of its QR factor R once n >= 2m
+    is checked: dgesdd takes that path itself for so tall a matrix, so the
+    bits are those of ``np.linalg.svd(prefix, full_matrices=False)`` at
+    degree 2, whose null vector gives the conic, and of
+    ``np.linalg.svd(prefix, compute_uv=False)`` at every other degree,
+    where only the smallest singular value is read."""
     m = (degree + 1) * (degree + 2) // 2
     n = design.n
     if n < 2 * m:
         raise InsufficientSamples(f"degree {degree} needs >= {2 * m} samples, got {n}")
-    _, sigma, vt = np.linalg.svd(np.linalg.qr(design.columns(degree), mode="r"))
+    # Raw mode returns the factored prefix transposed.  Its first m rows
+    # hold R on and above the diagonal, Householder reflectors below.
+    r = np.linalg.qr(design.columns(degree), mode="raw")[0][:, :m].T
+    lower = _LOWER.get(m)
+    if lower is None:
+        lower = _LOWER[m] = np.tri(m, k=-1, dtype=bool)
+    r[lower] = 0.0
+    if degree != 2:
+        return _Rung(degree, None, float(np.linalg.svd(r, compute_uv=False)[-1]) / math.sqrt(n))
+    _, sigma, vt = np.linalg.svd(r)
     return _Rung(degree, vt[-1], float(sigma[-1]) / math.sqrt(n))
 
 

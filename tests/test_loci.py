@@ -647,12 +647,32 @@ def test_conf2_x2_reads_degree_6_at_every_frame_scale(k):
     assert (fit.verdict, fit.degree) == ("algebraic", 6)
 
 
+@pytest.mark.parametrize("k", [1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4])
+@pytest.mark.parametrize("n", [256, 1024, 2048])
+def test_conf2_x2_reads_degree_6_at_other_sample_counts(n, k):
+    # As above at the other sample counts: the vector-free spectra above
+    # the conic rung read 6 in every cell, where full SVDs read 7 at
+    # (n, k) = (256, 1e2) and (2048, 1e-2).
+    fit = classify_locus(trace_locus(conf2_config(2.0 * k, k, 0.5 * k * k), "X2", n=n))
+    assert (fit.verdict, fit.degree) == ("algebraic", 6)
+
+
 @pytest.mark.parametrize("n", [256, 512, 1024, 2048])
 def test_bic2_x484_reads_its_certified_quartic(n):
     # The Evans perspector sweeps a quartic over bic-II (the sympy
     # certificate of the catalogue row), read at every sample count.
     fit = classify_locus(trace_locus(BIC2, "X484", n=n))
     assert (fit.verdict, fit.degree) == ("algebraic", 4)
+
+
+@pytest.mark.parametrize("k", [1e-2, 1.0, 1e4])
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+def test_bic2_x2_reads_its_certified_sextic(n, k):
+    # The barycenter sweeps a sextic over bic-II (prop:bicII-x2's closed
+    # form), read at every sample count and at k times the default frame
+    # (R, r, d) = (1, 0.2, 0.3).
+    fit = classify_locus(trace_locus(bic2_config(k, 0.2 * k, 0.3 * k), "X2", n=n))
+    assert (fit.verdict, fit.degree) == ("algebraic", 6)
 
 
 def _record_designs(monkeypatch):
@@ -739,11 +759,16 @@ def test_ladder_checks_the_sample_count_before_building_a_grade(monkeypatch):
 
 def _svd_oracle_fits(samples, degrees):
     """fit_curve at each degree, rebuilt on the SVD of the n x m prefix
-    of the whole degree-8 design, with no code shared with the rung."""
+    of the whole degree-8 design (its singular values alone except at
+    degree 2), with no code shared with the rung."""
     norm, shift, s = loci._normalize_samples(samples)
     whole = _whole_design(norm, 8)
     for degree in degrees:
-        _, sigma, vt = np.linalg.svd(whole[:, : len(monomial_exponents(degree))], full_matrices=False)
+        prefix = whole[:, : len(monomial_exponents(degree))]
+        if degree != 2:
+            sigma = np.linalg.svd(prefix, compute_uv=False)
+        else:
+            _, sigma, vt = np.linalg.svd(prefix, full_matrices=False)
         residual = float(sigma[-1]) / math.sqrt(len(norm))
         verdict, conic = "algebraic", None
         if degree == 2:
@@ -794,18 +819,20 @@ def test_ladder_classifies_the_quadric_only_within_conic_tol(monkeypatch, make, 
 
 def test_ladder_takes_each_rung_spectrum_once(monkeypatch):
     loc = trace_locus(BIC2, "X2", n=512)
-    shapes = []
+    calls = []
     svd = np.linalg.svd
 
     def recording(a, *args, **kwargs):
-        shapes.append(a.shape)
+        calls.append((a.shape, kwargs.get("compute_uv", True)))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     fit = classify_locus(loc)
     assert (fit.verdict, fit.degree) == ("algebraic", 6)
-    # One SVD per degree 2..7, each of the m x m R factor.
-    assert shapes == [(m, m) for m in (len(monomial_exponents(d)) for d in range(2, 8))]
+    # One SVD per degree 2..7, each of the m x m R factor; only the
+    # conic rung computes singular vectors.
+    sizes = {d: len(monomial_exponents(d)) for d in range(2, 8)}
+    assert calls == [((m, m), d == 2) for d, m in sizes.items()]
 
 
 @pytest.mark.parametrize("degree", range(1, 9))

@@ -7,10 +7,10 @@ incenter, X2 = barycenter, ...).  Most center kernels are made by
 ``_barycentric`` from a homogeneous barycentric weight generator of the
 side lengths; a few compose other kernels (the circumcircle inverses
 X36, X484 and X2077 of X1, X35 and X40, the points X40, X165 and X942
-of the line OI, the intouch centroid X354).  The test suite checks them
-against their own trilinear or barycentric formulas and against the
-constructions they equal (the Evans perspector's three lines, the
-intouch orthocenter), which this module does not hold.
+of the line OI).  The test suite checks them against their own
+trilinear or barycentric formulas and against the constructions they
+equal (the Evans perspector's three lines, the orthocenter and the
+centroid of the contact triangle), which this module does not hold.
 
 Weight formulas follow the standard encyclopedia of triangle centers;
 each one is guarded by an independent geometric incidence oracle in
@@ -21,8 +21,9 @@ Every kernel is elementwise on coordinate arrays over a batch of
 triangles (``center_arrays``).  It reads the ``TriangleBatch``'s
 vertices, side lengths, area and collinearity flag, which the batch
 carries from its builder, so a caller that keeps a batch reuses them.
-``center`` and ``excenters`` run a kernel on the batch of one triangle
-and raise where that batch marks the triangle invalid.
+``center`` runs a kernel on the batch of one triangle and raises where
+that batch marks the triangle invalid; ``excenters`` is ``center`` of
+the three excenter ids.
 """
 
 from __future__ import annotations
@@ -119,37 +120,24 @@ def _weighted(t: TriangleBatch, w1: Any, w2: Any, w3: Any):
 _SIGNED_SUMS = (lambda a, b, c: -a + b + c, lambda a, b, c: a - b + c, lambda a, b, c: a + b - c)
 
 
-def _excentral_weights(t: TriangleBatch):
-    """What the three excenters share: the denominators d_k (the side sum
-    with s_k negated), the products s_i·x_i and s_i·y_i, and the fault
-    flags, which fail all three where any d_k <= 0."""
-    s1, s2, s3 = t.s1, t.s2, t.s3
-    d = (-s1 + s2 + s3, s1 - s2 + s3, s1 + s2 - s3)
-    inequality_fails = (d[0] <= 0.0) | (d[1] <= 0.0) | (d[2] <= 0.0)
-    # (-s1)·x1 is -(s1·x1) exactly, so each product is formed once.
-    u = (s1 * t.x1, s2 * t.x2, s3 * t.x3)
-    v = (s1 * t.y1, s2 * t.y2, s3 * t.y3)
-    return d, u, v, t.fault | _DEGENERATE * inequality_fails
-
-
-def _excenter_of(weights: Any, k: int):
-    """The excenter opposite P_(k+1), (−s1·P1 + s2·P2 + s3·P3)/(−s1+s2+s3)
-    for k = 0 and cyclically, from ``_excentral_weights``."""
-    d, u, v, fault = weights
-    den = _nonzero(d[k])
-    return _SIGNED_SUMS[k](*u) / den, _SIGNED_SUMS[k](*v) / den, fault
-
-
-def _excenters(t: TriangleBatch):
-    """((x1', x2', x3'), (y1', y2', y3'), fault), the shared weights formed once."""
-    weights = _excentral_weights(t)
-    (x1, y1, _), (x2, y2, _), (x3, y3, fault) = [_excenter_of(weights, k) for k in range(3)]
-    return (x1, x2, x3), (y1, y2, y3), fault
-
-
 def _excenter(k: int) -> Kernel:
-    """The kernel of the excenter opposite P_(k+1): its own quotient only."""
-    return lambda t: _excenter_of(_excentral_weights(t), k)
+    """The kernel of the excenter opposite P_(k+1),
+    (−s1·P1 + s2·P2 + s3·P3)/(−s1+s2+s3) for k = 0 and cyclically.  The
+    three share their fault flags: all fail where any side sum with one
+    side negated is <= 0."""
+    signed_sum = _SIGNED_SUMS[k]
+
+    def kernel(t: TriangleBatch):
+        s1, s2, s3 = t.s1, t.s2, t.s3
+        d = (-s1 + s2 + s3, s1 - s2 + s3, s1 + s2 - s3)
+        inequality_fails = (d[0] <= 0.0) | (d[1] <= 0.0) | (d[2] <= 0.0)
+        den = _nonzero(d[k])
+        # (-s1)·x1 is -(s1·x1) exactly, so each product is formed once.
+        x = signed_sum(s1 * t.x1, s2 * t.x2, s3 * t.x3) / den
+        y = signed_sum(s1 * t.y1, s2 * t.y2, s3 * t.y3) / den
+        return x, y, t.fault | _DEGENERATE * inequality_fails
+
+    return kernel
 
 
 def _vertex(k: int) -> Kernel:
@@ -198,26 +186,6 @@ def _x2077(t: TriangleBatch):
 def _x484(t: TriangleBatch):
     """Evans perspector: the circumcircle inverse of X35."""
     return _circumcircle_inverse(t, _circumcenter(t), *_x35(t))
-
-
-def _intouch(t: TriangleBatch) -> Tuple[Any, Any, Any, Any, Any, Any]:
-    """Contact triangle: vertex i is the incircle's touchpoint on the side
-    opposite P_i, at tangent length s - s_j from the side's start P_j."""
-    s = 0.5 * (t.s1 + t.s2 + t.s3)
-    f1 = (s - t.s2) / t.s1
-    f2 = (s - t.s3) / t.s2
-    f3 = (s - t.s1) / t.s3
-    return (
-        t.x2 + f1 * (t.x3 - t.x2), t.y2 + f1 * (t.y3 - t.y2),
-        t.x3 + f2 * (t.x1 - t.x3), t.y3 + f2 * (t.y1 - t.y3),
-        t.x1 + f3 * (t.x2 - t.x1), t.y1 + f3 * (t.y2 - t.y1),
-    )
-
-
-def _x354(t: TriangleBatch):
-    """Centroid of the intouch triangle."""
-    u1, v1, u2, v2, u3, v3 = _intouch(t)
-    return (u1 + u2 + u3) / 3.0, (v1 + v2 + v3) / 3.0, t.fault
 
 
 def _x942(t: TriangleBatch):
@@ -269,11 +237,9 @@ def center_arrays(tri: TriangleBatch, tracked: Union[CenterDefinition, str, int]
 
 
 def excenters(tri: Triangle) -> ExcentralTriangle:
-    """Excenters of a triangle, the vertices of its excentral triangle,
-    from their shared weights on the batch of one."""
-    xs, ys, fault = _evaluate(_excenters, _one(tri))
-    _raise_for(fault[0])
-    return ExcentralTriangle(*(Point(float(x[0]), float(y[0])) for x, y in zip(xs, ys)))
+    """Excenters of a triangle, the vertices of its excentral triangle:
+    ``center`` of P1', P2' and P3'."""
+    return ExcentralTriangle(*(center(tri, pid) for pid in ("P1'", "P2'", "P3'")))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +291,11 @@ def _w_x59(a: float, b: float, c: float) -> float:
     return a * a * (ab * ab) * (ac * ac) * (c + a - b) * (a + b - c)
 
 
+def _w_x354(a: float, b: float, c: float) -> float:
+    e = b - c
+    return a * (a * (b + c) - e * e)
+
+
 def _x46(t: TriangleBatch):
     """Trilinears cos B + cos C - cos A, times the side for barycentric
     weights; the three cosines are shared by the three weights."""
@@ -367,7 +338,7 @@ _DEFINITIONS: List[CenterDefinition] = [
     CenterDefinition(59, _barycentric(_w_x59)),
     CenterDefinition(65, _x65),  # orthocenter of the intouch triangle
     CenterDefinition(165, _excentral_centroid),  # centroid of the excentral triangle
-    CenterDefinition(354, _x354),  # Weill point
+    CenterDefinition(354, _barycentric(_w_x354)),  # Weill point: centroid of the contact triangle
     CenterDefinition(484, _x484),  # Evans perspector
     CenterDefinition(942, _x942),  # nine-point center of the intouch triangle
     CenterDefinition(2077, _x2077),  # circumcircle inverse of the Bevan point

@@ -66,8 +66,8 @@ from .centers import _cosines, center_arrays
 from .loci import (
     _grid,
     _grid_samples,
+    _real_roots,
     CONIC_TOL,
-    Locus,
     classify_locus,
     convexity_check,
     convexity_lambda_root,
@@ -567,32 +567,19 @@ def _min_axis_distance(cfg: FamilyConfig, tracked: Sequence[str]) -> List[float]
 _ROW_BLOCK = 32
 
 
-def _row_blocks(pa: np.ndarray, pb: np.ndarray):
-    """Squared distances from a block of pa's rows at a time to every
-    row of pb."""
+def _hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Hausdorff distance of two (m, 2) point sets, from the squared
+    distances of a block of pa's rows at a time to every row of pb: each
+    row's minimum, and a running minimum per column of pb."""
+    row_max = 0.0
+    col_min = np.full(len(pb), np.inf)
     for s in range(0, len(pa), _ROW_BLOCK):
         dx = pa[s : s + _ROW_BLOCK, 0, None] - pb[:, 0]
         dy = pa[s : s + _ROW_BLOCK, 1, None] - pb[:, 1]
-        yield dx * dx + dy * dy
-
-
-def _hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
-    """Hausdorff distance of two (m, 2) point sets: each row's minimum,
-    and a running minimum per column of pb."""
-    row_max = 0.0
-    col_min = np.full(len(pb), np.inf)
-    for d2 in _row_blocks(pa, pb):
+        d2 = dx * dx + dy * dy
         row_max = max(row_max, float(d2.min(axis=1).max()))
         col_min = np.minimum(col_min, d2.min(axis=0))
     return math.sqrt(max(row_max, float(col_min.max())))
-
-
-def _symmetry_closure(loc: Locus, sx: float, sy: float) -> float:
-    """Largest distance from a reflected valid sample (sx x, sy y) to its
-    nearest valid sample."""
-    xy = loc.valid_xy()
-    blocks = _row_blocks(xy * (sx, sy), xy)
-    return math.sqrt(max((float(d2.min(axis=1).max()) for d2 in blocks), default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -833,10 +820,10 @@ def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> Cl
         fit = fit_curve(loc.valid_xy(), 2)
         worst_offgrid = min(worst_offgrid, fit.residual)
 
-    sym = max(
-        _symmetry_closure(loc_c, -1.0, -1.0),
-        _symmetry_closure(loc_c, 1.0, -1.0),
-    )
+    # A reflection's distance table is symmetric, so the Hausdorff distance
+    # is the largest distance from a reflected sample to its nearest sample.
+    xy = loc_c.valid_xy()
+    sym = max(_hausdorff(xy * (-1.0, -1.0), xy), _hausdorff(xy * (1.0, -1.0), xy))
     gates = (
         _Gate("conic residual at the closing parameter", metric, CONIC_TOL, False),
         _Gate("fitted semi-axes vs closed form, relative error", axes_err, 1e-8, False),
@@ -862,8 +849,8 @@ def check_x2_homothety_half_n4(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     loc = trace_locus(cfg, "X2", 512)
     metric = _ellipse_deviation(loc.valid_xy(), a / 3.0, b / 3.0)
 
-    _, tri = _grid_samples(cfg, 512)
-    midpoint_worst = _worst(np.hypot(tri.x2 + tri.x3, tri.y2 + tri.y3)[tri.ok] / 2.0)
+    tri = _members(cfg, 512)
+    midpoint_worst = _worst(np.hypot(tri.x2 + tri.x3, tri.y2 + tri.y3) / 2.0)
 
     loc_off = trace_locus(conf2_config(a, b, 0.8 * lam4), "X2", 512)
     fit_off = fit_curve(loc_off.valid_xy(), 2)
@@ -983,9 +970,7 @@ def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     empirical = 0.5 * (lo + hi)
     metric = abs(empirical - lam_o) / (b * b)
 
-    real_roots = sorted(
-        z.real for z in np.roots(coeffs) if abs(z.imag) <= 1e-9 * (1.0 + abs(z))
-    )
+    real_roots = sorted(_real_roots(coeffs))
     gates = (
         _Gate("|traced - predicted transition|/b^2", metric, 1e-3, False),
         _Gate("quintic residual at root", quintic_res, 1e-10, False),

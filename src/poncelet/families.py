@@ -582,7 +582,8 @@ FAMILY_SPECS = {
 @dataclass(frozen=True)
 class FamilyConfig:
     """A concrete triangle family: kind, shape parameters (of the class
-    the kind's FamilySpec names), tangent branch (a chain's only)."""
+    the kind's FamilySpec names; the pencil coordinate u a chain's only),
+    tangent branch (a chain's only)."""
 
     kind: str
     params: Any
@@ -598,8 +599,12 @@ class FamilyConfig:
         x, y, z, pencil = vars(p).values()  # the four fields, in order
         if spec.closure is not None:
             spec.closure(x, y, z)
+        for label in self.branch:
+            _branch_sign(label)
         if spec.chain and pencil is None:
             raise ValueError(f"{self.kind} needs the pencil parameter u")
+        if not spec.chain and pencil is not None:
+            raise ValueError(f"{self.kind} takes no pencil parameter u: it has one caustic")
         if not spec.chain and self.branch != DEFAULT_BRANCH:
             raise ValueError(
                 f"{self.kind} takes only the default tangent branch (plus, plus):"

@@ -511,6 +511,12 @@ def convexity_quintic_coeffs(a: float, b: float) -> Tuple[float, ...]:
     )
 
 
+def _real_roots(coeffs: Sequence[float]) -> List[float]:
+    """The real parts of the polynomial's roots z, in ``np.roots`` order,
+    whose imaginary part is at most 1e-9·(1 + |z|)."""
+    return [float(z.real) for z in np.roots(coeffs) if abs(z.imag) <= 1e-9 * (1.0 + abs(z))]
+
+
 def convexity_lambda_root(a: float, b: float) -> float:
     """The caustic parameter at which the conf-II incenter locus stops
     being convex: the smallest positive real root of the transition
@@ -528,18 +534,15 @@ def convexity_lambda_root(a: float, b: float) -> float:
     if not a > b > 0.0:
         raise ValueError("need a > b > 0")
     coeffs = convexity_quintic_coeffs(a, b)
-    roots = np.roots(coeffs)
     candidates = []
-    for z in roots:
-        if abs(z.imag) <= 1e-9 * (1.0 + abs(z)):
-            lam = float(z.real)
-            # one Newton polish step on the real quintic
-            p = np.polyval(coeffs, lam)
-            dp = np.polyval(np.polyder(np.asarray(coeffs)), lam)
-            if dp != 0.0:
-                lam -= p / dp
-            if lam > 0.0:
-                candidates.append(lam)
+    for lam in _real_roots(coeffs):
+        # one Newton polish step on the real quintic
+        p = np.polyval(coeffs, lam)
+        dp = np.polyval(np.polyder(np.asarray(coeffs)), lam)
+        if dp != 0.0:
+            lam -= p / dp
+        if lam > 0.0:
+            candidates.append(lam)
     if not candidates:
         raise NoConvexityRoot(f"transition quintic has no positive real root for a={a}, b={b}")
     return float(min(candidates))

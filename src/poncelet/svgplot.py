@@ -11,7 +11,7 @@ timestamps, element order) depends on runtime state.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -60,44 +60,30 @@ class _Frame:
         return (self.ox + p[0] * self.scale, self.oy - p[1] * self.scale)
 
 
-def _conic_bbox(c: Conic) -> Optional[Tuple[float, float, float, float]]:
+def _conic_corners(c: Conic) -> np.ndarray:
+    """The drawn extent of a conic: the corners of its axis box, its
+    center alone where it has no semi-axes, no row where it has none."""
     center = c.center
-    axes = c.semi_axes
     if center is None:
-        return None
-    if axes is None:
-        return (center.x, center.y, center.x, center.y)
-    rx, ry = axes
-    return (center.x - rx, center.y - ry, center.x + rx, center.y + ry)
-
-
-def _merge(
-    box: Optional[Tuple[float, float, float, float]],
-    other: Optional[Tuple[float, float, float, float]],
-) -> Optional[Tuple[float, float, float, float]]:
-    if other is None:
-        return box
-    if box is None:
-        return other
-    return (
-        min(box[0], other[0]),
-        min(box[1], other[1]),
-        max(box[2], other[2]),
-        max(box[3], other[3]),
-    )
+        return np.empty((0, 2))
+    if c.semi_axes is None:
+        return np.array([center])
+    rx, ry = c.semi_axes
+    return np.array([(center.x - rx, center.y - ry), (center.x + rx, center.y + ry)])
 
 
 def _finite_rows(xy: np.ndarray) -> np.ndarray:
     return xy[np.isfinite(xy).all(axis=1)]
 
 
-def _points_bbox(xy: np.ndarray) -> Optional[Tuple[float, float, float, float]]:
-    """Bounding box of the finite rows of an (n, 2) array."""
-    finite = _finite_rows(xy)
-    if not len(finite):
-        return None
-    (x0, y0), (x1, y1) = finite.min(axis=0).tolist(), finite.max(axis=0).tolist()
-    return (x0, y0, x1, y1)
+def _dot(p: Sequence[float], css: str, frame: _Frame, label: str) -> str:
+    """A curve too small to draw, as a dot at the world point p."""
+    cx, cy = frame.to_px(p)
+    dot = "envelope-dot" if css == "envelope" else "locus-dot"
+    return (
+        f'  <circle class="{dot}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2.5">'
+        f"<title>{label}</title></circle>\n"
+    )
 
 
 def _conic_element(c: Conic, css: str, frame: _Frame, label: str) -> str:
@@ -105,13 +91,9 @@ def _conic_element(c: Conic, css: str, frame: _Frame, label: str) -> str:
     axes = c.semi_axes
     if center is None:
         return f"  <!-- {label}: not drawable -->\n"
-    cx, cy = frame.to_px(center)
     if axes is None or max(axes) * frame.scale < 0.5:
-        dot = "envelope-dot" if css == "envelope" else "locus-dot"
-        return (
-            f'  <circle class="{dot}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2.5">'
-            f"<title>{label}</title></circle>\n"
-        )
+        return _dot(center, css, frame, label)
+    cx, cy = frame.to_px(center)
     rx, ry = axes[0] * frame.scale, axes[1] * frame.scale
     if abs(rx - ry) <= 1e-9 * max(rx, ry):
         return (
@@ -148,12 +130,7 @@ def _locus_elements(xy: np.ndarray, frame: _Frame, css: str, label: str) -> str:
         return f"  <!-- {label}: no drawable samples -->\n"
     spread = float(np.ptp(finite, axis=0).max())
     if spread * frame.scale < 1.0:
-        cx, cy = frame.to_px(finite[0].tolist())
-        dot = "envelope-dot" if css == "envelope" else "locus-dot"
-        return (
-            f'  <circle class="{dot}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2.5">'
-            f"<title>{label}</title></circle>\n"
-        )
+        return _dot(finite[0].tolist(), css, frame, label)
     out = []
     for d in _path_runs(xy, frame):
         out.append(f'  <path class="{css}" d="{d}"><title>{label}</title></path>\n')
@@ -180,25 +157,19 @@ def render_family(
     if envelope is None:
         env_samples = envelope_points(cfg.free_sides, _grid(max(n, 64)))
 
-    # The sample triangle's vertices as a (3, 2) array, None where it has none.
+    # The sample triangle's vertices as a (3, 2) array, no row where it has none.
     batch = cfg.triangles(np.array([_SAMPLE_TRIANGLE_T]))
-    tri = np.array(batch[:6]).reshape(3, 2) if batch.ok[0] else None
+    tri = np.array(batch[:6]).reshape(3, 2) if batch.ok[0] else np.empty((0, 2))
 
-    bbox = _conic_bbox(outer)
-    for c in caustics:
-        bbox = _merge(bbox, _conic_bbox(c))
-    if envelope is not None:
-        bbox = _merge(bbox, _conic_bbox(envelope))
-    else:
-        bbox = _merge(bbox, _points_bbox(env_samples))
-    for _, xy in loci:
-        bbox = _merge(bbox, _points_bbox(xy))
-    if tri is not None:
-        bbox = _merge(bbox, _points_bbox(tri))
-    if bbox is None:
+    # Every drawn point, the conics by their axis boxes: the frame holds them all.
+    conics = (outer, *caustics) if envelope is None else (outer, *caustics, envelope)
+    drawn = _finite_rows(
+        np.concatenate([*map(_conic_corners, conics), env_samples, *(xy for _, xy in loci), tri])
+    )
+    if not len(drawn):
         raise ValueError("nothing drawable for this configuration")
     size = DEFAULT_SIZE
-    frame = _Frame(bbox, size)
+    frame = _Frame((*drawn.min(axis=0).tolist(), *drawn.max(axis=0).tolist()), size)
 
     x0, y0, x1, y1 = frame.bbox
     parts: List[str] = []
@@ -222,7 +193,7 @@ def render_family(
         parts.append(
             _locus_elements(env_samples, frame, "envelope", "free-side envelope (sampled)")
         )
-    if tri is not None:
+    if len(tri):
         p1, p2, p3 = (frame.to_px(v) for v in tri.tolist())
         parts.append(
             f'  <path class="triangle" d="M {_fmt(p1[0])} {_fmt(p1[1])}'

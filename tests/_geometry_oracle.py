@@ -2,8 +2,8 @@
 
 Lines through points, the meet of two lines, a conic's implicit value
 and gradient, the tangents from a point to a conic, circle inversion,
-the members of a pencil of two conics and the measures of a triangle,
-each written from its formula on floats.  None of it calls the
+the members of a pencil of two conics, the measures of a triangle and
+its contact triangle, each written from its formula on floats.  None of it calls the
 package's elementwise kernels or evaluators, so a test that checks a
 kernel against these functions compares two derivations of the same
 geometry.
@@ -215,6 +215,26 @@ class MeasuredTriangle(Triangle):
         if area == 0.0:
             raise DegenerateTriangle("collinear vertices")
         return s1 * s2 * s3 / (4.0 * area)
+
+
+def contact_triangle(x1, y1, x2, y2, x3, y3):
+    """The contact triangle's vertices (u1, v1, u2, v2, u3, v3): vertex i
+    is the incircle's touchpoint on the side opposite P_i, at tangent
+    length s - s_j from that side's start P_j (s the semiperimeter).
+
+    Elementwise on floats, on float arrays, and on object arrays of
+    mpmath numbers, which it evaluates at their working precision.
+    """
+    s1 = ((x2 - x3) ** 2 + (y2 - y3) ** 2) ** 0.5
+    s2 = ((x3 - x1) ** 2 + (y3 - y1) ** 2) ** 0.5
+    s3 = ((x1 - x2) ** 2 + (y1 - y2) ** 2) ** 0.5
+    s = (s1 + s2 + s3) / 2
+    f1, f2, f3 = (s - s2) / s1, (s - s3) / s2, (s - s1) / s3
+    return (
+        x2 + f1 * (x3 - x2), y2 + f1 * (y3 - y2),
+        x3 + f2 * (x1 - x3), y3 + f2 * (y1 - y3),
+        x1 + f3 * (x2 - x1), y1 + f3 * (y2 - y1),
+    )
 
 
 def measured(tri: Triangle) -> MeasuredTriangle:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from poncelet.geom import Conic, Point
 from poncelet.families import (
     BicentricParams,
+    DegenerateTriangle,
     FamilyConfig,
     Triangle,
     TriangleBatch,
@@ -23,6 +24,7 @@ from poncelet import centers as C
 from _geometry_oracle import (
     MeasuredTriangle,
     circle_inverse,
+    contact_triangle,
     line_from_coefficients,
     line_from_points,
     line_intersection,
@@ -200,9 +202,9 @@ def test_bevan_point_alias():
 
 
 def _intouch_triangle(tri: Triangle) -> Triangle:
-    """The contact triangle from the intouch kernel; vertex i is the
-    incircle's touchpoint on the side opposite P_i."""
-    u1, v1, u2, v2, u3, v3 = C._intouch(TriangleBatch.of(*tri.p1, *tri.p2, *tri.p3, True))
+    """The contact triangle; vertex i is the incircle's touchpoint on the
+    side opposite P_i."""
+    u1, v1, u2, v2, u3, v3 = contact_triangle(*tri.p1, *tri.p2, *tri.p3)
     return Triangle(Point(u1, v1), Point(u2, v2), Point(u3, v3), tri.t)
 
 
@@ -499,13 +501,37 @@ def test_x484_and_x65_equal_their_constructions(cfg):
     assert defined.sum() > 1000
     assert (got[2] == defined).all()
     assert np.hypot(got[0] - x, got[1] - y)[defined].max() < 1e-9 * cfg.outer_scale
-    intouch = TriangleBatch.of(*C._intouch(tri), tri.ok)
+    intouch = TriangleBatch.of(*contact_triangle(*tri[:6]), tri.ok)
     hx, hy, hok = C.center_arrays(intouch, 4)
     hok &= tri.fault == 0
     got = C.center_arrays(tri, "X65")
     assert hok.sum() > 1000
     assert (got[2] == hok).all()
     assert np.hypot(got[0] - hx, got[1] - hy)[hok].max() < 1e-9 * cfg.outer_scale
+
+
+# The README families, a bic-II caustic close to the outer circle and a
+# conf-II caustic close to its degenerate end (minor semi-axis 0.1).
+X354_FAMILIES = README_FAMILIES + [bic2_config(1.0, 0.05, 0.9), conf2_config(5.0, 1.0, 0.99)]
+
+
+@pytest.mark.parametrize("cfg", X354_FAMILIES, ids=lambda cfg: cfg.kind)
+def test_x354_is_the_centroid_of_the_contact_triangle(cfg):
+    """X354's weights give the contact triangle's centroid, valid where
+    the construction is, within 1e-15 max(1, |X354|) of that centroid
+    built at 50 digits from the same vertex coordinates."""
+    mpmath = pytest.importorskip("mpmath")
+    tri = cfg.triangles(2.0 * np.pi * np.arange(1024) / 1024)
+    x, y, ok = C.center_arrays(tri, "X354")
+    assert ok.sum() > 1000
+    assert (ok == (tri.ok & (tri.fault == 0))).all()
+    with mpmath.workdps(50):
+        exact = [np.array([mpmath.mpf(float(c)) for c in v[ok]], dtype=object) for v in tri[:6]]
+        u1, v1, u2, v2, u3, v3 = contact_triangle(*exact)
+        dx = ((u1 + u2 + u3) / 3 - x[ok]).astype(float)
+        dy = ((v1 + v2 + v3) / 3 - y[ok]).astype(float)
+    err = np.hypot(dx, dy) / np.maximum(1.0, np.hypot(x[ok], y[ok]))
+    assert err.max() <= 1e-15, err.max()
 
 
 def test_bic1_frozen_positions():
@@ -646,5 +672,15 @@ def test_shared_subexpression_kernels_keep_their_bits(cfg):
     for key, old in OLD_KERNELS.items():
         got, want = C._evaluate(C.kernel_of(key), shape), C._evaluate(old, shape)
         assert all(_same_bits(g, w) for g, w in zip(got, want)), key
-    (gx, gy, gf), (wx, wy, wf) = C._evaluate(C._excenters, shape), C._evaluate(_old_excenters, shape)
-    assert all(map(_same_bits, gx + gy + (gf,), wx + wy + (wf,)))
+    # excenters, on each triangle alone: the old bits where the old fault
+    # flag is clear, and the error of that flag where it is set.
+    wx, wy, wf = C._evaluate(_old_excenters, shape)
+    for i in range(len(ok)):
+        x1, y1, x2, y2, x3, y3 = (float(v[i]) for v in shape[:6])
+        tri_i = Triangle(Point(x1, y1), Point(x2, y2), Point(x3, y3), 0.0)
+        if wf[i]:
+            with pytest.raises(DegenerateTriangle):
+                C.excenters(tri_i)
+        else:
+            got = C.excenters(tri_i).vertices()
+            assert _same_bits(got, [(x[i], y[i]) for x, y in zip(wx, wy)]), i

@@ -151,6 +151,35 @@ def test_params_validation():
         FamilyConfig("conf-II", ConfocalParams(2.0, 1.0, 0.5), TangentBranch(MINUS, PLUS))
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [("bic-III", BicentricParams(1.0, 0.15, 0.25, u=0.4)),
+     ("conf-III", ConfocalParams(2.0, 1.0, 0.3, u=0.5)),
+     ("bic-II", BicentricParams(1.0, 0.2, 0.3))],
+)
+@pytest.mark.parametrize("branch", [TangentBranch("up", PLUS), TangentBranch(PLUS, "Plus")])
+def test_config_rejects_an_unknown_branch_label_when_built(kind, params, branch):
+    """An unknown label fails at construction, before any member is
+    sampled, for a chain and for a pair alike."""
+    with pytest.raises(ValueError, match="^tangent branch must be 'plus' or 'minus', got "):
+        FamilyConfig(kind, params, branch)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("bic-I", BicentricParams(1.0, 0.25, chapple_distance(1.0, 0.25), u=0.4)),
+     ("bic-II", BicentricParams(1.0, 0.2, 0.3, u=0.4)),
+     ("conf-I", ConfocalParams(2.0, 1.0, critical_lambda(2.0, 1.0), u=0.9)),
+     ("conf-II", ConfocalParams(2.0, 1.0, 0.5, u=0.0))],
+)
+def test_pair_config_rejects_a_pencil_parameter(kind, params):
+    """A pair has one caustic, so it would never read u: a u given to it
+    is an error, not a silent no-op."""
+    with pytest.raises(ValueError, match=f"^{kind} takes no pencil parameter u"):
+        FamilyConfig(kind, params)
+    FamilyConfig(kind, dataclasses.replace(params, u=None))  # accepted without it
+
+
 _FINITE_PARAMS = {
     BicentricParams: dict(R=1.0, r=0.15, d=0.25, u=0.4),
     ConfocalParams: dict(a=2.0, b=1.0, lam=0.3, u=0.5),

@@ -30,15 +30,16 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .geom import (
+    _line_through,
     Conic,
+    GeometryError,
     Line,
     Point,
     conic_span_residual,
     line_tangent_to_conic_residual,
 )
 from .families import (
-    _bic3_limiting_points,
-    _bic3_second_caustic,
+    _bic3_radius2,
     _poristic_offset,
     MINUS,
     PLUS,
@@ -432,36 +433,25 @@ def bic2_collapse_point(R: float, d: float) -> Point:
 
 def bic3_collapse_u(R: float, r: float, d: float) -> float:
     """Pencil parameter making the three-caustic free-side envelope
-    collapse onto the interior limiting point of the circle pair.
+    collapse onto a limiting point of the circle pair.
 
-    Found by minimizing the worst chord distance to the limiting point
-    over u: a coarse grid, then rounds of 64 values spanning the best
-    value's neighbours until they are within 1e-13; the minimum is zero
-    at the collapse.
+    By Poncelet's general theorem the free sides then pass through the
+    point from every start, so one member fixes u.  At t = 0, P1 = (R, 0)
+    and P3 = (-R, 0): the free side is the x-axis, which holds both
+    limiting points, and u is the larger real root of the tangency of
+    P2P3 to the pencil circle, (a d (1 - u) + c)^2 = k2 u^2 + k1 u + k0
+    for the unit-normal line a x + b y + c = 0 through P2 and P3.
     """
-    first, second = _bic3_limiting_points(BicentricParams(R, r, d))
-    target = first if abs(first.x) < abs(second.x) else second
-    # P1 and P2 do not depend on u: one first step serves every candidate,
-    # and each u adds its pencil circle and the chain step from P2.  The
-    # config's own u is never read.
-    cfg = bic3_config(R, r, d, u=0.0)
-    start = cfg._first_step(_grid(64))
-
-    def worst_chord_distance(us: np.ndarray) -> np.ndarray:
-        """Per u, the largest |distance| from the target to the free sides
-        that exist, or inf where fewer than 16 of the 64 do."""
-        tri = cfg._chain_step(start, _bic3_second_caustic(cfg.params, us[:, None]))
-        a, b, c, ok = cfg._free_sides_of(tri)
-        dist = np.where(ok, np.abs(Line(a, b, c).signed_distance(target)), 0.0)
-        return np.where(ok.sum(axis=1) >= 16, dist.max(axis=1), math.inf)
-
-    us = np.array([0.30 + 0.005 * k for k in range(int((0.995 - 0.30) / 0.005) + 1)])
-    while True:
-        k0 = int(np.argmin(worst_chord_distance(us)))
-        lo, hi = us[max(k0 - 1, 0)], us[min(k0 + 1, len(us) - 1)]
-        if hi - lo < 1e-13:
-            return float(0.5 * (lo + hi))
-        us = np.linspace(lo, hi, 64)
+    p = BicentricParams(R, r, d)
+    x2, y2, _ = p.chord(p.caustic_shape(), R, 0.0, 1.0)
+    a, _, c, _ = _line_through(x2, y2, -R, 0.0)
+    k2, k1, k0 = _bic3_radius2(p)
+    s = a * d
+    # (s (1 - u) + c)^2 - (k2 u^2 + k1 u + k0), expanded in u.
+    roots = _real_roots((s * s - k2, -2.0 * s * (s + c) - k1, (s + c) ** 2 - k0))
+    if not roots:
+        raise GeometryError(f"no real collapse parameter for R={R}, r={r}, d={d}")
+    return max(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -148,12 +148,12 @@ def _build_family(args: argparse.Namespace) -> FamilyConfig:
         raise _CliUsage(f"unknown family {family!r}")
     spec = FAMILY_SPECS[family]
     branch = _parse_branch(getattr(args, "branch", None))
-    dests = [f.name for f in fields(spec.params)][: 4 if spec.chain else 3]
+    dests = [f.name for f in fields(spec.params)]
     values = [getattr(args, dest) for dest in dests]
     for k, dest in enumerate(dests):
         if values[k] is None and k == 2 and spec.closure is not None:
             values[k] = spec.closure(*values[:2])
-        elif values[k] is None:
+        elif values[k] is None and (spec.chain or dest != "u"):
             raise _CliUsage(f"family {family} requires --{'lambda' if dest == 'lam' else dest}")
     return FamilyConfig(family, spec.params(*values), branch)
 

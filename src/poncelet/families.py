@@ -200,9 +200,16 @@ class BicentricParams:
         return (self.r, self.d)
 
     def pencil_shape(self) -> Tuple[float, float]:
-        """(radius, center offset) of the pencil caustic."""
-        radius, offset = _bic3_second_caustic(self, self.u)
-        return (float(radius), offset)
+        """(radius, center offset) of the pencil caustic; raises if it is
+        imaginary."""
+        u = self.u
+        if u is None:
+            raise ValueError("three-caustic family needs the pencil parameter u")
+        k2, k1, k0 = _bic3_radius2(self)
+        radicand = k2 * u * u + k1 * u + k0
+        if radicand <= 0.0:
+            raise ImaginaryPencilCircle(f"pencil circle at u={u} is imaginary")
+        return (math.sqrt(radicand), self.d * (1.0 - u))
 
     def chord(self, shape: Tuple[float, float], x1: Any, y1: Any, sign: float):
         """Chord map to the caustic circle of the given ``shape``."""
@@ -409,33 +416,6 @@ def _bic3_radius2(p: BicentricParams) -> Tuple[float, float, float]:
     """(k2, k1, k0): the pencil circle at parameter u, centered at
     (d(1-u), 0), has squared radius k2 u^2 + k1 u + k0."""
     return p.d * p.d, p.R * p.R - p.d * p.d - p.r * p.r, p.r * p.r
-
-
-def _bic3_second_caustic(p: BicentricParams, u: Any) -> Tuple[Any, Any]:
-    """(radius, center offset) of the pencil circle of (p.R, p.r, p.d) at
-    parameter u, a number or an array; raises if any of them is imaginary."""
-    if u is None:
-        raise ValueError("three-caustic family needs the pencil parameter u")
-    k2, k1, k0 = _bic3_radius2(p)
-    radicand = k2 * u * u + k1 * u + k0
-    if np.any(radicand <= 0.0):
-        raise ImaginaryPencilCircle(f"pencil circle at u={u} is imaginary")
-    return (np.sqrt(radicand), p.d * (1.0 - u))
-
-
-def _bic3_limiting_points(p: BicentricParams) -> Tuple[Point, Point]:
-    """The pencil's two point circles, at the roots u of the squared
-    radius: the one inside the caustic, then the one outside the outer
-    circle.  The roots are real and negative because the caustic lies
-    strictly inside the outer circle (so k1 > 0); a concentric pair
-    (d = 0) has both at the common center."""
-    k2, k1, k0 = _bic3_radius2(p)
-    if k2 == 0.0:
-        return Point(0.0, 0.0), Point(0.0, 0.0)
-    # -k1 - root does not cancel; the root nearer 0 is taken as the
-    # product k0 / k2 over the other, not by the cancelling difference.
-    far = -k1 - math.sqrt(k1 * k1 - 4.0 * k2 * k0)
-    return Point(p.d * (1.0 - 2.0 * k0 / far), 0.0), Point(p.d * (1.0 - far / (2.0 * k2)), 0.0)
 
 
 def _conf3_second_caustic(p: ConfocalParams) -> Tuple[float, float]:
@@ -650,30 +630,14 @@ class FamilyConfig:
         """(x1, y1, x2, y2, x3, y3, ok): the members at the angles t, without
         the measures ``TriangleBatch.of`` adds."""
         p = self.params
-        first = self._first_step(t)
-        if FAMILY_SPECS[self.kind].chain:
-            return self._chain_step(first, p.pencil_shape())
-        # Both tangents leave P1: one tangent condition for the pair.
-        x1, y1, x2, y2, ok = first
-        x3, y3, _ = p.chord(p.caustic_shape(), x1, y1, -_branch_sign(self.branch.first))
-        return x1, y1, x2, y2, x3, y3, ok
-
-    def _first_step(self, t: Any) -> Tuple[Any, Any, Any, Any, Any]:
-        """(x1, y1, x2, y2, ok): P1 at the angles t, and P2 along the first
-        branch's tangent to the caustic; ok is false where it has none."""
-        p = self.params
         x1, y1 = p.vertex(t)
         x2, y2, ok = p.chord(p.caustic_shape(), x1, y1, _branch_sign(self.branch.first))
-        return x1, y1, x2, y2, ok
-
-    def _chain_step(self, first: Tuple[Any, ...], pencil: Tuple[Any, Any]) -> Tuple[Any, ...]:
-        """A chain's ``_vertices`` from their ``_first_step``: P3 along the
-        second branch's tangent from P2 to the pencil caustic of shape
-        ``pencil``.  The shape may hold arrays that broadcast against P2 (a
-        column of pencil circles gives one row of members per circle)."""
-        x1, y1, x2, y2, ok = first
-        x3, y3, ok3 = self.params.chord(pencil, x2, y2, _branch_sign(self.branch.second))
-        return x1, y1, x2, y2, x3, y3, ok & ok3
+        if FAMILY_SPECS[self.kind].chain:
+            x3, y3, ok3 = p.chord(p.pencil_shape(), x2, y2, _branch_sign(self.branch.second))
+            return x1, y1, x2, y2, x3, y3, ok & ok3
+        # Both tangents leave P1: one tangent condition for the pair.
+        x3, y3, _ = p.chord(p.caustic_shape(), x1, y1, -_branch_sign(self.branch.first))
+        return x1, y1, x2, y2, x3, y3, ok
 
     def triangle(self, t: float) -> Triangle:
         """The member at angle t, the one-angle batch of ``triangles``;
@@ -691,11 +655,7 @@ class FamilyConfig:
         The free side is the one no prescribed caustic constrains: P2P3
         for a pair, P3P1 for a chain.
         """
-        return self._free_sides_of(self._vertices(t))
-
-    def _free_sides_of(self, vertices: Tuple[Any, ...]) -> Tuple[Any, Any, Any, Any]:
-        """``free_sides`` of the members with these ``_vertices``."""
-        x1, y1, x2, y2, x3, y3, ok = vertices
+        x1, y1, x2, y2, x3, y3, ok = self._vertices(t)
         if FAMILY_SPECS[self.kind].chain:
             a, b, c, ok_line = _line_through(x3, y3, x1, y1)
         else:

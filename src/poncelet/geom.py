@@ -6,7 +6,8 @@ A conic is stored as the coefficient 6-vector ``(A, B, C, D, E, F)`` of
 
 scaled to unit Euclidean norm with the first nonzero coefficient kept
 positive, together with its classification (``classify_conic`` builds
-both).  With that normalization a pencil of two conics is a plain linear
+both from coefficients; ``Conic.circle`` and ``Conic.axis_ellipse`` take
+the classification from the shape they are given).  With that normalization a pencil of two conics is a plain linear
 combination of 6-vectors.  Each classification threshold is relative to
 the size of the quantity it bounds, so a conic's kind does not depend on
 the length unit of the frame.  For circles and ellipses the sign
@@ -172,7 +173,8 @@ def _conic_center(coeffs: Sequence[float]) -> Optional[Point]:
 class Conic:
     """A conic's unit coefficient vector and its classification: kind,
     and where they exist center, semi-axes (major, minor) and the
-    direction of the major axis in [0, pi).  Built by ``classify_conic``."""
+    direction of the major axis in [0, pi).  Built by ``classify_conic``,
+    or from its shape by ``circle`` and ``axis_ellipse``."""
 
     coeffs: Tuple[float, float, float, float, float, float]
     kind: str
@@ -182,24 +184,32 @@ class Conic:
 
     @classmethod
     def circle(cls, center: Point, radius: float) -> "Conic":
+        """The circle of this center and radius; a zero radius gives the
+        point conic at the center."""
         if radius < 0.0:
             raise GeometryError("negative radius")
         cx, cy = center
-        return classify_conic(
+        coeffs = _unit_coeffs(
             [1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy, cx * cx + cy * cy - radius * radius]
         )
+        kind = POINT if radius == 0.0 else CIRCLE
+        return cls(coeffs, kind, Point(cx, cy), (radius, radius), 0.0)
 
     @classmethod
     def axis_ellipse(cls, center: Point, rx: float, ry: float) -> "Conic":
-        """Axis-parallel ellipse with semi-axis rx along x and ry along y."""
+        """Axis-parallel ellipse with semi-axis rx along x and ry along y;
+        equal semi-axes give a circle."""
         if rx <= 0.0 or ry <= 0.0:
             raise GeometryError("semi-axes must be positive")
         cx, cy = center
         ax = 1.0 / (rx * rx)
         cy2 = 1.0 / (ry * ry)
-        return classify_conic(
+        coeffs = _unit_coeffs(
             [ax, 0.0, cy2, -2.0 * ax * cx, -2.0 * cy2 * cy, ax * cx * cx + cy2 * cy * cy - 1.0]
         )
+        kind = CIRCLE if rx == ry else ELLIPSE
+        angle = math.pi / 2.0 if ry > rx else 0.0
+        return cls(coeffs, kind, Point(cx, cy), (max(rx, ry), min(rx, ry)), angle)
 
 
 def classify_conic(values: Sequence[float]) -> Conic:

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from poncelet.families import DegenerateTriangle, Triangle
+from poncelet.families import BicentricParams, DegenerateTriangle, Triangle, _bic3_radius2
 from poncelet.geom import (
     CIRCLE,
     ELLIPSE,
@@ -190,6 +190,21 @@ def pencil_member(c1: Conic, c2: Conic, u: float) -> Conic:
     if float(np.linalg.norm(combo)) <= 1e-12 * scale:
         raise GeometryError(f"pencil member at u={u} vanishes")
     return classify_conic(combo)
+
+
+def _bic3_limiting_points(p: BicentricParams) -> Tuple[Point, Point]:
+    """The pencil's two point circles, at the roots u of the squared
+    radius: the one inside the caustic, then the one outside the outer
+    circle.  The roots are real and negative because the caustic lies
+    strictly inside the outer circle (so k1 > 0); a concentric pair
+    (d = 0) has both at the common center."""
+    k2, k1, k0 = _bic3_radius2(p)
+    if k2 == 0.0:
+        return Point(0.0, 0.0), Point(0.0, 0.0)
+    # -k1 - root does not cancel; the root nearer 0 is taken as the
+    # product k0 / k2 over the other, not by the cancelling difference.
+    far = -k1 - math.sqrt(k1 * k1 - 4.0 * k2 * k0)
+    return Point(p.d * (1.0 - 2.0 * k0 / far), 0.0), Point(p.d * (1.0 - far / (2.0 * k2)), 0.0)
 
 
 class MeasuredTriangle(Triangle):

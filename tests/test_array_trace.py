@@ -262,8 +262,9 @@ def test_envelope_points_match_the_per_angle_construction(cfg):
 
 
 def test_only_the_members_with_their_measures_build_a_batch(monkeypatch):
-    """The free sides, their envelope and the collapse search read bare
-    member coordinates; ``triangles`` and a trace build the batch."""
+    """The free sides and their envelope read bare member coordinates,
+    and the collapse parameter reads one chord; ``triangles`` and a
+    trace build the batch."""
 
     def refuse(*args):
         raise RuntimeError("batch built")

@@ -33,6 +33,8 @@ from poncelet.claims import (
 from poncelet.geom import Point
 from poncelet.loci import trace_locus, verify_implicit_sextic_x2
 
+from _geometry_oracle import _bic3_limiting_points
+
 
 def test_registry_is_complete_and_green():
     reports = run_claims(None)
@@ -252,8 +254,9 @@ def test_envelope_claims_pass_at_any_frame_scale(k):
 
 
 def _per_u_collapse(R, r, d):
-    """bic3_collapse_u with one config and one free-side scan per candidate u."""
-    first, second = claims._bic3_limiting_points(BicentricParams(R, r, d))
+    """The collapse parameter by search over [0.30, 0.995]: one config and
+    one free-side scan per candidate u, then golden-section refinement."""
+    first, second = _bic3_limiting_points(BicentricParams(R, r, d))
     target = first if abs(first.x) < abs(second.x) else second
 
     def worst(u):
@@ -283,8 +286,8 @@ def _per_u_collapse(R, r, d):
 
 @pytest.mark.parametrize("params", [(1.0, 0.15, 0.25), (1.0, 0.2, 0.3)])
 def test_bic3_collapse_u_is_the_per_u_search(params):
-    """The array rounds find, to 1e-12, the u that a config per
-    candidate and a golden-section refinement find."""
+    """The closed form is, to 1e-12, the u that a config per candidate
+    and a golden-section refinement find."""
     assert abs(claims.bic3_collapse_u(*params) - _per_u_collapse(*params)) <= 1e-12
 
 
@@ -303,12 +306,23 @@ def _worst_side_miss(R, r, d, u):
 
 
 @pytest.mark.parametrize(
-    "params", [(1.0, 0.15, 0.25), (1.0, 0.2, 0.3), (1.0, 0.1, 0.2), (1.0, 0.25, 0.3), (1.0, 0.2, 0.5)]
+    "params",
+    [
+        (1.0, 0.15, 0.25),
+        (1.0, 0.2, 0.3),
+        (1.0, 0.1, 0.2),
+        (1.0, 0.25, 0.3),
+        (1.0, 0.2, 0.5),
+        (1.0, 0.0514, 0.1787),
+        (1.0, 0.48, 0.5),
+    ],
 )
 def test_bic3_collapse_u_collapses_the_envelope(params):
     """At the found u every free side passes through the interior
     limiting point; a millionth away some side misses it; u does not
-    depend on the length unit."""
+    depend on the length unit.  (1, 0.0514, 0.1787) collapses at
+    u ~ 0.9972 and (1, 0.48, 0.5) at u ~ -0.0875, both outside
+    [0.30, 0.995]."""
     R = params[0]
     u = claims.bic3_collapse_u(*params)
     assert _worst_side_miss(*params, u) <= 1e-13 * R

@@ -340,6 +340,20 @@ def test_branch_flag_use(flags, want, capsys):
         assert run(capsys, "trace", *flags, "--branch", "plus", "--center", "P2", "-n", "16") == (0, plain, "")
 
 
+@pytest.mark.parametrize(
+    "flags, want",
+    [(flags, want) for flags, want in README_FAMILIES if want.kind not in ("bic-III", "conf-III")],
+    ids=lambda v: getattr(v, "kind", ""),
+)
+def test_pencil_flag_on_a_pair_kind_is_a_usage_error(flags, want, capsys):
+    """--u places a chain kind's pencil caustic; a pair kind has one
+    caustic, so --u there is a usage error, not an ignored flag."""
+    code, out, err = run(capsys, "trace", *flags, "--u", "0.4", "--center", "X1", "-n", "16")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert f"{want.kind} takes no pencil parameter u" in err
+
+
 @pytest.mark.parametrize("flags, want", README_FAMILIES, ids=lambda v: getattr(v, "kind", ""))
 def test_missing_family_flag_is_named(flags, want, capsys):
     """Every parameter flag is required, except the caustic parameter of

@@ -387,8 +387,7 @@ def test_bic2_envelope_radius_against_60_digits():
     sample: R from 1e-3 to 1e4, r from 1e-4 R (log-uniform), and d
     uniform, at 0, at 1e-9 R and 1e-6 R, and within 1e-12 of the outer
     circle (r + d -> R).  The envelope conic's semi-axis is held to the
-    same bound from r = 0.05 R: ``Conic.circle`` turns a circle whose
-    radius is below about 1e-6 of its center offset into a point."""
+    same bound: ``Conic.circle`` keeps the radius it is given."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20)
     worst = conic_worst = 0.0
@@ -400,9 +399,8 @@ def test_bic2_envelope_radius_against_60_digits():
                 p = BicentricParams(R, r, d)
                 want = abs(_bic2_envelope_radius(*map(mpmath.mpf, (R, r, d))))
                 worst = max(worst, float(abs(abs(_bic2_envelope_circle(p)[1]) - want)) / R)
-                if r >= 0.05 * R:
-                    got = bic2_envelope(p).semi_axes[0]
-                    conic_worst = max(conic_worst, float(abs(got - want)) / R)
+                got = bic2_envelope(p).semi_axes[0]
+                conic_worst = max(conic_worst, float(abs(got - want)) / R)
     assert worst <= 1e-12, worst
     assert conic_worst <= 1e-12, conic_worst
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from poncelet.families import BicentricParams, _bic3_limiting_points, _bic3_radius2
+from poncelet.families import BicentricParams, _bic3_radius2
 from poncelet.geom import (
     CIRCLE,
     DEGENERATE,
@@ -22,6 +22,7 @@ from poncelet.geom import (
 )
 
 from _geometry_oracle import (
+    _bic3_limiting_points,
     NoRealTangent,
     circle_inverse,
     line_from_points,
@@ -79,6 +80,26 @@ def test_axis_ellipse_roundtrip():
 def test_classify_conic_cases():
     assert classify_conic(Conic.circle(Point(0, 0), 1.0).coeffs).kind == "circle"
     assert classify_conic(Conic.axis_ellipse(Point(0, 0), 2.0, 1.0).coeffs).kind == "ellipse"
+
+
+@pytest.mark.parametrize(
+    "conic, shape",
+    [
+        (Conic.circle(Point(1.0, 0.0), 1e-6), (CIRCLE, (1.0, 0.0), (1e-6, 1e-6), 0.0)),
+        (Conic.circle(Point(0.3, -0.1), 0.0), (POINT, (0.3, -0.1), (0.0, 0.0), 0.0)),
+        (Conic.axis_ellipse(Point(0.5, 0.25), 2.0, 1.0), (ELLIPSE, (0.5, 0.25), (2.0, 1.0), 0.0)),
+        (
+            Conic.axis_ellipse(Point(0.5, 0.25), 1.0, 2.0),
+            (ELLIPSE, (0.5, 0.25), (2.0, 1.0), math.pi / 2.0),
+        ),
+        (Conic.axis_ellipse(Point(0.0, 0.0), 1.5, 1.5), (CIRCLE, (0.0, 0.0), (1.5, 1.5), 0.0)),
+    ],
+)
+def test_known_conics_keep_the_shape_they_are_given(conic, shape):
+    """``Conic.circle`` and ``Conic.axis_ellipse`` store the given center
+    and semi-axes exactly, the major one first: a circle of radius 1e-6 at
+    distance 1 stays a circle, and a zero radius gives a point."""
+    assert (conic.kind, conic.center, conic.semi_axes, conic.axis_angle) == shape
 
 
 @pytest.mark.parametrize("k", [10.0 ** e for e in range(-3, 5)])

@@ -649,7 +649,7 @@ def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimRepor
         gates += [
             _Gate(f"{pid} degree-6 residual", fit_curve(xy, 6).residual, 1e-8, False),
             _Gate(f"{pid} conic residual", fit_curve(xy, 2).residual, CONIC_TOL, True),
-            _Gate(f"{pid} axis distance", crossing, 1e-6, False),
+            _Gate(f"{pid} axis distance/R", crossing / p.R, 1e-6, False),
         ]
 
     control = _circle_deviation(loc1.valid_xy(), anti, radius * 1.01) / p.R
@@ -797,8 +797,8 @@ def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> Cl
 
     cax, cay = conf1_x1_axes(a, b)
     cls = classify_locus(loc_c)
-    axes_err = math.inf  # unless the fit is an ellipse with semi-axes
-    if cls.verdict == "ellipse" and cls.conic is not None and cls.conic.semi_axes is not None:
+    axes_err = math.inf  # unless the fit is an ellipse
+    if cls.verdict == "ellipse":
         got = tuple(sorted(cls.conic.semi_axes, reverse=True))
         want = tuple(sorted((cax, cay), reverse=True))
         axes_err = max(abs(g - w) / w for g, w in zip(got, want))
@@ -941,8 +941,9 @@ def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """Incenter-locus convexity over the confocal-caustic family flips
     at the smallest positive root of the transition quintic."""
     lam_o = convexity_lambda_root(a, b)
-    coeffs = convexity_quintic_coeffs(a, b)
-    quintic_res = abs(float(np.polyval(coeffs, lam_o))) / max(abs(c) for c in coeffs)
+    b2 = b * b
+    coeffs = convexity_quintic_coeffs(a / b, 1.0)  # its roots in units of b^2
+    quintic_res = abs(float(np.polyval(coeffs, lam_o / b2))) / max(abs(c) for c in coeffs)
 
     def convex_at(lam: float) -> bool:
         loc = trace_locus(conf2_config(a, b, lam), "X1", 512)
@@ -958,9 +959,9 @@ def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
         else:
             hi = mid
     empirical = 0.5 * (lo + hi)
-    metric = abs(empirical - lam_o) / (b * b)
+    metric = abs(empirical - lam_o) / b2
 
-    real_roots = sorted(_real_roots(coeffs))
+    real_roots = sorted(z * b2 for z in _real_roots(coeffs))
     gates = (
         _Gate("|traced - predicted transition|/b^2", metric, 1e-3, False),
         _Gate("quintic residual at root", quintic_res, 1e-10, False),

@@ -173,8 +173,7 @@ def _samples(args: argparse.Namespace) -> int:
 
 def _write_conic(out: dict, conic: Conic, circle: bool, axis_angle: bool = False) -> None:
     """Add a conic's center, and its radius or semi-axes, to a JSON object."""
-    if conic.center is not None:
-        out["center"] = [conic.center.x, conic.center.y]
+    out["center"] = [conic.center.x, conic.center.y]
     axes = conic.semi_axes
     if axes is not None:
         if circle:
@@ -219,7 +218,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if fit.verdict == "point":
         xy = locus.valid_xy()
         out["point"] = [math.fsum(xy[:, 0]) / len(xy), math.fsum(xy[:, 1]) / len(xy)]
-    if fit.conic is not None and fit.conic.center is not None:
+    if fit.conic is not None:
         _write_conic(out, fit.conic, fit.verdict == "circle", axis_angle=True)
     sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
     return 0

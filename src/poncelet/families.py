@@ -157,13 +157,25 @@ def _require_finite(params: Any) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
+# The outer scale (R or a) must be of order 1e-30 to 1e30, its log10
+# rounding into [-30, 30]: there the chord maps' terms of degree 10 in
+# the lengths stay normal floats.
+_SCALE_DECADES = 30.5
+
+
+def _require_scale(name: str, value: float) -> None:
+    """Raise ValueError unless the positive outer scale is of order 1e-30 to 1e30."""
+    if not abs(math.log10(value)) <= _SCALE_DECADES:
+        raise ValueError(f"{name} must be of order 1e-30 to 1e30, got {value}")
+
+
 @dataclass(frozen=True)
 class BicentricParams:
     """Outer circle radius R at the origin, caustic radius r at (d, 0).
 
     ``u`` selects the second caustic of the three-caustic family as the
     pencil coordinate between the first caustic (u=0) and the outer
-    circle (u=1).
+    circle (u=1); it must be a real circle.
     """
 
     R: float
@@ -175,10 +187,13 @@ class BicentricParams:
         _require_finite(self)
         if not (self.R > 0.0 and self.r > 0.0):
             raise ValueError("radii must be positive")
+        _require_scale("R", self.R)
         if self.d < 0.0:
             raise ValueError("center offset must be nonnegative")
         if self.r + self.d >= self.R:
             raise ValueError("caustic must be strictly inside the outer circle")
+        if self.u is not None:
+            self.pencil_shape()  # raises where the pencil circle is imaginary
 
     def outer_conic(self) -> Conic:
         return Conic.circle(Point(0.0, 0.0), self.R)
@@ -236,8 +251,8 @@ class ConfocalParams:
     """Outer ellipse semi-axes (a, b) with a > b, caustic parameter lam.
 
     The confocal caustic has semi-axes (sqrt(a^2-lam), sqrt(b^2-lam)),
-    so lam must lie in [0, b^2).  ``u`` selects the second
-    caustic of the three-caustic family inside the pencil spanned by
+    so lam must lie in [0, b^2).  ``u`` selects the second caustic of
+    the three-caustic family, an ellipse, inside the pencil spanned by
     the outer ellipse and the confocal caustic (u=0 caustic, u=1 outer).
     """
 
@@ -250,8 +265,11 @@ class ConfocalParams:
         _require_finite(self)
         if not (self.a > self.b > 0.0):
             raise ValueError("need a > b > 0")
+        _require_scale("a", self.a)
         if not (0.0 <= self.lam < self.b * self.b):
             raise ValueError("lam must lie in [0, b^2)")
+        if self.u is not None:
+            self.pencil_shape()  # raises where the pencil caustic is no ellipse
 
     @property
     def c2(self) -> float:
@@ -278,8 +296,28 @@ class ConfocalParams:
         return self.a * np.cos(t), self.b * np.sin(t)
 
     def pencil_shape(self) -> Tuple[float, float]:
-        """Semi-axes of the pencil caustic."""
-        return _conf3_second_caustic(self)
+        """Semi-axes (along x, along y) of the pencil caustic; raises if it
+        is not an ellipse.  The member is u * outer + (1 - u) * caustic, with each
+        x^2/ex^2 + y^2/ey^2 - 1 = 0 first scaled to quadratic trace 2 (for
+        circles, the monic form x^2 + y^2 + ... = 0); it stays concentric
+        and axis-parallel.
+        """
+        u = self.u
+        if u is None:
+            raise ValueError("three-caustic family needs the pencil parameter u")
+        ca, cb = self.caustic_shape()
+        qx = qy = k = 0.0
+        for weight, ex, ey in ((u, self.a, self.b), (1.0 - u, ca, cb)):
+            ix = 1.0 / (ex * ex)
+            iy = 1.0 / (ey * ey)
+            w = 2.0 * weight / (ix + iy)
+            qx += w * ix
+            qy += w * iy
+            k += w
+        # The member is qx x^2 + qy y^2 = k.
+        if qx * k <= 0.0 or qy * k <= 0.0:
+            raise ImaginaryPencilCircle(f"pencil caustic at u={u} is not an ellipse")
+        return (math.sqrt(k / qx), math.sqrt(k / qy))
 
     def chord(self, shape: Tuple[float, float], x1: Any, y1: Any, sign: float):
         """Chord map to the concentric axis-parallel caustic ellipse of the
@@ -385,6 +423,7 @@ def critical_lambda(a: float, b: float) -> float:
     """Pencil parameter of the confocal caustic that closes triangles."""
     if not a > b > 0.0:
         raise ValueError("need a > b > 0")
+    _require_scale("a", a)
     a2 = a * a
     b2 = b * b
     c2 = a2 - b2
@@ -395,7 +434,7 @@ def critical_lambda(a: float, b: float) -> float:
 def _poristic_offset(R: float, r: float, d: Optional[float] = None) -> float:
     """Chapple's offset for (R, r), checked against d when one is given."""
     want = chapple_distance(R, r)
-    if d is not None and abs(d - want) > 1e-12 * max(R, 1.0):
+    if d is not None and abs(d - want) > 1e-12 * R:
         raise NoPoristicPair(f"d={d} is not the poristic offset {want}")
     return want
 
@@ -403,45 +442,19 @@ def _poristic_offset(R: float, r: float, d: Optional[float] = None) -> float:
 def _closing_lambda(a: float, b: float, lam: Optional[float] = None) -> float:
     """The critical lambda for (a, b), checked against lam when one is given."""
     want = critical_lambda(a, b)
-    if lam is not None and abs(lam - want) > 1e-12 * max(b ** 2, 1.0):
+    if lam is not None and abs(lam - want) > 1e-12 * b * b:
         raise ValueError(f"lam={lam} is not the closure value {want}")
     return want
 
 
 # ---------------------------------------------------------------------------
-# The pencil caustics of the chain kinds.
+# The bicentric pencil (bic-III's second caustic).
 
 
 def _bic3_radius2(p: BicentricParams) -> Tuple[float, float, float]:
     """(k2, k1, k0): the pencil circle at parameter u, centered at
     (d(1-u), 0), has squared radius k2 u^2 + k1 u + k0."""
     return p.d * p.d, p.R * p.R - p.d * p.d - p.r * p.r, p.r * p.r
-
-
-def _conf3_second_caustic(p: ConfocalParams) -> Tuple[float, float]:
-    """Semi-axes (along x, along y) of the pencil ellipse at p.u.
-
-    The member is u * outer + (1 - u) * caustic, with each
-    x^2/ex^2 + y^2/ey^2 - 1 = 0 first scaled to quadratic trace 2 (for
-    circles, the monic form x^2 + y^2 + ... = 0); it stays concentric and
-    axis-parallel.
-    """
-    if p.u is None:
-        raise ValueError("three-caustic family needs the pencil parameter u")
-    u = p.u
-    ca, cb = p.caustic_shape()
-    qx = qy = k = 0.0
-    for weight, ex, ey in ((u, p.a, p.b), (1.0 - u, ca, cb)):
-        ix = 1.0 / (ex * ex)
-        iy = 1.0 / (ey * ey)
-        w = 2.0 * weight / (ix + iy)
-        qx += w * ix
-        qy += w * iy
-        k += w
-    # The member is qx x^2 + qy y^2 = k.
-    if qx * k <= 0.0 or qy * k <= 0.0:
-        raise ImaginaryPencilCircle(f"pencil caustic at u={u} is not an ellipse")
-    return (math.sqrt(k / qx), math.sqrt(k / qy))
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +632,8 @@ class FamilyConfig:
 
         P1 is the outer conic's point at eccentric angle t; the chord
         maps give P2 and P3 (see FamilySpec).  The one construction
-        path: ``triangle`` is its batch of one angle.  Raises only
-        for parameters that admit no member at all (an imaginary second
-        caustic); a vertex without a real tangent clears ``ok`` at its
-        angle.
+        path: ``triangle`` is its batch of one angle.  A vertex without
+        a real tangent clears ``ok`` at its angle.
         """
         return TriangleBatch.of(*self._vertices(t))
 

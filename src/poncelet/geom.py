@@ -290,7 +290,7 @@ def line_tangent_to_conic_residual(line: Line, conic: Conic) -> float:
     elif conic.kind == POINT:
         support = 0.0
     else:
-        phi = conic.axis_angle or 0.0
+        phi = conic.axis_angle
         nmaj = line.a * math.cos(phi) + line.b * math.sin(phi)
         nmin = -line.a * math.sin(phi) + line.b * math.cos(phi)
         major, minor = conic.semi_axes

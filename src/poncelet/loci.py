@@ -30,7 +30,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import centers as _centers
-from .families import BicentricParams, FamilyConfig, TriangleBatch
+from .families import BicentricParams, FamilyConfig, TriangleBatch, _require_scale
 from .geom import Conic, GeometryError, Point, classify_conic
 
 __all__ = [
@@ -121,9 +121,9 @@ class Locus:
 @dataclass(frozen=True)
 class CurveFit:
     """Result of an implicit fit and/or classification: the degree of the
-    fitted curve, its residual, and the verdict.  A degree-2 fit that is
-    not the ladder's nonconic fallback also holds its ``conic``, mapped
-    back to the original frame."""
+    fitted curve, its residual, and the verdict.  A degree-2 fit also
+    holds its ``conic``, mapped back to the original frame; the ladder's
+    nonconic fallback, at its top degree max(2, MAX_DEGREE), holds none."""
 
     degree: int
     residual: float
@@ -143,8 +143,7 @@ def _grid_samples(cfg: FamilyConfig, n: int) -> Tuple[np.ndarray, TriangleBatch]
     Every kernel is elementwise, so what a tracked point reads from kept
     samples has the bits of a fresh config's.  The holder belongs to the
     object, never to an equal one: equal parameters (0.0 and -0.0) need
-    not give the same bits.  Raises, and keeps nothing, where the
-    parameters admit no member at all.
+    not give the same bits.
     """
     kept = cfg._kept
     if n not in kept:
@@ -182,15 +181,8 @@ def trace_locus(
     need = MIN_VALID_SAMPLES if min_valid is None else min_valid
     if n < need:
         raise InsufficientSamples(f"need at least {need} samples, got {n}")
-    try:
-        ts, tri = _grid_samples(cfg, n)
-    except GeometryError:
-        # The parameters admit no member at all.
-        ts = _grid(n)
-        x = y = np.full(n, np.nan)
-        ok = np.zeros(n, dtype=bool)
-    else:
-        x, y, ok = _centers.center_arrays(tri, tracked)
+    ts, tri = _grid_samples(cfg, n)
+    x, y, ok = _centers.center_arrays(tri, tracked)
     ok = ok & np.isfinite(x) & np.isfinite(y)
     valid = int(np.count_nonzero(ok))
     if valid < need:
@@ -527,13 +519,14 @@ def convexity_lambda_root(a: float, b: float) -> float:
     and lose convexity just above it, so that root is the transition
     edge.  (Larger real roots fall in a region where sampled convexity
     is unstable and match no observed edge; selecting by an upper
-    bound such as a^2 would pick one of those.)  The parameter scales
-    as length^2 — scaling (a, b) by k scales every root by k^2, which
-    the quintic's homogeneity confirms.
+    bound such as a^2 would pick one of those.)  Scaling (a, b) by k
+    scales every root by k^2, so the quintic is solved at b = 1, where
+    its terms stay near unit size, and its root scaled by b^2.
     """
     if not a > b > 0.0:
         raise ValueError("need a > b > 0")
-    coeffs = convexity_quintic_coeffs(a, b)
+    _require_scale("a", a)
+    coeffs = convexity_quintic_coeffs(a / b, 1.0)
     candidates = []
     for lam in _real_roots(coeffs):
         # one Newton polish step on the real quintic
@@ -545,7 +538,7 @@ def convexity_lambda_root(a: float, b: float) -> float:
             candidates.append(lam)
     if not candidates:
         raise NoConvexityRoot(f"transition quintic has no positive real root for a={a}, b={b}")
-    return float(min(candidates))
+    return float(min(candidates)) * (b * b)
 
 
 def sextic_coefficients_x2(p: BicentricParams) -> dict:
@@ -659,12 +652,11 @@ def sextic_residual(coeffs: Dict[Tuple[int, int], float], xy: np.ndarray) -> flo
 
 def verify_implicit_sextic_x2(p: BicentricParams, locus: Locus) -> float:
     """sextic_residual of the barycenter sextic over the locus samples, at
-    unit outer radius: the coefficient of x^i y^j is divided by
-    R^(6 - i - j) and the samples by R, since the coefficients are not
-    homogeneous in the length unit."""
+    unit outer radius: the sextic of (1, r/R, d/R) on the samples over R,
+    since the coefficients are not homogeneous in the length unit and
+    hold R^10 terms."""
     xy = locus.valid_xy()
     if not len(xy):
         raise InsufficientSamples("no valid samples")
-    R = p.R
-    coeffs = {(i, j): v / R ** (6 - i - j) for (i, j), v in sextic_coefficients_x2(p).items()}
-    return sextic_residual(coeffs, xy / R)
+    unit = BicentricParams(1.0, p.r / p.R, p.d / p.R)
+    return sextic_residual(sextic_coefficients_x2(unit), xy / p.R)

@@ -61,13 +61,8 @@ class _Frame:
 
 
 def _conic_corners(c: Conic) -> np.ndarray:
-    """The drawn extent of a conic: the corners of its axis box, its
-    center alone where it has no semi-axes, no row where it has none."""
+    """The drawn extent of a conic: the corners of its axis box."""
     center = c.center
-    if center is None:
-        return np.empty((0, 2))
-    if c.semi_axes is None:
-        return np.array([center])
     rx, ry = c.semi_axes
     return np.array([(center.x - rx, center.y - ry), (center.x + rx, center.y + ry)])
 
@@ -89,9 +84,7 @@ def _dot(p: Sequence[float], css: str, frame: _Frame, label: str) -> str:
 def _conic_element(c: Conic, css: str, frame: _Frame, label: str) -> str:
     center = c.center
     axes = c.semi_axes
-    if center is None:
-        return f"  <!-- {label}: not drawable -->\n"
-    if axes is None or max(axes) * frame.scale < 0.5:
+    if max(axes) * frame.scale < 0.5:
         return _dot(center, css, frame, label)
     cx, cy = frame.to_px(center)
     rx, ry = axes[0] * frame.scale, axes[1] * frame.scale
@@ -124,10 +117,8 @@ def _path_runs(xy: np.ndarray, frame: _Frame) -> List[str]:
 
 
 def _locus_elements(xy: np.ndarray, frame: _Frame, css: str, label: str) -> str:
-    """A sampled curve, an (n, 2) array whose non-finite rows break it."""
+    """A sampled curve, an (n, 2) array with a finite row; non-finite rows break it."""
     finite = _finite_rows(xy)
-    if not len(finite):
-        return f"  <!-- {label}: no drawable samples -->\n"
     spread = float(np.ptp(finite, axis=0).max())
     if spread * frame.scale < 1.0:
         return _dot(finite[0].tolist(), css, frame, label)
@@ -166,8 +157,6 @@ def render_family(
     drawn = _finite_rows(
         np.concatenate([*map(_conic_corners, conics), env_samples, *(xy for _, xy in loci), tri])
     )
-    if not len(drawn):
-        raise ValueError("nothing drawable for this configuration")
     size = DEFAULT_SIZE
     frame = _Frame((*drawn.min(axis=0).tolist(), *drawn.max(axis=0).tolist()), size)
 

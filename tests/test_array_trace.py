@@ -29,6 +29,8 @@ from poncelet.centers import (
 from poncelet.families import (
     MINUS,
     PLUS,
+    BicentricParams,
+    ConfocalParams,
     DegenerateTriangle,
     FamilyConfig,
     ImaginaryPencilCircle,
@@ -46,7 +48,7 @@ from poncelet.families import (
 from poncelet.claims import DEFAULT_BIC2, _min_axis_distance, bic3_collapse_u
 from poncelet.families import _ENVELOPE_STEP, envelope_points
 from poncelet.geom import GeometryError, Line, Point
-from poncelet.loci import _grid_samples, trace_locus
+from poncelet.loci import InsufficientSamples, _grid_samples, trace_locus
 
 from _geometry_oracle import line_intersection
 
@@ -143,8 +145,6 @@ def test_trace_matches_the_scalar_loop(cfg):
     [
         # Every vertex lies inside the second caustic: no real tangent.
         (bic3_config(1.0, 0.2, 0.3, 1.2), VertexInsideCaustic),
-        # The second caustic itself is imaginary: no member at all.
-        (bic3_config(1.0, 0.2, 0.3, -0.5), ImaginaryPencilCircle),
         (conf3_config(2.0, 1.0, 0.3, 1.2), VertexInsideCaustic),
     ],
 )
@@ -211,13 +211,38 @@ def test_a_trace_leaves_equality_hash_and_repr_alone():
     assert cfg == twin and hash(cfg) == hash(twin)
 
 
-def test_a_family_without_members_keeps_nothing():
-    cfg = bic3_config(1.0, 0.2, 0.3, -0.5)  # imaginary second caustic
+def test_a_family_without_members_keeps_its_invalid_grid():
+    """A family with an imaginary pencil caustic cannot be built (see
+    test_an_imaginary_pencil_caustic_is_rejected_when_built); one whose
+    every vertex lies inside its second caustic keeps its grid, with no
+    member ok, and a fitted trace of it raises."""
+    cfg = bic3_config(1.0, 0.2, 0.3, 1.2)
     for _ in range(2):
-        with pytest.raises(ImaginaryPencilCircle):
-            _grid_samples(cfg, N)
+        ts, tri = _grid_samples(cfg, N)
+        assert not tri.ok.any()
         assert not trace_locus(cfg, "X1", N, min_valid=0).ok.any()
-    assert cfg._kept == {}
+        with pytest.raises(InsufficientSamples, match="only 0 valid samples"):
+            trace_locus(cfg, "X1", N)
+    assert list(cfg._kept) == [N]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: bic3_config(1.0, 0.2, 0.3, -0.5),
+        lambda: bic3_config(1.0, 0.15, 0.25, -5.0),
+        lambda: BicentricParams(1.0, 0.15, 0.25, u=-5.0),
+        lambda: conf3_config(2.0, 1.0, 0.3, -5.0),
+        lambda: conf3_config(2.0, 1.0, 0.3, -8.0),
+        lambda: ConfocalParams(2.0, 1.0, 0.3, u=-8.0),
+    ],
+    ids=["bic-III-0.5", "bic-III-5", "bic-params", "conf-III-5", "conf-III-8", "conf-params"],
+)
+def test_an_imaginary_pencil_caustic_is_rejected_when_built(build):
+    """The parameter class decides that a chain family exists: no member
+    of it is ever sampled."""
+    with pytest.raises(ImaginaryPencilCircle):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -154,11 +154,12 @@ def _scaled(value, s):
     return value * s
 
 
-@pytest.mark.parametrize("s", [1e-3, 1e4, 1e7])
+@pytest.mark.parametrize("s", [1e-30, 1e-12, 1e-3, 1e4, 1e7, 1e10, 1e30])
 def test_statuses_do_not_depend_on_the_frame(s):
     """Every claim that takes lengths has, at its defaults scaled by s,
     the status it has at its defaults (all pass: see
-    test_registry_is_complete_and_green)."""
+    test_registry_is_complete_and_green), up to both ends of the outer
+    scale range."""
     scaled = {
         claim.claim_id: claim.run(**{k: _scaled(v, s) for k, v in claim.defaults.items()}).status
         for claim in all_claims()

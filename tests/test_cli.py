@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poncelet import claims
+from poncelet import claims, svgplot
 from poncelet.centers import excenters
 from poncelet.cli import _NUMBER_DESTS, _build_family, _build_parser, main
 from poncelet.families import (
@@ -22,6 +22,7 @@ from poncelet.families import (
     conf1_config,
     conf2_config,
     conf3_config,
+    degenerate_envelope_inradius,
 )
 from poncelet.svgplot import _SAMPLE_TRIANGLE_T, render_family
 
@@ -236,6 +237,30 @@ def test_circular_outer_for_a_confocal_family_is_a_usage_error(argv, capsys):
     assert err == f"poncelet {argv[0]}: error: need a > b > 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("classify", "--family", "bic-III", "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "-5"),
+            "pencil circle at u=-5.0 is imaginary",
+        ),
+        (
+            ("classify", "--family", "conf-III", "--a", "2", "--b", "1", "--lambda", "0.3", "--u", "-8"),
+            "pencil caustic at u=-8.0 is not an ellipse",
+        ),
+        (("verify", "prop:confII-x1", "--a", "1e-200", "--b", "5e-201"), "a must be of order 1e-30 to 1e30, got 1e-200"),
+        (("trace", "--family", "bic-II", "--R", "1e31", "--r", "2e30", "--d", "3e30"), "R must be of order 1e-30 to 1e30, got 1e+31"),
+    ],
+    ids=["bic-III", "conf-III", "confII-x1-small", "bic-II-large"],
+)
+def test_a_family_that_cannot_be_built_is_a_usage_error(argv, message, capsys):
+    """An imaginary pencil caustic or an outer scale out of range: exit 2
+    with the reason on one line, before any sampling."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"poncelet {argv[0]}: error: {message}\n"
+
+
 class _NoSampleTriangle(FamilyConfig):
     """bic-II without a member at the sample triangle's angle, or raising
     ``error`` there; every other angle keeps its member."""
@@ -317,6 +342,40 @@ README_FAMILIES = [
         conf3_config(2.0, 1.0, 0.3, 0.5),
     ),
 ]
+
+
+# The README families, and the two pair families whose free-side
+# envelope is a point: bic-II at Kerawala's radius, conf-II at 4 bounces.
+RENDERED_FAMILIES = [want for _, want in README_FAMILIES] + [
+    bic2_config(1.0, degenerate_envelope_inradius(1.0, 0.3), 0.3),
+    conf2_config(2.0, 1.0, claims.n4_lambda(2.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg", RENDERED_FAMILIES,
+    ids=[cfg.kind for _, cfg in README_FAMILIES] + ["bic-II-point", "conf-II-point"],
+)
+def test_every_drawn_conic_has_a_center_and_semi_axes(cfg, monkeypatch):
+    """render_family draws the outer conic, the caustics and any closed-form
+    envelope, each built by Conic.circle or Conic.axis_ellipse: each has a
+    finite center and finite semi-axes, a point envelope too."""
+    drawn = []
+    draw = svgplot._conic_element
+
+    def record(c, *args):
+        drawn.append(c)
+        return draw(c, *args)
+
+    monkeypatch.setattr(svgplot, "_conic_element", record)
+    render_family(cfg, ("X1", "P2'"), n=64)
+    envelope = cfg.closed_form_envelope()
+    assert drawn == [cfg.outer_conic(), *cfg.caustics(), *([envelope] if envelope else [])]
+    for c in drawn:
+        assert c.center is not None and c.semi_axes is not None
+        assert all(map(math.isfinite, (*c.center, *c.semi_axes)))
+    if cfg in RENDERED_FAMILIES[-2:]:
+        assert max(envelope.semi_axes) <= 1e-15 * cfg.outer_scale
 
 
 @pytest.mark.parametrize("flags, want", README_FAMILIES, ids=lambda v: getattr(v, "kind", ""))

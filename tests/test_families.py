@@ -23,7 +23,6 @@ from poncelet.families import (
     Triangle,
     TriangleBatch,
     _bic2_envelope_circle,
-    _conf3_second_caustic,
     bic1_config,
     bic2_config,
     bic2_envelope,
@@ -37,6 +36,7 @@ from poncelet.families import (
     degenerate_envelope_inradius,
     envelope_points,
 )
+from poncelet.loci import convexity_lambda_root
 
 from _geometry_oracle import (
     MeasuredTriangle,
@@ -320,21 +320,46 @@ def test_conf3_matches_geometric_tangent_chain(a, b, lam, u, branch):
 
 
 @pytest.mark.parametrize("u", [0.0, 0.3, 0.5, 1.0])
-def test_conf3_second_caustic_pencil_form(u):
+def test_conf3_pencil_shape_pencil_form(u):
     p = ConfocalParams(2.0, 1.0, 0.3, u=u)
     want = pencil_member(p.outer_conic(), p.caustic(), 1.0 - u)
-    ea, eb = _conf3_second_caustic(p)
+    ea, eb = p.pencil_shape()
     assert abs(ea - want.semi_axes[0]) < 1e-14
     assert abs(eb - want.semi_axes[1]) < 1e-14
 
 
-def test_conf3_second_caustic_rejects_hyperbola():
-    p = ConfocalParams(2.0, 1.0, 0.3, u=-5.0)
+def test_conf3_pencil_shape_rejects_hyperbola():
+    """The pencil member at u = -5 is a hyperbola, so the parameters are
+    rejected when built, before any family or member exists."""
+    p = ConfocalParams(2.0, 1.0, 0.3)
     assert pencil_member(p.outer_conic(), p.caustic(), 6.0).kind == "hyperbola"
-    with pytest.raises(ImaginaryPencilCircle):
-        _conf3_second_caustic(p)
-    with pytest.raises(ImaginaryPencilCircle):
-        FamilyConfig("conf-III", p).triangle(0.3)
+    with pytest.raises(ImaginaryPencilCircle, match="is not an ellipse"):
+        dataclasses.replace(p, u=-5.0)
+    with pytest.raises(ImaginaryPencilCircle, match="is not an ellipse"):
+        conf3_config(2.0, 1.0, 0.3, -5.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BicentricParams(1e31, 2e30, 3e30),
+        lambda: BicentricParams(1e-31, 2e-32, 3e-32),
+        lambda: bic1_config(1e-200, 2e-201),
+        lambda: ConfocalParams(1e31, 5e30, 0.0),
+        lambda: ConfocalParams(2e-31, 1e-31, 0.0),
+        lambda: conf1_config(1e32, 5e31),
+        lambda: critical_lambda(1e-200, 5e-201),
+        lambda: convexity_lambda_root(1e-200, 5e-201),
+    ],
+    ids=["R-large", "R-small", "bic-I-small", "a-large", "a-small", "conf-I-large", "critical-small",
+         "convexity-small"],
+)
+def test_an_outer_scale_out_of_range_is_rejected(build):
+    """Beyond 1e-30 to 1e30 (to the nearest power of ten) the chord maps'
+    degree-10 terms leave the normal floats: R or a there is a ValueError,
+    never a ZeroDivisionError or an overflow."""
+    with pytest.raises(ValueError, match="must be of order 1e-30 to 1e30"):
+        build()
 
 
 def test_free_side_matches_vertices():

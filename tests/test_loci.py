@@ -492,6 +492,30 @@ def test_conic_verdicts_do_not_depend_on_the_frame_scale(k):
                 assert got not in "PCE", (cfg.kind, tracked)
 
 
+# The six README families, k times the default frame, and their table letters.
+_README_GRID = [
+    (lambda k: bic1_config(k, 0.25 * k), "PCPCCC"),
+    (lambda k: bic2_config(k, 0.2 * k, 0.3 * k), "C6PC66"),
+    (lambda k: bic3_config(k, 0.15 * k, 0.25 * k, 0.4), "56P665"),
+    (lambda k: conf1_config(2.0 * k, k), "EEEEEE"),
+    (lambda k: conf2_config(2.0 * k, k, 0.5 * k * k), "6666EE"),
+    (lambda k: conf3_config(2.0 * k, k, 0.3 * k * k, 0.5), "466464"),
+]
+
+
+@pytest.mark.parametrize("k", [1e-30, 1e-12, 1e10, 1e30])
+def test_readme_letters_hold_at_both_ends_of_the_scale_range(k):
+    """Every letter of the six README families, the degrees included, is
+    the unit frame's out to either end of the outer scale range."""
+    for make, letters in _README_GRID:
+        cfg = make(k)
+        got = "".join(
+            verdict_letter(classify_locus(trace_locus(cfg, tracked, n=512)))
+            for tracked in _TABLE2_COLUMNS
+        )
+        assert got == letters, cfg.kind
+
+
 # ---------------------------------------------------------------------------
 # Array storage and the one-design ladder.
 

@@ -40,7 +40,10 @@ from .geom import (
 )
 from .families import (
     _bic3_radius2,
+    _chord,
+    _ellipse,
     _poristic_offset,
+    _require_axes,
     MINUS,
     PLUS,
     BicentricParams,
@@ -417,11 +420,13 @@ def conf1_excentral_axes(a: float, b: float) -> Tuple[float, float]:
 
 def n4_lambda(a: float, b: float) -> float:
     """Caustic parameter a^2 b^2/(a^2+b^2) closing billiards in 4 bounces."""
+    _require_axes(a, b)
     return a * a * b * b / (a * a + b * b)
 
 
 def n6_lambda(a: float, b: float) -> float:
     """Caustic parameter (ab/(a+b))^2 closing billiards in 6 bounces."""
+    _require_axes(a, b)
     return (a * b / (a + b)) ** 2
 
 
@@ -443,7 +448,7 @@ def bic3_collapse_u(R: float, r: float, d: float) -> float:
     for the unit-normal line a x + b y + c = 0 through P2 and P3.
     """
     p = BicentricParams(R, r, d)
-    x2, y2, _ = p.chord(p.caustic_shape(), R, 0.0, 1.0)
+    x2, y2, _ = _chord(p.outer_shape(), p.caustic_shape(), R, 0.0, 1.0)
     a, _, c, _ = _line_through(x2, y2, -R, 0.0)
     k2, k1, k0 = _bic3_radius2(p)
     s = a * d
@@ -609,11 +614,10 @@ def check_bicII_x1_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     if abs(radius) > 1e-12 * p.R:
         # The three circles at unit outer radius: the entries of their
         # unit coefficient vectors scale differently with the length unit.
-        cr, cd = cfg.params.caustic_shape()
         span = conic_span_residual(
             Conic.circle(Point(center.x / p.R, 0.0), abs(radius) / p.R),
             Conic.circle(Point(0.0, 0.0), 1.0),
-            Conic.circle(Point(cd / p.R, 0.0), cr / p.R),
+            _ellipse(*(v / p.R for v in cfg.params.caustic_shape())),
         )
         gates.append(_Gate("pencil-exclusion span residual", span, 1e-6, True))
     else:

@@ -21,12 +21,13 @@ whether both constructed sides touch one caustic (a pair) or the
 second touches a pencil caustic (a chain).  ``FAMILY_SPECS`` describes
 each kind once; ``FamilyConfig`` reads it.
 
-Every family builds its vertices with a closed-form chord map: the
-bicentric map for circles, the confocal map for concentric
-axis-parallel ellipses (which covers conf-III's second caustic, a
-member of the pencil of two such ellipses).  All formulas live in the
-canonical frame: circles centered on the x-axis with the outer circle
-at the origin, ellipses concentric and axis-parallel at the origin.
+Every family builds its vertices with one chord map, ``_chord``.  Both
+porisms live in one canonical frame: the outer conic is an axis-parallel
+ellipse (A, B) at the origin (a circle for the bicentric porism), and
+each caustic is an axis-parallel ellipse (p, q) centered at (c, 0): a
+circle (p = q) for the bicentric porism, and c = 0 for the confocal
+caustic and conf-III's second caustic, a member of the pencil of two
+concentric axis-parallel ellipses.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class TangentBranch(NamedTuple):
     """Which tangent to take at each constructed side of a chain triangle.
 
     Both components select the sign of the square root in the chord
-    maps (equivalently, which of the two tangents from the moving
+    map ``_chord`` (equivalently, which of the two tangents from the moving
     vertex).  The labels are continuous along a full sweep of t.  A pair
     takes both tangents from P1, so a branch could only swap P2 and P3:
     it takes the default branch only.
@@ -132,20 +133,8 @@ def _branch_sign(label: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The two porisms.  Each parameter class gives its outer conic, caustic
-# and pencil caustic, the first vertex at eccentric angle t, the shape of
-# either caustic, and its closed-form chord map.
-#
-# Given a vertex on the outer conic and an interior caustic, the chord
-# map returns the second intersection with the outer conic of one of
-# the two tangents from the vertex to the caustic.  The sign argument
-# selects the tangent; the labeling is continuous in the vertex, so a
-# fixed sign traces a single smooth family over a full sweep.
-#
-# Both maps are elementwise in the vertex arrays (x1, y1) and return
-# (x2, y2, ok) with ok false where the vertex has no real tangent to the
-# caustic (on or inside it); the root is taken of |delta2|, so such a
-# vertex still gets a finite, meaningless image.
+# The two porisms.  Each parameter class gives its outer shape (A, B) and
+# the (p, q, c) of either caustic; ``_chord`` builds every member from them.
 
 
 def _require_finite(params: Any) -> None:
@@ -158,8 +147,9 @@ def _require_finite(params: Any) -> None:
 
 
 # The outer scale (R or a) must be of order 1e-30 to 1e30, its log10
-# rounding into [-30, 30]: there the chord maps' terms of degree 10 in
-# the lengths stay normal floats.
+# rounding into [-30, 30]: there the center kernels' terms of degree 9
+# in the lengths (X59's weight, of degree 8, times a coordinate) stay
+# normal floats.  The chord map's terms are of degree 2 at most.
 _SCALE_DECADES = 30.5
 
 
@@ -169,8 +159,36 @@ def _require_scale(name: str, value: float) -> None:
         raise ValueError(f"{name} must be of order 1e-30 to 1e30, got {value}")
 
 
+def _require_axes(a: float, b: float) -> None:
+    """Raise ValueError unless a > b > 0 with a of order 1e-30 to 1e30."""
+    if not a > b > 0.0:
+        raise ValueError("need a > b > 0")
+    _require_scale("a", a)
+
+
+def _ellipse(p: float, q: float, c: float) -> Conic:
+    """The axis-parallel ellipse with semi-axes (p, q) centered at (c, 0),
+    a circle where p == q."""
+    if p == q:
+        return Conic.circle(Point(c, 0.0), p)
+    return Conic.axis_ellipse(Point(c, 0.0), p, q)
+
+
+class _Conics:
+    """The conics of a parameter class, from its shapes."""
+
+    def outer_conic(self) -> Conic:
+        return _ellipse(*self.outer_shape(), 0.0)
+
+    def caustic(self) -> Conic:
+        return _ellipse(*self.caustic_shape())
+
+    def pencil_caustic(self) -> Conic:
+        return _ellipse(*self.pencil_shape())
+
+
 @dataclass(frozen=True)
-class BicentricParams:
+class BicentricParams(_Conics):
     """Outer circle radius R at the origin, caustic radius r at (d, 0).
 
     ``u`` selects the second caustic of the three-caustic family as the
@@ -195,28 +213,17 @@ class BicentricParams:
         if self.u is not None:
             self.pencil_shape()  # raises where the pencil circle is imaginary
 
-    def outer_conic(self) -> Conic:
-        return Conic.circle(Point(0.0, 0.0), self.R)
+    def outer_shape(self) -> Tuple[float, float]:
+        return (self.R, self.R)
 
-    def caustic(self) -> Conic:
-        return Conic.circle(Point(self.d, 0.0), self.r)
+    def caustic_shape(self) -> Tuple[float, float, float]:
+        """(p, q, c) of the caustic: radius twice, center offset."""
+        return (self.r, self.r, self.d)
 
-    def pencil_caustic(self) -> Conic:
-        """The pencil circle at u, centered at (d(1-u), 0) with radius
-        sqrt(d^2 u^2 + (R^2-d^2-r^2) u + r^2)."""
-        radius, offset = self.pencil_shape()
-        return Conic.circle(Point(offset, 0.0), radius)
-
-    def vertex(self, t: Any) -> Tuple[Any, Any]:
-        return self.R * np.cos(t), self.R * np.sin(t)
-
-    def caustic_shape(self) -> Tuple[float, float]:
-        """(radius, center offset) of the caustic."""
-        return (self.r, self.d)
-
-    def pencil_shape(self) -> Tuple[float, float]:
-        """(radius, center offset) of the pencil caustic; raises if it is
-        imaginary."""
+    def pencil_shape(self) -> Tuple[float, float, float]:
+        """(p, q, c) of the pencil circle at u: radius
+        sqrt(d^2 u^2 + (R^2-d^2-r^2) u + r^2) twice, center offset d(1-u);
+        raises if it is imaginary."""
         u = self.u
         if u is None:
             raise ValueError("three-caustic family needs the pencil parameter u")
@@ -224,34 +231,17 @@ class BicentricParams:
         radicand = k2 * u * u + k1 * u + k0
         if radicand <= 0.0:
             raise ImaginaryPencilCircle(f"pencil circle at u={u} is imaginary")
-        return (math.sqrt(radicand), self.d * (1.0 - u))
-
-    def chord(self, shape: Tuple[float, float], x1: Any, y1: Any, sign: float):
-        """Chord map to the caustic circle of the given ``shape``."""
-        R = self.R
-        rc, dc = shape
-        delta2 = R * R + dc * dc - 2.0 * dc * x1 - rc * rc
-        delta = sign * np.sqrt(abs(delta2))
-        base = R * R + dc * dc - 2.0 * dc * x1
-        den = base * base
-        rr_dd = R * R - dc * dc
-        x2 = (
-            2.0 * rc * y1 * rr_dd * delta
-            + (2.0 * dc * R * R - (R * R + dc * dc) * x1) * (delta2 - rc * rc)
-        ) / den
-        y2 = (
-            (4.0 * R * R * dc - 2.0 * (R * R + dc * dc) * x1) * rc * delta
-            - y1 * rr_dd * (delta2 - rc * rc)
-        ) / den
-        return x2, y2, delta2 > 0.0
+        radius = math.sqrt(radicand)
+        return (radius, radius, self.d * (1.0 - u))
 
 
 @dataclass(frozen=True)
-class ConfocalParams:
+class ConfocalParams(_Conics):
     """Outer ellipse semi-axes (a, b) with a > b, caustic parameter lam.
 
     The confocal caustic has semi-axes (sqrt(a^2-lam), sqrt(b^2-lam)),
-    so lam must lie in [0, b^2).  ``u`` selects the second caustic of
+    so lam must lie in [0, b^2) with sqrt(b^2-lam) < b in floats: at lam = 0
+    every vertex lies on the caustic.  ``u`` selects the second caustic of
     the three-caustic family, an ellipse, inside the pencil spanned by
     the outer ellipse and the confocal caustic (u=0 caustic, u=1 outer).
     """
@@ -263,11 +253,11 @@ class ConfocalParams:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if not (self.a > self.b > 0.0):
-            raise ValueError("need a > b > 0")
-        _require_scale("a", self.a)
+        _require_axes(self.a, self.b)
         if not (0.0 <= self.lam < self.b * self.b):
             raise ValueError("lam must lie in [0, b^2)")
+        if not self.caustic_shape()[1] < self.b:
+            raise ValueError("caustic must be strictly inside the outer ellipse")
         if self.u is not None:
             self.pencil_shape()  # raises where the pencil caustic is no ellipse
 
@@ -275,37 +265,27 @@ class ConfocalParams:
     def c2(self) -> float:
         return self.a * self.a - self.b * self.b
 
-    def caustic_shape(self) -> Tuple[float, float]:
-        """Semi-axes of the confocal caustic."""
+    def outer_shape(self) -> Tuple[float, float]:
+        return (self.a, self.b)
+
+    def caustic_shape(self) -> Tuple[float, float, float]:
+        """(p, q, c) of the confocal caustic: its semi-axes, center offset 0."""
         return (
             math.sqrt(self.a * self.a - self.lam),
             math.sqrt(self.b * self.b - self.lam),
+            0.0,
         )
 
-    def outer_conic(self) -> Conic:
-        return Conic.axis_ellipse(Point(0.0, 0.0), self.a, self.b)
-
-    def caustic(self) -> Conic:
-        ca, cb = self.caustic_shape()
-        return Conic.axis_ellipse(Point(0.0, 0.0), ca, cb)
-
-    def pencil_caustic(self) -> Conic:
-        return Conic.axis_ellipse(Point(0.0, 0.0), *self.pencil_shape())
-
-    def vertex(self, t: Any) -> Tuple[Any, Any]:
-        return self.a * np.cos(t), self.b * np.sin(t)
-
-    def pencil_shape(self) -> Tuple[float, float]:
-        """Semi-axes (along x, along y) of the pencil caustic; raises if it
-        is not an ellipse.  The member is u * outer + (1 - u) * caustic, with each
-        x^2/ex^2 + y^2/ey^2 - 1 = 0 first scaled to quadratic trace 2 (for
-        circles, the monic form x^2 + y^2 + ... = 0); it stays concentric
-        and axis-parallel.
+    def pencil_shape(self) -> Tuple[float, float, float]:
+        """(p, q, c) of the pencil caustic u * outer + (1 - u) * caustic,
+        each x^2/ex^2 + y^2/ey^2 - 1 = 0 first scaled to quadratic trace 2
+        (for circles, the monic form x^2 + y^2 + ... = 0): concentric and
+        axis-parallel, so c = 0.  Raises if it is not an ellipse.
         """
         u = self.u
         if u is None:
             raise ValueError("three-caustic family needs the pencil parameter u")
-        ca, cb = self.caustic_shape()
+        ca, cb, _ = self.caustic_shape()
         qx = qy = k = 0.0
         for weight, ex, ey in ((u, self.a, self.b), (1.0 - u, ca, cb)):
             ix = 1.0 / (ex * ex)
@@ -317,28 +297,37 @@ class ConfocalParams:
         # The member is qx x^2 + qy y^2 = k.
         if qx * k <= 0.0 or qy * k <= 0.0:
             raise ImaginaryPencilCircle(f"pencil caustic at u={u} is not an ellipse")
-        return (math.sqrt(k / qx), math.sqrt(k / qy))
+        return (math.sqrt(k / qx), math.sqrt(k / qy), 0.0)
 
-    def chord(self, shape: Tuple[float, float], x1: Any, y1: Any, sign: float):
-        """Chord map to the concentric axis-parallel caustic ellipse of the
-        given ``shape``."""
-        a = self.a
-        ca, cb = shape
-        a2 = a * a
-        b2 = self.b * self.b
-        ca2 = ca * ca
-        cb2 = cb * cb
-        delta2 = (a2 * cb2 - ca2 * cb2) * x1 * x1 + (a2 * ca2 - a2 * ca2 * cb2 / b2) * y1 * y1
-        delta = sign * np.sqrt(abs(delta2))
-        alpha1 = a2 * (b2 - cb2) - ca2 * b2
-        alpha2 = (a2 - ca2) * b2 + a2 * cb2
-        alpha3 = a2 * (b2 - cb2) + ca2 * b2
-        u = alpha2 * x1
-        v = alpha3 * y1
-        w = u * u / a2 + v * v / b2
-        x2 = (2.0 * a * alpha3 * y1 * delta - alpha1 * alpha2 * x1) / w
-        y2 = (-2.0 * b2 * alpha2 * x1 * delta - a * alpha1 * alpha3 * y1) / (a * w)
-        return x2, y2, delta2 > 0.0
+
+def _chord(outer: Tuple[float, float], caustic: Tuple[float, float, float], x1: Any, y1: Any, sign: float):
+    """(x2, y2, ok): the second meet with the outer conic (A, B) of a
+    tangent from its point (x1, y1) to the caustic (p, q, c), elementwise.
+
+    Where the caustic is the unit circle, the vertex is (X, Y) =
+    ((x1 - c)/p, y1/q) and its contact points are (X + delta Y,
+    Y - delta X)/rho^2, rho^2 = X^2 + Y^2, delta = +-sqrt(rho^2 - 1).
+    ``sign`` 1 takes delta > 0, whose contact lies left of the ray from
+    the vertex to the caustic's center, and -1 the other, continuously
+    in the vertex.  The chord's direction v maps back
+    (Y - delta X, -X - delta Y), rho^2/delta times the segment to the
+    contact but free of its cancellation; the meet is P1 + s v with
+    s = -2 P1'Mv / v'Mv, M = diag(1/A^2, 1/B^2).  ok is delta^2 > 0; the
+    root is taken of |delta^2|, so a vertex on or inside the caustic gets
+    a finite, meaningless image.
+    """
+    A, B = outer
+    p, q, c = caustic
+    X = (x1 - c) / p
+    Y = y1 / q
+    delta2 = X * X + Y * Y - 1.0
+    delta = sign * np.sqrt(abs(delta2))
+    vx = p * (Y - delta * X)
+    vy = -q * (X + delta * Y)
+    mx = vx / (A * A)
+    my = vy / (B * B)
+    s = -2.0 * (x1 * mx + y1 * my) / (vx * mx + vy * my)
+    return x1 + s * vx, y1 + s * vy, delta2 > 0.0
 
 
 @dataclass(frozen=True)
@@ -352,7 +341,6 @@ class Triangle:
 
     def vertices(self) -> Tuple[Point, Point, Point]:
         return (self.p1, self.p2, self.p3)
-
 
 
 class TriangleBatch(NamedTuple):
@@ -421,9 +409,7 @@ def confocal_delta(a: float, b: float) -> float:
 
 def critical_lambda(a: float, b: float) -> float:
     """Pencil parameter of the confocal caustic that closes triangles."""
-    if not a > b > 0.0:
-        raise ValueError("need a > b > 0")
-    _require_scale("a", a)
+    _require_axes(a, b)
     a2 = a * a
     b2 = b * b
     c2 = a2 - b2
@@ -598,6 +584,8 @@ class FamilyConfig:
             raise ValueError(f"{self.kind} needs the pencil parameter u")
         if not spec.chain and pencil is not None:
             raise ValueError(f"{self.kind} takes no pencil parameter u: it has one caustic")
+        if pencil == 1.0:
+            raise ValueError(f"{self.kind}'s pencil caustic at u=1 is the outer conic")
         if not spec.chain and self.branch != DEFAULT_BRANCH:
             raise ValueError(
                 f"{self.kind} takes only the default tangent branch (plus, plus):"
@@ -631,7 +619,7 @@ class FamilyConfig:
         """The members at the angles t, a numpy array.
 
         P1 is the outer conic's point at eccentric angle t; the chord
-        maps give P2 and P3 (see FamilySpec).  The one construction
+        map gives P2 and P3 (see FamilySpec).  The one construction
         path: ``triangle`` is its batch of one angle.  A vertex without
         a real tangent clears ``ok`` at its angle.
         """
@@ -641,13 +629,15 @@ class FamilyConfig:
         """(x1, y1, x2, y2, x3, y3, ok): the members at the angles t, without
         the measures ``TriangleBatch.of`` adds."""
         p = self.params
-        x1, y1 = p.vertex(t)
-        x2, y2, ok = p.chord(p.caustic_shape(), x1, y1, _branch_sign(self.branch.first))
+        outer = p.outer_shape()
+        x1, y1 = outer[0] * np.cos(t), outer[1] * np.sin(t)
+        sign = _branch_sign(self.branch.first)
+        x2, y2, ok = _chord(outer, p.caustic_shape(), x1, y1, sign)
         if FAMILY_SPECS[self.kind].chain:
-            x3, y3, ok3 = p.chord(p.pencil_shape(), x2, y2, _branch_sign(self.branch.second))
+            x3, y3, ok3 = _chord(outer, p.pencil_shape(), x2, y2, _branch_sign(self.branch.second))
             return x1, y1, x2, y2, x3, y3, ok & ok3
         # Both tangents leave P1: one tangent condition for the pair.
-        x3, y3, _ = p.chord(p.caustic_shape(), x1, y1, -_branch_sign(self.branch.first))
+        x3, y3, _ = _chord(outer, p.caustic_shape(), x1, y1, -sign)
         return x1, y1, x2, y2, x3, y3, ok
 
     def triangle(self, t: float) -> Triangle:

@@ -30,7 +30,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import centers as _centers
-from .families import BicentricParams, FamilyConfig, TriangleBatch, _require_scale
+from .families import BicentricParams, FamilyConfig, TriangleBatch, _require_axes
 from .geom import Conic, GeometryError, Point, classify_conic
 
 __all__ = [
@@ -186,7 +186,13 @@ def trace_locus(
     ok = ok & np.isfinite(x) & np.isfinite(y)
     valid = int(np.count_nonzero(ok))
     if valid < need:
-        raise InsufficientSamples(f"only {valid} valid samples for {tracked}")
+        dropped = tri.ok & ~ok
+        collinear = np.count_nonzero(dropped & (tri.fault != 0))
+        raise InsufficientSamples(
+            f"only {valid} valid samples for {tracked} ({n - np.count_nonzero(tri.ok)} members missing,"
+            f" {collinear} collinear, {np.count_nonzero(dropped) - collinear} with the point undefined"
+            " or not finite)"
+        )
     return Locus(cfg, tracked, ts, x, y, ok)
 
 
@@ -523,9 +529,7 @@ def convexity_lambda_root(a: float, b: float) -> float:
     scales every root by k^2, so the quintic is solved at b = 1, where
     its terms stay near unit size, and its root scaled by b^2.
     """
-    if not a > b > 0.0:
-        raise ValueError("need a > b > 0")
-    _require_scale("a", a)
+    _require_axes(a, b)
     coeffs = convexity_quintic_coeffs(a / b, 1.0)
     candidates = []
     for lam in _real_roots(coeffs):

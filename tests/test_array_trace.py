@@ -351,6 +351,18 @@ class _CellCenterHoles(FamilyConfig):
         return tri._replace(ok=tri.ok & ~((cell > 0.45) & (cell < 0.55)))
 
 
+class _AxisExcenterAtAMidpoint(FamilyConfig):
+    """The family with P1 and P2 swapped and t shifted back half a cell
+    of the 512-sample grid.  The first midpoint of the first cell is then
+    the member at t = 0: P2 = (R, 0) and P1, P3 mirror images, so the
+    side lengths s1 and s3 are equal and P2', the excenter opposite P2,
+    lies exactly on the x-axis, in a bracket of y's sign change."""
+
+    def triangles(self, t):
+        tri = super().triangles(np.asarray(t) - np.pi / 512)
+        return TriangleBatch.of(tri.x2, tri.y2, tri.x1, tri.y1, tri.x3, tri.y3, tri.ok)
+
+
 @pytest.mark.parametrize("tracked", ["P2'", "P3'"])
 def test_min_axis_distance_matches_the_scalar_bisection(tracked):
     cfg = FamilyConfig("bic-II", DEFAULT_BIC2)
@@ -367,7 +379,7 @@ def test_min_axis_distance_matches_the_scalar_bisection(tracked):
     [
         FamilyConfig("bic-II", DEFAULT_BIC2),
         _CellCenterHoles("bic-II", DEFAULT_BIC2),
-        bic2_config(1.0, 0.15, 0.35),
+        _AxisExcenterAtAMidpoint("bic-II", DEFAULT_BIC2),
     ],
     ids=["default", "holed", "exact-zero"],
 )
@@ -378,8 +390,8 @@ def test_joint_min_axis_distance_is_each_scalar_bisection(cfg):
     want = [_scalar_min_axis_distance(cfg, pid) for pid in pids]
     assert _min_axis_distance(cfg, pids) == want
     assert _min_axis_distance(cfg, pids[::-1]) == want[::-1]
-    if cfg.params.d == 0.35:
-        assert want == [0.0, 0.0]
+    if isinstance(cfg, _AxisExcenterAtAMidpoint):
+        assert want[0] == 0.0 < want[1]
 
 
 # ---------------------------------------------------------------------------

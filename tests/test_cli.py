@@ -250,8 +250,10 @@ def test_circular_outer_for_a_confocal_family_is_a_usage_error(argv, capsys):
         ),
         (("verify", "prop:confII-x1", "--a", "1e-200", "--b", "5e-201"), "a must be of order 1e-30 to 1e30, got 1e-200"),
         (("trace", "--family", "bic-II", "--R", "1e31", "--r", "2e30", "--d", "3e30"), "R must be of order 1e-30 to 1e30, got 1e+31"),
+        (("verify", "cor:confII-n4", "--a", "1e-200", "--b", "5e-201"), "a must be of order 1e-30 to 1e30, got 1e-200"),
+        (("verify", "prop:confII-x2-n4", "--a", "1e200", "--b", "5e199"), "a must be of order 1e-30 to 1e30, got 1e+200"),
     ],
-    ids=["bic-III", "conf-III", "confII-x1-small", "bic-II-large"],
+    ids=["bic-III", "conf-III", "confII-x1-small", "bic-II-large", "confII-n4-small", "confII-x2-n4-large"],
 )
 def test_a_family_that_cannot_be_built_is_a_usage_error(argv, message, capsys):
     """An imaginary pencil caustic or an outer scale out of range: exit 2
@@ -259,6 +261,27 @@ def test_a_family_that_cannot_be_built_is_a_usage_error(argv, message, capsys):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"poncelet {argv[0]}: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, counts",
+    [
+        (("--family", "bic-II", "--R", "1e30", "--r", "1e-10", "--d", "1e-10"), "0 members missing, 512 collinear"),
+        (("--family", "conf-II", "--a", "1e30", "--b", "1e-20", "--lambda", "5e-41"), "2 members missing, 510 collinear"),
+    ],
+    ids=["bic-II", "conf-II"],
+)
+def test_too_few_valid_samples_says_why_they_were_dropped(argv, counts, capsys):
+    """A caustic far smaller than the outer conic gives collinear members:
+    the error counts the dropped samples of the 512 by cause.  The conf-II
+    caustic's major semi-axis rounds to a, so the members at t = 0 and pi,
+    whose vertex lies on the caustic, are missing."""
+    code, out, err = run(capsys, "classify", *argv, "--center", "X1")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"poncelet classify: error: only 0 valid samples for X1 ({counts},"
+        " 0 with the point undefined or not finite)\n"
+    )
 
 
 class _NoSampleTriangle(FamilyConfig):

@@ -12,6 +12,7 @@ from poncelet.geom import (
     line_tangent_to_conic_residual,
 )
 from poncelet.families import (
+    FAMILY_SPECS,
     MINUS,
     PLUS,
     BicentricParams,
@@ -36,6 +37,7 @@ from poncelet.families import (
     degenerate_envelope_inradius,
     envelope_points,
 )
+from poncelet.claims import n4_lambda, n6_lambda
 from poncelet.loci import convexity_lambda_root
 
 from _geometry_oracle import (
@@ -90,14 +92,15 @@ def test_critical_lambda_value():
 
 def test_confocal_caustic_axes():
     p = ConfocalParams(2.0, 1.0, 0.5)
-    ca, cb = p.caustic_shape()
+    ca, cb, c = p.caustic_shape()
     assert abs(ca - math.sqrt(4.0 - 0.5)) < 1e-15
     assert abs(cb - math.sqrt(1.0 - 0.5)) < 1e-15
+    assert c == 0.0
     # closing caustic at the closing parameter: with
     # delta = sqrt(a^4 - a^2 b^2 + b^4), semi-axes a (delta - b^2) / c^2
     # and b (a^2 - delta) / c^2
     a, b = 2.0, 1.0
-    cax, cay = ConfocalParams(a, b, critical_lambda(a, b)).caustic_shape()
+    cax, cay, _ = ConfocalParams(a, b, critical_lambda(a, b)).caustic_shape()
     delta = math.sqrt(a ** 4 - a * a * b * b + b ** 4)
     c2 = a * a - b * b
     assert abs(cax - a * (delta - b * b) / c2) < 1e-12
@@ -110,12 +113,12 @@ def test_n4_n6_caustics():
     (a sqrt(a (a + 2b)), b sqrt(b (2a + b))) / (a + b)."""
     a, b = 2.0, 1.0
     lam4 = a * a * b * b / (a * a + b * b)
-    ax4, ay4 = ConfocalParams(a, b, lam4).caustic_shape()
+    ax4, ay4, _ = ConfocalParams(a, b, lam4).caustic_shape()
     root = math.sqrt(a * a + b * b)
     assert abs(ax4 - a * a / root) < 1e-14
     assert abs(ay4 - b * b / root) < 1e-14
     lam6 = (a * b / (a + b)) ** 2
-    ax6, ay6 = ConfocalParams(a, b, lam6).caustic_shape()
+    ax6, ay6, _ = ConfocalParams(a, b, lam6).caustic_shape()
     assert abs(ax6 - a * math.sqrt(a * (a + 2.0 * b)) / (a + b)) < 1e-14
     assert abs(ay6 - b * math.sqrt(b * (2.0 * a + b)) / (a + b)) < 1e-14
 
@@ -129,6 +132,15 @@ def test_params_validation():
         ConfocalParams(1.0, 2.0, 0.5)  # a must exceed b
     with pytest.raises(ValueError):
         ConfocalParams(2.0, 1.0, 1.0)  # lam must stay below b^2
+    # A caustic or pencil caustic equal to the outer conic: every vertex
+    # lies on it, so no member exists.
+    for lam in (0.0, 1e-300):
+        with pytest.raises(ValueError, match="^caustic must be strictly inside the outer ellipse$"):
+            ConfocalParams(2.0, 1.0, lam)
+    with pytest.raises(ValueError, match="^bic-III's pencil caustic at u=1 is the outer conic"):
+        bic3_config(1.0, 0.15, 0.25, 1.0)
+    with pytest.raises(ValueError, match="^conf-III's pencil caustic at u=1 is the outer conic"):
+        conf3_config(2.0, 1.0, 0.3, 1.0)
     with pytest.raises(NoPoristicPair):
         bic1_config(1.0, 0.25).__class__(
             "bic-I", BicentricParams(1.0, 0.25, 0.3)
@@ -300,32 +312,60 @@ def _tangent_chain_step(outer: Conic, caustic: Conic, vertex: Point, sign: float
     return second_intersection(outer, vertex, direction)
 
 
-@pytest.mark.parametrize("a,b,lam,u", [(2.0, 1.0, 0.3, 0.5), (1.7, 1.0, 0.2, 0.35), (2.4, 1.0, 0.45, 0.7)])
-@pytest.mark.parametrize("branch", BRANCHES, ids=[",".join(b) for b in BRANCHES])
-def test_conf3_matches_geometric_tangent_chain(a, b, lam, u, branch):
-    """The closed-form chord maps reproduce the tangent chain built from
-    the pencil conic, branch label for branch label."""
-    p = ConfocalParams(a, b, lam, u=u)
+# The chain kinds on every branch, and two pair families far from the
+# defaults: a small caustic near the outer circle, and a thin outer
+# ellipse with lam near b^2.
+TANGENT_CHAIN_FAMILIES = [
+    *(
+        conf3_config(a, b, lam, u, branch)
+        for a, b, lam, u in ((2.0, 1.0, 0.3, 0.5), (1.7, 1.0, 0.2, 0.35), (2.4, 1.0, 0.45, 0.7))
+        for branch in BRANCHES
+    ),
+    *(bic3_config(1.0, 0.15, 0.25, 0.4, branch) for branch in BRANCHES),
+    bic2_config(1.0, 0.05, 0.9),
+    conf2_config(5.0, 1.0, 0.99),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    TANGENT_CHAIN_FAMILIES,
+    ids=[f"{c.kind}-{','.join(str(v) for v in vars(c.params).values() if v is not None)}"
+         f"-{','.join(c.branch)}" for c in TANGENT_CHAIN_FAMILIES],
+)
+def test_members_match_the_geometric_tangent_chain(cfg):
+    """The chord map reproduces the tangents built from the caustics as
+    conics, label for label: a chain's P2 and P3 take the tangents its
+    branch names, to the caustic and then to the pencil conic; a pair's
+    take both tangents from P1 to the caustic."""
+    p = cfg.params
     outer = p.outer_conic()
     first = p.caustic()
-    second = pencil_member(outer, first, 1.0 - u)
-    signs = [1.0 if label == PLUS else -1.0 for label in branch]
+    A, B = outer.semi_axes
+    s1, s2 = (1.0 if label == PLUS else -1.0 for label in cfg.branch)
+    chain = FAMILY_SPECS[cfg.kind].chain
+    if chain:
+        second = pencil_member(outer, first, 1.0 - p.u)
     for t in np.linspace(0.0, 2.0 * math.pi, 97):
-        tri = FamilyConfig("conf-III", p, branch=branch).triangle(float(t))
-        v1 = Point(a * math.cos(t), b * math.sin(t))
-        v2 = _tangent_chain_step(outer, first, v1, signs[0])
-        v3 = _tangent_chain_step(outer, second, v2, signs[1])
+        tri = cfg.triangle(float(t))
+        v1 = Point(A * math.cos(t), B * math.sin(t))
+        v2 = _tangent_chain_step(outer, first, v1, s1)
+        if chain:
+            v3 = _tangent_chain_step(outer, second, v2, s2)
+        else:
+            v3 = _tangent_chain_step(outer, first, v1, -s1)
         for got, want in zip(tri.vertices(), (v1, v2, v3)):
-            assert math.dist(got, want) < 1e-12 * a
+            assert math.dist(got, want) < 1e-12 * A
 
 
 @pytest.mark.parametrize("u", [0.0, 0.3, 0.5, 1.0])
 def test_conf3_pencil_shape_pencil_form(u):
     p = ConfocalParams(2.0, 1.0, 0.3, u=u)
     want = pencil_member(p.outer_conic(), p.caustic(), 1.0 - u)
-    ea, eb = p.pencil_shape()
+    ea, eb, c = p.pencil_shape()
     assert abs(ea - want.semi_axes[0]) < 1e-14
     assert abs(eb - want.semi_axes[1]) < 1e-14
+    assert c == 0.0
 
 
 def test_conf3_pencil_shape_rejects_hyperbola():
@@ -350,14 +390,19 @@ def test_conf3_pencil_shape_rejects_hyperbola():
         lambda: conf1_config(1e32, 5e31),
         lambda: critical_lambda(1e-200, 5e-201),
         lambda: convexity_lambda_root(1e-200, 5e-201),
+        lambda: n4_lambda(1e-200, 5e-201),
+        lambda: n4_lambda(1e200, 5e199),
+        lambda: n6_lambda(1e-200, 5e-201),
+        lambda: n6_lambda(1e200, 5e199),
     ],
     ids=["R-large", "R-small", "bic-I-small", "a-large", "a-small", "conf-I-large", "critical-small",
-         "convexity-small"],
+         "convexity-small", "n4-small", "n4-large", "n6-small", "n6-large"],
 )
 def test_an_outer_scale_out_of_range_is_rejected(build):
-    """Beyond 1e-30 to 1e30 (to the nearest power of ten) the chord maps'
-    degree-10 terms leave the normal floats: R or a there is a ValueError,
-    never a ZeroDivisionError or an overflow."""
+    """Beyond 1e-30 to 1e30 (to the nearest power of ten) the center
+    kernels' degree-9 terms leave the normal floats: R or a there is a
+    ValueError, never a ZeroDivisionError, an overflow or a complaint
+    about a value derived from it."""
     with pytest.raises(ValueError, match="must be of order 1e-30 to 1e30"):
         build()
 

@@ -66,12 +66,13 @@ from .families import (
     degenerate_envelope_inradius,
     envelope_points,
 )
-from .centers import _cosines, center_arrays
+from .centers import _cosines
 from .loci import (
     _grid,
     _grid_samples,
     _real_roots,
     CONIC_TOL,
+    Locus,
     classify_locus,
     convexity_check,
     convexity_lambda_root,
@@ -498,64 +499,17 @@ def _excentral_deviation(cfg: FamilyConfig, ax: float, ay: float, n: int) -> flo
     )
 
 
-# Samples and bisection steps of _min_axis_distance.
-_AXIS_SAMPLES = 512
-_AXIS_BISECTIONS = 64
+def _axis_crossings(loc: Locus) -> int:
+    """How often a traced locus meets the x-axis: its valid samples with
+    y == 0, each once, and the neighbouring pairs (k, k + 1 mod n) of
+    valid samples whose y changes sign strictly.
 
-
-def _min_axis_distance(cfg: FamilyConfig, tracked: Sequence[str]) -> List[float]:
-    """Closest approach to the x-axis of each tracked point's locus.
-
-    Sign changes of y(t) between consecutive samples are refined by
-    bisection, all brackets of all the points at once: each step samples
-    the family once, at every bracket's midpoint.  A transversal crossing
-    so resolves far below the sample spacing.  A bracket stops where its
-    midpoint has no valid point; an exact zero ends a point's search with
-    0.0.  The steps end early once every live bracket's midpoint equals
-    one of its ends, after which no step moves a bracket.
+    A sign change next to an invalid sample, whose y is NaN, is not
+    counted.  Where the point is continuous in t between two neighbouring
+    valid samples, a sign change between them is a crossing.
     """
-
-    def ys_at(ts: np.ndarray):
-        tri = cfg.triangles(ts)
-        return [center_arrays(tri, pid)[1:] for pid in tracked]
-
-    ts = 2.0 * np.pi * np.arange(_AXIS_SAMPLES + 1) / _AXIS_SAMPLES  # both ends
-    best, brackets = [], []
-    for k, (y, ok) in enumerate(ys_at(ts)):
-        best.append(float(np.abs(y[ok]).min()) if ok.any() else math.inf)
-        crossing = ok[:-1] & ok[1:] & ((y[:-1] < 0.0) != (y[1:] < 0.0))
-        lo, hi, y_lo = ts[:-1][crossing], ts[1:][crossing], y[:-1][crossing]
-        brackets.append((lo, hi, y_lo, np.full(len(lo), k)))
-    # The brackets of every point, one after another; owner[i] is the
-    # index in tracked of bracket i's point.
-    lo, hi, y_lo, owner = (np.concatenate(v) for v in zip(*brackets))
-    rows = np.arange(len(owner))
-    zero = np.zeros(len(tracked), dtype=bool)
-    live = np.ones(len(owner), dtype=bool)
-
-    def y_of_owner(ts: np.ndarray):
-        ys, oks = zip(*ys_at(ts))
-        return np.stack(ys)[owner, rows], np.stack(oks)[owner, rows]
-
-    for _ in range(_AXIS_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if not (live & (mid != lo) & (mid != hi)).any():
-            break
-        ym, okm = y_of_owner(mid)
-        live &= okm
-        zero[owner[live & (ym == 0.0)]] = True
-        live &= ~zero[owner]
-        left = live & ((ym < 0.0) == (y_lo < 0.0))
-        lo, y_lo = np.where(left, mid, lo), np.where(left, ym, y_lo)
-        hi = np.where(live & ~left, mid, hi)
-    ym, okm = y_of_owner(0.5 * (lo + hi))
-    for k in range(len(tracked)):
-        hit = okm & (owner == k)
-        if zero[k]:
-            best[k] = 0.0
-        elif hit.any():
-            best[k] = min(best[k], float(np.abs(ym[hit]).min()))
-    return best
+    sign = np.sign(loc.y)
+    return int(np.count_nonzero(loc.y == 0.0) + np.count_nonzero(sign * np.roll(sign, -1) < 0.0))
 
 
 # Rows of a point-to-point distance table held at once.
@@ -647,13 +601,16 @@ def check_bicII_excenter_circle(p: BicentricParams = DEFAULT_BIC2) -> ClaimRepor
     metric = _circle_deviation(loc1.valid_xy(), anti, radius) / p.R
     gates = [_Gate("first-excenter circle deviation/R", metric, 1e-9, False)]
 
-    pids = ("P2'", "P3'")
-    for pid, crossing in zip(pids, _min_axis_distance(cfg, pids)):
-        xy = trace_locus(cfg, pid, 512).valid_xy()
+    # Each member exists and is a proper triangle (the caustic lies
+    # strictly inside the outer circle), so P2' and P3' are continuous in
+    # t and a sign change of y between neighbouring samples is a crossing.
+    for pid in ("P2'", "P3'"):
+        loc = trace_locus(cfg, pid, 512)
+        xy = loc.valid_xy()
         gates += [
             _Gate(f"{pid} degree-6 residual", fit_curve(xy, 6).residual, 1e-8, False),
             _Gate(f"{pid} conic residual", fit_curve(xy, 2).residual, CONIC_TOL, True),
-            _Gate(f"{pid} axis distance/R", crossing / p.R, 1e-6, False),
+            _Gate(f"{pid} axis crossings", _axis_crossings(loc), 0, True),
         ]
 
     control = _circle_deviation(loc1.valid_xy(), anti, radius * 1.01) / p.R

@@ -558,6 +558,10 @@ FAMILY_SPECS = {
 }
 
 
+# The |delta^2| below which every vertex lies on the caustic to rounding.
+_ROUNDING = 64 * 2.0**-52
+
+
 @dataclass(frozen=True)
 class FamilyConfig:
     """A concrete triangle family: kind, shape parameters (of the class
@@ -591,6 +595,18 @@ class FamilyConfig:
                 f"{self.kind} takes only the default tangent branch (plus, plus):"
                 " both its tangents leave P1"
             )
+        # The largest and smallest delta^2 (see _chord) of a vertex on
+        # the outer conic: within rounding of 0 the caustic is the outer
+        # conic, and each tangent is rounding noise.
+        A, B = p.outer_shape()
+        caustics = {"caustic": p.caustic_shape()}
+        if spec.chain:
+            caustics[f"pencil caustic at u={pencil}"] = p.pencil_shape()
+        for name, (cp, cq, c) in caustics.items():
+            far = max((A + abs(c)) ** 2 / (cp * cp), B * B / (cq * cq)) - 1.0
+            near = min((A - abs(c)) ** 2 / (cp * cp), B * B / (cq * cq)) - 1.0
+            if far <= _ROUNDING and near >= -_ROUNDING:
+                raise ValueError(f"{self.kind}'s {name} is the outer conic to rounding")
 
     @cached_property
     def _kept(self) -> dict:

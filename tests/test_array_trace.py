@@ -6,10 +6,9 @@ the same batch path on one triangle and raise where its mask is false.
 The per-angle loop checks that a one-element batch gives the same bits as
 the same sample inside the 64-sample grid.  A config object keeps the
 grid batch of its last trace; a trace that reuses it gives the bits of a
-fresh equal config.  So do the batch consumers:
-``envelope_points`` on ``FamilyConfig.free_sides`` and the all-brackets
-bisection of ``claims._min_axis_distance``.  Each reference here is the
-per-sample loop, rebuilt in the test.
+fresh equal config.  So does the batch consumer ``envelope_points`` on
+``FamilyConfig.free_sides``.  Each reference here is the per-sample
+loop, rebuilt in the test.
 """
 
 import dataclasses
@@ -45,7 +44,7 @@ from poncelet.families import (
     conf2_config,
     conf3_config,
 )
-from poncelet.claims import DEFAULT_BIC2, _min_axis_distance, bic3_collapse_u
+from poncelet.claims import bic3_collapse_u
 from poncelet.families import _ENVELOPE_STEP, envelope_points
 from poncelet.geom import GeometryError, Line, Point
 from poncelet.loci import InsufficientSamples, _grid_samples, trace_locus
@@ -304,94 +303,6 @@ def test_only_the_members_with_their_measures_build_a_batch(monkeypatch):
         with pytest.raises(RuntimeError, match="batch built"):
             trace_locus(cfg, "X1", N)
     assert 0.3 < bic3_collapse_u(1.0, 0.15, 0.25) < 1.0
-
-
-def _scalar_min_axis_distance(cfg, tracked, n=512, steps=64):
-    """The closest approach of a locus to the x-axis, bracket by bracket."""
-
-    def y_of(t):
-        try:
-            return _scalar_point(cfg.triangle(t), tracked).y
-        except GeometryError:
-            return None
-
-    ts = [2.0 * math.pi * k / n for k in range(n + 1)]
-    ys = [y_of(t) for t in ts]
-    finite = [abs(y) for y in ys if y is not None]
-    best = min(finite) if finite else math.inf
-    for k in range(n):
-        y0, y1 = ys[k], ys[k + 1]
-        if y0 is None or y1 is None or (y0 < 0.0) == (y1 < 0.0):
-            continue
-        lo, hi, y_lo = ts[k], ts[k + 1], y0
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            ym = y_of(mid)
-            if ym is None:
-                break
-            if ym == 0.0:
-                return 0.0
-            if (ym < 0.0) == (y_lo < 0.0):
-                lo, y_lo = mid, ym
-            else:
-                hi = mid
-        ym = y_of(0.5 * (lo + hi))
-        if ym is not None:
-            best = min(best, abs(ym))
-    return best
-
-
-class _CellCenterHoles(FamilyConfig):
-    """A family without members in the middle tenth of every cell of the
-    512-sample grid, where each bracket's first midpoint falls."""
-
-    def triangles(self, t):
-        tri = super().triangles(t)
-        cell = np.asarray(t) / (2.0 * np.pi / 512) % 1.0
-        return tri._replace(ok=tri.ok & ~((cell > 0.45) & (cell < 0.55)))
-
-
-class _AxisExcenterAtAMidpoint(FamilyConfig):
-    """The family with P1 and P2 swapped and t shifted back half a cell
-    of the 512-sample grid.  The first midpoint of the first cell is then
-    the member at t = 0: P2 = (R, 0) and P1, P3 mirror images, so the
-    side lengths s1 and s3 are equal and P2', the excenter opposite P2,
-    lies exactly on the x-axis, in a bracket of y's sign change."""
-
-    def triangles(self, t):
-        tri = super().triangles(np.asarray(t) - np.pi / 512)
-        return TriangleBatch.of(tri.x2, tri.y2, tri.x1, tri.y1, tri.x3, tri.y3, tri.ok)
-
-
-@pytest.mark.parametrize("tracked", ["P2'", "P3'"])
-def test_min_axis_distance_matches_the_scalar_bisection(tracked):
-    cfg = FamilyConfig("bic-II", DEFAULT_BIC2)
-    assert _min_axis_distance(cfg, [tracked]) == [_scalar_min_axis_distance(cfg, tracked)]
-    # Every bracket stops at its first midpoint, as the scalar loop's does.
-    holed = _CellCenterHoles("bic-II", DEFAULT_BIC2)
-    [got] = _min_axis_distance(holed, [tracked])
-    assert got == _scalar_min_axis_distance(holed, tracked)
-    assert got > _min_axis_distance(cfg, [tracked])[0]
-
-
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        FamilyConfig("bic-II", DEFAULT_BIC2),
-        _CellCenterHoles("bic-II", DEFAULT_BIC2),
-        _AxisExcenterAtAMidpoint("bic-II", DEFAULT_BIC2),
-    ],
-    ids=["default", "holed", "exact-zero"],
-)
-def test_joint_min_axis_distance_is_each_scalar_bisection(cfg):
-    """One bisection over the brackets of both excenters gives each one's
-    scalar result, also where a bracket of one of them ends at 0.0."""
-    pids = ("P2'", "P3'")
-    want = [_scalar_min_axis_distance(cfg, pid) for pid in pids]
-    assert _min_axis_distance(cfg, pids) == want
-    assert _min_axis_distance(cfg, pids[::-1]) == want[::-1]
-    if isinstance(cfg, _AxisExcenterAtAMidpoint):
-        assert want[0] == 0.0 < want[1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ from poncelet.families import (
     ConfocalParams,
     FamilyConfig,
     NoPoristicPair,
+    TriangleBatch,
     bic2_config,
     bic3_config,
     chapple_distance,
     critical_lambda,
 )
 from poncelet.claims import (
+    _axis_crossings,
     _hausdorff,
     _is_poristic,
     ClaimReport,
@@ -216,6 +218,71 @@ def test_excentral_ellipse_at_critical_aspect():
     rep = check_confII_excenter_ellipse(ConfocalParams(a, b, lam))
     assert rep.passed
     assert _gate(rep, "first excenter off the same ellipse").held
+
+
+# The defaults of cor:bicII-exc and its parameter sets in CI.
+_BICII_EXC_SETS = [(1.0, 0.2, 0.3), (1.0, 0.15, 0.35), (1e10, 2e9, 3e9)]
+
+
+def _crossing_gates(report):
+    return [g for g in report.gates if g.name.endswith("axis crossings")]
+
+
+@pytest.mark.parametrize("R, r, d", _BICII_EXC_SETS)
+def test_bicII_excenters_cross_the_axis_twice(R, r, d):
+    cfg = bic2_config(R, r, d)
+    for pid in ("P2'", "P3'"):
+        assert _axis_crossings(trace_locus(cfg, pid, 512)) == 2
+    gates = _crossing_gates(check_bicII_excenter_circle(BicentricParams(R, r, d)))
+    assert [(g.name, g.value, g.held) for g in gates] == [
+        ("P2' axis crossings", 2, True),
+        ("P3' axis crossings", 2, True),
+    ]
+
+
+class _P1P2Swapped(FamilyConfig):
+    """The bic-II family with P1 and P2 swapped.  At t = 0 P2 = (R, 0)
+    and P1, P3 are mirror images, so the side lengths s1 and s3 are equal
+    and P2', the excenter opposite P2, lies exactly on the x-axis."""
+
+    def triangles(self, t):
+        tri = super().triangles(t)
+        return TriangleBatch.of(tri.x2, tri.y2, tri.x1, tri.y1, tri.x3, tri.y3, tri.ok)
+
+
+def test_a_sample_on_the_axis_is_one_crossing():
+    loc = trace_locus(_P1P2Swapped("bic-II", claims.DEFAULT_BIC2), "P2'", 512)
+    assert loc.ok[0] and loc.y[0] == 0.0
+    assert np.sign(loc.y[-1]) == -np.sign(loc.y[1]) != 0.0
+    assert _axis_crossings(loc) == 2
+
+
+def test_a_sign_change_next_to_a_dropped_sample_is_no_crossing(monkeypatch):
+    """Without a member at one end of every sign change of P2' and P3',
+    no crossing is counted and both crossing gates fail."""
+    p = claims.DEFAULT_BIC2
+    cfg = bic2_config(p.R, p.r, p.d)
+    ends = []
+    for pid in ("P2'", "P3'"):
+        sign = np.sign(trace_locus(cfg, pid, 512).y)
+        ends += np.flatnonzero(sign * np.roll(sign, -1) < 0.0).tolist()
+    assert len(ends) == 4
+
+    class _Holes(FamilyConfig):
+        def triangles(self, t):
+            tri = super().triangles(t)
+            k = np.rint(np.asarray(t) / (2.0 * np.pi / 512))
+            return tri._replace(ok=tri.ok & ~np.isin(k, ends))
+
+    holed = _Holes("bic-II", p)
+    for pid in ("P2'", "P3'"):
+        assert _axis_crossings(trace_locus(holed, pid, 512)) == 0
+    monkeypatch.setattr(claims, "bic2_config", lambda R, r, d: holed)
+    rep = check_bicII_excenter_circle()
+    assert rep.status == "fail"
+    assert [(g.value, g.held) for g in _crossing_gates(rep)] == [(0, False), (0, False)]
+    assert "P2' axis crossings: 0 > 0 (failed)" in rep.notes
+    assert "P3' axis crossings: 0 > 0 (failed)" in rep.notes
 
 
 def test_bicII_x1_circle_expected_radius_is_unsigned():

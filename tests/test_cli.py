@@ -252,12 +252,29 @@ def test_circular_outer_for_a_confocal_family_is_a_usage_error(argv, capsys):
         (("trace", "--family", "bic-II", "--R", "1e31", "--r", "2e30", "--d", "3e30"), "R must be of order 1e-30 to 1e30, got 1e+31"),
         (("verify", "cor:confII-n4", "--a", "1e-200", "--b", "5e-201"), "a must be of order 1e-30 to 1e30, got 1e-200"),
         (("verify", "prop:confII-x2-n4", "--a", "1e200", "--b", "5e199"), "a must be of order 1e-30 to 1e30, got 1e+200"),
+        (
+            ("classify", "--family", "conf-II", "--a", "2", "--b", "1", "--lambda", "2.3e-16", "--center", "X1"),
+            "conf-II's caustic is the outer conic to rounding",
+        ),
+        (
+            ("classify", "--family", "bic-III", "--R", "1", "--r", "0.15", "--d", "0.25",
+             "--u", "0.9999999999999999", "--center", "X1"),
+            "bic-III's pencil caustic at u=0.9999999999999999 is the outer conic to rounding",
+        ),
+        (
+            ("classify", "--family", "bic-II", "--R", "1", "--r", "0.9999999999999999", "--d", "0", "--center", "X1"),
+            "bic-II's caustic is the outer conic to rounding",
+        ),
     ],
-    ids=["bic-III", "conf-III", "confII-x1-small", "bic-II-large", "confII-n4-small", "confII-x2-n4-large"],
+    ids=[
+        "bic-III", "conf-III", "confII-x1-small", "bic-II-large", "confII-n4-small", "confII-x2-n4-large",
+        "conf-II-rounding", "bic-III-rounding", "bic-II-rounding",
+    ],
 )
 def test_a_family_that_cannot_be_built_is_a_usage_error(argv, message, capsys):
-    """An imaginary pencil caustic or an outer scale out of range: exit 2
-    with the reason on one line, before any sampling."""
+    """An imaginary pencil caustic, a caustic that is the outer conic to
+    rounding or an outer scale out of range: exit 2 with the reason on
+    one line, before any sampling."""
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"poncelet {argv[0]}: error: {message}\n"

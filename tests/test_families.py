@@ -164,6 +164,46 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize(
+    "kind, params, message, kept",
+    [
+        (
+            "conf-II",
+            ConfocalParams(2.0, 1.0, 2.3e-16),
+            "conf-II's caustic",
+            [ConfocalParams(2.0, 1.0, 1e-13)],
+        ),
+        (
+            "bic-II",
+            BicentricParams(1.0, 0.9999999999999999, 0.0),
+            "bic-II's caustic",
+            [BicentricParams(1.0, 0.99999, 0.0)],
+        ),
+        (
+            "bic-III",
+            BicentricParams(1.0, 0.15, 0.25, u=0.9999999999999999),
+            "bic-III's pencil caustic at u=0.9999999999999999",
+            [BicentricParams(1.0, 0.15, 0.25, u=0.99999), BicentricParams(1.0, 0.15, 0.25, u=1.2)],
+        ),
+        (
+            "conf-III",
+            ConfocalParams(2.0, 1.0, 0.3, u=0.9999999999999999),
+            "conf-III's pencil caustic at u=0.9999999999999999",
+            [ConfocalParams(2.0, 1.0, 0.3, u=0.99999)],
+        ),
+    ],
+    ids=["conf-II", "bic-II", "bic-III", "conf-III"],
+)
+def test_a_caustic_that_is_the_outer_conic_to_rounding_is_rejected(kind, params, message, kept):
+    """The parameters alone are valid, but every vertex lies on the
+    caustic to rounding: the family is not built.  A caustic further
+    off, or beyond the outer conic (no member), still builds."""
+    with pytest.raises(ValueError, match=f"^{message} is the outer conic to rounding$"):
+        FamilyConfig(kind, params)
+    for near in kept:
+        FamilyConfig(kind, near)
+
+
+@pytest.mark.parametrize(
     "kind, params",
     [("bic-III", BicentricParams(1.0, 0.15, 0.25, u=0.4)),
      ("conf-III", ConfocalParams(2.0, 1.0, 0.3, u=0.5)),

@@ -5,12 +5,13 @@ Every tracked point is one kernel, looked up by its id in one table
 opposite P_k), and the centers by their Kimberling index (X1 =
 incenter, X2 = barycenter, ...).  Most center kernels are made by
 ``_barycentric`` from a homogeneous barycentric weight generator of the
-side lengths; a few compose other kernels (the circumcircle inverses
-X36, X484 and X2077 of X1, X35 and X40, the points X40, X165 and X942
-of the line OI).  The test suite checks them against their own
-trilinear or barycentric formulas and against the constructions they
-equal (the Evans perspector's three lines, the orthocenter and the
-centroid of the contact triangle), which this module does not hold.
+side lengths and their squares; a few compose other kernels (the
+circumcircle inverses X36, X484 and X2077 of X1, X35 and X40, the
+points X40, X165 and X942 of the line OI).  The test suite checks them
+against their own trilinear or barycentric formulas and against the
+constructions they equal (the Evans perspector's three lines, the
+orthocenter and the centroid of the contact triangle), which this
+module does not hold.
 
 Weight formulas follow the standard encyclopedia of triangle centers;
 each one is guarded by an independent geometric incidence oracle in
@@ -19,8 +20,9 @@ known collinearities) to protect against transcription slips.
 
 Every kernel is elementwise on coordinate arrays over a batch of
 triangles (``center_arrays``).  It reads the ``TriangleBatch``'s
-vertices, side lengths, area and collinearity flag, which the batch
-carries from its builder, so a caller that keeps a batch reuses them.
+vertices, side lengths and their squares, area and collinearity flag,
+which the batch carries from its builder, so a caller that keeps a
+batch reuses them and no kernel squares a side again.
 ``center`` runs a kernel on the batch of one triangle and raises where
 that batch marks the triangle invalid; ``excenters`` is ``center`` of
 the three excenter ids.
@@ -95,13 +97,18 @@ class ExcentralTriangle:
 # meaningless.
 
 
-def _barycentric(f: Callable[[Any, Any, Any], Any]) -> Kernel:
+def _barycentric(f: Callable[..., Any]) -> Kernel:
     """The kernel of the center with homogeneous barycentric weights
-    (f(s1, s2, s3), f(s2, s3, s1), f(s3, s1, s2)): the generator
-    f(a, b, c) gives the weight of the vertex opposite side a."""
+    (f(s1, s2, s3, q1, q2, q3), f(s2, s3, s1, q2, q3, q1),
+    f(s3, s1, s2, q3, q1, q2)): the generator f(a, b, c, a2, b2, c2)
+    gives the weight of the vertex opposite side a, where a2 = a * a and
+    so on are the batch's squared sides."""
 
     def kernel(t: TriangleBatch):
-        return _weighted(t, f(t.s1, t.s2, t.s3), f(t.s2, t.s3, t.s1), f(t.s3, t.s1, t.s2))
+        s1, s2, s3, q1, q2, q3 = t.s1, t.s2, t.s3, t.q1, t.q2, t.q3
+        return _weighted(
+            t, f(s1, s2, s3, q1, q2, q3), f(s2, s3, s1, q2, q3, q1), f(s3, s1, s2, q3, q1, q2)
+        )
 
     return kernel
 
@@ -243,55 +250,56 @@ def excenters(tri: Triangle) -> ExcentralTriangle:
 
 
 # ---------------------------------------------------------------------------
-# Weight generators for _barycentric: f(a, b, c) is the weight of the
-# vertex opposite side a.
+# Weight generators for _barycentric: f(a, b, c, a2, b2, c2) is the
+# weight of the vertex opposite side a; a2, b2 and c2 are the squared
+# sides.  A generator that reads no square takes them as *_.
 
 
-def _cosines(a: float, b: float, c: float) -> Tuple[float, float, float]:
-    """(cos A, cos B, cos C) with A opposite side a, etc."""
-    ca = (b * b + c * c - a * a) / (2.0 * b * c)
-    cb = (c * c + a * a - b * b) / (2.0 * c * a)
-    cc = (a * a + b * b - c * c) / (2.0 * a * b)
+def _cosines(t: TriangleBatch) -> Tuple[Any, Any, Any]:
+    """(cos A, cos B, cos C) of a batch, with A the angle at P1, etc."""
+    ca = (t.q2 + t.q3 - t.q1) / (2.0 * t.s2 * t.s3)
+    cb = (t.q3 + t.q1 - t.q2) / (2.0 * t.s3 * t.s1)
+    cc = (t.q1 + t.q2 - t.q3) / (2.0 * t.s1 * t.s2)
     return (ca, cb, cc)
 
 
-def _w_x3(a: float, b: float, c: float) -> float:
-    return a * a * (b * b + c * c - a * a)
+def _w_x3(a, b, c, a2, b2, c2):
+    return a2 * (b2 + c2 - a2)
 
 
-def _w_x4(a: float, b: float, c: float) -> float:
-    return (c * c + a * a - b * b) * (a * a + b * b - c * c)
+def _w_x4(a, b, c, a2, b2, c2):
+    return (c2 + a2 - b2) * (a2 + b2 - c2)
 
 
-def _w_x5(a: float, b: float, c: float) -> float:
-    e = b * b - c * c
-    return a * a * (b * b + c * c) - e * e
+def _w_x5(a, b, c, a2, b2, c2):
+    e = b2 - c2
+    return a2 * (b2 + c2) - e * e
 
 
-def _w_x11(a: float, b: float, c: float) -> float:
+def _w_x11(a, b, c, *_):
     e = b - c
     return e * e * (b + c - a)
 
 
-def _w_x35(a: float, b: float, c: float) -> float:
-    return a * a * (b * b + c * c - a * a + b * c)
+def _w_x35(a, b, c, a2, b2, c2):
+    return a2 * (b2 + c2 - a2 + b * c)
 
 
-def _w_x56(a: float, b: float, c: float) -> float:
-    return a * a * (c + a - b) * (a + b - c)
+def _w_x56(a, b, c, a2, *_):
+    return a2 * (c + a - b) * (a + b - c)
 
 
-def _w_x57(a: float, b: float, c: float) -> float:
+def _w_x57(a, b, c, *_):
     return a * (c + a - b) * (a + b - c)
 
 
-def _w_x59(a: float, b: float, c: float) -> float:
+def _w_x59(a, b, c, a2, *_):
     ab = a - b
     ac = a - c
-    return a * a * (ab * ab) * (ac * ac) * (c + a - b) * (a + b - c)
+    return a2 * (ab * ab) * (ac * ac) * (c + a - b) * (a + b - c)
 
 
-def _w_x354(a: float, b: float, c: float) -> float:
+def _w_x354(a, b, c, *_):
     e = b - c
     return a * (a * (b + c) - e * e)
 
@@ -299,38 +307,38 @@ def _w_x354(a: float, b: float, c: float) -> float:
 def _x46(t: TriangleBatch):
     """Trilinears cos B + cos C - cos A, times the side for barycentric
     weights; the three cosines are shared by the three weights."""
-    ca, cb, cc = _cosines(t.s1, t.s2, t.s3)
+    ca, cb, cc = _cosines(t)
     return _weighted(t, (cb + cc - ca) * t.s1, (cc + ca - cb) * t.s2, (ca + cb - cc) * t.s3)
 
 
 def _x65(t: TriangleBatch):
     """Trilinears cos B + cos C, times the side for barycentric weights:
     the orthocenter of the intouch triangle."""
-    ca, cb, cc = _cosines(t.s1, t.s2, t.s3)
+    ca, cb, cc = _cosines(t)
     return _weighted(t, (cb + cc) * t.s1, (cc + ca) * t.s2, (ca + cb) * t.s3)
 
 
-_incenter = _barycentric(lambda a, b, c: a)
+_incenter = _barycentric(lambda a, *_: a)
 _circumcenter = _barycentric(_w_x3)
 _x35 = _barycentric(_w_x35)
 
 _DEFINITIONS: List[CenterDefinition] = [
     CenterDefinition(1, _incenter),
-    CenterDefinition(2, _barycentric(lambda a, b, c: 1.0)),  # barycenter
+    CenterDefinition(2, _barycentric(lambda *_: 1.0)),  # barycenter
     CenterDefinition(3, _circumcenter),
     CenterDefinition(4, _barycentric(_w_x4)),  # orthocenter
     CenterDefinition(5, _barycentric(_w_x5)),  # nine-point center
-    CenterDefinition(6, _barycentric(lambda a, b, c: a * a)),  # symmedian point
-    CenterDefinition(8, _barycentric(lambda a, b, c: b + c - a)),  # Nagel point
-    CenterDefinition(9, _barycentric(lambda a, b, c: a * (b + c - a))),  # mittenpunkt
-    CenterDefinition(10, _barycentric(lambda a, b, c: b + c)),  # Spieker center
+    CenterDefinition(6, _barycentric(lambda a, b, c, a2, *_: a2)),  # symmedian point
+    CenterDefinition(8, _barycentric(lambda a, b, c, *_: b + c - a)),  # Nagel point
+    CenterDefinition(9, _barycentric(lambda a, b, c, *_: a * (b + c - a))),  # mittenpunkt
+    CenterDefinition(10, _barycentric(lambda a, b, c, *_: b + c)),  # Spieker center
     CenterDefinition(11, _barycentric(_w_x11)),  # Feuerbach point
     CenterDefinition(35, _x35),
     CenterDefinition(36, _x36),  # circumcircle inverse of the incenter
     CenterDefinition(40, _bevan),  # Bevan point
     CenterDefinition(46, _x46),
     # insimilicenter of circumcircle and incircle
-    CenterDefinition(55, _barycentric(lambda a, b, c: a * a * (b + c - a))),
+    CenterDefinition(55, _barycentric(lambda a, b, c, a2, *_: a2 * (b + c - a))),
     # exsimilicenter of circumcircle and incircle
     CenterDefinition(56, _barycentric(_w_x56)),
     CenterDefinition(57, _barycentric(_w_x57)),

@@ -41,6 +41,7 @@ from .geom import (
 from .families import (
     _bic3_radius2,
     _chord,
+    _closing_lambda,
     _ellipse,
     _poristic_offset,
     _require_axes,
@@ -751,7 +752,7 @@ def check_confII_excenter_ellipse(p: ConfocalParams = DEFAULT_CONF2) -> ClaimRep
 def check_confII_x1_conic_only_at_critical(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """Incenter locus is a conic exactly at the closing caustic
     parameter: conic residual small there, large on a grid elsewhere."""
-    lam_c = critical_lambda(a, b)
+    lam_c = _closing_lambda(a, b)
 
     loc_c = trace_locus(conf2_config(a, b, lam_c), "X1", 512)
     metric = fit_curve(loc_c.valid_xy(), 2).residual
@@ -949,7 +950,7 @@ def check_conserved_quantities() -> ClaimReport:
     R, r = 1.0, 0.2
     cfg1 = bic1_config(R, r)
     tri = _members(cfg1, 512)
-    cos_worst = _worst(sum(_cosines(tri.s1, tri.s2, tri.s3)) - (1.0 + r / R))
+    cos_worst = _worst(sum(_cosines(tri)) - (1.0 + r / R))
 
     a, b = 2.0, 1.0
     cfgc = conf1_config(a, b)

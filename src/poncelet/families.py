@@ -347,10 +347,10 @@ class TriangleBatch(NamedTuple):
     """Family members at many angles t, as arrays of the shape of t.
 
     ``ok`` is false where a chord step found no real tangent; the values
-    there are meaningless.  s_i is the side length opposite P_i, ``scale``
-    the longest side, and ``fault`` the collinearity flag
-    (``_DEGENERATE``, 0 for a proper triangle), which every center kernel
-    reads.  Build one with ``TriangleBatch.of``.
+    there are meaningless.  s_i is the side length opposite P_i, q_i its
+    square s_i * s_i, ``scale`` the longest side, and ``fault`` the
+    collinearity flag (``_DEGENERATE``, 0 for a proper triangle), which
+    every center kernel reads.  Build one with ``TriangleBatch.of``.
     """
 
     x1: Any
@@ -363,6 +363,9 @@ class TriangleBatch(NamedTuple):
     s1: Any
     s2: Any
     s3: Any
+    q1: Any
+    q2: Any
+    q3: Any
     area: Any
     scale: Any
     fault: Any
@@ -374,10 +377,13 @@ class TriangleBatch(NamedTuple):
             s1 = np.hypot(x2 - x3, y2 - y3)
             s2 = np.hypot(x3 - x1, y3 - y1)
             s3 = np.hypot(x1 - x2, y1 - y2)
+            q1 = s1 * s1
+            q2 = s2 * s2
+            q3 = s3 * s3
             area = 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
             scale = np.maximum(np.maximum(s1, s2), s3)
             collinear = (scale == 0.0) | (area <= _DEGENERATE_AREA * scale * scale)
-        return cls(x1, y1, x2, y2, x3, y3, ok, s1, s2, s3, area, scale, _DEGENERATE * collinear)
+        return cls(x1, y1, x2, y2, x3, y3, ok, s1, s2, s3, q1, q2, q3, area, scale, _DEGENERATE * collinear)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +414,16 @@ def confocal_delta(a: float, b: float) -> float:
 
 
 def critical_lambda(a: float, b: float) -> float:
-    """Pencil parameter of the confocal caustic that closes triangles."""
+    """Pencil parameter of the confocal caustic that closes triangles,
+    a^2 b^2 (2 delta - a^2 - b^2) / (a^2 - b^2)^2.  Since
+    (2 delta - a^2 - b^2)(2 delta + a^2 + b^2) = 3 (a^2 - b^2)^2 it is
+    3 a^2 b^2 / (2 delta + a^2 + b^2), whose denominator is a sum of
+    positive terms: it keeps its digits as a -> b."""
     _require_axes(a, b)
     a2 = a * a
     b2 = b * b
-    c2 = a2 - b2
     delta = confocal_delta(a, b)
-    return a2 * b2 * (2.0 * delta - a2 - b2) / (c2 * c2)
+    return 3.0 * a2 * b2 / (2.0 * delta + a2 + b2)
 
 
 def _poristic_offset(R: float, r: float, d: Optional[float] = None) -> float:
@@ -426,8 +435,15 @@ def _poristic_offset(R: float, r: float, d: Optional[float] = None) -> float:
 
 
 def _closing_lambda(a: float, b: float, lam: Optional[float] = None) -> float:
-    """The critical lambda for (a, b), checked against lam when one is given."""
+    """The critical lambda for (a, b), checked against lam when one is given.
+
+    For a >> b it is b^2 (1 - (b/a)^4 / 4) to leading order, so from a/b
+    of about 7000 it rounds to b^2, where the caustic is a segment:
+    raises there.
+    """
     want = critical_lambda(a, b)
+    if want >= b * b:
+        raise ValueError(f"the closing caustic at a/b={a / b:.6g} rounds to lam = b^2")
     if lam is not None and abs(lam - want) > 1e-12 * b * b:
         raise ValueError(f"lam={lam} is not the closure value {want}")
     return want
@@ -700,7 +716,7 @@ def bic3_config(
 
 
 def conf1_config(a: float, b: float) -> FamilyConfig:
-    return FamilyConfig("conf-I", ConfocalParams(a, b, critical_lambda(a, b)))
+    return FamilyConfig("conf-I", ConfocalParams(a, b, _closing_lambda(a, b)))
 
 
 def conf2_config(a: float, b: float, lam: float) -> FamilyConfig:

@@ -317,7 +317,7 @@ DEGENERATE = {
 GOOD = ((0.0, 0.0), (4.0, 0.0), (1.0, 3.0))
 
 # Barycentric weights (b - c, c - a, a - b) sum to zero on every triangle.
-ZERO_SUM = CenterDefinition(900001, _barycentric(lambda a, b, c: b - c))
+ZERO_SUM = CenterDefinition(900001, _barycentric(lambda a, b, c, *_: b - c))
 
 
 def _triangle(vertices):

@@ -571,13 +571,47 @@ def _old_barycentric(f):
     return kernel
 
 
+def _old_cosines(a, b, c):
+    ca = (b * b + c * c - a * a) / (2.0 * b * c)
+    cb = (c * c + a * a - b * b) / (2.0 * c * a)
+    cc = (a * a + b * b - c * c) / (2.0 * a * b)
+    return (ca, cb, cc)
+
+
+def _old_w_x3(a, b, c):
+    return a * a * (b * b + c * c - a * a)
+
+
+def _old_w_x4(a, b, c):
+    return (c * c + a * a - b * b) * (a * a + b * b - c * c)
+
+
+def _old_w_x5(a, b, c):
+    e = b * b - c * c
+    return a * a * (b * b + c * c) - e * e
+
+
+def _old_w_x35(a, b, c):
+    return a * a * (b * b + c * c - a * a + b * c)
+
+
+def _old_w_x56(a, b, c):
+    return a * a * (c + a - b) * (a + b - c)
+
+
+def _old_w_x59(a, b, c):
+    ab = a - b
+    ac = a - c
+    return a * a * (ab * ab) * (ac * ac) * (c + a - b) * (a + b - c)
+
+
 def _old_w_x46(a, b, c):
-    ca, cb, cc = C._cosines(a, b, c)
+    ca, cb, cc = _old_cosines(a, b, c)
     return (cb + cc - ca) * a
 
 
 _old_incenter = _old_barycentric(lambda a, b, c: a)
-_old_circumcenter = _old_barycentric(C._w_x3)
+_old_circumcenter = _old_barycentric(_old_w_x3)
 
 
 def _old_excenters(t):
@@ -624,18 +658,39 @@ def _old_circumcircle_inverse(t, px, py, fault):
 
 
 def _old_w_x65(a, b, c):
-    ca, cb, cc = C._cosines(a, b, c)
+    ca, cb, cc = _old_cosines(a, b, c)
     return (cb + cc) * a
+
+
+def _old_excentral_centroid(t):
+    ox, oy, f3 = _old_circumcenter(t)
+    ix, iy, f1 = _old_incenter(t)
+    return (4.0 * ox - ix) / 3.0, (4.0 * oy - iy) / 3.0, f3 | f1
+
+
+def _old_x942(t):
+    ix, iy, f1 = _old_incenter(t)
+    hx, hy, fh = _old_barycentric(_old_w_x65)(t)
+    return 0.5 * (ix + hx), 0.5 * (iy + hy), f1 | fh
 
 
 OLD_KERNELS = {
     1: _old_incenter,
     3: _old_circumcenter,
+    4: _old_barycentric(_old_w_x4),
+    5: _old_barycentric(_old_w_x5),
+    6: _old_barycentric(lambda a, b, c: a * a),
+    35: _old_barycentric(_old_w_x35),
     36: lambda t: _old_circumcircle_inverse(t, *_old_incenter(t)),
     40: _old_bevan,
     46: _old_barycentric(_old_w_x46),
+    55: _old_barycentric(lambda a, b, c: a * a * (b + c - a)),
+    56: _old_barycentric(_old_w_x56),
+    59: _old_barycentric(_old_w_x59),
     65: _old_barycentric(_old_w_x65),
-    484: lambda t: _old_circumcircle_inverse(t, *_old_barycentric(C._w_x35)(t)),
+    165: _old_excentral_centroid,
+    484: lambda t: _old_circumcircle_inverse(t, *_old_barycentric(_old_w_x35)(t)),
+    942: _old_x942,
     2077: lambda t: _old_circumcircle_inverse(t, *_old_bevan(t)),
     "P1": _old_vertex(0),
     "P2": _old_vertex(1),

@@ -280,6 +280,12 @@ def test_a_family_that_cannot_be_built_is_a_usage_error(argv, message, capsys):
     assert err == f"poncelet {argv[0]}: error: {message}\n"
 
 
+def test_a_closing_caustic_that_rounds_to_b_squared_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "classify", "--family", "conf-I", "--a", "1e4", "--b", "1", "--center", "X1")
+    assert (code, out) == (2, "")
+    assert err == "poncelet classify: error: the closing caustic at a/b=10000 rounds to lam = b^2\n"
+
+
 @pytest.mark.parametrize(
     "argv, counts",
     [

@@ -37,6 +37,7 @@ from poncelet.families import (
     degenerate_envelope_inradius,
     envelope_points,
 )
+from poncelet import claims
 from poncelet.claims import n4_lambda, n6_lambda
 from poncelet.loci import convexity_lambda_root
 
@@ -88,6 +89,37 @@ def test_degenerate_envelope_inradius_closed_form():
 
 def test_critical_lambda_value():
     assert abs(critical_lambda(2.0, 1.0) - 0.98271224485687937) < 1e-15
+
+
+def test_critical_lambda_against_60_digits():
+    """Within 4 ulp of 3 a^2 b^2 / (2 delta + a^2 + b^2) to 60 digits, for
+    a/b from 1 + 1e-9 to 5e3 (a/b - 1 log-uniform) at four scales of b:
+    the form 2 delta - a^2 - b^2 over (a^2 - b^2)^2 cancels as a -> b."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(33)
+    ratios = [1.0 + 1e-9, 1.00001, 1.0000001, 5e3]
+    ratios += [1.0 + 10.0 ** rng.uniform(-9.0, math.log10(5e3 - 1.0)) for _ in range(200)]
+    with mpmath.workdps(60):
+        for b in (1e-25, 1e-3, 1.0, 1e25):
+            for ratio in ratios:
+                a = ratio * b
+                A, B = mpmath.mpf(a) ** 2, mpmath.mpf(b) ** 2
+                want = float(3 * A * B / (2 * mpmath.sqrt(A * A - A * B + B * B) + A + B))
+                got = critical_lambda(a, b)
+                assert abs(got - want) <= 4.0 * math.ulp(want), (a, b, got, want)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: conf1_config(1e4, 1.0), lambda: FamilyConfig("conf-I", ConfocalParams(1e4, 1.0, 0.5))],
+    ids=["conf1_config", "FamilyConfig"],
+)
+def test_a_closing_caustic_that_rounds_to_b_squared_is_rejected(build):
+    """From a/b of about 7000 the closing lam is within half an ulp of
+    b^2: conf-I raises naming a/b, not a lam range the caller never set."""
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == "the closing caustic at a/b=10000 rounds to lam = b^2"
 
 
 def test_confocal_caustic_axes():
@@ -588,6 +620,21 @@ def test_triangle_metrics():
     shape = TriangleBatch.of(*tri.p1, *tri.p2, *tri.p3, True)
     assert (shape.s1, shape.s2, shape.s3) == tri.side_lengths()
     assert shape.area == tri.area()
+
+
+def test_triangle_batch_carries_the_squared_sides():
+    """q_k is s_k * s_k to the bit, and the claims' kept members mask it
+    with every other field."""
+    cfg = bic3_config(1.0, 0.2, 0.3, 1.2)  # members on part of the grid only
+    tri = cfg.triangles(2.0 * np.pi * np.arange(256) / 256)
+    assert not tri.ok.all()
+    for s, q in ((tri.s1, tri.q1), (tri.s2, tri.q2), (tri.s3, tri.q3)):
+        assert q.tobytes() == (s * s).tobytes()
+    kept = claims._members(cfg, 256)
+    for name in TriangleBatch._fields:
+        assert getattr(kept, name).tobytes() == getattr(tri, name)[tri.ok].tobytes(), name
+    for s, q in ((kept.s1, kept.q1), (kept.s2, kept.q2), (kept.s3, kept.q3)):
+        assert q.tobytes() == (s * s).tobytes()
 
 
 def test_branches_give_distinct_triangles():

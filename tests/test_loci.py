@@ -492,6 +492,17 @@ def test_conic_verdicts_do_not_depend_on_the_frame_scale(k):
                 assert got not in "PCE", (cfg.kind, tracked)
 
 
+@pytest.mark.parametrize("ratio", [1.00001, 1.0000001])
+def test_a_near_circular_closing_confocal_family_keeps_its_ellipses(ratio):
+    """conf-I reads E in all six table columns as a/b -> 1: its closing
+    lam keeps its digits, so the family still closes."""
+    cfg = conf1_config(ratio, 1.0)
+    got = "".join(
+        verdict_letter(classify_locus(trace_locus(cfg, tracked, n=512))) for tracked in _TABLE2_COLUMNS
+    )
+    assert got == "EEEEEE"
+
+
 # The six README families, k times the default frame, and their table letters.
 _README_GRID = [
     (lambda k: bic1_config(k, 0.25 * k), "PCPCCC"),

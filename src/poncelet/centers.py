@@ -22,7 +22,12 @@ Every kernel is elementwise on coordinate arrays over a batch of
 triangles (``center_arrays``).  It reads the ``TriangleBatch``'s
 vertices, side lengths and their squares, area and collinearity flag,
 which the batch carries from its builder, so a caller that keeps a
-batch reuses them and no kernel squares a side again.
+batch reuses them and no kernel squares a side again.  The batch
+computes its incenter, circumcenter and angle cosines once, on first
+use, by ``_incenter``, ``_circumcenter`` and ``_cosines`` below, and
+keeps them; the kernels read them from it (X1, X3, and the compositions
+X36, X40, X165, X484, X942 and X2077 of X1 and X3, X46 and X65 of the
+cosines), so the ids traced over one batch form each once.
 ``center`` runs a kernel on the batch of one triangle and raises where
 that batch marks the triangle invalid; ``excenters`` is ``center`` of
 the three excenter ids.
@@ -153,52 +158,56 @@ def _vertex(k: int) -> Kernel:
     return lambda t: (t[2 * k], t[2 * k + 1], np.zeros_like(t.fault))
 
 
+def _x1(t: TriangleBatch):
+    """The incenter, which the batch keeps (``TriangleBatch.incenter``)."""
+    return t.incenter
+
+
+def _x3(t: TriangleBatch):
+    """The circumcenter, which the batch keeps (``TriangleBatch.circumcenter``)."""
+    return t.circumcenter
+
+
 def _bevan(t: TriangleBatch):
     """X40, the circumcenter of the excentral triangle: 2·X3 − X1."""
-    return _bevan_of(t, _circumcenter(t))
-
-
-def _bevan_of(t: TriangleBatch, circumcenter: Any):
-    """X40 from X3 (``_circumcenter``'s triple)."""
-    ox, oy, f3 = circumcenter
-    ix, iy, f1 = _incenter(t)
+    ox, oy, f3 = t.circumcenter
+    ix, iy, f1 = t.incenter
     return 2.0 * ox - ix, 2.0 * oy - iy, f3 | f1
 
 
 def _excentral_centroid(t: TriangleBatch):
     """X165, the centroid of the excentral triangle: X3 + (X3 − X1)/3."""
-    ox, oy, f3 = _circumcenter(t)
-    ix, iy, f1 = _incenter(t)
+    ox, oy, f3 = t.circumcenter
+    ix, iy, f1 = t.incenter
     return (4.0 * ox - ix) / 3.0, (4.0 * oy - iy) / 3.0, f3 | f1
 
 
-def _circumcircle_inverse(t: TriangleBatch, circumcenter: Any, px: Any, py: Any, fault: Any):
-    """Inverse of p in the circumcircle about X3 (``_circumcenter``'s
-    triple), with circumradius s1 s2 s3 / 4K."""
-    ox, oy, f3 = circumcenter
+def _circumcircle_inverse(t: TriangleBatch, px: Any, py: Any, fault: Any):
+    """Inverse of p in the circumcircle about X3, with circumradius
+    s1 s2 s3 / 4K."""
+    ox, oy, f3 = t.circumcenter
     radius = t.s1 * t.s2 * t.s3 / (4.0 * t.area)
     x, y, ok = _invert(px, py, ox, oy, radius)
     return x, y, fault | f3 | _unless(ok, _AT_CENTER)
 
 
 def _x36(t: TriangleBatch):
-    return _circumcircle_inverse(t, _circumcenter(t), *_incenter(t))
+    return _circumcircle_inverse(t, *t.incenter)
 
 
 def _x2077(t: TriangleBatch):
-    o = _circumcenter(t)
-    return _circumcircle_inverse(t, o, *_bevan_of(t, o))
+    return _circumcircle_inverse(t, *_bevan(t))
 
 
 def _x484(t: TriangleBatch):
     """Evans perspector: the circumcircle inverse of X35."""
-    return _circumcircle_inverse(t, _circumcenter(t), *_x35(t))
+    return _circumcircle_inverse(t, *_x35(t))
 
 
 def _x942(t: TriangleBatch):
     """Nine-point center of the intouch triangle: midpoint of its
     circumcenter (= X1 of the base triangle) and its orthocenter."""
-    ix, iy, f1 = _incenter(t)
+    ix, iy, f1 = t.incenter
     hx, hy, fh = _x65(t)
     return 0.5 * (ix + hx), 0.5 * (iy + hy), f1 | fh
 
@@ -256,7 +265,8 @@ def excenters(tri: Triangle) -> ExcentralTriangle:
 
 
 def _cosines(t: TriangleBatch) -> Tuple[Any, Any, Any]:
-    """(cos A, cos B, cos C) of a batch, with A the angle at P1, etc."""
+    """(cos A, cos B, cos C) of a batch, with A the angle at P1, etc.;
+    the batch keeps them (``TriangleBatch.cosines``)."""
     ca = (t.q2 + t.q3 - t.q1) / (2.0 * t.s2 * t.s3)
     cb = (t.q3 + t.q1 - t.q2) / (2.0 * t.s3 * t.s1)
     cc = (t.q1 + t.q2 - t.q3) / (2.0 * t.s1 * t.s2)
@@ -307,25 +317,27 @@ def _w_x354(a, b, c, *_):
 def _x46(t: TriangleBatch):
     """Trilinears cos B + cos C - cos A, times the side for barycentric
     weights; the three cosines are shared by the three weights."""
-    ca, cb, cc = _cosines(t)
+    ca, cb, cc = t.cosines
     return _weighted(t, (cb + cc - ca) * t.s1, (cc + ca - cb) * t.s2, (ca + cb - cc) * t.s3)
 
 
 def _x65(t: TriangleBatch):
     """Trilinears cos B + cos C, times the side for barycentric weights:
     the orthocenter of the intouch triangle."""
-    ca, cb, cc = _cosines(t)
+    ca, cb, cc = t.cosines
     return _weighted(t, (cb + cc) * t.s1, (cc + ca) * t.s2, (ca + cb) * t.s3)
 
 
+# The incenter's and circumcenter's formulas, which a TriangleBatch
+# evaluates once, on first use; the kernels _x1 and _x3 read its values.
 _incenter = _barycentric(lambda a, *_: a)
 _circumcenter = _barycentric(_w_x3)
 _x35 = _barycentric(_w_x35)
 
 _DEFINITIONS: List[CenterDefinition] = [
-    CenterDefinition(1, _incenter),
+    CenterDefinition(1, _x1),
     CenterDefinition(2, _barycentric(lambda *_: 1.0)),  # barycenter
-    CenterDefinition(3, _circumcenter),
+    CenterDefinition(3, _x3),
     CenterDefinition(4, _barycentric(_w_x4)),  # orthocenter
     CenterDefinition(5, _barycentric(_w_x5)),  # nine-point center
     CenterDefinition(6, _barycentric(lambda a, b, c, a2, *_: a2)),  # symmedian point

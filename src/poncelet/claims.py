@@ -67,7 +67,6 @@ from .families import (
     degenerate_envelope_inradius,
     envelope_points,
 )
-from .centers import _cosines
 from .loci import (
     _grid,
     _grid_samples,
@@ -263,16 +262,23 @@ def _report(
 
 def _fmt_params(params: object) -> str:
     if isinstance(params, BicentricParams):
-        bits = [f"R={params.R:g}", f"r={params.r:g}", f"d={params.d:g}"]
+        bits = [f"R={_fmt(params.R)}", f"r={_fmt(params.r)}", f"d={_fmt(params.d)}"]
     elif isinstance(params, ConfocalParams):
-        bits = [f"a={params.a:g}", f"b={params.b:g}", f"lam={params.lam:.12g}"]
+        bits = [f"a={_fmt(params.a)}", f"b={_fmt(params.b)}", f"lam={params.lam:.12g}"]
     elif isinstance(params, tuple):
         return "; ".join(_fmt_params(p) for p in params)
     else:
         return str(params)
     if params.u is not None:
-        bits.append(f"u={params.u:g}")
+        bits.append(f"u={_fmt(params.u)}")
     return " ".join(bits)
+
+
+def _fmt(value: float) -> str:
+    """value in :g where that reads back as value, else its repr, so a
+    report never shows two different shape parameters as equal."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +937,7 @@ def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
         _Gate("convexity flips from 0.85 to 1.15 times the root", float(is_lo != is_hi), 0.0, True),
     )
     return _report(
-        f"a={a:g} b={b:g}",
+        f"a={_fmt(a)} b={_fmt(b)}",
         f"convexity transition at caustic parameter {lam_o:.9f}",
         f"traced transition within {metric:.3e}",
         gates,
@@ -950,7 +956,7 @@ def check_conserved_quantities() -> ClaimReport:
     R, r = 1.0, 0.2
     cfg1 = bic1_config(R, r)
     tri = _members(cfg1, 512)
-    cos_worst = _worst(sum(_cosines(tri)) - (1.0 + r / R))
+    cos_worst = _worst(sum(tri.cosines) - (1.0 + r / R))
 
     a, b = 2.0, 1.0
     cfgc = conf1_config(a, b)

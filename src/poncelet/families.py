@@ -343,16 +343,7 @@ class Triangle:
         return (self.p1, self.p2, self.p3)
 
 
-class TriangleBatch(NamedTuple):
-    """Family members at many angles t, as arrays of the shape of t.
-
-    ``ok`` is false where a chord step found no real tangent; the values
-    there are meaningless.  s_i is the side length opposite P_i, q_i its
-    square s_i * s_i, ``scale`` the longest side, and ``fault`` the
-    collinearity flag (``_DEGENERATE``, 0 for a proper triangle), which
-    every center kernel reads.  Build one with ``TriangleBatch.of``.
-    """
-
+class _TriangleFields(NamedTuple):
     x1: Any
     y1: Any
     x2: Any
@@ -370,6 +361,22 @@ class TriangleBatch(NamedTuple):
     scale: Any
     fault: Any
 
+
+class TriangleBatch(_TriangleFields):
+    """Family members at many angles t, as arrays of the shape of t.
+
+    ``ok`` is false where a chord step found no real tangent; the values
+    there are meaningless.  s_i is the side length opposite P_i, q_i its
+    square s_i * s_i, ``scale`` the longest side, and ``fault`` the
+    collinearity flag (``_DEGENERATE``, 0 for a proper triangle), which
+    every center kernel reads.  Build one with ``TriangleBatch.of``.
+
+    ``incenter``, ``circumcenter`` and ``cosines`` are not fields: the
+    batch computes each once, on first use, and keeps it read-only, so
+    the center kernels that compose them share one evaluation.  A batch
+    from ``_make`` or ``_replace`` starts with none of them.
+    """
+
     @classmethod
     def of(cls, x1: Any, y1: Any, x2: Any, y2: Any, x3: Any, y3: Any, ok: Any) -> "TriangleBatch":
         """The batch of the triangles with these vertex coordinates and mask."""
@@ -384,6 +391,39 @@ class TriangleBatch(NamedTuple):
             scale = np.maximum(np.maximum(s1, s2), s3)
             collinear = (scale == 0.0) | (area <= _DEGENERATE_AREA * scale * scale)
         return cls(x1, y1, x2, y2, x3, y3, ok, s1, s2, s3, q1, q2, q3, area, scale, _DEGENERATE * collinear)
+
+    # The formulas are the center layer's (``centers``, which imports
+    # this module, so each is imported on first use).
+
+    @cached_property
+    def incenter(self) -> Tuple[Any, Any, Any]:
+        """X1 as (x, y, fault flags), by ``centers._incenter``."""
+        from .centers import _incenter
+
+        return _read_only(_incenter, self)
+
+    @cached_property
+    def circumcenter(self) -> Tuple[Any, Any, Any]:
+        """X3 as (x, y, fault flags), by ``centers._circumcenter``."""
+        from .centers import _circumcenter
+
+        return _read_only(_circumcenter, self)
+
+    @cached_property
+    def cosines(self) -> Tuple[Any, Any, Any]:
+        """(cos A, cos B, cos C), A the angle at P1, by ``centers._cosines``."""
+        from .centers import _cosines
+
+        return _read_only(_cosines, self)
+
+
+def _read_only(f: Callable[[TriangleBatch], Tuple[Any, ...]], t: TriangleBatch) -> Tuple[Any, ...]:
+    """f(t), evaluated in ``quiet_fp``, with each of its arrays made read-only."""
+    with quiet_fp():
+        values = f(t)
+    for v in values:
+        v.flags.writeable = False
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from poncelet.families import (
     conf3_config,
 )
 from poncelet import centers as C
+from poncelet.loci import trace_locus
 
 from _geometry_oracle import (
     MeasuredTriangle,
@@ -739,3 +743,84 @@ def test_shared_subexpression_kernels_keep_their_bits(cfg):
         else:
             got = C.excenters(tri_i).vertices()
             assert _same_bits(got, [(x[i], y[i]) for x, y in zip(wx, wy)]), i
+
+
+# ---------------------------------------------------------------------------
+# The values a batch keeps: its incenter, circumcenter and cosines, each
+# computed once, on first use, and read by every kernel that composes it.
+
+TRACKED_IDS = [f"X{d.id}" for d in C.builtin_centers()] + list(EXCENTER_IDS)
+GRID_64 = 2.0 * np.pi * np.arange(64) / 64
+
+
+def test_a_batch_computes_each_kept_value_once(monkeypatch):
+    """The 27 tracked ids on one batch compute the incenter, the
+    circumcenter and the cosines once each (6, 6 and 3 times when every
+    composed kernel formed its own)."""
+    calls = {"_incenter": 0, "_circumcenter": 0, "_cosines": 0}
+    for name in calls:
+        def counted(t, f=getattr(C, name), name=name):
+            calls[name] += 1
+            return f(t)
+        monkeypatch.setattr(C, name, counted)
+    tri = bic2_config(1.0, 0.2, 0.3).triangles(GRID_64)
+    assert len(TRACKED_IDS) == 27
+    for tracked in TRACKED_IDS:
+        C.center_arrays(tri, tracked)
+    assert calls == {"_incenter": 1, "_circumcenter": 1, "_cosines": 1}
+
+
+@pytest.mark.parametrize("cfg", README_FAMILIES, ids=lambda cfg: cfg.kind)
+def test_a_traced_id_does_not_depend_on_the_ids_traced_before_it(cfg):
+    """Each id traced over its own fresh config, and its kernel on its
+    own fresh batch, have the bits (NaNs and fault flags included) of the
+    same id over one shared config and batch, in a shuffled order."""
+    shared = dataclasses.replace(cfg)  # a new object, with its own kept batch
+    tri = cfg.triangles(2.0 * np.pi * np.arange(256) / 256)
+    batch = tri._make(tri)
+    order = list(TRACKED_IDS)
+    random.Random(5).shuffle(order)
+    together = {
+        tracked: (trace_locus(shared, tracked, 256, min_valid=0), C._evaluate(C.kernel_of(tracked), batch))
+        for tracked in order
+    }
+    for tracked in TRACKED_IDS:
+        alone = trace_locus(dataclasses.replace(cfg), tracked, 256, min_valid=0)
+        locus, values = together[tracked]
+        for got, want in zip((locus.x, locus.y, locus.ok), (alone.x, alone.y, alone.ok)):
+            assert _same_bits(got, want), tracked
+        want = C._evaluate(C.kernel_of(tracked), tri._make(tri))
+        assert all(_same_bits(g, w) for g, w in zip(values, want)), tracked
+
+
+def test_the_kept_values_are_read_only():
+    tri = bic2_config(1.0, 0.2, 0.3).triangles(GRID_64)
+    x = C.center_arrays(tri, "X1")[0]
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    for kept in (tri.incenter, tri.circumcenter, tri.cosines):
+        assert not any(v.flags.writeable for v in kept)
+
+
+def test_a_replaced_batch_computes_its_own_centers():
+    tri = bic2_config(1.0, 0.2, 0.3).triangles(GRID_64)
+    kept = tri.incenter, tri.circumcenter
+    moved = tri._replace(x1=tri.x1 + 1.0)
+    assert not {"incenter", "circumcenter", "cosines"} & set(vars(moved))
+    assert not {"incenter", "circumcenter", "cosines"} & set(vars(tri._make(tri)))
+    for got, old, formula in zip((moved.incenter, moved.circumcenter), kept, (C._incenter, C._circumcenter)):
+        assert all(_same_bits(g, w) for g, w in zip(got, C._evaluate(formula, moved)))
+        assert not _same_bits(got[0], old[0])
+
+
+def test_first_use_on_collinear_members_warns_nothing():
+    """The kept values are computed in quiet_fp wherever they are first
+    read, here outside any kernel, on collinear and coincident members."""
+    rows = np.array([[c for v in row for c in v] for row in DEGENERATE_ROWS]).T
+    tri = TriangleBatch.of(*rows, np.ones(len(DEGENERATE_ROWS), dtype=bool))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x, y, fault = tri.incenter
+        tri.circumcenter
+        tri.cosines
+    assert (fault[:3] == C._DEGENERATE).all()

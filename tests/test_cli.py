@@ -690,6 +690,19 @@ def test_a_flag_reaches_exactly_the_claims_that_declare_it(dest, capsys):
         assert f"{dest}={float(value):g}" in after
 
 
+def test_a_shape_parameter_prints_digits_that_read_back(capsys):
+    """:g alone printed a = 1.0000001 as a=1, equal to b, for a family
+    that needs a > b: a value prints in :g only where that reads back as
+    the value, and in full otherwise."""
+    code, out, _ = run(capsys, "verify", "prop:confII-x1", "--a", "1.0000001", "--b", "1")
+    assert code in (0, 1)
+    assert _params_lines(out) == ["    params:   a=1.0000001 b=1 lam=0.750000075"]
+    code, out, _ = run(capsys, "verify", "prop:confII-x1-convex", "--a", "1.0000001", "--b", "1")
+    assert _params_lines(out) == ["    params:   a=1.0000001 b=1"]
+    p = BicentricParams(1.0, 0.2, math.sqrt(0.6), u=1.0 / 3.0)
+    assert claims._fmt_params(p) == "R=1 r=0.2 d=0.7745966692414834 u=0.3333333333333333"
+
+
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
     """A second main in one process reuses the parser, and every call,
     --config, usage errors and all, gives the output of a first call."""

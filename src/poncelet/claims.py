@@ -907,44 +907,34 @@ def check_confII_n6_excentral_circle(a: float = 2.0, b: float = 1.0) -> ClaimRep
 @_claim("prop:confII-x1-convex", "proposition")
 def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     """Incenter-locus convexity over the confocal-caustic family flips
-    at the smallest positive root of the transition quintic."""
+    at the smallest positive root of the transition quintic: the locus
+    traced 1e-3·b^2 below the root is convex and 1e-3·b^2 above it is
+    not."""
     lam_o = convexity_lambda_root(a, b)
     b2 = b * b
     coeffs = convexity_quintic_coeffs(a / b, 1.0)  # its roots in units of b^2
     quintic_res = abs(float(np.polyval(coeffs, lam_o / b2))) / max(abs(c) for c in coeffs)
 
-    def convex_at(lam: float) -> bool:
-        loc = trace_locus(conf2_config(a, b, lam), "X1", 512)
-        return convexity_check(loc.valid_xy())
+    below, above = lam_o - 1e-3 * b2, lam_o + 1e-3 * b2
+    is_below, is_above = (
+        convexity_check(trace_locus(conf2_config(a, b, lam), "X1", 512).valid_xy())
+        for lam in (below, above)
+    )
 
-    lo, hi = 0.85 * lam_o, 1.15 * lam_o
-    is_lo = convex_at(lo)
-    is_hi = convex_at(hi)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if convex_at(mid) == is_lo:
-            lo = mid
-        else:
-            hi = mid
-    empirical = 0.5 * (lo + hi)
-    metric = abs(empirical - lam_o) / b2
+    def read(convex: bool, lam: float) -> str:
+        return f"{'convex' if convex else 'not convex'} at {lam:.9g}"
 
     real_roots = sorted(z * b2 for z in _real_roots(coeffs))
-    gates = (
-        _Gate("|traced - predicted transition|/b^2", metric, 1e-3, False),
-        _Gate("quintic residual at root", quintic_res, 1e-10, False),
-        _Gate("convex at 0.85 times the root", float(is_lo), 0.0, True),
-        _Gate("convexity flips from 0.85 to 1.15 times the root", float(is_lo != is_hi), 0.0, True),
-    )
     return _report(
         f"a={_fmt(a)} b={_fmt(b)}",
         f"convexity transition at caustic parameter {lam_o:.9f}",
-        f"traced transition within {metric:.3e}",
-        gates,
+        f"{read(is_below, below)}, {read(is_above, above)}",
         (
-            f"real roots: {', '.join(f'{r:.6f}' for r in real_roots)} ({len(real_roots)} real)",
-            f"traced transition at {empirical:.9f}",
+            _Gate("convex at the root - 1e-3 b^2", float(is_below), 0.0, True),
+            _Gate("convex at the root + 1e-3 b^2", float(is_above), 0.0, False),
+            _Gate("quintic residual at root", quintic_res, 1e-10, False),
         ),
+        (f"real roots: {', '.join(f'{r:.6f}' for r in real_roots)} ({len(real_roots)} real)",),
     )
 
 

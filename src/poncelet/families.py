@@ -358,7 +358,6 @@ class _TriangleFields(NamedTuple):
     q2: Any
     q3: Any
     area: Any
-    scale: Any
     fault: Any
 
 
@@ -367,9 +366,9 @@ class TriangleBatch(_TriangleFields):
 
     ``ok`` is false where a chord step found no real tangent; the values
     there are meaningless.  s_i is the side length opposite P_i, q_i its
-    square s_i * s_i, ``scale`` the longest side, and ``fault`` the
-    collinearity flag (``_DEGENERATE``, 0 for a proper triangle), which
-    every center kernel reads.  Build one with ``TriangleBatch.of``.
+    square s_i * s_i, and ``fault`` the collinearity flag
+    (``_DEGENERATE``, 0 for a proper triangle), which every center kernel
+    reads.  Build one with ``TriangleBatch.of``.
 
     ``incenter``, ``circumcenter`` and ``cosines`` are not fields: the
     batch computes each once, on first use, and keeps it read-only, so
@@ -388,9 +387,9 @@ class TriangleBatch(_TriangleFields):
             q2 = s2 * s2
             q3 = s3 * s3
             area = 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
-            scale = np.maximum(np.maximum(s1, s2), s3)
-            collinear = (scale == 0.0) | (area <= _DEGENERATE_AREA * scale * scale)
-        return cls(x1, y1, x2, y2, x3, y3, ok, s1, s2, s3, q1, q2, q3, area, scale, _DEGENERATE * collinear)
+            longest = np.maximum(np.maximum(s1, s2), s3)
+            collinear = (longest == 0.0) | (area <= _DEGENERATE_AREA * longest * longest)
+        return cls(x1, y1, x2, y2, x3, y3, ok, s1, s2, s3, q1, q2, q3, area, _DEGENERATE * collinear)
 
     # The formulas are the center layer's (``centers``, which imports
     # this module, so each is imported on first use).

@@ -474,7 +474,7 @@ def test_criterion_13_convexity_transition():
     def convex_at(lam: float) -> bool:
         return convexity_check(trace_locus(conf2_config(a, b, lam), "X1", n=512).valid_xy())
 
-    lo, hi = 0.85 * root * b * b, 1.15 * root * b * b
+    lo, hi = 0.85 * root, 1.15 * root
     assert convex_at(lo) and not convex_at(hi)
     for _ in range(30):
         mid = 0.5 * (lo + hi)
@@ -483,7 +483,7 @@ def test_criterion_13_convexity_transition():
         else:
             hi = mid
     empirical = 0.5 * (lo + hi)
-    gap = abs(empirical - root * b * b)
+    gap = abs(empirical - root)
     ok = resid <= 1e-10 and gap <= 1e-3
     _report(13, ok,
             f"quintic residual at the root {resid:.3e}; "

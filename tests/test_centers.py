@@ -491,7 +491,7 @@ def _perspector_lines(t: TriangleBatch):
         x[m] = (bi * cj - bj * ci) / det
         y[m] = (aj * ci - ai * cj) / det
         residual[m] = abs(ak * x[m] + bk * y[m] + ck)
-    defined &= (abs(np.choose(best, cross)) > 1e-14) & (residual <= 1e-8 * t.scale)
+    defined &= (abs(np.choose(best, cross)) > 1e-14) & (residual <= 1e-8 * np.maximum(np.maximum(t.s1, t.s2), t.s3))
     return x, y, defined
 
 

@@ -116,14 +116,50 @@ def test_report_status_metric_and_notes_come_from_the_gates():
 
 
 def test_convexity_note_does_not_claim_a_failed_bracket(monkeypatch):
-    """With convexity read on both sides of the root, the bracket gate
-    fails the claim and no note says the flip was seen."""
+    """A locus read as convex on both sides of the root fails the gate
+    above it, and one read as convex on neither side fails the gate
+    below it; either way the claim fails."""
     monkeypatch.setattr(claims, "convexity_check", lambda xy: True)
     rep = claims.check_convexity_transition()
     assert not rep.passed
-    assert not _gate(rep, "convexity flips").held
-    assert _gate(rep, "convex at 0.85").held
-    assert not any("convex below, not above" in n for n in rep.notes)
+    assert _gate(rep, "convex at the root - 1e-3").held
+    assert not _gate(rep, "convex at the root + 1e-3").held
+    assert "convex at the root + 1e-3 b^2: 1 <= 0 (failed)" in rep.notes
+
+    monkeypatch.setattr(claims, "convexity_check", lambda xy: False)
+    rep = claims.check_convexity_transition()
+    assert not rep.passed
+    assert not _gate(rep, "convex at the root - 1e-3").held
+    assert _gate(rep, "convex at the root + 1e-3").held
+    assert rep.metric == 0.0
+
+
+def test_convexity_transition_traces_one_locus_on_each_side_of_the_root(monkeypatch):
+    """The claim reads convexity from two conf-II traces, at the root
+    -/+ 1e-3·b^2, and searches nothing."""
+    lams = []
+
+    def counting(cfg, tracked, n):
+        lams.append(cfg.params.lam)
+        return trace_locus(cfg, tracked, n)
+
+    monkeypatch.setattr(claims, "trace_locus", counting)
+    a, b = 3.0, 2.0
+    rep = claims.check_convexity_transition(a, b)
+    root = claims.convexity_lambda_root(a, b)
+    assert rep.passed
+    assert lams == [root - 4e-3, root + 4e-3]
+
+
+@pytest.mark.parametrize("a, status", [
+    (1.001, "pass"), (1.02, "pass"), (1.05, "pass"),
+    (6.0, "fail"), (1.0000001, "fail"),
+])
+def test_convexity_transition_status_by_aspect_ratio(a, status):
+    """Near-circular outer ellipses down to a/b = 1.001 flip at the root
+    too.  At a/b = 6 and 1.0000001 the locus is still convex 1e-3·b^2
+    above the root, so the claim fails there (ROADMAP item 11)."""
+    assert claims.check_convexity_transition(a, 1.0).status == status
 
 
 def test_bicIII_conic_collapse_loci_fail_their_gate(monkeypatch):

@@ -182,12 +182,16 @@ def _excentral_centroid(t: TriangleBatch):
     return (4.0 * ox - ix) / 3.0, (4.0 * oy - iy) / 3.0, f3 | f1
 
 
+def _circumradius(t: TriangleBatch):
+    """s1 s2 s3 / 4K, which the batch keeps (``TriangleBatch.circumradius``)."""
+    return t.s1 * t.s2 * t.s3 / (4.0 * t.area)
+
+
 def _circumcircle_inverse(t: TriangleBatch, px: Any, py: Any, fault: Any):
-    """Inverse of p in the circumcircle about X3, with circumradius
-    s1 s2 s3 / 4K."""
+    """Inverse of p in the circumcircle about X3, of the batch's
+    circumradius."""
     ox, oy, f3 = t.circumcenter
-    radius = t.s1 * t.s2 * t.s3 / (4.0 * t.area)
-    x, y, ok = _invert(px, py, ox, oy, radius)
+    x, y, ok = _invert(px, py, ox, oy, t.circumradius)
     return x, y, fault | f3 | _unless(ok, _AT_CENTER)
 
 

@@ -927,14 +927,14 @@ def check_convexity_transition(a: float = 2.0, b: float = 1.0) -> ClaimReport:
     real_roots = sorted(z * b2 for z in _real_roots(coeffs))
     return _report(
         f"a={_fmt(a)} b={_fmt(b)}",
-        f"convexity transition at caustic parameter {lam_o:.9f}",
+        f"convexity transition at caustic parameter {lam_o:.9g}",
         f"{read(is_below, below)}, {read(is_above, above)}",
         (
             _Gate("convex at the root - 1e-3 b^2", float(is_below), 0.0, True),
             _Gate("convex at the root + 1e-3 b^2", float(is_above), 0.0, False),
             _Gate("quintic residual at root", quintic_res, 1e-10, False),
         ),
-        (f"real roots: {', '.join(f'{r:.6f}' for r in real_roots)} ({len(real_roots)} real)",),
+        (f"real roots: {', '.join(f'{r:.9g}' for r in real_roots)} ({len(real_roots)} real)",),
     )
 
 
@@ -952,7 +952,7 @@ def check_conserved_quantities() -> ClaimReport:
     cfgc = conf1_config(a, b)
     tri = _members(cfgc, 512)
     perims = tri.s1 + tri.s2 + tri.s3
-    ratios = (2.0 * tri.area / perims) / (tri.s1 * tri.s2 * tri.s3 / (4.0 * tri.area))
+    ratios = (2.0 * tri.area / perims) / tri.circumradius
     perim_spread = float((perims.max() - perims.min()) / perims.mean())
     ratio_spread = float((ratios.max() - ratios.min()) / ratios.mean())
 

@@ -370,10 +370,11 @@ class TriangleBatch(_TriangleFields):
     (``_DEGENERATE``, 0 for a proper triangle), which every center kernel
     reads.  Build one with ``TriangleBatch.of``.
 
-    ``incenter``, ``circumcenter`` and ``cosines`` are not fields: the
-    batch computes each once, on first use, and keeps it read-only, so
-    the center kernels that compose them share one evaluation.  A batch
-    from ``_make`` or ``_replace`` starts with none of them.
+    ``incenter``, ``circumcenter``, ``circumradius`` and ``cosines`` are
+    not fields: the batch computes each once, on first use, and keeps it
+    read-only, so the center kernels that compose them share one
+    evaluation.  A batch from ``_make`` or ``_replace`` starts with none
+    of them.
     """
 
     @classmethod
@@ -409,6 +410,13 @@ class TriangleBatch(_TriangleFields):
         return _read_only(_circumcenter, self)
 
     @cached_property
+    def circumradius(self) -> Any:
+        """s1 s2 s3 / 4K, by ``centers._circumradius``."""
+        from .centers import _circumradius
+
+        return _read_only(_circumradius, self)
+
+    @cached_property
     def cosines(self) -> Tuple[Any, Any, Any]:
         """(cos A, cos B, cos C), A the angle at P1, by ``centers._cosines``."""
         from .centers import _cosines
@@ -416,11 +424,12 @@ class TriangleBatch(_TriangleFields):
         return _read_only(_cosines, self)
 
 
-def _read_only(f: Callable[[TriangleBatch], Tuple[Any, ...]], t: TriangleBatch) -> Tuple[Any, ...]:
-    """f(t), evaluated in ``quiet_fp``, with each of its arrays made read-only."""
+def _read_only(f: Callable[[TriangleBatch], Any], t: TriangleBatch) -> Any:
+    """f(t), an array or a tuple of arrays, evaluated in ``quiet_fp``,
+    with each of its arrays made read-only."""
     with quiet_fp():
         values = f(t)
-    for v in values:
+    for v in values if isinstance(values, tuple) else (values,):
         v.flags.writeable = False
     return values
 

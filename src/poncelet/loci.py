@@ -7,18 +7,24 @@ Classification runs a verdict ladder: stationary point, then conic
 finally "nonconic" when nothing of degree <= MAX_DEGREE fits.  A
 ``Locus`` keeps its samples as four read-only arrays (t, x, y, ok).
 
+One pass over the valid samples' x and y arrays centers them on their
+centroid and squares their radii.  Twice the largest radius over the
+outer scale is the stationarity spread, which decides the point verdict
+in O(n); the RMS radius is the scale of the fit.
+
 Fits are total-least-squares implicit fits: the sample coordinates are
 centered and scaled to unit RMS radius, a design matrix over all
 monomials up to the requested degree is assembled (graded, so a lower
 degree's design is a column prefix: the ladder fills one design, each
-grade when a degree first reaches it, its powers as running products,
-and takes one SVD per degree, of the m x m QR factor R of its n x m
-prefix).  The residual is the smallest singular value over sqrt(n), i.e.
-the RMS of the normalized implicit values.  Only degree 2 computes
-singular vectors: its smallest right singular vector gives the conic's
-coefficient vector, with the bits of the full SVD of the prefix.  Every
-other degree takes the singular values alone, so its residual has the
-bits of ``np.linalg.svd(prefix, compute_uv=False)``.
+grade when a degree first reaches it as one product of its power
+columns, the powers as running products, and takes one SVD per degree,
+of the m x m QR factor R of its n x m prefix).  The residual is the
+smallest singular value over sqrt(n), i.e. the RMS of the normalized
+implicit values.  Only degree 2 computes singular vectors: its smallest
+right singular vector gives the conic's coefficient vector, with the
+bits of the full SVD of the prefix.  Every other degree takes the
+singular values alone, so its residual has the bits of
+``np.linalg.svd(prefix, compute_uv=False)``.
 """
 
 from __future__ import annotations
@@ -206,14 +212,42 @@ def monomial_exponents(degree: int) -> List[Tuple[int, int]]:
     return out
 
 
-def _normalize_samples(pts) -> Tuple[np.ndarray, Tuple[float, float], float]:
-    arr = np.asarray(pts, dtype=float)
-    cx, cy = arr.mean(axis=0)
-    centered = arr - (cx, cy)
-    s = math.sqrt(float(np.mean(centered[:, 0] ** 2 + centered[:, 1] ** 2)))
-    if s <= 0.0:
-        s = 1.0
-    return centered / s, (float(cx), float(cy)), s
+class _Centered(NamedTuple):
+    """Samples about their centroid (cx, cy): the offsets dx, dy and their
+    squared radii r2 = dx^2 + dy^2, one pass that serves the spread, the
+    point test and the normalization."""
+
+    cx: float
+    cy: float
+    dx: np.ndarray
+    dy: np.ndarray
+    r2: np.ndarray
+
+    def spread(self, scale: float) -> float:
+        """Twice the largest distance from the centroid, over ``scale``:
+        between the samples' diameter and twice it (up to rounding)."""
+        return 2.0 * math.sqrt(float(self.r2.max())) / scale
+
+    def normalized(self) -> Tuple[np.ndarray, np.ndarray, float]:
+        """(dx / s, dy / s, s): the offsets over their RMS radius s, or
+        over 1 when that is 0."""
+        s = math.sqrt(float(self.r2.sum()) / len(self.r2))
+        if s <= 0.0:
+            s = 1.0
+        return self.dx / s, self.dy / s, s
+
+
+def _centered(x: np.ndarray, y: np.ndarray) -> _Centered:
+    """Nonempty 1-D coordinate arrays about their centroid.  Each
+    coordinate's sum is sequential (the last running sum), which has
+    the bits of ``mean(axis=0)`` on the (n, 2) stack; a 1-D ``mean``
+    sums pairwise and has not."""
+    n = len(x)
+    cx = float(np.add.accumulate(x)[-1]) / n
+    cy = float(np.add.accumulate(y)[-1]) / n
+    dx = x - cx
+    dy = y - cy
+    return _Centered(cx, cy, dx, dy, dx * dx + dy * dy)
 
 
 def _denormalized_conic(coeffs: Sequence[float], shift: Tuple[float, float], s: float) -> Tuple[float, ...]:
@@ -245,30 +279,35 @@ class _MonomialDesign:
     design is a ready column prefix; each is ``xp[i] * yp[j]`` with
     ``xp[i] = xp[i - 1] * x`` from i = 2 on (``x ** 2``'s bits), so no bit
     hangs on the host's ``pow`` and -x gives the sign-flipped design: the
-    same bits as a design built whole from sequential products."""
+    same bits as a design built whole from sequential products.  The x
+    powers are kept as columns in falling order and the y powers in
+    rising order, so grade d, whose x exponent falls from d to 0 as its y
+    exponent rises, is one product of two column blocks."""
 
-    def __init__(self, norm: np.ndarray, top: int) -> None:
-        self._norm = norm
-        self.n = len(norm)
-        self._xp: List[np.ndarray] = []
-        self._yp: List[np.ndarray] = []
+    def __init__(self, x: np.ndarray, y: np.ndarray, top: int) -> None:
+        self.n = len(x)
+        self.degree = -1  # the highest grade built so far
+        self._x, self._y, self._top = x, y, top
+        self._xp = np.empty((self.n, top + 1), order="F")  # column top - i holds x^i
+        self._yp = np.empty((self.n, top + 1), order="F")  # column j holds y^j
         self._cols = np.empty((self.n, (top + 1) * (top + 2) // 2), order="F")
-
-    @property
-    def degree(self) -> int:
-        """The highest grade built so far, -1 before the first."""
-        return len(self._xp) - 1
 
     def columns(self, degree: int) -> np.ndarray:
         """The (n, m) design up to ``degree``; builds the grades it lacks."""
         xp, yp, cols = self._xp, self._yp, self._cols
-        x, y = self._norm[:, 0], self._norm[:, 1]
-        for d in range(len(xp), degree + 1):
-            xp.append(x ** d if d < 2 else xp[d - 1] * x)
-            yp.append(y ** d if d < 2 else yp[d - 1] * y)
+        for d in range(self.degree + 1, degree + 1):
+            k = self._top - d
+            if d == 0:
+                xp[:, k] = yp[:, 0] = 1.0
+            elif d == 1:
+                xp[:, k] = self._x
+                yp[:, 1] = self._y
+            else:
+                np.multiply(xp[:, k + 1], self._x, out=xp[:, k])
+                np.multiply(yp[:, d - 1], self._y, out=yp[:, d])
             first = d * (d + 1) // 2
-            for i in range(d, -1, -1):
-                np.multiply(xp[i], yp[d - i], out=cols[:, first + d - i])
+            np.multiply(xp[:, k:], yp[:, : d + 1], out=cols[:, first : first + d + 1])
+            self.degree = d
         return cols[:, : (degree + 1) * (degree + 2) // 2]
 
 
@@ -331,96 +370,42 @@ def fit_curve(samples, degree: int) -> CurveFit:
     m = (degree + 1) * (degree + 2) // 2
     if len(samples) < 2 * m:
         raise InsufficientSamples(f"degree {degree} needs >= {2 * m} samples, got {len(samples)}")
-    norm, shift, s = _normalize_samples(samples)
-    return _curve_fit(_rung(_MonomialDesign(norm, degree), degree), shift, s)
-
-
-# Consecutive samples per block in _diameter: consecutive samples of a
-# traced curve lie close together, so a block has a small bounding box.
-_DIAMETER_BLOCK = 16
-
-
-def _extremes_spread2(arr: np.ndarray) -> float:
-    """L: the largest squared distance among the x/y-extreme samples of
-    a nonempty (n, 2) array, a lower bound of the squared diameter."""
-    ext = arr[[arr[:, 0].argmin(), arr[:, 0].argmax(), arr[:, 1].argmin(), arr[:, 1].argmax()]]
-    dx = ext[:, 0, None] - ext[:, 0]
-    dy = ext[:, 1, None] - ext[:, 1]
-    return float((dx * dx + dy * dy).max())
-
-
-def _box_diagonal(arr: np.ndarray) -> float:
-    """The diagonal of a nonempty (n, 2) array's bounding box, rounded as
-    ``_diameter`` rounds a pair's distance, so never below it."""
-    dx = float(arr[:, 0].max() - arr[:, 0].min())
-    dy = float(arr[:, 1].max() - arr[:, 1].min())
-    return math.sqrt(dx * dx + dy * dy)
-
-
-def _diameter(points) -> float:
-    """Largest distance between two points, bitwise as a scan of every pair.
-
-    The samples are cut, in order, into blocks of ``_DIAMETER_BLOCK``.  A
-    block pair is compared point by point only if the squared far-corner
-    distance U of the two bounding boxes reaches L (``_extremes_spread2``).
-    Rounded subtraction, product and sum are monotone, so U dominates
-    every pair value of its block pair, and the pair attaining the
-    maximum (which is >= L) is always kept.  Block rows and kept pairs go
-    in chunks: memory is O(n * block).
-    """
-    arr = np.asarray(points, dtype=float)
-    n = len(arr)
-    if n == 0:
-        return 0.0
-    b = _DIAMETER_BLOCK
-    nb = -(-n // b)
-    # Pad the last block with copies of the last sample: duplicates add no pair.
-    pad = np.concatenate((arr, np.repeat(arr[-1:], nb * b - n, axis=0)))
-    xb = pad[:, 0].reshape(nb, b)
-    yb = pad[:, 1].reshape(nb, b)
-    best = _extremes_spread2(arr)
-    xlo, xhi, ylo, yhi = xb.min(axis=1), xb.max(axis=1), yb.min(axis=1), yb.max(axis=1)
-    rows = b * b  # block rows per chunk: rows * nb bounds, about n * b
-    for r in range(0, nb, rows):
-        sx = np.maximum(xhi[r : r + rows, None] - xlo, xhi - xlo[r : r + rows, None])
-        sy = np.maximum(yhi[r : r + rows, None] - ylo, yhi - ylo[r : r + rows, None])
-        bi, bj = np.nonzero(np.triu(sx * sx + sy * sy >= best, r))
-        bi += r
-        for s in range(0, len(bi), nb):  # nb pairs of b x b values: n * b
-            i, j = bi[s : s + nb], bj[s : s + nb]
-            dx = xb[i, :, None] - xb[j, None, :]
-            dy = yb[i, :, None] - yb[j, None, :]
-            best = max(best, float((dx * dx + dy * dy).max()))
-    return math.sqrt(best)
+    arr = np.asarray(samples, dtype=float)
+    c = _centered(arr[:, 0], arr[:, 1])
+    x, y, s = c.normalized()
+    return _curve_fit(_rung(_MonomialDesign(x, y, degree), degree), (c.cx, c.cy), s)
 
 
 def stationarity_spread(locus: Locus) -> float:
-    """Max pairwise distance of valid samples over the outer-conic scale."""
+    """Twice the largest distance of a valid sample from their centroid,
+    over the outer-conic scale: at least the samples' diameter and at
+    most twice it (up to rounding), in one O(n) pass; inf with no valid
+    sample."""
     if not locus.ok.any():
         return math.inf
-    return _diameter(locus.valid_xy()) / locus.family.outer_scale
+    return _centered(locus.x[locus.ok], locus.y[locus.ok]).spread(locus.family.outer_scale)
 
 
 def classify_locus(locus: Locus) -> CurveFit:
-    """Verdict ladder: point, conic, smallest adequate degree, nonconic;
-    each degree's spectrum is taken, as ``fit_curve`` takes it, on a
-    prefix of one design whose grades are built only as far as the ladder
-    climbs.  Only the returned degree becomes a CurveFit, and the quadric
-    is classified only when it meets ``CONIC_TOL``."""
-    pts = locus.valid_xy()
-    if len(pts) < MIN_VALID_SAMPLES:
-        raise InsufficientSamples(f"{len(pts)} valid samples")
-    # sqrt(L) / scale <= stationarity_spread <= the bounding box's
-    # diagonal / scale (rounding is monotone), so a locus whose extremes
-    # are already too far apart, or whose box is small enough, skips the
-    # full scan.
-    scale = locus.family.outer_scale
-    if math.sqrt(_extremes_spread2(pts)) / scale <= POINT_TOL and (
-        _box_diagonal(pts) / scale <= POINT_TOL or stationarity_spread(locus) <= POINT_TOL
-    ):
+    """Verdict ladder: point, conic, smallest adequate degree, nonconic.
+
+    One centered pass over the valid samples gives the spread
+    (``stationarity_spread``), which the point test compares with
+    ``POINT_TOL``, and the normalization.  Each degree's spectrum is
+    taken, as ``fit_curve`` takes it, on a prefix of one design whose
+    grades are built only as far as the ladder climbs.  Only the returned
+    degree becomes a CurveFit, and the quadric is classified only when it
+    meets ``CONIC_TOL``."""
+    ok = locus.ok
+    x, y = locus.x[ok], locus.y[ok]
+    if len(x) < MIN_VALID_SAMPLES:
+        raise InsufficientSamples(f"{len(x)} valid samples")
+    c = _centered(x, y)
+    if c.spread(locus.family.outer_scale) <= POINT_TOL:
         return CurveFit(degree=1, residual=0.0, verdict="point")
-    norm, shift, s = _normalize_samples(pts)
-    design = _MonomialDesign(norm, max(2, MAX_DEGREE))
+    xn, yn, s = c.normalized()
+    shift = (c.cx, c.cy)
+    design = _MonomialDesign(xn, yn, max(2, MAX_DEGREE))
     rungs: Dict[int, _Rung] = {}
 
     def rung_at(degree: int) -> _Rung:

@@ -746,8 +746,8 @@ def test_shared_subexpression_kernels_keep_their_bits(cfg):
 
 
 # ---------------------------------------------------------------------------
-# The values a batch keeps: its incenter, circumcenter and cosines, each
-# computed once, on first use, and read by every kernel that composes it.
+# The values a batch keeps: its incenter, circumcenter, circumradius and
+# cosines, each computed once, on first use, and read by every kernel that composes it.
 
 TRACKED_IDS = [f"X{d.id}" for d in C.builtin_centers()] + list(EXCENTER_IDS)
 GRID_64 = 2.0 * np.pi * np.arange(64) / 64
@@ -755,9 +755,9 @@ GRID_64 = 2.0 * np.pi * np.arange(64) / 64
 
 def test_a_batch_computes_each_kept_value_once(monkeypatch):
     """The 27 tracked ids on one batch compute the incenter, the
-    circumcenter and the cosines once each (6, 6 and 3 times when every
-    composed kernel formed its own)."""
-    calls = {"_incenter": 0, "_circumcenter": 0, "_cosines": 0}
+    circumcenter, the circumradius and the cosines once each (6, 6, 3 and
+    3 times when every composed kernel formed its own)."""
+    calls = {"_incenter": 0, "_circumcenter": 0, "_circumradius": 0, "_cosines": 0}
     for name in calls:
         def counted(t, f=getattr(C, name), name=name):
             calls[name] += 1
@@ -767,7 +767,7 @@ def test_a_batch_computes_each_kept_value_once(monkeypatch):
     assert len(TRACKED_IDS) == 27
     for tracked in TRACKED_IDS:
         C.center_arrays(tri, tracked)
-    assert calls == {"_incenter": 1, "_circumcenter": 1, "_cosines": 1}
+    assert calls == {"_incenter": 1, "_circumcenter": 1, "_circumradius": 1, "_cosines": 1}
 
 
 @pytest.mark.parametrize("cfg", README_FAMILIES, ids=lambda cfg: cfg.kind)
@@ -798,17 +798,19 @@ def test_the_kept_values_are_read_only():
     x = C.center_arrays(tri, "X1")[0]
     with pytest.raises(ValueError):
         x[0] = 0.0
-    for kept in (tri.incenter, tri.circumcenter, tri.cosines):
+    for kept in (tri.incenter, tri.circumcenter, (tri.circumradius,), tri.cosines):
         assert not any(v.flags.writeable for v in kept)
 
 
 def test_a_replaced_batch_computes_its_own_centers():
     tri = bic2_config(1.0, 0.2, 0.3).triangles(GRID_64)
-    kept = tri.incenter, tri.circumcenter
-    moved = tri._replace(x1=tri.x1 + 1.0)
-    assert not {"incenter", "circumcenter", "cosines"} & set(vars(moved))
-    assert not {"incenter", "circumcenter", "cosines"} & set(vars(tri._make(tri)))
-    for got, old, formula in zip((moved.incenter, moved.circumcenter), kept, (C._incenter, C._circumcenter)):
+    kept = tri.incenter, tri.circumcenter, (tri.circumradius,)
+    moved = tri._replace(x1=tri.x1 + 1.0, s1=tri.s1 * 1.5)
+    names = {"incenter", "circumcenter", "circumradius", "cosines"}
+    assert not names & set(vars(moved))
+    assert not names & set(vars(tri._make(tri)))
+    formulas = (C._incenter, C._circumcenter, lambda t: (C._circumradius(t),))
+    for got, old, formula in zip((moved.incenter, moved.circumcenter, (moved.circumradius,)), kept, formulas):
         assert all(_same_bits(g, w) for g, w in zip(got, C._evaluate(formula, moved)))
         assert not _same_bits(got[0], old[0])
 
@@ -822,5 +824,6 @@ def test_first_use_on_collinear_members_warns_nothing():
         warnings.simplefilter("error", RuntimeWarning)
         x, y, fault = tri.incenter
         tri.circumcenter
+        tri.circumradius
         tri.cosines
     assert (fault[:3] == C._DEGENERATE).all()

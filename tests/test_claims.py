@@ -162,6 +162,21 @@ def test_convexity_transition_status_by_aspect_ratio(a, status):
     assert claims.check_convexity_transition(a, 1.0).status == status
 
 
+@pytest.mark.parametrize("a", [2e-30, 2e20])
+def test_convexity_transition_prints_digits_that_read_back(a):
+    """The root in ``expected`` and the real roots in the note carry nine
+    significant digits at any frame scale, not nine decimals."""
+    b = a / 2.0
+    rep = claims.check_convexity_transition(a, b)
+    printed = float(rep.expected.rsplit(" ", 1)[1])
+    assert printed == pytest.approx(claims.convexity_lambda_root(a, b), rel=1e-8, abs=0.0)
+    (note,) = [n for n in rep.notes if n.startswith("real roots: ")]
+    roots = [float(r) for r in note[len("real roots: "):].split(" (")[0].split(", ")]
+    want = sorted(z * b * b for z in claims._real_roots(claims.convexity_quintic_coeffs(a / b, 1.0)))
+    assert len(roots) == len(want) == 3
+    assert roots == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
 def test_bicIII_conic_collapse_loci_fail_their_gate(monkeypatch):
     """Collapse loci that read as conics (here the circles the bic-I
     excenters sweep) fail their gate, and no note says otherwise."""

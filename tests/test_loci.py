@@ -18,8 +18,6 @@ from poncelet.families import (
     conf3_config,
 )
 from poncelet.loci import (
-    _DIAMETER_BLOCK,
-    _diameter,
     MIN_VALID_SAMPLES,
     CurveFit,
     InsufficientSamples,
@@ -76,42 +74,56 @@ def _pairwise_spread(locus):
     return float(np.sqrt(dx * dx + dy * dy).max()) / locus.family.outer_scale
 
 
-def _assert_same_spread(locus):
-    assert stationarity_spread(locus) == _pairwise_spread(locus)
+def _centroid_slack(arr):
+    """A bound on what the rounding of the centroid (a sequential sum of
+    n terms) can move the spread by, in length units."""
+    return 4.0 * len(arr) * np.finfo(float).eps * float(np.abs(arr).max())
 
 
-def _cloud_locus(arr):
+def _assert_spread_bounds(locus, diameter=None):
+    """pairwise diameter <= spread * scale <= 2 * pairwise diameter: the
+    samples' farthest one from their centroid lies within the diameter of
+    every sample and at least half of it from some sample.  Only the
+    centroid's rounding (and one rounding of each side) may exceed it."""
+    scale = locus.family.outer_scale
+    if diameter is None:
+        diameter = _pairwise_spread(locus) * scale
+    got = stationarity_spread(locus) * scale
+    slack = _centroid_slack(locus.valid_xy())
+    assert diameter * (1.0 - 1e-15) - slack <= got <= 2.0 * diameter * (1.0 + 1e-15) + slack
+
+
+def _cloud_locus(arr, cfg=None):
     n = len(arr)
     ok = np.ones(n, dtype=bool)
-    return Locus(bic1_config(1.0, 0.25), "cloud", np.zeros(n), arr[:, 0], arr[:, 1], ok)
+    cfg = bic1_config(1.0, 0.25) if cfg is None else cfg
+    return Locus(cfg, "cloud", np.zeros(n), arr[:, 0], arr[:, 1], ok)
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        bic1_config(1.0, 0.3),
-        BIC2,
-        bic3_config(1.0, 0.2, 0.3, 0.5),
-        conf1_config(2.0, 1.0),
-        conf2_config(2.0, 1.0, 0.5),
-        conf3_config(2.0, 1.0, 0.3, 0.5),
-    ],
-    ids=lambda cfg: cfg.kind,
-)
-def test_stationarity_spread_is_the_pairwise_maximum_on_loci(cfg):
+_SPREAD_CONFIGS = [
+    bic1_config(1.0, 0.3),
+    BIC2,
+    bic3_config(1.0, 0.2, 0.3, 0.5),
+    conf1_config(2.0, 1.0),
+    conf2_config(2.0, 1.0, 0.5),
+    conf3_config(2.0, 1.0, 0.3, 0.5),
+]
+
+
+@pytest.mark.parametrize("cfg", _SPREAD_CONFIGS, ids=lambda cfg: cfg.kind)
+def test_spread_lies_between_the_diameter_and_twice_it_on_loci(cfg):
     for tracked in ("X1", "X2", "X3", "X484", "P1'", "P2"):
-        _assert_same_spread(trace_locus(cfg, tracked, n=256))
+        _assert_spread_bounds(trace_locus(cfg, tracked, n=256))
 
 
-def test_stationarity_spread_is_the_pairwise_maximum_near_a_point():
+def test_spread_lies_between_the_diameter_and_twice_it_near_a_point():
     loc = trace_locus(bic1_config(1.0, 0.3), "X1", n=512)
     assert stationarity_spread(loc) < 1e-12
-    _assert_same_spread(loc)
+    _assert_spread_bounds(loc)
 
 
-def test_stationarity_spread_is_the_pairwise_maximum_on_point_clouds():
+def test_spread_lies_between_the_diameter_and_twice_it_on_point_clouds():
     rng = np.random.default_rng(7)
-    cfg = bic1_config(1.0, 0.25)
     for k in range(200):
         n = int(rng.integers(1, 150))
         if k % 4 == 0:  # coarse grid: duplicates and collinear runs
@@ -123,54 +135,84 @@ def test_stationarity_spread_is_the_pairwise_maximum_on_point_clouds():
             arr = np.c_[np.arange(n), 2.0 * np.arange(n)] * 0.1 + 0.3
         else:
             arr = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-12, 3)
-        locus = Locus(cfg, "cloud", np.zeros(n), arr[:, 0], arr[:, 1], np.ones(n, dtype=bool))
-        _assert_same_spread(locus)
+        _assert_spread_bounds(_cloud_locus(arr))
 
 
-B = _DIAMETER_BLOCK
-
-
-@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1])
-def test_diameter_at_block_edges(n):
-    """Sample counts around the block size, where the last block is padded."""
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 33])
+def test_spread_at_small_sample_counts(n):
     rng = np.random.default_rng(n)
     th = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
     for arr in (np.c_[np.cos(th), 0.4 * np.sin(th)], rng.normal(size=(n, 2))):
-        _assert_same_spread(_cloud_locus(arr))
+        _assert_spread_bounds(_cloud_locus(arr))
+    if n == 1:
+        assert stationarity_spread(_cloud_locus(arr)) == 0.0
 
 
-def test_diameter_of_identical_points_is_zero():
-    arr = np.full((3 * B + 5, 2), 0.3)
-    assert _diameter(arr) == 0.0
-    _assert_same_spread(_cloud_locus(arr))
+@pytest.mark.parametrize("n", [1, 16, 53, 512])
+def test_spread_of_identical_points_is_zero(n):
+    """Identical samples whose sum is exact (here dyadic values) have
+    their value as the centroid, so every offset and the spread are 0."""
+    for value in (0.375, -2.5, 1e3, 2.0 ** -40):
+        assert stationarity_spread(_cloud_locus(np.full((n, 2), value))) == 0.0
 
 
-def test_diameter_of_two_far_clusters():
-    """The diameter joins two blocks far apart in sample order."""
+def test_spread_of_identical_points_is_at_most_the_centroid_rounding():
+    """Elsewhere the sequential sum rounds: ten copies of 0.1 sum to
+    0.9999999999999999, so the spread is a rounding residue, far below
+    POINT_TOL."""
+    cfg = bic1_config(1.0, 0.25)
+    seen_nonzero = False
+    for n in (10, 53, 512):
+        for value in (0.1, 0.3, 0.7, -1.9):
+            arr = np.full((n, 2), value)
+            spread = stationarity_spread(_cloud_locus(arr, cfg))
+            assert spread * cfg.outer_scale <= _centroid_slack(arr)
+            seen_nonzero |= spread > 0.0
+    assert seen_nonzero
+
+
+def test_spread_of_two_far_clusters():
+    """The diameter joins two clusters far apart in sample order."""
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(5 * B + 3, 2)) * 1e-3
-    b = rng.normal(size=(4 * B + 7, 2)) * 1e-3 + (1e4, -2e4)
+    a = rng.normal(size=(83, 2)) * 1e-3
+    b = rng.normal(size=(71, 2)) * 1e-3 + (1e4, -2e4)
     for arr in (np.r_[a, b], np.r_[b, a], np.r_[a[:40], b, a[40:]]):
-        _assert_same_spread(_cloud_locus(arr))
+        _assert_spread_bounds(_cloud_locus(arr))
 
 
-def test_diameter_keeps_a_block_pair_whose_bound_is_the_diameter():
-    """The diameter joins (0, 0) and (1, 1), which are not axis-extreme (the
-    extremes' best pair is 1.2), and their block pair's bound equals it exactly."""
-    extremes = [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)]
-    arr = np.array([(0.0, 0.0)] * B + [(1.0, 1.0)] * B + extremes * (B // 4))
-    assert _diameter(arr) == math.sqrt(2.0)
-    _assert_same_spread(_cloud_locus(arr))
-
-
-@pytest.mark.parametrize("k", [2, 3, B // 2, B, 3 * B + 1, 256])
-def test_diameter_of_regular_polygons_with_tied_antipodes(k):
-    """A regular 2k-gon has k antipodal pairs tied (up to rounding) for the maximum."""
+@pytest.mark.parametrize("k", [2, 3, 8, 16, 49, 256])
+def test_spread_of_a_regular_polygon_is_its_diameter(k):
+    """A regular 2k-gon is centrally symmetric: its centroid is its center,
+    so the spread reaches the lower bound, the diameter."""
     th = np.pi * np.arange(2 * k) / k
     for phase in (0.0, 0.1):
         arr = np.c_[np.cos(th + phase), np.sin(th + phase)] * 3.0 + (1.0, -2.0)
-        _assert_same_spread(_cloud_locus(arr))
-        _assert_same_spread(_cloud_locus(np.roll(arr, k // 2, axis=0)))
+        loc = _cloud_locus(arr)
+        assert stationarity_spread(loc) == pytest.approx(_pairwise_spread(loc), rel=1e-14)
+        _assert_spread_bounds(loc)
+
+
+def _quarter_turns(x, y):
+    """The frame turned by 0, 1, 2 and 3 quarter turns and reflected in
+    an axis: each an exact map of the coordinates."""
+    return [(x, y), (-y, x), (-x, -y), (y, -x), (-x, y), (x, -y)]
+
+
+@pytest.mark.parametrize("cfg", _SPREAD_CONFIGS, ids=lambda cfg: cfg.kind)
+def test_spread_is_unchanged_by_a_rotation_of_the_frame(cfg):
+    """Quarter turns and reflections keep every bit (the centroid's sum
+    only changes sign); a general rotation keeps the spread to rounding."""
+    for tracked in ("X1", "X2", "X3", "P1'"):
+        loc = trace_locus(cfg, tracked, n=256)
+        want = stationarity_spread(loc)
+        for x, y in _quarter_turns(loc.x, loc.y):
+            assert stationarity_spread(Locus(cfg, tracked, loc.t, x, y, loc.ok)) == want
+        for angle in (0.7, 2.1):
+            co, si = math.cos(angle), math.sin(angle)
+            x, y = co * loc.x - si * loc.y, si * loc.x + co * loc.y
+            got = stationarity_spread(Locus(cfg, tracked, loc.t, x, y, loc.ok))
+            slack = 4.0 * _centroid_slack(loc.valid_xy()) / cfg.outer_scale
+            assert abs(got - want) <= 1e-14 * want + slack
 
 
 def _row_scan_diameter(arr):
@@ -183,18 +225,18 @@ def _row_scan_diameter(arr):
     return math.sqrt(best)
 
 
-def test_diameter_memory_is_not_quadratic():
-    """An n x n temporary at n = 8192 would take 512 MB; the block-pair
-    scan stays within a few MB."""
+def test_spread_memory_is_linear():
+    """At n = 8192 the spread holds a few arrays of n floats (64 kB each)."""
     arr = np.random.default_rng(11).uniform(size=(8192, 2))
+    loc = _cloud_locus(arr)
     tracemalloc.start()
     try:
-        got = _diameter(arr)
+        stationarity_spread(loc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
-    assert got == _row_scan_diameter(arr)
+    assert peak < 1e6
+    _assert_spread_bounds(loc, _row_scan_diameter(arr))
 
 
 def test_classify_x1_circle_frozen():
@@ -248,41 +290,34 @@ def test_classify_point_verdict():
 
 
 def test_point_verdict_is_the_spread_bound_at_its_edge():
-    """Clouds scaled so that their diameter, their x/y-extremes' spread, or
-    their bounding box's diagonal sits 1e-3 (relative) on either side of
-    POINT_TOL times the outer scale: the verdict is "point" exactly when
-    stationarity_spread is within POINT_TOL.  The diagonal cloud's
-    diameter (sqrt 2, from (0, 0) to (1, 1)) exceeds its extremes' spread
-    (1.2); the ellipse's box diagonal (2 sqrt 1.16) exceeds its diameter
-    (2), so a box past the bound can hold a point."""
+    """Clouds scaled so that their spread, or their pairwise diameter,
+    sits 1e-3 (relative) on either side of POINT_TOL times the outer
+    scale: the verdict is "point" exactly when stationarity_spread is
+    within POINT_TOL.  The ellipse's spread is its diameter (it is
+    centrally symmetric); the triangle's is 2/sqrt(3) times its diameter,
+    so a triangle whose diameter is within the bound can be no point."""
     cfg = conf2_config(2.0, 1.0, 0.5)
-    n = 128
+    n = 129
     th = 2.0 * np.pi * np.arange(n) / n
-    extremes = [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)]
-    diagonal = np.r_[np.linspace(0.0, 1.0, n - 8)[:, None].repeat(2, axis=1), extremes * 2]
+    triangle = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 0.5 * math.sqrt(3.0))])
     clouds = [
         np.c_[np.cos(th), 0.4 * np.sin(th)],
-        diagonal,
+        np.repeat(triangle, n // 3, axis=0),
         np.random.default_rng(5).normal(size=(n, 2)),
     ]
     bound = loci.POINT_TOL * cfg.outer_scale
     seen = set()
     for cloud in clouds:
-        sizes = (_diameter(cloud), math.sqrt(loci._extremes_spread2(cloud)), loci._box_diagonal(cloud))
-        for size in sizes:
+        unit = _cloud_locus(cloud, cfg)
+        for size in (stationarity_spread(unit) * cfg.outer_scale, _pairwise_spread(unit) * cfg.outer_scale):
             for factor in (1.0 - 1e-3, 1.0 + 1e-3):
                 arr = cloud * (bound * factor / size) + (0.3, -0.2)
-                locus = Locus(cfg, "cloud", th, arr[:, 0], arr[:, 1], np.ones(n, dtype=bool))
-                spread = stationarity_spread(locus)
-                extremes_pass = math.sqrt(loci._extremes_spread2(arr)) / cfg.outer_scale <= loci.POINT_TOL
-                box_pass = loci._box_diagonal(arr) / cfg.outer_scale <= loci.POINT_TOL
-                point = spread <= loci.POINT_TOL
-                assert spread <= loci._box_diagonal(arr) / cfg.outer_scale
+                locus = _cloud_locus(arr, cfg)
+                point = stationarity_spread(locus) <= loci.POINT_TOL
                 assert (classify_locus(locus).verdict == "point") == point
-                seen.add((extremes_pass, box_pass, point))
-    # Both verdicts; extremes within the bound around a diameter past it;
-    # a box within the bound, and one past it around a diameter within it.
-    assert seen == {(True, True, True), (True, False, True), (True, False, False), (False, False, False)}
+                seen.add((_pairwise_spread(locus) <= loci.POINT_TOL, point))
+    # Both verdicts, and a diameter within the bound around a spread past it.
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_verdict_letter_fallback():
@@ -758,6 +793,47 @@ def test_ladder_builds_every_grade_for_a_nonconic_locus(monkeypatch):
     assert built == [loci.MAX_DEGREE]
 
 
+def _oracle_normalize(pts):
+    """The normalization as it was first written, on the (n, 2) stack:
+    ``mean(axis=0)``, subtract, scale by the RMS radius (1 where it is 0)."""
+    arr = np.asarray(pts, dtype=float)
+    cx, cy = arr.mean(axis=0)
+    centered = arr - (cx, cy)
+    s = math.sqrt(float(np.mean(centered[:, 0] ** 2 + centered[:, 1] ** 2)))
+    if s <= 0.0:
+        s = 1.0
+    return centered / s, (float(cx), float(cy)), s
+
+
+def _assert_centered_pass_is_the_oracle(arr):
+    """The centroid, offsets, squared radii, scale and normalized samples
+    of the centered pass have the oracle's bits."""
+    norm, (cx, cy), s = _oracle_normalize(arr)
+    centered = arr - (cx, cy)
+    c = loci._centered(arr[:, 0].copy(), arr[:, 1].copy())
+    x, y, got_s = c.normalized()
+    assert (c.cx.hex(), c.cy.hex(), got_s.hex()) == (cx.hex(), cy.hex(), s.hex())
+    for got, want in ((c.dx, centered[:, 0]), (c.dy, centered[:, 1]),
+                      (c.r2, centered[:, 0] ** 2 + centered[:, 1] ** 2), (x, norm[:, 0]), (y, norm[:, 1])):
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("cfg", _LADDER_CONFIGS, ids=lambda cfg: f"{cfg.kind}-{cfg.params}")
+def test_centered_pass_has_the_bits_of_the_stacked_normalization_on_loci(cfg):
+    for tracked in _TABLE2_COLUMNS:
+        _assert_centered_pass_is_the_oracle(trace_locus(cfg, tracked, n=512).valid_xy())
+
+
+@pytest.mark.parametrize("n", [33, 100, 511, 512, 777, 4096])
+def test_centered_pass_has_the_bits_of_the_stacked_normalization_on_clouds(n):
+    """Sums of more than 8 terms are where a pairwise (1-D ``mean``) and a
+    sequential (``mean(axis=0)`` on the stack) sum part ways."""
+    rng = np.random.default_rng(n)
+    for arr in (rng.normal(size=(n, 2)) * 3.0 + (1e3, -0.7), rng.uniform(size=(n, 2)) * 1e-6,
+                np.round(rng.normal(size=(n, 2)), 1)):
+        _assert_centered_pass_is_the_oracle(arr)
+
+
 def _whole_design(norm, degree):
     """Every monomial column up to ``degree`` at once, its powers the
     running products of ``np.cumprod`` (x^0 = 1, then x, x * x, ...)."""
@@ -768,9 +844,9 @@ def _whole_design(norm, degree):
 
 
 def test_design_grades_are_the_columns_of_the_whole_design():
-    norm, _, _ = loci._normalize_samples(trace_locus(BIC2, "X2", n=512).valid_xy())
+    norm, _, _ = _oracle_normalize(trace_locus(BIC2, "X2", n=512).valid_xy())
     whole = _whole_design(norm, 8)
-    design = loci._MonomialDesign(norm, 8)
+    design = loci._MonomialDesign(norm[:, 0].copy(), norm[:, 1].copy(), 8)
     built = -1
     for degree in (2, 1, 5, 3, 8):  # grades are built once, on first reach
         assert design.degree == built
@@ -796,7 +872,7 @@ def _svd_oracle_fits(samples, degrees):
     """fit_curve at each degree, rebuilt on the SVD of the n x m prefix
     of the whole degree-8 design (its singular values alone except at
     degree 2), with no code shared with the rung."""
-    norm, shift, s = loci._normalize_samples(samples)
+    norm, shift, s = _oracle_normalize(samples)
     whole = _whole_design(norm, 8)
     for degree in degrees:
         prefix = whole[:, : len(monomial_exponents(degree))]

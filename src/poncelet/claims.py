@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from itertools import combinations
+from itertools import combinations, product
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -39,7 +39,7 @@ from .geom import (
     line_tangent_to_conic_residual,
 )
 from .families import (
-    _bic3_radius2,
+    _chain_envelope_u,
     _chord,
     _closing_lambda,
     _ellipse,
@@ -50,6 +50,7 @@ from .families import (
     BicentricParams,
     ConfocalParams,
     FamilyConfig,
+    ImaginaryPencilCircle,
     NoPoristicPair,
     TangentBranch,
     TriangleBatch,
@@ -65,7 +66,6 @@ from .families import (
     confocal_delta,
     critical_lambda,
     degenerate_envelope_inradius,
-    envelope_points,
 )
 from .loci import (
     _grid,
@@ -452,16 +452,11 @@ def bic3_collapse_u(R: float, r: float, d: float) -> float:
     point from every start, so one member fixes u.  At t = 0, P1 = (R, 0)
     and P3 = (-R, 0): the free side is the x-axis, which holds both
     limiting points, and u is the larger real root of the tangency of
-    P2P3 to the pencil circle, (a d (1 - u) + c)^2 = k2 u^2 + k1 u + k0
-    for the unit-normal line a x + b y + c = 0 through P2 and P3.
+    P2P3 to the pencil circle (``BicentricParams.pencil_tangency``).
     """
     p = BicentricParams(R, r, d)
     x2, y2, _ = _chord(p.outer_shape(), p.caustic_shape(), R, 0.0, 1.0)
-    a, _, c, _ = _line_through(x2, y2, -R, 0.0)
-    k2, k1, k0 = _bic3_radius2(p)
-    s = a * d
-    # (s (1 - u) + c)^2 - (k2 u^2 + k1 u + k0), expanded in u.
-    roots = _real_roots((s * s - k2, -2.0 * s * (s + c) - k1, (s + c) ** 2 - k0))
+    roots = _real_roots(p.pencil_tangency(*_line_through(x2, y2, -R, 0.0)[:3]))
     if not roots:
         raise GeometryError(f"no real collapse parameter for R={R}, r={r}, d={d}")
     return max(roots)
@@ -683,12 +678,6 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
     target = bic2_collapse_point(p.R, p.d)
     point_worst = _worst(_free_sides(collapse_cfg, 512).signed_distance(target)) / p.R
 
-    sampled = envelope_points(cfg.free_sides, _grid(256))
-    assert env.center is not None
-    sample_dev = (
-        _circle_deviation(sampled, env.center, env.semi_axes[0]) if len(sampled) else math.inf
-    )
-
     shifted = Conic.circle(Point(env.center.x + 0.01 * p.R, 0.0), env.semi_axes[0])
     control = _worst(line_tangent_to_conic_residual(_free_sides(cfg, 64), shifted)) / p.R
     gates = (
@@ -704,7 +693,6 @@ def check_bicII_envelope(p: BicentricParams = DEFAULT_BIC2) -> ClaimReport:
         "every free chord tangent to the predicted pencil circle",
         f"worst tangency defect/R = {metric:.3e} over {len(lines.a)} chords",
         gates,
-        (f"sampled envelope vs closed form: {sample_dev:.3e}",),
     )
 
 
@@ -1136,31 +1124,33 @@ def check_conjectures_bicIII(p: BicentricParams = DEFAULT_BIC3) -> ClaimReport:
         float(fit0.verdict == "circle"), 0.0, True,
     ))
 
-    # Four tangency branches, two distinct free-side envelopes: each
-    # branch's (center x, center y, major semi-axis) from its conic fit.
-    fitted: List[Tuple[float, float, float]] = []
-    for first in (PLUS, MINUS):
-        for second in (PLUS, MINUS):
-            bcfg = bic3_config(p.R, p.r, p.d, u=p.u, branch=TangentBranch(first, second))
-            conic = fit_curve(envelope_points(bcfg.free_sides, _grid(128)), 2).conic
-            if conic.center is not None and conic.semi_axes is not None:
-                fitted.append((*conic.center, conic.semi_axes[0]))
-    clusters: List[Tuple[float, float, float]] = []
-    for cand in fitted:
-        for seen in clusters:
-            if max(abs(x - y) for x, y in zip(cand, seen)) <= 1e-6 * p.R:
-                break
-        else:
-            clusters.append(cand)
-    # 0.0 for fewer than two clusters, so that the separation gate fails them.
+    # Four tangency branches, two distinct free-side envelopes: each branch's
+    # pencil member at w, and at 1.01 w as a control, against its free sides.
+    # A control inside the imaginary interval touches no line: defect inf.
+    defects, controls = [], []
+    members: List[Tuple[float, Tuple[float, ...]]] = []  # w, (center x, center y, radius)
+    for branch in product((PLUS, MINUS), repeat=2):
+        bcfg = bic3_config(p.R, p.r, p.d, u=p.u, branch=TangentBranch(*branch))
+        w = _chain_envelope_u(bcfg)
+        lines = _free_sides(bcfg, 512)
+        member = p.envelope_member(w)
+        defects.append(_worst(line_tangent_to_conic_residual(lines, member)) / p.R)
+        try:
+            control = _worst(line_tangent_to_conic_residual(lines, p.envelope_member(1.01 * w))) / p.R
+        except ImaginaryPencilCircle:
+            control = math.inf
+        controls.append(control)
+        if not any(math.isclose(w, seen, rel_tol=1e-9) for seen, _ in members):
+            members.append((w, (*member.center, member.semi_axes[0])))
+    # 0.0 for fewer than two members, so that the separation gate fails them.
     separation = min(
-        (max(abs(x - y) for x, y in zip(c1, c2)) for c1, c2 in combinations(clusters, 2)),
-        default=0.0,
+        (math.dist(m1, m2) for (_, m1), (_, m2) in combinations(members, 2)), default=0.0
     )
     gates += [
-        _Gate("branch envelopes fitted without semi-axes", float(4 - len(fitted)), 0.0, False),
-        _Gate("distinct branch envelope circles", float(len(clusters)), 2.0, False),
+        _Gate("worst branch free-side tangency defect/R", max(defects), 1e-9, False),
+        _Gate("distinct branch envelope members", float(len(members)), 2.0, False),
         _Gate("branch envelope separation", separation, 1e-3 * p.R, True),
+        _Gate("negative control (w +1%) least tangency defect/R", min(controls), 1e-6, True),
     ]
     return _report(
         p,

@@ -2,7 +2,8 @@
 
 Subcommands: trace (CSV locus samples), classify (JSON verdict),
 verify (run registered checks), table (verdict grid), envelope
-(free-side envelope description), svg (deterministic drawing).
+(the free-side envelope conic, from the family flags alone), svg
+(deterministic drawing).
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 141 (128 +
 SIGPIPE) when the reader of stdout closed it early.  Output is
@@ -30,16 +31,9 @@ from .families import (
     PLUS,
     FamilyConfig,
     TangentBranch,
-    envelope_points,
 )
 from .geom import Conic
-from .loci import (
-    _grid,
-    InsufficientSamples,
-    classify_locus,
-    fit_curve,
-    trace_locus,
-)
+from .loci import classify_locus, trace_locus
 from .svgplot import render_family
 
 __all__ = ["main"]
@@ -76,9 +70,8 @@ def _add_number_flags(sp: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_family_flags(sp: argparse.ArgumentParser, multi_center: bool = False) -> None:
-    """The number flags, and the flags that pick a family member and its
-    tracked points."""
+def _add_family_flags(sp: argparse.ArgumentParser) -> None:
+    """--family, the number flags and --branch: the flags that pick a family."""
     sp.add_argument("--family", choices=sorted(FAMILY_SPECS))
     _add_number_flags(sp)
     sp.add_argument(
@@ -86,6 +79,11 @@ def _add_family_flags(sp: argparse.ArgumentParser, multi_center: bool = False) -
         help="tangent branch of a chain family (bic-III, conf-III):"
         " plus|minus or a pair like plus,minus",
     )
+
+
+def _add_tracked_flags(sp: argparse.ArgumentParser, multi_center: bool = False) -> None:
+    """The family flags, --center (the tracked points) and -n (their sample count)."""
+    _add_family_flags(sp)
     if multi_center:
         sp.add_argument(
             "--center", action="append", default=None,
@@ -297,25 +295,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_envelope(args: argparse.Namespace) -> int:
     cfg = _build_family(args)
-    n = _samples(args)
-    if n < 1:
-        raise InsufficientSamples(f"need at least 1 sample, got {n}")
     env = cfg.closed_form_envelope()
-    out: dict = {"family": cfg.kind}
-    if env is not None:
-        out["closed_form"] = True
-        out["kind"] = env.kind
-        _write_conic(out, env, env.kind == "circle")
-    else:
-        pts = envelope_points(cfg.free_sides, _grid(n))
-        out["closed_form"] = False
-        out["sampled_points"] = len(pts)
-        if len(pts) >= 24:
-            fit = fit_curve(pts, 2)
-            out["verdict"] = fit.verdict
-            out["residual"] = fit.residual
-            if fit.conic is not None and fit.conic.center is not None:
-                _write_conic(out, fit.conic, fit.verdict == "circle")
+    out: dict = {"family": cfg.kind, "closed_form": True, "kind": env.kind}
+    _write_conic(out, env, env.kind == "circle")
     sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -344,11 +326,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("trace", help="print locus samples as CSV")
-    _add_family_flags(sp)
+    _add_tracked_flags(sp)
     sp.set_defaults(handler=cmd_trace)
 
     sp = sub.add_parser("classify", help="classify a locus, print JSON")
-    _add_family_flags(sp)
+    _add_tracked_flags(sp)
     sp.set_defaults(handler=cmd_classify)
 
     sp = sub.add_parser("verify", help="run registered numerical checks")
@@ -366,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_envelope)
 
     sp = sub.add_parser("svg", help="render a family as a deterministic SVG document")
-    _add_family_flags(sp, multi_center=True)
+    _add_tracked_flags(sp, multi_center=True)
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
     sp.set_defaults(handler=cmd_svg)
 

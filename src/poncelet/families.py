@@ -33,7 +33,7 @@ concentric axis-parallel ellipses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional, Tuple
 
@@ -186,6 +186,16 @@ class _Conics:
     def pencil_caustic(self) -> Conic:
         return _ellipse(*self.pencil_shape())
 
+    def envelope_member(self, w: float) -> Conic:
+        """The pencil member at w that real lines touch: ``pencil_caustic``
+        at u = w, or the point it shrinks to where its squared size rounds
+        into (-1e-9 ((1 + |w|) L)^2, 0], L the outer's major semi-axis, as
+        at a collapse (no real line touches an imaginary member)."""
+        size2, cx = self._pencil_size2(w)
+        if -1e-9 * ((1.0 + abs(w)) * self.outer_shape()[0]) ** 2 < size2 <= 0.0:
+            return Conic.circle(Point(cx, 0.0), 0.0)
+        return replace(self, u=w).pencil_caustic()
+
 
 @dataclass(frozen=True)
 class BicentricParams(_Conics):
@@ -227,12 +237,24 @@ class BicentricParams(_Conics):
         u = self.u
         if u is None:
             raise ValueError("three-caustic family needs the pencil parameter u")
-        k2, k1, k0 = _bic3_radius2(self)
-        radicand = k2 * u * u + k1 * u + k0
+        radicand, cx = self._pencil_size2(u)
         if radicand <= 0.0:
             raise ImaginaryPencilCircle(f"pencil circle at u={u} is imaginary")
         radius = math.sqrt(radicand)
-        return (radius, radius, self.d * (1.0 - u))
+        return (radius, radius, cx)
+
+    def _pencil_size2(self, u: float) -> Tuple[float, float]:
+        """The pencil circle's squared radius and center offset at u."""
+        k2, k1, k0 = _bic3_radius2(self)
+        return k2 * u * u + k1 * u + k0, self.d * (1.0 - u)
+
+    def pencil_tangency(self, a: Any, b: Any, c: Any) -> Tuple[Any, Any, Any]:
+        """(A, B, C): the line a x + b y + c = 0, with unit normal, touches
+        the pencil circle at w where A w^2 + B w + C = 0, that is where
+        (a d (1 - w) + c)^2 = k2 w^2 + k1 w + k0; elementwise."""
+        k2, k1, k0 = _bic3_radius2(self)
+        s = a * self.d
+        return s * s - k2, -2.0 * s * (s + c) - k1, (s + c) ** 2 - k0
 
 
 @dataclass(frozen=True)
@@ -277,14 +299,23 @@ class ConfocalParams(_Conics):
         )
 
     def pencil_shape(self) -> Tuple[float, float, float]:
-        """(p, q, c) of the pencil caustic u * outer + (1 - u) * caustic,
-        each x^2/ex^2 + y^2/ey^2 - 1 = 0 first scaled to quadratic trace 2
-        (for circles, the monic form x^2 + y^2 + ... = 0): concentric and
-        axis-parallel, so c = 0.  Raises if it is not an ellipse.
+        """(p, q, c) of the pencil caustic at u: concentric and axis-parallel,
+        so c = 0.  Raises if it is not an ellipse.
         """
         u = self.u
         if u is None:
             raise ValueError("three-caustic family needs the pencil parameter u")
+        qx, qy, k = self._pencil_terms(u)
+        # The member is qx x^2 + qy y^2 = k.
+        if qx * k <= 0.0 or qy * k <= 0.0:
+            raise ImaginaryPencilCircle(f"pencil caustic at u={u} is not an ellipse")
+        return (math.sqrt(k / qx), math.sqrt(k / qy), 0.0)
+
+    def _pencil_terms(self, u: float) -> Tuple[float, float, float]:
+        """(qx, qy, k) of the pencil member qx x^2 + qy y^2 = k at u:
+        u * outer + (1 - u) * caustic, each x^2/ex^2 + y^2/ey^2 - 1 = 0 first
+        scaled to quadratic trace 2 (for circles, the monic form
+        x^2 + y^2 + ... = 0)."""
         ca, cb, _ = self.caustic_shape()
         qx = qy = k = 0.0
         for weight, ex, ey in ((u, self.a, self.b), (1.0 - u, ca, cb)):
@@ -294,10 +325,23 @@ class ConfocalParams(_Conics):
             qx += w * ix
             qy += w * iy
             k += w
-        # The member is qx x^2 + qy y^2 = k.
-        if qx * k <= 0.0 or qy * k <= 0.0:
-            raise ImaginaryPencilCircle(f"pencil caustic at u={u} is not an ellipse")
-        return (math.sqrt(k / qx), math.sqrt(k / qy), 0.0)
+        return qx, qy, k
+
+    def pencil_tangency(self, a: Any, b: Any, c: Any) -> Tuple[Any, Any, Any]:
+        """(A, B, C): the line a x + b y + c = 0 touches the pencil caustic
+        qx x^2 + qy y^2 = k at w where A w^2 + B w + C = 0, that is where
+        c^2 qx qy = k (a^2 qy + b^2 qx); elementwise.  (qx, qy, k) is
+        linear in w, from its value at w = 0 by its change to w = 1."""
+        x0, y0, k0 = self._pencil_terms(0.0)
+        x1, y1, k1 = (one - zero for one, zero in zip(self._pencil_terms(1.0), (x0, y0, k0)))
+        m0, m1, c2 = a * a * y0 + b * b * x0, a * a * y1 + b * b * x1, c * c
+        return k1 * m1 - c2 * x1 * y1, k0 * m1 + k1 * m0 - c2 * (x0 * y1 + x1 * y0), k0 * m0 - c2 * x0 * y0
+
+    def _pencil_size2(self, u: float) -> Tuple[float, float]:
+        """k of the pencil member qx x^2 + qy y^2 = k at u (inf where qx or
+        qy is not positive, so that no point stands for it) and center offset 0."""
+        qx, qy, k = self._pencil_terms(u)
+        return (k if min(qx, qy) > 0.0 else math.inf), 0.0
 
 
 def _chord(outer: Tuple[float, float], caustic: Tuple[float, float, float], x1: Any, y1: Any, sign: float):
@@ -551,6 +595,29 @@ def conf2_envelope(p: ConfocalParams) -> Conic:
     return Conic.axis_ellipse(Point(0.0, 0.0), ea, eb)
 
 
+def _chain_envelope_u(cfg: "FamilyConfig") -> float:
+    """The pencil coordinate w of a chain's free-side envelope.  By
+    Poncelet's general theorem the free sides touch one more member of the
+    pencil; each touches the members at the roots of its quadratic
+    Q(w) = A w^2 + B w + C (``pencil_tangency``), and the envelope's w is
+    the root shared by the first two members on a 16-angle grid, where
+    A1 Q0(w) - A0 Q1(w) = 0.  Where both A are 0 or below the normal
+    floats, as for a concentric bic-III (A = -(b d)^2), each Q is linear to
+    rounding and w is the root of Q0."""
+    a, b, c, ok = cfg.free_sides(np.arange(16) * (np.pi / 8))
+    if np.count_nonzero(ok) < 2:
+        raise VertexInsideCaustic(f"{cfg.kind} has fewer than two members to fix its envelope")
+    (a0, a1), (b0, b1), (c0, c1) = cfg.params.pencil_tangency(a[ok][:2], b[ok][:2], c[ok][:2])
+    if max(abs(a0), abs(a1)) < np.finfo(float).tiny:
+        return float(-c0 / b0)
+    return float(-(c0 * a1 - c1 * a0) / (b0 * a1 - b1 * a0))
+
+
+def _chain_envelope(cfg: "FamilyConfig") -> Conic:
+    """Envelope of the free side over a chain family: ``envelope_member`` at ``_chain_envelope_u``."""
+    return cfg.params.envelope_member(_chain_envelope_u(cfg))
+
+
 # ---------------------------------------------------------------------------
 # Envelope sampling from a one-parameter family of chords.
 
@@ -602,23 +669,23 @@ class FamilySpec(NamedTuple):
     takes both tangents from P1 to the caustic and leaves P2P3 free; a
     chain makes P2P3 touch the pencil caustic and leaves P3P1 free.
     ``closure(x, y, z=None)`` returns the caustic parameter that closes
-    the family and raises if a given z is not it.  ``envelope(params)``
-    is the free side's closed-form envelope.
+    the family and raises if a given z is not it.  ``envelope(cfg)`` is
+    the free side's envelope, a conic of the pencil.
     """
 
     params: type
     chain: bool
     closure: Optional[Callable[..., float]]
-    envelope: Optional[Callable[[Any], Conic]]
+    envelope: Callable[["FamilyConfig"], Conic]
 
 
 FAMILY_SPECS = {
-    "bic-I": FamilySpec(BicentricParams, False, _poristic_offset, BicentricParams.caustic),
-    "bic-II": FamilySpec(BicentricParams, False, None, bic2_envelope),
-    "bic-III": FamilySpec(BicentricParams, True, None, None),
-    "conf-I": FamilySpec(ConfocalParams, False, _closing_lambda, ConfocalParams.caustic),
-    "conf-II": FamilySpec(ConfocalParams, False, None, conf2_envelope),
-    "conf-III": FamilySpec(ConfocalParams, True, None, None),
+    "bic-I": FamilySpec(BicentricParams, False, _poristic_offset, lambda cfg: cfg.params.caustic()),
+    "bic-II": FamilySpec(BicentricParams, False, None, lambda cfg: bic2_envelope(cfg.params)),
+    "bic-III": FamilySpec(BicentricParams, True, None, _chain_envelope),
+    "conf-I": FamilySpec(ConfocalParams, False, _closing_lambda, lambda cfg: cfg.params.caustic()),
+    "conf-II": FamilySpec(ConfocalParams, False, None, lambda cfg: conf2_envelope(cfg.params)),
+    "conf-III": FamilySpec(ConfocalParams, True, None, _chain_envelope),
 }
 
 
@@ -743,10 +810,9 @@ class FamilyConfig:
             a, b, c, ok_line = _line_through(x2, y2, x3, y3)
         return a, b, c, ok & ok_line
 
-    def closed_form_envelope(self) -> Optional[Conic]:
-        """Known envelope of the free side, where a closed form exists."""
-        envelope = FAMILY_SPECS[self.kind].envelope
-        return None if envelope is None else envelope(self.params)
+    def closed_form_envelope(self) -> Conic:
+        """The free side's envelope, the kind's ``FamilySpec.envelope``."""
+        return FAMILY_SPECS[self.kind].envelope(self)
 
 
 def bic1_config(R: float, r: float) -> FamilyConfig:

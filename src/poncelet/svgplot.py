@@ -1,11 +1,12 @@
 """Deterministic SVG rendering of a triangle family.
 
 One call produces a complete SVG 1.1 document showing the outer conic
-(black), the prescribed caustics (brown), the free-side envelope
-(dashed red), the requested center loci (green), and one sample
-triangle (gray).  Identical inputs produce byte-identical output:
-coordinates are formatted to fixed precision and nothing (ids,
-timestamps, element order) depends on runtime state.
+(black), the prescribed caustics (brown), the free-side envelope, a
+conic of their pencil for every family (dashed red), the requested
+center loci (green), and one sample triangle (gray).  Identical inputs
+produce byte-identical output: coordinates are formatted to fixed
+precision and nothing (ids, timestamps, element order) depends on
+runtime state.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .families import FamilyConfig, envelope_points
+from .families import FamilyConfig
 from .geom import Conic
-from .loci import _grid, trace_locus
+from .loci import trace_locus
 
 __all__ = ["render_family", "DEFAULT_SIZE"]
 
@@ -144,19 +145,13 @@ def render_family(
         locus = trace_locus(cfg, cid, n, min_valid=1)  # plotted, not fitted
         loci.append((cid, np.column_stack((locus.x, locus.y))))  # NaN where invalid
 
-    env_samples = np.empty((0, 2))
-    if envelope is None:
-        env_samples = envelope_points(cfg.free_sides, _grid(max(n, 64)))
-
     # The sample triangle's vertices as a (3, 2) array, no row where it has none.
     batch = cfg.triangles(np.array([_SAMPLE_TRIANGLE_T]))
     tri = np.array(batch[:6]).reshape(3, 2) if batch.ok[0] else np.empty((0, 2))
 
     # Every drawn point, the conics by their axis boxes: the frame holds them all.
-    conics = (outer, *caustics) if envelope is None else (outer, *caustics, envelope)
-    drawn = _finite_rows(
-        np.concatenate([*map(_conic_corners, conics), env_samples, *(xy for _, xy in loci), tri])
-    )
+    conics = (outer, *caustics, envelope)
+    drawn = _finite_rows(np.concatenate([*map(_conic_corners, conics), *(xy for _, xy in loci), tri]))
     size = DEFAULT_SIZE
     frame = _Frame((*drawn.min(axis=0).tolist(), *drawn.max(axis=0).tolist()), size)
 
@@ -176,12 +171,7 @@ def render_family(
     parts.append(_conic_element(outer, "outer", frame, "outer conic"))
     for k, c in enumerate(caustics, start=1):
         parts.append(_conic_element(c, "caustic", frame, f"caustic {k}"))
-    if envelope is not None:
-        parts.append(_conic_element(envelope, "envelope", frame, "free-side envelope"))
-    elif len(env_samples):
-        parts.append(
-            _locus_elements(env_samples, frame, "envelope", "free-side envelope (sampled)")
-        )
+    parts.append(_conic_element(envelope, "envelope", frame, "free-side envelope"))
     if len(tri):
         p1, p2, p3 = (frame.to_px(v) for v in tri.tolist())
         parts.append(

@@ -90,18 +90,38 @@ def _gate(report, prefix):
     return gate
 
 
-def test_bicIII_branch_envelope_fit_without_axes_fails_the_claim(monkeypatch):
-    """A branch envelope whose conic fit has no axes (here a hyperbola)
-    fails the envelope check instead of raising."""
-    t = np.linspace(-1.0, 1.0, 64)
-    hyperbola = np.column_stack((np.cosh(t), np.sinh(t)))
-    monkeypatch.setattr(claims, "envelope_points", lambda sides, ts: hyperbola)
+def test_bicIII_perturbed_envelope_member_fails_the_tangency_gate(monkeypatch):
+    """A branch envelope member a thousandth off in w misses the free
+    sides, and the claim fails on its tangency gate alone."""
+    solve = claims._chain_envelope_u
+    monkeypatch.setattr(claims, "_chain_envelope_u", lambda cfg: 1.001 * solve(cfg))
     report = claims.check_conjectures_bicIII()
     assert not report.passed
-    assert _gate(report, "distinct branch envelope circles").value == 0
+    assert [g.name for g in report.gates if not g.held] == ["worst branch free-side tangency defect/R"]
+    assert _gate(report, "worst branch free-side tangency defect/R").value > 1e-6
+
+
+def test_bicIII_one_envelope_member_fails_the_two_envelopes_gate(monkeypatch):
+    """Four branches that share one envelope member have no second one:
+    the separation gate reads 0 and fails."""
+    w = claims._chain_envelope_u(bic3_config(1.0, 0.15, 0.25, u=0.4))
+    monkeypatch.setattr(claims, "_chain_envelope_u", lambda cfg: w)
+    report = claims.check_conjectures_bicIII()
+    assert not report.passed
+    assert _gate(report, "distinct branch envelope members").value == 1
     separation = _gate(report, "branch envelope separation")
     assert separation.value == 0.0 and not separation.held
     assert "branch envelope separation: 0 > 0.001 (failed)" in report.notes
+
+
+def test_bicIII_at_the_collapse_counts_an_imaginary_control_as_missed():
+    """At the collapse u* the plus,plus envelope is the point circle at a
+    limiting point, so 1.01 w lies in the imaginary interval: that control
+    touches no free side, and the claim reports instead of raising."""
+    p = BicentricParams(1.0, 0.15, 0.25, claims.bic3_collapse_u(1.0, 0.15, 0.25))
+    report = claims.check_conjectures_bicIII(p)
+    assert _gate(report, "worst branch free-side tangency defect/R").held
+    assert _gate(report, "negative control (w +1%) least tangency defect/R").held
 
 
 def test_report_status_metric_and_notes_come_from_the_gates():
@@ -157,8 +177,11 @@ def test_convexity_transition_traces_one_locus_on_each_side_of_the_root(monkeypa
 ])
 def test_convexity_transition_status_by_aspect_ratio(a, status):
     """Near-circular outer ellipses down to a/b = 1.001 flip at the root
-    too.  At a/b = 6 and 1.0000001 the locus is still convex 1e-3·b^2
-    above the root, so the claim fails there (ROADMAP item 11)."""
+    too.  At a/b = 6 and 1.0000001 the sampled turn test reads the locus
+    1e-3·b^2 above the root as convex, so the claim fails there.  At
+    a/b = 6 the locus has a concave arc there, about 10 of 4,096 t
+    samples wide near t = 0, that the 512 samples miss; at 1.0000001
+    that λ lies past the non-convex window (ROADMAP item 13)."""
     assert claims.check_convexity_transition(a, 1.0).status == status
 
 

@@ -189,16 +189,29 @@ def test_verify_envelope_claim_at_a_small_offset(capsys):
     assert "[PASS] prop:bicII-envelope" in out
 
 
-def test_envelope_sampled_fallback(capsys):
-    code, out, err = run(
-        capsys, "envelope", "--family", "bic-III",
-        "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "0.4",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["closed_form"] is False
-    assert doc["verdict"] == "circle"
-    assert doc["residual"] < 1e-10
+@pytest.mark.parametrize("branch", ["plus,plus", "plus,minus", "minus,plus", "minus,minus"])
+@pytest.mark.parametrize(
+    "family, kind",
+    [
+        (("bic-III", "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "0.4"), "circle"),
+        (("conf-III", "--a", "2", "--b", "1", "--lambda", "0.3", "--u", "0.5"), "ellipse"),
+        # At d = 0 every tangency quadratic is linear.
+        pytest.param(
+            ("bic-III", "--R", "1", "--r", "0.15", "--d", "0", "--u", "0.4"), "circle", id="bic-III-concentric"
+        ),
+    ],
+    ids=lambda v: v[0] if isinstance(v, tuple) else v,
+)
+def test_envelope_of_a_chain_family_is_its_pencil_member(family, kind, branch, capsys):
+    """The JSON names the pencil member the family's free sides touch."""
+    argv = ["envelope", "--family", *family, "--branch", branch]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    env = _build_family(_build_parser().parse_args(argv)).closed_form_envelope()
+    axes = {"radius": env.semi_axes[0]} if kind == "circle" else {"semi_axes": list(env.semi_axes)}
+    assert json.loads(out) == {
+        "family": family[0], "closed_form": True, "kind": kind, "center": list(env.center), **axes,
+    }
 
 
 def test_svg_deterministic(capsys):
@@ -390,17 +403,21 @@ README_FAMILIES = [
 ]
 
 
-# The README families, and the two pair families whose free-side
-# envelope is a point: bic-II at Kerawala's radius, conf-II at 4 bounces.
+# The README families, concentric bic-III, and the three families whose
+# free-side envelope is a point: bic-II at Kerawala's radius, conf-II at
+# 4 bounces and bic-III at its collapse parameter.
 RENDERED_FAMILIES = [want for _, want in README_FAMILIES] + [
+    bic3_config(1.0, 0.15, 0.0, 0.4),
     bic2_config(1.0, degenerate_envelope_inradius(1.0, 0.3), 0.3),
     conf2_config(2.0, 1.0, claims.n4_lambda(2.0, 1.0)),
+    bic3_config(1.0, 0.15, 0.25, claims.bic3_collapse_u(1.0, 0.15, 0.25)),
 ]
 
 
 @pytest.mark.parametrize(
     "cfg", RENDERED_FAMILIES,
-    ids=[cfg.kind for _, cfg in README_FAMILIES] + ["bic-II-point", "conf-II-point"],
+    ids=[cfg.kind for _, cfg in README_FAMILIES]
+    + ["bic-III-concentric", "bic-II-point", "conf-II-point", "bic-III-point"],
 )
 def test_every_drawn_conic_has_a_center_and_semi_axes(cfg, monkeypatch):
     """render_family draws the outer conic, the caustics and any closed-form
@@ -416,11 +433,11 @@ def test_every_drawn_conic_has_a_center_and_semi_axes(cfg, monkeypatch):
     monkeypatch.setattr(svgplot, "_conic_element", record)
     render_family(cfg, ("X1", "P2'"), n=64)
     envelope = cfg.closed_form_envelope()
-    assert drawn == [cfg.outer_conic(), *cfg.caustics(), *([envelope] if envelope else [])]
+    assert drawn == [cfg.outer_conic(), *cfg.caustics(), envelope]
     for c in drawn:
         assert c.center is not None and c.semi_axes is not None
         assert all(map(math.isfinite, (*c.center, *c.semi_axes)))
-    if cfg in RENDERED_FAMILIES[-2:]:
+    if cfg in RENDERED_FAMILIES[-3:]:
         assert max(envelope.semi_axes) <= 1e-15 * cfg.outer_scale
 
 
@@ -555,21 +572,22 @@ def test_nonpositive_sample_count_is_a_usage_error(n, capsys):
     assert f"got {n}" in err
 
 
-@pytest.mark.parametrize("n", ["0", "-5"])
+@pytest.mark.parametrize("flag", [("--center", "X9"), ("-n", "128")], ids=lambda flag: flag[0])
 @pytest.mark.parametrize(
     "family",
     [
-        ("bic-I", "--R", "1", "--r", "0.25"),  # closed-form envelope
-        ("bic-III", "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "0.4"),  # sampled
+        ("bic-II", "--R", "1", "--r", "0.2", "--d", "0.3"),
+        ("bic-III", "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "0.4"),
     ],
     ids=lambda family: family[0],
 )
-def test_envelope_nonpositive_sample_count_is_a_usage_error(family, n, capsys):
-    code, out, err = run(capsys, "envelope", "--family", *family, "-n", n)
+def test_envelope_takes_no_tracked_point_flags(family, flag, capsys):
+    """No envelope reads a tracked point or a sample count, so either
+    flag is an argparse usage error."""
+    code, out, err = run(capsys, "envelope", "--family", *family, *flag)
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1
-    assert f"got {n}" in err
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 @pytest.mark.parametrize("command", ["trace", "classify"])

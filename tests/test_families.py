@@ -23,7 +23,9 @@ from poncelet.families import (
     TangentBranch,
     Triangle,
     TriangleBatch,
+    VertexInsideCaustic,
     _bic2_envelope_circle,
+    _chain_envelope_u,
     bic1_config,
     bic2_config,
     bic2_envelope,
@@ -39,7 +41,7 @@ from poncelet.families import (
 )
 from poncelet import claims
 from poncelet.claims import n4_lambda, n6_lambda
-from poncelet.loci import convexity_lambda_root
+from poncelet.loci import _grid, convexity_lambda_root, fit_curve
 
 from _geometry_oracle import (
     MeasuredTriangle,
@@ -603,10 +605,86 @@ def test_family_config_outer_scale_and_caustic_count():
 
 
 def test_closed_form_envelope_presence():
-    assert bic2_config(1.0, 0.2, 0.3).closed_form_envelope() is not None
-    assert conf2_config(2.0, 1.0, 0.5).closed_form_envelope() is not None
-    assert bic3_config(1.0, 0.15, 0.25, u=0.4).closed_form_envelope() is None
-    assert conf3_config(2.0, 1.0, 0.3, 0.5).closed_form_envelope() is None
+    assert isinstance(bic2_config(1.0, 0.2, 0.3).closed_form_envelope(), Conic)
+    assert isinstance(conf2_config(2.0, 1.0, 0.5).closed_form_envelope(), Conic)
+    assert isinstance(bic3_config(1.0, 0.15, 0.25, u=0.4).closed_form_envelope(), Conic)
+    assert isinstance(conf3_config(2.0, 1.0, 0.3, 0.5).closed_form_envelope(), Conic)
+
+
+# Each chain kind at its README parameters, at a second set and, for
+# bic-III, concentric (d = 0, where every tangency quadratic is linear),
+# under each tangent branch.
+CHAIN_FAMILIES = [
+    make(*params, branch=branch)
+    for make, sets in (
+        (bic3_config, ((1.0, 0.15, 0.25, 0.4), (1.0, 0.48, 0.5, 0.4), (1.0, 0.15, 0.0, 0.4))),
+        (conf3_config, ((2.0, 1.0, 0.3, 0.5), (3.0, 1.0, 0.6, -0.3))),
+    )
+    for params in sets
+    for branch in BRANCHES
+]
+
+
+def _chain_id(cfg):
+    values = "-".join(map(str, vars(cfg.params).values()))
+    return f"{cfg.kind}-{values}-{','.join(cfg.branch)}"
+
+
+def _worst_free_side_defect(cfg, conic):
+    """The largest tangency defect of the 512 traced free sides to the
+    conic, over the outer scale."""
+    a, b, c, ok = cfg.free_sides(_grid(512))
+    assert ok.all()
+    return float(np.abs(line_tangent_to_conic_residual(Line(a, b, c), conic)).max()) / cfg.outer_scale
+
+
+@pytest.mark.parametrize("cfg", CHAIN_FAMILIES, ids=_chain_id)
+def test_chain_envelope_is_the_sampled_envelope_and_touches_every_free_side(cfg):
+    """The pencil member two free sides fix is the conic fitted to the
+    free sides' Richardson points, and every traced free side touches it;
+    the member at 1.01 times its coordinate w misses some free side by
+    far more than rounding."""
+    env = cfg.closed_form_envelope()
+    fit = fit_curve(envelope_points(cfg.free_sides, _grid(256)), 2).conic
+    scale = cfg.outer_scale
+    assert fit.kind == env.kind
+    assert math.dist(fit.center, env.center) <= 1e-10 * scale
+    assert max(abs(x - y) for x, y in zip(fit.semi_axes, env.semi_axes)) <= 1e-10 * scale
+    assert _worst_free_side_defect(cfg, env) <= 1e-12
+    off = cfg.params.envelope_member(1.01 * _chain_envelope_u(cfg))
+    assert _worst_free_side_defect(cfg, off) > 1e-6
+
+
+@pytest.mark.parametrize("make, params, u_star", [
+    (bic3_config, (1.0, 0.15, 0.25), claims.bic3_collapse_u(1.0, 0.15, 0.25)),
+    # The u at which k of the (+, +) envelope member qx x^2 + qy y^2 = k is
+    # least, about 3e-15: its collapse to the center.
+    (conf3_config, (2.0, 1.0, 0.3), -2.450980329838637),
+], ids=["bic-III", "conf-III"])
+def test_chain_envelope_at_its_collapse_is_a_point_or_within_rounding_of_one(make, params, u_star):
+    """Near the u* at which the plus,plus envelope collapses to a point,
+    rounding puts its squared size on either side of 0: the envelope is
+    then the point conic or a conic of size near |u - u*|, never an
+    imaginary member that raises.  At bic-III's u* every free side passes
+    through the point."""
+    kinds = set()
+    for u in u_star + np.linspace(-1e-9, 1e-9, 41):
+        env = make(*params, float(u)).closed_form_envelope()
+        assert max(env.semi_axes) <= 1e-6
+        kinds.add(env.kind)
+    assert "point" in kinds
+    if make is bic3_config:
+        cfg = make(*params, u_star)
+        assert cfg.closed_form_envelope().kind == "point"
+        assert _worst_free_side_defect(cfg, cfg.closed_form_envelope()) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [bic3_config(1.0, 0.15, 0.25, 1.5), conf3_config(2.0, 1.0, 0.3, 1.5)], ids=_chain_id)
+def test_chain_envelope_without_members_raises(cfg):
+    """Past the outer conic (u > 1) the pencil caustic holds every vertex,
+    so no member has a free side to fix the envelope."""
+    with pytest.raises(VertexInsideCaustic, match="fewer than two members"):
+        cfg.closed_form_envelope()
 
 
 def test_triangle_metrics():

@@ -452,7 +452,7 @@ def bic3_collapse_u(R: float, r: float, d: float) -> float:
     point from every start, so one member fixes u.  At t = 0, P1 = (R, 0)
     and P3 = (-R, 0): the free side is the x-axis, which holds both
     limiting points, and u is the larger real root of the tangency of
-    P2P3 to the pencil circle (``BicentricParams.pencil_tangency``).
+    P2P3 to the pencil circle (``pencil_tangency``, its dual-conic form).
     """
     p = BicentricParams(R, r, d)
     x2, y2, _ = _chord(p.outer_shape(), p.caustic_shape(), R, 0.0, 1.0)

@@ -89,7 +89,7 @@ class VertexInsideCaustic(GeometryError):
 
 
 class ImaginaryPencilCircle(GeometryError):
-    """The requested pencil circle has negative squared radius."""
+    """The pencil caustic at the requested u is no real circle or ellipse."""
 
 
 class DegenerateTriangle(GeometryError):
@@ -174,8 +174,17 @@ def _ellipse(p: float, q: float, c: float) -> Conic:
     return Conic.axis_ellipse(Point(c, 0.0), p, q)
 
 
+def _trace2(p: float, q: float, c: float) -> Tuple[float, float, float, float]:
+    """(qx, qy, hx, k): (x - c)^2/p^2 + y^2/q^2 = 1 written as
+    qx x^2 + qy y^2 - 2 hx x = k with qx + qy = 2, so that a circle's
+    qx = qy = 1 exactly; hx = qx c is +0.0 where c is."""
+    qx = 2.0 * q * q / (p * p + q * q)
+    return qx, 2.0 * p * p / (p * p + q * q), qx * c, qx * (p * p - c * c)
+
+
 class _Conics:
-    """The conics of a parameter class, from its shapes."""
+    """The conics of a parameter class, from its shapes, and the pencil
+    that the outer conic and the caustic span."""
 
     def outer_conic(self) -> Conic:
         return _ellipse(*self.outer_shape(), 0.0)
@@ -186,13 +195,59 @@ class _Conics:
     def pencil_caustic(self) -> Conic:
         return _ellipse(*self.pencil_shape())
 
+    def _pencil_ends(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """The caustic's trace-2 form (``_trace2``), and the outer conic's
+        minus it: the pencil's value at u = 0 and its change to u = 1."""
+        zero = _trace2(*self.caustic_shape())
+        return zero, tuple(one - z for one, z in zip(_trace2(*self.outer_shape(), 0.0), zero))
+
+    def _pencil_size2(self, u: float) -> Tuple[float, float, float, float]:
+        """(K, c, qx, qy) of the pencil member qx (x - c)^2 + qy y^2 = K at u,
+        u * outer + (1 - u) * caustic formed as caustic + u (outer - caustic)
+        so that a circle pencil keeps qx = qy = 1; K, a circle's squared
+        radius, is inf where qx or qy is not positive, so that no point
+        stands for it."""
+        zero, step = self._pencil_ends()
+        qx, qy, hx, k = (z + u * s for z, s in zip(zero, step))
+        if min(qx, qy) > 0.0:
+            return k + hx * hx / qx, hx / qx, qx, qy
+        return math.inf, 0.0, qx, qy
+
+    def pencil_shape(self) -> Tuple[float, float, float]:
+        """(p, q, c) of the pencil caustic at u (see ``_pencil_size2``); raises
+        unless it is a real circle or ellipse."""
+        u = self.u
+        if u is None:
+            raise ValueError("three-caustic family needs the pencil parameter u")
+        size2, c, qx, qy = self._pencil_size2(u)
+        if not 0.0 < size2 < math.inf:
+            raise ImaginaryPencilCircle(f"pencil caustic at u={u} is no real circle or ellipse")
+        return math.sqrt(size2 / qx), math.sqrt(size2 / qy), c
+
+    def pencil_tangency(self, a: Any, b: Any, c: Any) -> Tuple[Any, Any, Any]:
+        """(A, B, C): the line a x + b y + c = 0 touches the pencil member
+        at w where A w^2 + B w + C = 0, its dual-conic form
+        qx qy c^2 + 2 qy hx a c - m k - hx^2 b^2 = 0 with
+        m = qy a^2 + qx b^2; elementwise.  Each term is a product of
+        factors linear in w, each its value at 0 plus w times its change."""
+        (x0, y0, h0, k0), (x1, y1, h1, k1) = self._pencil_ends()
+        a2, b2, c2, ac = a * a, b * b, c * c, 2.0 * a * c
+        m0, m1 = a2 * y0 + b2 * x0, a2 * y1 + b2 * x1
+        return (
+            c2 * x1 * y1 + ac * y1 * h1 - m1 * k1 - b2 * h1 * h1,
+            c2 * (x0 * y1 + x1 * y0) + ac * (y0 * h1 + y1 * h0) - (m0 * k1 + m1 * k0)
+            - 2.0 * b2 * h0 * h1,
+            c2 * x0 * y0 + ac * y0 * h0 - m0 * k0 - b2 * h0 * h0,
+        )
+
     def envelope_member(self, w: float) -> Conic:
         """The pencil member at w that real lines touch: ``pencil_caustic``
-        at u = w, or the point it shrinks to where its squared size rounds
-        into (-1e-9 ((1 + |w|) L)^2, 0], L the outer's major semi-axis, as
-        at a collapse (no real line touches an imaginary member)."""
-        size2, cx = self._pencil_size2(w)
-        if -1e-9 * ((1.0 + abs(w)) * self.outer_shape()[0]) ** 2 < size2 <= 0.0:
+        at u = w, or the point it shrinks to where its squared size K is 0
+        to rounding, |K| <= 1e-12 ((1 + |w|) L)^2 with L the outer's major
+        semi-axis, as at a collapse (no real line touches an imaginary
+        member, and rounding puts K on either side of 0 there)."""
+        size2, cx, _, _ = self._pencil_size2(w)
+        if abs(size2) <= 1e-12 * ((1.0 + abs(w)) * self.outer_shape()[0]) ** 2:
             return Conic.circle(Point(cx, 0.0), 0.0)
         return replace(self, u=w).pencil_caustic()
 
@@ -229,32 +284,6 @@ class BicentricParams(_Conics):
     def caustic_shape(self) -> Tuple[float, float, float]:
         """(p, q, c) of the caustic: radius twice, center offset."""
         return (self.r, self.r, self.d)
-
-    def pencil_shape(self) -> Tuple[float, float, float]:
-        """(p, q, c) of the pencil circle at u: radius
-        sqrt(d^2 u^2 + (R^2-d^2-r^2) u + r^2) twice, center offset d(1-u);
-        raises if it is imaginary."""
-        u = self.u
-        if u is None:
-            raise ValueError("three-caustic family needs the pencil parameter u")
-        radicand, cx = self._pencil_size2(u)
-        if radicand <= 0.0:
-            raise ImaginaryPencilCircle(f"pencil circle at u={u} is imaginary")
-        radius = math.sqrt(radicand)
-        return (radius, radius, cx)
-
-    def _pencil_size2(self, u: float) -> Tuple[float, float]:
-        """The pencil circle's squared radius and center offset at u."""
-        k2, k1, k0 = _bic3_radius2(self)
-        return k2 * u * u + k1 * u + k0, self.d * (1.0 - u)
-
-    def pencil_tangency(self, a: Any, b: Any, c: Any) -> Tuple[Any, Any, Any]:
-        """(A, B, C): the line a x + b y + c = 0, with unit normal, touches
-        the pencil circle at w where A w^2 + B w + C = 0, that is where
-        (a d (1 - w) + c)^2 = k2 w^2 + k1 w + k0; elementwise."""
-        k2, k1, k0 = _bic3_radius2(self)
-        s = a * self.d
-        return s * s - k2, -2.0 * s * (s + c) - k1, (s + c) ** 2 - k0
 
 
 @dataclass(frozen=True)
@@ -297,51 +326,6 @@ class ConfocalParams(_Conics):
             math.sqrt(self.b * self.b - self.lam),
             0.0,
         )
-
-    def pencil_shape(self) -> Tuple[float, float, float]:
-        """(p, q, c) of the pencil caustic at u: concentric and axis-parallel,
-        so c = 0.  Raises if it is not an ellipse.
-        """
-        u = self.u
-        if u is None:
-            raise ValueError("three-caustic family needs the pencil parameter u")
-        qx, qy, k = self._pencil_terms(u)
-        # The member is qx x^2 + qy y^2 = k.
-        if qx * k <= 0.0 or qy * k <= 0.0:
-            raise ImaginaryPencilCircle(f"pencil caustic at u={u} is not an ellipse")
-        return (math.sqrt(k / qx), math.sqrt(k / qy), 0.0)
-
-    def _pencil_terms(self, u: float) -> Tuple[float, float, float]:
-        """(qx, qy, k) of the pencil member qx x^2 + qy y^2 = k at u:
-        u * outer + (1 - u) * caustic, each x^2/ex^2 + y^2/ey^2 - 1 = 0 first
-        scaled to quadratic trace 2 (for circles, the monic form
-        x^2 + y^2 + ... = 0)."""
-        ca, cb, _ = self.caustic_shape()
-        qx = qy = k = 0.0
-        for weight, ex, ey in ((u, self.a, self.b), (1.0 - u, ca, cb)):
-            ix = 1.0 / (ex * ex)
-            iy = 1.0 / (ey * ey)
-            w = 2.0 * weight / (ix + iy)
-            qx += w * ix
-            qy += w * iy
-            k += w
-        return qx, qy, k
-
-    def pencil_tangency(self, a: Any, b: Any, c: Any) -> Tuple[Any, Any, Any]:
-        """(A, B, C): the line a x + b y + c = 0 touches the pencil caustic
-        qx x^2 + qy y^2 = k at w where A w^2 + B w + C = 0, that is where
-        c^2 qx qy = k (a^2 qy + b^2 qx); elementwise.  (qx, qy, k) is
-        linear in w, from its value at w = 0 by its change to w = 1."""
-        x0, y0, k0 = self._pencil_terms(0.0)
-        x1, y1, k1 = (one - zero for one, zero in zip(self._pencil_terms(1.0), (x0, y0, k0)))
-        m0, m1, c2 = a * a * y0 + b * b * x0, a * a * y1 + b * b * x1, c * c
-        return k1 * m1 - c2 * x1 * y1, k0 * m1 + k1 * m0 - c2 * (x0 * y1 + x1 * y0), k0 * m0 - c2 * x0 * y0
-
-    def _pencil_size2(self, u: float) -> Tuple[float, float]:
-        """k of the pencil member qx x^2 + qy y^2 = k at u (inf where qx or
-        qy is not positive, so that no point stands for it) and center offset 0."""
-        qx, qy, k = self._pencil_terms(u)
-        return (k if min(qx, qy) > 0.0 else math.inf), 0.0
 
 
 def _chord(outer: Tuple[float, float], caustic: Tuple[float, float, float], x1: Any, y1: Any, sign: float):
@@ -542,16 +526,6 @@ def _closing_lambda(a: float, b: float, lam: Optional[float] = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The bicentric pencil (bic-III's second caustic).
-
-
-def _bic3_radius2(p: BicentricParams) -> Tuple[float, float, float]:
-    """(k2, k1, k0): the pencil circle at parameter u, centered at
-    (d(1-u), 0), has squared radius k2 u^2 + k1 u + k0."""
-    return p.d * p.d, p.R * p.R - p.d * p.d - p.r * p.r, p.r * p.r
-
-
-# ---------------------------------------------------------------------------
 # Closed-form third-side envelopes.
 
 
@@ -598,16 +572,14 @@ def conf2_envelope(p: ConfocalParams) -> Conic:
 def _chain_envelope_u(cfg: "FamilyConfig") -> float:
     """The pencil coordinate w of a chain's free-side envelope.  By
     Poncelet's general theorem the free sides touch one more member of the
-    pencil; each touches the members at the roots of its quadratic
-    Q(w) = A w^2 + B w + C (``pencil_tangency``), and the envelope's w is
-    the root shared by the first two members on a 16-angle grid, where
-    A1 Q0(w) - A0 Q1(w) = 0.  Where both A are 0 or below the normal
-    floats, as for a concentric bic-III (A = -(b d)^2), each Q is linear to
-    rounding and w is the root of Q0."""
-    a, b, c, ok = cfg.free_sides(np.arange(16) * (np.pi / 8))
-    if np.count_nonzero(ok) < 2:
-        raise VertexInsideCaustic(f"{cfg.kind} has fewer than two members to fix its envelope")
-    (a0, a1), (b0, b1), (c0, c1) = cfg.params.pencil_tangency(a[ok][:2], b[ok][:2], c[ok][:2])
+    pencil; each touches the members at the roots of its dual-conic
+    quadratic Q(w) = A w^2 + B w + C (``pencil_tangency``), and the
+    envelope's w is the root shared by the members at t = 0 and pi/8,
+    where A1 Q0(w) - A0 Q1(w) = 0 (every member exists, as u < 1).  Where
+    both A are 0 or below the normal floats, as for a concentric bic-III
+    (A = -(b d)^2), each Q is linear to rounding and w is the root of Q0."""
+    a, b, c, _ = cfg.free_sides(np.array([0.0, np.pi / 8]))
+    (a0, a1), (b0, b1), (c0, c1) = cfg.params.pencil_tangency(a, b, c)
     if max(abs(a0), abs(a1)) < np.finfo(float).tiny:
         return float(-c0 / b0)
     return float(-(c0 * a1 - c1 * a0) / (b0 * a1 - b1 * a0))
@@ -719,8 +691,9 @@ class FamilyConfig:
             raise ValueError(f"{self.kind} needs the pencil parameter u")
         if not spec.chain and pencil is not None:
             raise ValueError(f"{self.kind} takes no pencil parameter u: it has one caustic")
-        if pencil == 1.0:
-            raise ValueError(f"{self.kind}'s pencil caustic at u=1 is the outer conic")
+        if spec.chain and pencil >= 1.0:
+            raise ValueError(f"{self.kind}'s pencil caustic at u={pencil} is or holds the outer conic:"
+                             " no member exists")
         if not spec.chain and self.branch != DEFAULT_BRANCH:
             raise ValueError(
                 f"{self.kind} takes only the default tangent branch (plus, plus):"

@@ -6,7 +6,8 @@ the members of a pencil of two conics, the measures of a triangle and
 its contact triangle, each written from its formula on floats.  None of it calls the
 package's elementwise kernels or evaluators, so a test that checks a
 kernel against these functions compares two derivations of the same
-geometry.
+geometry.  ``memberless_chain`` builds the one family the package
+refuses that the tests still trace: a chain without members.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from poncelet.families import BicentricParams, DegenerateTriangle, Triangle, _bic3_radius2
+from poncelet.families import DEFAULT_BRANCH, BicentricParams, DegenerateTriangle, FamilyConfig, Triangle
 from poncelet.geom import (
     CIRCLE,
     ELLIPSE,
@@ -192,13 +193,20 @@ def pencil_member(c1: Conic, c2: Conic, u: float) -> Conic:
     return classify_conic(combo)
 
 
+def bic3_radius2(p: BicentricParams) -> Tuple[float, float, float]:
+    """(k2, k1, k0): the bicentric pencil circle at u, the monic member
+    u * outer + (1 - u) * caustic, is centered at (d(1 - u), 0) with
+    squared radius k2 u^2 + k1 u + k0."""
+    return p.d * p.d, p.R * p.R - p.d * p.d - p.r * p.r, p.r * p.r
+
+
 def _bic3_limiting_points(p: BicentricParams) -> Tuple[Point, Point]:
     """The pencil's two point circles, at the roots u of the squared
     radius: the one inside the caustic, then the one outside the outer
     circle.  The roots are real and negative because the caustic lies
     strictly inside the outer circle (so k1 > 0); a concentric pair
     (d = 0) has both at the common center."""
-    k2, k1, k0 = _bic3_radius2(p)
+    k2, k1, k0 = bic3_radius2(p)
     if k2 == 0.0:
         return Point(0.0, 0.0), Point(0.0, 0.0)
     # -k1 - root does not cancel; the root nearer 0 is taken as the
@@ -254,3 +262,15 @@ def contact_triangle(x1, y1, x2, y2, x3, y3):
 
 def measured(tri: Triangle) -> MeasuredTriangle:
     return MeasuredTriangle(tri.p1, tri.p2, tri.p3, tri.t)
+
+
+def memberless_chain(params) -> FamilyConfig:
+    """The chain family of these parameters, whose u > 1 puts the pencil
+    caustic around the outer conic, so that no member exists.
+    ``FamilyConfig`` refuses it; this builds it without those checks, for
+    the tests of what a trace and the kernels do with missing members."""
+    cfg = object.__new__(FamilyConfig)
+    kind = "bic-III" if isinstance(params, BicentricParams) else "conf-III"
+    for name, value in (("kind", kind), ("params", params), ("branch", DEFAULT_BRANCH)):
+        object.__setattr__(cfg, name, value)
+    return cfg

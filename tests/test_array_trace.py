@@ -49,10 +49,12 @@ from poncelet.families import _ENVELOPE_STEP, envelope_points
 from poncelet.geom import GeometryError, Line, Point
 from poncelet.loci import InsufficientSamples, _grid_samples, trace_locus
 
-from _geometry_oracle import line_intersection
+from _geometry_oracle import line_intersection, memberless_chain
 
 N = 64
 BRANCHES = [TangentBranch(a, b) for a in (PLUS, MINUS) for b in (PLUS, MINUS)]
+# bic-III past the outer circle: every vertex lies inside its pencil caustic.
+MEMBERLESS = memberless_chain(BicentricParams(1.0, 0.2, 0.3, u=1.2))
 
 
 def _configs():
@@ -143,8 +145,8 @@ def test_trace_matches_the_scalar_loop(cfg):
     "cfg, error",
     [
         # Every vertex lies inside the second caustic: no real tangent.
-        (bic3_config(1.0, 0.2, 0.3, 1.2), VertexInsideCaustic),
-        (conf3_config(2.0, 1.0, 0.3, 1.2), VertexInsideCaustic),
+        (MEMBERLESS, VertexInsideCaustic),
+        (memberless_chain(ConfocalParams(2.0, 1.0, 0.3, u=1.2)), VertexInsideCaustic),
     ],
 )
 def test_inadmissible_family_is_invalid_where_the_scalar_api_raises(cfg, error):
@@ -212,10 +214,11 @@ def test_a_trace_leaves_equality_hash_and_repr_alone():
 
 def test_a_family_without_members_keeps_its_invalid_grid():
     """A family with an imaginary pencil caustic cannot be built (see
-    test_an_imaginary_pencil_caustic_is_rejected_when_built); one whose
-    every vertex lies inside its second caustic keeps its grid, with no
-    member ok, and a fitted trace of it raises."""
-    cfg = bic3_config(1.0, 0.2, 0.3, 1.2)
+    test_an_imaginary_pencil_caustic_is_rejected_when_built), nor one
+    whose every vertex lies inside its second caustic; that one, built
+    without the checks, keeps its grid, with no member ok, and a fitted
+    trace of it raises."""
+    cfg = MEMBERLESS
     for _ in range(2):
         ts, tri = _grid_samples(cfg, N)
         assert not tri.ok.any()
@@ -276,7 +279,7 @@ def _scalar_envelope(cfg, ts):
     return out
 
 
-@pytest.mark.parametrize("cfg", README_FAMILIES + [bic3_config(1.0, 0.2, 0.3, 1.2)], ids=_label)
+@pytest.mark.parametrize("cfg", README_FAMILIES + [MEMBERLESS], ids=_label)
 def test_envelope_points_match_the_per_angle_construction(cfg):
     for ts in (2.0 * np.pi * np.arange(512) / 512, np.linspace(0.0, 6.0, 97) + 0.013):
         got = envelope_points(cfg.free_sides, ts)

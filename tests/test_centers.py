@@ -32,6 +32,7 @@ from _geometry_oracle import (
     line_from_coefficients,
     line_from_points,
     line_intersection,
+    memberless_chain,
 )
 
 # ---------------------------------------------------------------------------
@@ -718,10 +719,10 @@ def _same_bits(got, want):
     return got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-# bic-III at u = 1.2 has members only on part of the grid: the coordinates
-# it gives elsewhere are meaningless, and go through the kernels too.
+# bic-III at u = 1.2 has no members: the coordinates it gives are
+# meaningless, and go through the kernels too.
 @pytest.mark.parametrize(
-    "cfg", README_FAMILIES + [bic3_config(1.0, 0.2, 0.3, 1.2)], ids=lambda cfg: cfg.kind
+    "cfg", README_FAMILIES + [memberless_chain(BicentricParams(1.0, 0.2, 0.3, u=1.2))], ids=lambda cfg: cfg.kind
 )
 def test_shared_subexpression_kernels_keep_their_bits(cfg):
     tri = cfg.triangles(2.0 * np.pi * np.arange(1024) / 1024)

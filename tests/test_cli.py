@@ -255,11 +255,11 @@ def test_circular_outer_for_a_confocal_family_is_a_usage_error(argv, capsys):
     [
         (
             ("classify", "--family", "bic-III", "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "-5"),
-            "pencil circle at u=-5.0 is imaginary",
+            "pencil caustic at u=-5.0 is no real circle or ellipse",
         ),
         (
             ("classify", "--family", "conf-III", "--a", "2", "--b", "1", "--lambda", "0.3", "--u", "-8"),
-            "pencil caustic at u=-8.0 is not an ellipse",
+            "pencil caustic at u=-8.0 is no real circle or ellipse",
         ),
         (("verify", "prop:confII-x1", "--a", "1e-200", "--b", "5e-201"), "a must be of order 1e-30 to 1e30, got 1e-200"),
         (("trace", "--family", "bic-II", "--R", "1e31", "--r", "2e30", "--d", "3e30"), "R must be of order 1e-30 to 1e30, got 1e+31"),
@@ -278,16 +278,24 @@ def test_circular_outer_for_a_confocal_family_is_a_usage_error(argv, capsys):
             ("classify", "--family", "bic-II", "--R", "1", "--r", "0.9999999999999999", "--d", "0", "--center", "X1"),
             "bic-II's caustic is the outer conic to rounding",
         ),
+        (
+            ("classify", "--family", "bic-III", "--R", "1", "--r", "0.15", "--d", "0.25", "--u", "1.5", "--center", "X1"),
+            "bic-III's pencil caustic at u=1.5 is or holds the outer conic: no member exists",
+        ),
+        (
+            ("envelope", "--family", "conf-III", "--a", "2", "--b", "1", "--lambda", "0.3", "--u", "1.5"),
+            "conf-III's pencil caustic at u=1.5 is or holds the outer conic: no member exists",
+        ),
     ],
     ids=[
         "bic-III", "conf-III", "confII-x1-small", "bic-II-large", "confII-n4-small", "confII-x2-n4-large",
-        "conf-II-rounding", "bic-III-rounding", "bic-II-rounding",
+        "conf-II-rounding", "bic-III-rounding", "bic-II-rounding", "bic-III-past-outer", "conf-III-past-outer",
     ],
 )
 def test_a_family_that_cannot_be_built_is_a_usage_error(argv, message, capsys):
     """An imaginary pencil caustic, a caustic that is the outer conic to
-    rounding or an outer scale out of range: exit 2 with the reason on
-    one line, before any sampling."""
+    rounding or holds it, or an outer scale out of range: exit 2 with the
+    reason on one line, before any sampling."""
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"poncelet {argv[0]}: error: {message}\n"

@@ -23,9 +23,9 @@ from poncelet.families import (
     TangentBranch,
     Triangle,
     TriangleBatch,
-    VertexInsideCaustic,
     _bic2_envelope_circle,
     _chain_envelope_u,
+    _chord,
     bic1_config,
     bic2_config,
     bic2_envelope,
@@ -41,11 +41,14 @@ from poncelet.families import (
 )
 from poncelet import claims
 from poncelet.claims import n4_lambda, n6_lambda
-from poncelet.loci import _grid, convexity_lambda_root, fit_curve
+from poncelet.loci import _grid, _real_roots, convexity_lambda_root, fit_curve
 
 from _geometry_oracle import (
     MeasuredTriangle,
+    conic_gradient,
+    conic_value,
     line_from_points,
+    memberless_chain,
     pencil_member,
     second_intersection,
     tangent_contact_points,
@@ -171,9 +174,9 @@ def test_params_validation():
     for lam in (0.0, 1e-300):
         with pytest.raises(ValueError, match="^caustic must be strictly inside the outer ellipse$"):
             ConfocalParams(2.0, 1.0, lam)
-    with pytest.raises(ValueError, match="^bic-III's pencil caustic at u=1 is the outer conic"):
+    with pytest.raises(ValueError, match="^bic-III's pencil caustic at u=1.0 is or holds the outer conic"):
         bic3_config(1.0, 0.15, 0.25, 1.0)
-    with pytest.raises(ValueError, match="^conf-III's pencil caustic at u=1 is the outer conic"):
+    with pytest.raises(ValueError, match="^conf-III's pencil caustic at u=1.0 is or holds the outer conic"):
         conf3_config(2.0, 1.0, 0.3, 1.0)
     with pytest.raises(NoPoristicPair):
         bic1_config(1.0, 0.25).__class__(
@@ -216,7 +219,7 @@ def test_params_validation():
             "bic-III",
             BicentricParams(1.0, 0.15, 0.25, u=0.9999999999999999),
             "bic-III's pencil caustic at u=0.9999999999999999",
-            [BicentricParams(1.0, 0.15, 0.25, u=0.99999), BicentricParams(1.0, 0.15, 0.25, u=1.2)],
+            [BicentricParams(1.0, 0.15, 0.25, u=0.99999)],
         ),
         (
             "conf-III",
@@ -230,7 +233,8 @@ def test_params_validation():
 def test_a_caustic_that_is_the_outer_conic_to_rounding_is_rejected(kind, params, message, kept):
     """The parameters alone are valid, but every vertex lies on the
     caustic to rounding: the family is not built.  A caustic further
-    off, or beyond the outer conic (no member), still builds."""
+    off still builds (one beyond the outer conic does not: see
+    test_a_chain_without_members_is_rejected_when_built)."""
     with pytest.raises(ValueError, match=f"^{message} is the outer conic to rounding$"):
         FamilyConfig(kind, params)
     for near in kept:
@@ -432,14 +436,60 @@ def test_members_match_the_geometric_tangent_chain(cfg):
             assert math.dist(got, want) < 1e-12 * A
 
 
-@pytest.mark.parametrize("u", [0.0, 0.3, 0.5, 1.0])
-def test_conf3_pencil_shape_pencil_form(u):
-    p = ConfocalParams(2.0, 1.0, 0.3, u=u)
-    want = pencil_member(p.outer_conic(), p.caustic(), 1.0 - u)
+# Both porisms, a concentric bic-III (d = 0) among them.
+PENCILS = [ConfocalParams(2.0, 1.0, 0.3), ConfocalParams(3.0, 1.0, 0.6), BicentricParams(1.0, 0.15, 0.25),
+           BicentricParams(1.0, 0.48, 0.5), BicentricParams(1.0, 0.15, 0.0)]
+
+
+@pytest.mark.parametrize("u", [0.0, 0.3, 0.5, 1.0, -0.05, -50.0])
+@pytest.mark.parametrize("params", PENCILS, ids=repr)
+def test_pencil_shape_pencil_form(params, u):
+    """``pencil_shape`` is the oracle's trace-2 member u * outer + (1 - u) * caustic
+    where that is a real circle or ellipse, and raises where it is not."""
+    want = pencil_member(params.outer_conic(), params.caustic(), 1.0 - u)
+    if want.kind not in ("circle", "ellipse"):
+        with pytest.raises(ImaginaryPencilCircle):
+            dataclasses.replace(params, u=u)
+        return
+    p = dataclasses.replace(params, u=u)
     ea, eb, c = p.pencil_shape()
     assert abs(ea - want.semi_axes[0]) < 1e-14
     assert abs(eb - want.semi_axes[1]) < 1e-14
-    assert c == 0.0
+    assert abs(c - want.center.x) < 1e-14
+    if p.caustic_shape()[2] == 0.0:
+        assert c == 0.0 and math.copysign(1.0, c) == 1.0
+
+
+def _line_defect(conic, a, b, c):
+    """How far the unit-normal line a x + b y + c = 0 is from touching the
+    conic: |f| / |grad f| at the point where the conic's implicit f is
+    stationary along the line."""
+    x0, y0, vx, vy = -c * a, -c * b, -b, a
+    qa, qb, qc = conic.coeffs[:3]
+    gx, gy = conic_gradient(conic, Point(x0, y0))
+    s = -(gx * vx + gy * vy) / (2.0 * (qa * vx * vx + qb * vx * vy + qc * vy * vy))
+    touch = Point(x0 + s * vx, y0 + s * vy)
+    return abs(conic_value(conic, touch)) / math.hypot(*conic_gradient(conic, touch))
+
+
+@pytest.mark.parametrize("params", PENCILS, ids=repr)
+def test_each_tangency_root_is_a_member_the_line_touches(params):
+    """Each real root w of ``pencil_tangency`` for a chord of the outer
+    conic is a pencil member (the oracle's) that the chord touches; a
+    concentric bic-III's quadratic is linear."""
+    A, B = params.outer_shape()
+    roots = 0
+    for t in np.linspace(0.1, 6.0, 9):
+        line = line_from_points(Point(A * math.cos(t), B * math.sin(t)),
+                                Point(A * math.cos(t + 2.2), B * math.sin(t + 2.2)))
+        quadratic = params.pencil_tangency(*line)
+        if params.caustic_shape()[2] == 0.0 and isinstance(params, BicentricParams):
+            assert quadratic[0] == 0.0
+        for w in _real_roots(quadratic):
+            member = pencil_member(params.caustic(), params.outer_conic(), w)
+            assert _line_defect(member, *line) <= 1e-12 * A, (t, w)
+            roots += 1
+    assert roots >= 9
 
 
 def test_conf3_pencil_shape_rejects_hyperbola():
@@ -447,9 +497,9 @@ def test_conf3_pencil_shape_rejects_hyperbola():
     rejected when built, before any family or member exists."""
     p = ConfocalParams(2.0, 1.0, 0.3)
     assert pencil_member(p.outer_conic(), p.caustic(), 6.0).kind == "hyperbola"
-    with pytest.raises(ImaginaryPencilCircle, match="is not an ellipse"):
+    with pytest.raises(ImaginaryPencilCircle, match="^pencil caustic at u=-5.0 is no real circle or ellipse$"):
         dataclasses.replace(p, u=-5.0)
-    with pytest.raises(ImaginaryPencilCircle, match="is not an ellipse"):
+    with pytest.raises(ImaginaryPencilCircle, match="^pencil caustic at u=-5.0 is no real circle or ellipse$"):
         conf3_config(2.0, 1.0, 0.3, -5.0)
 
 
@@ -655,12 +705,22 @@ def test_chain_envelope_is_the_sampled_envelope_and_touches_every_free_side(cfg)
     assert _worst_free_side_defect(cfg, off) > 1e-6
 
 
-@pytest.mark.parametrize("make, params, u_star", [
+def _conf3_collapse_u(a, b, lam):
+    """``claims.bic3_collapse_u``'s construction for conf-III: at t = 0 the
+    free side of the collapsed chain is the x-axis, so u* is the larger
+    real root of the tangency of P2 to (-a, 0) to the pencil member."""
+    p = ConfocalParams(a, b, lam)
+    x2, y2, _ = _chord(p.outer_shape(), p.caustic_shape(), a, 0.0, 1.0)
+    return max(_real_roots(p.pencil_tangency(*line_from_points(Point(x2, y2), Point(-a, 0.0)))))
+
+
+COLLAPSES = [
     (bic3_config, (1.0, 0.15, 0.25), claims.bic3_collapse_u(1.0, 0.15, 0.25)),
-    # The u at which k of the (+, +) envelope member qx x^2 + qy y^2 = k is
-    # least, about 3e-15: its collapse to the center.
-    (conf3_config, (2.0, 1.0, 0.3), -2.450980329838637),
-], ids=["bic-III", "conf-III"])
+    (conf3_config, (2.0, 1.0, 0.3), _conf3_collapse_u(2.0, 1.0, 0.3)),
+]
+
+
+@pytest.mark.parametrize("make, params, u_star", COLLAPSES, ids=["bic-III", "conf-III"])
 def test_chain_envelope_at_its_collapse_is_a_point_or_within_rounding_of_one(make, params, u_star):
     """Near the u* at which the plus,plus envelope collapses to a point,
     rounding puts its squared size on either side of 0: the envelope is
@@ -679,12 +739,29 @@ def test_chain_envelope_at_its_collapse_is_a_point_or_within_rounding_of_one(mak
         assert _worst_free_side_defect(cfg, cfg.closed_form_envelope()) <= 1e-12
 
 
-@pytest.mark.parametrize("cfg", [bic3_config(1.0, 0.15, 0.25, 1.5), conf3_config(2.0, 1.0, 0.3, 1.5)], ids=_chain_id)
-def test_chain_envelope_without_members_raises(cfg):
+@pytest.mark.parametrize("make, params, u_star", COLLAPSES, ids=["bic-III", "conf-III"])
+def test_both_collapsing_envelopes_are_the_point_at_u_star(make, params, u_star):
+    """At u* the squared size K of the (+, +) and the (-, -) envelope member
+    is 0 to rounding, on either side of 0: both envelopes are the point."""
+    for first in (PLUS, MINUS):
+        cfg = make(*params, u_star, TangentBranch(first, first))
+        w = _chain_envelope_u(cfg)
+        assert abs(cfg.params._pencil_size2(w)[0]) < 1e-15
+        assert cfg.closed_form_envelope().kind == "point"
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("bic-III", BicentricParams(1.0, 0.15, 0.25, u=1.2)),
+    ("bic-III", BicentricParams(1.0, 0.15, 0.25, u=1.5)),
+    ("conf-III", ConfocalParams(2.0, 1.0, 0.3, u=1.5)),
+], ids=["bic-III-1.2", "bic-III-1.5", "conf-III-1.5"])
+def test_a_chain_without_members_is_rejected_when_built(kind, params):
     """Past the outer conic (u > 1) the pencil caustic holds every vertex,
-    so no member has a free side to fix the envelope."""
-    with pytest.raises(VertexInsideCaustic, match="fewer than two members"):
-        cfg.closed_form_envelope()
+    so no member exists: the family is not built."""
+    message = f"^{kind}'s pencil caustic at u={params.u} is or holds the outer conic: no member exists$"
+    with pytest.raises(ValueError, match=message):
+        FamilyConfig(kind, params)
+    assert not memberless_chain(params).triangles(_grid(256)).ok.any()
 
 
 def test_triangle_metrics():
@@ -703,7 +780,7 @@ def test_triangle_metrics():
 def test_triangle_batch_carries_the_squared_sides():
     """q_k is s_k * s_k to the bit, and the claims' kept members mask it
     with every other field."""
-    cfg = bic3_config(1.0, 0.2, 0.3, 1.2)  # members on part of the grid only
+    cfg = memberless_chain(BicentricParams(1.0, 0.2, 0.3, u=1.2))
     tri = cfg.triangles(2.0 * np.pi * np.arange(256) / 256)
     assert not tri.ok.all()
     for s, q in ((tri.s1, tri.q1), (tri.s2, tri.q2), (tri.s3, tri.q3)):

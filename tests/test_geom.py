@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from poncelet.families import BicentricParams, _bic3_radius2
+from poncelet.families import BicentricParams
 from poncelet.geom import (
     CIRCLE,
     DEGENERATE,
@@ -24,6 +24,7 @@ from poncelet.geom import (
 from _geometry_oracle import (
     _bic3_limiting_points,
     NoRealTangent,
+    bic3_radius2,
     circle_inverse,
     line_from_points,
     line_intersection,
@@ -265,16 +266,21 @@ def test_pencil_member_endpoints():
 def test_circle_pencil_member_closed_form():
     """The bicentric pencil's closed form (center d(1 - u), squared
     radius k2 u^2 + k1 u + k0) is the monic-form member through the
-    caustic (u = 0) and the outer circle (u = 1)."""
+    caustic (u = 0) and the outer circle (u = 1), and the pencil circle
+    ``BicentricParams.pencil_shape`` gives."""
     R, r, d = 1.0, 0.2, 0.3
     c1 = Conic.circle(Point(d, 0.0), r)
     c2 = Conic.circle(Point(0.0, 0.0), R)
-    k2, k1, k0 = _bic3_radius2(BicentricParams(R, r, d))
+    k2, k1, k0 = bic3_radius2(BicentricParams(R, r, d))
     for u in (0.1, 0.4, 0.8):
         m = pencil_member(c1, c2, u)
         assert abs(m.center.x - d * (1.0 - u)) < 1e-14
         assert abs(m.center.y) < 1e-14
         assert abs(m.semi_axes[0] ** 2 - (k2 * u * u + k1 * u + k0)) < 1e-14
+        p, q, c = BicentricParams(R, r, d, u).pencil_shape()
+        assert p == q
+        assert abs(c - d * (1.0 - u)) < 1e-14
+        assert abs(p * p - (k2 * u * u + k1 * u + k0)) < 1e-14
 
 
 def test_limiting_points_inverse_in_every_member():

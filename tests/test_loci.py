@@ -35,6 +35,8 @@ from poncelet.loci import (
     verify_implicit_sextic_x2,
 )
 
+from _geometry_oracle import memberless_chain
+
 BIC2 = bic2_config(1.0, 0.2, 0.3)
 BIC2_PARAMS = BicentricParams(1.0, 0.2, 0.3)
 
@@ -1008,7 +1010,7 @@ def test_locus_samples_and_valid_xy_round_trip_the_arrays():
 
 
 def test_traced_locus_samples_round_trip_with_invalid_samples():
-    loc = trace_locus(bic3_config(1.0, 0.2, 0.3, 1.2), "X1", 64, min_valid=0)
+    loc = trace_locus(memberless_chain(BicentricParams(1.0, 0.2, 0.3, u=1.2)), "X1", 64, min_valid=0)
     assert not loc.ok.any()
     assert all(math.isnan(s.p.x) and math.isnan(s.p.y) for s in loc.samples)
     assert loc.valid_xy().shape == (0, 2)
